@@ -19,6 +19,11 @@ type t = {
   mutable rx_pkts : int;
   mutable rx_bytes : int;
   mutable tx_pkts : int;
+  mutable tx_msgs : int;
+      (** messages handed to the kernel for those [tx_pkts] datagrams:
+          one per datagram, except a UDP GSO run of staged replies,
+          which is one message for the whole run ({!Mmsg.send}), so
+          [tx_pkts / tx_msgs] is the datagrams-per-message ratio *)
   mutable tx_bytes : int;
   mutable drops : int;
       (** datagrams/frames discarded because the ingest slab was full —
