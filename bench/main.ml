@@ -1637,7 +1637,7 @@ let e16 () =
   let arq_data ~seq payload =
     Formats.Arq.to_bytes (Formats.Arq.Data { seq; payload })
   in
-  (* -- (a) correctness soak: a lock-step valid+mutant stream through a
+  (* -- (a) correctness soak: a burst-paced valid+mutant stream through a
      real socket pair, the fused server's every reply diffed byte for
      byte against the staged in-memory reference (Oracle.Reply_ref).
      30k packets in quick mode too: CI asserts the 0 below. -- *)
@@ -1685,9 +1685,9 @@ let e16 () =
   Printf.printf
     "  server-domain allocation: %.1f B/pkt post-warmup (the engine holds\n\
     \  0 B/pkt — e15 — so this is the Unix binding: per-recvfrom sockaddr\n\
-    \  boxing plus per-wake select bookkeeping, which lock-step traffic\n\
-    \  cannot amortise over a batch; the blast rows below show the batched\n\
-    \  figure.  Reported rather than hidden.)\n\n"
+    \  boxing plus per-wake select bookkeeping, which the per-packet\n\
+    \  legacy loop cannot amortise over a batch; the blast rows below show\n\
+    \  the batched figure.  Reported rather than hidden.)\n\n"
     soak.Net.Loopback.alloc_bytes_per_pkt;
   (* -- (b) socket-path throughput: a windowed blast of valid data
      packets, fused vs staged servers, by payload size -- *)
@@ -2694,7 +2694,7 @@ let e20 () =
       detail;
     if not ok then failures := name :: !failures
   in
-  (* -- (a) correctness: the e16 mutant-laced lock-step soak, rerun with
+  (* -- (a) correctness: the e16 mutant-laced soak, rerun with
      the server forced onto the batched drain/flush path.  Same stream
      shape, same staged in-memory reference, same demand: every reply
      byte-identical, every rejected packet silent. -- *)
