@@ -48,16 +48,12 @@ type outcome =
    (= [min_int]) is the "packet carries no key" sentinel, served by the
    shared default instance. *)
 type flow_table = {
-  (* key -> slot: open addressing with linear probing, so the per-packet
-     lookup is allocation-free (Hashtbl.find_opt boxes its result and
-     costs ~5x as much on this path).  [hstate] byte per bucket: 0 empty,
-     1 live, 2 tombstone (left by eviction; rehash sweeps them out). *)
-  mutable hkeys : int array;
-  mutable hvals : int array;
-  mutable hstate : Bytes.t;
-  mutable hmask : int; (* bucket count - 1; bucket count is a power of 2 *)
-  mutable hused : int; (* live + tombstones, drives the rehash *)
+  (* key -> slot: allocation-free per-packet lookup (Hashtbl.find_opt
+     boxes its result and costs ~5x as much on this path) *)
+  index : Keymap.t;
   mutable keys : int array; (* slot -> key *)
+  (* slot -> instance, minted on the slot's first use and reset in place
+     when the slot is recycled by eviction *)
   mutable insts : Fsm.Step.instance array;
   mutable fprev : int array;
   mutable fnext : int array;
@@ -65,74 +61,6 @@ type flow_table = {
   mutable cap : int; (* slots available before the next doubling *)
   max_flows : int;
 }
-
-(* Fibonacci hashing; [land max_int] keeps the probe index non-negative. *)
-let hash k = (k * 0x2545F4914F6CDD1D) land max_int
-
-(* Slot holding [k], or -1.  Linear probe until an empty bucket proves
-   absence; tombstones keep the chain alive past deleted keys. *)
-let hfind tbl k =
-  let mask = tbl.hmask in
-  let i = ref (hash k land mask) in
-  let r = ref (-1) in
-  let continue = ref true in
-  while !continue do
-    match Bytes.unsafe_get tbl.hstate !i with
-    | '\000' -> continue := false
-    | '\001' when Array.unsafe_get tbl.hkeys !i = k ->
-      r := Array.unsafe_get tbl.hvals !i;
-      continue := false
-    | _ -> i := (!i + 1) land mask
-  done;
-  !r
-
-(* Caller guarantees [k] is absent (a failed [hfind] just preceded), so
-   the first empty or tombstoned bucket on the chain is insertable. *)
-let hadd tbl k slot =
-  let mask = tbl.hmask in
-  let i = ref (hash k land mask) in
-  while Bytes.unsafe_get tbl.hstate !i = '\001' do
-    i := (!i + 1) land mask
-  done;
-  if Bytes.unsafe_get tbl.hstate !i = '\000' then tbl.hused <- tbl.hused + 1;
-  Bytes.unsafe_set tbl.hstate !i '\001';
-  tbl.hkeys.(!i) <- k;
-  tbl.hvals.(!i) <- slot
-
-let hremove tbl k =
-  let mask = tbl.hmask in
-  let i = ref (hash k land mask) in
-  let continue = ref true in
-  while !continue do
-    match Bytes.unsafe_get tbl.hstate !i with
-    | '\000' -> continue := false
-    | '\001' when Array.unsafe_get tbl.hkeys !i = k ->
-      Bytes.unsafe_set tbl.hstate !i '\002';
-      continue := false
-    | _ -> i := (!i + 1) land mask
-  done
-
-(* Rehash live entries into [buckets'] buckets, dropping tombstones. *)
-let hrehash tbl buckets' =
-  let okeys = tbl.hkeys and ovals = tbl.hvals and ostate = tbl.hstate in
-  let on = tbl.hmask + 1 in
-  tbl.hkeys <- Array.make buckets' 0;
-  tbl.hvals <- Array.make buckets' 0;
-  tbl.hstate <- Bytes.make buckets' '\000';
-  tbl.hmask <- buckets' - 1;
-  tbl.hused <- 0;
-  for i = 0 to on - 1 do
-    if Bytes.unsafe_get ostate i = '\001' then
-      hadd tbl okeys.(i) ovals.(i)
-  done
-
-(* Keep the load factor (live + tombstones) under 3/4; double only when
-   the live population itself needs the room, otherwise rehash in place
-   to shed tombstones. *)
-let hreserve tbl =
-  let buckets = tbl.hmask + 1 in
-  if (tbl.hused + 1) * 4 > buckets * 3 then
-    hrehash tbl (if (tbl.n + 1) * 2 > buckets then buckets * 2 else buckets)
 
 let unlink tbl slot =
   let p = Array.unsafe_get tbl.fprev slot
@@ -194,9 +122,10 @@ type t = {
   mutable cur_slot : int;
   (* encode-stage machinery: a compiled emitter for [respond_fmt], a cache
      of compiled in-place patchers (keyed by field, against [fmt] — patches
-     rewrite the *request* bytes), and one reusable reply buffer with a
-     per-batch high-water mark so one oversized reply cannot pin a large
-     buffer forever *)
+     rewrite the *request* bytes), and one reusable reply buffer, sized
+     once to the longest packet a front end admits, with a per-batch
+     high-water mark so one oversized reply cannot pin a larger buffer
+     forever *)
   emitter : F.Emit.t;
   patchers : (string, (F.Emit.patcher, string) result) Hashtbl.t;
   mutable reply_buf : Bytes.t;
@@ -209,7 +138,6 @@ type t = {
   status : int array;
   blen : int array;
   last_error : F.Codec.error option array;
-  input : Slab.t;
   inbuf : string array;
   default_inst : Fsm.Step.instance option;
   flows : flow_table option;
@@ -292,39 +220,34 @@ let apply_timer t inst k =
    the MRU end: a flow in active retransmission is not an eviction
    candidate.  A missing flow (evicted — its timer was cancelled — or a
    machine that refuses the event) counts as a refused expiry. *)
+let deliver_expiry t inst ~key ~ev =
+  (* the fired entry has left the wheel: the instance's armed-timer
+     signature is stale, and the fired transition below may arm a fresh
+     one through [apply_timer] *)
+  Fsm.Step.clear_timer_armed inst;
+  match Fsm.Step.fire_id inst ev with
+  | Fsm.Step.Fired -> (
+    apply_timer t inst key;
+    match t.on_transition with
+    | None -> ()
+    | Some hook ->
+      let plan = Fsm.Step.plan_of inst in
+      hook (Fsm.Step.transition plan (Fsm.Step.last_transition inst)))
+  | Fsm.Step.Unknown_event | Fsm.Step.Unhandled | Fsm.Step.Nondeterministic ->
+    t.expiry_refused <- t.expiry_refused + 1
+
 let fire_expiry t ~key ~ev =
-  let inst =
-    if key = no_key then t.default_inst
-    else
-      match t.flows with
-      | Some tbl ->
-        let slot = hfind tbl key in
-        if slot >= 0 then begin
-          unlink tbl slot;
-          push_mru tbl slot;
-          Some (Array.unsafe_get tbl.insts slot)
-        end
-        else None
-      | None -> t.default_inst
-  in
-  match inst with
-  | None -> t.expiry_refused <- t.expiry_refused + 1
-  | Some inst -> (
-    (* the fired entry has left the wheel: the instance's armed-timer
-       signature is stale, and the fired transition below may arm a
-       fresh one through [apply_timer] *)
-    Fsm.Step.clear_timer_armed inst;
-    match Fsm.Step.fire_id inst ev with
-    | Fsm.Step.Fired -> (
-      apply_timer t inst key;
-      match t.on_transition with
-      | None -> ()
-      | Some hook ->
-        let plan = Fsm.Step.plan_of inst in
-        hook (Fsm.Step.transition plan (Fsm.Step.last_transition inst)))
-    | Fsm.Step.Unknown_event | Fsm.Step.Unhandled | Fsm.Step.Nondeterministic
-      ->
-      t.expiry_refused <- t.expiry_refused + 1)
+  match (t.default_inst, t.flows) with
+  | None, _ -> t.expiry_refused <- t.expiry_refused + 1
+  | Some _, Some tbl when key <> no_key ->
+    let slot = Keymap.find tbl.index key in
+    if slot < 0 then t.expiry_refused <- t.expiry_refused + 1
+    else begin
+      unlink tbl slot;
+      push_mru tbl slot;
+      deliver_expiry t (Array.unsafe_get tbl.insts slot) ~key ~ev
+    end
+  | Some dflt, _ -> deliver_expiry t dflt ~key ~ev
 
 let default_clock_ms () = int_of_float (Unix.gettimeofday () *. 1e3)
 let default_now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
@@ -417,7 +340,9 @@ let create ?(config = default_config) ?(mode = Staged) ?stack ?flight ?verify
   in
   let default_inst = Option.map Fsm.Step.instance plan in
   let respond_fmt = Option.value respond_fmt ~default:fmt in
-  let reply_base = max 64 (F.Sizing.min_bytes respond_fmt) in
+  (* a fused reply is the request's size: a base below [slot_bytes] would
+     regrow and shrink on every window of mixed-size traffic *)
+  let reply_base = max config.slot_bytes (F.Sizing.min_bytes respond_fmt) in
   let timed =
     match plan with Some p -> Fsm.Step.has_timers p | None -> false
   in
@@ -444,13 +369,15 @@ let create ?(config = default_config) ?(mode = Staged) ?stack ?flight ?verify
     reply_base;
     reply_hwm = 0;
     stats = Stats.create stage_names;
-    views = Array.init config.batch (fun _ -> F.View.create fmt);
+    (* fused mode decodes without views; it keeps one for recovering
+       decode-error detail on slot 0 *)
+    views =
+      Array.init
+        (match mode with Staged -> config.batch | Fused -> 1)
+        (fun _ -> F.View.create fmt);
     status = Array.make config.batch live;
     blen = Array.make config.batch 0;
     last_error = Array.make config.batch None;
-    input =
-      Slab.create ~slot_bytes:config.slot_bytes ~capacity:config.ring_capacity
-        ();
     inbuf = Array.make config.batch "";
     default_inst;
     seq;
@@ -458,14 +385,9 @@ let create ?(config = default_config) ?(mode = Staged) ?stack ?flight ?verify
       (match (default_inst, flow_key) with
       | Some inst, Some _ ->
         let cap = min 256 (max 1 config.max_flows) in
-        let buckets = 1024 in
         Some
           {
-            hkeys = Array.make buckets 0;
-            hvals = Array.make buckets 0;
-            hstate = Bytes.make buckets '\000';
-            hmask = buckets - 1;
-            hused = 0;
+            index = Keymap.create 1024;
             keys = Array.make (cap + 1) 0;
             (* slot 0 never fires a transition; the default instance is
                just an arbitrary well-typed filler *)
@@ -521,14 +443,13 @@ let flow_count t = match t.flows with None -> 0 | Some tbl -> tbl.n
 let reply_capacity t = Bytes.length t.reply_buf
 
 (* Instance lookup by native-int key, shared by both modes (the staged
-   side extracts the key from the view first). *)
-(* Option-free touch for the fused per-packet loop (precondition:
-   [t.default_inst = Some dflt]); [instance_for_key] wraps it for the
-   staged side. *)
+   side extracts the key from the view first).  Option-free for the fused
+   per-packet loop (precondition: [t.default_inst = Some dflt]);
+   [instance_for_key] wraps it for the staged side. *)
 let touch_flow t dflt k =
   match t.flows with
   | Some tbl when k <> no_key ->
-    let slot = hfind tbl k in
+    let slot = Keymap.find tbl.index k in
     if slot >= 0 then begin
       unlink tbl slot;
       push_mru tbl slot;
@@ -537,28 +458,29 @@ let touch_flow t dflt k =
     else begin
       let slot =
         if tbl.n >= tbl.max_flows then begin
-          (* evict the LRU flow and reuse its slot; its pending timer goes
-             with it — an expiry for a dead flow must never fire *)
+          (* evict the LRU flow and reuse its slot and instance; its
+             pending timer goes with it — an expiry for a dead flow must
+             never fire *)
           let victim = tbl.fnext.(0) in
           unlink tbl victim;
-          hremove tbl tbl.keys.(victim);
+          ignore (Keymap.remove tbl.index tbl.keys.(victim));
           (match t.wheel with
           | Some w -> ignore (Wheel.cancel w tbl.keys.(victim))
           | None -> ());
           Stats.note_evicted_flow t.stats;
+          Fsm.Step.reset tbl.insts.(victim);
           victim
         end
         else begin
           if tbl.n >= tbl.cap then grow_flows tbl;
           tbl.n <- tbl.n + 1;
+          tbl.insts.(tbl.n) <- Fsm.Step.instance (Fsm.Step.plan_of dflt);
           tbl.n
         end
       in
       tbl.keys.(slot) <- k;
-      tbl.insts.(slot) <- Fsm.Step.instance (Option.get t.plan);
       push_mru tbl slot;
-      hreserve tbl;
-      hadd tbl k slot;
+      Keymap.add tbl.index k slot;
       tbl.insts.(slot)
     end
   | _ -> dflt
@@ -615,8 +537,8 @@ let emit_reply t len =
 
 (* High-water reset, once per batch: a single oversized reply grows the
    buffer transiently; if the batch's replies fit in half the buffer it
-   shrinks back to their high-water mark (never below the format's
-   minimum).  Steady-state traffic never churns the buffer. *)
+   shrinks back to their high-water mark (never below the base size).
+   Traffic within the base size never churns the buffer. *)
 let reset_reply_buf t =
   if
     Bytes.length t.reply_buf > t.reply_base
@@ -955,7 +877,7 @@ let peek_flow t k =
   match t.flows with
   | None -> None
   | Some tbl ->
-    let slot = hfind tbl k in
+    let slot = Keymap.find tbl.index k in
     if slot >= 0 then Some tbl.insts.(slot) else None
 
 let run_window t n =
@@ -1011,10 +933,10 @@ let process t pkt =
 
 (* Batch-drain entry point for external slab owners (the socket front
    end): process one packet sitting in a caller-owned buffer without
-   copying it.  [Bytes.unsafe_to_string] is safe under the same contract
-   as [run]: the buffer is only read during this call and the caller must
-   not mutate it until the call returns (a socket slab slot is not
-   recycled before [Slab.release]). *)
+   copying it.  [Bytes.unsafe_to_string] is safe because the buffer is
+   only read during this call and the caller must not mutate it until the
+   call returns (a socket slab slot is not recycled before
+   [Slab.release]). *)
 let process_buffer t buf ~len =
   if len < 0 || len > Bytes.length buf then
     invalid_arg "Pipeline.process_buffer: len out of bounds";
@@ -1042,10 +964,11 @@ let process_ring_batch t ring ~n =
    (the batched socket front end): map a popped run of caller-owned
    slots into the window and run it once, so stats recording and timer
    polling cost per batch, not per packet.  Same read-only contract as
-   [run]: slots are not touched by the producer until [Slab.release],
-   which must come after this returns (and after any replies staged via
-   [on_reply_slot] — which receives each reply's window index — are
-   flushed, if their destinations live in per-slot sidecars). *)
+   [process_ring_batch]: slots are not touched by the producer until
+   [Slab.release], which must come after this returns (and after any
+   replies staged via [on_reply_slot] — which receives each reply's
+   window index — are flushed, if their destinations live in per-slot
+   sidecars). *)
 let process_slab_batch t slab ~n =
   if n > t.cfg.batch then
     invalid_arg "Pipeline.process_slab_batch: batch too large";
@@ -1054,28 +977,3 @@ let process_slab_batch t slab ~n =
     t.blen.(i) <- Slab.len slab i
   done;
   run_window t n
-
-(* Slab-driven operation: a producer [feed]s — blitting into a
-   preallocated slot, blocking when the slab is full (backpressure) — and
-   a consumer domain sits in [run], processing whole slot runs in place.
-   [Bytes.unsafe_to_string] is safe here: the batch's slots are only read
-   until [Slab.release], and the producer cannot touch them before it. *)
-let feed t pkt = Slab.push t.input pkt
-let feed_batch t pkts n = Slab.push_batch t.input pkts n
-let close_input t = Slab.close t.input
-
-let run t =
-  let slab = t.input in
-  let rec loop () =
-    let n = Slab.pop_batch slab ~max:t.cfg.batch in
-    if n > 0 then begin
-      for i = 0 to n - 1 do
-        t.inbuf.(i) <- Bytes.unsafe_to_string (Slab.buf slab i);
-        t.blen.(i) <- Slab.len slab i
-      done;
-      run_window t n;
-      Slab.release slab;
-      loop ()
-    end
-  in
-  loop ()

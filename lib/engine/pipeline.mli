@@ -25,23 +25,40 @@
       [~flight]; the same spec also derives the staged closures, so the
       two modes are differentially testable against each other.
 
-    Two driving modes:
-    - synchronous: {!process} / {!process_batch} on the caller's domain
-      (this is what the bench baselines use);
-    - slab-driven: a producer {!feed}s packets into a preallocated
-      {!Slab} (blitting into fixed slots — no per-packet allocation;
-      blocking when full — backpressure) while a consumer domain sits in
-      {!run}.  [Shard] runs one such consumer per worker domain. *)
+    The caller owns the packets' memory: the pipeline keeps no ingest
+    buffer of its own, only a window of borrowed references to the
+    current batch.  Five entry points drive it, all on the caller's
+    domain:
+    - {!process} / {!process_batch}: strings (tests, the bench
+      baselines, in-memory references);
+    - {!process_buffer}: one packet in a caller-owned buffer, no copy;
+    - {!process_slab_batch}: a popped run of the caller's {!Slab} slots
+      (the socket front end; a test that wants a producer domain owns a
+      slab and drains it through this);
+    - {!process_ring_batch}: a claimed run of a {!Spsc} ring ([Shard]'s
+      worker domains).
+
+    State is sized once and reused: the batch window and view pool at
+    {!create}, flow slots and their machine instances as the flow table
+    first reaches them (an evicted flow's slot and instance are reset in
+    place for the next flow), and the flow-key and timer-key maps are
+    tombstone-free ({!Keymap}), so they reallocate only to grow.  In
+    fused mode the steady state allocates nothing per packet, evictions
+    and timer cancels included. *)
 
 type config = {
   batch : int;  (** batch size, and the number of pooled view slots *)
-  ring_capacity : int;  (** input slab slot count — the backpressure depth *)
+  ring_capacity : int;
+      (** slot count of the ingest slab or ring a front end ([Net.Server],
+          {!Shard}) allocates for this pipeline — the backpressure depth;
+          the pipeline itself allocates none *)
   max_flows : int;
       (** per-pipeline bound on live flow instances; when a new flow
           arrives at the bound, the oldest-idle one is evicted (counted in
           {!Stats.evicted_flows}) *)
   slot_bytes : int;
-      (** input slab slot capacity; {!feed} rejects longer packets *)
+      (** slot capacity of that slab or ring: the longest packet a front
+          end admits *)
 }
 
 val default_config : config
@@ -123,7 +140,7 @@ val create :
       flow is evicted.
     - [clock_ms] is the pipeline's clock: a monotone millisecond counter
       consulted when polling timers ({!poll_timers}, and once per
-      {!run}/{!process_ring_batch} window).  The default reads wall time;
+      batch window).  The default reads wall time;
       tests inject a virtual clock and drive it deterministically.
     - [now_ns] is the stage-timing clock (integer nanoseconds; only
       differences are taken, so any monotone base works).  The default
@@ -157,8 +174,9 @@ val create :
       against its per-slot return-address sidecar), else to [on_reply]
       (borrowed buffer + length — zero-copy; the bytes are only valid
       during the call), else to [on_response] as a fresh string.  The
-      reply buffer carries a per-batch high-water mark: one oversized
-      reply grows it only until the end of the batch. *)
+      reply buffer starts at [config.slot_bytes] and carries a per-batch
+      high-water mark: one oversized reply grows it only until the end
+      of the batch. *)
 
 val process : t -> string -> outcome
 val process_batch : t -> string array -> int -> unit
@@ -190,21 +208,6 @@ val process_slab_batch : t -> Slab.t -> n:int -> unit
     [Slab.pop_batch] before, [Slab.release] after — and after flushing
     any replies staged via [on_reply_slot] whose return addresses live
     in per-slot sidecars.  [n] at most [config.batch]. *)
-
-val feed : t -> string -> bool
-(** Blit one packet into the input slab; blocks while the slab is full,
-    [false] after {!close_input}.  Raises [Invalid_argument] if the
-    packet exceeds [config.slot_bytes]. *)
-
-val feed_batch : t -> string array -> int -> bool
-(** [feed_batch t pkts n] publishes [pkts.(0 .. n-1)] taking the slab
-    lock once per free run — the batch hand-off path. *)
-
-val close_input : t -> unit
-
-val run : t -> unit
-(** Consume the input slab in whole-batch slot runs until it is closed
-    and drained.  Intended to run on its own domain. *)
 
 val stats : t -> Stats.t
 (** Stage layout: {!stage_names}.  In [Fused] mode the counters mirror
@@ -263,7 +266,10 @@ val next_timer_ms : t -> int
 val peek_flow : t -> int -> Netdsl_fsm.Step.instance option
 (** The live machine instance for a flow key, without touching LRU order
     — observability for tests comparing per-flow end states across
-    sharded and single-pipeline runs.  [None] on unkeyed pipelines. *)
+    sharded and single-pipeline runs.  [None] on unkeyed pipelines.
+    The instance belongs to that flow only until the flow is evicted:
+    eviction resets it in place and hands it to the next new flow, so
+    read it before further traffic can evict the flow. *)
 
 val reply_capacity : t -> int
 (** Current size of the reusable reply buffer (observable for the

@@ -313,11 +313,6 @@ let feed t pkt =
   Steer.maybe_rebalance t.steer t.rings;
   true
 
-(* Packets are published to the rings as they are fed — there is no
-   staging layer to push out any more.  Kept so pause/resume call sites
-   from the staged era still compile and read naturally. *)
-let flush _t = ()
-
 let drain t =
   Array.iter Spsc.close t.rings;
   if t.running then begin

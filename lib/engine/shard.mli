@@ -145,10 +145,6 @@ val feed : t -> string -> bool
     Packets too short to carry the key go to worker 0, whose decode
     stage rejects and counts them. *)
 
-val flush : t -> unit
-(** No-op since the SPSC rework: {!feed} publishes immediately, there is
-    no staging layer to push out.  Kept for call-site compatibility. *)
-
 val drain : t -> unit
 (** Close all rings, wait for the workers to finish the backlog, join
     the domains. *)

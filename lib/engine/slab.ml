@@ -9,10 +9,10 @@
    counters (slot = counter mod capacity): [tail - head] slots are in
    flight, and the consumer's outstanding batch is the run
    [[head, head + batch_len)], which the producer cannot overwrite until
-   {!release} advances [head].  Blocking and close semantics follow
-   [Ring]: the same staged spin → yield → wait backoff, and a closed slab
-   releases every waiter.  For the cross-domain lock-free variant of this
-   shape see [Spsc] (the shard's per-worker rings). *)
+   {!release} advances [head].  Blocking is a staged spin → yield → wait
+   backoff, and a closed slab releases every waiter.  For the cross-domain
+   lock-free variant of this shape see [Spsc] (the shard's per-worker
+   rings). *)
 
 let spin_rounds = 4
 let yield_rounds = 4

@@ -6,12 +6,11 @@
     publishes the index; the consumer dequeues whole index runs with
     {!pop_batch}, processes them in place, and hands the run back with
     {!release}.  Steady-state ingest moves bytes only — no per-packet
-    allocation on either side, unlike [string Ring.t] which allocates one
-    string per packet.
+    allocation on either side.
 
-    Single-producer / single-consumer.  Blocking and close semantics
-    follow {!Ring}: producers block while the ring is full, {!pop_batch}
-    blocks while it is empty, and {!close} releases every waiter.
+    Single-producer / single-consumer.  Producers block while the ring
+    is full, {!pop_batch} blocks while it is empty, and {!close} releases
+    every waiter.
 
     The slab is mutex-based and meant for one domain (or a producer
     thread that may block).  Its lock-free cross-domain sibling is

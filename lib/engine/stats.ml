@@ -49,7 +49,7 @@ let evicted_flows t = t.evicted_flows
 let note_unkeyed ?(n = 1) t = t.unkeyed <- t.unkeyed + n
 let unkeyed t = t.unkeyed
 
-let note_timers ?(expired = 0) ?(cancelled = 0) ?(cascaded = 0) t =
+let note_timers ~expired ~cancelled ~cascaded t =
   t.timers_expired <- t.timers_expired + expired;
   t.timers_cancelled <- t.timers_cancelled + cancelled;
   t.timers_cascaded <- t.timers_cascaded + cascaded

@@ -41,7 +41,7 @@ val note_unkeyed : ?n:int -> t -> unit
 
 val unkeyed : t -> int
 
-val note_timers : ?expired:int -> ?cancelled:int -> ?cascaded:int -> t -> unit
+val note_timers : expired:int -> cancelled:int -> cascaded:int -> t -> unit
 (** Fold a batch of timer-wheel activity ([Wheel] counter deltas) into the
     counter set — bumped by the pipeline after each timer poll. *)
 

@@ -1,10 +1,10 @@
 (* A hierarchical timing wheel keyed by flow id, in the zero-allocation
    style of the pipeline's flow table: every structure is a parallel int
    array, membership is intrusive doubly-linked lists threaded through
-   those arrays, and the key -> entry index is the same open-addressing
-   Fibonacci-hash map.  Arm, re-arm and cancel are O(1); [advance] walks
-   virtual time one tick at a time, cascading a higher-level slot down
-   exactly when the level below wraps (the classic Varghese/Lauck layout:
+   those arrays, and the key -> entry index is the flow table's
+   tombstone-free [Keymap].  Arm, re-arm and cancel are O(1); [advance]
+   walks virtual time one tick at a time, cascading a higher-level slot
+   down exactly when the level below wraps (the classic Varghese/Lauck layout:
    4 levels x 256 slots, level [l] spanning [2^(8*(l+1))] ticks, ~2^32
    ticks = ~49 days at 1ms resolution in total).
 
@@ -47,13 +47,7 @@ type t = {
   mutable used : int; (* entry-store high-water mark *)
   mutable free : int; (* freelist head through [enext], -1 when empty *)
   heads : int array; (* levels * 256 global slots; entry id or -1 *)
-  (* key -> entry id: open addressing with linear probing, tombstones in
-     [hstate] ('\000' empty, '\001' live, '\002' tombstone) *)
-  mutable hkeys : int array;
-  mutable hvals : int array;
-  mutable hstate : Bytes.t;
-  mutable hmask : int;
-  mutable hused : int;
+  index : Keymap.t; (* key -> entry id *)
   mutable now : int;
   mutable live : int;
   mutable seq : int;
@@ -67,7 +61,6 @@ type t = {
 
 let create ?(now = 0) () =
   let cap = 64 in
-  let buckets = 256 in
   {
     ekey = Array.make cap 0;
     eexp = Array.make cap 0;
@@ -79,11 +72,7 @@ let create ?(now = 0) () =
     used = 0;
     free = -1;
     heads = Array.make (levels * slots_per_level) (-1);
-    hkeys = Array.make buckets 0;
-    hvals = Array.make buckets 0;
-    hstate = Bytes.make buckets '\000';
-    hmask = buckets - 1;
-    hused = 0;
+    index = Keymap.create 256;
     now;
     live = 0;
     seq = 0;
@@ -99,62 +88,6 @@ let live t = t.live
 let expired t = t.expired
 let cancelled t = t.cancelled
 let cascaded t = t.cascaded
-
-(* ---- key -> entry hash (the pipeline flow-table idiom) ---- *)
-
-let hash k = (k * 0x2545F4914F6CDD1D) land max_int
-
-(* probe order matters: the live-and-matching case leads because on the
-   hot path (per-packet re-arm) the first probe is almost always the hit *)
-let rec hprobe t k i mask =
-  let c = Bytes.unsafe_get t.hstate i in
-  if c = '\001' && Array.unsafe_get t.hkeys i = k then
-    Array.unsafe_get t.hvals i
-  else if c = '\000' then -1
-  else hprobe t k ((i + 1) land mask) mask
-
-let hfind t k = hprobe t k (hash k land t.hmask) t.hmask
-
-let hadd t k v =
-  let mask = t.hmask in
-  let i = ref (hash k land mask) in
-  while Bytes.unsafe_get t.hstate !i = '\001' do
-    i := (!i + 1) land mask
-  done;
-  if Bytes.unsafe_get t.hstate !i = '\000' then t.hused <- t.hused + 1;
-  Bytes.unsafe_set t.hstate !i '\001';
-  t.hkeys.(!i) <- k;
-  t.hvals.(!i) <- v
-
-let hremove t k =
-  let mask = t.hmask in
-  let i = ref (hash k land mask) in
-  let continue = ref true in
-  while !continue do
-    match Bytes.unsafe_get t.hstate !i with
-    | '\000' -> continue := false
-    | '\001' when Array.unsafe_get t.hkeys !i = k ->
-      Bytes.unsafe_set t.hstate !i '\002';
-      continue := false
-    | _ -> i := (!i + 1) land mask
-  done
-
-let hrehash t buckets' =
-  let okeys = t.hkeys and ovals = t.hvals and ostate = t.hstate in
-  let on = t.hmask + 1 in
-  t.hkeys <- Array.make buckets' 0;
-  t.hvals <- Array.make buckets' 0;
-  t.hstate <- Bytes.make buckets' '\000';
-  t.hmask <- buckets' - 1;
-  t.hused <- 0;
-  for i = 0 to on - 1 do
-    if Bytes.unsafe_get ostate i = '\001' then hadd t okeys.(i) ovals.(i)
-  done
-
-let hreserve t =
-  let buckets = t.hmask + 1 in
-  if (t.hused + 1) * 4 > buckets * 3 then
-    hrehash t (if (t.live + 1) * 2 > buckets then buckets * 2 else buckets)
 
 (* ---- entry store ---- *)
 
@@ -225,7 +158,7 @@ let gslot_for t e ~imminent =
 
 (* ---- the public operations ---- *)
 
-let armed t key = hfind t key >= 0
+let armed t key = Keymap.find t.index key >= 0
 
 (* Re-arm a live (or pending) entry [i]: new deadline/payload/arm order.
    An {e identical} re-arm — same deadline tick, same event — is a
@@ -256,14 +189,13 @@ let arm_fresh t ~key ~e ~ev =
   t.seq <- t.seq + 1;
   link t (gslot_for t e ~imminent:((t.now + 1) land slot_mask)) i;
   t.live <- t.live + 1;
-  hreserve t;
-  hadd t key i;
+  Keymap.add t.index key i;
   i
 
 let arm t ~key ~after ~ev =
   let after = if after < 1 then 1 else after in
   let e = t.now + after in
-  let i = hfind t key in
+  let i = Keymap.find t.index key in
   if i >= 0 then rearm_entry t i ~e ~ev
   else ignore (arm_fresh t ~key ~e ~ev)
 
@@ -285,7 +217,7 @@ let arm_hint t ~hint ~key ~after ~ev =
     hint
   end
   else begin
-    let i = hfind t key in
+    let i = Keymap.find t.index key in
     if i >= 0 then begin
       rearm_entry t i ~e ~ev;
       i
@@ -294,14 +226,13 @@ let arm_hint t ~hint ~key ~after ~ev =
   end
 
 let cancel t key =
-  let i = hfind t key in
+  let i = Keymap.remove t.index key in
   if i < 0 then false
   else begin
     (* a pending entry (collected for this tick's fire pass) is already
        unlinked; freeing it flips [eprev] off [pending_mark], which is
        exactly what tells the pass to skip it *)
     if t.eprev.(i) <> pending_mark then unlink t i;
-    hremove t key;
     free_entry t i;
     t.live <- t.live - 1;
     t.cancelled <- t.cancelled + 1;
@@ -329,9 +260,11 @@ let push_scratch t i =
   t.scratch.(t.scratch_n) <- i;
   t.scratch_n <- t.scratch_n + 1
 
-let fire_slot t tick fire_cb fired =
+(* Fires the due entries of [tick]'s level-0 slot; returns how many. *)
+let fire_slot t tick fire_cb =
   let g = tick land slot_mask in
-  if t.heads.(g) >= 0 then begin
+  if t.heads.(g) < 0 then 0
+  else begin
     t.scratch_n <- 0;
     let i = ref t.heads.(g) in
     t.heads.(g) <- -1;
@@ -360,20 +293,22 @@ let fire_slot t tick fire_cb fired =
       done;
       s.(!j + 1) <- v
     done;
+    let fired = ref 0 in
     for k = 0 to t.scratch_n - 1 do
       let i = s.(k) in
       (* anything the fire callbacks did to a later pending entry —
          cancel, re-arm — cleared its mark; fire only untouched ones *)
       if t.eprev.(i) = pending_mark then begin
         let key = t.ekey.(i) and ev = t.eev.(i) in
-        hremove t key;
+        ignore (Keymap.remove t.index key);
         free_entry t i;
         t.live <- t.live - 1;
         t.expired <- t.expired + 1;
         incr fired;
         fire_cb ~key ~ev
       end
-    done
+    done;
+    !fired
   end
 
 let advance t ~now:target fire_cb =
@@ -390,7 +325,7 @@ let advance t ~now:target fire_cb =
           if tick land ((1 lsl (3 * slot_bits)) - 1) = 0 then cascade t 3 tick
         end
       end;
-      fire_slot t tick fire_cb fired
+      fired := !fired + fire_slot t tick fire_cb
     end
   done;
   !fired

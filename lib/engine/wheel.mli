@@ -6,8 +6,9 @@
     the live engine, at flow-table scale.  This wheel holds millions of
     armed timers in parallel int arrays (the zero-allocation idiom of the
     pipeline's flow table): 4 levels × 256 slots of intrusive
-    doubly-linked lists, an open-addressing key → entry map, and a
-    freelist — {!arm}, re-arm and {!cancel} are O(1) and allocation-free;
+    doubly-linked lists, the tombstone-free {!Keymap} from key to entry,
+    and a freelist — {!arm}, re-arm and {!cancel} are O(1) and
+    allocation-free;
     {!advance} cascades a higher-level slot down exactly when the level
     below wraps, so each timer is touched O(levels) times over its life.
 

@@ -240,7 +240,10 @@ let plan_of i = i.i_plan
 let reset i =
   i.i_state <- i.i_plan.p_initial;
   Array.blit i.i_plan.p_reg_init 0 i.i_regs 0 (Array.length i.i_regs);
-  i.i_last <- -1
+  i.i_last <- -1;
+  i.i_timer <- -1;
+  i.i_tword <- 0;
+  i.i_tnow <- 0
 
 let fire_id i ev =
   let p = i.i_plan in

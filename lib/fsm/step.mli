@@ -111,7 +111,12 @@ val instance : plan -> instance
     mint per flow. *)
 
 val plan_of : instance -> plan
+
 val reset : instance -> unit
+(** Back to the state of a fresh {!instance}: initial state and
+    registers, no last transition, and the engine's timer cache
+    cleared — the engine recycles an evicted flow's instance for the
+    next flow with it, in place. *)
 
 val fire_id : instance -> int -> verdict
 (** [fire_id i ev] fires the unique enabled transition for event id [ev].

@@ -1,4 +1,4 @@
-(* The packet-processing engine: ring hand-off, per-stage stats, the
+(* The packet-processing engine: slab hand-off, per-stage stats, the
    batched pipeline over pooled views, and multicore flow sharding. *)
 
 open Netdsl_engine
@@ -9,58 +9,60 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
 (* ------------------------------------------------------------------ *)
-(* Ring *)
+(* Keymap *)
 
-let ring_fifo () =
-  let r = Ring.create ~capacity:4 in
-  List.iter (fun i -> ignore (Ring.push r i)) [ 1; 2; 3 ];
-  check_int "length" 3 (Ring.length r);
-  check_bool "pop 1" true (Ring.pop r = Some 1);
-  check_bool "pop 2" true (Ring.pop r = Some 2);
-  check_bool "pop 3" true (Ring.pop r = Some 3)
-
-let ring_close_drains () =
-  let r = Ring.create ~capacity:4 in
-  ignore (Ring.push r "a");
-  Ring.close r;
-  check_bool "push after close" false (Ring.push r "b");
-  check_bool "drain" true (Ring.pop r = Some "a");
-  check_bool "closed empty" true (Ring.pop r = None)
-
-let ring_blocking_producer () =
-  (* A full ring must block the producer until the consumer pops — run the
-     producer on a second domain and check it only completes after pops. *)
-  let r = Ring.create ~capacity:2 in
-  ignore (Ring.push r 0);
-  ignore (Ring.push r 1);
-  let pushed = Atomic.make false in
-  let d =
-    Domain.spawn (fun () ->
-        ignore (Ring.push r 2);
-        Atomic.set pushed true)
+let keymap_matches_model () =
+  (* PRNG-driven add/remove against Hashtbl.  Multiples of 1024 share one
+     home bucket in a map of up to 1024 buckets, so probe chains are long
+     and wrap the bucket array; every key is looked up after every
+     operation, so a backward shift that strands an entry behind a hole
+     shows up at once *)
+  let m = Keymap.create 8 in
+  let model = Hashtbl.create 64 in
+  let domain =
+    Array.append [| min_int; max_int; -1 |] (Array.init 61 (fun i -> i * 1024))
   in
-  Domain.cpu_relax ();
-  (* Cannot assert "still blocked" without a race; assert the data is
-     complete and ordered instead. *)
-  check_bool "pop 0" true (Ring.pop r = Some 0);
-  check_bool "pop 1" true (Ring.pop r = Some 1);
-  check_bool "pop 2" true (Ring.pop r = Some 2);
-  Domain.join d;
-  check_bool "producer finished" true (Atomic.get pushed)
+  let rng = Prng.of_int 7 in
+  for _ = 1 to 4000 do
+    let k = domain.(Prng.int rng (Array.length domain)) in
+    (match Hashtbl.find_opt model k with
+    | Some v ->
+      check_int "remove returns the bound value" v (Keymap.remove m k);
+      Hashtbl.remove model k
+    | None ->
+      check_int "remove of an unbound key" (-1) (Keymap.remove m k);
+      let v = Prng.int rng 1000 in
+      Keymap.add m k v;
+      Hashtbl.replace model k v);
+    check_int "length" (Hashtbl.length model) (Keymap.length m);
+    Array.iter
+      (fun k ->
+        check_int "find"
+          (Option.value (Hashtbl.find_opt model k) ~default:(-1))
+          (Keymap.find m k))
+      domain
+  done
 
-let ring_pop_into () =
-  let r = Ring.create ~capacity:8 in
-  for i = 1 to 5 do
-    ignore (Ring.push r i)
+let keymap_churn_allocates_nothing () =
+  (* deletes leave no tombstones, so churn at a steady population never
+     rehashes *)
+  let m = Keymap.create 1024 in
+  for k = 0 to 599 do
+    Keymap.add m k k
   done;
-  let out = Array.make 3 0 in
-  let n = Ring.pop_into r out in
-  check_int "batch of 3" 3 n;
-  check_bool "batch contents" true (Array.to_list out = [ 1; 2; 3 ]);
-  let n = Ring.pop_into r out in
-  check_int "batch of 2" 2 n;
-  Ring.close r;
-  check_int "after close+drain" 0 (Ring.pop_into r out)
+  Gc.full_major ();
+  let a0 = Gc.allocated_bytes () in
+  for k = 600 to 100_599 do
+    ignore (Keymap.remove m (k - 600));
+    Keymap.add m k k
+  done;
+  let bytes = Gc.allocated_bytes () -. a0 in
+  check_bool (Printf.sprintf "100k delete+insert allocate %.0f B" bytes) true
+    (bytes < 1024.);
+  for k = 100_000 to 100_599 do
+    check_int "survivor found" k (Keymap.find m k)
+  done;
+  check_int "old key gone" (-1) (Keymap.find m 99_999)
 
 (* ------------------------------------------------------------------ *)
 (* Slab *)
@@ -115,7 +117,7 @@ let slab_batch_across_seam () =
 
 let slab_backpressure () =
   (* A full slab must block the producer until the consumer releases — run
-     the producer on a second domain, same shape as the Ring test. *)
+     the producer on a second domain. *)
   let s = Slab.create ~capacity:2 () in
   ignore (Slab.push s "0");
   ignore (Slab.push s "1");
@@ -388,13 +390,29 @@ let pipeline_batch_matches_singles () =
         (Stats.stage_rejects s2 idx))
     Pipeline.stage_names
 
+(* The consumer side of a test-owned slab: whole-batch slot runs through
+   [process_slab_batch] until the slab is closed and drained. *)
+let drain_slab p slab =
+  let rec loop () =
+    let n = Slab.pop_batch slab ~max:Pipeline.default_config.batch in
+    if n > 0 then begin
+      Pipeline.process_slab_batch p slab ~n;
+      Slab.release slab;
+      loop ()
+    end
+  in
+  loop ()
+
 let pipeline_ring_driven () =
+  (* a producer on this domain, the pipeline on a second one, and a slab
+     smaller than the traffic between them: backpressure included *)
   let p = Pipeline.create Fm.Arq.format in
-  let consumer = Domain.spawn (fun () -> Pipeline.run p) in
+  let slab = Slab.create ~capacity:128 () in
+  let consumer = Domain.spawn (fun () -> drain_slab p slab) in
   for i = 1 to 500 do
-    check_bool "fed" true (Pipeline.feed p (arq_data ~seq:(i land 0xFF) "zz"))
+    check_bool "fed" true (Slab.push slab (arq_data ~seq:(i land 0xFF) "zz"))
   done;
-  Pipeline.close_input p;
+  Slab.close slab;
   Domain.join consumer;
   let s = Pipeline.stats p in
   check_int "all decoded" 500 (Stats.stage_packets s (Stats.stage_index s "decode"))
@@ -764,8 +782,9 @@ let reply_buf_high_water_reset () =
   check_int "no churn while the high-water holds" grown (Pipeline.reply_capacity p)
 
 let pipeline_slab_driven_both_modes () =
-  (* The slab-driven [run] loop in both modes, batch hand-off included:
-     every packet fed must be decoded, replies must flow. *)
+  (* A test-owned slab drained through [process_slab_batch] in both
+     modes, batch hand-off included: every packet fed must be decoded,
+     replies must flow. *)
   List.iter
     (fun mode ->
       let replies = ref 0 in
@@ -775,15 +794,16 @@ let pipeline_slab_driven_both_modes () =
           ~on_reply:(fun _ _ -> incr replies)
           Fm.Arq.format
       in
-      let consumer = Domain.spawn (fun () -> Pipeline.run p) in
+      let slab = Slab.create ~capacity:128 () in
+      let consumer = Domain.spawn (fun () -> drain_slab p slab) in
       let batch = Array.init 50 (fun i -> arq_data ~seq:(i land 0xFF) "zz") in
       for _ = 1 to 6 do
-        check_bool "batch fed" true (Pipeline.feed_batch p batch 50)
+        check_bool "batch fed" true (Slab.push_batch slab batch 50)
       done;
       for i = 1 to 200 do
-        check_bool "fed" true (Pipeline.feed p (arq_data ~seq:(i land 0xFF) "y"))
+        check_bool "fed" true (Slab.push slab (arq_data ~seq:(i land 0xFF) "y"))
       done;
-      Pipeline.close_input p;
+      Slab.close slab;
       Domain.join consumer;
       let s = Pipeline.stats p in
       check_int "all decoded" 500
@@ -928,6 +948,157 @@ let stack_pipeline_zero_alloc () =
     (Printf.sprintf "steady state allocates nothing (%.3f B/pkt)" per_pkt)
     true (per_pkt < 1.0);
   check_int "every ack answered" (100 + n) !replies
+
+(* The serve benchmark's tftp-flows engine: swt_sender, whose DATA
+   ([send]) arms a 150 ms retransmission timer and whose ACK cancels it,
+   keyed on the UDP source port, every accepted packet answered. *)
+let swt_sender =
+  lazy
+    (let src =
+       In_channel.with_open_bin "../specs/timeout.ndsl" In_channel.input_all
+     in
+     Option.get
+       (Netdsl_lang.Parser.find_machine
+          (Netdsl_lang.Parser.parse_string_exn src)
+          "swt_sender"))
+
+let swt_flight =
+  let opcode_is n =
+    Flight.Cmp (Flight.Eq, Flight.Field "tftp.opcode", Flight.Const n)
+  in
+  Flight.spec
+    ~verify:(Flight.Cmp (Flight.Le, Flight.Field "tftp.opcode", Flight.Const 5L))
+    ~classify:
+      [ { Flight.ev_when = opcode_is 3L; ev_name = "send" };
+        { Flight.ev_when = opcode_is 4L; ev_name = "ack" } ]
+    ~flow_key:"udp.src_port"
+    ~respond:
+      [ { Flight.re_when = Flight.All [];
+          re_set =
+            [ { Flight.set_field = "udp.dst_port";
+                set_to = Flight.Field "udp.src_port" };
+              { Flight.set_field = "udp.src_port";
+                set_to = Flight.Const 69L } ] } ]
+    ()
+
+let swt_pipeline ?on_reply ~max_flows ~now () =
+  Pipeline.create
+    ~config:{ Pipeline.default_config with max_flows }
+    ~mode:Pipeline.Fused ~stack:Fm.Stacks.inet_tftp ~flight:swt_flight
+    ~machine:(Lazy.force swt_sender)
+    ~clock_ms:(fun () -> !now)
+    ?on_reply Fm.Ethernet.format
+
+(* DATA frames are longer than ACKs, as in the serve benchmark: the reply
+   buffer must not regrow and shrink as the two alternate *)
+let swt_data ~src_port block =
+  tftp_chain ~src_port (Fm.Tftp.Data { block; data = String.make 32 'd' })
+
+let timed_churn_zero_alloc () =
+  (* DATA/ACK pairs over 1040 ports through a 64-flow table: every DATA
+     arms a timer, every ACK cancels one, and a cold port evicts the
+     oldest-idle flow.  Gc.allocated_bytes also counts arrays allocated
+     straight into the major heap (a rehash), which minor words miss. *)
+  let now = ref 0 in
+  let replies = ref 0 in
+  let p =
+    swt_pipeline ~on_reply:(fun _ _ -> incr replies) ~max_flows:64 ~now ()
+  in
+  let rng = Prng.of_int 16 in
+  let pairs = 4096 in
+  let stream = Array.make (2 * pairs) "" in
+  for j = 0 to pairs - 1 do
+    let src_port =
+      if Prng.int rng 4 = 0 then 2000 + Prng.int rng 16
+      else 10000 + Prng.int rng 1024
+    in
+    let block = j land 0xFFFF in
+    stream.(2 * j) <- swt_data ~src_port block;
+    stream.((2 * j) + 1) <- tftp_chain ~src_port (Fm.Tftp.Ack { block })
+  done;
+  let win = Array.make 64 "" in
+  (* one virtual millisecond per window, so every window advances the
+     wheel *)
+  let run ~window ~packets =
+    let i = ref 0 in
+    while !i < packets do
+      Array.blit stream (!i mod Array.length stream) win 0 window;
+      Pipeline.process_batch p win window;
+      incr now;
+      i := !i + window
+    done
+  in
+  List.iter
+    (fun window ->
+      run ~window ~packets:(Array.length stream);
+      let ev0 = Stats.evicted_flows (Pipeline.stats p) in
+      let r0 = !replies in
+      let n = 2 * Array.length stream in
+      Gc.full_major ();
+      let a0 = Gc.allocated_bytes () in
+      run ~window ~packets:n;
+      let per_pkt = (Gc.allocated_bytes () -. a0) /. float_of_int n in
+      let evicted = Stats.evicted_flows (Pipeline.stats p) - ev0 in
+      check_bool
+        (Printf.sprintf "%d-packet windows evict (%d evictions)" window evicted)
+        true (evicted > n / 8);
+      check_int "every packet answered" n (!replies - r0);
+      check_bool
+        (Printf.sprintf "%d-packet windows allocate nothing (%.3f B/pkt)" window
+           per_pkt)
+        true (per_pkt < 1.0))
+    [ 1; 64 ]
+
+let recycled_slot_starts_fresh () =
+  (* One flow slot: B is minted into the slot (and instance) A held.  A's
+     last arm and B's first happen at the same wheel tick with the same
+     timer word — exactly what the instance's armed-timer cache treats as
+     "already armed" — so a cache surviving the recycle would leave B with
+     no wheel entry. *)
+  let now = ref 0 in
+  let p = swt_pipeline ~max_flows:1 ~now () in
+  let a = 1111 and b = 2222 in
+  let step pkt =
+    check_bool "accepted" true (Pipeline.process p pkt = Accepted)
+  in
+  let attempts k =
+    match Pipeline.peek_flow p k with
+    | Some inst -> Netdsl_fsm.Step.register_by_name inst "attempts"
+    | None -> -1
+  in
+  step (swt_data ~src_port:a 1);
+  now := 150;
+  check_int "A retransmits, re-arming at tick 150" 1 (Pipeline.poll_timers p);
+  check_int "A is off its initial registers" 1 (attempts a);
+  step (swt_data ~src_port:b 1);
+  check_int "A evicted" 1 (Stats.evicted_flows (Pipeline.stats p));
+  check_bool "A gone" true (Pipeline.peek_flow p a = None);
+  check_int "B starts from the initial registers" 0 (attempts b);
+  check_int "B's arm reached the wheel" 1 (Pipeline.timers_live p);
+  now := 300;
+  check_int "only B's timer fires" 1 (Pipeline.poll_timers p);
+  check_int "B retransmitted" 1 (attempts b);
+  let s = Pipeline.stats p in
+  check_int "no expiry refused (A's never fired)" 0
+    (Stats.stage_rejects s (Stats.stage_index s "step"))
+
+let create_allocates_no_ingest_slab () =
+  (* a pipeline borrows its packets: create must not allocate
+     ring_capacity * slot_bytes (2 MB at the defaults) of slab.  Averaged
+     over several creates, after a full collection: the allocation counter
+     can credit earlier major-heap work to a short window. *)
+  let n = 16 in
+  Gc.full_major ();
+  let a0 = Gc.allocated_bytes () in
+  for _ = 1 to n do
+    ignore
+      (Sys.opaque_identity
+         (Pipeline.create ~mode:Pipeline.Fused ~flight:arq_flight
+            ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
+            Fm.Arq.format))
+  done;
+  let kb = (Gc.allocated_bytes () -. a0) /. 1024. /. float_of_int n in
+  check_bool (Printf.sprintf "create allocates %.0f KB" kb) true (kb < 256.)
 
 (* ------------------------------------------------------------------ *)
 (* Shard *)
@@ -1324,11 +1495,10 @@ let shard_determinism_stealing () = shard_determinism ~stealing:true ()
 (* ------------------------------------------------------------------ *)
 
 let suite =
-  [ ( "engine.ring",
-      [ Alcotest.test_case "fifo" `Quick ring_fifo;
-        Alcotest.test_case "close drains" `Quick ring_close_drains;
-        Alcotest.test_case "blocking producer" `Quick ring_blocking_producer;
-        Alcotest.test_case "pop_into batches" `Quick ring_pop_into ] );
+  [ ( "engine.keymap",
+      [ Alcotest.test_case "matches a Hashtbl model" `Quick keymap_matches_model;
+        Alcotest.test_case "churn allocates nothing" `Quick
+          keymap_churn_allocates_nothing ] );
     ( "engine.slab",
       [ Alcotest.test_case "fifo across wraparound" `Quick slab_fifo_wraparound;
         Alcotest.test_case "batch across the wrap seam" `Quick
@@ -1375,7 +1545,13 @@ let suite =
         Alcotest.test_case "stack misuse + layered error detail" `Quick
           stack_pipeline_red_paths;
         Alcotest.test_case "steady state allocation-free" `Quick
-          stack_pipeline_zero_alloc ] );
+          stack_pipeline_zero_alloc;
+        Alcotest.test_case "timed churn allocation-free" `Quick
+          timed_churn_zero_alloc;
+        Alcotest.test_case "recycled flow slot starts fresh" `Quick
+          recycled_slot_starts_fresh;
+        Alcotest.test_case "create allocates no ingest slab" `Quick
+          create_allocates_no_ingest_slab ] );
     ( "engine.shard",
       [ Alcotest.test_case "shards cover all packets" `Quick
           shard_all_packets_one_worker_per_flow;
