@@ -49,9 +49,13 @@
 type config = {
   batch : int;  (** batch size, and the number of pooled view slots *)
   ring_capacity : int;
-      (** slot count of the ingest slab or ring a front end ([Net.Server],
-          {!Shard}) allocates for this pipeline — the backpressure depth;
-          the pipeline itself allocates none *)
+      (** slot count of the ingest slab or ring a front end allocates
+          for this pipeline — the per-packet server loop's slab and each
+          {!Shard} or sharded-server worker ring — and so their
+          backpressure depth.  The batched server path sizes its slab to
+          one I/O batch instead and uses this as its per-pass budget: one
+          listener pass serves at most this many packets.  The pipeline
+          itself allocates none *)
   max_flows : int;
       (** per-pipeline bound on live flow instances; when a new flow
           arrives at the bound, the oldest-idle one is evicted (counted in

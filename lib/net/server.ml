@@ -56,21 +56,24 @@ type worker = {
   w_processed : int Atomic.t;
 }
 
-(* The batched (mmsg) single-worker path's working state: one {!Mmsg.t}
-   sized to the slab ring (rx source addresses are filed by absolute
-   slab slot and must survive until the slot's reply is flushed), the
-   persistent epoll instance, per-listener hot flags for the
-   edge-triggered drain discipline, and the reply staging arrays one
-   [sendmmsg] flushes per engine batch.  Everything here is
-   preallocated: the rx and tx loops allocate nothing per packet. *)
+(* The batched (mmsg) single-worker path's working state, all sized to
+   one I/O batch: each receive run is served before the next read, so
+   the slab never holds more than one run.  One {!Mmsg.t} over the slab
+   slots (rx source addresses are filed by slab slot and must survive
+   until the slot's reply is flushed), the persistent epoll instance,
+   per-listener hot flags for the edge-triggered drain discipline, and
+   the reply staging arrays one [sendmmsg] flushes per engine batch.
+   Everything here is preallocated: the rx and tx loops allocate nothing
+   per packet. *)
 type mmsg_io = {
   mm_batch : Mmsg.t;
   mm_ep : Mmsg.Epoll.ep;
   mm_tags : int array;  (* epoll-ready listener indices *)
   mm_hot : bool array;
       (* listener may hold more data: set on an epoll edge or when a
-         drain stopped early (slab full), cleared only by EAGAIN *)
-  mm_owner : int array;  (* slab slot -> listener index *)
+         pass stopped at its budget, cleared only by EAGAIN *)
+  mm_pass : int;  (* most packets one listener pass serves *)
+  mutable mm_rx_listener : int;  (* listener of the run being served *)
   mm_ls : listener array;
   mm_txb : Bytes.t array;  (* reply staging: the engine's reply window
                               is reused per packet, so each reply is
@@ -78,7 +81,6 @@ type mmsg_io = {
   mm_txl : int array;
   mm_txa : int array;  (* staging entry -> slab slot holding the dest *)
   mutable mm_txn : int;  (* staged replies not yet flushed *)
-  mutable mm_tx_listener : int;  (* their common listener; -1 = none *)
 }
 
 (* The batched sharded steering stage: recvmmsg into a scratch batch
@@ -228,7 +230,7 @@ let send_reply_sharded st cur buf len =
 
 let flush_tx mm =
   if mm.mm_txn > 0 then begin
-    let l = mm.mm_ls.(mm.mm_tx_listener) in
+    let l = mm.mm_ls.(mm.mm_rx_listener) in
     let st = l.l_stats in
     let total = mm.mm_txn in
     let sent = ref 0 in
@@ -261,27 +263,24 @@ let flush_tx mm =
         continue := false
       end
     done;
-    mm.mm_txn <- 0;
-    mm.mm_tx_listener <- -1
+    mm.mm_txn <- 0
   end
 
 (* [on_reply_slot] in mmsg mode: [i] is the engine-window index of the
    packet being answered, which (the window IS the slab's popped batch,
-   see [drain_slab_mmsg]) maps through [Slab.batch_slot] to the slab
-   slot whose C sockaddr holds the return address.  Stage, flushing
-   first when the staging ring is full or the reply belongs to a
-   different listener's socket than the batch in progress.  A reply
-   wider than a staging slot cannot ride the batch; it goes out alone
-   through the legacy sendto (cold path — the engine's replies are
-   request-sized).  Timer-driven replies arrive with [i < 0] — no
-   return address — and are dropped, as on the legacy path
-   ([s_cur = No_sink]). *)
+   see [drain_udp_mmsg]) maps through [Slab.batch_slot] to the slab
+   slot whose C sockaddr holds the return address; the run came from
+   [mm_rx_listener]'s socket.  Stage, flushing first when the staging
+   ring is full.  A reply wider than a staging slot cannot ride the
+   batch; it goes out alone through the legacy sendto (cold path — the
+   engine's replies are request-sized).  Timer-driven replies arrive
+   with [i < 0] — no return address — and are dropped, as on the
+   legacy path ([s_cur = No_sink]). *)
 let stage_reply slab mm i buf len =
   if i >= 0 then begin
     let s = Slab.batch_slot slab i in
-    let li = mm.mm_owner.(s) in
     if len > Bytes.length mm.mm_txb.(0) then begin
-      let l = mm.mm_ls.(li) in
+      let l = mm.mm_ls.(mm.mm_rx_listener) in
       let st = l.l_stats in
       st.Stats.syscalls <- st.Stats.syscalls + 1;
       match Unix.sendto l.l_fd buf 0 len [] (Mmsg.addr mm.mm_batch s) with
@@ -296,11 +295,7 @@ let stage_reply slab mm i buf len =
         st.Stats.tx_errors <- st.Stats.tx_errors + 1
     end
     else begin
-      if
-        mm.mm_txn = Array.length mm.mm_txb
-        || (mm.mm_tx_listener >= 0 && mm.mm_tx_listener <> li)
-      then flush_tx mm;
-      mm.mm_tx_listener <- li;
+      if mm.mm_txn = Array.length mm.mm_txb then flush_tx mm;
       let j = mm.mm_txn in
       Bytes.blit buf 0 mm.mm_txb.(j) 0 len;
       mm.mm_txl.(j) <- len;
@@ -463,23 +458,22 @@ let create ?(config = Pipeline.default_config) ?(mode = Pipeline.Staged)
           if not use_mmsg then Ok None
           else
             match
-              let cap = config.Pipeline.ring_capacity in
               let nl = List.length ls in
               let ep = Mmsg.Epoll.create (max nl 1) in
               List.iteri (fun i l -> Mmsg.Epoll.add ep l.l_fd i) ls;
-              { mm_batch = Mmsg.create cap;
+              { mm_batch = Mmsg.create io_batch;
                 mm_ep = ep;
                 mm_tags = Array.make (max nl 1) (-1);
                 mm_hot = Array.make nl false;
-                mm_owner = Array.make cap 0;
+                mm_pass = config.Pipeline.ring_capacity;
+                mm_rx_listener = 0;
                 mm_ls = Array.of_list ls;
                 mm_txb =
                   Array.init io_batch (fun _ ->
                       Bytes.create config.Pipeline.slot_bytes);
                 mm_txl = Array.make io_batch 0;
                 mm_txa = Array.make io_batch (-1);
-                mm_txn = 0;
-                mm_tx_listener = -1 }
+                mm_txn = 0 }
             with
             | exception Failure msg -> Error msg
             | mm -> Ok (Some mm)
@@ -488,10 +482,15 @@ let create ?(config = Pipeline.default_config) ?(mode = Pipeline.Staged)
         | Error msg -> fail msg
         | Ok mm -> (
           (* the slab exists before the pipeline: the batched reply
-             callback closes over it to map window indices to slots *)
+             callback closes over it to map window indices to slots.
+             The batched path serves each receive run before the next
+             read, so its slab holds one I/O batch; the legacy loop
+             drains every ready socket first and needs the full ring. *)
+          let cap =
+            if mm = None then config.Pipeline.ring_capacity else io_batch
+          in
           let slab =
-            Slab.create ~slot_bytes:config.Pipeline.slot_bytes
-              ~capacity:config.Pipeline.ring_capacity ()
+            Slab.create ~slot_bytes:config.Pipeline.slot_bytes ~capacity:cap ()
           in
           let on_reply, on_reply_slot =
             match mm with
@@ -515,7 +514,7 @@ let create ?(config = Pipeline.default_config) ?(mode = Pipeline.Staged)
                 s_batch = config.Pipeline.batch;
                 s_io_batch = io_batch;
                 s_listeners = ls;
-                s_sinks = Array.make config.Pipeline.ring_capacity No_sink;
+                s_sinks = Array.make cap No_sink;
                 s_head = 0;
                 s_cur = cur;
                 s_stop = stop;
@@ -745,69 +744,67 @@ let drain_udp t l =
   done;
   if !drained > st.Stats.hwm_drain then st.Stats.hwm_drain <- !drained
 
-(* Batched UDP drain: lease a contiguous slab run, let one [recvmmsg]
+(* Batched UDP pass: lease a contiguous slab run, let one [recvmmsg]
    scatter datagrams straight into the slots (lengths land in the
    slab's own length array, source addresses in the C slots of the same
-   indices), publish the filled prefix, and loop until the socket runs
-   dry.  Edge-triggered discipline: only EAGAIN clears the listener's
-   hot flag — a drain cut short by a full slab keeps it set, and the
-   event loop comes straight back after the engine frees slots. *)
+   indices), publish the filled prefix, and serve it to completion —
+   engine, then one reply flush, then release — before the next read.
+   The flush MUST precede [Slab.release]: a staged reply's destination
+   lives in the C sockaddr slot of its rx slot, which the next
+   [recvmmsg] overwrites.  The slab is empty between runs, so nothing
+   is ever dropped here: the kernel socket buffer is the queue.  A pass
+   serves at most [mm_pass] packets, so a flooded listener cannot
+   starve timers, the stop flag or the other listeners.  Edge-triggered
+   discipline: only EAGAIN clears the listener's hot flag — a pass cut
+   short by its budget keeps it set, and the event loop comes straight
+   back.  Returns the packets served. *)
 let drain_udp_mmsg t mm li =
   let l = mm.mm_ls.(li) in
   let st = l.l_stats in
   let slab = t.s_slab in
   let bufs = Slab.raw_bufs slab in
   let lens = Slab.raw_lens slab in
+  mm.mm_rx_listener <- li;
   let continue = ref true in
   let drained = ref 0 in
-  while !continue do
-    let k = Slab.lease_run slab ~max:t.s_io_batch in
-    if k = 0 then begin
-      (* slab full: one counted drop per wake, flag stays hot *)
-      st.Stats.syscalls <- st.Stats.syscalls + 1;
-      (match
-         Unix.recvfrom l.l_fd t.s_scratch 0 (Bytes.length t.s_scratch) []
-       with
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        mm.mm_hot.(li) <- false
-      | exception Unix.Unix_error (_, _, _) -> ()
-      | _ -> st.Stats.drops <- st.Stats.drops + 1);
-      continue := false
+  while !continue && !drained < mm.mm_pass do
+    let room = min t.s_io_batch (mm.mm_pass - !drained) in
+    let k = Slab.lease_run slab ~max:room in
+    let base = Slab.producer_slot slab in
+    st.Stats.syscalls <- st.Stats.syscalls + 1;
+    let r = Mmsg.recv mm.mm_batch l.l_fd ~bufs ~lens ~base ~count:k in
+    if r > 0 then begin
+      st.Stats.batched_rx <- st.Stats.batched_rx + r;
+      if r > st.Stats.hwm_pkts_per_syscall then
+        st.Stats.hwm_pkts_per_syscall <- r;
+      for i = base to base + r - 1 do
+        st.Stats.rx_bytes <- st.Stats.rx_bytes + lens.(i);
+        if lens.(i) > st.Stats.hwm_datagram then
+          st.Stats.hwm_datagram <- lens.(i)
+      done;
+      st.Stats.rx_pkts <- st.Stats.rx_pkts + r;
+      drained := !drained + r;
+      Slab.publish_run slab ~n:r;
+      while Slab.length slab > 0 do
+        let n = Slab.pop_batch slab ~max:t.s_batch in
+        Pipeline.process_slab_batch t.s_pipe slab ~n;
+        flush_tx mm;
+        Slab.release slab
+      done
     end
     else begin
-      let base = Slab.producer_slot slab in
-      st.Stats.syscalls <- st.Stats.syscalls + 1;
-      let r = Mmsg.recv mm.mm_batch l.l_fd ~bufs ~lens ~base ~count:k in
-      if r > 0 then begin
-        st.Stats.batched_rx <- st.Stats.batched_rx + r;
-        if r > st.Stats.hwm_pkts_per_syscall then
-          st.Stats.hwm_pkts_per_syscall <- r;
-        for i = base to base + r - 1 do
-          mm.mm_owner.(i) <- li;
-          st.Stats.rx_bytes <- st.Stats.rx_bytes + lens.(i);
-          if lens.(i) > st.Stats.hwm_datagram then
-            st.Stats.hwm_datagram <- lens.(i)
-        done;
-        st.Stats.rx_pkts <- st.Stats.rx_pkts + r;
-        drained := !drained + r;
-        Slab.publish_run slab ~n:r
-      end
-      else begin
-        Slab.publish_run slab ~n:0;
-        if r = Mmsg.eagain then begin
-          mm.mm_hot.(li) <- false;
-          continue := false
-        end
-        else
-          (* EINTR (0) or a queued socket error like an ECONNREFUSED
-             bounce (-3, consumed by the failed call): stop this drain
-             but stay hot — the next loop iteration retries with the
-             engine having run in between, so progress is guaranteed *)
-          continue := false
-      end
+      Slab.publish_run slab ~n:0;
+      if r = Mmsg.eagain then mm.mm_hot.(li) <- false;
+      (* EINTR (0) or a queued socket error like an ECONNREFUSED bounce
+         (-3, consumed by the failed call): stop this pass but stay
+         hot — the loop retries after polling timers, so progress is
+         guaranteed *)
+      continue := false
     end
   done;
-  if !drained > st.Stats.hwm_drain then st.Stats.hwm_drain <- !drained
+  if !drained > st.Stats.hwm_drain then st.Stats.hwm_drain <- !drained;
+  t.s_processed <- t.s_processed + !drained;
+  !drained
 
 (* Sharded ingest: the steering stage.  Datagrams land in the scratch
    buffer (the destination ring is unknown before the packet is read),
@@ -1009,24 +1006,6 @@ let drain_slab t =
     done;
     t.s_cur := No_sink;
     Slab.release t.s_slab
-  done;
-  t.s_processed <- t.s_processed + !n_done;
-  !n_done
-
-(* The batched variant: same strict publish-order processing, but the
-   replies accumulate in the staging slots and leave in one [sendmmsg]
-   per batch.  The flush MUST precede [Slab.release]: a staged reply's
-   destination lives in the C sockaddr slot of its rx slab slot, and
-   release lets the producer lease (and recvmmsg overwrite) that slot. *)
-let drain_slab_mmsg t mm =
-  let n_done = ref 0 in
-  let slab = t.s_slab in
-  while Slab.length slab > 0 do
-    let n = Slab.pop_batch slab ~max:t.s_batch in
-    Pipeline.process_slab_batch t.s_pipe slab ~n;
-    n_done := !n_done + n;
-    flush_tx mm;
-    Slab.release slab
   done;
   t.s_processed <- t.s_processed + !n_done;
   !n_done
@@ -1247,9 +1226,8 @@ let run_mmsg ?max_packets ?duration t mm =
     if Atomic.get t.s_stop then begin
       Array.fill mm.mm_hot 0 nl true;
       for li = 0 to nl - 1 do
-        drain_udp_mmsg t mm li
+        n_run := !n_run + drain_udp_mmsg t mm li
       done;
-      n_run := !n_run + drain_slab_mmsg t mm;
       stop_now := true
     end
     else if
@@ -1258,10 +1236,7 @@ let run_mmsg ?max_packets ?duration t mm =
       match deadline with
       | None -> false
       | Some dl -> Unix.gettimeofday () >= dl
-    then begin
-      n_run := !n_run + drain_slab_mmsg t mm;
-      stop_now := true
-    end
+    then stop_now := true
     else begin
       let timeout_ms =
         if any_hot mm nl 0 then 0
@@ -1287,9 +1262,8 @@ let run_mmsg ?max_packets ?duration t mm =
           mm.mm_hot.(mm.mm_tags.(j)) <- true
         done;
       for li = 0 to nl - 1 do
-        if mm.mm_hot.(li) then drain_udp_mmsg t mm li
+        if mm.mm_hot.(li) then n_run := !n_run + drain_udp_mmsg t mm li
       done;
-      n_run := !n_run + drain_slab_mmsg t mm;
       ignore (Pipeline.poll_timers t.s_pipe)
     end
   done;

@@ -18,11 +18,14 @@
     ordering of the in-memory engine survives the socket boundary (see
     DESIGN.md).
 
-    Backpressure is bounded and non-blocking: when the slab has no free
-    slot, the next datagram is read into a scratch buffer and dropped
-    with {!Stats.t.drops} ticking — the engine is never blocked by the
-    wire, and the kernel socket buffer (not an unbounded queue) absorbs
-    the rest.
+    Backpressure is bounded and non-blocking.  On the per-packet loop,
+    when the slab has no free slot, the next datagram is read into a
+    scratch buffer and dropped with {!Stats.t.drops} ticking — the
+    engine is never blocked by the wire, and the kernel socket buffer
+    (not an unbounded queue) absorbs the rest.  The batched path below
+    never drops in user space: it serves each receive run before the
+    next read, so its slab always has room, and the kernel socket
+    buffer is the only queue.
 
     TCP support hides behind the same interface: a connection carries a
     stream of [u16 big-endian length]-prefixed frames, each frame one
@@ -37,7 +40,13 @@
     staged into a reusable transmit window flushed with one [sendmmsg].
     Steady state performs {e zero} OCaml allocation per packet and
     amortizes the syscall cost across the batch
-    ({!Stats.t.hwm_pkts_per_syscall}).  The ordering invariant is
+    ({!Stats.t.hwm_pkts_per_syscall}).  Each run is served to
+    completion (engine, reply flush, slot release) before the next
+    [recvmmsg], so [io_batch] sizes the ingest slab as well as the
+    receive and reply batches; [ring_capacity] is only the per-pass
+    budget — one listener pass serves at most that many packets before
+    the loop polls timers, checks the stop flag and visits the other
+    listeners ({!Stats.t.hwm_drain}).  The ordering invariant is
     unchanged: a batch drain publishes slots in kernel receive order, so
     per-flow arrival order into the slab — and run-to-completion
     processing order — are exactly what the per-packet path gives
@@ -130,10 +139,10 @@ val create :
 
     [io] (default [Auto]) selects the receive loop; [io_batch]
     (default 32, must be positive) bounds the datagrams moved per
-    [recvmmsg]/[sendmmsg] call and sizes the transmit staging window.
-    [Mmsg] requires UDP-only listeners and working stubs ([Error]
-    otherwise); [Auto] quietly picks legacy when they are missing, so
-    portable callers need not probe first. *)
+    [recvmmsg]/[sendmmsg] call and sizes the batched path's ingest slab
+    and transmit staging window.  [Mmsg] requires UDP-only listeners
+    and working stubs ([Error] otherwise); [Auto] quietly picks legacy
+    when they are missing, so portable callers need not probe first. *)
 
 val run : ?max_packets:int -> ?duration:float -> t -> int
 (** Serve until a stop condition; returns the number of packets

@@ -9,9 +9,8 @@
     prints on exit — including on a SIGINT/SIGTERM exit.
 
     Counters are cumulative for the listener's lifetime.  The two
-    high-water marks ([hwm_drain], the largest datagram run drained on a
-    single readiness wake, and [hwm_datagram], the largest datagram
-    seen) are per-run observations: {!reset_highwater} clears them and
+    high-water marks ([hwm_drain], the most packets one listener pass
+    drained, and [hwm_datagram], the largest datagram seen) are per-run observations: {!reset_highwater} clears them and
     [Server.run] calls it on entry, mirroring the reply-buffer
     high-water reset of the engine. *)
 
@@ -26,8 +25,11 @@ type t = {
           [tx_pkts / tx_msgs] is the datagrams-per-message ratio *)
   mutable tx_bytes : int;
   mutable drops : int;
-      (** datagrams/frames discarded because the ingest slab was full —
-          the bounded-backpressure path that never blocks the engine *)
+      (** datagrams/frames discarded because the ingest slab or a
+          shard worker's ring was full — the bounded-backpressure path
+          that never blocks the engine; always 0 on the batched
+          single-worker path, which serves each run before reading the
+          next *)
   mutable send_eagain : int;
       (** replies dropped because the socket buffer was full
           ([EAGAIN]/[EWOULDBLOCK] on a nonblocking send) *)
@@ -36,7 +38,8 @@ type t = {
   mutable conns_accepted : int;  (** TCP connections accepted *)
   mutable conns_closed : int;  (** TCP connections closed (either end) *)
   mutable hwm_drain : int;
-      (** largest datagram run drained on one readiness wake this run *)
+      (** most packets one listener pass drained this run (the batched
+          path serves them as it reads, at most [ring_capacity] a pass) *)
   mutable hwm_datagram : int;  (** largest datagram seen this run *)
   mutable syscalls : int;
       (** kernel round trips charged to this listener (or, for the

@@ -617,6 +617,105 @@ let mmsg_shutdown_drains_in_flight () =
               check_bool "multi-packet batches observed" true
                 ((Server.net_stats srv).Nstats.hwm_pkts_per_syscall > 1)))
 
+(* The batched path serves each receive run before the next read, so
+   its ingest state is one I/O batch, not a [ring_capacity] slab of
+   2 KB slots (which alone is 2 MB at the default config). *)
+let mmsg_create_is_small () =
+  if mmsg_available () then begin
+    let before = Gc.allocated_bytes () in
+    match
+      Server.create ~mode:Pipeline.Fused ~signals:false ~flight:arq_flight
+        ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
+        ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
+        Fm.Arq.format
+    with
+    | Error e -> Alcotest.fail e
+    | Ok srv ->
+      let kb = (Gc.allocated_bytes () -. before) /. 1024. in
+      let batched = Server.batched_io srv in
+      Server.close srv;
+      check_bool "auto resolved to batched io" true batched;
+      check_bool (Printf.sprintf "create allocated %.0f KB < 512 KB" kb) true
+        (kb < 512.)
+  end
+
+(* One listener pass serves at most [ring_capacity] packets, then the
+   loop moves on: a flooded listener must not starve a second listener
+   or the stop flag.  The flood is queued before [run] starts, so the
+   first pass over it already sees more than the budget. *)
+let mmsg_flood_pass_bounded () =
+  if mmsg_available () then
+    let config = { Pipeline.default_config with Pipeline.ring_capacity = 64 } in
+    match
+      Server.create ~config ~mode:Pipeline.Fused ~signals:false
+        ~flight:arq_flight ~io:Server.Mmsg
+        ~listeners:
+          [ Server.Udp { host = "127.0.0.1"; port = 0 };
+            Server.Udp { host = "127.0.0.1"; port = 0 } ]
+        Fm.Arq.format
+    with
+    | Error e -> Alcotest.fail e
+    | Ok srv ->
+      let pa, pb =
+        match Server.bound srv with
+        | [ (_, _, a); (_, _, b) ] -> (a, b)
+        | _ -> Alcotest.fail "expected two listeners"
+      in
+      let flooding = Atomic.make true in
+      let sent = Atomic.make 0 in
+      let flooder =
+        Domain.spawn (fun () ->
+            let fd = udp_client () in
+            let pkt = arq_data ~seq:1 "flood" in
+            while Atomic.get flooding do
+              (try send fd pa pkt with Unix.Unix_error _ -> ());
+              Atomic.incr sent
+            done;
+            Unix.close fd)
+      in
+      let flood_running () =
+        let n0 = Atomic.get sent and t0 = Unix.gettimeofday () in
+        while Atomic.get sent = n0 && Unix.gettimeofday () -. t0 < 1.0 do
+          Domain.cpu_relax ()
+        done;
+        Atomic.get sent > n0
+      in
+      let server = ref None in
+      let fd = udp_client () in
+      Fun.protect
+        ~finally:(fun () ->
+          (* a server stuck in one pass only returns once the flood ends *)
+          Atomic.set flooding false;
+          Domain.join flooder;
+          Server.request_stop srv;
+          Option.iter (fun d -> ignore (Domain.join d)) !server;
+          Unix.close fd;
+          Server.close srv)
+        (fun () ->
+          while Atomic.get sent < 2_000 do
+            Domain.cpu_relax ()
+          done;
+          send fd pb (arq_data ~seq:7 "probe");
+          server := Some (Domain.spawn (fun () -> Server.run srv));
+          (match recv_timeout ~timeout:2.0 fd with
+          | None -> Alcotest.fail "listener B starved by the flood on A"
+          | Some reply ->
+            check_int "B's request acked" 1 (Char.code reply.[1]));
+          check_bool "flood still running" true (flood_running ());
+          let t0 = Unix.gettimeofday () in
+          Server.request_stop srv;
+          let d = Option.get !server in
+          server := None;
+          ignore (Domain.join d);
+          let took = Unix.gettimeofday () -. t0 in
+          check_bool (Printf.sprintf "stop honoured in %.3f s" took) true
+            (took < 1.0);
+          let st = Server.net_stats srv in
+          check_bool
+            (Printf.sprintf "hwm_drain %d <= 64" st.Nstats.hwm_drain)
+            true (st.Nstats.hwm_drain <= 64);
+          check_int "no user-space drops" 0 st.Nstats.drops)
+
 (* ---- UDP GSO: grouping staged replies into one message per run ---- *)
 
 (* Echo of whatever arrives, the empty datagram included: every reply is
@@ -963,6 +1062,10 @@ let suite =
       [ Alcotest.test_case "batched udp round trip" `Quick mmsg_udp_roundtrip;
         Alcotest.test_case "batched shutdown drains in-flight" `Quick
           mmsg_shutdown_drains_in_flight;
+        Alcotest.test_case "batched create allocates one batch" `Quick
+          mmsg_create_is_small;
+        Alcotest.test_case "flooded listener cannot starve the loop" `Quick
+          mmsg_flood_pass_bounded;
         Alcotest.test_case "gso: same-size burst groups, arrives exact" `Quick
           gso_same_size_burst;
         Alcotest.test_case "gso: two peers interleaved" `Quick
