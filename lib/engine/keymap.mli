@@ -6,7 +6,12 @@
     line and a lookup allocates nothing.  Deletion is backward-shift
     (Knuth's Algorithm R): the entries after a removed one slide back
     into the hole, so a delete leaves no tombstone, probe chains never
-    lengthen under churn, and the map reallocates only to grow. *)
+    lengthen under churn, and the map reallocates only to grow.
+
+    A key's home bucket is the top bits of its Fibonacci product
+    [k * C], so keys that differ only in their high bits still spread:
+    chosen keys sharing their low bits (multiples of the bucket count)
+    cannot pile into one probe chain. *)
 
 type t
 
@@ -28,3 +33,10 @@ val remove : t -> int -> int
 
 val length : t -> int
 (** Bound keys. *)
+
+(** Test-only entry points. *)
+module For_testing : sig
+  val max_displacement : t -> int
+  (** Longest distance, in buckets, from any bound key's home bucket to
+      the bucket holding it — the worst probe chain a lookup walks. *)
+end

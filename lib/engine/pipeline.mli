@@ -49,13 +49,11 @@
 type config = {
   batch : int;  (** batch size, and the number of pooled view slots *)
   ring_capacity : int;
-      (** slot count of the ingest slab or ring a front end allocates
-          for this pipeline — the per-packet server loop's slab and each
-          {!Shard} or sharded-server worker ring — and so their
-          backpressure depth.  The batched server path sizes its slab to
-          one I/O batch instead and uses this as its per-pass budget: one
-          listener pass serves at most this many packets.  The pipeline
-          itself allocates none *)
+      (** slot count of each {!Shard} worker ring (the sharded socket
+          server's included), and so its backpressure depth.  The socket
+          server sizes its slab to one I/O batch and uses this as its
+          per-pass budget: one listener pass takes at most this many
+          packets.  The pipeline itself allocates none *)
   max_flows : int;
       (** per-pipeline bound on live flow instances; when a new flow
           arrives at the bound, the oldest-idle one is evicted (counted in
@@ -189,9 +187,9 @@ val process_batch : t -> string array -> int -> unit
 
 val process_buffer : t -> Bytes.t -> len:int -> outcome
 (** [process_buffer t buf ~len] runs the first [len] bytes of [buf]
-    through all stages without copying them — the batch-drain entry
-    point for callers that own their ingest slab (the socket front end
-    leases a {!Slab} slot, [recvfrom]s into it, and hands it here).
+    through all stages without copying them, for callers that own the
+    packet's buffer (a caller with a run of slab slots hands the whole
+    run to {!process_slab_batch} instead, as the socket front end does).
     The buffer is borrowed: it must not be mutated during the call.
     Raises [Invalid_argument] when [len] exceeds [buf]. *)
 

@@ -187,6 +187,7 @@ end
 type t = {
   cfg : config;
   key : F.View.key_extractor;
+  key_min : int;  (* fewest packet bytes that carry the key *)
   steer : Steer.t;
   pipes : Pipeline.t array;
   rings : Spsc.t array;
@@ -197,8 +198,9 @@ type t = {
 
 let create ?(config = default_config) ?(allow_oversubscribe = false)
     ?(stealing = false) ?steal_threshold ?buckets ~key ?mode ?flight ?verify
-    ?classify ?classify_id ?machine ?flow_key ?on_transition ?respond
-    ?respond_patch ?respond_fmt ?on_response ?on_reply fmt =
+    ?classify ?classify_id ?machine ?flow_key ?on_transition ?clock_ms ?now_ns
+    ?tick_ms ?respond ?respond_patch ?respond_fmt ?on_response ?on_reply
+    ?on_reply_slot fmt =
   if config.workers <= 0 then Error "Shard.create: workers must be positive"
   else
     match F.View.key_extractor fmt key with
@@ -232,24 +234,34 @@ let create ?(config = default_config) ?(allow_oversubscribe = false)
         | None -> config.pipeline.Pipeline.batch
       in
       let steer = Steer.create ?buckets ~stealing ~steal_threshold ~workers () in
-      let pipes =
-        Array.init workers (fun _ ->
-            Pipeline.create ~config:config.pipeline ?mode ?flight ?verify
-              ?classify ?classify_id ?machine ?flow_key ?on_transition
-              ?respond ?respond_patch ?respond_fmt ?on_response ?on_reply fmt)
-      in
-      (match warning with
-      | None -> ()
-      | Some w -> Array.iter (fun p -> Stats.note_warning (Pipeline.stats p) w) pipes);
       let rings =
         Array.init workers (fun _ ->
             Spsc.create ~slot_bytes:config.pipeline.Pipeline.slot_bytes
               ~capacity:config.pipeline.Pipeline.ring_capacity ())
       in
+      let pipes =
+        Array.init workers (fun w ->
+            (* window index -> absolute position in worker [w]'s ring *)
+            let on_reply_slot =
+              Option.map
+                (fun f i buf len ->
+                  f w (if i < 0 then -1 else Spsc.consumer_pos rings.(w) + i)
+                    buf len)
+                on_reply_slot
+            in
+            Pipeline.create ~config:config.pipeline ?mode ?flight ?verify
+              ?classify ?classify_id ?machine ?flow_key ?on_transition
+              ?clock_ms ?now_ns ?tick_ms ?respond ?respond_patch ?respond_fmt
+              ?on_response ?on_reply ?on_reply_slot fmt)
+      in
+      (match warning with
+      | None -> ()
+      | Some w -> Array.iter (fun p -> Stats.note_warning (Pipeline.stats p) w) pipes);
       Ok
         {
           cfg = config;
           key = ke;
+          key_min = F.View.key_min_bytes ke;
           steer;
           pipes;
           rings;
@@ -266,7 +278,9 @@ let rings t = t.rings
 
 (* One worker domain: claim a batch from the ring, honour migration
    fences, run it through the pipeline in place, release.  Empty polls
-   raise the hungry flag (a work-stealing request) and back off. *)
+   raise the hungry flag (a work-stealing request), poll the timer wheel
+   (a batch window polls it only when packets arrive, so an idle
+   worker's timers would otherwise wait for traffic) and back off. *)
 let worker_loop t w =
   let ring = t.rings.(w) in
   let pipe = t.pipes.(w) in
@@ -276,6 +290,7 @@ let worker_loop t w =
     | -1 -> ()
     | 0 ->
       Steer.mark_hungry t.steer w;
+      ignore (Pipeline.poll_timers pipe);
       Spsc.backoff idle;
       loop (idle + 1)
     | n ->
@@ -293,16 +308,20 @@ let start t =
     Array.init (Array.length t.pipes) (fun w ->
         Domain.spawn (fun () -> worker_loop t w))
 
+let route t pkt ~len =
+  let key =
+    if len < t.key_min then F.View.no_key else F.View.extract_key_int t.key pkt
+  in
+  Steer.route t.steer ~key
+
 (* The steering hot path: hash the key once, lease a slot in the
    destination worker's ring, blit once, publish the index.  Nothing
    here allocates and no lock or shared counter is touched — the only
    shared write is the ring's release-store, and the only shared read is
    the consumer's head when the ring looks full (backpressure). *)
 let feed t pkt =
-  let key = F.View.extract_key_int t.key pkt in
-  let w = Steer.route t.steer ~key in
-  let ring = t.rings.(w) in
   let len = String.length pkt in
+  let ring = t.rings.(route t pkt ~len) in
   let n = ref 0 in
   while not (Spsc.has_space ring) do
     Spsc.backoff !n;

@@ -13,7 +13,15 @@
 
     Backpressure is the rings' bound: a producer outrunning a worker
     spins (cpu_relax → yield → brief sleep) until that worker frees a
-    slot.
+    slot.  A worker that finds its ring empty polls its pipeline's timer
+    wheel before backing off, so an armed [timeout] fires on time even
+    when no traffic arrives (paper §3.4: success or timeout).
+
+    [netdsl serve --workers N] runs on this module: its event loop is
+    the steering stage ({!route} plus its own drop-on-full-ring policy
+    in place of {!feed}'s blocking), and the reply hook
+    ([on_reply_slot]) maps each reply to the return address the server
+    stored beside the packet's ring slot.
 
     {b Work stealing} (optional, off by default): an idle worker raises
     a hungry flag; the steering stage answers by re-owning half of the
@@ -35,10 +43,9 @@ type config = {
 val default_config : config
 (** [workers = Domain.recommended_domain_count ()]. *)
 
-(** The steering stage, usable on its own: {!Net.Server} drives it
-    directly so [netdsl serve --workers N] steers datagrams with the
-    same discipline (and sink bookkeeping the server owns).  All [t]
-    operations are single-threaded on the steering side unless noted. *)
+(** The steering stage: flow-hash buckets, their owners and migration
+    fences.  All [t] operations are single-threaded on the steering side
+    unless noted. *)
 module Steer : sig
   type t
 
@@ -107,6 +114,9 @@ val create :
   ?machine:Netdsl_fsm.Machine.t ->
   ?flow_key:string ->
   ?on_transition:(Netdsl_fsm.Machine.transition -> unit) ->
+  ?clock_ms:(unit -> int) ->
+  ?now_ns:(unit -> int) ->
+  ?tick_ms:int ->
   ?respond:
     (Netdsl_format.View.t -> Netdsl_fsm.Step.instance -> Netdsl_format.Value.t option) ->
   ?respond_patch:
@@ -116,6 +126,7 @@ val create :
   ?respond_fmt:Netdsl_format.Desc.t ->
   ?on_response:(string -> unit) ->
   ?on_reply:(Bytes.t -> int -> unit) ->
+  ?on_reply_slot:(int -> int -> Bytes.t -> int -> unit) ->
   Netdsl_format.Desc.t ->
   (t, string) result
 (** [create ~key fmt] — [key] names the top-level field to shard on; it
@@ -123,9 +134,19 @@ val create :
     {!Netdsl_format.View.key_extractor}).  [stealing] /
     [steal_threshold] / [buckets] configure the {!Steer} stage
     (stealing defaults off; [steal_threshold] defaults to the pipeline
-    batch size).  Remaining arguments are passed to each worker's
-    {!Pipeline.create}.  Note that [on_response] / [on_reply] run on
-    worker domains — one shared closure sees calls from all of them.
+    batch size).  Remaining arguments, the clocks and [tick_ms]
+    included, are passed to each worker's {!Pipeline.create}.  Note that
+    [on_response] / [on_reply] run on worker domains — one shared
+    closure sees calls from all of them.
+
+    [on_reply_slot] is the per-worker reply hook, called on worker [w]'s
+    domain as [on_reply_slot w pos buf len]: [pos] is the absolute
+    position in [w]'s ring ({!Spsc.consumer_pos} plus the window index)
+    of the packet being answered, or [-1] for a reply fired outside
+    packet context (a timer).  A producer that files per-packet state
+    beside each ring slot before publishing it — a return address —
+    finds it again at [pos land (Spsc.capacity ring - 1)].  It wins over
+    [on_reply] / [on_response], as in {!Pipeline.create}.
 
     Worker counts above [Domain.recommended_domain_count ()] are clamped
     to it — oversubscribed domains time-share a core and measure the
@@ -137,6 +158,14 @@ val create :
 
 val start : t -> unit
 (** Spawns the worker domains. *)
+
+val route : t -> string -> len:int -> int
+(** Steering side: the worker the first [len] bytes of a packet belong
+    to — the key read at its fixed offset, then {!Steer.route} (whose
+    {!Steer.last_bucket} then tags the slot).  Packets too short to
+    carry the key go to worker 0.  For a producer that owns its ring
+    policy (the socket server drops on a full ring); {!feed} is this
+    plus a blocking publish. *)
 
 val feed : t -> string -> bool
 (** Route one packet to its flow's worker: hash once, lease a slot in

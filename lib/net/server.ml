@@ -3,7 +3,6 @@ module Flight = Netdsl_engine.Flight
 module Slab = Netdsl_engine.Slab
 module Spsc = Netdsl_engine.Spsc
 module Shard = Netdsl_engine.Shard
-module Estats = Netdsl_engine.Stats
 module View = Netdsl_format.View
 
 type endpoint =
@@ -11,10 +10,10 @@ type endpoint =
   | Tcp of { host : string; port : int }
 
 (* Socket I/O strategy.  [Auto] resolves at [create]: the batched
-   recvmmsg/sendmmsg + persistent-epoll path when the stubs answer on
+   recvmmsg/sendmmsg + persistent-epoll backend when the stubs answer on
    this kernel and every listener is UDP, the recvfrom/sendto + select
-   loop otherwise.  Forcing [Mmsg] where the stubs are unavailable is a
-   [create]-time error, never a silent downgrade. *)
+   backend otherwise.  Forcing [Mmsg] where the stubs are unavailable is
+   a [create]-time error, never a silent downgrade. *)
 type io = Auto | Legacy | Mmsg
 
 type listener = {
@@ -24,6 +23,7 @@ type listener = {
   l_port : int;
   l_stats : Stats.t;
   mutable l_conns : conn list;
+  mutable l_ready : bool;  (* legacy: select saw the listening fd *)
 }
 
 and conn = {
@@ -31,109 +31,85 @@ and conn = {
   c_buf : Bytes.t;  (* reframing buffer: at least one max-size frame *)
   mutable c_len : int;
   mutable c_open : bool;
+  mutable c_ready : bool;  (* select saw it readable; not yet read *)
   c_listener : listener;
 }
 
-(* Where the reply to the packet currently inside the engine goes.  One
-   sink is enqueued per published slab slot, in publish order, so the
-   FIFO stays parallel to the slab's own ring. *)
+(* Where the reply to a received packet goes. *)
 type sink =
   | No_sink
   | To_udp of listener * Unix.sockaddr
   | To_conn of conn
 
-(* One sharded worker: its own pipeline, its own SPSC ring, a sink array
-   parallel to the ring's slots (the ingest thread stores the packet's
-   reply sink at [pos land mask] before publishing [pos]), and its own tx
-   counters — worker domains never write a listener's [Stats.t]. *)
-type worker = {
-  w_id : int;
-  w_pipe : Pipeline.t;
-  w_ring : Spsc.t;
-  w_sinks : sink array;
-  w_cur : sink ref;
-  w_stats : Stats.t;
-  w_processed : int Atomic.t;
+(* Replies staged for one send: the engine's reply window is reused per
+   packet, so each reply is blitted once into its own staging slot.
+   [txa] maps a staged reply to the run slot of its request, under which
+   the backend filed the reply's destination. *)
+type staging = {
+  txb : Bytes.t array;
+  txl : int array;
+  txa : int array;
+  mutable txn : int;
+  mutable tx_li : int;  (* listener of the run being served *)
 }
 
-(* The batched (mmsg) single-worker path's working state, all sized to
-   one I/O batch: each receive run is served before the next read, so
-   the slab never holds more than one run.  One {!Mmsg.t} over the slab
-   slots (rx source addresses are filed by slab slot and must survive
-   until the slot's reply is flushed), the persistent epoll instance,
-   per-listener hot flags for the edge-triggered drain discipline, and
-   the reply staging arrays one [sendmmsg] flushes per engine batch.
-   Everything here is preallocated: the rx and tx loops allocate nothing
-   per packet. *)
-type mmsg_io = {
-  mm_batch : Mmsg.t;
-  mm_ep : Mmsg.Epoll.ep;
-  mm_tags : int array;  (* epoll-ready listener indices *)
-  mm_hot : bool array;
-      (* listener may hold more data: set on an epoll edge or when a
-         pass stopped at its budget, cleared only by EAGAIN *)
-  mm_pass : int;  (* most packets one listener pass serves *)
-  mutable mm_rx_listener : int;  (* listener of the run being served *)
-  mm_ls : listener array;
-  mm_txb : Bytes.t array;  (* reply staging: the engine's reply window
-                              is reused per packet, so each reply is
-                              blitted once into its own staging slot *)
-  mm_txl : int array;
-  mm_txa : int array;  (* staging entry -> slab slot holding the dest *)
-  mutable mm_txn : int;  (* staged replies not yet flushed *)
+(* The batch-I/O backend the one loop runs over, built by [mmsg_backend]
+   or [legacy_backend] over the server slab's slots (the run slots).
+   - [wait ~timeout_ms]: sleep until a listener is readable and mark it
+     hot.
+   - [recv li ~base ~count]: fill run slots [base, base+count) from
+     listener [li], filing each slot's reply destination; returns the
+     count, [Mmsg.eagain] when the listener is dry, or another code <= 0
+     (EINTR, a bounced ICMP error) that ends the pass but keeps it hot.
+   - [send li ~off ~n]: send staged replies [off, off+n) of the run read
+     from [li]; returns how many left, or a negative code: [Mmsg.eagain],
+     [short_write], or any other error.  A failed call costs the replies
+     it carried: at most [tx_per_call].
+   - [sink li i]: run slot [i]'s destination, for steered packets whose
+     replies leave from a worker domain.
+   Each backend charges its kernel calls and batching counters to the
+   listener; the loop counts packets, bytes and failures. *)
+type backend = {
+  wait : timeout_ms:int -> unit;
+  recv : int -> base:int -> count:int -> int;
+  send : int -> off:int -> n:int -> int;
+  sink : int -> int -> sink;
+  tx_per_call : int;
+  release : unit -> unit;
 }
 
-(* The batched sharded steering stage: recvmmsg into a scratch batch
-   (the destination ring is unknown before the bytes are read), then
-   key-read + route + one blit per packet, exactly like the legacy
-   steering loop but [io_batch] datagrams per syscall. *)
-type mmsg_sh = {
-  ms_batch : Mmsg.t;
-  ms_bufs : Bytes.t array;
-  ms_lens : int array;
-  ms_ep : Mmsg.Epoll.ep;
-  ms_tags : int array;
-  ms_hot : bool array;
-  ms_ls : listener array;
-}
+let short_write = -4
 
-(* Sharded mode ([workers > 1], UDP only): the readiness loop becomes a
-   pure steering stage — recv into scratch, read the flow key
-   (fixed-offset, no decode), [Shard.Steer.route], blit once into the
-   destination worker's ring — and the worker domains run the
-   pipelines. *)
-type sharded = {
-  sh_steer : Shard.Steer.t;
-  sh_key : View.key_extractor;
-  sh_key_min : int;  (* fewest datagram bytes that carry the key *)
-  sh_workers : worker array;
-  sh_rings : Spsc.t array;
-  sh_batch : int;
-  sh_mm : mmsg_sh option;
-  mutable sh_published : int;  (* packets blitted into rings, ever *)
-  mutable sh_domains : unit Domain.t array;
-}
+(* One worker, one pipeline: each run is served where it was read.  Many
+   workers: the loop only steers, and [Shard]'s worker domains serve
+   their rings, replying through [sinks] — per worker, parallel to the
+   ring's slots, stored before the publish. *)
+type work =
+  | Serve of { pipe : Pipeline.t; tx : staging }
+  | Steer of {
+      shard : Shard.t;
+      rings : Spsc.t array;
+      sinks : sink array array;
+      w_stats : Stats.t array;
+          (* worker tx rows: worker domains never write a listener's *)
+      mutable published : int;  (* packets blitted into rings, ever *)
+    }
 
 type t = {
-  s_pipe : Pipeline.t;
-  s_slab : Slab.t;
+  s_ls : listener array;
+  s_io : backend;
+  s_mmsg : Mmsg.t option;  (* the batched backend's kernel batch *)
+  s_hot : bool array;
+      (* listener may hold more data: set by [wait] or when a pass stops
+         at its budget, cleared only when [recv] finds it dry *)
+  s_work : work;
+  s_slab : Slab.t;  (* one I/O batch of run slots *)
   s_batch : int;
-  s_io_batch : int;
-  s_listeners : listener list;
-  s_sinks : sink array;
-  mutable s_head : int;
-  s_cur : sink ref;
+  s_pass : int;  (* most packets one listener pass takes *)
   s_stop : bool Atomic.t;
   mutable s_processed : int;
-  s_scratch : Bytes.t;  (* overflow reads land here and are dropped *)
-  s_txbuf : Bytes.t;  (* TCP reply: 2-byte length prefix + payload *)
   s_loop : Stats.t;  (* the event-loop row: select/epoll_wait syscalls *)
-  s_mm : mmsg_io option;  (* Some = single-worker batched path *)
-  mutable s_fds : Unix.file_descr list;
-      (* cached select fd set; rebuilt only when the conn set changes *)
-  mutable s_fds_dirty : bool;
   s_prev_signals : (int * Sys.signal_behavior) list;
-  s_shard : sharded option;
   mutable s_closed : bool;
 }
 
@@ -145,198 +121,488 @@ let err_text = function
 
 let proto_name = function `Udp -> "udp" | `Tcp -> "tcp"
 
-(* ---- reply path ------------------------------------------------------ *)
+let note_failure st r c =
+  if r = Mmsg.eagain then st.Stats.send_eagain <- st.Stats.send_eagain + c
+  else if r = short_write then st.Stats.short_writes <- st.Stats.short_writes + c
+  else st.Stats.tx_errors <- st.Stats.tx_errors + c
 
-(* Called from inside [Pipeline.process_buffer] via [on_reply]: the
-   engine lends us its reply window, we push it onto the wire for the
-   sink of the packet being processed.  Nonblocking throughout — a full
-   socket buffer costs the reply, never the engine. *)
-let send_reply cur txbuf buf len =
-  match !cur with
-  | No_sink -> ()
-  | To_udp (l, addr) -> (
-    let st = l.l_stats in
+(* One datagram out: the legacy backend's send and a sharded worker's
+   reply.  Nonblocking — a full socket buffer costs the reply, never the
+   engine. *)
+let sendto st fd buf len addr =
+  st.Stats.syscalls <- st.Stats.syscalls + 1;
+  match Unix.sendto fd buf 0 len [] addr with
+  | n when n = len ->
+    st.Stats.tx_msgs <- st.Stats.tx_msgs + 1;
+    1
+  | _ -> short_write
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+    Mmsg.eagain
+  | exception Unix.Unix_error (_, _, _) -> -3
+
+(* ---- the batched backend: epoll + recvmmsg + sendmmsg ---------------- *)
+
+(* Edge-triggered epoll over the listeners; [recvmmsg] scatters a run
+   straight into the run slots, the kernel writing lengths into [lens]
+   and source addresses into the C slots of the same indices, where they
+   stay until the next [recvmmsg] — so a run's replies must be sent
+   before the next read.  [sendmmsg] sends the staged replies, grouping
+   same-peer, same-size runs into UDP GSO messages ({!Mmsg.send}).
+   Nothing here allocates per packet. *)
+let mmsg_backend ls hot ~bufs ~lens tx =
+  let nl = Array.length ls in
+  let ep = Mmsg.Epoll.create (max nl 1) in
+  let batch =
+    try Mmsg.create (Array.length bufs)
+    with e ->
+      Mmsg.Epoll.close ep;
+      raise e
+  in
+  Array.iteri (fun i l -> Mmsg.Epoll.add ep l.l_fd i) ls;
+  let tags = Array.make (max nl 1) (-1) in
+  let wait ~timeout_ms =
+    let r = Mmsg.Epoll.wait ep ~tags ~timeout_ms in
+    for j = 0 to r - 1 do
+      hot.(tags.(j)) <- true
+    done
+  in
+  let recv li ~base ~count =
+    let st = ls.(li).l_stats in
     st.Stats.syscalls <- st.Stats.syscalls + 1;
-    match Unix.sendto l.l_fd buf 0 len [] addr with
-    | n when n = len ->
-      st.Stats.tx_pkts <- st.Stats.tx_pkts + 1;
-      st.Stats.tx_msgs <- st.Stats.tx_msgs + 1;
-      st.Stats.tx_bytes <- st.Stats.tx_bytes + n
-    | _ -> st.Stats.short_writes <- st.Stats.short_writes + 1
+    let r = Mmsg.recv batch ls.(li).l_fd ~bufs ~lens ~base ~count in
+    if r > 0 then begin
+      st.Stats.batched_rx <- st.Stats.batched_rx + r;
+      if r > st.Stats.hwm_pkts_per_syscall then
+        st.Stats.hwm_pkts_per_syscall <- r
+    end;
+    r
+  in
+  let send li ~off ~n =
+    let st = ls.(li).l_stats in
+    let r =
+      Mmsg.send batch ls.(li).l_fd ~bufs:tx.txb ~lens:tx.txl ~addr_idx:tx.txa
+        ~off ~n
+    in
+    st.Stats.syscalls <- st.Stats.syscalls + Mmsg.last_send_calls batch;
+    if r > 0 then begin
+      st.Stats.batched_tx <- st.Stats.batched_tx + r;
+      if r > st.Stats.hwm_pkts_per_syscall then
+        st.Stats.hwm_pkts_per_syscall <- r;
+      st.Stats.tx_msgs <- st.Stats.tx_msgs + Mmsg.last_send_msgs batch
+    end;
+    r
+  in
+  ( { wait;
+      recv;
+      send;
+      sink = (fun li i -> To_udp (ls.(li), Mmsg.addr batch i));
+      tx_per_call = max_int;
+      release = (fun () -> Mmsg.Epoll.close ep) },
+    batch )
+
+(* ---- the legacy backend: select + recvfrom/sendto, batch of one ------
+
+   The differential reference, the NETDSL_NO_MMSG fallback, the non-Linux
+   path, and the only home of TCP: a connection carries [u16 BE
+   length]-prefixed frames, cut into run slots and answered with the same
+   prefix. *)
+
+type legacy = {
+  lg_ls : listener array;
+  lg_hot : bool array;
+  lg_bufs : Bytes.t array;
+  lg_lens : int array;
+  lg_dests : sink array;  (* run slot -> reply destination *)
+  lg_tx : staging;
+  lg_frame : Bytes.t;  (* TCP reply: 2-byte length prefix + payload *)
+  mutable lg_fds : Unix.file_descr list;
+      (* cached select fd set; rebuilt only when the conn set changes *)
+  mutable lg_dirty : bool;
+}
+
+let close_conn lg c =
+  if c.c_open then begin
+    (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
+    c.c_open <- false;
+    let l = c.c_listener in
+    l.l_conns <- List.filter (fun c' -> c' != c) l.l_conns;
+    l.l_stats.Stats.conns_closed <- l.l_stats.Stats.conns_closed + 1;
+    lg.lg_dirty <- true
+  end
+
+let legacy_wait lg ~timeout_ms =
+  if lg.lg_dirty then begin
+    lg.lg_fds <-
+      Array.fold_right
+        (fun l acc -> (l.l_fd :: List.map (fun c -> c.c_fd) l.l_conns) @ acc)
+        lg.lg_ls [];
+    lg.lg_dirty <- false
+  end;
+  match Unix.select lg.lg_fds [] [] (float_of_int timeout_ms /. 1000.) with
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+  | ready, _, _ ->
+    List.iter
+      (fun fd ->
+        Array.iteri
+          (fun li l ->
+            if l.l_fd = fd then begin
+              l.l_ready <- true;
+              lg.lg_hot.(li) <- true
+            end
+            else
+              List.iter
+                (fun c ->
+                  if c.c_fd = fd then begin
+                    c.c_ready <- true;
+                    lg.lg_hot.(li) <- true
+                  end)
+                l.l_conns)
+          lg.lg_ls)
+      ready
+
+let legacy_recv_udp lg l ~base =
+  let st = l.l_stats in
+  let buf = lg.lg_bufs.(base) in
+  st.Stats.syscalls <- st.Stats.syscalls + 1;
+  match Unix.recvfrom l.l_fd buf 0 (Bytes.length buf) [] with
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+    Mmsg.eagain
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> 0
+  | exception Unix.Unix_error (_, _, _) ->
+    (* e.g. ECONNREFUSED bounced back from an earlier send *)
+    -3
+  | n, addr ->
+    lg.lg_lens.(base) <- n;
+    lg.lg_dests.(base) <- To_udp (l, addr);
+    if st.Stats.hwm_pkts_per_syscall < 1 then st.Stats.hwm_pkts_per_syscall <- 1;
+    1
+
+let accept_conns lg l =
+  let continue = ref true in
+  while !continue do
+    l.l_stats.Stats.syscalls <- l.l_stats.Stats.syscalls + 1;
+    match Unix.accept ~cloexec:true l.l_fd with
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      st.Stats.send_eagain <- st.Stats.send_eagain + 1
-    | exception Unix.Unix_error (Unix.EINTR, _, _) ->
-      st.Stats.tx_errors <- st.Stats.tx_errors + 1
-    | exception Unix.Unix_error (_, _, _) ->
-      st.Stats.tx_errors <- st.Stats.tx_errors + 1)
+      continue := false
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | exception Unix.Unix_error (_, _, _) -> continue := false
+    | fd, _addr ->
+      Unix.set_nonblock fd;
+      let c =
+        { c_fd = fd;
+          c_buf = Bytes.create (2 + Bytes.length lg.lg_bufs.(0));
+          c_len = 0; c_open = true; c_ready = false; c_listener = l }
+      in
+      l.l_conns <- c :: l.l_conns;
+      l.l_stats.Stats.conns_accepted <- l.l_stats.Stats.conns_accepted + 1;
+      lg.lg_dirty <- true
+  done
+
+(* Length of the complete frame at the front of the buffer, or -1.  An
+   oversized frame is a protocol violation: count it and drop the
+   connection (resynchronising a framed stream is not possible). *)
+let complete_frame lg c =
+  if (not c.c_open) || c.c_len < 2 then -1
+  else
+    let flen =
+      (Char.code (Bytes.get c.c_buf 0) lsl 8) lor Char.code (Bytes.get c.c_buf 1)
+    in
+    if flen > Bytes.length lg.lg_bufs.(0) then begin
+      c.c_listener.l_stats.Stats.drops <- c.c_listener.l_stats.Stats.drops + 1;
+      close_conn lg c;
+      -1
+    end
+    else if c.c_len < 2 + flen then -1
+    else flen
+
+let read_conn lg c =
+  c.c_ready <- false;
+  c.c_listener.l_stats.Stats.syscalls <- c.c_listener.l_stats.Stats.syscalls + 1;
+  match Unix.read c.c_fd c.c_buf c.c_len (Bytes.length c.c_buf - c.c_len) with
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+    -> ()
+  | exception Unix.Unix_error (_, _, _) -> close_conn lg c
+  | 0 -> close_conn lg c
+  | n -> c.c_len <- c.c_len + n
+
+(* Accept what is pending, then cut complete frames into run slots,
+   connection by connection.  A connection is read once per readiness
+   report, and only when no complete frame is buffered, so a burst larger
+   than the run waits in its buffer (the listener stays hot) instead of
+   being dropped. *)
+let legacy_recv_tcp lg l ~base ~count =
+  if l.l_ready then begin
+    l.l_ready <- false;
+    accept_conns lg l
+  end;
+  let filled = ref 0 in
+  List.iter
+    (fun c ->
+      if c.c_ready && complete_frame lg c < 0 && c.c_open then read_conn lg c;
+      let flen = ref (complete_frame lg c) in
+      while !filled < count && !flen >= 0 do
+        let slot = base + !filled in
+        Bytes.blit c.c_buf 2 lg.lg_bufs.(slot) 0 !flen;
+        lg.lg_lens.(slot) <- !flen;
+        lg.lg_dests.(slot) <- To_conn c;
+        let rest = c.c_len - 2 - !flen in
+        if rest > 0 then Bytes.blit c.c_buf (2 + !flen) c.c_buf 0 rest;
+        c.c_len <- rest;
+        incr filled;
+        flen := complete_frame lg c
+      done)
+    l.l_conns;
+  if !filled = 0 then Mmsg.eagain else !filled
+
+let legacy_send lg ~off =
+  let tx = lg.lg_tx in
+  let buf = tx.txb.(off) and len = tx.txl.(off) in
+  match lg.lg_dests.(tx.txa.(off)) with
+  | To_udp (l, addr) -> sendto l.l_stats l.l_fd buf len addr
+  | No_sink -> -3
   | To_conn c ->
     let st = c.c_listener.l_stats in
-    if not c.c_open || len > 0xffff then
-      st.Stats.tx_errors <- st.Stats.tx_errors + 1
+    if not c.c_open || len > 0xffff then -3
     else begin
-      Bytes.unsafe_set txbuf 0 (Char.unsafe_chr (len lsr 8));
-      Bytes.unsafe_set txbuf 1 (Char.unsafe_chr (len land 0xff));
-      Bytes.blit buf 0 txbuf 2 len;
-      let total = len + 2 in
+      let frame =
+        if len + 2 <= Bytes.length lg.lg_frame then lg.lg_frame
+        else Bytes.create (len + 2)
+      in
+      Bytes.unsafe_set frame 0 (Char.unsafe_chr (len lsr 8));
+      Bytes.unsafe_set frame 1 (Char.unsafe_chr (len land 0xff));
+      Bytes.blit buf 0 frame 2 len;
       st.Stats.syscalls <- st.Stats.syscalls + 1;
-      match Unix.write c.c_fd txbuf 0 total with
-      | n when n = total ->
-        st.Stats.tx_pkts <- st.Stats.tx_pkts + 1;
+      match Unix.write c.c_fd frame 0 (len + 2) with
+      | n when n = len + 2 ->
         st.Stats.tx_msgs <- st.Stats.tx_msgs + 1;
-        st.Stats.tx_bytes <- st.Stats.tx_bytes + len
+        1
       | _ ->
         (* A partial frame poisons the stream; drop the connection
            rather than desynchronise the peer's framing. *)
-        st.Stats.short_writes <- st.Stats.short_writes + 1;
-        (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
-        c.c_open <- false
+        close_conn lg c;
+        short_write
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        st.Stats.send_eagain <- st.Stats.send_eagain + 1
+        Mmsg.eagain
       | exception Unix.Unix_error (_, _, _) ->
-        st.Stats.tx_errors <- st.Stats.tx_errors + 1;
-        (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
-        c.c_open <- false
+        close_conn lg c;
+        -3
     end
 
-(* The sharded reply path: UDP only (sharded mode refuses TCP listeners),
-   charging the worker's own counters — the listener's [Stats.t] stays
-   single-writer (the ingest thread). *)
-let send_reply_sharded st cur buf len =
-  match !cur with
-  | To_udp (l, addr) -> (
-    st.Stats.syscalls <- st.Stats.syscalls + 1;
-    match Unix.sendto l.l_fd buf 0 len [] addr with
-    | n when n = len ->
-      st.Stats.tx_pkts <- st.Stats.tx_pkts + 1;
-      st.Stats.tx_msgs <- st.Stats.tx_msgs + 1;
-      st.Stats.tx_bytes <- st.Stats.tx_bytes + n
-    | _ -> st.Stats.short_writes <- st.Stats.short_writes + 1
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      st.Stats.send_eagain <- st.Stats.send_eagain + 1
-    | exception Unix.Unix_error (_, _, _) ->
-      st.Stats.tx_errors <- st.Stats.tx_errors + 1)
-  | No_sink | To_conn _ -> ()
+let legacy_backend ls hot ~bufs ~lens tx =
+  let lg =
+    { lg_ls = ls; lg_hot = hot; lg_bufs = bufs; lg_lens = lens;
+      lg_dests = Array.make (Array.length bufs) No_sink; lg_tx = tx;
+      lg_frame = Bytes.create (2 + Bytes.length bufs.(0));
+      lg_fds = []; lg_dirty = true }
+  in
+  { wait = legacy_wait lg;
+    recv =
+      (fun li ~base ~count ->
+        let l = ls.(li) in
+        match l.l_proto with
+        | `Udp -> legacy_recv_udp lg l ~base
+        | `Tcp -> legacy_recv_tcp lg l ~base ~count);
+    send = (fun _ ~off ~n:_ -> legacy_send lg ~off);
+    sink = (fun _ i -> lg.lg_dests.(i));
+    tx_per_call = 1;
+    release =
+      (fun () -> Array.iter (fun l -> List.iter (close_conn lg) l.l_conns) ls) }
 
-(* ---- batched reply path (single-worker mmsg mode) --------------------
+(* ---- the loop -------------------------------------------------------- *)
 
-   The engine lends its one reusable reply window per packet, so a
-   deferred flush must own the bytes: each reply is blitted into a
-   preallocated staging slot (one copy — far cheaper than the syscall
-   the batch saves) and the whole batch leaves in one [sendmmsg] before
-   the slab run is released, while the rx source addresses filed under
-   the slab slots are still live.  Partial sends resume from the first
-   unsent entry; EAGAIN drops the remainder (never blocks the engine),
-   exactly the legacy per-packet policy. *)
-
-let flush_tx mm =
-  if mm.mm_txn > 0 then begin
-    let l = mm.mm_ls.(mm.mm_rx_listener) in
-    let st = l.l_stats in
-    let total = mm.mm_txn in
-    let sent = ref 0 in
-    let continue = ref true in
-    while !continue && !sent < total do
-      let r =
-        Mmsg.send mm.mm_batch l.l_fd ~bufs:mm.mm_txb ~lens:mm.mm_txl
-          ~addr_idx:mm.mm_txa ~off:!sent ~n:(total - !sent)
-      in
-      st.Stats.syscalls <-
-        st.Stats.syscalls + Mmsg.last_send_calls mm.mm_batch;
-      if r > 0 then begin
-        st.Stats.batched_tx <- st.Stats.batched_tx + r;
-        if r > st.Stats.hwm_pkts_per_syscall then
-          st.Stats.hwm_pkts_per_syscall <- r;
-        for i = !sent to !sent + r - 1 do
-          st.Stats.tx_bytes <- st.Stats.tx_bytes + mm.mm_txl.(i)
-        done;
-        st.Stats.tx_pkts <- st.Stats.tx_pkts + r;
-        st.Stats.tx_msgs <-
-          st.Stats.tx_msgs + Mmsg.last_send_msgs mm.mm_batch;
-        sent := !sent + r
-      end
-      else if r = Mmsg.eagain then begin
-        st.Stats.send_eagain <- st.Stats.send_eagain + (total - !sent);
-        continue := false
-      end
-      else begin
-        st.Stats.tx_errors <- st.Stats.tx_errors + (total - !sent);
-        continue := false
-      end
-    done;
-    mm.mm_txn <- 0
-  end
-
-(* [on_reply_slot] in mmsg mode: [i] is the engine-window index of the
-   packet being answered, which (the window IS the slab's popped batch,
-   see [drain_udp_mmsg]) maps through [Slab.batch_slot] to the slab
-   slot whose C sockaddr holds the return address; the run came from
-   [mm_rx_listener]'s socket.  Stage, flushing first when the staging
-   ring is full.  A reply wider than a staging slot cannot ride the
-   batch; it goes out alone through the legacy sendto (cold path — the
-   engine's replies are request-sized).  Timer-driven replies arrive
-   with [i < 0] — no return address — and are dropped, as on the
-   legacy path ([s_cur = No_sink]). *)
-let stage_reply slab mm i buf len =
-  if i >= 0 then begin
-    let s = Slab.batch_slot slab i in
-    if len > Bytes.length mm.mm_txb.(0) then begin
-      let l = mm.mm_ls.(mm.mm_rx_listener) in
-      let st = l.l_stats in
-      st.Stats.syscalls <- st.Stats.syscalls + 1;
-      match Unix.sendto l.l_fd buf 0 len [] (Mmsg.addr mm.mm_batch s) with
-      | n when n = len ->
-        st.Stats.tx_pkts <- st.Stats.tx_pkts + 1;
-        st.Stats.tx_msgs <- st.Stats.tx_msgs + 1;
-        st.Stats.tx_bytes <- st.Stats.tx_bytes + n
-      | _ -> st.Stats.short_writes <- st.Stats.short_writes + 1
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        st.Stats.send_eagain <- st.Stats.send_eagain + 1
-      | exception Unix.Unix_error (_, _, _) ->
-        st.Stats.tx_errors <- st.Stats.tx_errors + 1
+(* Send every staged reply: resume after a partial send; a failed call
+   costs the replies it carried. *)
+let flush io ls tx =
+  let li = tx.tx_li in
+  let st = ls.(li).l_stats in
+  let total = tx.txn in
+  let sent = ref 0 in
+  while !sent < total do
+    let n = total - !sent in
+    let r = io.send li ~off:!sent ~n in
+    if r > 0 then begin
+      for i = !sent to !sent + r - 1 do
+        st.Stats.tx_bytes <- st.Stats.tx_bytes + tx.txl.(i)
+      done;
+      st.Stats.tx_pkts <- st.Stats.tx_pkts + r;
+      sent := !sent + r
     end
     else begin
-      if mm.mm_txn = Array.length mm.mm_txb then flush_tx mm;
-      let j = mm.mm_txn in
-      Bytes.blit buf 0 mm.mm_txb.(j) 0 len;
-      mm.mm_txl.(j) <- len;
-      mm.mm_txa.(j) <- s;
-      mm.mm_txn <- j + 1
+      let c = min n io.tx_per_call in
+      note_failure st r c;
+      sent := !sent + c
     end
+  done;
+  tx.txn <- 0
+
+(* [on_reply_slot] while serving: [i] is the engine-window index of the
+   packet being answered — the window IS the slab's popped run — so
+   [Slab.batch_slot] names the run slot holding its destination.  Stage
+   a copy (flushing first if staging is full; a reply wider than its
+   staging slot grows it, once).  Timer-driven replies arrive with
+   [i < 0]: no packet, no return address, so they are dropped. *)
+let stage io ls tx slab i buf len =
+  if i >= 0 then begin
+    if tx.txn = Array.length tx.txb then flush io ls tx;
+    let j = tx.txn in
+    if len > Bytes.length tx.txb.(j) then tx.txb.(j) <- Bytes.create len;
+    Bytes.blit buf 0 tx.txb.(j) 0 len;
+    tx.txl.(j) <- len;
+    tx.txa.(j) <- Slab.batch_slot slab i;
+    tx.txn <- j + 1
   end
 
-(* One sharded worker domain: claim a batch, honour migration fences, set
-   the per-packet sink from the parallel array, run each packet to
-   completion (reply sent from inside the call), release.  Identical
-   discipline to [Shard]'s worker loop, plus sink bookkeeping. *)
-let shard_worker sh w =
-  let ring = w.w_ring in
-  let mask = Array.length w.w_sinks - 1 in
-  let batch = sh.sh_batch in
-  let rec loop idle =
-    match Spsc.poll ring ~max:batch with
-    | -1 -> ()
-    | 0 ->
-      Shard.Steer.mark_hungry sh.sh_steer w.w_id;
-      (* No packets: this is the only moment expiry can drive the worker's
-         machines — the batch path polls inside [run_window]. *)
-      ignore (Pipeline.poll_timers w.w_pipe);
-      Spsc.backoff idle;
-      loop (idle + 1)
-    | n ->
-      Shard.Steer.fence_wait sh.sh_steer sh.sh_rings ~me:w.w_id ~ring ~n;
-      let base = Spsc.consumer_pos ring in
-      for i = 0 to n - 1 do
-        w.w_cur := w.w_sinks.((base + i) land mask);
-        ignore
-          (Pipeline.process_buffer w.w_pipe (Spsc.buf ring i)
-             ~len:(Spsc.len ring i))
-      done;
-      w.w_cur := No_sink;
-      ignore (Atomic.fetch_and_add w.w_processed n);
-      Spsc.release ring;
-      loop 0
+let note_rx st lens base r =
+  for i = base to base + r - 1 do
+    st.Stats.rx_bytes <- st.Stats.rx_bytes + lens.(i);
+    if lens.(i) > st.Stats.hwm_datagram then st.Stats.hwm_datagram <- lens.(i)
+  done;
+  st.Stats.rx_pkts <- st.Stats.rx_pkts + r
+
+(* One pass over listener [li], at most [s_pass] packets, so a flooded
+   listener cannot starve timers, the stop flag or the other listeners:
+   lease a slab run, [recv] into it, and finish the run before the next
+   read.  Serving runs it to completion — engine, reply send, release.
+   The send MUST precede [Slab.release]: a staged reply's destination is
+   filed under its request's slot, which the next [recv] overwrites.
+   Steering reads each packet's flow key at its fixed offset (no
+   decode), routes it, and blits it once into its worker's ring, the
+   destination stored in the parallel sink slot; a full ring costs the
+   packet (a drop) rather than blocking the other workers' flows; the
+   run is then handed back unpublished.  Only a dry [recv] clears the
+   hot flag: a pass cut short by its budget or an error comes back after
+   timers.  Returns the packets served or steered. *)
+let pass t li =
+  let st = t.s_ls.(li).l_stats in
+  let slab = t.s_slab in
+  let bufs = Slab.raw_bufs slab and lens = Slab.raw_lens slab in
+  let drained = ref 0 and taken = ref 0 in
+  let continue = ref true in
+  while !continue && !drained < t.s_pass do
+    let k = Slab.lease_run slab ~max:(t.s_pass - !drained) in
+    let base = Slab.producer_slot slab in
+    let r = t.s_io.recv li ~base ~count:k in
+    if r > 0 then begin
+      note_rx st lens base r;
+      drained := !drained + r;
+      match t.s_work with
+      | Serve s ->
+        Slab.publish_run slab ~n:r;
+        s.tx.tx_li <- li;
+        while Slab.length slab > 0 do
+          let n = Slab.pop_batch slab ~max:t.s_batch in
+          Pipeline.process_slab_batch s.pipe slab ~n;
+          flush t.s_io t.s_ls s.tx;
+          Slab.release slab
+        done;
+        t.s_processed <- t.s_processed + r;
+        taken := !taken + r
+      | Steer s ->
+        let steer = Shard.steering s.shard in
+        for i = base to base + r - 1 do
+          let n = lens.(i) and pkt = bufs.(i) in
+          let w = Shard.route s.shard (Bytes.unsafe_to_string pkt) ~len:n in
+          let ring = s.rings.(w) in
+          if not (Spsc.has_space ring) then st.Stats.drops <- st.Stats.drops + 1
+          else begin
+            let sinks = s.sinks.(w) in
+            sinks.(Spsc.producer_pos ring land (Array.length sinks - 1)) <-
+              t.s_io.sink li i;
+            Bytes.blit pkt 0 (Spsc.slot ring) 0 n;
+            Spsc.publish ring ~tag:(Shard.Steer.last_bucket steer) n;
+            s.published <- s.published + 1;
+            incr taken
+          end;
+          Shard.Steer.maybe_rebalance steer s.rings
+        done;
+        Slab.publish_run slab ~n:0
+    end
+    else begin
+      Slab.publish_run slab ~n:0;
+      if r = Mmsg.eagain then t.s_hot.(li) <- false;
+      continue := false
+    end
+  done;
+  if !drained > st.Stats.hwm_drain then st.Stats.hwm_drain <- !drained;
+  !taken
+
+(* top-level, not closures in [run]: the run's entry cost lands inside
+   the benches' per-run allocation bracket *)
+let rec any_hot hot i = i < Array.length hot && (hot.(i) || any_hot hot (i + 1))
+
+let timeout_ms t deadline =
+  if any_hot t.s_hot 0 then 0
+  else begin
+    let cap =
+      match deadline with
+      | None -> 200
+      | Some dl ->
+        let tl = dl -. Unix.gettimeofday () in
+        if tl <= 0. then 0 else min 200 (int_of_float (Float.ceil (tl *. 1000.)))
+    in
+    (* sleep no longer than the engine's next armed deadline: an idle
+       socket must not delay a retransmission timer by the idle cap *)
+    match t.s_work with
+    | Serve { pipe; _ } -> (
+      match Pipeline.next_timer_ms pipe with -1 -> cap | ms -> min cap ms)
+    | Steer _ -> cap
+  end
+
+let shard_processed rings =
+  Array.fold_left (fun acc r -> acc + Spsc.head_pos r) 0 rings
+
+let run ?max_packets ?duration t =
+  if t.s_closed then invalid_arg "Net.Server.run: server is closed";
+  Array.iter (fun l -> Stats.reset_highwater l.l_stats) t.s_ls;
+  Stats.reset_highwater t.s_loop;
+  let budget = match max_packets with None -> max_int | Some m -> m in
+  let deadline =
+    match duration with
+    | None -> None
+    | Some d -> Some (Unix.gettimeofday () +. d)
   in
-  loop 0
+  let n_run = ref 0 in
+  let fin = ref false in
+  while not !fin do
+    (* a stop request still gets one last nonblocking wait and a pass
+       over every ready listener: datagrams the kernel already holds are
+       answered *)
+    let stopping = Atomic.get t.s_stop in
+    if
+      (not stopping)
+      && (!n_run >= budget
+         || match deadline with
+            | None -> false
+            | Some dl -> Unix.gettimeofday () >= dl)
+    then fin := true
+    else begin
+      let timeout_ms = if stopping then 0 else timeout_ms t deadline in
+      t.s_loop.Stats.syscalls <- t.s_loop.Stats.syscalls + 1;
+      t.s_io.wait ~timeout_ms;
+      for li = 0 to Array.length t.s_ls - 1 do
+        if t.s_hot.(li) then n_run := !n_run + pass t li
+      done;
+      (match t.s_work with
+      | Serve { pipe; _ } -> ignore (Pipeline.poll_timers pipe)
+      | Steer _ -> ());
+      if stopping then fin := true
+    end
+  done;
+  (match t.s_work with
+  | Serve _ -> ()
+  | Steer s ->
+    (* replies leave from the worker domains: "served" means the rings
+       are drained, not merely read off the wire *)
+    let k = ref 0 in
+    while shard_processed s.rings < s.published do
+      Spsc.backoff !k;
+      incr k
+    done);
+  (* a consumed stop request must not stick to the next run *)
+  Atomic.set t.s_stop false;
+  !n_run
+
+let request_stop t = Atomic.set t.s_stop true
 
 (* ---- create ---------------------------------------------------------- *)
 
@@ -378,9 +644,23 @@ let bind_listener ep =
       | bound_port ->
         Ok
           { l_proto = proto; l_fd = fd; l_host = host; l_port = bound_port;
-            l_stats = Stats.create (); l_conns = [] })
+            l_stats = Stats.create (); l_conns = []; l_ready = false })
 
 let mmsg_available () = Mmsg.available () && Mmsg.Epoll.available ()
+
+(* A sharded worker's reply: UDP only (sharded mode refuses TCP),
+   charged to the worker's own row. *)
+let worker_reply sinks st pos buf len =
+  if pos >= 0 then
+    match sinks.(pos land (Array.length sinks - 1)) with
+    | To_udp (l, addr) ->
+      let r = sendto st l.l_fd buf len addr in
+      if r > 0 then begin
+        st.Stats.tx_pkts <- st.Stats.tx_pkts + 1;
+        st.Stats.tx_bytes <- st.Stats.tx_bytes + len
+      end
+      else note_failure st r 1
+    | No_sink | To_conn _ -> ()
 
 let create ?(config = Pipeline.default_config) ?(mode = Pipeline.Staged)
     ?stack ?machine ?(tick_ms = 1) ?(signals = true) ?(workers = 1)
@@ -405,980 +685,196 @@ let create ?(config = Pipeline.default_config) ?(mode = Pipeline.Staged)
     | Mmsg -> Ok true
     | Auto -> Ok (all_udp && mmsg_available ())
   in
+  (* Steer on the flight spec's own flow key unless told otherwise:
+     packets of a flow must land where that flow's machine instance
+     lives, and the spec already names the field that defines a flow. *)
+  let shard_key =
+    if workers <= 1 then Ok None
+    else if not all_udp then
+      Error "sharded mode (workers > 1) serves UDP listeners only"
+    else if stack <> None then Error "sharded mode does not support layered stacks"
+    else
+      match
+        match shard_key with Some k -> Some k | None -> Flight.spec_flow_key flight
+      with
+      | None ->
+        Error
+          "sharded mode needs a steering key: the flight spec has no flow \
+           key and no ~shard_key was given"
+      | Some k -> (
+        match View.key_extractor fmt k with
+        | Error e ->
+          Error (Printf.sprintf "sharded mode: bad steering key %S: %s" k e)
+        | Ok _ -> Ok (Some k))
+  in
   if listeners = [] then Error "no listeners given"
   else if workers <= 0 then Error "workers must be positive"
   else if io_batch <= 0 then Error "io-batch must be a positive batch size"
-  else begin
-    match use_mmsg with
-    | Error _ as e -> e
-    | Ok use_mmsg ->
-    let stop = Atomic.make false in
-    (* Handlers go in before any socket exists: a signal that lands
-       during bring-up or a long bind still produces a stats report
-       instead of killing the process mid-setup. *)
-    let prev_signals =
-      if not signals then []
-      else begin
-        let h = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
-        let prev_int = Sys.signal Sys.sigint h in
-        let prev_term = Sys.signal Sys.sigterm h in
-        [ (Sys.sigint, prev_int); (Sys.sigterm, prev_term) ]
-      end
-    in
-    let restore_signals () =
-      List.iter (fun (s, b) -> Sys.set_signal s b) prev_signals
-    in
-    let rec bind_all acc = function
-      | [] -> Ok (List.rev acc)
-      | ep :: rest -> (
-        match bind_listener ep with
-        | Ok l -> bind_all (l :: acc) rest
-        | Error _ as e ->
-          List.iter
-            (fun l -> try Unix.close l.l_fd with Unix.Unix_error _ -> ())
-            acc;
-          e)
-    in
-    match bind_all [] listeners with
-    | Error msg ->
-      restore_signals ();
-      Error msg
-    | Ok ls ->
-      let fail msg =
-        List.iter
-          (fun l -> try Unix.close l.l_fd with Unix.Unix_error _ -> ())
-          ls;
-        restore_signals ();
+  else
+    match (use_mmsg, shard_key) with
+    | (Error _ as e), _ | _, (Error _ as e) -> e
+    | Ok use_mmsg, Ok shard_key -> (
+      let stop = Atomic.make false in
+      (* Handlers go in before any socket exists: a signal that lands
+         during bring-up or a long bind still produces a stats report
+         instead of killing the process mid-setup. *)
+      let prev_signals =
+        if not signals then []
+        else begin
+          let h = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
+          let prev_int = Sys.signal Sys.sigint h in
+          let prev_term = Sys.signal Sys.sigterm h in
+          [ (Sys.sigint, prev_int); (Sys.sigterm, prev_term) ]
+        end
+      in
+      let fail ls msg =
+        List.iter (fun l -> try Unix.close l.l_fd with Unix.Unix_error _ -> ()) ls;
+        List.iter (fun (s, b) -> Sys.set_signal s b) prev_signals;
         Error msg
       in
-      if workers = 1 then (
-        let cur = ref No_sink in
-        let txbuf = Bytes.create (config.Pipeline.slot_bytes + 2) in
-        let mm_result =
-          if not use_mmsg then Ok None
-          else
-            match
-              let nl = List.length ls in
-              let ep = Mmsg.Epoll.create (max nl 1) in
-              List.iteri (fun i l -> Mmsg.Epoll.add ep l.l_fd i) ls;
-              { mm_batch = Mmsg.create io_batch;
-                mm_ep = ep;
-                mm_tags = Array.make (max nl 1) (-1);
-                mm_hot = Array.make nl false;
-                mm_pass = config.Pipeline.ring_capacity;
-                mm_rx_listener = 0;
-                mm_ls = Array.of_list ls;
-                mm_txb =
-                  Array.init io_batch (fun _ ->
-                      Bytes.create config.Pipeline.slot_bytes);
-                mm_txl = Array.make io_batch 0;
-                mm_txa = Array.make io_batch (-1);
-                mm_txn = 0 }
-            with
-            | exception Failure msg -> Error msg
-            | mm -> Ok (Some mm)
+      let rec bind_all acc = function
+        | [] -> Ok (List.rev acc)
+        | ep :: rest -> (
+          match bind_listener ep with
+          | Ok l -> bind_all (l :: acc) rest
+          | Error msg -> fail acc msg)
+      in
+      match bind_all [] listeners with
+      | Error _ as e -> e
+      | Ok bound ->
+        let ls = Array.of_list bound in
+        let hot = Array.make (Array.length ls) false in
+        let slot_bytes = config.Pipeline.slot_bytes in
+        (* Both backends finish each run before the next read, so the slab
+           holds one I/O batch. *)
+        let slab = Slab.create ~slot_bytes ~capacity:io_batch () in
+        let bufs = Slab.raw_bufs slab and lens = Slab.raw_lens slab in
+        let n_tx = if shard_key = None then io_batch else 0 in
+        let tx =
+          { txb = Array.init n_tx (fun _ -> Bytes.create slot_bytes);
+            txl = Array.make n_tx 0;
+            txa = Array.make n_tx (-1);
+            txn = 0;
+            tx_li = 0 }
         in
-        match mm_result with
-        | Error msg -> fail msg
-        | Ok mm -> (
-          (* the slab exists before the pipeline: the batched reply
-             callback closes over it to map window indices to slots.
-             The batched path serves each receive run before the next
-             read, so its slab holds one I/O batch; the legacy loop
-             drains every ready socket first and needs the full ring. *)
-          let cap =
-            if mm = None then config.Pipeline.ring_capacity else io_batch
+        match
+          if use_mmsg then
+            let io, batch = mmsg_backend ls hot ~bufs ~lens tx in
+            (io, Some batch)
+          else (legacy_backend ls hot ~bufs ~lens tx, None)
+        with
+        | exception Failure msg -> fail bound msg
+        | io, mm -> (
+          let work =
+            match shard_key with
+            | None -> (
+              match
+                Pipeline.create ~config ~mode ?stack ~flight ?machine ~tick_ms
+                  ~clock_ms:Mmsg.now_ms ~now_ns:Mmsg.now_ns
+                  ~on_reply_slot:(stage io ls tx slab) fmt
+              with
+              | exception e -> Error (Printexc.to_string e)
+              | pipe -> Ok (Serve { pipe; tx }))
+            | Some key -> (
+              let sinks = ref [||] and w_stats = ref [||] in
+              match
+                Shard.create
+                  ~config:{ Shard.workers; pipeline = config }
+                  ~allow_oversubscribe ~stealing ~key ~mode ~flight
+                  ?machine ~tick_ms ~clock_ms:Mmsg.now_ms ~now_ns:Mmsg.now_ns
+                  ~on_reply_slot:(fun w pos buf len ->
+                    worker_reply !sinks.(w) !w_stats.(w) pos buf len)
+                  fmt
+              with
+              | exception e -> Error (Printexc.to_string e)
+              | Error _ as e -> e
+              | Ok shard ->
+                let rings = Shard.rings shard in
+                sinks :=
+                  Array.map (fun r -> Array.make (Spsc.capacity r) No_sink) rings;
+                w_stats := Array.map (fun _ -> Stats.create ()) rings;
+                Shard.start shard;
+                Ok
+                  (Steer
+                     { shard; rings; sinks = !sinks; w_stats = !w_stats;
+                       published = 0 }))
           in
-          let slab =
-            Slab.create ~slot_bytes:config.Pipeline.slot_bytes ~capacity:cap ()
-          in
-          let on_reply, on_reply_slot =
-            match mm with
-            | Some m -> (None, Some (fun i buf len -> stage_reply slab m i buf len))
-            | None -> (Some (fun buf len -> send_reply cur txbuf buf len), None)
-          in
-          match
-            Pipeline.create ~config ~mode ?stack ~flight ?machine ~tick_ms
-              ~clock_ms:Mmsg.now_ms ~now_ns:Mmsg.now_ns ?on_reply
-              ?on_reply_slot fmt
-          with
-          | exception e ->
-            (match mm with
-            | Some m -> Mmsg.Epoll.close m.mm_ep
-            | None -> ());
-            fail (Printexc.to_string e)
-          | pipe ->
+          match work with
+          | Error msg ->
+            io.release ();
+            fail bound msg
+          | Ok work ->
             Ok
-              { s_pipe = pipe;
+              { s_ls = ls; s_io = io; s_mmsg = mm; s_hot = hot; s_work = work;
                 s_slab = slab;
                 s_batch = config.Pipeline.batch;
-                s_io_batch = io_batch;
-                s_listeners = ls;
-                s_sinks = Array.make cap No_sink;
-                s_head = 0;
-                s_cur = cur;
-                s_stop = stop;
-                s_processed = 0;
-                s_scratch = Bytes.create config.Pipeline.slot_bytes;
-                s_txbuf = txbuf;
-                s_loop = Stats.create ();
-                s_mm = mm;
-                s_fds = [];
-                s_fds_dirty = true;
-                s_prev_signals = prev_signals;
-                s_shard = None;
-                s_closed = false }))
-      else if List.exists (fun l -> l.l_proto = `Tcp) ls then
-        fail "sharded mode (workers > 1) serves UDP listeners only"
-      else if stack <> None then
-        fail "sharded mode does not support layered stacks"
-      else begin
-        (* Steer on the flight spec's own flow key unless told otherwise:
-           packets of a flow must land where that flow's machine instance
-           lives, and the spec already names the field that defines a
-           flow. *)
-        let keyname =
-          match shard_key with
-          | Some k -> Ok k
-          | None -> (
-            match Flight.spec_flow_key flight with
-            | Some k -> Ok k
-            | None ->
-              Error
-                "sharded mode needs a steering key: the flight spec has \
-                 no flow key and no ~shard_key was given")
-        in
-        match keyname with
-        | Error e -> fail e
-        | Ok keyname -> (
-          match View.key_extractor fmt keyname with
-          | Error e ->
-            fail
-              (Printf.sprintf "sharded mode: bad steering key %S: %s" keyname
-                 e)
-          | Ok ke -> (
-            (* Same clamp discipline as [Shard.create]: domains beyond the
-               core count time-share and measure the scheduler. *)
-            let cores = Domain.recommended_domain_count () in
-            let n_workers, warn =
-              if workers <= cores then (workers, None)
-              else if allow_oversubscribe then
-                ( workers,
-                  Some
-                    (Printf.sprintf
-                       "serve: %d workers oversubscribe %d available core(s)"
-                       workers cores) )
-              else
-                ( cores,
-                  Some
-                    (Printf.sprintf
-                       "serve: requested %d workers, clamped to %d \
-                        available core(s)"
-                       workers cores) )
-            in
-            let steer =
-              Shard.Steer.create ~stealing
-                ~steal_threshold:config.Pipeline.batch ~workers:n_workers ()
-            in
-            match
-              Array.init n_workers (fun i ->
-                  let cur = ref No_sink in
-                  let wst = Stats.create () in
-                  let pipe =
-                    Pipeline.create ~config ~mode ~flight ?machine ~tick_ms
-                      ~clock_ms:Mmsg.now_ms ~now_ns:Mmsg.now_ns
-                      ~on_reply:(fun buf len ->
-                        send_reply_sharded wst cur buf len)
-                      fmt
-                  in
-                  let ring =
-                    Spsc.create ~slot_bytes:config.Pipeline.slot_bytes
-                      ~capacity:config.Pipeline.ring_capacity ()
-                  in
-                  { w_id = i;
-                    w_pipe = pipe;
-                    w_ring = ring;
-                    w_sinks = Array.make (Spsc.capacity ring) No_sink;
-                    w_cur = cur;
-                    w_stats = wst;
-                    w_processed = Atomic.make 0 })
-            with
-            | exception e -> fail (Printexc.to_string e)
-            | ws -> (
-              (match warn with
-              | None -> ()
-              | Some w ->
-                Array.iter
-                  (fun wk -> Estats.note_warning (Pipeline.stats wk.w_pipe) w)
-                  ws);
-              let ms_result =
-                if not use_mmsg then Ok None
-                else
-                  match
-                    let nl = List.length ls in
-                    let ep = Mmsg.Epoll.create (max nl 1) in
-                    List.iteri (fun i l -> Mmsg.Epoll.add ep l.l_fd i) ls;
-                    { ms_batch = Mmsg.create io_batch;
-                      ms_bufs =
-                        Array.init io_batch (fun _ ->
-                            Bytes.create config.Pipeline.slot_bytes);
-                      ms_lens = Array.make io_batch 0;
-                      ms_ep = ep;
-                      ms_tags = Array.make (max nl 1) (-1);
-                      ms_hot = Array.make nl false;
-                      ms_ls = Array.of_list ls }
-                  with
-                  | exception Failure msg -> Error msg
-                  | ms -> Ok (Some ms)
-              in
-              match ms_result with
-              | Error msg -> fail msg
-              | Ok ms ->
-                let sh =
-                  { sh_steer = steer;
-                    sh_key = ke;
-                    sh_key_min = View.key_min_bytes ke;
-                    sh_workers = ws;
-                    sh_rings = Array.map (fun w -> w.w_ring) ws;
-                    sh_batch = config.Pipeline.batch;
-                    sh_mm = ms;
-                    sh_published = 0;
-                    sh_domains = [||] }
-                in
-                sh.sh_domains <-
-                  Array.map
-                    (fun w -> Domain.spawn (fun () -> shard_worker sh w))
-                    ws;
-                Ok
-                  { s_pipe = ws.(0).w_pipe;
-                    s_slab =
-                      (* unused in sharded mode; minimal so it costs one
-                         slot, not a full ring *)
-                      Slab.create ~slot_bytes:config.Pipeline.slot_bytes
-                        ~capacity:1 ();
-                    s_batch = config.Pipeline.batch;
-                    s_io_batch = io_batch;
-                    s_listeners = ls;
-                    s_sinks = [||];
-                    s_head = 0;
-                    s_cur = ws.(0).w_cur;
-                    s_stop = stop;
-                    s_processed = 0;
-                    s_scratch = Bytes.create config.Pipeline.slot_bytes;
-                    s_txbuf = Bytes.create 2;
-                    s_loop = Stats.create ();
-                    s_mm = None;
-                    s_fds = [];
-                    s_fds_dirty = true;
-                    s_prev_signals = prev_signals;
-                    s_shard = Some sh;
-                    s_closed = false })))
-      end
-  end
-
-(* ---- ingest ---------------------------------------------------------- *)
-
-let free_slots t = Slab.capacity t.s_slab - Slab.length t.s_slab
-
-(* The sink FIFO mirrors the slab ring: one entry per published slot, in
-   publish order.  [s_head] is the consumer cursor; the producer cursor
-   is [s_head + Slab.length] (mod capacity) because occupancy is exactly
-   the slab's. *)
-let push_sink t sink =
-  let cap = Array.length t.s_sinks in
-  let tail = (t.s_head + Slab.length t.s_slab - 1 + cap) mod cap in
-  t.s_sinks.(tail) <- sink
-
-let pop_sink t =
-  let s = t.s_sinks.(t.s_head) in
-  t.s_sinks.(t.s_head) <- No_sink;
-  t.s_head <- (t.s_head + 1) mod Array.length t.s_sinks;
-  s
-
-(* Drain one readable UDP socket: datagrams go straight into leased slab
-   slots until the socket runs dry or the slab fills.  On a full slab the
-   next datagram is read into scratch and dropped — counted, bounded,
-   never blocking the engine. *)
-let drain_udp t l =
-  let st = l.l_stats in
-  let continue = ref true in
-  let drained = ref 0 in
-  while !continue do
-    if free_slots t = 0 then begin
-      st.Stats.syscalls <- st.Stats.syscalls + 1;
-      match
-        Unix.recvfrom l.l_fd t.s_scratch 0 (Bytes.length t.s_scratch) []
-      with
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        continue := false
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | exception Unix.Unix_error (_, _, _) -> continue := false
-      | _ ->
-        st.Stats.drops <- st.Stats.drops + 1;
-        (* yield to the engine: one drop per full-slab wake *)
-        continue := false
-    end
-    else
-      match Slab.lease t.s_slab with
-      | None -> continue := false
-      | Some buf -> (
-        st.Stats.syscalls <- st.Stats.syscalls + 1;
-        match Unix.recvfrom l.l_fd buf 0 (Bytes.length buf) [] with
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          ->
-          Slab.abandon t.s_slab;
-          continue := false
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> Slab.abandon t.s_slab
-        | exception Unix.Unix_error (_, _, _) ->
-          (* e.g. ECONNREFUSED bounced back from an earlier send *)
-          Slab.abandon t.s_slab
-        | n, addr ->
-          Slab.publish t.s_slab n;
-          push_sink t (To_udp (l, addr));
-          st.Stats.rx_pkts <- st.Stats.rx_pkts + 1;
-          st.Stats.rx_bytes <- st.Stats.rx_bytes + n;
-          if n > st.Stats.hwm_datagram then st.Stats.hwm_datagram <- n;
-          if st.Stats.hwm_pkts_per_syscall < 1 then
-            st.Stats.hwm_pkts_per_syscall <- 1;
-          incr drained)
-  done;
-  if !drained > st.Stats.hwm_drain then st.Stats.hwm_drain <- !drained
-
-(* Batched UDP pass: lease a contiguous slab run, let one [recvmmsg]
-   scatter datagrams straight into the slots (lengths land in the
-   slab's own length array, source addresses in the C slots of the same
-   indices), publish the filled prefix, and serve it to completion —
-   engine, then one reply flush, then release — before the next read.
-   The flush MUST precede [Slab.release]: a staged reply's destination
-   lives in the C sockaddr slot of its rx slot, which the next
-   [recvmmsg] overwrites.  The slab is empty between runs, so nothing
-   is ever dropped here: the kernel socket buffer is the queue.  A pass
-   serves at most [mm_pass] packets, so a flooded listener cannot
-   starve timers, the stop flag or the other listeners.  Edge-triggered
-   discipline: only EAGAIN clears the listener's hot flag — a pass cut
-   short by its budget keeps it set, and the event loop comes straight
-   back.  Returns the packets served. *)
-let drain_udp_mmsg t mm li =
-  let l = mm.mm_ls.(li) in
-  let st = l.l_stats in
-  let slab = t.s_slab in
-  let bufs = Slab.raw_bufs slab in
-  let lens = Slab.raw_lens slab in
-  mm.mm_rx_listener <- li;
-  let continue = ref true in
-  let drained = ref 0 in
-  while !continue && !drained < mm.mm_pass do
-    let room = min t.s_io_batch (mm.mm_pass - !drained) in
-    let k = Slab.lease_run slab ~max:room in
-    let base = Slab.producer_slot slab in
-    st.Stats.syscalls <- st.Stats.syscalls + 1;
-    let r = Mmsg.recv mm.mm_batch l.l_fd ~bufs ~lens ~base ~count:k in
-    if r > 0 then begin
-      st.Stats.batched_rx <- st.Stats.batched_rx + r;
-      if r > st.Stats.hwm_pkts_per_syscall then
-        st.Stats.hwm_pkts_per_syscall <- r;
-      for i = base to base + r - 1 do
-        st.Stats.rx_bytes <- st.Stats.rx_bytes + lens.(i);
-        if lens.(i) > st.Stats.hwm_datagram then
-          st.Stats.hwm_datagram <- lens.(i)
-      done;
-      st.Stats.rx_pkts <- st.Stats.rx_pkts + r;
-      drained := !drained + r;
-      Slab.publish_run slab ~n:r;
-      while Slab.length slab > 0 do
-        let n = Slab.pop_batch slab ~max:t.s_batch in
-        Pipeline.process_slab_batch t.s_pipe slab ~n;
-        flush_tx mm;
-        Slab.release slab
-      done
-    end
-    else begin
-      Slab.publish_run slab ~n:0;
-      if r = Mmsg.eagain then mm.mm_hot.(li) <- false;
-      (* EINTR (0) or a queued socket error like an ECONNREFUSED bounce
-         (-3, consumed by the failed call): stop this pass but stay
-         hot — the loop retries after polling timers, so progress is
-         guaranteed *)
-      continue := false
-    end
-  done;
-  if !drained > st.Stats.hwm_drain then st.Stats.hwm_drain <- !drained;
-  t.s_processed <- t.s_processed + !drained;
-  !drained
-
-(* Sharded ingest: the steering stage.  Datagrams land in the scratch
-   buffer (the destination ring is unknown before the packet is read),
-   the flow key is read at its fixed offset — no decode — and the packet
-   is blitted once into the owner worker's ring, its reply sink stored in
-   the parallel slot {e before} the publish.  A full ring costs the
-   packet (counted as a drop) rather than blocking the listener: the
-   select loop must keep serving the other workers' flows. *)
-let drain_udp_sharded t sh l =
-  let st = l.l_stats in
-  let scratch = t.s_scratch in
-  let continue = ref true in
-  let drained = ref 0 in
-  while !continue do
-    st.Stats.syscalls <- st.Stats.syscalls + 1;
-    match Unix.recvfrom l.l_fd scratch 0 (Bytes.length scratch) [] with
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      continue := false
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) -> continue := false
-    | n, addr ->
-      st.Stats.rx_pkts <- st.Stats.rx_pkts + 1;
-      st.Stats.rx_bytes <- st.Stats.rx_bytes + n;
-      if n > st.Stats.hwm_datagram then st.Stats.hwm_datagram <- n;
-      if st.Stats.hwm_pkts_per_syscall < 1 then
-        st.Stats.hwm_pkts_per_syscall <- 1;
-      (* scratch is longer than the datagram: bound the key read by the
-         receive length, not the buffer length *)
-      let key =
-        if n < sh.sh_key_min then View.no_key
-        else View.extract_key_int sh.sh_key (Bytes.unsafe_to_string scratch)
-      in
-      let w = sh.sh_workers.(Shard.Steer.route sh.sh_steer ~key) in
-      let ring = w.w_ring in
-      if not (Spsc.has_space ring) then st.Stats.drops <- st.Stats.drops + 1
-      else begin
-        w.w_sinks.(Spsc.producer_pos ring land (Array.length w.w_sinks - 1)) <-
-          To_udp (l, addr);
-        Bytes.blit scratch 0 (Spsc.slot ring) 0 n;
-        Spsc.publish ring ~tag:(Shard.Steer.last_bucket sh.sh_steer) n;
-        sh.sh_published <- sh.sh_published + 1;
-        incr drained
-      end;
-      Shard.Steer.maybe_rebalance sh.sh_steer sh.sh_rings
-  done;
-  if !drained > st.Stats.hwm_drain then st.Stats.hwm_drain <- !drained
-
-(* Batched steering: one [recvmmsg] fills the scratch batch, then each
-   datagram is keyed, routed, and blitted into its worker's ring as in
-   the legacy loop.  The per-packet sink still allocates (the worker
-   needs a [Unix.sockaddr] for its [sendto]) — parity with legacy
-   sharded; what the batch buys is the syscall amortization on rx. *)
-let drain_udp_sharded_mmsg sh ms li =
-  let l = ms.ms_ls.(li) in
-  let st = l.l_stats in
-  let cap = Array.length ms.ms_bufs in
-  let continue = ref true in
-  let drained = ref 0 in
-  while !continue do
-    st.Stats.syscalls <- st.Stats.syscalls + 1;
-    let r =
-      Mmsg.recv ms.ms_batch l.l_fd ~bufs:ms.ms_bufs ~lens:ms.ms_lens ~base:0
-        ~count:cap
-    in
-    if r > 0 then begin
-      st.Stats.batched_rx <- st.Stats.batched_rx + r;
-      if r > st.Stats.hwm_pkts_per_syscall then
-        st.Stats.hwm_pkts_per_syscall <- r;
-      for i = 0 to r - 1 do
-        let n = ms.ms_lens.(i) in
-        let pkt = ms.ms_bufs.(i) in
-        st.Stats.rx_pkts <- st.Stats.rx_pkts + 1;
-        st.Stats.rx_bytes <- st.Stats.rx_bytes + n;
-        if n > st.Stats.hwm_datagram then st.Stats.hwm_datagram <- n;
-        let key =
-          if n < sh.sh_key_min then View.no_key
-          else View.extract_key_int sh.sh_key (Bytes.unsafe_to_string pkt)
-        in
-        let w = sh.sh_workers.(Shard.Steer.route sh.sh_steer ~key) in
-        let ring = w.w_ring in
-        if not (Spsc.has_space ring) then
-          st.Stats.drops <- st.Stats.drops + 1
-        else begin
-          w.w_sinks.(Spsc.producer_pos ring land (Array.length w.w_sinks - 1)) <-
-            To_udp (l, Mmsg.addr ms.ms_batch i);
-          Bytes.blit pkt 0 (Spsc.slot ring) 0 n;
-          Spsc.publish ring ~tag:(Shard.Steer.last_bucket sh.sh_steer) n;
-          sh.sh_published <- sh.sh_published + 1;
-          incr drained
-        end
-      done;
-      Shard.Steer.maybe_rebalance sh.sh_steer sh.sh_rings
-    end
-    else begin
-      if r = Mmsg.eagain then ms.ms_hot.(li) <- false;
-      continue := false
-    end
-  done;
-  if !drained > st.Stats.hwm_drain then st.Stats.hwm_drain <- !drained
-
-let close_conn t c =
-  if c.c_open then begin
-    (try Unix.close c.c_fd with Unix.Unix_error _ -> ());
-    c.c_open <- false;
-    c.c_listener.l_conns <- List.filter (fun c' -> c' != c) c.c_listener.l_conns;
-    c.c_listener.l_stats.Stats.conns_closed <-
-      c.c_listener.l_stats.Stats.conns_closed + 1;
-    t.s_fds_dirty <- true
-  end
-
-let accept_conns t l =
-  let continue = ref true in
-  while !continue do
-    l.l_stats.Stats.syscalls <- l.l_stats.Stats.syscalls + 1;
-    match Unix.accept ~cloexec:true l.l_fd with
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      continue := false
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | exception Unix.Unix_error (_, _, _) -> continue := false
-    | fd, _addr ->
-      Unix.set_nonblock fd;
-      let c =
-        { c_fd = fd;
-          c_buf = Bytes.create (2 + Slab.slot_bytes t.s_slab);
-          c_len = 0; c_open = true; c_listener = l }
-      in
-      l.l_conns <- c :: l.l_conns;
-      l.l_stats.Stats.conns_accepted <- l.l_stats.Stats.conns_accepted + 1;
-      t.s_fds_dirty <- true
-  done
-
-(* Cut complete [u16 BE length]-prefixed frames out of a connection's
-   buffer and blit them into the slab.  An oversized frame is a protocol
-   violation: count it and drop the connection (resynchronising a framed
-   stream is not possible). *)
-let extract_frames t c =
-  let st = c.c_listener.l_stats in
-  let continue = ref true in
-  let drained = ref 0 in
-  while !continue && c.c_open && c.c_len >= 2 do
-    let flen =
-      (Char.code (Bytes.get c.c_buf 0) lsl 8)
-      lor Char.code (Bytes.get c.c_buf 1)
-    in
-    if flen > Slab.slot_bytes t.s_slab then begin
-      st.Stats.drops <- st.Stats.drops + 1;
-      close_conn t c
-    end
-    else if c.c_len < 2 + flen then continue := false
-    else begin
-      (if free_slots t = 0 then st.Stats.drops <- st.Stats.drops + 1
-       else begin
-         (* [push] blits immediately, so aliasing the buffer we are
-            about to shift is fine; it cannot block (a free slot was
-            just checked and we are the only producer). *)
-         ignore
-           (Slab.push t.s_slab ~off:2 ~len:flen
-              (Bytes.unsafe_to_string c.c_buf));
-         push_sink t (To_conn c);
-         st.Stats.rx_pkts <- st.Stats.rx_pkts + 1;
-         st.Stats.rx_bytes <- st.Stats.rx_bytes + flen;
-         if flen > st.Stats.hwm_datagram then st.Stats.hwm_datagram <- flen;
-         incr drained
-       end);
-      let rest = c.c_len - 2 - flen in
-      if rest > 0 then Bytes.blit c.c_buf (2 + flen) c.c_buf 0 rest;
-      c.c_len <- rest
-    end
-  done;
-  if !drained > st.Stats.hwm_drain then st.Stats.hwm_drain <- !drained
-
-let drain_conn t c =
-  c.c_listener.l_stats.Stats.syscalls <-
-    c.c_listener.l_stats.Stats.syscalls + 1;
-  match Unix.read c.c_fd c.c_buf c.c_len (Bytes.length c.c_buf - c.c_len) with
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  | exception Unix.Unix_error (_, _, _) -> close_conn t c
-  | 0 -> close_conn t c
-  | n ->
-    c.c_len <- c.c_len + n;
-    extract_frames t c
-
-(* ---- the loop -------------------------------------------------------- *)
-
-(* Process every published slot, strictly in publish order, each packet
-   run to completion (its reply is sent from inside the call) before the
-   next is touched. *)
-let drain_slab t =
-  let n_done = ref 0 in
-  while Slab.length t.s_slab > 0 do
-    let n = Slab.pop_batch t.s_slab ~max:t.s_batch in
-    for i = 0 to n - 1 do
-      t.s_cur := pop_sink t;
-      ignore
-        (Pipeline.process_buffer t.s_pipe (Slab.buf t.s_slab i)
-           ~len:(Slab.len t.s_slab i));
-      incr n_done
-    done;
-    t.s_cur := No_sink;
-    Slab.release t.s_slab
-  done;
-  t.s_processed <- t.s_processed + !n_done;
-  !n_done
-
-let sweep_sockets t =
-  List.iter
-    (fun l ->
-      match l.l_proto with
-      | `Udp -> drain_udp t l
-      | `Tcp ->
-        accept_conns t l;
-        List.iter (fun c -> drain_conn t c) l.l_conns)
-    t.s_listeners
-
-(* The select fd set, rebuilt only when a connection is accepted or
-   closed — the legacy loop's one per-iteration allocation, hoisted. *)
-let current_fds t =
-  if t.s_fds_dirty then begin
-    t.s_fds <-
-      List.concat_map
-        (fun l -> l.l_fd :: List.map (fun c -> c.c_fd) l.l_conns)
-        t.s_listeners;
-    t.s_fds_dirty <- false
-  end;
-  t.s_fds
-
-(* Allocation-free ready-fd dispatch (no intermediate lists/options). *)
-let rec drain_ready_conn t fd = function
-  | [] -> false
-  | c :: rest ->
-    if c.c_fd = fd then begin
-      drain_conn t c;
-      true
-    end
-    else drain_ready_conn t fd rest
-
-let rec drain_ready t fd = function
-  | [] -> ()
-  | l :: rest ->
-    if l.l_fd = fd then
-      match l.l_proto with
-      | `Udp -> drain_udp t l
-      | `Tcp -> accept_conns t l
-    else if drain_ready_conn t fd l.l_conns then ()
-    else drain_ready t fd rest
-
-let shard_processed sh =
-  Array.fold_left
-    (fun acc w -> acc + Atomic.get w.w_processed)
-    0 sh.sh_workers
-
-(* Sharded serve loop: select over the UDP listeners, steer everything
-   readable, and on exit wait (bounded backoff) until the workers have
-   caught up with everything published this run — replies leave from the
-   worker domains, so "served" means the rings are drained, not merely
-   read off the wire. *)
-let run_sharded ?max_packets ?duration t sh =
-  List.iter (fun l -> Stats.reset_highwater l.l_stats) t.s_listeners;
-  Stats.reset_highwater t.s_loop;
-  let started = Unix.gettimeofday () in
-  let published0 = sh.sh_published in
-  let over_budget () =
-    match max_packets with
-    | None -> false
-    | Some m -> sh.sh_published - published0 >= m
-  in
-  let time_left () =
-    match duration with
-    | None -> infinity
-    | Some d -> d -. (Unix.gettimeofday () -. started)
-  in
-  (match sh.sh_mm with
-  | Some ms ->
-    (* batched steering: persistent epoll + recvmmsg scratch batches.
-       Entering hot forces one unconditional drain pass — data buffered
-       across runs never re-edges, so it must not be waited for. *)
-    let nl = Array.length ms.ms_hot in
-    Array.fill ms.ms_hot 0 nl true;
-    let rec any_hot i = i < nl && (ms.ms_hot.(i) || any_hot (i + 1)) in
-    let rec loop () =
-      if Atomic.get t.s_stop then begin
-        Array.fill ms.ms_hot 0 nl true;
-        for li = 0 to nl - 1 do
-          drain_udp_sharded_mmsg sh ms li
-        done
-      end
-      else if over_budget () || time_left () <= 0. then ()
-      else begin
-        let timeout_ms =
-          if any_hot 0 then 0
-          else
-            let tl = time_left () in
-            if tl = infinity then 200
-            else max 0 (min 200 (int_of_float (Float.ceil (tl *. 1000.))))
-        in
-        t.s_loop.Stats.syscalls <- t.s_loop.Stats.syscalls + 1;
-        let r = Mmsg.Epoll.wait ms.ms_ep ~tags:ms.ms_tags ~timeout_ms in
-        if r > 0 then
-          for j = 0 to r - 1 do
-            ms.ms_hot.(ms.ms_tags.(j)) <- true
-          done;
-        for li = 0 to nl - 1 do
-          if ms.ms_hot.(li) then drain_udp_sharded_mmsg sh ms li
-        done;
-        loop ()
-      end
-    in
-    loop ()
-  | None ->
-    let fds = List.map (fun l -> l.l_fd) t.s_listeners in
-    let sweep () =
-      List.iter (fun l -> drain_udp_sharded t sh l) t.s_listeners
-    in
-    let rec steer_ready fd = function
-      | [] -> ()
-      | l :: rest ->
-        if l.l_fd = fd then drain_udp_sharded t sh l else steer_ready fd rest
-    in
-    let rec loop () =
-      if Atomic.get t.s_stop then
-        (* graceful stop: steer what the kernel already holds, then fall
-           through to the drain wait below *)
-        sweep ()
-      else if over_budget () || time_left () <= 0. then ()
-      else begin
-        let timeout = Float.min 0.2 (Float.max 0. (time_left ())) in
-        t.s_loop.Stats.syscalls <- t.s_loop.Stats.syscalls + 1;
-        (match Unix.select fds [] [] timeout with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | ready, _, _ ->
-          List.iter (fun fd -> steer_ready fd t.s_listeners) ready);
-        loop ()
-      end
-    in
-    loop ());
-  let k = ref 0 in
-  while shard_processed sh < sh.sh_published do
-    Spsc.backoff !k;
-    incr k
-  done;
-  Atomic.set t.s_stop false;
-  sh.sh_published - published0
-
-let run_single ?max_packets ?duration t =
-  List.iter (fun l -> Stats.reset_highwater l.l_stats) t.s_listeners;
-  Stats.reset_highwater t.s_loop;
-  let started = Unix.gettimeofday () in
-  let n_run = ref 0 in
-  let over_budget () =
-    match max_packets with None -> false | Some m -> !n_run >= m
-  in
-  let time_left () =
-    match duration with
-    | None -> infinity
-    | Some d -> d -. (Unix.gettimeofday () -. started)
-  in
-  let rec loop () =
-    if Atomic.get t.s_stop then begin
-      (* Graceful stop: answer what the kernel already holds, then
-         drain the slab to empty — no in-flight batch is abandoned. *)
-      sweep_sockets t;
-      n_run := !n_run + drain_slab t
-    end
-    else if over_budget () || time_left () <= 0. then
-      n_run := !n_run + drain_slab t
-    else begin
-      let fds = current_fds t in
-      let timeout = Float.min 0.2 (Float.max 0. (time_left ())) in
-      (* Sleep no longer than the engine's next armed deadline: an idle
-         socket must not delay a retransmission timer by the idle cap. *)
-      let timeout =
-        match Pipeline.next_timer_s t.s_pipe with
-        | Some d -> Float.min timeout d
-        | None -> timeout
-      in
-      t.s_loop.Stats.syscalls <- t.s_loop.Stats.syscalls + 1;
-      (match Unix.select fds [] [] timeout with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | ready, _, _ ->
-        List.iter (fun fd -> drain_ready t fd t.s_listeners) ready);
-      n_run := !n_run + drain_slab t;
-      (* The batch path polls inside the engine; an empty drain (select
-         woke for the deadline, not a packet) still advances the wheel. *)
-      ignore (Pipeline.poll_timers t.s_pipe);
-      loop ()
-    end
-  in
-  loop ();
-  (* a consumed stop request must not stick to the next run *)
-  Atomic.set t.s_stop false;
-  !n_run
-
-(* The batched single-worker loop: persistent epoll readiness, hot-flag
-   edge discipline, recvmmsg drains, and batch-flushed replies.  The
-   steady-state iteration allocates nothing: integer timeout math, the
-   preallocated tag/hot arrays, and the slab's own slots are the whole
-   working set (the timer deadline query may box a float, but only when
-   the machine actually arms timeouts). *)
-(* top-level (not a closure in [run_mmsg]): the run's entry cost lands
-   inside the bench's per-run allocation bracket *)
-let rec any_hot mm nl i = i < nl && (mm.mm_hot.(i) || any_hot mm nl (i + 1))
-
-let run_mmsg ?max_packets ?duration t mm =
-  List.iter (fun l -> Stats.reset_highwater l.l_stats) t.s_listeners;
-  Stats.reset_highwater t.s_loop;
-  let nl = Array.length mm.mm_hot in
-  (* hot on entry: datagrams buffered before this run never re-edge *)
-  Array.fill mm.mm_hot 0 nl true;
-  let budget = match max_packets with None -> max_int | Some m -> m in
-  let deadline =
-    match duration with
-    | None -> None
-    | Some d -> Some (Unix.gettimeofday () +. d)
-  in
-  let n_run = ref 0 in
-  let stop_now = ref false in
-  while not !stop_now do
-    if Atomic.get t.s_stop then begin
-      Array.fill mm.mm_hot 0 nl true;
-      for li = 0 to nl - 1 do
-        n_run := !n_run + drain_udp_mmsg t mm li
-      done;
-      stop_now := true
-    end
-    else if
-      !n_run >= budget
-      ||
-      match deadline with
-      | None -> false
-      | Some dl -> Unix.gettimeofday () >= dl
-    then stop_now := true
-    else begin
-      let timeout_ms =
-        if any_hot mm nl 0 then 0
-        else begin
-          let cap = 200 in
-          let cap =
-            match deadline with
-            | None -> cap
-            | Some dl ->
-              let tl = dl -. Unix.gettimeofday () in
-              if tl <= 0. then 0
-              else min cap (int_of_float (Float.ceil (tl *. 1000.)))
-          in
-          match Pipeline.next_timer_ms t.s_pipe with
-          | -1 -> cap
-          | ms -> min cap ms
-        end
-      in
-      t.s_loop.Stats.syscalls <- t.s_loop.Stats.syscalls + 1;
-      let r = Mmsg.Epoll.wait mm.mm_ep ~tags:mm.mm_tags ~timeout_ms in
-      if r > 0 then
-        for j = 0 to r - 1 do
-          mm.mm_hot.(mm.mm_tags.(j)) <- true
-        done;
-      for li = 0 to nl - 1 do
-        if mm.mm_hot.(li) then n_run := !n_run + drain_udp_mmsg t mm li
-      done;
-      ignore (Pipeline.poll_timers t.s_pipe)
-    end
-  done;
-  Atomic.set t.s_stop false;
-  !n_run
-
-let run ?max_packets ?duration t =
-  if t.s_closed then invalid_arg "Net.Server.run: server is closed";
-  match (t.s_shard, t.s_mm) with
-  | Some sh, _ -> run_sharded ?max_packets ?duration t sh
-  | None, Some mm -> run_mmsg ?max_packets ?duration t mm
-  | None, None -> run_single ?max_packets ?duration t
-
-let request_stop t = Atomic.set t.s_stop true
+                s_pass = config.Pipeline.ring_capacity; s_stop = stop;
+                s_processed = 0; s_loop = Stats.create ();
+                s_prev_signals = prev_signals; s_closed = false }))
 
 (* ---- accessors ------------------------------------------------------- *)
 
 let bound t =
-  List.map
-    (fun l -> (proto_name l.l_proto, l.l_host, l.l_port))
-    t.s_listeners
+  Array.to_list
+    (Array.map (fun l -> (proto_name l.l_proto, l.l_host, l.l_port)) t.s_ls)
 
 let udp_port t =
-  List.find_map
+  Array.find_map
     (fun l -> if l.l_proto = `Udp then Some l.l_port else None)
-    t.s_listeners
+    t.s_ls
 
 let listener_stats t =
   let ls =
-    List.map
+    Array.map
       (fun l ->
         ( Printf.sprintf "%s %s:%d" (proto_name l.l_proto) l.l_host l.l_port,
           l.l_stats ))
-      t.s_listeners
+      t.s_ls
   in
-  let ls =
-    match t.s_shard with
-    | None -> ls
-    | Some sh ->
-      (* worker tx counters are their own rows: replies leave from worker
-         domains and never touch a listener's (single-writer) stats *)
-      ls
-      @ (Array.to_list sh.sh_workers
-        |> List.map (fun w ->
-               (Printf.sprintf "worker %d (tx)" w.w_id, w.w_stats)))
+  (* worker tx counters are their own rows: replies leave from worker
+     domains and never touch a listener's (single-writer) stats *)
+  let ws =
+    match t.s_work with
+    | Serve _ -> [||]
+    | Steer s ->
+      Array.mapi (fun i st -> (Printf.sprintf "worker %d (tx)" i, st)) s.w_stats
   in
   (* the readiness syscalls (select / epoll_wait) belong to the loop,
      not to any one listener *)
-  ls @ [ ("event loop", t.s_loop) ]
+  Array.to_list ls @ Array.to_list ws @ [ ("event loop", t.s_loop) ]
 
-let net_stats t =
-  let ls = List.map (fun l -> l.l_stats) t.s_listeners in
-  let ws =
-    match t.s_shard with
-    | None -> []
-    | Some sh ->
-      Array.to_list (Array.map (fun w -> w.w_stats) sh.sh_workers)
-  in
-  Stats.merge (ls @ ws @ [ t.s_loop ])
+let net_stats t = Stats.merge (List.map snd (listener_stats t))
 
-let batched_io t =
-  t.s_mm <> None
-  || match t.s_shard with Some sh -> sh.sh_mm <> None | None -> false
+let batched_io t = t.s_mmsg <> None
 
 let engine_stats t =
-  match t.s_shard with
-  | None -> Pipeline.stats t.s_pipe
-  | Some sh ->
-    let merged = Estats.create Pipeline.stage_names in
-    Array.iter
-      (fun w -> Estats.merge_into ~into:merged (Pipeline.stats w.w_pipe))
-      sh.sh_workers;
-    let u = Shard.Steer.unkeyed sh.sh_steer in
-    if u > 0 then Estats.note_unkeyed ~n:u merged;
-    merged
+  match t.s_work with
+  | Serve { pipe; _ } -> Pipeline.stats pipe
+  | Steer s -> Shard.stats s.shard
 
 let processed t =
-  match t.s_shard with
-  | None -> t.s_processed
-  | Some sh -> shard_processed sh
+  match t.s_work with
+  | Serve _ -> t.s_processed
+  | Steer s -> shard_processed s.rings
 
 let workers t =
-  match t.s_shard with None -> 1 | Some sh -> Array.length sh.sh_workers
+  match t.s_work with Serve _ -> 1 | Steer s -> Shard.workers s.shard
 
 let steals t =
-  match t.s_shard with
-  | None -> 0
-  | Some sh -> Shard.Steer.steals sh.sh_steer
+  match t.s_work with Serve _ -> 0 | Steer s -> Shard.steals s.shard
 
 module For_testing = struct
   let refuse_gso_groups t on =
-    match t.s_mm with
-    | Some mm -> Mmsg.For_testing.refuse_groups mm.mm_batch on
+    match t.s_mmsg with
+    | Some b -> Mmsg.For_testing.refuse_groups b on
     | None -> ()
 end
 
 let close t =
   if not t.s_closed then begin
     t.s_closed <- true;
-    (match t.s_mm with
-    | Some mm -> Mmsg.Epoll.close mm.mm_ep
-    | None -> ());
-    (match t.s_shard with
-    | None -> ()
-    | Some sh ->
-      (match sh.sh_mm with
-      | Some ms -> Mmsg.Epoll.close ms.ms_ep
-      | None -> ());
-      Array.iter Spsc.close sh.sh_rings;
-      Array.iter Domain.join sh.sh_domains;
-      sh.sh_domains <- [||]);
-    List.iter
-      (fun l ->
-        List.iter (fun c -> close_conn t c) l.l_conns;
-        try Unix.close l.l_fd with Unix.Unix_error _ -> ())
-      t.s_listeners;
+    (match t.s_work with Serve _ -> () | Steer s -> Shard.drain s.shard);
+    t.s_io.release ();
+    Array.iter (fun l -> try Unix.close l.l_fd with Unix.Unix_error _ -> ()) t.s_ls;
     List.iter (fun (s, b) -> Sys.set_signal s b) t.s_prev_signals
   end

@@ -1,77 +1,78 @@
 (** The socket front end: real traffic through the fused engine.
 
-    A server owns one {!Netdsl_engine.Pipeline} (staged or fused, built
-    from a {!Netdsl_engine.Flight.spec}) and a set of nonblocking
-    listeners that feed it.  The event loop is select-based readiness +
-    batch drain: each wake drains every readable socket into the
-    engine's {!Netdsl_engine.Slab} — a UDP datagram is [recvfrom]'d
-    straight into a leased slot (no copy), a TCP byte stream is reframed
-    into length-prefixed datagrams and blitted in — then processes the
-    published run to completion and sends each patched reply in place
-    from the engine's reply window.  Steady state adds no allocation on
-    the engine side; the only per-packet garbage is the [sockaddr] the
-    [Unix] binding boxes per [recvfrom].
+    A server owns a set of nonblocking listeners and the engine that
+    answers them: one {!Netdsl_engine.Pipeline} (staged or fused, built
+    from a {!Netdsl_engine.Flight.spec}), or, sharded, a
+    {!Netdsl_engine.Shard} group of them.
 
-    Packets are processed strictly in the order their slots were
-    published, one at a time, each run to completion (decode → verify →
-    step → respond) before the next starts — the run-to-completion
-    ordering of the in-memory engine survives the socket boundary (see
-    DESIGN.md).
+    {b One loop over one batch-I/O backend.}  [run] is a single event
+    loop: check the stop flag, the packet budget and the deadline; sleep
+    in the backend's readiness wait (no longer than the engine's next
+    armed timer); make one pass over each hot listener; poll the timer
+    wheel.  A pass leases a run of slab slots, has the backend receive
+    into them (each slot's reply destination filed beside it), and
+    finishes the run before the next receive: it serves it — engine,
+    then one send of the staged replies, then release — or, sharded,
+    steers it.  A pass takes at most [ring_capacity] packets, so a
+    flooded listener cannot starve timers, the stop flag or the other
+    listeners ({!Stats.t.hwm_drain}); a listener stays hot until a
+    receive finds it dry.  The backend has two implementations, chosen
+    by [~io]:
+    - {b batched} ([Mmsg]; UDP only): a persistent edge-triggered
+      [epoll] instance, one [recvmmsg] per run (the kernel writes
+      lengths and source addresses straight into preallocated arrays),
+      and one [sendmmsg] per run's replies, same-peer same-size replies
+      grouped into UDP GSO messages ({!Mmsg.send}).  Steady state
+      performs {e zero} OCaml allocation per packet and amortizes the
+      syscall cost across the batch ({!Stats.t.hwm_pkts_per_syscall});
+    - {b legacy} ([Legacy]): [select] plus [recvfrom]/[sendto], a batch
+      of one datagram — the differential reference, the
+      [NETDSL_NO_MMSG=1] fallback and the non-Linux path.  Its only
+      per-packet garbage is the [sockaddr] the [Unix] binding boxes per
+      [recvfrom].  TCP lives here: a connection carries a stream of
+      [u16 big-endian length]-prefixed frames, cut into run slots, each
+      frame one engine packet and each reply written back with the same
+      prefix.  A connection with complete frames still buffered keeps
+      its listener hot, so a burst longer than a run waits in the
+      connection's buffer and is served in later runs.
 
-    Backpressure is bounded and non-blocking.  On the per-packet loop,
-    when the slab has no free slot, the next datagram is read into a
-    scratch buffer and dropped with {!Stats.t.drops} ticking — the
-    engine is never blocked by the wire, and the kernel socket buffer
-    (not an unbounded queue) absorbs the rest.  The batched path below
-    never drops in user space: it serves each receive run before the
-    next read, so its slab always has room, and the kernel socket
-    buffer is the only queue.
+    [io_batch] sizes the run — the slab, the receive batch and the reply
+    staging — since every run is finished before the next read.
 
-    TCP support hides behind the same interface: a connection carries a
-    stream of [u16 big-endian length]-prefixed frames, each frame one
-    engine packet, each reply written back with the same prefix.
+    Packets are processed strictly in receive order, each run to
+    completion (decode → verify → step → respond) before the next starts
+    — the run-to-completion ordering of the in-memory engine survives the
+    socket boundary (DESIGN.md, "Syscall batching at the socket
+    boundary").
 
-    {b Batched I/O} ([~io], UDP only): when the {!Mmsg} stubs report the
-    kernel supports them, the loop swaps [select]+[recvfrom]/[sendto]
-    for a persistent edge-triggered [epoll] instance plus
-    [recvmmsg]/[sendmmsg]: one wake leases a contiguous run of slab
-    slots, one [recvmmsg] fills them all (the kernel writes lengths and
-    source addresses directly into preallocated arrays), and replies are
-    staged into a reusable transmit window flushed with one [sendmmsg].
-    Steady state performs {e zero} OCaml allocation per packet and
-    amortizes the syscall cost across the batch
-    ({!Stats.t.hwm_pkts_per_syscall}).  Each run is served to
-    completion (engine, reply flush, slot release) before the next
-    [recvmmsg], so [io_batch] sizes the ingest slab as well as the
-    receive and reply batches; [ring_capacity] is only the per-pass
-    budget — one listener pass serves at most that many packets before
-    the loop polls timers, checks the stop flag and visits the other
-    listeners ({!Stats.t.hwm_drain}).  The ordering invariant is
-    unchanged: a batch drain publishes slots in kernel receive order, so
-    per-flow arrival order into the slab — and run-to-completion
-    processing order — are exactly what the per-packet path gives
-    (DESIGN.md, "Syscall batching at the socket boundary").
+    Backpressure is bounded and non-blocking, and the kernel socket
+    buffer is the only queue: nothing is read before there is a slot for
+    it, so no backend drops in user space on a full slab.  A reply the
+    socket buffer refuses is dropped and counted
+    ({!Stats.t.send_eagain}) rather than blocking the engine.  An
+    oversized TCP frame closes its connection and counts a drop.
 
-    {b Sharded mode} ([~workers] > 1, UDP only): the select loop becomes
-    a pure steering stage — it reads each datagram into scratch, reads
-    the flow key at its fixed wire offset (no decode), and blits the
-    packet once into the owner worker's lock-free {!Netdsl_engine.Spsc}
-    ring; one pipeline per worker domain drains its ring and sends each
-    reply with [sendto] from its own domain (datagrams are atomic, so
-    replies never interleave mid-packet).  Steering follows
-    {!Netdsl_engine.Shard.Steer} exactly: Fibonacci-hashed buckets,
-    per-flow worker affinity, optional fenced bucket stealing.  Run-to-
-    completion ordering holds {e per flow} rather than globally.  A full
-    worker ring drops the datagram (counted) instead of blocking the
-    listener.
+    {b Sharded mode} ([~workers] > 1, UDP only): the loop becomes a pure
+    steering stage over either backend — it reads each packet's flow key
+    at its fixed wire offset (no decode), routes it the
+    {!Netdsl_engine.Shard.Steer} way (Fibonacci-hashed buckets, per-flow
+    worker affinity, optional fenced bucket stealing), and blits it once
+    into the owner worker's lock-free {!Netdsl_engine.Spsc} ring, its
+    return address stored beside the ring slot.  The workers are
+    {!Netdsl_engine.Shard}'s own: each drains its ring through its
+    pipeline on its own domain, polls its timer wheel while idle, and
+    sends each reply with [sendto] (datagrams are atomic, so replies
+    never interleave mid-packet).  Run-to-completion ordering holds
+    {e per flow} rather than globally.  A full worker ring drops the
+    datagram (counted) instead of blocking the listener.
 
     Graceful shutdown: SIGINT/SIGTERM handlers are installed {e before}
     the sockets are bound (a signal during bring-up still reaches the
-    stats report), and set a stop flag the loop checks between drains.
-    On stop the loop performs one final nonblocking sweep of every
-    socket, drains the slab to empty — flushing replies — and returns,
-    so {!run} always hands control (and the counters) back to the
-    caller. *)
+    stats report), and set a stop flag the loop checks between passes.
+    On stop the loop makes one last nonblocking readiness wait and one
+    pass over every ready listener — datagrams the kernel already holds
+    are answered and their replies sent — and returns, so {!run} always
+    hands control (and the counters) back to the caller. *)
 
 type endpoint =
   | Udp of { host : string; port : int }
@@ -125,11 +126,12 @@ val create :
 
     [tick_ms] (default 1) is the timer granularity handed to every
     pipeline ({!Netdsl_engine.Pipeline.create}); it only matters when
-    [machine] declares [timeout] clauses.  The single-worker select loop
-    caps its sleep at the engine's next armed deadline
-    ({!Netdsl_engine.Pipeline.next_timer_s}) and polls the wheel after
-    every sweep, so expirations fire on time on an idle socket; sharded
-    workers each own a wheel and poll it between ring batches.
+    [machine] declares [timeout] clauses.  The loop caps its sleep at
+    the engine's next armed deadline
+    ({!Netdsl_engine.Pipeline.next_timer_ms}) and polls the wheel after
+    every wake, so expirations fire on time on an idle socket; sharded
+    workers each own a wheel and poll it between ring batches and
+    whenever their ring is empty.
 
     [stack] serves a layered chain: the pipeline decodes each datagram
     through the fused {!Netdsl_format.Stack} plan and the flight spec
@@ -137,12 +139,14 @@ val create :
     windows — see {!Netdsl_engine.Pipeline.create}.  Requires
     [~mode:Fused]; [fmt] should be the chain's outermost format.
 
-    [io] (default [Auto]) selects the receive loop; [io_batch]
-    (default 32, must be positive) bounds the datagrams moved per
-    [recvmmsg]/[sendmmsg] call and sizes the batched path's ingest slab
-    and transmit staging window.  [Mmsg] requires UDP-only listeners
-    and working stubs ([Error] otherwise); [Auto] quietly picks legacy
-    when they are missing, so portable callers need not probe first. *)
+    [io] (default [Auto]) selects the backend; [io_batch] (default 32,
+    must be positive) is the run: the slab's slot count, the most
+    datagrams one [recvmmsg]/[sendmmsg] call moves (the legacy backend
+    receives one datagram per call) and the reply staging window.
+    [Mmsg] requires UDP-only listeners and working stubs ([Error]
+    otherwise); [Auto] quietly picks legacy when they are missing or a
+    listener is TCP, so portable callers need not probe first.  Only the
+    chosen backend's buffers are allocated. *)
 
 val run : ?max_packets:int -> ?duration:float -> t -> int
 (** Serve until a stop condition; returns the number of packets
@@ -152,11 +156,11 @@ val run : ?max_packets:int -> ?duration:float -> t -> int
       cram path);
     - [duration]: stop after that many seconds;
     - {!request_stop} or SIGINT/SIGTERM: stop after a final nonblocking
-      sweep of every socket, so datagrams already queued in the kernel
-      are still answered.
-    Every packet ingested into the slab is processed and its reply
-    flushed before [run] returns — a stop never abandons in-flight
-    batches.  High-water marks reset on entry ({!Stats.reset_highwater});
+      pass over every ready socket, so datagrams already queued in the
+      kernel are still answered.
+    Every packet received is processed and its reply sent before [run]
+    returns (sharded: before the workers' rings are drained) — a stop
+    never abandons in-flight runs.  High-water marks reset on entry ({!Stats.reset_highwater});
     [run] may be called again on the same server. *)
 
 val request_stop : t -> unit
@@ -205,10 +209,11 @@ module For_testing : sig
   (** Make the kernel refuse every UDP GSO group the batched reply
       flush builds ({!Mmsg.For_testing.refuse_groups}): the first
       refusal re-sends its entries singly and turns grouping off for
-      this server.  No effect off the batched single-worker path. *)
+      this server.  No effect on the legacy backend or in sharded mode,
+      whose workers reply with [sendto]. *)
 end
 
 val close : t -> unit
 (** Close every socket and restore the previous signal handlers; in
-    sharded mode, first close the worker rings and join the domains
-    (the backlog is drained, replies flushed).  Idempotent. *)
+    sharded mode, first {!Netdsl_engine.Shard.drain} the workers (the
+    backlog is served, replies sent).  Idempotent. *)

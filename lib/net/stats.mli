@@ -25,11 +25,12 @@ type t = {
           [tx_pkts / tx_msgs] is the datagrams-per-message ratio *)
   mutable tx_bytes : int;
   mutable drops : int;
-      (** datagrams/frames discarded because the ingest slab or a
-          shard worker's ring was full — the bounded-backpressure path
-          that never blocks the engine; always 0 on the batched
-          single-worker path, which serves each run before reading the
-          next *)
+      (** packets discarded in user space: a datagram steered to a full
+          shard worker ring (the bounded-backpressure path that never
+          blocks the listener), or an oversized TCP frame, which also
+          closes its connection.  Never a full ingest slab: every run is
+          finished before the next read, so the kernel socket buffer is
+          the only queue *)
   mutable send_eagain : int;
       (** replies dropped because the socket buffer was full
           ([EAGAIN]/[EWOULDBLOCK] on a nonblocking send) *)
@@ -38,8 +39,9 @@ type t = {
   mutable conns_accepted : int;  (** TCP connections accepted *)
   mutable conns_closed : int;  (** TCP connections closed (either end) *)
   mutable hwm_drain : int;
-      (** most packets one listener pass drained this run (the batched
-          path serves them as it reads, at most [ring_capacity] a pass) *)
+      (** most packets one listener pass received this run — served or
+          steered run by run as they are read, at most [ring_capacity]
+          (the per-pass budget) *)
   mutable hwm_datagram : int;  (** largest datagram seen this run *)
   mutable syscalls : int;
       (** kernel round trips charged to this listener (or, for the

@@ -11,17 +11,25 @@ let check_bool = Alcotest.(check bool)
 (* ------------------------------------------------------------------ *)
 (* Keymap *)
 
+(* Keys whose Fibonacci products are 0, 1, 2, ...: [i * C^-1], with the
+   inverse of the map's (odd) multiplier mod 2^63 by Newton's iteration.
+   Every one homes in bucket 0, whatever the map's size. *)
+let colliding_keys n =
+  let c = 0x2545F4914F6CDD1D in
+  let inv = ref c in
+  for _ = 1 to 6 do
+    inv := !inv * (2 - (c * !inv))
+  done;
+  Array.init n (fun i -> i * !inv)
+
 let keymap_matches_model () =
-  (* PRNG-driven add/remove against Hashtbl.  Multiples of 1024 share one
-     home bucket in a map of up to 1024 buckets, so probe chains are long
-     and wrap the bucket array; every key is looked up after every
-     operation, so a backward shift that strands an entry behind a hole
-     shows up at once *)
+  (* PRNG-driven add/remove against Hashtbl.  The colliding keys share
+     one home bucket, so probe chains are long and wrap the bucket array;
+     every key is looked up after every operation, so a backward shift
+     that strands an entry behind a hole shows up at once *)
   let m = Keymap.create 8 in
   let model = Hashtbl.create 64 in
-  let domain =
-    Array.append [| min_int; max_int; -1 |] (Array.init 61 (fun i -> i * 1024))
-  in
+  let domain = Array.append [| min_int; max_int; -1 |] (colliding_keys 61) in
   let rng = Prng.of_int 7 in
   for _ = 1 to 4000 do
     let k = domain.(Prng.int rng (Array.length domain)) in
@@ -41,6 +49,20 @@ let keymap_matches_model () =
           (Option.value (Hashtbl.find_opt model k) ~default:(-1))
           (Keymap.find m k))
       domain
+  done
+
+(* Hash flooding: keys chosen to agree in their low bits (multiples of
+   2^13, more than the 4096-bucket map's index width) must still spread,
+   because a key's home comes from the high bits of its product. *)
+let keymap_flood_spreads () =
+  let m = Keymap.create 8 in
+  for i = 1 to 3000 do
+    Keymap.add m (i lsl 13) i
+  done;
+  let d = Keymap.For_testing.max_displacement m in
+  check_bool (Printf.sprintf "max displacement %d <= 16" d) true (d <= 16);
+  for i = 1 to 3000 do
+    check_int "found" i (Keymap.find m (i lsl 13))
   done
 
 let keymap_churn_allocates_nothing () =
@@ -1179,6 +1201,44 @@ let shard_fused_mode () =
       (let _, _, r = Stats.totals s in
        r)
 
+(* Success or timeout (§3.4) holds on an idle worker: one DATA arms the
+   sender's 150 ms timer, then no traffic at all — the worker's empty
+   polls must drive the wheel through two retransmits and the give-up. *)
+let shard_idle_worker_fires_timers () =
+  let spec =
+    Netdsl_lang.Parser.parse_string_exn
+      (In_channel.with_open_bin "../specs/timeout.ndsl" In_channel.input_all)
+  in
+  let fmt = Option.get (Netdsl_lang.Parser.find_format spec "swt_frame") in
+  let kind_is n ev =
+    { Flight.ev_when = Flight.Cmp (Flight.Eq, Flight.Field "kind", Flight.Const n);
+      ev_name = ev }
+  in
+  let flight =
+    Flight.spec ~classify:[ kind_is 0L "send"; kind_is 1L "ack" ] ~flow_key:"seq" ()
+  in
+  let config = { Shard.workers = 2; pipeline = Pipeline.default_config } in
+  match
+    Shard.create ~config ~allow_oversubscribe:true ~key:"seq"
+      ~mode:Pipeline.Fused ~flight ~machine:(Lazy.force swt_sender) fmt
+  with
+  | Error e -> Alcotest.failf "shard create: %s" e
+  | Ok sh ->
+    Shard.start sh;
+    let data =
+      Netdsl_format.Codec.encode_exn fmt
+        (Netdsl_format.Value.Record
+           [ ("seq", Netdsl_format.Value.Int 5L);
+             ("kind", Netdsl_format.Value.Int 0L);
+             ("payload", Netdsl_format.Value.Bytes "hello") ])
+    in
+    ignore (Shard.feed sh data);
+    Unix.sleepf 0.6;
+    (* read before [drain]: closing the rings ends the idle polls *)
+    let expired = Stats.timers_expired (Shard.stats sh) in
+    Shard.drain sh;
+    check_int "two retransmits and the give-up fired while idle" 3 expired
+
 let shard_key_must_be_fixed_offset () =
   (* "payload" sits after a variable-length region boundary? For ARQ all
      header fields are fixed; use a field that does not exist instead. *)
@@ -1497,6 +1557,8 @@ let shard_determinism_stealing () = shard_determinism ~stealing:true ()
 let suite =
   [ ( "engine.keymap",
       [ Alcotest.test_case "matches a Hashtbl model" `Quick keymap_matches_model;
+        Alcotest.test_case "chosen low-bit keys spread" `Quick
+          keymap_flood_spreads;
         Alcotest.test_case "churn allocates nothing" `Quick
           keymap_churn_allocates_nothing ] );
     ( "engine.slab",
@@ -1558,6 +1620,8 @@ let suite =
         Alcotest.test_case "oversubscription clamped+warned" `Quick
           shard_clamps_oversubscription;
         Alcotest.test_case "fused sharded responder" `Quick shard_fused_mode;
+        Alcotest.test_case "idle worker fires its timers" `Quick
+          shard_idle_worker_fires_timers;
         Alcotest.test_case "bad key rejected" `Quick shard_key_must_be_fixed_offset ] );
     ( "engine.spsc",
       [ Alcotest.test_case "fifo + tags across wraparound" `Quick

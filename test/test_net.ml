@@ -264,6 +264,92 @@ let tcp_roundtrip_framed () =
             check_int "conn accepted" 1 st.Nstats.conns_accepted;
             check_int "tx frames" 2 st.Nstats.tx_pkts))
 
+(* One connection writes 100 framed requests at once into a server whose
+   pass budget is 16 and whose run is 8: frames beyond a run wait in the
+   connection's buffer (the listener stays hot) and are served in later
+   runs — none is dropped, and the replies come back in request order. *)
+let tcp_burst_served_in_order () =
+  let config = { Pipeline.default_config with Pipeline.ring_capacity = 16 } in
+  match
+    Server.create ~config ~mode:Pipeline.Fused ~signals:false
+      ~flight:echo_flight ~io_batch:8
+      ~listeners:[ Server.Tcp { host = "127.0.0.1"; port = 0 } ]
+      Fm.Arq.format
+  with
+  | Error e -> Alcotest.fail e
+  | Ok srv ->
+    let n = 100 in
+    let port =
+      match Server.bound srv with
+      | [ ("tcp", _, p) ] -> p
+      | _ -> Alcotest.fail "expected one tcp listener"
+    in
+    let dom = Domain.spawn (fun () -> Server.run ~max_packets:n srv) in
+    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Fun.protect
+      ~finally:(fun () ->
+        (* a lost frame would leave [run] waiting for its 100th packet *)
+        Server.request_stop srv;
+        ignore (Domain.join dom);
+        Unix.close fd;
+        Server.close srv)
+      (fun () ->
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+        Unix.connect fd (loopback port);
+        let reqs =
+          List.init n (fun i ->
+              arq_data ~seq:(i land 0xff) (Printf.sprintf "r%03d" i))
+        in
+        let burst = String.concat "" (List.map tcp_frame reqs) in
+        ignore (Unix.write_substring fd burst 0 (String.length burst));
+        List.iteri
+          (fun i req ->
+            match read_exactly fd 2 with
+            | exception Unix.Unix_error (Unix.EAGAIN, _, _) ->
+              Alcotest.failf "reply %d missing" i
+            | hdr ->
+              let len = (Char.code hdr.[0] lsl 8) lor Char.code hdr.[1] in
+              check_string (Printf.sprintf "reply %d in order" i) req
+                (read_exactly fd len))
+          reqs;
+        check_int "no frame dropped" 0 (Server.net_stats srv).Nstats.drops)
+
+(* One request and its reply on a fresh UDP server cost a fixed syscall
+   count per backend, the request queued before [run] so the wake is
+   deterministic: one readiness wait, the receive that gets it, the
+   send, and the receive that finds the socket dry. *)
+let syscall_pin io () =
+  if
+    io = Server.Mmsg
+    && not (Netdsl_net.Mmsg.available () && Netdsl_net.Mmsg.Epoll.available ())
+  then ()
+  else
+    match
+      Server.create ~mode:Pipeline.Fused ~signals:false ~flight:echo_flight ~io
+        ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
+        Fm.Arq.format
+    with
+    | Error e -> Alcotest.fail e
+    | Ok srv ->
+      Fun.protect
+        ~finally:(fun () -> Server.close srv)
+        (fun () ->
+          let fd = udp_client () in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              let pkt = arq_data ~seq:3 "pin" in
+              send fd (Option.get (Server.udp_port srv)) pkt;
+              check_int "processed" 1 (Server.run ~max_packets:1 srv);
+              (match recv_timeout fd with
+              | None -> Alcotest.fail "no reply"
+              | Some reply -> check_string "echoed" pkt reply);
+              match Server.listener_stats srv with
+              | [ (_, l); ("event loop", loop) ] ->
+                check_int "one readiness wait" 1 loop.Nstats.syscalls;
+                check_int "two receives, one send" 3 l.Nstats.syscalls
+              | _ -> Alcotest.fail "expected a listener row and the loop row"))
+
 (* ------------------------------------------------------------------ *)
 (* create-time red paths *)
 
@@ -1048,6 +1134,12 @@ let suite =
         Alcotest.test_case "shutdown drains in-flight" `Quick
           shutdown_drains_in_flight;
         Alcotest.test_case "tcp framed round trip" `Quick tcp_roundtrip_framed;
+        Alcotest.test_case "tcp burst beyond the run, in order" `Quick
+          tcp_burst_served_in_order;
+        Alcotest.test_case "syscall pin: legacy backend" `Quick
+          (syscall_pin Server.Legacy);
+        Alcotest.test_case "syscall pin: mmsg backend" `Quick
+          (syscall_pin Server.Mmsg);
         Alcotest.test_case "chained tftp served through the fused stack" `Quick
           stacked_serve_chained_tftp;
         Alcotest.test_case "create red paths" `Quick create_red_paths;
