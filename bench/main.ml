@@ -739,7 +739,7 @@ let e11 () =
           (* the multi-worker rows on small boxes are deliberate: they are
              printed as "oversubscribed", not as scaling *)
           Engine.Shard.create ~config ~allow_oversubscribe:true ~key:"seq"
-            Formats.Arq.format
+            ~mode:Engine.Pipeline.Staged Formats.Arq.format
         with
         | Error e -> failwith e
         | Ok shard ->
@@ -1152,8 +1152,9 @@ let e13 () =
   (* The "before" row reproduces the step stage the pipeline ran before
      compiled plans landed: decode to a view, read the flow key, look the
      flow's interpreter up, [Interp.fire] with the event *name*.  The
-     "after" row is the shipped pipeline ([process_batch] with a
-     [classify_id] fast path into [Step.fire_id]) — including its stats
+     "after" row is the shipped pipeline ([process_batch] whose flight
+     spec classifies every packet to the interned "pkt" id for
+     [Step.fire_id], run by the staged executor) — including its stats
      and batching bookkeeping, which the hand-rolled baseline is spared,
      so the comparison, if anything, understates the win. *)
   let meter =
@@ -1203,15 +1204,15 @@ let e13 () =
     float_of_int pn /. time_loop pn once
   in
   let after_rate =
-    let pkt_id = ref 0 in
-    let p =
-      Engine.Pipeline.create ~machine:meter ~flow_key:"seq"
-        ~classify_id:(fun _ -> !pkt_id)
-        fmt
+    let flight =
+      Engine.Flight.(
+        spec ~classify:[ { ev_when = All []; ev_name = "pkt" } ] ~flow_key:"seq"
+          ())
     in
-    (match Engine.Pipeline.machine_plan p with
-    | Some plan -> pkt_id := Step.event_id plan "pkt"
-    | None -> assert false);
+    let p =
+      Engine.Pipeline.create ~mode:Engine.Pipeline.Staged ~flight
+        ~machine:meter fmt
+    in
     let batch = Engine.Pipeline.default_config.Engine.Pipeline.batch in
     let pkts = Array.make batch "" in
     let run_batch b =
@@ -1233,7 +1234,7 @@ let e13 () =
   let improvement = after_rate /. before_rate in
   Printf.printf "  %-34s %14s %9s\n" "step stage" "pkts/s" "vs before";
   Printf.printf "  %-34s %14.0f %9s\n" "interpreted (Interp per flow)" before_rate "1.00x";
-  Printf.printf "  %-34s %14.0f %8.2fx\n" "compiled (Step plan, classify_id)" after_rate improvement;
+  Printf.printf "  %-34s %14.0f %8.2fx\n" "compiled (Step plan, event ids)" after_rate improvement;
   (* -- machine-readable dump -- *)
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
@@ -1457,10 +1458,9 @@ let e15 () =
      bytes, flow count (tier: %s)\n\n"
     gate_n
     (match Engine.Pipeline.flight_tier gf with
-    | Some `Linear -> "Linear"
-    | Some `Interp -> "Interp"
-    | Some `Stacked -> "Stacked"
-    | None -> "none");
+    | `Linear -> "Linear"
+    | `Interp -> "Interp"
+    | `Stacked -> "Stacked");
   (* -- (a) responder throughput + steady-state allocation, one domain -- *)
   let n = if !quick then 40_000 else 400_000 in
   let payloads = if !quick then [ 8; 256 ] else [ 8; 16; 64; 256; 1024 ] in
@@ -1468,7 +1468,7 @@ let e15 () =
   let measure mode pl =
     let p =
       Engine.Pipeline.create ~mode ~flight ~machine
-        ~on_reply:(fun _ _ -> ())
+        ~on_reply_slot:(fun _ _ _ -> ())
         Formats.Arq.format
     in
     let pool = pool pl in
@@ -1530,7 +1530,7 @@ let e15 () =
         match
           Engine.Shard.create ~config ~allow_oversubscribe:true ~key:"seq"
             ~mode:Engine.Pipeline.Fused ~flight ~machine
-            ~on_reply:(fun _ _ -> ())
+            ~on_reply_slot:(fun _ _ _ _ -> ())
             Formats.Arq.format
         with
         | Error e -> failwith e
@@ -1656,22 +1656,22 @@ let e16 () =
   in
   let soak =
     match
-      Net.Loopback.soak ~mode:Engine.Pipeline.Fused ~machine ~flight
+      Check.Loopback.soak ~mode:Engine.Pipeline.Fused ~machine ~flight
         ~packets:soak_packets ~count:soak_n Formats.Arq.format
     with
     | Error e ->
       Printf.eprintf "bench e16: soak failed to start: %s\n" e;
       exit 1
     | Ok r ->
-      if r.Net.Loopback.disagreements > 0 then begin
+      if r.Check.Loopback.disagreements > 0 then begin
         Printf.eprintf "bench e16: %d socket/memory disagreement(s):\n%s\n"
-          r.Net.Loopback.disagreements
-          (Option.value ~default:"?" r.Net.Loopback.first_disagreement);
+          r.Check.Loopback.disagreements
+          (Option.value ~default:"?" r.Check.Loopback.first_disagreement);
         exit 1
       end;
-      if r.Net.Loopback.server_processed <> soak_n then begin
+      if r.Check.Loopback.server_processed <> soak_n then begin
         Printf.eprintf "bench e16: soak processed %d of %d packets\n"
-          r.Net.Loopback.server_processed soak_n;
+          r.Check.Loopback.server_processed soak_n;
         exit 1
       end;
       r
@@ -1681,21 +1681,21 @@ let e16 () =
     \  %d packets (1 in 4 a structure-aware mutant) through a real UDP\n\
     \  socket pair: %d expected replies, %d received, 0 disagreements\n\
     \  (every reply byte-identical, every rejected packet silent)\n"
-    soak_n soak.Net.Loopback.expected_replies soak.Net.Loopback.replies;
+    soak_n soak.Check.Loopback.expected_replies soak.Check.Loopback.replies;
   Printf.printf
     "  server-domain allocation: %.1f B/pkt post-warmup (the engine holds\n\
     \  0 B/pkt — e15 — so this is the Unix binding: per-recvfrom sockaddr\n\
     \  boxing plus per-wake select bookkeeping, which the per-packet\n\
     \  legacy loop cannot amortise over a batch; the blast rows below show\n\
     \  the batched figure.  Reported rather than hidden.)\n\n"
-    soak.Net.Loopback.alloc_bytes_per_pkt;
+    soak.Check.Loopback.alloc_bytes_per_pkt;
   (* -- (b) socket-path throughput: a windowed blast of valid data
      packets, fused vs staged servers, by payload size -- *)
   let n = if !quick then 20_000 else 200_000 in
   let payloads = if !quick then [ 8; 256 ] else [ 8; 64; 256; 1024 ] in
   let blast mode pl =
     match
-      Net.Loopback.blast ~mode ~machine ~flight
+      Check.Loopback.blast ~mode ~machine ~flight
         ~packets:(fun i -> arq_data ~seq:(i land 0xFF) (String.make pl 'x'))
         ~count:n Formats.Arq.format
     with
@@ -1704,13 +1704,13 @@ let e16 () =
       exit 1
     | Ok r ->
       let rate =
-        if r.Net.Loopback.elapsed_s > 0. then
-          float_of_int r.Net.Loopback.replies /. r.Net.Loopback.elapsed_s
+        if r.Check.Loopback.elapsed_s > 0. then
+          float_of_int r.Check.Loopback.replies /. r.Check.Loopback.elapsed_s
         else 0.
       in
-      (rate, r.Net.Loopback.alloc_bytes_per_pkt, r.Net.Loopback.replies,
-       r.Net.Loopback.net.Net.Stats.drops
-       + r.Net.Loopback.net.Net.Stats.send_eagain)
+      (rate, r.Check.Loopback.alloc_bytes_per_pkt, r.Check.Loopback.replies,
+       r.Check.Loopback.net.Net.Stats.drops
+       + r.Check.Loopback.net.Net.Stats.send_eagain)
   in
   Printf.printf
     "(b) socket-path throughput (request+reply through the kernel, %d \
@@ -1754,12 +1754,12 @@ let e16 () =
   Printf.bprintf buf "    \"packets\": %d,\n" soak_n;
   Printf.bprintf buf "    \"mutant_share\": 0.25,\n";
   Printf.bprintf buf "    \"expected_replies\": %d,\n"
-    soak.Net.Loopback.expected_replies;
-  Printf.bprintf buf "    \"replies\": %d,\n" soak.Net.Loopback.replies;
+    soak.Check.Loopback.expected_replies;
+  Printf.bprintf buf "    \"replies\": %d,\n" soak.Check.Loopback.replies;
   Printf.bprintf buf "    \"disagreements\": %d,\n"
-    soak.Net.Loopback.disagreements;
+    soak.Check.Loopback.disagreements;
   Printf.bprintf buf "    \"server_alloc_b_per_pkt\": %.1f\n"
-    soak.Net.Loopback.alloc_bytes_per_pkt;
+    soak.Check.Loopback.alloc_bytes_per_pkt;
   Buffer.add_string buf "  },\n";
   Printf.bprintf buf "  \"blast_packets\": %d,\n" n;
   Buffer.add_string buf "  \"socket_path\": [\n";
@@ -2042,7 +2042,7 @@ let e17 () =
   let serve_n = if !quick then 40_000 else 400_000 in
   let p =
     Engine.Pipeline.create ~mode:Engine.Pipeline.Fused ~stack ~flight
-      ~on_reply:(fun _ _ -> ())
+      ~on_reply_slot:(fun _ _ _ -> ())
       (Stack.layer_format stack 0)
   in
   let scratch = Array.make batch req in
@@ -2075,7 +2075,7 @@ let e17 () =
   let blast_n = if !quick then 20_000 else 100_000 in
   let socket_row =
     match
-      Net.Loopback.blast ~mode:Engine.Pipeline.Fused ~stack ~flight
+      Check.Loopback.blast ~mode:Engine.Pipeline.Fused ~stack ~flight
         ~packets:(fun _ -> req)
         ~count:blast_n
         (Stack.layer_format stack 0)
@@ -2085,18 +2085,18 @@ let e17 () =
       exit 1
     | Ok r ->
       let rate =
-        if r.Net.Loopback.elapsed_s > 0. then
-          float_of_int r.Net.Loopback.replies /. r.Net.Loopback.elapsed_s
+        if r.Check.Loopback.elapsed_s > 0. then
+          float_of_int r.Check.Loopback.replies /. r.Check.Loopback.elapsed_s
         else 0.
       in
       Printf.printf
         "  socket (real UDP round trip): %.0f pkts/s (%d sent, %d replies),\n\
         \  server domain %.1f B/pkt (the Unix binding's sockaddr boxing —\n\
         \  the engine holds 0, above)\n"
-        rate r.Net.Loopback.sent r.Net.Loopback.replies
-        r.Net.Loopback.alloc_bytes_per_pkt;
-      (rate, r.Net.Loopback.sent, r.Net.Loopback.replies,
-       r.Net.Loopback.alloc_bytes_per_pkt)
+        rate r.Check.Loopback.sent r.Check.Loopback.replies
+        r.Check.Loopback.alloc_bytes_per_pkt;
+      (rate, r.Check.Loopback.sent, r.Check.Loopback.replies,
+       r.Check.Loopback.alloc_bytes_per_pkt)
     in
   if cores < 2 then
     Printf.printf
@@ -2261,7 +2261,7 @@ let e18 () =
     match
       Engine.Shard.create ~config ~allow_oversubscribe:true ~stealing
         ~key:"seq" ~mode:Engine.Pipeline.Fused ~flight ~machine
-        ~on_reply:(fun _ _ -> ())
+        ~on_reply_slot:(fun _ _ _ _ -> ())
         Formats.Arq.format
     with
     | Error e -> failwith e
@@ -2713,7 +2713,7 @@ let e20 () =
   in
   let soak =
     match
-      Net.Loopback.soak ~mode:Engine.Pipeline.Fused ~machine ~flight
+      Check.Loopback.soak ~mode:Engine.Pipeline.Fused ~machine ~flight
         ~io:Net.Server.Mmsg ~io_batch:32 ~packets:soak_packets ~count:soak_n
         Formats.Arq.format
     with
@@ -2721,15 +2721,15 @@ let e20 () =
       Printf.eprintf "bench e20: soak failed to start: %s\n" e;
       exit 1
     | Ok r ->
-      if r.Net.Loopback.disagreements > 0 then begin
+      if r.Check.Loopback.disagreements > 0 then begin
         Printf.eprintf "bench e20: %d socket/memory disagreement(s):\n%s\n"
-          r.Net.Loopback.disagreements
-          (Option.value ~default:"?" r.Net.Loopback.first_disagreement);
+          r.Check.Loopback.disagreements
+          (Option.value ~default:"?" r.Check.Loopback.first_disagreement);
         exit 1
       end;
-      if r.Net.Loopback.server_processed <> soak_n then begin
+      if r.Check.Loopback.server_processed <> soak_n then begin
         Printf.eprintf "bench e20: soak processed %d of %d packets\n"
-          r.Net.Loopback.server_processed soak_n;
+          r.Check.Loopback.server_processed soak_n;
         exit 1
       end;
       r
@@ -2740,7 +2740,7 @@ let e20 () =
     \  %d received, 0 disagreements — the batch drain preserves arrival\n\
     \  order into the slab, so the differential oracle cannot tell the\n\
     \  two receive loops apart\n\n"
-    soak_n soak.Net.Loopback.expected_replies soak.Net.Loopback.replies;
+    soak_n soak.Check.Loopback.expected_replies soak.Check.Loopback.replies;
   (* -- (b) the paired blast: one legacy row (the loop e16 measured),
      then the batched server+client at increasing batch sizes.  Window
      is identical across rows so only the I/O flavor moves. -- *)
@@ -2756,14 +2756,14 @@ let e20 () =
   let packets i = pre.(i land 0xFF) in
   let blast ~io ~io_batch =
     match
-      Net.Loopback.blast ~mode:Engine.Pipeline.Fused ~machine ~flight ~io
+      Check.Loopback.blast ~mode:Engine.Pipeline.Fused ~machine ~flight ~io
         ~io_batch ~window ~packets ~count:n Formats.Arq.format
     with
     | Error e ->
       Printf.eprintf "bench e20: blast failed: %s\n" e;
       exit 1
     | Ok r ->
-      let st = r.Net.Loopback.net in
+      let st = r.Check.Loopback.net in
       let pkts = st.Net.Stats.rx_pkts + st.Net.Stats.tx_pkts in
       let spp =
         if pkts > 0 then
@@ -2771,12 +2771,12 @@ let e20 () =
         else 0.
       in
       let rate =
-        if r.Net.Loopback.elapsed_s > 0. then
-          float_of_int r.Net.Loopback.replies /. r.Net.Loopback.elapsed_s
+        if r.Check.Loopback.elapsed_s > 0. then
+          float_of_int r.Check.Loopback.replies /. r.Check.Loopback.elapsed_s
         else 0.
       in
-      (rate, r.Net.Loopback.alloc_bytes_per_pkt, spp,
-       st.Net.Stats.hwm_pkts_per_syscall, r.Net.Loopback.replies,
+      (rate, r.Check.Loopback.alloc_bytes_per_pkt, spp,
+       st.Net.Stats.hwm_pkts_per_syscall, r.Check.Loopback.replies,
        st.Net.Stats.drops + st.Net.Stats.send_eagain)
   in
   Printf.printf
@@ -2844,8 +2844,8 @@ let e20 () =
           (spp < 0.5)
           (Printf.sprintf "%.3f syscalls/pkt" spp))
     rows;
-  gate "soak disagreements = 0" (soak.Net.Loopback.disagreements = 0)
-    (Printf.sprintf "%d over %d packets" soak.Net.Loopback.disagreements
+  gate "soak disagreements = 0" (soak.Check.Loopback.disagreements = 0)
+    (Printf.sprintf "%d over %d packets" soak.Check.Loopback.disagreements
        soak_n);
   (* -- machine-readable dump -- *)
   let buf = Buffer.create 1024 in
@@ -2858,10 +2858,10 @@ let e20 () =
   Printf.bprintf buf "    \"packets\": %d,\n" soak_n;
   Printf.bprintf buf "    \"mutant_share\": 0.25,\n";
   Printf.bprintf buf "    \"expected_replies\": %d,\n"
-    soak.Net.Loopback.expected_replies;
-  Printf.bprintf buf "    \"replies\": %d,\n" soak.Net.Loopback.replies;
+    soak.Check.Loopback.expected_replies;
+  Printf.bprintf buf "    \"replies\": %d,\n" soak.Check.Loopback.replies;
   Printf.bprintf buf "    \"disagreements\": %d\n"
-    soak.Net.Loopback.disagreements;
+    soak.Check.Loopback.disagreements;
   Buffer.add_string buf "  },\n";
   Printf.bprintf buf "  \"speedup_bar\": %.2f,\n" speedup_bar;
   Printf.bprintf buf "  \"blast_packets\": %d,\n" n;

@@ -666,11 +666,6 @@ let serve_cmd =
     Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"ADDR"
            ~doc:"Numeric listen address.")
   in
-  let mode_opt =
-    Arg.(value & opt (enum [ ("fused", `Fused); ("staged", `Staged) ]) `Fused
-         & info [ "mode" ] ~docv:"MODE"
-             ~doc:"Engine mode: $(b,fused) runs each packet to completion through the compiled flight plan; $(b,staged) walks the batch stage by stage.")
-  in
   let max_packets_opt =
     Arg.(value & opt (some int) None & info [ "max-packets" ] ~docv:"N"
            ~doc:"Stop after processing N packets (0 exits right after binding).")
@@ -714,7 +709,7 @@ let serve_cmd =
     Arg.(value & opt int 32 & info [ "io-batch" ] ~docv:"N"
            ~doc:"Datagrams moved per recvmmsg/sendmmsg call on the batched path (default 32); also sizes the reply staging window.")
   in
-  let run file fmt_name stack_name host udp tcp mode max_packets duration patches
+  let run file fmt_name stack_name host udp tcp max_packets duration patches
       workers shard_key stealing allow_oversubscribe tick_ms io io_batch =
     let program = load file in
     let die msg =
@@ -722,12 +717,7 @@ let serve_cmd =
       exit 1
     in
     let stack = Option.map (find_stack program) stack_name in
-    (match stack with
-    | Some st ->
-      ignore (compile_stack st);
-      if mode = `Staged then
-        die "--stack serves through the fused chain only (drop --mode staged)"
-    | None -> ());
+    Option.iter (fun st -> ignore (compile_stack st)) stack;
     let fmt =
       (* a stacked server's pipeline format is the chain's outermost layer *)
       match stack with
@@ -811,11 +801,6 @@ let serve_cmd =
     let flight =
       Flight.spec ~respond:[ { Flight.re_when = All []; re_set = actions } ] ()
     in
-    let mode =
-      match mode with
-      | `Fused -> Netdsl.Engine.Pipeline.Fused
-      | `Staged -> Netdsl.Engine.Pipeline.Staged
-    in
     if workers > 1 && shard_key = None then
       die "--workers > 1 requires --shard-key FIELD (the flow field to steer on)";
     if tick_ms <= 0 then die "--tick must be a positive millisecond count";
@@ -827,7 +812,7 @@ let serve_cmd =
       | `Mmsg -> Net.Server.Mmsg
     in
     match
-      Net.Server.create ~mode ?stack ~flight ~listeners ~workers
+      Net.Server.create ?stack ~flight ~listeners ~workers
         ~allow_oversubscribe ~stealing ?shard_key ~tick_ms ~io ~io_batch fmt
     with
     | Error msg -> die msg
@@ -841,10 +826,7 @@ let serve_cmd =
       in
       List.iter
         (fun (proto, h, p) ->
-          Format.printf "serving %s on %s %s:%d (%s mode%s)@." label proto h p
-            (match mode with
-            | Netdsl.Engine.Pipeline.Fused -> "fused"
-            | Netdsl.Engine.Pipeline.Staged -> "staged")
+          Format.printf "serving %s on %s %s:%d (fused mode%s)@." label proto h p
             ((if Net.Server.workers srv > 1 then
                 Printf.sprintf ", %d workers%s" (Net.Server.workers srv)
                   (if stealing then " + stealing" else "")
@@ -875,7 +857,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Answer real datagrams: bind nonblocking UDP/TCP listeners on a format from the file and run every received packet through the engine, echoing each accepted packet back with the requested fields patched in place.  With $(b,--stack), packets decode through the fused layered chain and patches are qualified layer.field names.")
     Term.(const run $ file_arg $ format_opt $ stack_opt $ host_opt $ udp_opt
-          $ tcp_opt $ mode_opt $ max_packets_opt $ duration_opt $ patch_opt
+          $ tcp_opt $ max_packets_opt $ duration_opt $ patch_opt
           $ serve_workers_opt $ shard_key_opt $ steal_opt $ oversubscribe_opt
           $ tick_opt $ io_opt $ io_batch_opt)
 

@@ -7,8 +7,8 @@
    Three scenes:
      1. an ARQ receiver pipeline that acknowledges valid DATA packets and
         counts the corrupted ones it refused;
-     2. a TFTP server loop built from a classify/respond pair on the
-        variant-dispatched TFTP format;
+     2. a TFTP server loop on the variant-dispatched TFTP format, its
+        events and replies declared by one flight spec;
      3. the same ARQ traffic sharded across worker domains by the
         DSL-declared "seq" field.
 
@@ -20,10 +20,12 @@ let rule title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '-')
 
 (* ------------------------------------------------------------------ *)
-(* Scene 1: ARQ receive path.  The pipeline decodes with the zero-copy
-   view (checksum verified before any field is surfaced), steps the
-   paper's receiver machine on each valid DATA packet, and emits the
-   matching ACK.  Corrupted packets never reach the machine. *)
+(* Scene 1: ARQ receive path.  A flight spec states what happens to a
+   packet: the pipeline decodes it (checksum verified before any field
+   is surfaced), steps the paper's receiver machine on each valid DATA
+   packet, and answers with the matching ACK — the request's own bytes
+   with [kind] rewritten in place and the checksum updated.  Corrupted
+   packets never reach the machine. *)
 
 let arq_traffic rng n =
   Array.init n (fun i ->
@@ -37,18 +39,17 @@ let arq_traffic rng n =
 let scene_receiver () =
   rule "1. ARQ receiver pipeline: decode, step, acknowledge";
   let acks = ref 0 in
+  let is_data = Engine.Flight.Cmp (Eq, Field "kind", Const 0L) in
+  let flight =
+    Engine.Flight.spec
+      ~classify:[ { ev_when = is_data; ev_name = "ok" } ]
+      ~respond:
+        [ { re_when = is_data;
+            re_set = [ { set_field = "kind"; set_to = Const 1L } ] } ]
+      ()
+  in
   let pipeline =
-    Engine.Pipeline.create
-      ~classify:(fun _ -> Some "ok")
-      ~machine:(Arq_fsm.receiver ~seq_bits:8)
-      ~respond:(fun view _machine ->
-        if View.get_int view "kind" = 0L then
-          let seq = Int64.to_int (View.get_int view "seq") in
-          Some
-            (Value.record
-               [ ("seq", Value.int seq); ("kind", Value.int 1);
-                 ("payload", Value.bytes "") ])
-        else None)
+    Engine.Pipeline.create ~flight ~machine:(Arq_fsm.receiver ~seq_bits:8)
       ~on_response:(fun _ack -> incr acks)
       Formats.Arq.format
   in
@@ -64,9 +65,12 @@ let scene_receiver () =
 
 (* ------------------------------------------------------------------ *)
 (* Scene 2: a TFTP server loop.  TFTP dispatches on an opcode variant;
-   [classify] turns validated views into machine-free events and
-   [respond] answers DATA n with ACK n — the lock-step rule of RFC 1350
-   written as two small functions over views. *)
+   the spec's classify rules turn the opcode of a validated packet into
+   machine events.  A respond rule answers with a patched copy of the
+   request, and an ACK is no patch of a DATA — the opcode selects the
+   body layout, so the engine refuses to rewrite it in place — so the
+   rule echoes each validated DATA and the loop answers it with ACK n,
+   the lock-step rule of RFC 1350. *)
 
 (* The server side of RFC 1350 as a machine: idle until a read request,
    then acknowledging DATA blocks in lock-step. *)
@@ -82,27 +86,24 @@ let tftp_server_machine =
 let scene_tftp () =
   rule "2. TFTP server loop: variant dispatch, lock-step ACKs";
   let replies = ref [] in
+  let opcode_is n = Engine.Flight.Cmp (Eq, Field "opcode", Const n) in
+  let flight =
+    Engine.Flight.spec
+      ~classify:
+        [ { ev_when = opcode_is 1L; ev_name = "rrq" };
+          { ev_when = opcode_is 3L; ev_name = "data" } ]
+      ~respond:[ { re_when = opcode_is 3L; re_set = [] } ]
+      ()
+  in
+  let ack_of echo =
+    match Formats.Tftp.of_bytes echo with
+    | Ok (Formats.Tftp.Data { block; _ }) ->
+      Formats.Tftp.to_bytes_exn (Formats.Tftp.Ack { block })
+    | _ -> echo
+  in
   let pipeline =
-    Engine.Pipeline.create
-      ~classify:(fun view ->
-        match View.variant_case view "body" with
-        | Some ("rrq" | "data") as ev -> ev
-        | _ -> None)
-      ~machine:tftp_server_machine
-      ~respond:(fun view _ ->
-        (* view accessors address top-level fields; for the block number
-           inside the variant body, materialise the value (the same full
-           tree the codec would have built) *)
-        match Value.get (View.to_value view) "body" with
-        | Value.Variant ("data", body) ->
-          let block = Value.get_int body "block" in
-          Some
-            (Value.record
-               [ ("opcode", Value.int 4);
-                 ("body", Value.variant "ack" (Value.record [ ("block", Value.int block) ]))
-               ])
-        | _ -> None)
-      ~on_response:(fun bytes -> replies := bytes :: !replies)
+    Engine.Pipeline.create ~flight ~machine:tftp_server_machine
+      ~on_response:(fun echo -> replies := ack_of echo :: !replies)
       Formats.Tftp.format
   in
   let transfer =

@@ -24,8 +24,10 @@ type t = {
   o_bug : bug;
   o_view : View.t;
   o_emit : Emit.t;
+  (* check 3: the staged reference executor with an always-true verify
+     predicate armed, so the verify row's packet count shows which
+     packets reached that stage *)
   o_pipe : Pipeline.t;
-  o_saw_verify : bool ref;
   (* check 4: the fused hot decoder, diffed register by register, plus a
      whole pipeline running in Fused mode over a flight plan demanding
      every hot-eligible field *)
@@ -44,12 +46,9 @@ type t = {
 }
 
 let create ?(bug = No_bug) fmt =
-  let saw_verify = ref false in
   let pipe =
-    Pipeline.create
-      ~verify:(fun _ ->
-        saw_verify := true;
-        true)
+    Pipeline.create ~mode:Pipeline.Staged
+      ~flight:(Flight.spec ~verify:(Flight.All []) ())
       fmt
   in
   let eligible = View.Hot.eligible_fields fmt in
@@ -75,7 +74,6 @@ let create ?(bug = No_bug) fmt =
     o_view = View.create fmt;
     o_emit = Emit.create fmt;
     o_pipe = pipe;
-    o_saw_verify = saw_verify;
     o_hot = hot;
     o_hot_slots = hot_slots;
     o_fused = fused;
@@ -99,12 +97,13 @@ let err = Codec.error_to_string
 (* Check 3: the engine built on the fast paths.  [codec_ok] is the
    baseline verdict both decoders already agreed on. *)
 let check_pipeline t pkt ~codec_ok =
-  t.o_saw_verify := false;
   t.o_exp_decode_pkts <- t.o_exp_decode_pkts + 1;
   if not codec_ok then t.o_exp_decode_rejects <- t.o_exp_decode_rejects + 1
   else t.o_exp_verify_pkts <- t.o_exp_verify_pkts + 1;
-  let outcome = Pipeline.process t.o_pipe pkt in
   let stats = Pipeline.stats t.o_pipe in
+  let verified_before = Stats.stage_packets stats 1 in
+  let outcome = Pipeline.process t.o_pipe pkt in
+  let saw_verify = Stats.stage_packets stats 1 > verified_before in
   match (outcome, codec_ok) with
   | (Pipeline.Rejected_verify | Pipeline.Rejected_step | Pipeline.Rejected_encode), _
     ->
@@ -113,9 +112,9 @@ let check_pipeline t pkt ~codec_ok =
     fail "pipeline" "pipeline accepted a packet the codec rejects"
   | Pipeline.Rejected_decode e, true ->
     fail "pipeline" "pipeline rejected a packet the codec accepts: %s" (err e)
-  | Pipeline.Accepted, true when not !(t.o_saw_verify) ->
+  | Pipeline.Accepted, true when not saw_verify ->
     fail "pipeline" "accepted packet never reached the verify stage"
-  | Pipeline.Rejected_decode _, false when !(t.o_saw_verify) ->
+  | Pipeline.Rejected_decode _, false when saw_verify ->
     fail "pipeline" "rejected mutant leaked past decode into the verify stage"
   | _ ->
     let got_dp = Stats.stage_packets stats 0
@@ -252,12 +251,13 @@ let check t pkt =
 
 (* ---- the in-memory reply reference for the socket oracle leg ----
 
-   [Loopback] (lib/net) reads replies off a real UDP socket and diffs
-   them byte for byte against this: the same flight spec driven through
-   an in-memory pipeline whose [on_response] captures the emitted reply
-   as a fresh string.  Default mode is [Staged] so a fused server is
-   cross-checked against the staged derivation of the same spec — the
-   socket run then differences both the wire path *and* the mode. *)
+   [Loopback] reads replies off a real UDP socket and diffs them byte for
+   byte against this: the same flight spec driven through an in-memory
+   pipeline whose [on_response] captures the emitted reply as a fresh
+   string.  Default mode is the [Staged] reference executor, so a fused
+   server is cross-checked against the staged derivation of the same
+   spec — the socket run then differences both the wire path *and* the
+   mode. *)
 module Reply_ref = struct
   type nonrec t = { r_pipe : Pipeline.t; r_last : string option ref }
 

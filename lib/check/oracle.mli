@@ -12,10 +12,13 @@
       equal the codec's byte for byte;
     + re-encode: on accepted input, [Emit.encode] of the decoded value
       must reproduce [Codec.encode] exactly (same bytes or same error);
-    + engine: [Pipeline.process] must not raise, must reject exactly when
-      the decoders reject, must never let a rejected mutant reach the
-      verify stage, and must keep the per-stage {!Netdsl_engine.Stats}
-      counters consistent with the packets actually fed;
+    + engine: the [Staged] reference executor, armed with an
+      always-true verify predicate, must not raise, must reject exactly
+      when the decoders reject, must pass every accepted packet — and no
+      rejected mutant — through the verify stage (read off that stage's
+      packet count), and must keep the per-stage
+      {!Netdsl_engine.Stats} counters consistent with the packets
+      actually fed;
     + fused: the {!Netdsl_format.View.Hot} fused decoder must agree with
       the codec verdict and, on acceptance, every demanded register must
       equal the interpreted view's value — and a second pipeline running
@@ -110,13 +113,14 @@ end
 
 (** {2 Socket oracle leg: the in-memory reply reference}
 
-    The reference side of the loopback soak (lib/net's [Loopback]): the
+    The reference side of the loopback soak ({!Loopback}): the
     same flight spec, driven through an in-memory pipeline, with every
     emitted reply captured as a fresh string.  A reply read off a real
     socket must be byte-for-byte identical to {!Reply_ref.expected} for
     the same input — and a packet for which [expected] returns [None]
-    must produce {e no} datagram.  Defaults to [Staged] mode so a fused
-    server is diffed against the staged derivation of its own spec. *)
+    must produce {e no} datagram.  Defaults to the [Staged] reference
+    executor, so a server — which runs [Fused] — is diffed against the
+    staged derivation of its own spec. *)
 module Reply_ref : sig
   type t
 

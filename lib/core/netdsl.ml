@@ -18,10 +18,11 @@
       batched pipeline, multicore flow sharding, per-stage counters)
     - socket front end: {!Net} (select-based nonblocking UDP/TCP
       listeners draining straight into the engine's slab, per-listener
-      wire counters, a loopback soak harness)
+      wire counters)
     - fuzzing + differential testing: {!Check} (structure-aware wire
       mutation, a Codec/View/Emit/Pipeline oracle, Step-vs-Interp trace
-      lock-step, shrinking, committable repro reports)
+      lock-step, a loopback soak harness, shrinking, committable repro
+      reports)
     - simulation substrate: {!Sim_engine}, {!Channel}, {!Timer}, {!Trace},
       {!Stats}
     - executable protocols: {!Stop_and_wait}, {!Go_back_n},

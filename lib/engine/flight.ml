@@ -1,9 +1,9 @@
 (* Fused run-to-completion flight plans.
 
-   A [spec] states, declaratively, everything the pipeline's per-packet
-   closures used to do imperatively: which fields the stages read, the
-   semantic verify predicate, the event classifier, the flow key, and the
-   respond-by-patching rules.  {!compile} lowers the spec against a format
+   A [spec] states, declaratively, everything the pipeline does to a
+   packet: which fields the stages read, the semantic verify predicate,
+   the event classifier, the flow key, and the respond-by-patching
+   rules.  {!compile} lowers the spec against a format
    once, into two coordinated artefacts:
 
    - a {e fused} fast path: when the format admits a {!View.Hot} plan for
@@ -16,10 +16,11 @@
      control flow, staged decode machinery.
 
    - {e staged} derivations ({!staged_verify}, {!staged_classify_id},
-     {!staged_respond_patch}): the same spec expressed as the closures
-     [Pipeline.create] has always taken, so [Staged] and [Fused] modes of
-     one pipeline run the {e same semantics} from the same source of
-     truth and can be diffed by the oracle.
+     {!staged_respond_patch}): the same spec as closures over a decoded
+     view, which the pipeline's [Staged] reference executor runs — so
+     [Staged] and [Fused] modes of one pipeline run the {e same
+     semantics} from the same source of truth and can be diffed by the
+     oracle.
 
    Ordering guarantee (paper §3.4): [run] performs the {e complete}
    syntactic validation of the packet — every constant, constraint,
@@ -87,9 +88,9 @@ let spec_fields s =
 
 (* ---- compiled form ---- *)
 
-(* Event id for a classified name the plan does not know — same sentinel
-   as [Pipeline.unknown_event]: refused by [Step.fire_id] as
-   [Unknown_event] rather than mistaken for pass-through. *)
+(* Event id for a classified name the plan does not know: refused by
+   [Step.fire_id] as [Unknown_event] rather than mistaken for
+   pass-through. *)
 let unknown_event = max_int
 
 (* Flow-key sentinel for "this packet carries no key". *)
@@ -657,8 +658,8 @@ let n_responses t = Array.length t.responses
 
 (* ---- staged derivations ----
 
-   The same spec as the closures [Pipeline.create] has always taken.
-   These consult only the view-side lowering, which the fallback engine
+   The same spec as closures over a decoded view, for the staged
+   reference executor.  These consult only the view-side lowering, which the fallback engine
    shares verbatim — so Staged and the Interp-tier Fused path are the
    same code, and the Linear tier is diffed against it by the oracle. *)
 

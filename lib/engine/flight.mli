@@ -3,11 +3,12 @@
     A {!spec} is a declarative account of what the pipeline's stages do
     to a packet: which fields are read, the semantic verify predicate,
     the event classifier, the flow key, and the respond-by-patching
-    rules.  {!compile} lowers it against a format once into a plan that
-    the pipeline's [Fused] mode executes per packet run-to-completion —
-    and simultaneously derives the {e staged} closures ([Staged] mode has
-    always taken), so both modes run the same semantics from one source
-    of truth and the differential oracle can diff them.
+    rules — the pipeline's only statement of per-packet semantics.
+    {!compile} lowers it against a format once into a plan that the
+    pipeline's [Fused] mode executes per packet run-to-completion — and
+    simultaneously derives the {e staged} closures its [Staged]
+    reference executor runs, so both modes run the same semantics from
+    one source of truth and the differential oracle can diff them.
 
     When the format admits a {!Netdsl_format.View.Hot} plan for the
     demanded fields, the fused path decodes, validates and extracts
@@ -149,9 +150,11 @@ val apply : t -> int -> Bytes.t -> len:int -> bool
 
 (** {2 Staged derivations}
 
-    The spec expressed as the closures [Pipeline.create] has always
-    taken; [Staged] mode runs on these, so both modes share one source
-    of truth. *)
+    The spec as closures over a decoded {!Netdsl_format.View}: the
+    pipeline's [Staged] reference executor runs these, one stage at a
+    time, so it shares the fused plan's source of truth but not its
+    code.  [None] when the spec leaves that stage empty, and for a
+    [`Stacked] plan. *)
 
 val staged_verify : t -> (Netdsl_format.View.t -> bool) option
 

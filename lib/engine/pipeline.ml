@@ -93,40 +93,27 @@ type t = {
   cfg : config;
   mode : mode;
   fmt : F.Desc.t;
-  flight : Flight.t option;
+  flight : Flight.t;
+  (* the spec's staged derivations, which [Staged] mode runs: the verify
+     predicate, the classifier (>= 0 an event id for the plan, any
+     negative value means the packet does not concern the machine) and the
+     respond-by-patch rules *)
   verify : (F.View.t -> bool) option;
-  (* the unified classifier: >= 0 is an event id for the plan, any negative
-     value means the packet does not concern the machine *)
   classifier : (F.View.t -> int) option;
-  plan : Fsm.Step.plan option;
+  respond_patch : (F.View.t -> (string * int64) list option) option;
   flow_key : string option;
   on_transition : (Fsm.Machine.transition -> unit) option;
-  (* responders receive the flow instance as a thunk: forcing it mints the
-     flow, so a responder that never consults machine state (the
-     flight-derived patch) keeps the flow table identical to fused mode *)
-  respond :
-    (F.View.t -> (unit -> Fsm.Step.instance option) -> F.Value.t option)
-    option;
-  respond_patch :
-    (F.View.t ->
-    (unit -> Fsm.Step.instance option) ->
-    (string * int64) list option)
-    option;
-  respond_fmt : F.Desc.t;
   on_response : string -> unit;
-  on_reply : (Bytes.t -> int -> unit) option;
   on_reply_slot : (int -> Bytes.t -> int -> unit) option;
   (* window index of the packet whose reply is being emitted; -1 outside
      packet context (timer-driven emission), maintained by the batch
      loops so [on_reply_slot] can hand external slab owners the slot *)
   mutable cur_slot : int;
-  (* encode-stage machinery: a compiled emitter for [respond_fmt], a cache
-     of compiled in-place patchers (keyed by field, against [fmt] — patches
-     rewrite the *request* bytes), and one reusable reply buffer, sized
-     once to the longest packet a front end admits, with a per-batch
-     high-water mark so one oversized reply cannot pin a larger buffer
-     forever *)
-  emitter : F.Emit.t;
+  (* encode-stage machinery: a cache of compiled in-place patchers (keyed
+     by field, against [fmt] — patches rewrite the *request* bytes), and
+     one reusable reply buffer, sized once to the longest packet a front
+     end admits, with a per-batch high-water mark so one oversized reply
+     cannot pin a larger buffer forever *)
   patchers : (string, (F.Emit.patcher, string) result) Hashtbl.t;
   mutable reply_buf : Bytes.t;
   reply_base : int;
@@ -165,11 +152,6 @@ type t = {
   mutable expiry_cb : key:int -> ev:int -> unit;
   mutable expiry_refused : int;
 }
-
-(* Event id handed to [Step.fire_id] for a classified event name the plan
-   does not know: out of range on the high side, so it is refused as
-   [Unknown_event] rather than mistaken for pass-through (negative). *)
-let unknown_event = max_int
 
 let no_key = Flight.no_key
 
@@ -252,97 +234,33 @@ let fire_expiry t ~key ~ev =
 let default_clock_ms () = int_of_float (Unix.gettimeofday () *. 1e3)
 let default_now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
-let create ?(config = default_config) ?(mode = Staged) ?stack ?flight ?verify
-    ?classify ?classify_id ?machine ?flow_key ?on_transition
+let create ?(config = default_config) ?(mode = Fused) ?stack
+    ?(flight = Flight.spec ()) ?machine ?on_transition
     ?(clock_ms = default_clock_ms) ?(now_ns = default_now_ns) ?(tick_ms = 1)
-    ?respond ?respond_patch ?respond_fmt ?(on_response = fun _ -> ()) ?on_reply
-    ?on_reply_slot fmt =
+    ?(on_response = fun _ -> ()) ?on_reply_slot fmt =
   if config.batch <= 0 then invalid_arg "Pipeline.create: batch must be positive";
   if config.max_flows <= 0 then
     invalid_arg "Pipeline.create: max_flows must be positive";
   if tick_ms <= 0 then invalid_arg "Pipeline.create: tick_ms must be positive";
   let plan = Option.map Fsm.Step.compile machine in
-  (* A flight spec is the *whole* per-packet semantics: it cannot be mixed
-     with the closure-style arguments it replaces. *)
-  (match flight with
-  | Some _
-    when verify <> None || classify <> None || classify_id <> None
-         || respond <> None || respond_patch <> None || flow_key <> None ->
-    invalid_arg
-      "Pipeline.create: ~flight replaces \
-       verify/classify/classify_id/flow_key/respond/respond_patch"
-  | _ -> ());
-  if mode = Fused && flight = None then
-    invalid_arg "Pipeline.create: Fused mode requires ~flight";
   (* A layered chain has no staged decomposition (its ground truth is the
      sequential [Stack.Seq] reference, not per-stage view closures), so a
-     stack pipeline is fused-only and spec-only. *)
-  (match stack with
-  | Some _ when flight = None ->
-    invalid_arg "Pipeline.create: ~stack requires ~flight"
-  | Some _ when mode <> Fused ->
-    invalid_arg "Pipeline.create: ~stack requires Fused mode"
-  | _ -> ());
+     stack pipeline is fused-only. *)
+  if stack <> None && mode <> Fused then
+    invalid_arg "Pipeline.create: ~stack requires Fused mode";
   let flight =
     match stack with
-    | None -> Option.map (fun sp -> Flight.compile ?plan fmt sp) flight
-    | Some st ->
-      Option.map
-        (fun sp ->
-          match Flight.compile_stack ?plan st sp with
-          | Ok fl -> fl
-          | Error e -> invalid_arg ("Pipeline.create: stack: " ^ e))
-        flight
-  in
-  let seq =
-    match flight with
-    | Some fl -> Option.map F.Stack.Seq.create (Flight.stack_plan fl)
-    | None -> None
-  in
-  (* machine absence only surfaces when a responder actually runs *)
-  let need_inst name f = function
-    | Some i -> f i
-    | None -> invalid_arg (Printf.sprintf "Pipeline: %s requires ~machine" name)
-  in
-  let verify, classifier, flow_key, respond, respond_patch =
-    match flight with
-    | Some fl ->
-      ( Flight.staged_verify fl,
-        Flight.staged_classify_id fl,
-        Flight.flow_key_name fl,
-        None,
-        Option.map
-          (fun rp view _inst -> rp view)
-          (Flight.staged_respond_patch fl) )
-    | None ->
-      let classifier =
-        match (classify_id, classify, plan) with
-        | Some f, _, _ -> Some f
-        | None, Some f, Some plan ->
-          Some
-            (fun view ->
-              match f view with
-              | None -> -1
-              | Some name ->
-                let id = Fsm.Step.event_id plan name in
-                if id < 0 then unknown_event else id)
-        | None, _, _ -> None
-      in
-      ( verify,
-        classifier,
-        flow_key,
-        Option.map
-          (fun r view inst -> need_inst "a responder" (r view) (inst ()))
-          respond,
-        Option.map
-          (fun r view inst -> need_inst "a responder" (r view) (inst ()))
-          respond_patch )
+    | None -> Flight.compile ?plan fmt flight
+    | Some st -> (
+      match Flight.compile_stack ?plan st flight with
+      | Ok fl -> fl
+      | Error e -> invalid_arg ("Pipeline.create: stack: " ^ e))
   in
   let default_inst = Option.map Fsm.Step.instance plan in
-  let respond_fmt = Option.value respond_fmt ~default:fmt in
-  (* a fused reply is the request's size: a base below [slot_bytes] would
+  let flow_key = Flight.flow_key_name flight in
+  (* a reply is the request's size: a base below [slot_bytes] would
      regrow and shrink on every window of mixed-size traffic *)
-  let reply_base = max config.slot_bytes (F.Sizing.min_bytes respond_fmt) in
+  let reply_base = max config.slot_bytes (F.Sizing.min_bytes fmt) in
   let timed =
     match plan with Some p -> Fsm.Step.has_timers p | None -> false
   in
@@ -351,19 +269,14 @@ let create ?(config = default_config) ?(mode = Staged) ?stack ?flight ?verify
     mode;
     fmt;
     flight;
-    verify;
-    classifier;
-    plan;
+    verify = Flight.staged_verify flight;
+    classifier = Flight.staged_classify_id flight;
+    respond_patch = Flight.staged_respond_patch flight;
     flow_key;
     on_transition;
-    respond;
-    respond_patch;
-    respond_fmt;
     on_response;
-    on_reply;
     on_reply_slot;
     cur_slot = -1;
-    emitter = F.Emit.create respond_fmt;
     patchers = Hashtbl.create 4;
     reply_buf = Bytes.create reply_base;
     reply_base;
@@ -380,7 +293,7 @@ let create ?(config = default_config) ?(mode = Staged) ?stack ?flight ?verify
     last_error = Array.make config.batch None;
     inbuf = Array.make config.batch "";
     default_inst;
-    seq;
+    seq = Option.map F.Stack.Seq.create (Flight.stack_plan flight);
     flows =
       (match (default_inst, flow_key) with
       | Some inst, Some _ ->
@@ -433,19 +346,14 @@ let stats t =
   t.stats
 
 let format t = t.fmt
-let machine_plan t = t.plan
 let mode t = t.mode
-let flight_tier t = Option.map Flight.tier t.flight
-
-let stack_plan t =
-  match t.flight with None -> None | Some fl -> Flight.stack_plan fl
+let flight_tier t = Flight.tier t.flight
 let flow_count t = match t.flows with None -> 0 | Some tbl -> tbl.n
 let reply_capacity t = Bytes.length t.reply_buf
 
 (* Instance lookup by native-int key, shared by both modes (the staged
-   side extracts the key from the view first).  Option-free for the fused
-   per-packet loop (precondition: [t.default_inst = Some dflt]);
-   [instance_for_key] wraps it for the staged side. *)
+   side extracts the key from the view first).  Option-free for the
+   per-packet loops (precondition: [t.default_inst = Some dflt]). *)
 let touch_flow t dflt k =
   match t.flows with
   | Some tbl when k <> no_key ->
@@ -485,24 +393,13 @@ let touch_flow t dflt k =
     end
   | _ -> dflt
 
-let instance_for_key t k =
-  match t.default_inst with
-  | None -> None
-  | Some dflt -> Some (touch_flow t dflt k)
-
 let view_key t view =
   match (t.flow_key, t.flows) with
   | Some key, Some _ -> (
     match F.View.find_int view key with
     | None -> no_key
-    | Some k ->
-      let k = Int64.to_int k in
-      (* the truncation that lands exactly on the sentinel counts as "no
-         key" in both modes *)
-      if k = no_key then no_key else k)
+    | Some k -> Int64.to_int k)
   | _ -> no_key
-
-let instance_for t view = instance_for_key t (view_key t view)
 
 let ensure_reply t len =
   if Bytes.length t.reply_buf < len then
@@ -516,24 +413,11 @@ let patcher_for t field =
     Hashtbl.add t.patchers field r;
     r
 
-(* Emit into the reusable reply buffer, doubling it if the message does not
-   fit (the only source of [Truncated] on a caller-owned buffer). *)
-let rec encode_reply t value =
-  match F.Emit.encode_into t.emitter t.reply_buf value with
-  | Ok _ as ok -> ok
-  | Error (F.Codec.Io { error = Netdsl_util.Bitio.Truncated _; _ }) ->
-    t.reply_buf <- Bytes.create (2 * max 32 (Bytes.length t.reply_buf));
-    encode_reply t value
-  | Error _ as e -> e
-
 let emit_reply t len =
   if len > t.reply_hwm then t.reply_hwm <- len;
   match t.on_reply_slot with
   | Some f -> f t.cur_slot t.reply_buf len
-  | None -> (
-    match t.on_reply with
-    | Some f -> f t.reply_buf len
-    | None -> t.on_response (Bytes.sub_string t.reply_buf 0 len))
+  | None -> t.on_response (Bytes.sub_string t.reply_buf 0 len)
 
 (* High-water reset, once per batch: a single oversized reply grows the
    buffer transiently; if the batch's replies fit in half the buffer it
@@ -546,10 +430,10 @@ let reset_reply_buf t =
   then t.reply_buf <- Bytes.create (max t.reply_base t.reply_hwm);
   t.reply_hwm <- 0
 
-
-(* ---- staged mode: each stage walks the whole batch before the next
-   starts, so stage timing is a straight wall-clock interval around a
-   tight loop.  Operates on the batch window [t.inbuf]/[t.blen]. ---- *)
+(* ---- staged mode, the reference executor: each stage walks the whole
+   batch before the next starts, so stage timing is a straight
+   wall-clock interval around a tight loop.  Operates on the batch
+   window [t.inbuf]/[t.blen]. ---- *)
 
 let staged_batch t n =
   let stats = t.stats in
@@ -570,7 +454,7 @@ let staged_batch t n =
   done;
   Stats.record_batch stats st_decode ~packets:n ~bytes:!bytes ~rejects:!rejects
     ~elapsed_ns:(t.now_ns () - t0);
-  (* verify: caller-supplied semantic predicate over the view *)
+  (* verify: the spec's semantic predicate over the view *)
   (match t.verify with
   | None -> ()
   | Some pred ->
@@ -624,65 +508,46 @@ let staged_batch t n =
     Stats.record_batch stats st_step ~packets:!packets ~bytes:!bytes
       ~rejects:!rejects ~elapsed_ns:(t.now_ns () - t0)
   | _ -> ());
-  (* encode: build and emit responses.  The in-place patch path is tried
-     first — it rewrites a copy of the request's wire bytes and updates the
-     checksum incrementally; otherwise the compiled emitter streams the
-     reply into the reusable buffer.  The interpreting codec is never on
-     this path. *)
-  (match (t.respond, t.respond_patch) with
-  | None, None -> ()
-  | _ ->
+  (* encode: answer with a copy of the request whose named fields are
+     rewritten in place by compiled {!F.Emit} patchers — checksums updated
+     incrementally, nothing re-encoded.  The patchers are this module's
+     own, not the fused plan's [Flight.apply], so the reference stays
+     independent of the code it checks. *)
+  (match t.respond_patch with
+  | None -> ()
+  | Some respond_patch ->
     let packets = ref 0 and bytes = ref 0 and rejects = ref 0 in
     let t0 = t.now_ns () in
     for i = 0 to n - 1 do
       if t.status.(i) = live then begin
-        t.cur_slot <- i;
         let view = t.views.(i) in
-        let inst () = instance_for t view in
-        let emitted len =
-          bytes := !bytes + len;
-          emit_reply t len
-        in
-        let reject () =
-          t.status.(i) <- rej_encode;
-          incr rejects
-        in
-        let patched =
-          match t.respond_patch with
-          | None -> false
-          | Some respond_patch -> (
-            match respond_patch view inst with
-            | None -> false
-            | Some mutations ->
-              incr packets;
-              let len = F.View.length_bytes view in
-              ensure_reply t len;
-              Bytes.blit_string (F.View.raw view) 0 t.reply_buf 0 len;
-              let ok =
-                List.for_all
-                  (fun (field, v) ->
-                    match patcher_for t field with
-                    | Error _ -> false
-                    | Ok p -> (
-                      match F.Emit.patch p ~off:0 ~len t.reply_buf v with
-                      | Ok () -> true
-                      | Error _ -> false))
-                  mutations
-              in
-              if ok then emitted len else reject ();
-              true)
-        in
-        if not patched then
-          match t.respond with
-          | None -> ()
-          | Some respond -> (
-            match respond view inst with
-            | None -> ()
-            | Some value -> (
-              incr packets;
-              match encode_reply t value with
-              | Ok len -> emitted len
-              | Error _ -> reject ()))
+        match respond_patch view with
+        | None -> ()
+        | Some mutations ->
+          incr packets;
+          t.cur_slot <- i;
+          let len = F.View.length_bytes view in
+          ensure_reply t len;
+          Bytes.blit_string (F.View.raw view) 0 t.reply_buf 0 len;
+          let ok =
+            List.for_all
+              (fun (field, v) ->
+                match patcher_for t field with
+                | Error _ -> false
+                | Ok p -> (
+                  match F.Emit.patch p ~off:0 ~len t.reply_buf v with
+                  | Ok () -> true
+                  | Error _ -> false))
+              mutations
+          in
+          if ok then begin
+            bytes := !bytes + len;
+            emit_reply t len
+          end
+          else begin
+            t.status.(i) <- rej_encode;
+            incr rejects
+          end
       end
     done;
     Stats.record_batch stats st_encode ~packets:!packets ~bytes:!bytes
@@ -695,7 +560,7 @@ let staged_batch t n =
    the other rows report elapsed 0. ---- *)
 
 let fused_batch t n =
-  let fl = Option.get t.flight in
+  let fl = t.flight in
   let stats = t.stats in
   let verify_armed = Flight.verify_armed fl in
   let step_armed = Flight.classify_armed fl && t.default_inst <> None in
@@ -928,20 +793,6 @@ let process t pkt =
   let pkts = t.inbuf in
   pkts.(0) <- pkt;
   t.blen.(0) <- String.length pkt;
-  run_window t 1;
-  outcome_of_slot0 t
-
-(* Batch-drain entry point for external slab owners (the socket front
-   end): process one packet sitting in a caller-owned buffer without
-   copying it.  [Bytes.unsafe_to_string] is safe because the buffer is
-   only read during this call and the caller must not mutate it until the
-   call returns (a socket slab slot is not recycled before
-   [Slab.release]). *)
-let process_buffer t buf ~len =
-  if len < 0 || len > Bytes.length buf then
-    invalid_arg "Pipeline.process_buffer: len out of bounds";
-  t.inbuf.(0) <- Bytes.unsafe_to_string buf;
-  t.blen.(0) <- len;
   run_window t 1;
   outcome_of_slot0 t
 

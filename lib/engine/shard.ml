@@ -197,10 +197,9 @@ type t = {
 }
 
 let create ?(config = default_config) ?(allow_oversubscribe = false)
-    ?(stealing = false) ?steal_threshold ?buckets ~key ?mode ?flight ?verify
-    ?classify ?classify_id ?machine ?flow_key ?on_transition ?clock_ms ?now_ns
-    ?tick_ms ?respond ?respond_patch ?respond_fmt ?on_response ?on_reply
-    ?on_reply_slot fmt =
+    ?(stealing = false) ?steal_threshold ?buckets ~key ?mode ?flight ?machine
+    ?on_transition ?clock_ms ?now_ns ?tick_ms ?on_response ?on_reply_slot
+    fmt =
   if config.workers <= 0 then Error "Shard.create: workers must be positive"
   else
     match F.View.key_extractor fmt key with
@@ -249,10 +248,9 @@ let create ?(config = default_config) ?(allow_oversubscribe = false)
                     buf len)
                 on_reply_slot
             in
-            Pipeline.create ~config:config.pipeline ?mode ?flight ?verify
-              ?classify ?classify_id ?machine ?flow_key ?on_transition
-              ?clock_ms ?now_ns ?tick_ms ?respond ?respond_patch ?respond_fmt
-              ?on_response ?on_reply ?on_reply_slot fmt)
+            Pipeline.create ~config:config.pipeline ?mode ?flight ?machine
+              ?on_transition ?clock_ms ?now_ns ?tick_ms ?on_response
+              ?on_reply_slot fmt)
       in
       (match warning with
       | None -> ()

@@ -31,9 +31,10 @@
     has {e released} past the fence, so per-flow ordering (paper §3.4)
     survives the migration — see DESIGN.md "Stealing whole buckets".
     Note that a migrated flow re-mints its machine instance on the new
-    owner: stealing is meant for spec-derived responders (which read
-    only decoded fields — {!Flight} enforces this) and state-tolerant
-    machines. *)
+    owner.  Replies never depend on that instance — a {!Flight} respond
+    rule reads only decoded fields — so stealing is safe for them; it
+    suits machines that tolerate a flow restarting from the initial
+    state. *)
 
 type config = {
   workers : int;
@@ -108,24 +109,12 @@ val create :
   key:string ->
   ?mode:Pipeline.mode ->
   ?flight:Flight.spec ->
-  ?verify:(Netdsl_format.View.t -> bool) ->
-  ?classify:(Netdsl_format.View.t -> string option) ->
-  ?classify_id:(Netdsl_format.View.t -> int) ->
   ?machine:Netdsl_fsm.Machine.t ->
-  ?flow_key:string ->
   ?on_transition:(Netdsl_fsm.Machine.transition -> unit) ->
   ?clock_ms:(unit -> int) ->
   ?now_ns:(unit -> int) ->
   ?tick_ms:int ->
-  ?respond:
-    (Netdsl_format.View.t -> Netdsl_fsm.Step.instance -> Netdsl_format.Value.t option) ->
-  ?respond_patch:
-    (Netdsl_format.View.t ->
-    Netdsl_fsm.Step.instance ->
-    (string * int64) list option) ->
-  ?respond_fmt:Netdsl_format.Desc.t ->
   ?on_response:(string -> unit) ->
-  ?on_reply:(Bytes.t -> int -> unit) ->
   ?on_reply_slot:(int -> int -> Bytes.t -> int -> unit) ->
   Netdsl_format.Desc.t ->
   (t, string) result
@@ -134,10 +123,10 @@ val create :
     {!Netdsl_format.View.key_extractor}).  [stealing] /
     [steal_threshold] / [buckets] configure the {!Steer} stage
     (stealing defaults off; [steal_threshold] defaults to the pipeline
-    batch size).  Remaining arguments, the clocks and [tick_ms]
-    included, are passed to each worker's {!Pipeline.create}.  Note that
-    [on_response] / [on_reply] run on worker domains — one shared
-    closure sees calls from all of them.
+    batch size).  Remaining arguments — the mode (default [Fused]), the
+    flight spec, the machine, the clocks and [tick_ms] — are passed to
+    each worker's {!Pipeline.create}.  Note that [on_response] runs on
+    worker domains — one shared closure sees calls from all of them.
 
     [on_reply_slot] is the per-worker reply hook, called on worker [w]'s
     domain as [on_reply_slot w pos buf len]: [pos] is the absolute
@@ -146,7 +135,7 @@ val create :
     packet context (a timer).  A producer that files per-packet state
     beside each ring slot before publishing it — a return address —
     finds it again at [pos land (Spsc.capacity ring - 1)].  It wins over
-    [on_reply] / [on_response], as in {!Pipeline.create}.
+    [on_response], as in {!Pipeline.create}.
 
     Worker counts above [Domain.recommended_domain_count ()] are clamped
     to it — oversubscribed domains time-share a core and measure the

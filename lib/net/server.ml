@@ -662,7 +662,7 @@ let worker_reply sinks st pos buf len =
       else note_failure st r 1
     | No_sink | To_conn _ -> ()
 
-let create ?(config = Pipeline.default_config) ?(mode = Pipeline.Staged)
+let create ?(config = Pipeline.default_config) ?(mode = Pipeline.Fused)
     ?stack ?machine ?(tick_ms = 1) ?(signals = true) ?(workers = 1)
     ?(allow_oversubscribe = false) ?(stealing = false) ?shard_key
     ?(io = Auto) ?(io_batch = 32) ~flight ~listeners fmt =

@@ -1,9 +1,10 @@
 (** The socket front end: real traffic through the fused engine.
 
     A server owns a set of nonblocking listeners and the engine that
-    answers them: one {!Netdsl_engine.Pipeline} (staged or fused, built
-    from a {!Netdsl_engine.Flight.spec}), or, sharded, a
-    {!Netdsl_engine.Shard} group of them.
+    answers them: one {!Netdsl_engine.Pipeline} (fused by default — the
+    [?mode] label exists so an oracle or a benchmark can run the staged
+    reference behind a socket — built from a {!Netdsl_engine.Flight.spec}),
+    or, sharded, a {!Netdsl_engine.Shard} group of them.
 
     {b One loop over one batch-I/O backend.}  [run] is a single event
     loop: check the stop flag, the packet budget and the deadline; sleep
@@ -136,8 +137,9 @@ val create :
     [stack] serves a layered chain: the pipeline decodes each datagram
     through the fused {!Netdsl_format.Stack} plan and the flight spec
     (all fields ["layer.field"]-qualified) patches replies inside layer
-    windows — see {!Netdsl_engine.Pipeline.create}.  Requires
-    [~mode:Fused]; [fmt] should be the chain's outermost format.
+    windows — see {!Netdsl_engine.Pipeline.create}.  Runs in the
+    default [Fused] mode only; [fmt] should be the chain's outermost
+    format.
 
     [io] (default [Auto]) selects the backend; [io_batch] (default 32,
     must be positive) is the run: the slab's slot count, the most

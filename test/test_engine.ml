@@ -343,8 +343,34 @@ let stats_warnings () =
 
 let arq_data ~seq payload = Fm.Arq.to_bytes (Fm.Arq.Data { seq; payload })
 
+let kind_is n = Flight.Cmp (Flight.Eq, Flight.Field "kind", Flight.Const n)
+
+(* A classify rule sending every packet to event [name]. *)
+let always name = { Flight.ev_when = Flight.All []; ev_name = name }
+
+(* The in-place ACK: a data packet answered with its own bytes, kind
+   rewritten to ack (checksum updated incrementally). *)
+let ack_data =
+  { Flight.re_when = kind_is 0L;
+    re_set = [ { Flight.set_field = "kind"; set_to = Flight.Const 1L } ] }
+
+(* The ARQ responder as a flight spec: classify data packets to the "ok"
+   event, key flows by seq, answer data with an in-place kind:=ack patch. *)
+let arq_flight =
+  Flight.spec
+    ~verify:(Flight.Cmp (Flight.Lt, Flight.Field "seq", Flight.Const 256L))
+    ~classify:[ { Flight.ev_when = kind_is 0L; ev_name = "ok" } ]
+    ~flow_key:"seq" ~respond:[ ack_data ] ()
+
+let outcome_tag = function
+  | Pipeline.Accepted -> "accepted"
+  | Pipeline.Rejected_decode _ -> "rejected_decode"
+  | Pipeline.Rejected_verify -> "rejected_verify"
+  | Pipeline.Rejected_step -> "rejected_step"
+  | Pipeline.Rejected_encode -> "rejected_encode"
+
 let pipeline_accepts_and_rejects () =
-  let p = Pipeline.create Fm.Arq.format in
+  let p = Pipeline.create ~mode:Pipeline.Staged Fm.Arq.format in
   let good = arq_data ~seq:1 "hello" in
   check_bool "accept" true (Pipeline.process p good = Pipeline.Accepted);
   let corrupt = Bytes.of_string good in
@@ -358,29 +384,37 @@ let pipeline_accepts_and_rejects () =
   check_int "decode rejects" 1 (Stats.stage_rejects s d)
 
 let pipeline_verify_stage () =
-  let p =
-    Pipeline.create
-      ~verify:(fun v -> Netdsl_format.View.get_int v "seq" <> 13L)
-      Fm.Arq.format
-  in
-  check_bool "passes" true (Pipeline.process p (arq_data ~seq:1 "x") = Accepted);
-  check_bool "vetoed" true (Pipeline.process p (arq_data ~seq:13 "x") = Rejected_verify);
-  let s = Pipeline.stats p in
-  check_int "verify rejects" 1 (Stats.stage_rejects s (Stats.stage_index s "verify"))
+  Testutil.in_both_modes (fun mode ->
+      let p =
+        Pipeline.create ~mode
+          ~flight:
+            (Flight.spec
+               ~verify:(Flight.Cmp (Flight.Ne, Flight.Field "seq", Flight.Const 13L))
+               ())
+          Fm.Arq.format
+      in
+      check_bool "passes" true (Pipeline.process p (arq_data ~seq:1 "x") = Accepted);
+      check_bool "vetoed" true
+        (Pipeline.process p (arq_data ~seq:13 "x") = Rejected_verify);
+      let s = Pipeline.stats p in
+      check_int "verify rejects" 1 (Stats.stage_rejects s (Stats.stage_index s "verify"));
+      (p, []))
 
 let pipeline_machine_flows () =
-  (* The ARQ receiver machine accepts any data packet ("ok" event); with
-     [flow_key] each seq value gets its own machine instance. *)
+  (* The ARQ receiver machine accepts any data packet ("ok" event); with a
+     flow key each seq value gets its own machine instance. *)
   let machine = Netdsl_proto.Arq_fsm.receiver ~seq_bits:8 in
-  let p =
-    Pipeline.create
-      ~classify:(fun _ -> Some "ok")
-      ~machine ~flow_key:"seq" Fm.Arq.format
-  in
-  for seq = 0 to 4 do
-    check_bool "stepped" true (Pipeline.process p (arq_data ~seq "d") = Accepted)
-  done;
-  check_int "one machine per flow" 5 (Pipeline.flow_count p)
+  Testutil.in_both_modes (fun mode ->
+      let p =
+        Pipeline.create ~mode
+          ~flight:(Flight.spec ~classify:[ always "ok" ] ~flow_key:"seq" ())
+          ~machine Fm.Arq.format
+      in
+      for seq = 0 to 4 do
+        check_bool "stepped" true (Pipeline.process p (arq_data ~seq "d") = Accepted)
+      done;
+      check_int "one machine per flow" 5 (Pipeline.flow_count p);
+      (p, []))
 
 let pipeline_batch_matches_singles () =
   let rng = Prng.of_int 5 in
@@ -390,10 +424,10 @@ let pipeline_batch_matches_singles () =
         let good = arq_data ~seq:(i land 0xFF) "payload" in
         if i mod 3 = 0 then Netdsl_format.Gen.mutate rng ~flips:4 good else good)
   in
-  let p1 = Pipeline.create Fm.Arq.format in
+  let p1 = Pipeline.create ~mode:Pipeline.Staged Fm.Arq.format in
   Array.iter (fun pkt -> ignore (Pipeline.process p1 pkt)) pkts;
   let p2 =
-    Pipeline.create
+    Pipeline.create ~mode:Pipeline.Staged
       ~config:{ Pipeline.default_config with batch = 64; ring_capacity = 64 }
       Fm.Arq.format
   in
@@ -428,7 +462,7 @@ let drain_slab p slab =
 let pipeline_ring_driven () =
   (* a producer on this domain, the pipeline on a second one, and a slab
      smaller than the traffic between them: backpressure included *)
-  let p = Pipeline.create Fm.Arq.format in
+  let p = Pipeline.create ~mode:Pipeline.Staged Fm.Arq.format in
   let slab = Slab.create ~capacity:128 () in
   let consumer = Domain.spawn (fun () -> drain_slab p slab) in
   for i = 1 to 500 do
@@ -440,94 +474,105 @@ let pipeline_ring_driven () =
   check_int "all decoded" 500 (Stats.stage_packets s (Stats.stage_index s "decode"))
 
 let pipeline_responder () =
-  (* Respond to every data packet with the matching Ack; check the replies
-     are valid ARQ packets with the right seq. *)
-  let acks = ref [] in
-  let module V = Netdsl_format.Value in
-  let p =
-    Pipeline.create
-      ~classify:(fun _ -> Some "ok")
-      ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
-      ~respond:(fun v _ ->
-        if Netdsl_format.View.get_int v "kind" = 0L then
-          let seq = Int64.to_int (Netdsl_format.View.get_int v "seq") in
-          Some
-            (V.record
-               [ ("seq", V.int seq); ("kind", V.int 1); ("payload", V.bytes "") ])
-        else None)
-      ~on_response:(fun s -> acks := s :: !acks)
-      Fm.Arq.format
+  (* The whole ARQ responder spec over one batch: every data packet is
+     answered with the matching Ack, filed against its window index; acks
+     in the batch go unanswered. *)
+  let pkts =
+    Array.init 12 (fun i ->
+        if i mod 4 = 3 then Fm.Arq.to_bytes (Fm.Arq.Ack { seq = i })
+        else arq_data ~seq:i "pp")
   in
-  check_bool "data accepted" true (Pipeline.process p (arq_data ~seq:7 "pp") = Accepted);
-  check_int "one ack" 1 (List.length !acks);
-  match Fm.Arq.of_bytes (List.hd !acks) with
-  | Ok (Fm.Arq.Ack { seq }) -> check_int "ack seq" 7 seq
-  | Ok _ -> Alcotest.fail "expected an ack"
-  | Error e -> Alcotest.failf "ack does not decode: %s" e
+  Testutil.in_both_modes (fun mode ->
+      let acks = ref [] in
+      let p =
+        Pipeline.create ~mode ~flight:arq_flight
+          ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
+          ~on_reply_slot:(fun i buf len ->
+            acks := (i, Bytes.sub_string buf 0 len) :: !acks)
+          Fm.Arq.format
+      in
+      Pipeline.process_batch p pkts (Array.length pkts);
+      let acks = List.rev !acks in
+      check_int "one ack per data packet" 9 (List.length acks);
+      List.iter
+        (fun (i, reply) ->
+          check_bool "answers a data packet" true (i >= 0 && i mod 4 <> 3);
+          match Fm.Arq.of_bytes reply with
+          | Ok (Fm.Arq.Ack { seq }) -> check_int "ack seq" i seq
+          | Ok _ -> Alcotest.fail "expected an ack"
+          | Error e -> Alcotest.failf "ack does not decode: %s" e)
+        acks;
+      (p, List.map snd acks))
 
 let pipeline_patch_responder () =
-  (* The in-place fast path: answer each data packet by flipping its kind
-     field to Ack and truncating nothing — the reply must be exactly what
-     the value-building responder produces. *)
-  let acks = ref [] in
-  let p =
-    Pipeline.create
-      ~classify:(fun _ -> Some "ok")
-      ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
-      ~respond_patch:(fun v _ ->
-        if Netdsl_format.View.get_int v "kind" = 0L then Some [ ("kind", 1L) ]
-        else None)
-      ~on_response:(fun s -> acks := s :: !acks)
-      Fm.Arq.format
-  in
-  check_bool "data accepted" true
-    (Pipeline.process p (arq_data ~seq:7 "pp") = Accepted);
-  check_bool "ack passes through unanswered" true
-    (Pipeline.process p (Fm.Arq.to_bytes (Fm.Arq.Ack { seq = 3 })) = Accepted);
-  check_int "one ack" 1 (List.length !acks);
-  (let module V = Netdsl_format.Value in
-   match Netdsl_format.Codec.decode Fm.Arq.format (List.hd !acks) with
-   | Ok reply ->
-     check_int "reply kind" 1 (V.get_int reply "kind");
-     check_int "reply seq" 7 (V.get_int reply "seq");
-     Alcotest.(check string) "payload kept" "pp" (V.get_bytes reply "payload")
-   | Error e ->
-     Alcotest.failf "patched reply does not decode: %s"
-       (Netdsl_format.Codec.error_to_string e));
+  (* The in-place responder: answer each data packet by flipping its kind
+     field to Ack and truncating nothing — the reply must decode as the
+     request with only kind changed. *)
+  Testutil.in_both_modes (fun mode ->
+      let acks = ref [] in
+      let p =
+        Pipeline.create ~mode
+          ~flight:(Flight.spec ~classify:[ always "ok" ] ~respond:[ ack_data ] ())
+          ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
+          ~on_response:(fun s -> acks := s :: !acks)
+          Fm.Arq.format
+      in
+      check_bool "data accepted" true
+        (Pipeline.process p (arq_data ~seq:7 "pp") = Accepted);
+      check_bool "ack passes through unanswered" true
+        (Pipeline.process p (Fm.Arq.to_bytes (Fm.Arq.Ack { seq = 3 })) = Accepted);
+      check_int "one ack" 1 (List.length !acks);
+      (let module V = Netdsl_format.Value in
+       match Netdsl_format.Codec.decode Fm.Arq.format (List.hd !acks) with
+       | Ok reply ->
+         check_int "reply kind" 1 (V.get_int reply "kind");
+         check_int "reply seq" 7 (V.get_int reply "seq");
+         Alcotest.(check string) "payload kept" "pp" (V.get_bytes reply "payload")
+       | Error e ->
+         Alcotest.failf "patched reply does not decode: %s"
+           (Netdsl_format.Codec.error_to_string e));
+      (p, !acks));
   (* an unpatchable field is a clean encode-stage reject, not a crash *)
-  let p2 =
-    Pipeline.create
-      ~classify:(fun _ -> Some "ok")
-      ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
-      ~respond_patch:(fun _ _ -> Some [ ("chk", 0L) ])
-      Fm.Arq.format
-  in
-  check_bool "derived field rejected at encode" true
-    (Pipeline.process p2 (arq_data ~seq:1 "x") = Rejected_encode)
+  Testutil.in_both_modes (fun mode ->
+      let chk_zero =
+        { Flight.re_when = Flight.All [];
+          re_set = [ { Flight.set_field = "chk"; set_to = Flight.Const 0L } ] }
+      in
+      let p =
+        Pipeline.create ~mode
+          ~flight:(Flight.spec ~classify:[ always "ok" ] ~respond:[ chk_zero ] ())
+          ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
+          Fm.Arq.format
+      in
+      check_bool "derived field rejected at encode" true
+        (Pipeline.process p (arq_data ~seq:1 "x") = Rejected_encode);
+      (p, []))
 
 let pipeline_flow_eviction () =
   (* max_flows bounds the table and eviction is oldest-idle: with room for
      3 flows, touching flow 0 must protect it from the next eviction. *)
   let machine = Netdsl_proto.Arq_fsm.receiver ~seq_bits:8 in
-  let p =
-    Pipeline.create
-      ~config:{ Pipeline.default_config with max_flows = 3 }
-      ~classify:(fun _ -> Some "ok")
-      ~machine ~flow_key:"seq" Fm.Arq.format
-  in
-  let step seq =
-    check_bool "stepped" true (Pipeline.process p (arq_data ~seq "d") = Accepted)
-  in
-  step 0; step 1; step 2;
-  check_int "table full" 3 (Pipeline.flow_count p);
-  check_int "nothing evicted yet" 0 (Stats.evicted_flows (Pipeline.stats p));
-  step 0; (* touch: flow 0 becomes most recent, flow 1 the oldest idle *)
-  step 3; (* must evict flow 1, not flow 0 *)
-  check_int "still bounded" 3 (Pipeline.flow_count p);
-  check_int "one eviction" 1 (Stats.evicted_flows (Pipeline.stats p));
-  step 0; (* if LRU ignored the touch, flow 0 would be gone and this would
-             mint a new instance, evicting again *)
-  check_int "touched flow survived" 1 (Stats.evicted_flows (Pipeline.stats p))
+  Testutil.in_both_modes (fun mode ->
+      let p =
+        Pipeline.create ~mode
+          ~config:{ Pipeline.default_config with max_flows = 3 }
+          ~flight:(Flight.spec ~classify:[ always "ok" ] ~flow_key:"seq" ())
+          ~machine Fm.Arq.format
+      in
+      let step seq =
+        check_bool "stepped" true (Pipeline.process p (arq_data ~seq "d") = Accepted)
+      in
+      step 0; step 1; step 2;
+      check_int "table full" 3 (Pipeline.flow_count p);
+      check_int "nothing evicted yet" 0 (Stats.evicted_flows (Pipeline.stats p));
+      step 0; (* touch: flow 0 becomes most recent, flow 1 the oldest idle *)
+      step 3; (* must evict flow 1, not flow 0 *)
+      check_int "still bounded" 3 (Pipeline.flow_count p);
+      check_int "one eviction" 1 (Stats.evicted_flows (Pipeline.stats p));
+      step 0; (* if LRU ignored the touch, flow 0 would be gone and this would
+                 mint a new instance, evicting again *)
+      check_int "touched flow survived" 1 (Stats.evicted_flows (Pipeline.stats p));
+      (p, []))
 
 let pipeline_eviction_churn () =
   (* Adversarial churn over a max_flows-sized table: 64 flows hammered
@@ -548,132 +593,110 @@ let pipeline_eviction_churn () =
           ~actions:[ M.Assign ("n", M.Add (M.Reg "n", M.Int 1)) ]
           ~src:"s" ~event:"ok" ~dst:"s" () ]
   in
-  let observed = ref None in
-  let p =
-    Pipeline.create
-      ~config:{ Pipeline.default_config with max_flows }
-      ~classify:(fun _ -> Some "ok")
-      ~machine ~flow_key:"seq"
-      ~respond:(fun view inst ->
-        observed :=
-          Some
-            ( Netdsl_format.View.get_int view "seq",
-              Step.register_by_name inst "n" );
-        None)
-      Fm.Arq.format
-  in
-  (* reference model: seq -> count, plus MRU-first recency order *)
-  let counts = Hashtbl.create 16 in
-  let order = ref [] in
-  let evictions = ref 0 in
-  let model_touch seq =
-    match Hashtbl.find_opt counts seq with
-    | Some c ->
-      Hashtbl.replace counts seq (c + 1);
-      order := seq :: List.filter (fun s -> s <> seq) !order;
-      c + 1
-    | None ->
-      if Hashtbl.length counts = max_flows then begin
-        match List.rev !order with
-        | lru :: _ ->
-          Hashtbl.remove counts lru;
-          order := List.filter (fun s -> s <> lru) !order;
-          incr evictions
-        | [] -> assert false
-      end;
-      Hashtbl.replace counts seq 1;
-      order := seq :: !order;
-      1
-  in
-  let rng = Prng.of_int 20260806 in
-  for i = 1 to 2000 do
-    if Prng.int rng 4 = 0 then begin
-      (* malformed packets must bounce at decode without touching flows *)
-      match Pipeline.process p "\xff" with
-      | Rejected_decode _ -> ()
-      | _ -> Alcotest.fail "garbage survived decode"
-    end
-    else begin
-      let seq =
-        match Prng.int rng 3 with
-        | 0 -> i mod n_flows (* sweep: steady eviction pressure *)
-        | 1 -> Prng.int rng n_flows (* random revisits *)
-        | _ -> Prng.int rng max_flows (* hot set that should stay resident *)
+  Testutil.in_both_modes (fun mode ->
+      let p =
+        Pipeline.create ~mode
+          ~config:{ Pipeline.default_config with max_flows }
+          ~flight:(Flight.spec ~classify:[ always "ok" ] ~flow_key:"seq" ())
+          ~machine Fm.Arq.format
       in
-      let expected = model_touch seq in
-      observed := None;
-      check_bool "accepted" true (Pipeline.process p (arq_data ~seq "d") = Accepted);
-      match !observed with
-      | None -> Alcotest.fail "responder not consulted for accepted packet"
-      | Some (got_seq, got_n) ->
-        check_int "responder saw the packet's flow" seq (Int64.to_int got_seq);
-        if got_n <> expected then
-          Alcotest.failf
-            "flow %d: instance register %d, model %d — stale or lost state after \
-             %d evictions"
-            seq got_n expected !evictions
-    end
-  done;
-  check_int "table stayed bounded" max_flows (Pipeline.flow_count p);
-  check_int "evictions match the model" !evictions
-    (Stats.evicted_flows (Pipeline.stats p));
-  check_int "live flows match the model" (Hashtbl.length counts)
-    (Pipeline.flow_count p)
+      (* reference model: seq -> count, plus MRU-first recency order *)
+      let counts = Hashtbl.create 16 in
+      let order = ref [] in
+      let evictions = ref 0 in
+      let model_touch seq =
+        match Hashtbl.find_opt counts seq with
+        | Some c ->
+          Hashtbl.replace counts seq (c + 1);
+          order := seq :: List.filter (fun s -> s <> seq) !order;
+          c + 1
+        | None ->
+          if Hashtbl.length counts = max_flows then begin
+            match List.rev !order with
+            | lru :: _ ->
+              Hashtbl.remove counts lru;
+              order := List.filter (fun s -> s <> lru) !order;
+              incr evictions
+            | [] -> assert false
+          end;
+          Hashtbl.replace counts seq 1;
+          order := seq :: !order;
+          1
+      in
+      let rng = Prng.of_int 20260806 in
+      for i = 1 to 2000 do
+        if Prng.int rng 4 = 0 then begin
+          (* malformed packets must bounce at decode without touching flows *)
+          match Pipeline.process p "\xff" with
+          | Rejected_decode _ -> ()
+          | _ -> Alcotest.fail "garbage survived decode"
+        end
+        else begin
+          let seq =
+            match Prng.int rng 3 with
+            | 0 -> i mod n_flows (* sweep: steady eviction pressure *)
+            | 1 -> Prng.int rng n_flows (* random revisits *)
+            | _ -> Prng.int rng max_flows (* hot set that should stay resident *)
+          in
+          let expected = model_touch seq in
+          check_bool "accepted" true
+            (Pipeline.process p (arq_data ~seq "d") = Accepted);
+          match Pipeline.peek_flow p seq with
+          | None -> Alcotest.failf "flow %d not live after an accepted packet" seq
+          | Some inst ->
+            let got_n = Step.register_by_name inst "n" in
+            if got_n <> expected then
+              Alcotest.failf
+                "%s: flow %d: instance register %d, model %d — stale or lost \
+                 state after %d evictions"
+                (Testutil.mode_name mode)
+                seq got_n expected !evictions
+        end
+      done;
+      check_int "table stayed bounded" max_flows (Pipeline.flow_count p);
+      check_int "evictions match the model" !evictions
+        (Stats.evicted_flows (Pipeline.stats p));
+      check_int "live flows match the model" (Hashtbl.length counts)
+        (Pipeline.flow_count p);
+      (p, []))
 
 let pipeline_classify_id_fast_path () =
-  (* The id-returning classifier: negative = pass-through, a valid id
-     fires, and the opt-in hook sees the reconstructed transition. *)
+  (* The id classifier: no matching rule = pass-through, a matching rule
+     fires its interned event, and the opt-in hook sees the reconstructed
+     transition. *)
   let machine = Netdsl_proto.Arq_fsm.receiver ~seq_bits:8 in
-  let labels = ref [] in
-  let ok_id = ref (-1) in
-  let p =
-    Pipeline.create
-      ~classify_id:(fun v ->
-        if Netdsl_format.View.get_int v "kind" = 0L then !ok_id else -1)
-      ~machine ~flow_key:"seq"
-      ~on_transition:(fun tr -> labels := tr.Netdsl_fsm.Machine.t_label :: !labels)
-      Fm.Arq.format
-  in
-  let plan = Option.get (Pipeline.machine_plan p) in
-  ok_id := Netdsl_fsm.Step.event_id plan "ok";
-  check_bool "resolved" true (!ok_id >= 0);
-  check_bool "data fires" true (Pipeline.process p (arq_data ~seq:1 "x") = Accepted);
-  check_bool "ack passes through" true
-    (Pipeline.process p (Fm.Arq.to_bytes (Fm.Arq.Ack { seq = 1 })) = Accepted);
-  check_int "one flow (ack passed through)" 1 (Pipeline.flow_count p);
-  check_bool "hook saw RECV" true (!labels = [ "RECV" ]);
-  (* an id the plan does not know is refused at the step stage *)
-  let p2 =
-    Pipeline.create
-      ~classify_id:(fun _ -> 99)
-      ~machine Fm.Arq.format
-  in
-  check_bool "unknown id rejected" true
-    (Pipeline.process p2 (arq_data ~seq:1 "x") = Rejected_step)
+  Testutil.in_both_modes (fun mode ->
+      let labels = ref [] in
+      let p =
+        Pipeline.create ~mode
+          ~flight:
+            (Flight.spec
+               ~classify:[ { Flight.ev_when = kind_is 0L; ev_name = "ok" } ]
+               ~flow_key:"seq" ())
+          ~machine
+          ~on_transition:(fun tr ->
+            labels := tr.Netdsl_fsm.Machine.t_label :: !labels)
+          Fm.Arq.format
+      in
+      check_bool "data fires" true (Pipeline.process p (arq_data ~seq:1 "x") = Accepted);
+      check_bool "ack passes through" true
+        (Pipeline.process p (Fm.Arq.to_bytes (Fm.Arq.Ack { seq = 1 })) = Accepted);
+      check_int "one flow (ack passed through)" 1 (Pipeline.flow_count p);
+      check_bool "hook saw RECV" true (!labels = [ "RECV" ]);
+      (p, []));
+  (* an event the machine does not know is refused at the step stage *)
+  Testutil.in_both_modes (fun mode ->
+      let p =
+        Pipeline.create ~mode
+          ~flight:(Flight.spec ~classify:[ always "no_such_event" ] ())
+          ~machine Fm.Arq.format
+      in
+      check_bool "unknown event rejected" true
+        (Pipeline.process p (arq_data ~seq:1 "x") = Rejected_step);
+      (p, []))
 
 (* ------------------------------------------------------------------ *)
 (* Flight / fused mode *)
-
-(* The ARQ responder as a flight spec: classify data packets to the "ok"
-   event, key flows by seq, answer data with an in-place kind:=ack patch. *)
-let arq_flight =
-  Flight.spec
-    ~verify:(Flight.Cmp (Flight.Lt, Flight.Field "seq", Flight.Const 256L))
-    ~classify:
-      [ { Flight.ev_when = Flight.Cmp (Flight.Eq, Flight.Field "kind", Flight.Const 0L);
-          ev_name = "ok" } ]
-    ~flow_key:"seq"
-    ~respond:
-      [ { Flight.re_when = Flight.Cmp (Flight.Eq, Flight.Field "kind", Flight.Const 0L);
-          re_set = [ { Flight.set_field = "kind"; set_to = Flight.Const 1L } ] } ]
-    ()
-
-let outcome_tag = function
-  | Pipeline.Accepted -> "accepted"
-  | Pipeline.Rejected_decode _ -> "rejected_decode"
-  | Pipeline.Rejected_verify -> "rejected_verify"
-  | Pipeline.Rejected_step -> "rejected_step"
-  | Pipeline.Rejected_encode -> "rejected_encode"
 
 let fused_is_linear () =
   (* The ARQ format must actually take the fast tier — otherwise the
@@ -682,7 +705,7 @@ let fused_is_linear () =
     Pipeline.create ~mode:Pipeline.Fused ~flight:arq_flight
       ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8) Fm.Arq.format
   in
-  check_bool "linear tier" true (Pipeline.flight_tier p = Some `Linear)
+  check_bool "linear tier" true (Pipeline.flight_tier p = `Linear)
 
 (* The lock-step property: one flight spec, two pipelines (Staged and
    Fused), identical mixed traffic — per-packet outcomes, reply bytes and
@@ -717,18 +740,7 @@ let fused_matches_staged () =
   List.iter2
     (fun a b -> Alcotest.(check string) "same reply bytes" a b)
     !staged_replies !fused_replies;
-  check_int "same flow count" (Pipeline.flow_count staged)
-    (Pipeline.flow_count fused);
-  let ss = Pipeline.stats staged and sf = Pipeline.stats fused in
-  List.iteri
-    (fun idx name ->
-      check_int (name ^ " packets equal") (Stats.stage_packets ss idx)
-        (Stats.stage_packets sf idx);
-      check_int (name ^ " rejects equal") (Stats.stage_rejects ss idx)
-        (Stats.stage_rejects sf idx);
-      check_int (name ^ " bytes equal") (Stats.stage_bytes ss idx)
-        (Stats.stage_bytes sf idx))
-    Pipeline.stage_names
+  Testutil.check_same_counters staged fused
 
 let fused_verify_and_passthrough () =
   (* Fused semantics corners: the verify cond vetoes, acks pass through
@@ -776,32 +788,33 @@ let fused_rejected_decode_error () =
 let reply_buf_high_water_reset () =
   (* Regression: one oversized reply used to pin a big buffer forever.
      Now the buffer shrinks back once the batch's high-water mark drops. *)
-  let p =
-    Pipeline.create
-      ~classify:(fun _ -> Some "ok")
-      ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
-      ~respond_patch:(fun v _ ->
-        if Netdsl_format.View.get_int v "kind" = 0L then Some [ ("kind", 1L) ]
-        else None)
-      Fm.Arq.format
-  in
-  let base = Pipeline.reply_capacity p in
-  check_bool "small reply fits the base buffer" true
-    (Pipeline.process p (arq_data ~seq:1 "x") = Accepted
-    && Pipeline.reply_capacity p = base);
-  (* one jumbo request grows the buffer for its batch... *)
-  let jumbo = arq_data ~seq:2 (String.make 4000 'J') in
-  check_bool "jumbo accepted" true (Pipeline.process p jumbo = Accepted);
-  check_bool "buffer grew" true (Pipeline.reply_capacity p >= 4000);
-  (* ...and the next small batch lets it shrink back to the base size *)
-  check_bool "small again" true (Pipeline.process p (arq_data ~seq:3 "x") = Accepted);
-  check_int "high-water reset" base (Pipeline.reply_capacity p);
-  (* steady traffic near the buffer size must not churn it *)
-  let mid = arq_data ~seq:4 (String.make (base * 2) 'M') in
-  check_bool "mid accepted" true (Pipeline.process p mid = Accepted);
-  let grown = Pipeline.reply_capacity p in
-  check_bool "mid again" true (Pipeline.process p mid = Accepted);
-  check_int "no churn while the high-water holds" grown (Pipeline.reply_capacity p)
+  Testutil.in_both_modes (fun mode ->
+      let p =
+        Pipeline.create ~mode
+          ~flight:(Flight.spec ~classify:[ always "ok" ] ~respond:[ ack_data ] ())
+          ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
+          Fm.Arq.format
+      in
+      let base = Pipeline.reply_capacity p in
+      check_bool "small reply fits the base buffer" true
+        (Pipeline.process p (arq_data ~seq:1 "x") = Accepted
+        && Pipeline.reply_capacity p = base);
+      (* one jumbo request grows the buffer for its batch... *)
+      let jumbo = arq_data ~seq:2 (String.make 4000 'J') in
+      check_bool "jumbo accepted" true (Pipeline.process p jumbo = Accepted);
+      check_bool "buffer grew" true (Pipeline.reply_capacity p >= 4000);
+      (* ...and the next small batch lets it shrink back to the base size *)
+      check_bool "small again" true
+        (Pipeline.process p (arq_data ~seq:3 "x") = Accepted);
+      check_int "high-water reset" base (Pipeline.reply_capacity p);
+      (* steady traffic near the buffer size must not churn it *)
+      let mid = arq_data ~seq:4 (String.make (base * 2) 'M') in
+      check_bool "mid accepted" true (Pipeline.process p mid = Accepted);
+      let grown = Pipeline.reply_capacity p in
+      check_bool "mid again" true (Pipeline.process p mid = Accepted);
+      check_int "no churn while the high-water holds" grown
+        (Pipeline.reply_capacity p);
+      (p, []))
 
 let pipeline_slab_driven_both_modes () =
   (* A test-owned slab drained through [process_slab_batch] in both
@@ -813,7 +826,7 @@ let pipeline_slab_driven_both_modes () =
       let p =
         Pipeline.create ~mode ~flight:arq_flight
           ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
-          ~on_reply:(fun _ _ -> incr replies)
+          ~on_reply_slot:(fun _ _ _ -> incr replies)
           Fm.Arq.format
       in
       let slab = Slab.create ~capacity:128 () in
@@ -882,7 +895,7 @@ let stack_pipeline_serves_chain () =
       ~on_response:(fun s -> replies := s :: !replies)
       Fm.Ethernet.format
   in
-  check_bool "stacked tier" true (Pipeline.flight_tier p = Some `Stacked);
+  check_bool "stacked tier" true (Pipeline.flight_tier p = `Stacked);
   let ack = tftp_chain ~src_port:50000 (Fm.Tftp.Ack { block = 7 }) in
   check_bool "ack accepted" true (Pipeline.process p ack = Pipeline.Accepted);
   (* a read request is accepted but matches no respond rule *)
@@ -919,21 +932,13 @@ let contains_sub s sub =
 
 let stack_pipeline_red_paths () =
   (match
-     Pipeline.create ~mode:Pipeline.Fused ~stack:Fm.Stacks.inet_tftp
-       Fm.Ethernet.format
-   with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "stack without flight accepted");
-  (match
-     Pipeline.create ~stack:Fm.Stacks.inet_tftp ~flight:(Flight.spec ())
+     Pipeline.create ~mode:Pipeline.Staged ~stack:Fm.Stacks.inet_tftp
        Fm.Ethernet.format
    with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "staged stack pipeline accepted");
-  let p =
-    Pipeline.create ~mode:Pipeline.Fused ~stack:Fm.Stacks.inet_tftp
-      ~flight:(Flight.spec ()) Fm.Ethernet.format
-  in
+  (* the default spec: decode and validate the chain, nothing more *)
+  let p = Pipeline.create ~stack:Fm.Stacks.inet_tftp Fm.Ethernet.format in
   let ack = Bytes.of_string (tftp_chain (Fm.Tftp.Ack { block = 1 })) in
   (* ethertype := ARP — the chain's first demux edge must refuse, and the
      recovered error detail must name the failing layer *)
@@ -951,19 +956,18 @@ let stack_pipeline_zero_alloc () =
   let p =
     Pipeline.create ~mode:Pipeline.Fused ~stack:Fm.Stacks.inet_tftp
       ~flight:stack_flight
-      ~on_reply:(fun _ _ -> incr replies)
+      ~on_reply_slot:(fun _ _ _ -> incr replies)
       Fm.Ethernet.format
   in
-  let ack = Bytes.of_string (tftp_chain (Fm.Tftp.Ack { block = 3 })) in
-  let len = Bytes.length ack in
+  let ack = tftp_chain (Fm.Tftp.Ack { block = 3 }) in
   for _ = 1 to 100 do
     (* warm-up: sizes the reply buffer *)
-    ignore (Pipeline.process_buffer p ack ~len)
+    ignore (Pipeline.process p ack)
   done;
   let n = 10_000 in
   let before = Gc.allocated_bytes () in
   for _ = 1 to n do
-    ignore (Pipeline.process_buffer p ack ~len)
+    ignore (Pipeline.process p ack)
   done;
   let per_pkt = (Gc.allocated_bytes () -. before) /. float_of_int n in
   check_bool
@@ -1003,13 +1007,13 @@ let swt_flight =
                 set_to = Flight.Const 69L } ] } ]
     ()
 
-let swt_pipeline ?on_reply ~max_flows ~now () =
+let swt_pipeline ?on_reply_slot ~max_flows ~now () =
   Pipeline.create
     ~config:{ Pipeline.default_config with max_flows }
     ~mode:Pipeline.Fused ~stack:Fm.Stacks.inet_tftp ~flight:swt_flight
     ~machine:(Lazy.force swt_sender)
     ~clock_ms:(fun () -> !now)
-    ?on_reply Fm.Ethernet.format
+    ?on_reply_slot Fm.Ethernet.format
 
 (* DATA frames are longer than ACKs, as in the serve benchmark: the reply
    buffer must not regrow and shrink as the two alternate *)
@@ -1024,7 +1028,7 @@ let timed_churn_zero_alloc () =
   let now = ref 0 in
   let replies = ref 0 in
   let p =
-    swt_pipeline ~on_reply:(fun _ _ -> incr replies) ~max_flows:64 ~now ()
+    swt_pipeline ~on_reply_slot:(fun _ _ _ -> incr replies) ~max_flows:64 ~now ()
   in
   let rng = Prng.of_int 16 in
   let pairs = 4096 in
@@ -1129,7 +1133,10 @@ let shard_all_packets_one_worker_per_flow () =
   let config = { Shard.workers = 2; pipeline = Pipeline.default_config } in
   (* CI boxes may expose a single core: opt into oversubscription so the
      test still exercises two workers *)
-  match Shard.create ~config ~allow_oversubscribe:true ~key:"seq" Fm.Arq.format with
+  match
+    Shard.create ~config ~allow_oversubscribe:true ~key:"seq"
+      ~mode:Pipeline.Staged Fm.Arq.format
+  with
   | Error e -> Alcotest.failf "shard create: %s" e
   | Ok sh ->
     Shard.start sh;

@@ -6,11 +6,12 @@ module Fm = Netdsl_formats
 module Prng = Netdsl_util.Prng
 module Pipeline = Netdsl_engine.Pipeline
 module Flight = Netdsl_engine.Flight
+module Slab = Netdsl_engine.Slab
 module Corpus = Netdsl_check.Corpus
 module Mutate = Netdsl_check.Mutate
 module Server = Netdsl_net.Server
 module Nstats = Netdsl_net.Stats
-module Loopback = Netdsl_net.Loopback
+module Loopback = Netdsl_check.Loopback
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -52,20 +53,31 @@ let recv_timeout ?(timeout = 5.0) fd =
     Some (Bytes.sub_string buf 0 n)
 
 (* ------------------------------------------------------------------ *)
-(* process_buffer: the zero-copy batch-drain entry point *)
+(* process_slab_batch: the borrowed-buffer entry point *)
 
-let process_buffer_matches_process () =
-  let mk () =
-    Pipeline.create ~mode:Pipeline.Fused ~flight:arq_flight
-      ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8) Fm.Arq.format
+(* The socket front end's entry point against the one-packet one: a
+   caller-owned slab drained in runs of up to one batch must leave the
+   same counters, flows and reply bytes as the same packets fed one by
+   one. *)
+let slab_batch_matches_process () =
+  let machine = Netdsl_proto.Arq_fsm.receiver ~seq_bits:8 in
+  let singles_replies = ref [] and slab_replies = ref [] in
+  let singles =
+    Pipeline.create ~flight:arq_flight ~machine
+      ~on_response:(fun r -> singles_replies := r :: !singles_replies)
+      Fm.Arq.format
   in
-  let p1 = mk () and p2 = mk () in
-  let tag = function
-    | Pipeline.Accepted -> "accepted"
-    | Pipeline.Rejected_decode _ -> "rejected_decode"
-    | Pipeline.Rejected_verify -> "rejected_verify"
-    | Pipeline.Rejected_step -> "rejected_step"
-    | Pipeline.Rejected_encode -> "rejected_encode"
+  let slabbed =
+    Pipeline.create ~flight:arq_flight ~machine
+      ~on_reply_slot:(fun _ buf len ->
+        slab_replies := Bytes.sub_string buf 0 len :: !slab_replies)
+      Fm.Arq.format
+  in
+  let slab = Slab.create ~capacity:128 () in
+  let drain () =
+    let n = Slab.pop_batch slab ~max:Pipeline.default_config.batch in
+    Pipeline.process_slab_batch slabbed slab ~n;
+    Slab.release slab
   in
   let rng = Prng.of_int 7 in
   let plan = Mutate.plan Fm.Arq.format in
@@ -75,13 +87,18 @@ let process_buffer_matches_process () =
       if i mod 3 = 0 then Mutate.apply (Mutate.random plan rng valid) valid
       else valid
     in
-    (* oversize the buffer so ~len does the bounding, as a slab slot does *)
-    let buf = Bytes.make (String.length pkt + 16) '\xee' in
-    Bytes.blit_string pkt 0 buf 0 (String.length pkt);
-    check_string "same outcome"
-      (tag (Pipeline.process p1 pkt))
-      (tag (Pipeline.process_buffer p2 buf ~len:(String.length pkt)))
-  done
+    ignore (Pipeline.process singles pkt);
+    check_bool "slab slot free" true (Slab.push slab pkt);
+    (* uneven runs: a full batch, then stragglers *)
+    if Slab.length slab = Pipeline.default_config.batch || i mod 37 = 0 then
+      drain ()
+  done;
+  while Slab.length slab > 0 do
+    drain ()
+  done;
+  Testutil.check_same_counters singles slabbed;
+  Alcotest.(check (list string)) "same reply bytes" !singles_replies
+    !slab_replies
 
 (* ------------------------------------------------------------------ *)
 (* UDP round trips *)
@@ -1124,8 +1141,8 @@ let loopback_client_gives_up_in_warmup () =
 
 let suite =
   [ ( "net.pipeline",
-      [ Alcotest.test_case "process_buffer = process" `Quick
-          process_buffer_matches_process ] );
+      [ Alcotest.test_case "process_slab_batch = process" `Quick
+          slab_batch_matches_process ] );
     ( "net.server",
       [ Alcotest.test_case "udp round trip, every shipped format" `Quick
           udp_roundtrip_every_format;

@@ -10,7 +10,7 @@ module Prng = Netdsl_util.Prng
 module Step = Netdsl_fsm.Step
 module Machines = Netdsl_proto.Machines
 module Oracle = Netdsl_check.Oracle
-module Lossy = Netdsl_net.Loopback.Lossy
+module Lossy = Netdsl_check.Loopback.Lossy
 module Channel = Netdsl_sim.Channel
 
 let check_int = Alcotest.(check int)
@@ -340,19 +340,28 @@ let oracle_catches_drop_expiry () =
 
 let arq_data ~seq payload = Fm.Arq.to_bytes (Fm.Arq.Data { seq; payload })
 
-(* payload length is the event: the driver's side channel into the
-   machine, leaving seq free to be the flow key *)
-let classify_saw v =
-  match Int64.to_int (Netdsl_format.View.get_int v "len") with
-  | 1 -> Some "send"
-  | 2 -> Some "ack0"
-  | _ -> None
+(* Payload length is the event: the test's side channel into the
+   machine, leaving seq free to be the flow key.  [events] names the
+   event of each length from 1. *)
+let by_len events =
+  Flight.spec
+    ~classify:
+      (List.mapi
+         (fun i ev ->
+           { Flight.ev_when =
+               Flight.Cmp (Flight.Eq, Flight.Field "len", Flight.Const (Int64.of_int (i + 1)));
+             ev_name = ev })
+         events)
+    ~flow_key:"seq" ()
+
+let saw_flight = by_len [ "send"; "ack0" ]
 
 let pipe_virtual_clock () =
+  Testutil.in_both_modes @@ fun mode ->
   let now = ref 0 in
   let machine = Machines.stop_and_wait ~timeout_ms:100 () in
   let p =
-    Pipeline.create ~classify:classify_saw ~machine ~flow_key:"seq"
+    Pipeline.create ~mode ~flight:saw_flight ~machine
       ~clock_ms:(fun () -> !now)
       Fm.Arq.format
   in
@@ -385,13 +394,15 @@ let pipe_virtual_clock () =
   check_int "ack cancelled the timer" 1
     (Stats.timers_cancelled (Pipeline.stats p));
   check_int "unseen key peeks to None" 0
-    (match Pipeline.peek_flow p 99 with None -> 0 | Some _ -> 1)
+    (match Pipeline.peek_flow p 99 with None -> 0 | Some _ -> 1);
+  (p, [])
 
 let pipe_tick_granularity () =
+  Testutil.in_both_modes @@ fun mode ->
   let now = ref 0 in
   let machine = Machines.stop_and_wait ~timeout_ms:95 () in
   let p =
-    Pipeline.create ~classify:classify_saw ~machine ~flow_key:"seq"
+    Pipeline.create ~mode ~flight:saw_flight ~machine
       ~clock_ms:(fun () -> !now)
       ~tick_ms:10 Fm.Arq.format
   in
@@ -399,19 +410,13 @@ let pipe_tick_granularity () =
   now := 99;
   check_int "95 ms rounds up to tick 10" 0 (Pipeline.poll_timers p);
   now := 100;
-  check_int "fires on the coarse tick" 1 (Pipeline.poll_timers p)
+  check_int "fires on the coarse tick" 1 (Pipeline.poll_timers p);
+  (p, [])
 
 (* ------------------------------------------------------------------ *)
 (* Lossy loopback: success-or-timeout, never stuck                     *)
 
-let classify_window v =
-  match Int64.to_int (Netdsl_format.View.get_int v "len") with
-  | 1 -> Some "send"
-  | 2 -> Some "ack"
-  | 3 -> Some "finish"
-  | 4 -> Some "resend"
-  | 5 -> Some "nak"
-  | _ -> None
+let window_flight = by_len [ "send"; "ack"; "finish"; "resend"; "nak" ]
 
 let key_of pkt = Char.code pkt.[0]
 
@@ -435,7 +440,7 @@ let run_lossy ~style ~workers ~seed ~loss ~flows ~total ~horizon () =
   in
   let lb =
     Lossy.create ~workers ~channel:chan ~seed ~machine
-      ~classify:classify_window ~flow_key:"seq" ~key_of Fm.Arq.format
+      ~flight:window_flight ~key_of Fm.Arq.format
   in
   let cum = Array.make flows 0 in
   let prev_base = Array.make flows 0 in

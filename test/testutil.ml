@@ -12,3 +12,35 @@ let contains haystack needle =
     done;
     !found
   end
+
+module Pipeline = Netdsl_engine.Pipeline
+module Stats = Netdsl_engine.Stats
+
+(* Every stage counter, the eviction count and the flow count of two
+   pipelines fed the same traffic must agree exactly. *)
+let check_same_counters a b =
+  let check_int = Alcotest.(check int) in
+  let sa = Pipeline.stats a and sb = Pipeline.stats b in
+  List.iteri
+    (fun idx name ->
+      check_int (name ^ " packets equal") (Stats.stage_packets sa idx)
+        (Stats.stage_packets sb idx);
+      check_int (name ^ " rejects equal") (Stats.stage_rejects sa idx)
+        (Stats.stage_rejects sb idx);
+      check_int (name ^ " bytes equal") (Stats.stage_bytes sa idx)
+        (Stats.stage_bytes sb idx))
+    Pipeline.stage_names;
+  check_int "evictions equal" (Stats.evicted_flows sa) (Stats.evicted_flows sb);
+  check_int "flow count equal" (Pipeline.flow_count a) (Pipeline.flow_count b)
+
+let mode_name = function Pipeline.Staged -> "staged" | Pipeline.Fused -> "fused"
+
+(* Run [case] under the staged reference and the fused fast path: each
+   run makes its own assertions and returns its pipeline and the replies
+   it captured, which must then agree between the modes — counters and
+   reply bytes alike. *)
+let in_both_modes case =
+  let staged, staged_replies = case Pipeline.Staged in
+  let fused, fused_replies = case Pipeline.Fused in
+  check_same_counters staged fused;
+  Alcotest.(check (list string)) "same reply bytes" staged_replies fused_replies
