@@ -13,7 +13,10 @@
      [View.t], no boxed values, no per-packet allocation.  When the
      format (or a demanded field) is outside the linear subset, the fused
      path falls back to an internal reusable [View.t]: still fused
-     control flow, staged decode machinery.
+     control flow, staged decode machinery.  {!compile_stack} builds the
+     same fast path over a layered chain's registers.  The two register
+     tiers share one lowering and one assembly; every tier compiles to
+     one closure form, so the per-packet accessors never branch on it.
 
    - {e staged} derivations ({!staged_verify}, {!staged_classify_id},
      {!staged_respond_patch}): the same spec as closures over a decoded
@@ -101,48 +104,27 @@ type engine =
   | Interp of F.View.t  (* fallback: fused control flow, staged decode *)
   | Stacked of F.Stack.plan  (* fused layered chain: qualified registers *)
 
-type crule = {
-  (* classify rule: precompiled guard on each side, interned event id *)
-  c_hot : unit -> bool;
-  c_view : F.View.t -> bool;
-  c_ev : int;
-}
-
-type caction = {
-  a_patcher : (F.Emit.patcher, string) result;
-  a_field : string;
-  a_layer : int;  (* Stacked engine: owning layer index; -1 otherwise *)
-  a_hot : unit -> int64;
-  (* unboxed source for the fused tiers — [Some] whenever the value is a
-     native-int register or an in-range constant, so the applied patch
-     allocates nothing ([a_hot] is the boxing fallback) *)
-  a_hot_int : (unit -> int) option;
-  a_view : F.View.t -> int64 option;
-}
-
-type cresponse = {
-  r_hot : unit -> bool;
-  r_view : F.View.t -> bool;
-  r_set : caction array;
-}
+(* Every tier compiles to the same fused closure form: guards and the key
+   read the state of the last accepting [run], and a patch rewrites the
+   reply bytes [buf.(0 .. len-1)] in place. *)
+type patch = Bytes.t -> int -> bool
 
 type t = {
   fmt : F.Desc.t;
   sp_key : string option;
   engine : engine;
-  verify_hot : (unit -> bool) option;
-  verify_view : (F.View.t -> bool) option;
-  classify : crule array;
-  responses : cresponse array;
-  key_hot : (unit -> int) option;  (* flow key as a native int *)
-  key_view : (F.View.t -> int64 option) option;
-  has_classify : bool;
+  verify : (unit -> bool) option;
+  classify : (unit -> bool) array;
+  events : int array;  (* interned event id of each classify rule *)
+  respond : (unit -> bool) array;
+  patches : patch array array;  (* each respond rule's actions *)
+  key : unit -> int;
+  s_verify : (F.View.t -> bool) option;
+  s_classify : (F.View.t -> int) option;
+  s_respond : (F.View.t -> (string * int64) list option) option;
   mutable last_err : F.Codec.error option;
 }
 
-let apply0 f = f ()
-
-(* int-side comparison; registers are exact native ints in [0, 2^62). *)
 let cmp_int op x y =
   match op with
   | Eq -> x = y
@@ -152,253 +134,260 @@ let cmp_int op x y =
   | Gt -> x > y
   | Ge -> x >= y
 
-let cmp_i64 op x y =
-  let c = Int64.compare x y in
-  match op with
-  | Eq -> c = 0
-  | Ne -> c <> 0
-  | Lt -> c < 0
-  | Le -> c <= 0
-  | Gt -> c > 0
-  | Ge -> c >= 0
+let cmp_i64 op x y = cmp_int op (Int64.compare x y) 0
 
-let ttrue () = true
-let tfalse () = false
+(* [x op c] as [c (flip op) x] *)
+let flip = function Lt -> Gt | Le -> Ge | Gt -> Lt | Ge -> Le | (Eq | Ne) as op -> op
 
-(* ---- hot-side lowering (registers) ---- *)
+(* Index of the first guard that holds on [x], or -1.  A while-loop, not a
+   local recursive closure: this runs per packet and must not allocate. *)
+let first_true guards x =
+  let n = Array.length guards in
+  let found = ref (-1) in
+  let i = ref 0 in
+  while !found < 0 && !i < n do
+    if (Array.unsafe_get guards !i) x then found := !i;
+    incr i
+  done;
+  !found
 
-(* A constant outside native-int range can never equal a register value
-   (registers are < 2^62): fold the comparison to its known truth. *)
-let fold_high op =
-  (* register value is strictly less than the constant *)
-  match op with Eq | Gt | Ge -> tfalse | Ne | Lt | Le -> ttrue
+let rec for_all x = function [] -> true | c :: tl -> c x && for_all x tl
+let rec exists x = function [] -> false | c :: tl -> c x || exists x tl
 
-let fold_low op =
-  (* register value is strictly greater than the constant *)
-  match op with Eq | Lt | Le -> tfalse | Ne | Gt | Ge -> ttrue
-
-let int_of_const c =
-  if Int64.compare c (Int64.of_int max_int) > 0 then `High
-  else if Int64.compare c (Int64.of_int min_int) < 0 then `Low
-  else `Int (Int64.to_int c)
-
-let compile_cmp_hot h op a b =
-  let slot f = F.View.Hot.demand_slot h f in
-  match (a, b) with
-  | Field fa, Field fb ->
-    let sa = slot fa and sb = slot fb in
-    fun () -> cmp_int op (F.View.Hot.get h sa) (F.View.Hot.get h sb)
-  | Field fa, Const c -> (
-    let sa = slot fa in
-    match int_of_const c with
-    | `Int ci -> fun () -> cmp_int op (F.View.Hot.get h sa) ci
-    | `High -> fold_high op
-    | `Low -> fold_low op)
-  | Const c, Field fb -> (
-    let sb = slot fb in
-    match int_of_const c with
-    | `Int ci -> fun () -> cmp_int op ci (F.View.Hot.get h sb)
-    | `High -> fold_low op (* constant above any register value *)
-    | `Low -> fold_high op)
-  | Const ca, Const cb -> if cmp_i64 op ca cb then ttrue else tfalse
-
-let rec compile_cond_hot h = function
-  | Cmp (op, a, b) -> compile_cmp_hot h op a b
+(* The boolean structure of a condition, over any leaf lowering: [x] is
+   [()] on the register side and the decoded view on the view side. *)
+let rec lower_cond leaf = function
+  | Cmp (op, a, b) -> leaf op a b
   | All cs ->
-    let cs = List.map (compile_cond_hot h) cs in
-    fun () -> List.for_all apply0 cs
+    let cs = List.map (lower_cond leaf) cs in
+    fun x -> for_all x cs
   | Any cs ->
-    let cs = List.map (compile_cond_hot h) cs in
-    fun () -> List.exists apply0 cs
+    let cs = List.map (lower_cond leaf) cs in
+    fun x -> exists x cs
   | Not c ->
-    let c = compile_cond_hot h c in
-    fun () -> not (c ())
+    let c = lower_cond leaf c in
+    fun x -> not (c x)
 
-(* ---- stack-side lowering (chain registers) ----
+let patched = function Ok () -> true | Error _ -> false
 
-   Same shape as the hot side over [Stack.reg_get] registers, with one
-   extra rule: [reg_get] returns -1 when the accepted packet's variant
-   case does not carry the field (register values are never negative), and
-   a comparison over an absent field is [false] — the same semantics the
-   view side gives [find_int] = [None]. *)
+(* An action on a field the format cannot patch compiles, and refuses
+   every packet at the encode stage. *)
+let patch_or_refuse fmt field k =
+  match F.Emit.patcher fmt field with Ok p -> k p | Error _ -> fun _ _ -> false
 
-let stack_reg p f =
-  match F.Stack.reg p f with
-  | Ok r -> r
-  | Error e -> invalid_arg ("Flight: " ^ e)
+(* ---- register-side lowering (the [Linear] and [Stacked] tiers) ----
 
-let compile_cmp_stack p op a b =
+   [reg f] resolves field [f] once, at compile time, to a reader of its
+   native-int register after an accepting run.  A reader returns -1 when
+   the accepted packet does not carry the field (a [Stacked] variant case
+   without it; [Linear] registers are in [0, 2^62) and never do).  Then a
+   comparison is false, the key is [no_key] and a patch is refused — what
+   the view side does when [find_int] returns [None]. *)
+
+(* [c] as a native int, when it fits *)
+let to_native c =
+  let i = Int64.to_int c in
+  if Int64.equal (Int64.of_int i) c then Some i else None
+
+let rec reg_cmp reg op a b =
   match (a, b) with
   | Field fa, Field fb ->
-    let ra = stack_reg p fa and rb = stack_reg p fb in
+    let ra = reg fa and rb = reg fb in
     fun () ->
-      let x = F.Stack.reg_get p ra in
+      let x = ra () in
       x >= 0
       &&
-      let y = F.Stack.reg_get p rb in
+      let y = rb () in
       y >= 0 && cmp_int op x y
   | Field fa, Const c -> (
-    let ra = stack_reg p fa in
-    match int_of_const c with
-    | `Int ci ->
+    let ra = reg fa in
+    match to_native c with
+    | Some c ->
       fun () ->
-        let x = F.Stack.reg_get p ra in
-        x >= 0 && cmp_int op x ci
-    | `High ->
-      let k = fold_high op in
-      fun () -> F.Stack.reg_get p ra >= 0 && k ()
-    | `Low ->
-      let k = fold_low op in
-      fun () -> F.Stack.reg_get p ra >= 0 && k ())
-  | Const c, Field fb -> (
-    let rb = stack_reg p fb in
-    match int_of_const c with
-    | `Int ci ->
-      fun () ->
-        let y = F.Stack.reg_get p rb in
-        y >= 0 && cmp_int op ci y
-    | `High ->
-      let k = fold_low op in
-      fun () -> F.Stack.reg_get p rb >= 0 && k ()
-    | `Low ->
-      let k = fold_high op in
-      fun () -> F.Stack.reg_get p rb >= 0 && k ())
-  | Const ca, Const cb -> if cmp_i64 op ca cb then ttrue else tfalse
+        let x = ra () in
+        x >= 0 && cmp_int op x c
+    | None ->
+      (* outside native-int range: every register value compares to [c]
+         as 0 does *)
+      let k = cmp_i64 op 0L c in
+      fun () -> ra () >= 0 && k)
+  | Const _, Field _ -> reg_cmp reg (flip op) b a
+  | Const ca, Const cb ->
+    let k = cmp_i64 op ca cb in
+    fun () -> k
 
-let rec compile_cond_stack p = function
-  | Cmp (op, a, b) -> compile_cmp_stack p op a b
-  | All cs ->
-    let cs = List.map (compile_cond_stack p) cs in
-    fun () -> List.for_all apply0 cs
-  | Any cs ->
-    let cs = List.map (compile_cond_stack p) cs in
-    fun () -> List.exists apply0 cs
-  | Not c ->
-    let c = compile_cond_stack p c in
-    fun () -> not (c ())
+(* Patch [p] from [src] inside the window [buf.(off .. off+len-1)]. *)
+let reg_patch reg p src =
+  match src with
+  | Field f ->
+    let r = reg f in
+    fun buf off len ->
+      let v = r () in
+      v >= 0 && patched (F.Emit.patch_window_int p ~off ~len buf v)
+  | Const c -> (
+    match to_native c with
+    | Some i -> fun buf off len -> patched (F.Emit.patch_window_int p ~off ~len buf i)
+    | None -> fun buf off len -> patched (F.Emit.patch_window p ~off ~len buf c))
 
-(* ---- view-side lowering (the staged semantics, shared by the fallback
-   engine and by the staged derivations — identical by construction) ---- *)
+(* How a tier lowers the spec's leaves.  [l_action] fails only when the
+   action names no patch target of the tier. *)
+type lowering = {
+  l_cond : cond -> unit -> bool;
+  l_key : string -> unit -> int;
+  l_action : action -> (patch, string) result;
+}
 
-let compile_operand_view = function
+(* [place field] names the format, field and window an action patches:
+   [window patch] runs [patch buf off len] over the right bytes. *)
+let reg_lowering reg ~place =
+  {
+    l_cond = lower_cond (reg_cmp reg);
+    l_key =
+      (fun f ->
+        let r = reg f in
+        fun () ->
+          let v = r () in
+          if v < 0 then no_key else v);
+    l_action =
+      (fun a ->
+        Result.map
+          (fun (fmt, field, window) ->
+            patch_or_refuse fmt field (fun p -> window (reg_patch reg p a.set_to)))
+          (place a.set_field));
+  }
+
+(* ---- view-side lowering (the staged semantics, shared by the [Interp]
+   tier and by the staged derivations — identical by construction) ---- *)
+
+let view_operand = function
   | Const c -> fun _ -> Some c
   | Field f -> fun view -> F.View.find_int view f
 
 (* A comparison over a field the view cannot produce is [false]: the spec
    asked about a value the packet does not carry. *)
-let compile_cmp_view op a b =
-  let ga = compile_operand_view a and gb = compile_operand_view b in
+let view_cmp op a b =
+  let ga = view_operand a and gb = view_operand b in
   fun view ->
     match (ga view, gb view) with
     | Some x, Some y -> cmp_i64 op x y
     | _ -> false
 
-let rec compile_cond_view = function
-  | Cmp (op, a, b) -> compile_cmp_view op a b
-  | All cs ->
-    let cs = List.map compile_cond_view cs in
-    fun view -> List.for_all (fun c -> c view) cs
-  | Any cs ->
-    let cs = List.map compile_cond_view cs in
-    fun view -> List.exists (fun c -> c view) cs
-  | Not c ->
-    let c = compile_cond_view c in
-    fun view -> not (c view)
+let view_cond = lower_cond view_cmp
 
-(* ---- compile ---- *)
+(* The [Interp] tier: the view-side closures over its pooled view. *)
+let view_lowering fmt v =
+  {
+    l_cond =
+      (fun c ->
+        let c = view_cond c in
+        fun () -> c v);
+    l_key =
+      (fun f () ->
+        match F.View.find_int v f with None -> no_key | Some k -> Int64.to_int k);
+    l_action =
+      (fun a ->
+        let src = view_operand a.set_to in
+        Ok
+          (patch_or_refuse fmt a.set_field (fun p buf len ->
+               match src v with
+               | None -> false
+               | Some x -> patched (F.Emit.patch_window p ~off:0 ~len buf x))));
+  }
 
-let compile ?plan fmt sp =
-  let demand = spec_fields sp in
-  let engine =
-    match F.View.Hot.compile ~demand fmt with
-    | Ok h -> Linear h
-    | Error _ -> Interp (F.View.create fmt)
+(* ---- one assembly for every tier ---- *)
+
+let rec map_result f = function
+  | [] -> Ok []
+  | x :: tl ->
+    Result.bind (f x) (fun y ->
+        Result.bind (map_result f tl) (fun tl -> Ok (y :: tl)))
+
+let assemble ?plan ~fmt ~engine ~staged low sp =
+  let ( let* ) = Result.bind in
+  let* patches =
+    map_result
+      (fun r -> Result.map Array.of_list (map_result low.l_action r.re_set))
+      sp.sp_respond
   in
-  let hot_of cond =
-    match engine with
-    | Linear h -> compile_cond_hot h cond
-    (* never consulted on the fallback engine; [Stacked] never reaches
-       here — it is built only by [compile_stack] *)
-    | Interp _ | Stacked _ -> ttrue
-  in
-  let event_of name =
+  let event_of r =
     match plan with
     | None -> unknown_event
     | Some p ->
-      let id = Fsm.Step.event_id p name in
+      let id = Fsm.Step.event_id p r.ev_name in
       if id < 0 then unknown_event else id
   in
-  let classify =
-    Array.of_list
-      (List.map
-         (fun r ->
-           { c_hot = hot_of r.ev_when;
-             c_view = compile_cond_view r.ev_when;
-             c_ev = event_of r.ev_name })
-         sp.sp_classify)
+  let events = Array.of_list (List.map event_of sp.sp_classify) in
+  let classify_when = List.map (fun r -> r.ev_when) sp.sp_classify
+  and respond_when = List.map (fun r -> r.re_when) sp.sp_respond in
+  let guards lower whens = Array.of_list (List.map lower whens) in
+  let s_classify =
+    let guards = guards view_cond classify_when in
+    fun view ->
+      let i = first_true guards view in
+      if i < 0 then -1 else events.(i)
   in
-  let compile_action a =
-    let a_hot =
-      match (engine, a.set_to) with
-      | Linear h, Field f ->
-        let s = F.View.Hot.demand_slot h f in
-        fun () -> Int64.of_int (F.View.Hot.get h s)
-      | _, Const c -> fun () -> c
-      | (Interp _ | Stacked _), Field _ -> fun () -> 0L (* never consulted *)
+  let s_respond =
+    let guards = guards view_cond respond_when in
+    let sets =
+      Array.of_list
+        (List.map
+           (fun r -> List.map (fun a -> (a.set_field, view_operand a.set_to)) r.re_set)
+           sp.sp_respond)
     in
-    let a_hot_int =
-      match (engine, a.set_to) with
-      | Linear h, Field f ->
+    fun view ->
+      let i = first_true guards view in
+      if i < 0 then None
+      else
+        Some
+          (List.map
+             (fun (field, src) ->
+               match src view with
+               | Some v -> (field, v)
+               | None ->
+                 (* source field absent: an impossible mutation, so the
+                    staged encode stage rejects the packet as the fused
+                    [apply] does *)
+                 ("", 0L))
+             sets.(i))
+  in
+  let staged_if armed f = if staged && armed then Some f else None in
+  Ok
+    {
+      fmt;
+      sp_key = sp.sp_flow_key;
+      engine;
+      verify = Option.map low.l_cond sp.sp_verify;
+      classify = guards low.l_cond classify_when;
+      events;
+      respond = guards low.l_cond respond_when;
+      patches = Array.of_list patches;
+      key =
+        (match sp.sp_flow_key with None -> fun () -> no_key | Some f -> low.l_key f);
+      s_verify = (if staged then Option.map view_cond sp.sp_verify else None);
+      s_classify = staged_if (sp.sp_classify <> []) s_classify;
+      s_respond = staged_if (sp.sp_respond <> []) s_respond;
+      last_err = None;
+    }
+
+(* ---- compile ---- *)
+
+let whole_message patch buf len = patch buf 0 len
+
+let compile ?plan fmt sp =
+  let engine, low =
+    match F.View.Hot.compile ~demand:(spec_fields sp) fmt with
+    | Ok h ->
+      let reg f =
         let s = F.View.Hot.demand_slot h f in
-        Some (fun () -> F.View.Hot.get h s)
-      | _, Const c -> (
-        match int_of_const c with
-        | `Int ci -> Some (fun () -> ci)
-        | `High | `Low -> None)
-      | (Interp _ | Stacked _), Field _ -> None
-    in
-    { a_patcher = F.Emit.patcher fmt a.set_field;
-      a_field = a.set_field;
-      a_layer = -1;
-      a_hot;
-      a_hot_int;
-      a_view = compile_operand_view a.set_to }
-  in
-  let responses =
-    Array.of_list
-      (List.map
-         (fun r ->
-           { r_hot = hot_of r.re_when;
-             r_view = compile_cond_view r.re_when;
-             r_set = Array.of_list (List.map compile_action r.re_set) })
-         sp.sp_respond)
-  in
-  let key_hot, key_view =
-    match sp.sp_flow_key with
-    | None -> (None, None)
-    | Some f ->
-      let hot =
-        match engine with
-        | Linear h ->
-          let s = F.View.Hot.demand_slot h f in
-          Some (fun () -> F.View.Hot.get h s)
-        | Interp _ | Stacked _ -> None
+        fun () -> F.View.Hot.get h s
       in
-      (hot, Some (fun view -> F.View.find_int view f))
+      (Linear h, reg_lowering reg ~place:(fun f -> Ok (fmt, f, whole_message)))
+    | Error _ ->
+      let v = F.View.create fmt in
+      (Interp v, view_lowering fmt v)
   in
-  {
-    fmt;
-    sp_key = sp.sp_flow_key;
-    engine;
-    verify_hot = Option.map hot_of sp.sp_verify;
-    verify_view = Option.map compile_cond_view sp.sp_verify;
-    classify;
-    responses;
-    key_hot;
-    key_view;
-    has_classify = sp.sp_classify <> [];
-    last_err = None;
-  }
+  (* both single-format lowerings place every action *)
+  Result.get_ok (assemble ?plan ~fmt ~engine ~staged:true low sp)
 
 (* ---- compile against a layered stack ----
 
@@ -408,111 +397,37 @@ let compile ?plan fmt sp =
    side — chains are a fused-only construct, diffed against the
    sequential {!Stack.Seq} reference by the chain oracle instead. *)
 
-let split_qualified f =
-  match String.index_opt f '.' with
-  | None ->
-    Error (Printf.sprintf "field %S is not a qualified layer.field name" f)
-  | Some i ->
-    Ok (String.sub f 0 i, String.sub f (i + 1) (String.length f - i - 1))
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: tl ->
-    Result.bind (f x) (fun y ->
-        Result.bind (map_result f tl) (fun tl -> Ok (y :: tl)))
-
 let compile_stack ?plan stack sp =
   let ( let* ) = Result.bind in
   let* p = F.Stack.compile ~demand:(spec_fields sp) stack in
-  let stack_of cond = compile_cond_stack p cond in
-  let event_of name =
-    match plan with
-    | None -> unknown_event
-    | Some mp ->
-      let id = Fsm.Step.event_id mp name in
-      if id < 0 then unknown_event else id
+  let reg f =
+    match F.Stack.reg p f with
+    | Ok r -> fun () -> F.Stack.reg_get p r
+    | Error e -> invalid_arg ("Flight: " ^ e)
   in
-  let classify =
-    Array.of_list
-      (List.map
-         (fun r ->
-           { c_hot = stack_of r.ev_when;
-             c_view = (fun _ -> false);
-             c_ev = event_of r.ev_name })
-         sp.sp_classify)
-  in
-  let compile_action a =
-    let* lname, fname = split_qualified a.set_field in
-    let* idx =
-      match F.Stack.layer_index p lname with
+  let place f =
+    let* i =
+      match String.index_opt f '.' with
+      | None -> Error (Printf.sprintf "field %S is not a qualified layer.field name" f)
       | Some i -> Ok i
-      | None ->
-        Error
-          (Printf.sprintf "respond: %S names no layer of stack %s" a.set_field
-             (F.Stack.name (F.Stack.stack p)))
     in
-    let a_hot =
-      match a.set_to with
-      | Const c -> fun () -> c
-      | Field f ->
-        (* an absent source reads -1, which the patcher refuses as
-           out-of-range — the respond fails, exactly as the staged path's
-           impossible ("", 0) patch would *)
-        let r = stack_reg p f in
-        fun () -> Int64.of_int (F.Stack.reg_get p r)
-    in
-    let a_hot_int =
-      match a.set_to with
-      | Const c -> (
-        match int_of_const c with
-        | `Int ci -> Some (fun () -> ci)
-        | `High | `Low -> None)
-      | Field f ->
-        let r = stack_reg p f in
-        Some (fun () -> F.Stack.reg_get p r)
-    in
-    Ok
-      { a_patcher = F.Emit.patcher (F.Stack.layer_fmt p idx) fname;
-        a_field = a.set_field;
-        a_layer = idx;
-        a_hot;
-        a_hot_int;
-        a_view = (fun _ -> None) }
+    let lname = String.sub f 0 i
+    and field = String.sub f (i + 1) (String.length f - i - 1) in
+    match F.Stack.layer_index p lname with
+    | None ->
+      Error
+        (Printf.sprintf "respond: %S names no layer of stack %s" f
+           (F.Stack.name (F.Stack.stack p)))
+    | Some idx ->
+      (* the reply buffer is a byte copy of the accepted request, so the
+         chain's recorded layer windows are valid patch targets *)
+      let window patch buf _ =
+        patch buf (F.Stack.layer_off p idx) (F.Stack.layer_len p idx)
+      in
+      Ok (F.Stack.layer_fmt p idx, field, window)
   in
-  let* responses =
-    map_result
-      (fun r ->
-        let* set = map_result compile_action r.re_set in
-        Ok
-          { r_hot = stack_of r.re_when;
-            r_view = (fun _ -> false);
-            r_set = Array.of_list set })
-      sp.sp_respond
-  in
-  let key_hot =
-    match sp.sp_flow_key with
-    | None -> None
-    | Some f ->
-      let r = stack_reg p f in
-      Some
-        (fun () ->
-          let v = F.Stack.reg_get p r in
-          if v < 0 then no_key else v)
-  in
-  Ok
-    {
-      fmt = F.Stack.layer_fmt p 0;
-      sp_key = sp.sp_flow_key;
-      engine = Stacked p;
-      verify_hot = Option.map stack_of sp.sp_verify;
-      verify_view = None;
-      classify;
-      responses = Array.of_list responses;
-      key_hot;
-      key_view = None;
-      has_classify = sp.sp_classify <> [];
-      last_err = None;
-    }
+  assemble ?plan ~fmt:(F.Stack.layer_fmt p 0) ~engine:(Stacked p) ~staged:false
+    (reg_lowering reg ~place) sp
 
 let tier t =
   match t.engine with
@@ -546,160 +461,46 @@ let run t ?(off = 0) ?len data =
   run_window t ~off ~len data
 
 let last_error t = t.last_err
-
-let verify_armed t = t.verify_view <> None || t.verify_hot <> None
-
-let verify_ok t =
-  match t.engine with
-  | Linear _ | Stacked _ -> (
-    match t.verify_hot with None -> true | Some c -> c ())
-  | Interp v -> ( match t.verify_view with None -> true | Some c -> c v)
-
-let classify_armed t = t.has_classify
+let verify_armed t = t.verify <> None
+let verify_ok t = match t.verify with None -> true | Some c -> c ()
+let classify_armed t = Array.length t.classify > 0
 
 (* First matching rule wins; no match means the packet does not concern
    the machine (pass-through, -1) — same contract as the staged
    classifier closure. *)
 let event t =
-  (* while-loops, not a local recursive closure: this runs per packet on
-     the fused fast path and must not allocate *)
-  let arr = t.classify in
-  let n = Array.length arr in
-  let found = ref (-1) in
-  let i = ref 0 in
-  (match t.engine with
-  | Linear _ | Stacked _ ->
-    while !found < 0 && !i < n do
-      if (Array.unsafe_get arr !i).c_hot () then
-        found := (Array.unsafe_get arr !i).c_ev;
-      incr i
-    done
-  | Interp v ->
-    while !found < 0 && !i < n do
-      if (Array.unsafe_get arr !i).c_view v then
-        found := (Array.unsafe_get arr !i).c_ev;
-      incr i
-    done);
-  !found
+  let i = first_true t.classify () in
+  if i < 0 then -1 else Array.unsafe_get t.events i
 
 (* Flow key as a native int; [no_key] = [min_int] means "no key on this
    packet" (fall back to the shared default instance, as the staged path
    does when [find_int] returns [None]).  Wide keys are truncated by
    [Int64.to_int] identically in both modes. *)
+let flow_key t = t.key ()
 
-let flow_key t =
-  match t.engine with
-  | Linear _ | Stacked _ -> (
-    match t.key_hot with None -> no_key | Some k -> k ())
-  | Interp v -> (
-    match t.key_view with
-    | None -> no_key
-    | Some k -> ( match k v with None -> no_key | Some k -> Int64.to_int k))
-
-let response t =
-  let arr = t.responses in
-  let n = Array.length arr in
-  let found = ref (-1) in
-  let i = ref 0 in
-  (match t.engine with
-  | Linear _ | Stacked _ ->
-    while !found < 0 && !i < n do
-      if (Array.unsafe_get arr !i).r_hot () then found := !i;
-      incr i
-    done
-  | Interp v ->
-    while !found < 0 && !i < n do
-      if (Array.unsafe_get arr !i).r_view v then found := !i;
-      incr i
-    done);
-  !found
+let response t = first_true t.respond ()
 
 let apply t idx buf ~len =
-  let r = t.responses.(idx) in
-  let n = Array.length r.r_set in
+  let set = t.patches.(idx) in
+  let n = Array.length set in
   let ok = ref true in
   let i = ref 0 in
   while !ok && !i < n do
-    let a = r.r_set.(!i) in
-    (match a.a_patcher with
-    | Error _ -> ok := false
-    | Ok p -> (
-      match t.engine with
-      | Linear _ -> (
-        let r =
-          match a.a_hot_int with
-          | Some g -> F.Emit.patch_window_int p ~off:0 ~len buf (g ())
-          | None -> F.Emit.patch_window p ~off:0 ~len buf (a.a_hot ())
-        in
-        match r with Ok () -> () | Error _ -> ok := false)
-      | Stacked sp -> (
-        (* the reply buffer is a byte copy of the accepted request, so the
-           chain's recorded layer windows are valid patch targets *)
-        let loff = F.Stack.layer_off sp a.a_layer
-        and llen = F.Stack.layer_len sp a.a_layer in
-        let r =
-          match a.a_hot_int with
-          | Some g -> F.Emit.patch_window_int p ~off:loff ~len:llen buf (g ())
-          | None -> F.Emit.patch_window p ~off:loff ~len:llen buf (a.a_hot ())
-        in
-        match r with Ok () -> () | Error _ -> ok := false)
-      | Interp view -> (
-        match a.a_view view with
-        | None -> ok := false
-        | Some v -> (
-          match F.Emit.patch_window p ~off:0 ~len buf v with
-          | Ok () -> ()
-          | Error _ -> ok := false))));
+    ok := (Array.unsafe_get set !i) buf len;
     incr i
   done;
   !ok
 
-let n_responses t = Array.length t.responses
+let n_responses t = Array.length t.respond
 
 (* ---- staged derivations ----
 
    The same spec as closures over a decoded view, for the staged
-   reference executor.  These consult only the view-side lowering, which the fallback engine
-   shares verbatim — so Staged and the Interp-tier Fused path are the
-   same code, and the Linear tier is diffed against it by the oracle. *)
+   reference executor.  These are the view-side lowering, which the
+   [Interp] tier wraps verbatim — so Staged and the Interp-tier Fused path
+   are the same code, and the register tiers are diffed against it by the
+   oracle. *)
 
-let is_stacked t = match t.engine with Stacked _ -> true | _ -> false
-let staged_verify t = t.verify_view
-
-let staged_classify_id t =
-  if (not t.has_classify) || is_stacked t then None
-  else
-    Some
-      (fun view ->
-        let n = Array.length t.classify in
-        let rec go i =
-          if i >= n then -1
-          else if t.classify.(i).c_view view then t.classify.(i).c_ev
-          else go (i + 1)
-        in
-        go 0)
-
-let staged_respond_patch t =
-  if Array.length t.responses = 0 || is_stacked t then None
-  else
-    Some
-      (fun view ->
-        let n = Array.length t.responses in
-        let rec pick i =
-          if i >= n then None
-          else if t.responses.(i).r_view view then Some t.responses.(i)
-          else pick (i + 1)
-        in
-        match pick 0 with
-        | None -> None
-        | Some r ->
-          Some
-            (Array.to_list r.r_set
-            |> List.map (fun a ->
-                   match a.a_view view with
-                   | Some v -> (a.a_field, v)
-                   | None ->
-                     (* source field absent: emit an impossible mutation
-                        so the staged encode stage rejects the packet,
-                        exactly as the fused [apply] does *)
-                     ("", 0L))))
+let staged_verify t = t.s_verify
+let staged_classify_id t = t.s_classify
+let staged_respond_patch t = t.s_respond

@@ -15,7 +15,15 @@
     native-int registers in one pass with no [View.t] and no per-packet
     allocation (the [`Linear] tier).  Otherwise it falls back to an
     internal reusable view ([`Interp] tier): fused control flow, staged
-    decode machinery, identical acceptance either way.
+    decode machinery, identical acceptance either way.  {!compile_stack}
+    builds the [`Stacked] tier over a layered chain's registers.
+
+    The [`Linear] and [`Stacked] tiers share one lowering of conditions,
+    flow key and respond actions onto a register read.  A register read
+    of [-1] means the accepted packet does not carry the field: a
+    comparison on it is [false], the key is {!no_key}, and a patch from
+    it is refused.  The [`Interp] tier runs the view-side (staged)
+    closures over its pooled view.
 
     §3.4 ordering: {!run} completes {e all} syntactic validation before
     any field is surfaced, and the pipeline consults {!verify_ok} before
@@ -80,10 +88,11 @@ val compile_stack :
     single format.  Every field the spec mentions must be a qualified
     ["layer.field"] name; conditions and keys read the chain's fused
     native-int registers (a field absent from the accepted packet's
-    variant case compares [false], as on the view side), and respond
-    actions patch inside the owning layer's recorded window.  Fails when
-    the stack cannot be fused, a demanded register cannot be extracted, or
-    an action names an unknown layer.  The resulting plan is the
+    variant case compares [false], keys to {!no_key} and refuses a
+    patch, as on the view side), and respond actions patch inside the
+    owning layer's recorded window.  Fails when the stack cannot be
+    fused, a demanded register cannot be extracted, or an action names
+    an unknown layer.  The resulting plan is the
     [`Stacked] tier: fused-only — the staged derivations return [None]
     (the chain's ground truth is {!Netdsl_format.Stack.Seq}, diffed by the
     [lib/check] chain oracle). *)
@@ -152,9 +161,10 @@ val apply : t -> int -> Bytes.t -> len:int -> bool
 
     The spec as closures over a decoded {!Netdsl_format.View}: the
     pipeline's [Staged] reference executor runs these, one stage at a
-    time, so it shares the fused plan's source of truth but not its
-    code.  [None] when the spec leaves that stage empty, and for a
-    [`Stacked] plan. *)
+    time, so it shares the fused plan's source of truth.  The [`Interp]
+    tier's fused closures wrap these same closures; the register tiers
+    share only the spec.  [None] when the spec leaves that stage empty,
+    and for a [`Stacked] plan. *)
 
 val staged_verify : t -> (Netdsl_format.View.t -> bool) option
 

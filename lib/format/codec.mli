@@ -11,7 +11,13 @@
 
     The encoder is the inverse: derived fields (computed values, checksums)
     are filled in by the codec itself, so a caller cannot emit a packet with
-    a wrong length or checksum. *)
+    a wrong length or checksum.
+
+    Role: the {e reference executor} for formats.  No serving path runs
+    it per packet — the engine decodes with the compiled {!View} plans and
+    replies with {!Emit} patchers, and the differential oracle
+    ([Netdsl_check.Oracle]) diffs both against this interpreter.  It stays
+    the value-level API for tools, tests and the typed format helpers. *)
 
 type path = string list
 (** Field path from the message root, outermost first. *)

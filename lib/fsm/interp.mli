@@ -5,7 +5,12 @@
     refuses events that no guard admits in the current configuration
     (soundness at runtime) and reports nondeterminism instead of picking
     silently.  Hooks give the "behavioural hooks ... to allow adaptive
-    behaviour" of §2.2: external policy can observe every transition. *)
+    behaviour" of §2.2: external policy can observe every transition.
+
+    Role: the {e reference executor} for machines.  The engine steps
+    flows with the compiled {!Step} plans; the Step-vs-Interp trace
+    lock-step ([Netdsl_check.Trace_fuzz]) diffs them against this
+    interpreter, which also backs [netdsl run]'s named-event walks. *)
 
 type error =
   | Unknown_event of string

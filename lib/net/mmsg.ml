@@ -37,7 +37,6 @@ module For_testing = struct
   [@@noalloc]
 end
 
-external set_addr : t -> int -> Unix.sockaddr -> unit = "netdsl_mmsg_set_addr"
 external addr : t -> int -> Unix.sockaddr = "netdsl_mmsg_addr"
 
 let eagain = -1

@@ -95,10 +95,6 @@ module For_testing : sig
       datagram per message and stops grouping on this batch. *)
 end
 
-val set_addr : t -> int -> Unix.sockaddr -> unit
-(** Store an [ADDR_INET] destination in a C slot (the batched client's
-    fixed peer). *)
-
 val addr : t -> int -> Unix.sockaddr
 (** Rebuild C slot [i]'s stored address as a [Unix.sockaddr]
     (allocates — sharded steering's per-packet sinks only). *)

@@ -370,37 +370,6 @@ CAMLprim value netdsl_mmsg_refuse_groups(value vbatch, value von)
   return Val_unit;
 }
 
-/* set_addr batch i sockaddr: store an ADDR_INET destination in slot i
- * (the batched client's fixed server address). */
-CAMLprim value netdsl_mmsg_set_addr(value vbatch, value vi, value vsa)
-{
-  CAMLparam3(vbatch, vi, vsa);
-  struct netdsl_batch *b = Batch_val(vbatch);
-  int i = Int_val(vi);
-  if (i < 0 || i >= b->cap) caml_invalid_argument("Mmsg.set_addr: bad slot");
-  if (Is_long(vsa) || Tag_val(vsa) != 1)
-    caml_invalid_argument("Mmsg.set_addr: ADDR_INET expected");
-  value vaddr = Field(vsa, 0);
-  int port = Int_val(Field(vsa, 1));
-  mlsize_t alen = caml_string_length(vaddr);
-  memset(&b->addrs[i], 0, sizeof(struct sockaddr_storage));
-  if (alen == 4) {
-    struct sockaddr_in *sin = (struct sockaddr_in *)&b->addrs[i];
-    sin->sin_family = AF_INET;
-    sin->sin_port = htons(port);
-    memcpy(&sin->sin_addr, Bytes_val(vaddr), 4);
-    b->addrlens[i] = sizeof(struct sockaddr_in);
-  } else if (alen == 16) {
-    struct sockaddr_in6 *sin6 = (struct sockaddr_in6 *)&b->addrs[i];
-    sin6->sin6_family = AF_INET6;
-    sin6->sin6_port = htons(port);
-    memcpy(&sin6->sin6_addr, Bytes_val(vaddr), 16);
-    b->addrlens[i] = sizeof(struct sockaddr_in6);
-  } else
-    caml_invalid_argument("Mmsg.set_addr: bad inet address length");
-  CAMLreturn(Val_unit);
-}
-
 /* addr batch i: rebuild slot i's source address as a Unix.sockaddr
  * (ADDR_INET: tag-1 block of inet_addr string + port) for the sharded
  * steering path's per-packet sinks. */
@@ -616,12 +585,6 @@ CAMLprim value netdsl_mmsg_gso_available(value vunit)
 CAMLprim value netdsl_mmsg_refuse_groups(value a, value b)
 {
   (void)a; (void)b;
-  return Val_unit;
-}
-
-CAMLprim value netdsl_mmsg_set_addr(value a, value b, value c)
-{
-  (void)a; (void)b; (void)c;
   return Val_unit;
 }
 

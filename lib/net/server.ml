@@ -537,8 +537,8 @@ let timeout_ms t deadline =
       match deadline with
       | None -> 200
       | Some dl ->
-        let tl = dl -. Unix.gettimeofday () in
-        if tl <= 0. then 0 else min 200 (int_of_float (Float.ceil (tl *. 1000.)))
+        let tl = dl - Mmsg.now_ns () in
+        if tl <= 0 then 0 else min 200 ((tl + 999_999) / 1_000_000)
     in
     (* sleep no longer than the engine's next armed deadline: an idle
        socket must not delay a retransmission timer by the idle cap *)
@@ -556,10 +556,11 @@ let run ?max_packets ?duration t =
   Array.iter (fun l -> Stats.reset_highwater l.l_stats) t.s_ls;
   Stats.reset_highwater t.s_loop;
   let budget = match max_packets with None -> max_int | Some m -> m in
+  (* monotonic: a wall-clock step must not stretch or cut the run *)
   let deadline =
     match duration with
     | None -> None
-    | Some d -> Some (Unix.gettimeofday () +. d)
+    | Some d -> Some (Mmsg.now_ns () + int_of_float (d *. 1e9))
   in
   let n_run = ref 0 in
   let fin = ref false in
@@ -573,7 +574,7 @@ let run ?max_packets ?duration t =
       && (!n_run >= budget
          || match deadline with
             | None -> false
-            | Some dl -> Unix.gettimeofday () >= dl)
+            | Some dl -> Mmsg.now_ns () >= dl)
     then fin := true
     else begin
       let timeout_ms = if stopping then 0 else timeout_ms t deadline in

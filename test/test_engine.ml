@@ -785,6 +785,67 @@ let fused_rejected_decode_error () =
   | Pipeline.Rejected_decode _ -> ()
   | o -> Alcotest.failf "expected decode reject, got %s" (outcome_tag o)
 
+(* The Interp tier: ICMP's variant body keeps it off the linear fast path,
+   so its fused closures run the view-side lowering over the flight's
+   pooled view.  A responder stamping each echo request's code (checksum
+   repaired incrementally) behind a verify predicate, fed valid packets
+   and structure-aware mutants, must agree with the staged reference.
+   (The variant tag icmp_type itself is not patchable: the body's case is
+   derived from it.) *)
+let interp_tier_matches_staged () =
+  let echo_flight =
+    Flight.spec
+      ~verify:(Flight.Cmp (Flight.Eq, Flight.Field "code", Flight.Const 0L))
+      ~respond:
+        [ { Flight.re_when =
+              Flight.Cmp (Flight.Eq, Flight.Field "icmp_type", Flight.Const 8L);
+            re_set = [ { Flight.set_field = "code"; set_to = Flight.Const 1L } ] } ]
+      ()
+  in
+  let encode v = Netdsl_format.Codec.encode_exn Fm.Icmp.format v in
+  let rng = Prng.of_int 23 in
+  let mplan = Netdsl_check.Mutate.plan Fm.Icmp.format in
+  let pkts =
+    List.init 600 (fun i ->
+        let id = Prng.int rng 0x10000 and data = String.make (Prng.int rng 24) 'e' in
+        let request = encode (Fm.Icmp.echo_request ~id ~seq:i ~data) in
+        match i mod 5 with
+        | 0 -> encode (Fm.Icmp.echo_reply ~id ~seq:i ~data)
+        | 1 | 2 ->
+          Netdsl_check.Mutate.apply
+            (Netdsl_check.Mutate.random mplan rng request)
+            request
+        | _ -> request)
+  in
+  let answered = ref 0 in
+  Testutil.in_both_modes (fun mode ->
+      let replies = ref [] in
+      let p =
+        Pipeline.create ~mode ~flight:echo_flight
+          ~on_response:(fun s -> replies := s :: !replies)
+          Fm.Icmp.format
+      in
+      if mode = Pipeline.Fused then
+        check_bool "interp tier" true (Pipeline.flight_tier p = `Interp);
+      List.iter (fun pkt -> ignore (Pipeline.process p pkt)) pkts;
+      let s = Pipeline.stats p in
+      check_bool "some mutants rejected at decode" true
+        (Stats.stage_rejects s (Stats.stage_index s "decode") > 0);
+      List.iter
+        (fun reply ->
+          match Netdsl_format.Codec.decode Fm.Icmp.format reply with
+          | Ok v ->
+            check_int "reply is an echo request" 8
+              (Netdsl_format.Value.get_int v "icmp_type");
+            check_int "reply code stamped" 1 (Netdsl_format.Value.get_int v "code")
+          | Error e ->
+            Alcotest.failf "patched reply does not decode: %s"
+              (Netdsl_format.Codec.error_to_string e))
+        !replies;
+      answered := List.length !replies;
+      (p, List.rev !replies));
+  check_bool "echo requests answered" true (!answered >= 200)
+
 let reply_buf_high_water_reset () =
   (* Regression: one oversized reply used to pin a big buffer forever.
      Now the buffer shrinks back once the batch's high-water mark drops. *)
@@ -950,6 +1011,71 @@ let stack_pipeline_red_paths () =
       (Printf.sprintf "reason names the layer (%s)" reason)
       true (contains_sub reason "ethernet")
   | o -> Alcotest.failf "expected layered decode reject, got %s" (outcome_tag o)
+
+(* The register-side convention for a field the accepted packet does not
+   carry (the chain register reads -1): on a read request, which has no
+   [tftp.block], a verify comparison on it is false, a flow key on it
+   selects the shared default instance, and a patch sourced from it is
+   refused at the encode stage. *)
+let stack_absent_field_convention () =
+  let block = Flight.Field "tftp.block" in
+  let ack = tftp_chain ~src_port:50000 (Fm.Tftp.Ack { block = 7 }) in
+  let rrq = tftp_chain (Fm.Tftp.Rrq { filename = "f"; mode = "octet" }) in
+  let stacked ?machine ?on_response flight =
+    let p =
+      Pipeline.create ~mode:Pipeline.Fused ~stack:Fm.Stacks.inet_tftp ~flight
+        ?machine ?on_response Fm.Ethernet.format
+    in
+    check_bool "stacked tier" true (Pipeline.flight_tier p = `Stacked);
+    p
+  in
+  (* verify: [block <= 65535] holds for every carried value *)
+  let p =
+    stacked (Flight.spec ~verify:(Flight.Cmp (Flight.Le, block, Flight.Const 65535L)) ())
+  in
+  check_bool "present field verifies" true (Pipeline.process p ack = Accepted);
+  check_bool "absent field compares false" true
+    (Pipeline.process p rrq = Rejected_verify);
+  let p = stacked (Flight.spec ~verify:(Flight.Cmp (Flight.Eq, block, block)) ()) in
+  check_bool "field-to-field comparison on an absent field is false" true
+    (Pipeline.process p rrq = Rejected_verify);
+  (* flow key: the absent key is the default instance, not a flow keyed -1 *)
+  let module M = Netdsl_fsm.Machine in
+  let counter =
+    M.machine ~name:"counter" ~states:[ "s" ] ~events:[ "ok" ]
+      ~registers:[ M.reg "n" ~init:0 ~domain:65536 ]
+      ~initial:"s"
+      [ M.trans ~label:"COUNT"
+          ~actions:[ M.Assign ("n", M.Add (M.Reg "n", M.Int 1)) ]
+          ~src:"s" ~event:"ok" ~dst:"s" () ]
+  in
+  let p =
+    stacked ~machine:counter
+      (Flight.spec ~classify:[ always "ok" ] ~flow_key:"tftp.block" ())
+  in
+  check_bool "ack stepped" true (Pipeline.process p ack = Accepted);
+  check_bool "rrq stepped" true (Pipeline.process p rrq = Accepted);
+  check_int "only the ack minted a flow" 1 (Pipeline.flow_count p);
+  check_bool "ack keyed by its block" true (Pipeline.peek_flow p 7 <> None);
+  check_bool "no flow keyed -1" true (Pipeline.peek_flow p (-1) = None);
+  (* respond: a patch sourced from the absent field is refused *)
+  let replies = ref [] in
+  let p =
+    stacked ~on_response:(fun s -> replies := s :: !replies)
+      (Flight.spec
+         ~respond:
+           [ { Flight.re_when = Flight.All [];
+               re_set = [ { Flight.set_field = "udp.src_port"; set_to = block } ] } ]
+         ())
+  in
+  check_bool "ack answered" true (Pipeline.process p ack = Accepted);
+  check_bool "absent source rejected at encode" true
+    (Pipeline.process p rrq = Rejected_encode);
+  match !replies with
+  | [ reply ] ->
+    check_int "reply source port is the block" 7
+      ((Char.code reply.[34] lsl 8) lor Char.code reply.[35])
+  | l -> Alcotest.failf "expected one reply, got %d" (List.length l)
 
 let stack_pipeline_zero_alloc () =
   let replies = ref 0 in
@@ -1604,6 +1730,8 @@ let suite =
           fused_verify_and_passthrough;
         Alcotest.test_case "decode error recovered" `Quick
           fused_rejected_decode_error;
+        Alcotest.test_case "interp tier = staged (icmp echo)" `Quick
+          interp_tier_matches_staged;
         Alcotest.test_case "reply buffer high-water reset" `Quick
           reply_buf_high_water_reset;
         Alcotest.test_case "slab-driven run, both modes" `Quick
@@ -1613,6 +1741,8 @@ let suite =
           stack_pipeline_serves_chain;
         Alcotest.test_case "stack misuse + layered error detail" `Quick
           stack_pipeline_red_paths;
+        Alcotest.test_case "absent field convention" `Quick
+          stack_absent_field_convention;
         Alcotest.test_case "steady state allocation-free" `Quick
           stack_pipeline_zero_alloc;
         Alcotest.test_case "timed churn allocation-free" `Quick

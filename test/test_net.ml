@@ -221,6 +221,25 @@ let shutdown_drains_in_flight () =
             check_int "cumulative rx survives the reset" n
               (Server.net_stats srv).Nstats.rx_pkts))
 
+(* [~duration] bounds an idle run on the monotonic clock: no traffic
+   arrives, so only the deadline can end it. *)
+let duration_ends_idle_run () =
+  match
+    Server.create ~mode:Pipeline.Fused ~signals:false ~flight:echo_flight
+      ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
+      Fm.Arq.format
+  with
+  | Error e -> Alcotest.fail e
+  | Ok srv ->
+    Fun.protect
+      ~finally:(fun () -> Server.close srv)
+      (fun () ->
+        let t0 = Netdsl_net.Mmsg.now_ns () in
+        check_int "nothing processed" 0 (Server.run ~duration:0.2 srv);
+        let s = float_of_int (Netdsl_net.Mmsg.now_ns () - t0) /. 1e9 in
+        check_bool (Printf.sprintf "ran at least 0.2 s (%.3f s)" s) true (s >= 0.2);
+        check_bool (Printf.sprintf "stopped well under 1 s (%.3f s)" s) true (s < 1.0))
+
 (* ------------------------------------------------------------------ *)
 (* TCP framing *)
 
@@ -1150,6 +1169,8 @@ let suite =
           udp_truncated_rejected;
         Alcotest.test_case "shutdown drains in-flight" `Quick
           shutdown_drains_in_flight;
+        Alcotest.test_case "duration ends an idle run" `Quick
+          duration_ends_idle_run;
         Alcotest.test_case "tcp framed round trip" `Quick tcp_roundtrip_framed;
         Alcotest.test_case "tcp burst beyond the run, in order" `Quick
           tcp_burst_served_in_order;
