@@ -1669,9 +1669,18 @@ let e16 () =
           (Option.value ~default:"?" r.Check.Loopback.first_disagreement);
         exit 1
       end;
-      if r.Check.Loopback.server_processed <> soak_n then begin
-        Printf.eprintf "bench e16: soak processed %d of %d packets\n"
-          r.Check.Loopback.server_processed soak_n;
+      (* exact accounting: the kernel pre-filter drops what the cBPF
+         interpreter predicts, and the server processes the rest *)
+      let predicted = r.Check.Loopback.filtered in
+      if r.Check.Loopback.server_processed <> soak_n - predicted then begin
+        Printf.eprintf
+          "bench e16: soak processed %d of %d packets, %d predicted filtered\n"
+          r.Check.Loopback.server_processed soak_n predicted;
+        exit 1
+      end;
+      if r.Check.Loopback.net.Net.Stats.kernel_drops <> predicted then begin
+        Printf.eprintf "bench e16: kernel dropped %d packets, %d predicted\n"
+          r.Check.Loopback.net.Net.Stats.kernel_drops predicted;
         exit 1
       end;
       r
@@ -1680,8 +1689,11 @@ let e16 () =
     "(a) loopback soak, fused mode vs staged in-memory reference:\n\
     \  %d packets (1 in 4 a structure-aware mutant) through a real UDP\n\
     \  socket pair: %d expected replies, %d received, 0 disagreements\n\
-    \  (every reply byte-identical, every rejected packet silent)\n"
-    soak_n soak.Check.Loopback.expected_replies soak.Check.Loopback.replies;
+    \  (every reply byte-identical, every rejected packet silent)\n\
+    \  kernel pre-filter: %d dropped in the kernel, as the cBPF interpreter\n\
+    \  predicts; %d reached the server\n"
+    soak_n soak.Check.Loopback.expected_replies soak.Check.Loopback.replies
+    soak.Check.Loopback.filtered soak.Check.Loopback.server_processed;
   Printf.printf
     "  server-domain allocation: %.1f B/pkt post-warmup (the engine holds\n\
     \  0 B/pkt — e15 — so this is the Unix binding: per-recvfrom sockaddr\n\
@@ -1758,6 +1770,7 @@ let e16 () =
   Printf.bprintf buf "    \"replies\": %d,\n" soak.Check.Loopback.replies;
   Printf.bprintf buf "    \"disagreements\": %d,\n"
     soak.Check.Loopback.disagreements;
+  Printf.bprintf buf "    \"kernel_filtered\": %d,\n" soak.Check.Loopback.filtered;
   Printf.bprintf buf "    \"server_alloc_b_per_pkt\": %.1f\n"
     soak.Check.Loopback.alloc_bytes_per_pkt;
   Buffer.add_string buf "  },\n";
@@ -2727,9 +2740,18 @@ let e20 () =
           (Option.value ~default:"?" r.Check.Loopback.first_disagreement);
         exit 1
       end;
-      if r.Check.Loopback.server_processed <> soak_n then begin
-        Printf.eprintf "bench e20: soak processed %d of %d packets\n"
-          r.Check.Loopback.server_processed soak_n;
+      (* exact accounting: the kernel pre-filter drops what the cBPF
+         interpreter predicts, and the server processes the rest *)
+      let predicted = r.Check.Loopback.filtered in
+      if r.Check.Loopback.server_processed <> soak_n - predicted then begin
+        Printf.eprintf
+          "bench e20: soak processed %d of %d packets, %d predicted filtered\n"
+          r.Check.Loopback.server_processed soak_n predicted;
+        exit 1
+      end;
+      if r.Check.Loopback.net.Net.Stats.kernel_drops <> predicted then begin
+        Printf.eprintf "bench e20: kernel dropped %d packets, %d predicted\n"
+          r.Check.Loopback.net.Net.Stats.kernel_drops predicted;
         exit 1
       end;
       r
@@ -2739,8 +2761,10 @@ let e20 () =
     \  %d packets (1 in 4 a structure-aware mutant), %d expected replies,\n\
     \  %d received, 0 disagreements — the batch drain preserves arrival\n\
     \  order into the slab, so the differential oracle cannot tell the\n\
-    \  two receive loops apart\n\n"
-    soak_n soak.Check.Loopback.expected_replies soak.Check.Loopback.replies;
+    \  two receive loops apart; the kernel pre-filter dropped %d, as\n\
+    \  predicted, and %d reached the server\n\n"
+    soak_n soak.Check.Loopback.expected_replies soak.Check.Loopback.replies
+    soak.Check.Loopback.filtered soak.Check.Loopback.server_processed;
   (* -- (b) the paired blast: one legacy row (the loop e16 measured),
      then the batched server+client at increasing batch sizes.  Window
      is identical across rows so only the I/O flavor moves. -- *)
@@ -2860,8 +2884,9 @@ let e20 () =
   Printf.bprintf buf "    \"expected_replies\": %d,\n"
     soak.Check.Loopback.expected_replies;
   Printf.bprintf buf "    \"replies\": %d,\n" soak.Check.Loopback.replies;
-  Printf.bprintf buf "    \"disagreements\": %d\n"
+  Printf.bprintf buf "    \"disagreements\": %d,\n"
     soak.Check.Loopback.disagreements;
+  Printf.bprintf buf "    \"kernel_filtered\": %d\n" soak.Check.Loopback.filtered;
   Buffer.add_string buf "  },\n";
   Printf.bprintf buf "  \"speedup_bar\": %.2f,\n" speedup_bar;
   Printf.bprintf buf "  \"blast_packets\": %d,\n" n;

@@ -132,6 +132,31 @@ let diagram_cmd =
     (Cmd.info "diagram" ~doc:"Render a format as an RFC-style ASCII packet diagram (the paper's Figure 1, regenerated).")
     Term.(const run $ file_arg $ format_opt)
 
+let filter_cmd =
+  (* The kernel pre-filter [netdsl serve] attaches to its UDP listeners:
+     the format's fixed-offset wire checks as classic BPF. *)
+  let format_pos =
+    Arg.(value & pos 1 (some string) None & info [] ~docv:"FORMAT"
+           ~doc:"Format to compile (default: the first one).")
+  in
+  let run file format =
+    let program = load file in
+    let fmt = pick_format program format in
+    match Netdsl.Bpf.compile fmt with
+    | None ->
+      Format.printf "%s: no fixed-offset wire check compiles; no filter is attached@."
+        fmt.Netdsl.Desc.format_name
+    | Some prog ->
+      Format.printf
+        "%s: %d instructions; offsets from the UDP header (payload at +%d)@."
+        fmt.Netdsl.Desc.format_name (Array.length prog) Netdsl.Bpf.udp_header;
+      print_string (Netdsl.Bpf.to_string prog)
+  in
+  Cmd.v
+    (Cmd.info "filter"
+       ~doc:"Print the classic-BPF socket filter compiled from a format's fixed-offset wire checks (what $(b,serve) attaches to every UDP listener), one instruction per line in tcpdump -d style.")
+    Term.(const run $ file_arg $ format_pos)
+
 let dot_cmd =
   let run file machine =
     let program = load file in
@@ -158,11 +183,17 @@ let fuzz_cmd =
                  verdict on formats, an inverted chain accept verdict on \
                  stacks) and prove the harness catches and shrinks it.")
   in
+  let plant_filter_flag =
+    Arg.(value & flag & info [ "plant-filter-bug" ]
+           ~doc:"Self-test: plant a kernel pre-filter that reads every field one \
+                 byte late, and prove the filter leg catches it dropping accepted \
+                 packets.")
+  in
   let repro_dir_opt =
     Arg.(value & opt (some string) None & info [ "repro-dir" ] ~docv:"DIR"
            ~doc:"Also save any repro dump as a file under DIR (for CI artifacts).")
   in
-  let run file format machine stack seed iters plant_bug repro_dir =
+  let run file format machine stack seed iters plant_bug plant_filter repro_dir =
     let program = load file in
     let module Check = Netdsl.Check in
     (* no selector: fuzz everything in the file; any selector: fuzz only
@@ -183,7 +214,11 @@ let fuzz_cmd =
       | Some name -> [ (name, find_stack program name) ]
       | None -> if selected then [] else program.P.stacks
     in
-    let bug = if plant_bug then Check.Oracle.Invert_view_accept else Check.Oracle.No_bug in
+    let bug =
+      if plant_bug then Check.Oracle.Invert_view_accept
+      else if plant_filter then Check.Oracle.Shift_filter_loads
+      else Check.Oracle.No_bug
+    in
     let fail report =
       print_string (Check.Report.to_string report);
       flush stdout;
@@ -200,9 +235,11 @@ let fuzz_cmd =
         match Check.Fuzz.run_format ~bug ~seed ~iters fmt with
         | Error report -> fail report
         | Ok stats ->
-          Format.printf "format %s: %d mutants (%d accepted, %d rejected) — all paths agree@."
+          Format.printf
+            "format %s: %d mutants (%d accepted, %d rejected; the kernel pre-filter \
+             drops %d) — all paths agree@."
             name stats.Check.Fuzz.ws_mutants stats.Check.Fuzz.ws_accepted
-            stats.Check.Fuzz.ws_rejected)
+            stats.Check.Fuzz.ws_rejected stats.Check.Fuzz.ws_filtered)
       formats;
     List.iter
       (fun (name, st) ->
@@ -210,6 +247,7 @@ let fuzz_cmd =
         ignore (compile_stack st);
         let bug =
           if plant_bug then Check.Oracle.Invert_chain_accept
+          else if plant_filter then Check.Oracle.Shift_filter_loads
           else Check.Oracle.No_bug
         in
         match Check.Fuzz.run_stack ~bug ~seed ~iters (name, st) with
@@ -237,7 +275,7 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:"Differentially fuzz a specification: structure-aware wire mutants through View/Codec/Emit/Pipeline, cross-layer mutants through every stack's fused chain vs sequential decode, adversarial event traces through Step/Interp; exit 1 with a minimised repro on any disagreement.")
     Term.(const run $ file_arg $ format_opt $ machine_opt $ stack_opt $ seed_opt
-          $ iters_opt $ plant_bug_flag $ repro_dir_opt)
+          $ iters_opt $ plant_bug_flag $ plant_filter_flag $ repro_dir_opt)
 
 let tests_cmd =
   let run file machine =
@@ -839,6 +877,13 @@ let serve_cmd =
             | Net.Server.Legacy -> ", legacy io"
             | Net.Server.Mmsg -> ", batched io"))
         (Net.Server.bound srv);
+      Option.iter
+        (fun prog ->
+          Format.printf
+            "kernel pre-filter: %d instructions on every UDP listener (netdsl filter \
+             prints them)@."
+            (Array.length prog))
+        (Net.Server.filter srv);
       let n = Net.Server.run ?max_packets ?duration srv in
       (* Reported unconditionally: a SIGINT/SIGTERM exit lands here too,
          [run] having drained what was in flight. *)
@@ -867,4 +912,4 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ check_cmd; diagram_cmd; dot_cmd; fuzz_cmd; tests_cmd; codegen_cmd; decode_cmd; encode_cmd; bench_cmd; modelcheck_cmd; abnf_cmd; print_cmd; run_cmd; fsm_cmd; serve_cmd ]))
+          [ check_cmd; diagram_cmd; dot_cmd; filter_cmd; fuzz_cmd; tests_cmd; codegen_cmd; decode_cmd; encode_cmd; bench_cmd; modelcheck_cmd; abnf_cmd; print_cmd; run_cmd; fsm_cmd; serve_cmd ]))

@@ -6,6 +6,7 @@ type wire_stats = {
   ws_mutants : int;
   ws_accepted : int;
   ws_rejected : int;
+  ws_filtered : int;
 }
 
 (* Shrinking judges every candidate with a fresh oracle: the oracle's
@@ -86,6 +87,7 @@ let run_format ?bug ?golden ~seed ~iters fmt =
         ws_mutants = checked;
         ws_accepted = accepted;
         ws_rejected = checked - accepted;
+        ws_filtered = Oracle.filtered oracle;
       }
 
 type chain_stats = {

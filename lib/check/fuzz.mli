@@ -15,6 +15,9 @@ type wire_stats = {
   ws_mutants : int;  (** messages checked, corpus seeds included *)
   ws_accepted : int;  (** accepted by every path *)
   ws_rejected : int;  (** rejected by every path *)
+  ws_filtered : int;
+      (** rejected messages the kernel pre-filter drops too; an accepted
+          one it drops is a disagreement ({!Oracle.check}'s filter leg) *)
 }
 
 val run_format :

@@ -10,6 +10,7 @@ type result_ = {
   disagreements : int;
   first_disagreement : string option;
   server_processed : int;
+  filtered : int;
   alloc_bytes_per_pkt : float;
   elapsed_s : float;
   net : Stats.t;
@@ -87,8 +88,8 @@ let with_server ?mode ?machine ?config ?stack ?io ?io_batch ~flight ~warmup
                 let a1 = Gc.allocated_bytes () in
                 (n1 + n2, a1 -. a0 -. (a0 -. cal), n2))
           in
-          let sent, replies, expected, disagreements, first, elapsed =
-            body port
+          let sent, replies, expected, disagreements, first, filtered, elapsed =
+            body port (Option.map Bpf_oracle.prepare (Server.filter srv))
           in
           (* The client is done: if the server is still waiting for
              packets that will never come (a client that gave up), stop
@@ -101,6 +102,7 @@ let with_server ?mode ?machine ?config ?stack ?io ?io_batch ~flight ~warmup
           Ok
             { sent; replies; expected_replies = expected; disagreements;
               first_disagreement = first; server_processed = processed;
+              filtered;
               alloc_bytes_per_pkt =
                 (if measured > 0 then alloc /. float_of_int measured else 0.);
               elapsed_s = elapsed;
@@ -119,7 +121,7 @@ let soak ?(mode = Pipeline.Fused) ?machine ?config ?warmup ?io ?io_batch
     (* The reference leg: same spec, staged derivation, in-memory. *)
     let reference = Oracle.Reply_ref.create ?config ?machine ~flight fmt in
     with_server ?config ~mode ?machine ?io ?io_batch ~flight ~warmup ~count fmt
-      (fun port ->
+      (fun port filter ->
         let addr =
           Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port)
         in
@@ -129,6 +131,7 @@ let soak ?(mode = Pipeline.Fused) ?machine ?config ?warmup ?io ?io_batch
           (fun () ->
             let rbuf = Bytes.create 65536 in
             let replies = ref 0 in
+            let filtered = ref 0 in
             let expected_n = ref 0 in
             let disagreements = ref 0 in
             let first = ref None in
@@ -149,6 +152,7 @@ let soak ?(mode = Pipeline.Fused) ?machine ?config ?warmup ?io ?io_batch
               let k = min soak_burst (count - !i0) in
               for j = 0 to k - 1 do
                 let pkt = packets (!i0 + j) in
+                if not (Bpf_oracle.passes filter pkt) then incr filtered;
                 expect.(j) <- snd (Oracle.Reply_ref.expected reference pkt);
                 ignore
                   (Unix.sendto fd (Bytes.of_string pkt) 0 (String.length pkt)
@@ -185,7 +189,8 @@ let soak ?(mode = Pipeline.Fused) ?machine ?config ?warmup ?io ?io_batch
                 disagree "stray reply after run: %s" (hex got)
             done;
             let elapsed = Unix.gettimeofday () -. t0 in
-            (count, !replies, !expected_n, !disagreements, !first, elapsed)))
+            (count, !replies, !expected_n, !disagreements, !first, !filtered,
+             elapsed)))
   end
 
 let blast ?(mode = Pipeline.Fused) ?machine ?config ?warmup ?stack ?io
@@ -201,7 +206,7 @@ let blast ?(mode = Pipeline.Fused) ?machine ?config ?warmup ?stack ?io
       match io_batch with Some b when b > 0 -> b | _ -> 32
     in
     with_server ?config ~mode ?machine ?stack ?io ?io_batch ~flight ~warmup
-      ~count fmt (fun port ->
+      ~count fmt (fun port filter ->
         let addr =
           Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port)
         in
@@ -212,6 +217,10 @@ let blast ?(mode = Pipeline.Fused) ?machine ?config ?warmup ?stack ?io
           (fun () ->
             let sent = ref 0 in
             let replies = ref 0 in
+            let filtered = ref 0 in
+            let note_sent pkt =
+              if not (Bpf_oracle.passes filter pkt) then incr filtered
+            in
             let stalls = ref 0 in
             let drain_replies =
               if batched_client then begin
@@ -225,6 +234,7 @@ let blast ?(mode = Pipeline.Fused) ?machine ?config ?warmup ?stack ?io
                   Array.init client_batch (fun _ -> Bytes.create 65536)
                 in
                 let tx_lens = Array.make client_batch 0 in
+                let tx_pkts = Array.make client_batch "" in
                 let tx_addr = Array.make client_batch (-1) in
                 let rx_bufs =
                   Array.init client_batch (fun _ -> Bytes.create 65536)
@@ -249,6 +259,7 @@ let blast ?(mode = Pipeline.Fused) ?machine ?config ?warmup ?stack ?io
                   if room > 0 then begin
                     for i = 0 to room - 1 do
                       let pkt = packets (!sent + i) in
+                      tx_pkts.(i) <- pkt;
                       let len = String.length pkt in
                       Bytes.blit_string pkt 0 tx_bufs.(i) 0 len;
                       tx_lens.(i) <- len
@@ -257,7 +268,12 @@ let blast ?(mode = Pipeline.Fused) ?machine ?config ?warmup ?stack ?io
                       Mmsg.send mm fd ~bufs:tx_bufs ~lens:tx_lens
                         ~addr_idx:tx_addr ~off:0 ~n:room
                     in
-                    if r > 0 then sent := !sent + r
+                    if r > 0 then begin
+                      for i = 0 to r - 1 do
+                        note_sent tx_pkts.(i)
+                      done;
+                      sent := !sent + r
+                    end
                     else if r = Mmsg.eagain then
                       ignore (readable ~timeout:0.2 fd)
                   end
@@ -282,7 +298,9 @@ let blast ?(mode = Pipeline.Fused) ?machine ?config ?warmup ?stack ?io
                     Unix.sendto fd (Bytes.of_string pkt) 0 (String.length pkt)
                       [] addr
                   with
-                  | _ -> incr sent
+                  | _ ->
+                    note_sent pkt;
+                    incr sent
                   | exception
                       Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
                     ->
@@ -316,7 +334,7 @@ let blast ?(mode = Pipeline.Fused) ?machine ?config ?warmup ?stack ?io
               else incr quiet
             done;
             let elapsed = Unix.gettimeofday () -. t0 in
-            (!sent, !replies, !sent, 0, None, elapsed)))
+            (!sent, !replies, !sent - !filtered, 0, None, !filtered, elapsed)))
   end
 
 (* ------------------------------------------------------------------ *)

@@ -27,10 +27,17 @@ type result_ = {
   disagreements : int;
   first_disagreement : string option;
   server_processed : int;
+  filtered : int;
+      (** packets sent that the server's kernel pre-filter drops, as
+          {!Bpf_oracle} predicts them ({!Netdsl_net.Server.filter}): the
+          server processes [sent - filtered], and its socket's
+          [net.kernel_drops] counts the same [filtered] when no receive
+          buffer overflowed *)
   alloc_bytes_per_pkt : float;
       (** server-domain bytes allocated per packet, post-warmup *)
   elapsed_s : float;
-  net : Netdsl_net.Stats.t;  (** the server's merged socket counters *)
+  net : Netdsl_net.Stats.t;
+      (** the server's merged socket counters, [kernel_drops] included *)
 }
 
 val soak :

@@ -13,6 +13,7 @@ type bug =
   | Invert_view_accept
   | Invert_flight_accept
   | Invert_chain_accept
+  | Shift_filter_loads
   | Drop_expiry
 
 type disagreement = { d_check : string; d_detail : string }
@@ -34,6 +35,8 @@ type t = {
   o_hot : View.Hot.t option;
   o_hot_slots : (string * int) array;
   o_fused : Pipeline.t;
+  (* check 5: the kernel pre-filter, run by the cBPF interpreter *)
+  o_filter : Bpf_oracle.t option;
   (* reference model of the pipelines' counters, advanced before each
      [process]; any drift is a stats-consistency disagreement *)
   mutable o_exp_decode_pkts : int;
@@ -43,7 +46,16 @@ type t = {
   mutable o_exp_fused_rejects : int;
   mutable o_checked : int;
   mutable o_accepted : int;
+  mutable o_filtered : int;
 }
+
+(* The format's kernel pre-filter, or the planted one that reads every
+   field one byte late. *)
+let filter_of bug fmt =
+  Option.map Bpf_oracle.prepare
+    (match (bug, Netdsl_format.Bpf.compile fmt) with
+    | Shift_filter_loads, Some p -> Bpf_oracle.shift_loads p
+    | _, p -> p)
 
 let create ?(bug = No_bug) fmt =
   let pipe =
@@ -71,6 +83,7 @@ let create ?(bug = No_bug) fmt =
   {
     o_fmt = fmt;
     o_bug = bug;
+    o_filter = filter_of bug fmt;
     o_view = View.create fmt;
     o_emit = Emit.create fmt;
     o_pipe = pipe;
@@ -84,11 +97,13 @@ let create ?(bug = No_bug) fmt =
     o_exp_fused_rejects = 0;
     o_checked = 0;
     o_accepted = 0;
+    o_filtered = 0;
   }
 
 let format t = t.o_fmt
 let checked t = t.o_checked
 let accepted t = t.o_accepted
+let filtered t = t.o_filtered
 
 let fail check fmt_ = Printf.ksprintf (fun s -> Error { d_check = check; d_detail = s }) fmt_
 
@@ -220,12 +235,15 @@ let check_inner t pkt =
   | Ok _, Error ve -> fail "verdict" "codec accepts, view rejects: %s" ve
   | Error ce, Ok () -> fail "verdict" "view accepts, codec rejects: %s" (err ce)
   | Error _, Error _ -> (
+    if not (Bpf_oracle.passes t.o_filter pkt) then t.o_filtered <- t.o_filtered + 1;
     match check_flight t pkt ~codec_ok:false with
     | Error _ as e -> e
     | Ok () -> check_pipeline t pkt ~codec_ok:false)
   | Ok cv, Ok () -> (
     let vv = View.to_value t.o_view in
-    if not (Value.equal cv vv) then
+    if not (Bpf_oracle.passes t.o_filter pkt) then
+      fail "filter" "the decoders accept, the kernel pre-filter does not deliver it whole"
+    else if not (Value.equal cv vv) then
       fail "value" "decoders accept but values differ\ncodec: %s\nview:  %s"
         (Value.to_string cv) (Value.to_string vv)
     else
@@ -293,6 +311,7 @@ module Chain = struct
     c_regs : (int * string * Stack.reg) array;
         (* layer index, bare field name, fused register *)
     c_layers : int;
+    c_filter : Bpf_oracle.t option;  (* layer 0's *)
     mutable c_checked : int;
     mutable c_accepted : int;
   }
@@ -347,6 +366,7 @@ module Chain = struct
           c_seq = Stack.Seq.create plan;
           c_regs = Array.of_list regs;
           c_layers = Stack.layer_count plan;
+          c_filter = filter_of bug (Stack.layer_format stack 0);
           c_checked = 0;
           c_accepted = 0;
         }
@@ -368,6 +388,8 @@ module Chain = struct
     | false, Ok () ->
       fail "chain" "fused chain rejects a packet the sequential decode accepts"
     | false, Error _ -> Ok ()
+    | true, Ok () when not (Bpf_oracle.passes t.c_filter pkt) ->
+      fail "filter" "the chain accepts, layer 0's kernel pre-filter does not deliver it whole"
     | true, Ok () ->
       let rec windows i =
         if i >= t.c_layers then Ok ()

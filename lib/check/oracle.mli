@@ -24,7 +24,10 @@
       equal the interpreted view's value — and a second pipeline running
       in [Fused] mode over a {!Netdsl_engine.Flight} plan (demanding all
       hot-eligible fields) must agree too, with consistent counters:
-      Fused ≡ Staged ≡ Codec.
+      Fused ≡ Staged ≡ Codec;
+    + filter: the kernel pre-filter {!Netdsl_format.Bpf.compile} builds
+      for the format, run by {!Bpf_oracle}, must deliver every accepted
+      packet whole.  It may drop rejected ones; {!filtered} counts them.
 
     Any divergence — including an exception escaping a fast path — is a
     {!disagreement}.  The [bug] hook plants a known defect (inverting a
@@ -43,6 +46,10 @@ type bug =
       (** report the fused {e chain} verdict inverted on accepted layered
           input, as if a chained bounds check were flipped — proves the
           {!Chain} leg can catch a stack-fusion bug *)
+  | Shift_filter_loads
+      (** the kernel pre-filter reads every field one byte late, as if
+          its payload base were off by one — proves the filter leg can
+          catch a pre-filter that drops accepted packets *)
   | Drop_expiry
       (** the live timing wheel silently loses every second armed timer —
           the failure mode a broken cascade or clobbered freelist would
@@ -52,8 +59,8 @@ type bug =
 type disagreement = {
   d_check : string;
       (** which comparison diverged: ["verdict"], ["value"], ["reencode"],
-          ["pipeline"], ["flight"], ["fused"], ["stats"], ["chain"],
-          ["timers"] or ["crash"] *)
+          ["pipeline"], ["flight"], ["fused"], ["stats"], ["filter"],
+          ["chain"], ["timers"] or ["crash"] *)
   d_detail : string;  (** rendered evidence: both sides of the divergence *)
 }
 
@@ -77,6 +84,10 @@ val accepted : t -> int
 (** Messages all decoders accepted — the accept side of the split that
     bench e14 reports. *)
 
+val filtered : t -> int
+(** Rejected messages the kernel pre-filter drops as well — the share of
+    the reject side that would never reach a server. *)
+
 (** {2 Chained-decode oracle leg}
 
     One fused {!Netdsl_format.Stack.plan} diffed against the sequential
@@ -99,8 +110,9 @@ module Chain : sig
       not compile. *)
 
   val check : t -> string -> (unit, disagreement) result
-  (** [d_check] is ["chain"] for any divergence, ["crash"] for an escaped
-      exception. *)
+  (** [d_check] is ["chain"] for any divergence, ["filter"] when layer
+      0's kernel pre-filter does not deliver an accepted packet whole,
+      ["crash"] for an escaped exception. *)
 
   val checked : t -> int
   val accepted : t -> int

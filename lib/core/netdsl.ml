@@ -9,7 +9,8 @@
 
     - packet descriptions: {!Desc}, {!Value}, {!Codec}, {!Emit}, {!Wf},
       {!Sizing}, {!Diagram}, {!Gen}, {!Stack} (layered parse graphs
-      compiled to one fused decode/encode plan)
+      compiled to one fused decode/encode plan), {!Bpf} (fixed-offset
+      wire checks compiled to a kernel socket filter)
     - behaviour: {!Machine}, {!Analysis}, {!Compose}, {!Model_check},
       {!Testgen}, {!Interp}, {!Step} (compiled execution plans), {!Dot}
     - correct-by-construction layer (the paper's §3.4 with OCaml types):
@@ -54,6 +55,7 @@ module Gen = Netdsl_format.Gen
 module Framer = Netdsl_format.Framer
 module Abnf = Netdsl_format.Abnf
 module Stack = Netdsl_format.Stack
+module Bpf = Netdsl_format.Bpf
 
 (* State-machine DSL *)
 module Machine = Netdsl_fsm.Machine

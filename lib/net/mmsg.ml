@@ -28,6 +28,7 @@ external send :
   addr_idx:int array -> off:int -> n:int -> int
   = "netdsl_mmsg_send_byte" "netdsl_mmsg_send"
 
+external last_recv_oversized : t -> int = "netdsl_mmsg_last_oversized" [@@noalloc]
 external last_send_msgs : t -> int = "netdsl_mmsg_last_msgs" [@@noalloc]
 external last_send_calls : t -> int = "netdsl_mmsg_last_calls" [@@noalloc]
 external gso_available : unit -> bool = "netdsl_mmsg_gso_available"
@@ -38,6 +39,19 @@ module For_testing = struct
 end
 
 external addr : t -> int -> Unix.sockaddr = "netdsl_mmsg_addr"
+
+external attach_rows : Unix.file_descr -> int array -> int = "netdsl_attach_filter"
+
+let attach_filter fd prog =
+  let rows =
+    Array.concat
+      (List.map
+         (fun (c, jt, jf, k) -> [| c; jt; jf; k |])
+         (Array.to_list (Netdsl_format.Bpf.encode prog)))
+  in
+  attach_rows fd rows = 0
+
+external socket_drops : Unix.file_descr -> int = "netdsl_socket_drops" [@@noalloc]
 
 let eagain = -1
 let unavailable = -2

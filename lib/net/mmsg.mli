@@ -39,7 +39,9 @@ val recv :
 (** Drain up to [count] datagrams into [bufs.(base .. base+count-1)]
     (a contiguous leased slab run), writing kernel lengths into
     [lens.(base ..)] and source addresses into the C slots of the same
-    indices.  Returns the number received or a negative code. *)
+    indices.  Returns the number received or a negative code; a
+    datagram that fills its whole buffer is not among them
+    ({!last_recv_oversized}). *)
 
 val send :
   t -> Unix.file_descr -> bufs:Bytes.t array -> lens:int array ->
@@ -71,6 +73,15 @@ val send :
     by [sendmmsg] (it returns the count sent); the caller's resume from
     [off + sent] meets the group first and takes the same path. *)
 
+val last_recv_oversized : t -> int
+(** Datagrams the last {!recv} on this batch discarded as oversized
+    ([@@noalloc]).  A datagram that fills its whole buffer may have been
+    cut by the kernel, so callers size the buffers one byte wider than
+    the largest packet they serve: a datagram that fills one is
+    discarded, the datagrams after it in the run move down over its
+    slot (buffer, length and source address), and {!recv}'s count
+    leaves it out.  The caller counts these as drops. *)
+
 val last_send_msgs : t -> int
 (** Messages the kernel accepted in the last {!send} on this batch
     ([@@noalloc]): equal to its datagram count when nothing grouped,
@@ -98,6 +109,20 @@ end
 val addr : t -> int -> Unix.sockaddr
 (** Rebuild C slot [i]'s stored address as a [Unix.sockaddr]
     (allocates — sharded steering's per-packet sinks only). *)
+
+val attach_filter : Unix.file_descr -> Netdsl_format.Bpf.program -> bool
+(** Install a classic-BPF socket filter ([SO_ATTACH_FILTER]); the kernel
+    then runs it on every datagram before queueing it to the socket.
+    [false] where the option does not exist (non-Linux builds) or the
+    kernel refuses the program.  Works on any socket, whichever backend
+    reads it. *)
+
+val socket_drops : Unix.file_descr -> int
+(** The socket's kernel drop counter ([SO_MEMINFO] slot
+    [SK_MEMINFO_DROPS]): socket-filter rejects plus receive-buffer
+    overflow, cumulative for the socket's life.  [-1] where the kernel
+    does not report it.  One [getsockopt]: read it when reporting, never
+    per packet. *)
 
 val eagain : int
 val unavailable : int

@@ -40,6 +40,12 @@
 #include <sys/epoll.h>
 #include <netinet/in.h>
 #include <unistd.h>
+#include <linux/filter.h>
+
+#ifndef SO_MEMINFO
+#define SO_MEMINFO 55 /* asm-generic/socket.h, Linux >= 4.12 */
+#endif
+#define NETDSL_MEMINFO_DROPS 8 /* SK_MEMINFO_DROPS, linux/sock_diag.h */
 
 #ifndef SOL_UDP
 #define SOL_UDP 17
@@ -68,6 +74,7 @@ struct netdsl_batch {
   int refuse_groups;  /* test hook: malformed cmsg, the kernel refuses */
   int last_msgs;      /* messages the kernel accepted in the last send */
   int last_calls;     /* sendmmsg calls the last send made */
+  int last_oversized; /* datagrams the last recv discarded as oversized */
 };
 
 #define Batch_val(v) (*(struct netdsl_batch **)Data_custom_val(v))
@@ -137,6 +144,7 @@ CAMLprim value netdsl_mmsg_create(value vslots)
   b->refuse_groups = 0;
   b->last_msgs = 0;
   b->last_calls = 0;
+  b->last_oversized = 0;
   res = caml_alloc_custom(&netdsl_batch_ops, sizeof(struct netdsl_batch *), 0, 1);
   Batch_val(res) = b;
   CAMLreturn(res);
@@ -158,6 +166,7 @@ CAMLprim value netdsl_mmsg_recv(value vbatch, value vfd, value vbufs,
   int count = Int_val(vcount);
   if (base < 0 || count <= 0 || base + count > b->cap)
     caml_invalid_argument("Mmsg.recv: run outside the batch");
+  b->last_oversized = 0;
   for (int i = 0; i < count; i++) {
     value buf = Field(vbufs, base + i);
     b->iovs[base + i].iov_base = Bytes_val(buf);
@@ -175,17 +184,40 @@ CAMLprim value netdsl_mmsg_recv(value vbatch, value vfd, value vbufs,
     if (errno == ENOSYS) return Val_int(-2);
     return Val_int(-3);
   }
+  /* A datagram that fills its whole slot may not have fit in it: the
+   * slots are one byte wider than the largest packet served, so filling
+   * one means the datagram was oversized (the kernel cut it, MSG_TRUNC).
+   * It is discarded here, the kept datagrams moved down over it, so the
+   * run stays contiguous; the caller counts [last_oversized] as drops. */
+  int w = 0;
   for (int i = 0; i < r; i++) {
-    Field(vlens, base + i) = Val_long(b->hdrs[base + i].msg_len);
-    b->addrlens[base + i] = b->hdrs[base + i].msg_hdr.msg_namelen;
+    struct mmsghdr *h = &b->hdrs[base + i];
+    if (h->msg_len >= b->iovs[base + i].iov_len
+        || (h->msg_hdr.msg_flags & MSG_TRUNC))
+      continue;
+    if (w != i) {
+      memcpy(b->iovs[base + w].iov_base, b->iovs[base + i].iov_base, h->msg_len);
+      memcpy(&b->addrs[base + w], &b->addrs[base + i], sizeof b->addrs[0]);
+    }
+    Field(vlens, base + w) = Val_long(h->msg_len);
+    b->addrlens[base + w] = h->msg_hdr.msg_namelen;
+    w++;
   }
-  return Val_int(r);
+  b->last_oversized = r - w;
+  return Val_int(w);
 }
 
 CAMLprim value netdsl_mmsg_recv_byte(value *argv, int argn)
 {
   (void)argn;
   return netdsl_mmsg_recv(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5]);
+}
+
+/* last_oversized batch: datagrams the last recv discarded as wider than
+ * a slot.  [@@noalloc] on the OCaml side. */
+CAMLprim value netdsl_mmsg_last_oversized(value vbatch)
+{
+  return Val_int(Batch_val(vbatch)->last_oversized);
 }
 
 /* ---- send: one message per datagram, or one per reply run ---------- */
@@ -418,6 +450,47 @@ CAMLprim value netdsl_mmsg_available(value vunit)
   return Val_bool(ok);
 }
 
+/* ---- socket filter and drop counter ---------------------------------- */
+
+/* attach_filter fd rows: install a classic-BPF program (rows are the
+ * flattened (code, jt, jf, k) quadruples) with SO_ATTACH_FILTER.
+ * 0 on success, -2 where the option does not exist, -3 on any other
+ * refusal (the kernel's verifier says no). */
+CAMLprim value netdsl_attach_filter(value vfd, value vrows)
+{
+  int n = Wosize_val(vrows) / 4;
+  if (n <= 0 || n > BPF_MAXINSNS)
+    caml_invalid_argument("Mmsg.attach_filter: program size");
+  struct sock_filter *code = calloc(n, sizeof *code);
+  if (!code) caml_raise_out_of_memory();
+  for (int i = 0; i < n; i++) {
+    code[i].code = (uint16_t)Long_val(Field(vrows, 4 * i));
+    code[i].jt = (uint8_t)Long_val(Field(vrows, 4 * i + 1));
+    code[i].jf = (uint8_t)Long_val(Field(vrows, 4 * i + 2));
+    code[i].k = (uint32_t)Long_val(Field(vrows, 4 * i + 3));
+  }
+  struct sock_fprog prog = { .len = (unsigned short)n, .filter = code };
+  int r = setsockopt(Int_val(vfd), SOL_SOCKET, SO_ATTACH_FILTER, &prog, sizeof prog);
+  int err = errno;
+  free(code);
+  if (r == 0) return Val_int(0);
+  return Val_int(err == ENOPROTOOPT ? -2 : -3);
+}
+
+/* socket_drops fd: the socket's drop counter (SO_MEMINFO slot
+ * SK_MEMINFO_DROPS): datagrams its filter rejected plus datagrams a full
+ * receive buffer refused.  -1 where the kernel does not report it. */
+CAMLprim value netdsl_socket_drops(value vfd)
+{
+  uint32_t mem[16];
+  socklen_t len = sizeof mem;
+  memset(mem, 0, sizeof mem);
+  if (getsockopt(Int_val(vfd), SOL_SOCKET, SO_MEMINFO, mem, &len) != 0
+      || len <= NETDSL_MEMINFO_DROPS * sizeof(uint32_t))
+    return Val_long(-1);
+  return Val_long(mem[NETDSL_MEMINFO_DROPS]);
+}
+
 /* ---- persistent epoll ----------------------------------------------- */
 
 struct netdsl_epoll {
@@ -568,6 +641,24 @@ CAMLprim value netdsl_mmsg_last_msgs(value vbatch)
 {
   (void)vbatch;
   return Val_int(0);
+}
+
+CAMLprim value netdsl_mmsg_last_oversized(value vbatch)
+{
+  (void)vbatch;
+  return Val_int(0);
+}
+
+CAMLprim value netdsl_attach_filter(value vfd, value vrows)
+{
+  (void)vfd; (void)vrows;
+  return Val_int(-2);
+}
+
+CAMLprim value netdsl_socket_drops(value vfd)
+{
+  (void)vfd;
+  return Val_long(-1);
 }
 
 CAMLprim value netdsl_mmsg_last_calls(value vbatch)

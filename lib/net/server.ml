@@ -4,6 +4,7 @@ module Slab = Netdsl_engine.Slab
 module Spsc = Netdsl_engine.Spsc
 module Shard = Netdsl_engine.Shard
 module View = Netdsl_format.View
+module Bpf = Netdsl_format.Bpf
 
 type endpoint =
   | Udp of { host : string; port : int }
@@ -109,6 +110,7 @@ type t = {
   s_stop : bool Atomic.t;
   mutable s_processed : int;
   s_loop : Stats.t;  (* the event-loop row: select/epoll_wait syscalls *)
+  s_filter : Bpf.program option;  (* attached to every UDP listener *)
   s_prev_signals : (int * Sys.signal_behavior) list;
   mutable s_closed : bool;
 }
@@ -170,6 +172,8 @@ let mmsg_backend ls hot ~bufs ~lens tx =
     let st = ls.(li).l_stats in
     st.Stats.syscalls <- st.Stats.syscalls + 1;
     let r = Mmsg.recv batch ls.(li).l_fd ~bufs ~lens ~base ~count in
+    let over = Mmsg.last_recv_oversized batch in
+    if over > 0 then st.Stats.drops <- st.Stats.drops + over;
     if r > 0 then begin
       st.Stats.batched_rx <- st.Stats.batched_rx + r;
       if r > st.Stats.hwm_pkts_per_syscall then
@@ -210,7 +214,8 @@ let mmsg_backend ls hot ~bufs ~lens tx =
 type legacy = {
   lg_ls : listener array;
   lg_hot : bool array;
-  lg_bufs : Bytes.t array;
+  lg_bufs : Bytes.t array;  (* one byte wider than [lg_max] *)
+  lg_max : int;  (* largest datagram or frame served *)
   lg_lens : int array;
   lg_dests : sink array;  (* run slot -> reply destination *)
   lg_tx : staging;
@@ -271,6 +276,11 @@ let legacy_recv_udp lg l ~base =
   | exception Unix.Unix_error (_, _, _) ->
     (* e.g. ECONNREFUSED bounced back from an earlier send *)
     -3
+  | n, _ when n > lg.lg_max ->
+    (* it filled the one-byte-wider slot, so it may not have fit: an
+       oversized datagram is dropped whole, never served as a prefix *)
+    st.Stats.drops <- st.Stats.drops + 1;
+    0
   | n, addr ->
     lg.lg_lens.(base) <- n;
     lg.lg_dests.(base) <- To_udp (l, addr);
@@ -290,7 +300,7 @@ let accept_conns lg l =
       Unix.set_nonblock fd;
       let c =
         { c_fd = fd;
-          c_buf = Bytes.create (2 + Bytes.length lg.lg_bufs.(0));
+          c_buf = Bytes.create (2 + lg.lg_max);
           c_len = 0; c_open = true; c_ready = false; c_listener = l }
       in
       l.l_conns <- c :: l.l_conns;
@@ -307,7 +317,7 @@ let complete_frame lg c =
     let flen =
       (Char.code (Bytes.get c.c_buf 0) lsl 8) lor Char.code (Bytes.get c.c_buf 1)
     in
-    if flen > Bytes.length lg.lg_bufs.(0) then begin
+    if flen > lg.lg_max then begin
       c.c_listener.l_stats.Stats.drops <- c.c_listener.l_stats.Stats.drops + 1;
       close_conn lg c;
       -1
@@ -389,10 +399,11 @@ let legacy_send lg ~off =
     end
 
 let legacy_backend ls hot ~bufs ~lens tx =
+  let max = Bytes.length bufs.(0) - 1 in
   let lg =
-    { lg_ls = ls; lg_hot = hot; lg_bufs = bufs; lg_lens = lens;
+    { lg_ls = ls; lg_hot = hot; lg_bufs = bufs; lg_max = max; lg_lens = lens;
       lg_dests = Array.make (Array.length bufs) No_sink; lg_tx = tx;
-      lg_frame = Bytes.create (2 + Bytes.length bufs.(0));
+      lg_frame = Bytes.create (2 + max);
       lg_fds = []; lg_dirty = true }
   in
   { wait = legacy_wait lg;
@@ -649,6 +660,19 @@ let bind_listener ep =
 
 let mmsg_available () = Mmsg.available () && Mmsg.Epoll.available ()
 
+(* The format's fixed-offset wire checks run in the kernel on every UDP
+   listener, whichever backend reads it: a datagram they reject never
+   wakes the loop.  The engine keeps every check, so a filter the kernel
+   refuses costs speed, not correctness; the program is reported only
+   when every UDP listener carries it. *)
+let attach_filter ls fmt =
+  match Bpf.compile fmt with
+  | None -> None
+  | Some prog ->
+    let udp = List.filter (fun l -> l.l_proto = `Udp) (Array.to_list ls) in
+    let attached = List.filter (fun l -> Mmsg.attach_filter l.l_fd prog) udp in
+    if udp <> [] && List.length attached = List.length udp then Some prog else None
+
 (* A sharded worker's reply: UDP only (sharded mode refuses TCP),
    charged to the worker's own row. *)
 let worker_reply sinks st pos buf len =
@@ -747,8 +771,10 @@ let create ?(config = Pipeline.default_config) ?(mode = Pipeline.Fused)
         let hot = Array.make (Array.length ls) false in
         let slot_bytes = config.Pipeline.slot_bytes in
         (* Both backends finish each run before the next read, so the slab
-           holds one I/O batch. *)
-        let slab = Slab.create ~slot_bytes ~capacity:io_batch () in
+           holds one I/O batch.  Its slots are one byte wider than the
+           largest packet served: a datagram that fills one may have been
+           cut by the kernel, and is dropped whole (both backends). *)
+        let slab = Slab.create ~slot_bytes:(slot_bytes + 1) ~capacity:io_batch () in
         let bufs = Slab.raw_bufs slab and lens = Slab.raw_lens slab in
         let n_tx = if shard_key = None then io_batch else 0 in
         let tx =
@@ -811,6 +837,7 @@ let create ?(config = Pipeline.default_config) ?(mode = Pipeline.Fused)
                 s_batch = config.Pipeline.batch;
                 s_pass = config.Pipeline.ring_capacity; s_stop = stop;
                 s_processed = 0; s_loop = Stats.create ();
+                s_filter = attach_filter ls fmt;
                 s_prev_signals = prev_signals; s_closed = false }))
 
 (* ---- accessors ------------------------------------------------------- *)
@@ -825,6 +852,15 @@ let udp_port t =
     t.s_ls
 
 let listener_stats t =
+  (* the kernel's drop counter is read here, when stats are read, never
+     per packet; a closed socket's number may name another socket *)
+  if not t.s_closed then
+    Array.iter
+      (fun l ->
+        if l.l_proto = `Udp then
+          let d = Mmsg.socket_drops l.l_fd in
+          if d >= 0 then l.l_stats.Stats.kernel_drops <- d)
+      t.s_ls;
   let ls =
     Array.map
       (fun l ->
@@ -847,6 +883,8 @@ let listener_stats t =
 let net_stats t = Stats.merge (List.map snd (listener_stats t))
 
 let batched_io t = t.s_mmsg <> None
+
+let filter t = t.s_filter
 
 let engine_stats t =
   match t.s_work with

@@ -51,7 +51,20 @@
     it, so no backend drops in user space on a full slab.  A reply the
     socket buffer refuses is dropped and counted
     ({!Stats.t.send_eagain}) rather than blocking the engine.  An
-    oversized TCP frame closes its connection and counts a drop.
+    oversized TCP frame closes its connection and counts a drop.  So does
+    a datagram wider than [slot_bytes], on either backend: the rx slots
+    are one byte wider than [slot_bytes], a datagram that fills one may
+    have been cut by the kernel, and it is dropped whole rather than
+    served as its prefix.
+
+    {b Kernel pre-filter.}  [create] compiles the format's fixed-offset
+    wire checks ({!Netdsl_format.Bpf}) and attaches the program to every
+    UDP listener, on both backends, sharded or not; it is always on.  A
+    datagram the program rejects is dropped by the kernel before it
+    wakes the loop, costs a receive or takes a slot; it shows only in
+    {!Stats.t.kernel_drops}.  The program checks a subset of what the
+    engine verifies (the engine keeps every check), so it never drops a
+    packet the engine would accept.
 
     {b Sharded mode} ([~workers] > 1, UDP only): the loop becomes a pure
     steering stage over either backend — it reads each packet's flow key
@@ -181,11 +194,19 @@ val listener_stats : t -> (string * Stats.t) list
     leave from worker domains and are counted there, never on a
     listener.  A final ["event loop"] row carries the readiness
     syscalls ([select]/[epoll_wait]), which belong to the loop rather
-    than any one socket. *)
+    than any one socket.  Each UDP row's [kernel_drops] is refreshed
+    here, one [getsockopt] per listener ({!Mmsg.socket_drops}); the
+    loop never reads it. *)
 
 val net_stats : t -> Stats.t
 (** All listeners (plus the event-loop row and, sharded, all worker tx
     rows) merged via {!Stats.merge}. *)
+
+val filter : t -> Netdsl_format.Bpf.program option
+(** The kernel pre-filter attached to every UDP listener: the format's
+    fixed-offset wire checks compiled by {!Netdsl_format.Bpf.compile}.
+    [None] when the format compiles to nothing, when there is no UDP
+    listener, or when the kernel refused it (non-Linux builds). *)
 
 val batched_io : t -> bool
 (** Whether this server actually runs the [recvmmsg]/[sendmmsg] path

@@ -5,6 +5,7 @@ type t = {
   mutable tx_msgs : int;
   mutable tx_bytes : int;
   mutable drops : int;
+  mutable kernel_drops : int;
   mutable send_eagain : int;
   mutable short_writes : int;
   mutable tx_errors : int;
@@ -20,7 +21,7 @@ type t = {
 
 let create () =
   { rx_pkts = 0; rx_bytes = 0; tx_pkts = 0; tx_msgs = 0; tx_bytes = 0;
-    drops = 0; send_eagain = 0; short_writes = 0; tx_errors = 0;
+    drops = 0; kernel_drops = 0; send_eagain = 0; short_writes = 0; tx_errors = 0;
     conns_accepted = 0; conns_closed = 0; hwm_drain = 0; hwm_datagram = 0;
     syscalls = 0; batched_rx = 0; batched_tx = 0; hwm_pkts_per_syscall = 0 }
 
@@ -36,6 +37,7 @@ let merge_into ~into s =
   into.tx_msgs <- into.tx_msgs + s.tx_msgs;
   into.tx_bytes <- into.tx_bytes + s.tx_bytes;
   into.drops <- into.drops + s.drops;
+  into.kernel_drops <- into.kernel_drops + s.kernel_drops;
   into.send_eagain <- into.send_eagain + s.send_eagain;
   into.short_writes <- into.short_writes + s.short_writes;
   into.tx_errors <- into.tx_errors + s.tx_errors;
@@ -56,10 +58,11 @@ let merge ts =
 
 let to_text t =
   Printf.sprintf
-    "rx %d pkts / %d B   tx %d pkts / %d msgs / %d B   drops %d\n\
+    "rx %d pkts / %d B   tx %d pkts / %d msgs / %d B   drops %d   \
+     kernel-drops %d\n\
      send-eagain %d   short-writes %d   tx-errors %d   hwm drain %d pkts, \
      datagram %d B\n\
      syscalls %d   batched-rx %d   batched-tx %d   hwm %d pkts/syscall"
-    t.rx_pkts t.rx_bytes t.tx_pkts t.tx_msgs t.tx_bytes t.drops t.send_eagain
+    t.rx_pkts t.rx_bytes t.tx_pkts t.tx_msgs t.tx_bytes t.drops t.kernel_drops t.send_eagain
     t.short_writes t.tx_errors t.hwm_drain t.hwm_datagram t.syscalls
     t.batched_rx t.batched_tx t.hwm_pkts_per_syscall

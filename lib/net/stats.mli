@@ -3,7 +3,7 @@
     The engine's {!Netdsl_engine.Stats} counts what happens to a packet
     {e inside} the pipeline (per-stage packets/bytes/rejects); this
     module counts what happens at the wire: datagrams received and sent,
-    datagrams dropped under backpressure, sends refused by a full socket
+    datagrams dropped under backpressure or by the kernel, sends refused by a full socket
     buffer, and short writes on the TCP framing path.  One [t] per
     listener; {!merge} folds them into the server-wide view the CLI
     prints on exit — including on a SIGINT/SIGTERM exit.
@@ -27,10 +27,19 @@ type t = {
   mutable drops : int;
       (** packets discarded in user space: a datagram steered to a full
           shard worker ring (the bounded-backpressure path that never
-          blocks the listener), or an oversized TCP frame, which also
-          closes its connection.  Never a full ingest slab: every run is
+          blocks the listener), an oversized TCP frame, which also
+          closes its connection, or an oversized datagram: one wider
+          than a slot is discarded whole rather than served as its
+          slot-sized prefix.  Never a full ingest slab: every run is
           finished before the next read, so the kernel socket buffer is
           the only queue *)
+  mutable kernel_drops : int;
+      (** datagrams the kernel discarded before they reached the socket
+          queue: socket-filter rejects (the format's compiled pre-filter,
+          [Server.create]) plus receive-buffer overflow.  Read from the
+          socket's [SO_MEMINFO] drop counter when the stats are read
+          ([Server.listener_stats]), never per packet; cumulative for the
+          socket's life; 0 where the kernel does not report it *)
   mutable send_eagain : int;
       (** replies dropped because the socket buffer was full
           ([EAGAIN]/[EWOULDBLOCK] on a nonblocking send) *)

@@ -264,6 +264,114 @@ let planted_trace_bug () =
     if List.length t_events > 2 then
       Alcotest.failf "trace not shrunk: %d events" (List.length t_events)
 
+(* ---- the kernel pre-filter: sound on every corpus ----
+
+   [Bpf.compile]'s program may pass what the decoder rejects, never the
+   reverse.  The cBPF interpreter is the judge: no packet [View.decode]
+   accepts may be dropped or trimmed, over golden and generated seeds,
+   [Gen] output and structure-aware mutants of every shipped format. *)
+
+module Bpf = Netdsl_format.Bpf
+module View = Netdsl_format.View
+
+let filter_unsound fmt prog pkts =
+  let view = View.create fmt in
+  let t = Ck.Bpf_oracle.prepare prog in
+  List.find_map (fun p -> Ck.Bpf_oracle.unsound view t p) pkts
+
+let mutant_stream fmt ~n =
+  let rng = Prng.of_int seed in
+  let corpus = Ck.Corpus.make ~golden:(golden fmt) fmt rng in
+  let plan = Ck.Mutate.plan fmt in
+  let generated =
+    match Ck.Corpus.generator fmt with
+    | Some g -> List.init 200 (fun _ -> g rng)
+    | None -> []
+  in
+  Array.to_list (Ck.Corpus.seeds corpus)
+  @ generated
+  @ List.init n (fun _ ->
+        let s = Ck.Corpus.pick corpus rng in
+        Ck.Mutate.apply (Ck.Mutate.random plan rng s) s)
+
+let filter_sound_case (name, fmt) =
+  Alcotest.test_case name `Quick (fun () ->
+      match Bpf.compile fmt with
+      | None -> ()
+      | Some prog -> (
+        match filter_unsound fmt prog (mutant_stream fmt ~n:2000) with
+        | None -> ()
+        | Some d -> Alcotest.failf "%s: %s" name d))
+
+(* bench e16's soak stream (arq-hostile's too): 1 in 7 an ACK, payloads
+   0-63 B, 1 in 4 a structure-aware mutant *)
+let e16_stream ~seed ~n =
+  let fmt = Fm.Arq.format in
+  let plan = Ck.Mutate.plan fmt in
+  let rng = Prng.of_int seed in
+  List.init n (fun i ->
+      let seq = i land 0xFF in
+      let valid =
+        if i mod 7 = 0 then Fm.Arq.to_bytes (Fm.Arq.Ack { seq })
+        else Fm.Arq.to_bytes (Fm.Arq.Data { seq; payload = String.make (i mod 64) 'p' })
+      in
+      if i mod 4 = 3 then Ck.Mutate.apply (Ck.Mutate.random plan rng valid) valid
+      else valid)
+
+let filter_sound_e16 () =
+  let prog = Option.get (Bpf.compile Fm.Arq.format) in
+  List.iter
+    (fun seed ->
+      let stream = e16_stream ~seed ~n:8000 in
+      (match filter_unsound Fm.Arq.format prog stream with
+      | None -> ()
+      | Some d -> Alcotest.failf "seed %d: %s" seed d);
+      (* the mutants whose fixed-offset structure breaks: most of them *)
+      let dropped = Ck.Bpf_oracle.dropped (Some (Ck.Bpf_oracle.prepare prog)) stream in
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: %d of 2000 mutants filtered" seed dropped)
+        true
+        (dropped > 1000 && dropped < 2000))
+    [ 20260808; 1; 7; 101 ]
+
+(* Each planted defect must drop or trim some accepted ARQ packet. *)
+let filter_mutants_caught () =
+  let prog = Option.get (Bpf.compile Fm.Arq.format) in
+  let stream = mutant_stream Fm.Arq.format ~n:500 in
+  let mutants = Ck.Bpf_oracle.mutants prog in
+  Alcotest.(check (list string)) "all three apply"
+    [ "tightened range"; "loads one byte late"; "accept returns 6" ]
+    (List.map fst mutants);
+  List.iter
+    (fun (name, m) ->
+      Alcotest.(check bool) (name ^ " caught") true
+        (filter_unsound Fm.Arq.format m stream <> None))
+    mutants
+
+(* The interpreter models what the socket receives: loads past the end
+   and a zero return drop, a small return trims to the header. *)
+let filter_interpreter () =
+  let prog = Option.get (Bpf.compile Fm.Arq.format) in
+  let run p = Ck.Bpf_oracle.run (Ck.Bpf_oracle.prepare p) in
+  let valid = Fm.Arq.to_bytes (Fm.Arq.Data { seq = 1; payload = "abc" }) in
+  let verdict = Alcotest.testable
+      (fun ppf -> function
+        | Ck.Bpf_oracle.Drop -> Format.pp_print_string ppf "drop"
+        | Keep n -> Format.fprintf ppf "keep %d" n)
+      ( = )
+  in
+  Alcotest.check verdict "valid kept whole" (Keep 9) (run prog valid);
+  Alcotest.check verdict "short dropped" Drop
+    (run prog (String.sub valid 0 8));
+  Alcotest.check verdict "trimming accept" (Keep 0)
+    (run (Option.get (Ck.Bpf_oracle.trim_accept prog)) valid);
+  Alcotest.check verdict "return 12 keeps 4 payload bytes" (Keep 4)
+    (run [| Bpf.Ret 12 |] valid);
+  Alcotest.check verdict "a load past the end drops" Drop
+    (run [| Bpf.Ld_abs (W, 100); Bpf.Ret Bpf.accept |] valid);
+  Alcotest.(check bool) "no program passes everything" true
+    (Ck.Bpf_oracle.passes None "")
+
 let suite =
   [ ("check.golden", List.map golden_case Ck.Corpus.shipped);
     ("check.zero_iters", List.map zero_iters_case Ck.Corpus.shipped);
@@ -279,6 +387,13 @@ let suite =
         Alcotest.test_case "shrink list" `Quick shrink_list;
         Alcotest.test_case "planted trace bug caught+shrunk" `Quick
           planted_trace_bug ] );
+    ("check.filter", List.map filter_sound_case Ck.Corpus.shipped);
+    ( "check.filter_self",
+      [ Alcotest.test_case "sound on the e16 soak streams" `Quick filter_sound_e16;
+        Alcotest.test_case "planted filter mutants caught" `Quick
+          filter_mutants_caught;
+        Alcotest.test_case "interpreter models drops and trims" `Quick
+          filter_interpreter ] );
     ("check.chain_golden", List.map chain_golden_case Fm.Stacks.all);
     ("check.chain", List.map chain_fuzz_case Fm.Stacks.all);
     ( "check.chain_self",

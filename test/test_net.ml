@@ -165,18 +165,30 @@ let udp_truncated_rejected () =
           (fun () ->
             let valid = arq_data ~seq:3 "payload" in
             let truncated = String.sub valid 0 (String.length valid - 1) in
+            (* only the checksum is wrong: no fixed-offset check sees it,
+               so the kernel pre-filter passes it and the engine rejects *)
+            let corrupt = Bytes.of_string valid in
+            Bytes.set corrupt 4 (Char.chr (Char.code valid.[4] lxor 0xff));
+            let corrupt = Bytes.to_string corrupt in
+            check_bool "the filter passes the corrupt checksum" true
+              (Netdsl_check.Bpf_oracle.passes
+                 (Option.map Netdsl_check.Bpf_oracle.prepare (Server.filter srv))
+                 corrupt);
             send fd port truncated;
+            send fd port corrupt;
             send fd port valid;
-            (* the truncated datagram must stay silent; the next reply
-               on the socket is the echo of the valid packet — order
-               preserved across the rejection *)
+            (* both rejects stay silent, the truncated one in the kernel
+               (its length disagrees with its len field), the corrupt one
+               in the engine; the next reply on the socket is the echo of
+               the valid packet — order preserved across the rejections *)
             (match recv_timeout fd with
             | None -> Alcotest.fail "no reply to the valid packet"
             | Some reply -> check_string "valid echoed" valid reply);
             check_bool "no second reply" true (recv_timeout ~timeout:0.1 fd = None);
-            check_int "both processed" 2 (Domain.join dom);
+            check_int "corrupt and valid processed" 2 (Domain.join dom);
             let st = Server.net_stats srv in
             check_int "rx counted" 2 st.Nstats.rx_pkts;
+            check_int "truncated dropped by the kernel" 1 st.Nstats.kernel_drops;
             check_int "one reply sent" 1 st.Nstats.tx_pkts))
 
 (* Datagrams queued in the kernel when stop is requested are still
@@ -1065,6 +1077,133 @@ let mmsg_create_red_paths () =
               (not (Server.batched_io srv))))
 
 (* ------------------------------------------------------------------ *)
+(* oversized datagrams and the kernel pre-filter *)
+
+module Bpf = Netdsl_format.Bpf
+module Bpf_oracle = Netdsl_check.Bpf_oracle
+
+let ethernet_frame payload =
+  String.make 6 '\xaa' ^ String.make 6 '\xbb' ^ "\x08\x00" ^ payload
+
+(* A datagram wider than a slot (2048 B) must not be served as its
+   slot-sized prefix: it is dropped whole and counted, and the next
+   datagram is served as usual — on both backends.  Ethernet's filter
+   checks only the minimum length, so the 3000 B datagram reaches the
+   server. *)
+let oversized_datagram_dropped () =
+  let run io =
+    match
+      Server.create ~mode:Pipeline.Fused ~signals:false ~flight:echo_flight ~io
+        ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
+        Fm.Ethernet.format
+    with
+    | Error e -> Alcotest.fail e
+    | Ok srv ->
+      Fun.protect
+        ~finally:(fun () -> Server.close srv)
+        (fun () ->
+          let port = Option.get (Server.udp_port srv) in
+          let dom = Domain.spawn (fun () -> Server.run ~max_packets:1 srv) in
+          let fd = udp_client () in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              let big = ethernet_frame (String.make (3000 - 14) 'o') in
+              let valid = ethernet_frame (String.make 46 'v') in
+              send fd port big;
+              send fd port valid;
+              (match recv_timeout fd with
+              | None -> Alcotest.fail "no reply to the valid frame"
+              | Some reply -> check_string "only the valid frame echoed" valid reply);
+              check_bool "nothing else" true (recv_timeout ~timeout:0.1 fd = None);
+              check_int "one processed" 1 (Domain.join dom);
+              let st = Server.net_stats srv in
+              check_int "the oversized datagram is a drop" 1 st.Nstats.drops;
+              check_int "rx counts the served one" 1 st.Nstats.rx_pkts;
+              check_int "no kernel drop" 0 st.Nstats.kernel_drops))
+  in
+  run Server.Legacy;
+  if mmsg_available () then run Server.Mmsg
+
+(* What a socket carrying [prog] receives of each probe: its payload
+   bytes, or [None] once the socket's drop counter moves. *)
+let kernel_fate prog probes =
+  let rx = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  let tx = udp_client () in
+  Fun.protect
+    ~finally:(fun () -> Unix.close rx; Unix.close tx)
+    (fun () ->
+      Unix.bind rx (loopback 0);
+      Unix.set_nonblock rx;
+      check_bool "the kernel takes the program" true
+        (Netdsl_net.Mmsg.attach_filter rx prog);
+      let port =
+        match Unix.getsockname rx with Unix.ADDR_INET (_, p) -> p | _ -> 0
+      in
+      let buf = Bytes.create 65536 in
+      List.map
+        (fun probe ->
+          let drops0 = Netdsl_net.Mmsg.socket_drops rx in
+          send tx port probe;
+          let deadline = Unix.gettimeofday () +. 2.0 in
+          let rec wait () =
+            match Unix.recv rx buf 0 (Bytes.length buf) [] with
+            | n -> Some (Bytes.sub_string buf 0 n)
+            | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+              if Netdsl_net.Mmsg.socket_drops rx > drops0 then None
+              else if Unix.gettimeofday () > deadline then
+                Alcotest.failf "probe %S: neither delivered nor dropped" probe
+              else begin
+                Unix.sleepf 0.001;
+                wait ()
+              end
+          in
+          wait ())
+        probes)
+
+(* The interpreter is the oracle for every filter claim; here it meets
+   the kernel.  A fixed probe set through the compiled ARQ and Ethernet
+   programs and the ARQ program's planted mutants (the trimming one
+   included: the kernel keeps the header and delivers an empty payload)
+   must fare on a real socket exactly as the interpreter predicts. *)
+let filter_kernel_agrees () =
+  let arq = Option.get (Bpf.compile Fm.Arq.format) in
+  let eth = Option.get (Bpf.compile Fm.Ethernet.format) in
+  let valid = arq_data ~seq:5 "hello" in
+  let with_byte s i c =
+    let b = Bytes.of_string s in
+    Bytes.set b i c;
+    Bytes.to_string b
+  in
+  let arq_probes =
+    [ valid; arq_data ~seq:0 ""; arq_data ~seq:9 (String.make 1400 'z');
+      Fm.Arq.to_bytes (Fm.Arq.Ack { seq = 7 }); with_byte valid 1 '\002';
+      with_byte valid 1 '\255'; String.sub valid 0 (String.length valid - 1);
+      valid ^ "x"; String.sub valid 0 5; ""; "\xff"; with_byte valid 4 '\000' ]
+  in
+  let eth_probes =
+    [ ""; String.make 13 'e'; ethernet_frame ""; ethernet_frame (String.make 46 'p') ]
+  in
+  let cases =
+    ("arq", arq, arq_probes) :: ("ethernet", eth, eth_probes)
+    :: List.map (fun (name, p) -> ("arq " ^ name, p, arq_probes)) (Bpf_oracle.mutants arq)
+  in
+  check_int "three mutants" 5 (List.length cases);
+  List.iter
+    (fun (name, prog, probes) ->
+      List.iter2
+        (fun probe got ->
+          let want =
+            match Bpf_oracle.run (Bpf_oracle.prepare prog) probe with
+            | Bpf_oracle.Drop -> None
+            | Bpf_oracle.Keep n -> Some (String.sub probe 0 n)
+          in
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s: probe %S" name probe) want got)
+        probes (kernel_fate prog probes))
+    cases
+
+(* ------------------------------------------------------------------ *)
 (* the socket oracle leg *)
 
 (* 5k structure-aware mutants (1 in 4 packets mutated) through a real
@@ -1094,7 +1233,11 @@ let loopback_soak_agrees () =
     | None -> ()
     | Some d -> Alcotest.failf "disagreement: %s" d);
     check_int "0 disagreements" 0 r.Loopback.disagreements;
-    check_int "all packets processed" 5000 r.Loopback.server_processed;
+    check_bool "the filter drops some mutants" true (r.Loopback.filtered > 0);
+    check_int "processed = sent - predicted filter drops"
+      (5000 - r.Loopback.filtered) r.Loopback.server_processed;
+    check_int "kernel drops = predicted filter drops" r.Loopback.filtered
+      r.Loopback.net.Nstats.kernel_drops;
     check_bool "some replies flowed" true (r.Loopback.expected_replies > 1000);
     check_int "every expected reply arrived" r.Loopback.expected_replies
       r.Loopback.replies
@@ -1130,7 +1273,11 @@ let loopback_soak_mmsg_agrees () =
       | None -> ()
       | Some d -> Alcotest.failf "disagreement: %s" d);
       check_int "0 disagreements" 0 r.Loopback.disagreements;
-      check_int "all packets processed" 2000 r.Loopback.server_processed;
+      check_bool "the filter drops some mutants" true (r.Loopback.filtered > 0);
+      check_int "processed = sent - predicted filter drops"
+        (2000 - r.Loopback.filtered) r.Loopback.server_processed;
+      check_int "kernel drops = predicted filter drops" r.Loopback.filtered
+        r.Loopback.net.Nstats.kernel_drops;
       check_int "every expected reply arrived" r.Loopback.expected_replies
         r.Loopback.replies;
       let st = r.Loopback.net in
@@ -1147,7 +1294,9 @@ let loopback_soak_mmsg_agrees () =
    must end too rather than wait for packets that never come. *)
 let loopback_client_gives_up_in_warmup () =
   (* nothing decodes as ARQ, so nothing is answered: the blast window
-     fills after 8 packets and the client stalls out *)
+     fills after 8 packets and the client stalls out.  One byte is
+     shorter than any ARQ packet, so the kernel pre-filter drops all 8
+     and the server never sees one. *)
   match
     Loopback.blast ~mode:Pipeline.Fused ~flight:arq_flight ~window:8
       ~packets:(fun _ -> "\xff") ~count:1000 Fm.Arq.format
@@ -1156,7 +1305,11 @@ let loopback_client_gives_up_in_warmup () =
   | Ok r ->
     check_int "the client gave up after one window" 8 r.Loopback.sent;
     check_int "no replies" 0 r.Loopback.replies;
-    check_int "what was sent was processed" 8 r.Loopback.server_processed
+    check_int "the filter drops all 8" 8 r.Loopback.filtered;
+    check_int "processed = sent - predicted filter drops" 0
+      r.Loopback.server_processed;
+    check_int "kernel drops = predicted filter drops" 8
+      r.Loopback.net.Nstats.kernel_drops
 
 let suite =
   [ ( "net.pipeline",
@@ -1165,6 +1318,10 @@ let suite =
     ( "net.server",
       [ Alcotest.test_case "udp round trip, every shipped format" `Quick
           udp_roundtrip_every_format;
+        Alcotest.test_case "oversized datagram dropped, not served cut" `Quick
+          oversized_datagram_dropped;
+        Alcotest.test_case "kernel pre-filter: socket = interpreter" `Quick
+          filter_kernel_agrees;
         Alcotest.test_case "truncated datagram rejected, order kept" `Quick
           udp_truncated_rejected;
         Alcotest.test_case "shutdown drains in-flight" `Quick
