@@ -1530,7 +1530,7 @@ let e15 () =
         match
           Engine.Shard.create ~config ~allow_oversubscribe:true ~key:"seq"
             ~mode:Engine.Pipeline.Fused ~flight ~machine
-            ~on_reply_slot:(fun _ _ _ _ -> ())
+            ~on_reply_slot:(fun _ _ _ -> ())
             Formats.Arq.format
         with
         | Error e -> failwith e
@@ -2223,8 +2223,8 @@ let e17 () =
      on >= 100k cross-layer mutants each run."
 
 let e18 () =
-  section "e18" "SPSC shard steering: uniform vs elephant skew, bucket stealing"
-    "ROADMAP multicore north star; §3.4 per-flow ordering under migration";
+  section "e18" "shard steering: uniform vs elephant skew, per-worker share"
+    "ROADMAP multicore north star; §3.4 per-flow ordering";
   let cores = Domain.recommended_domain_count () in
   (* same ARQ responder as e15: verify seq range, classify data frames,
      shard by seq, patch kind -> ack in place *)
@@ -2249,17 +2249,13 @@ let e18 () =
   let shard_n = if !quick then 20_000 else 200_000 in
   (* uniform mix: all 256 flows round-robin *)
   let uniform_seqs = Array.init shard_n (fun i -> i land 0xFF) in
-  (* elephant skew: 90% of the traffic lands on flows whose buckets are
-     initially owned by worker 0 under this worker count (hash skew — the
-     adversarial case for static bucket ownership).  The hot flows are
-     still many, so the recoverable parallelism is real: stealing can
-     migrate whole buckets without splitting any single flow. *)
+  (* elephant skew: 90% of the traffic lands on flows the steering hash
+     gives worker 0 at this worker count (hash skew — the adversarial
+     case for static ownership, which nothing migrates). *)
   let skew_seqs workers =
-    let probe = Engine.Shard.Steer.create ~workers () in
     let hot = ref [] and cold = ref [] in
     for s = 255 downto 0 do
-      if Engine.Shard.Steer.worker_of_key probe s = 0 then hot := s :: !hot
-      else cold := s :: !cold
+      if Bpf.steer ~workers s = 0 then hot := s :: !hot else cold := s :: !cold
     done;
     let hot = Array.of_list !hot and cold = Array.of_list !cold in
     let cold = if Array.length cold = 0 then hot else cold in
@@ -2267,23 +2263,23 @@ let e18 () =
         if i mod 10 < 9 then hot.(i mod Array.length hot)
         else cold.(i mod Array.length cold))
   in
-  let run_case ~workers ~stealing seqs =
+  let run_case ~workers seqs =
     let config =
       { Engine.Shard.workers; pipeline = Engine.Pipeline.default_config }
     in
     match
-      Engine.Shard.create ~config ~allow_oversubscribe:true ~stealing
-        ~key:"seq" ~mode:Engine.Pipeline.Fused ~flight ~machine
-        ~on_reply_slot:(fun _ _ _ _ -> ())
+      Engine.Shard.create ~config ~allow_oversubscribe:true ~key:"seq"
+        ~mode:Engine.Pipeline.Fused ~flight ~machine
+        ~on_reply_slot:(fun _ _ _ -> ())
         Formats.Arq.format
     with
     | Error e -> failwith e
     | Ok shard ->
       Engine.Shard.start shard;
       (* the alloc window wraps only the steering loop: this is the 0 B/pkt
-         claim (hash + route + blit + publish mint nothing on the ingest
-         domain; OCaml 5 Gc counters are per-domain, so worker-side flow
-         minting does not leak into this number) *)
+         claim (hash + blit + publish mint nothing on the ingest domain;
+         OCaml 5 Gc counters are per-domain, so worker-side flow minting
+         does not leak into this number) *)
       Gc.full_major ();
       let a0 = Gc.allocated_bytes () in
       let feed_dt =
@@ -2299,72 +2295,127 @@ let e18 () =
       assert (Engine.Stats.stage_rejects stats d = 0);
       ( float_of_int shard_n /. dt,
         feed_dt *. 1e9 /. float_of_int shard_n,
-        (a1 -. a0) /. float_of_int shard_n,
-        Engine.Shard.steals shard )
+        (a1 -. a0) /. float_of_int shard_n )
   in
-  let mark w = if w > cores then "oversubscribed" else "" in
-  (* -- (a) uniform: ideal steering, no stealing needed -- *)
-  Printf.printf "(a) uniform flow mix (256 flows round-robin), stealing off\n";
-  Printf.printf "  %-10s %14s %14s %13s %14s\n" "workers" "pkts/s"
-    "steer ns/pkt" "ingest B/pkt" "vs 1 worker";
-  let uniform_rows =
-    List.map
-      (fun w ->
-        let rate, steer_ns, alloc, _ = run_case ~workers:w ~stealing:false uniform_seqs in
-        (w, rate, steer_ns, alloc))
-      [ 1; 2; 4 ]
-  in
-  let ubase = match uniform_rows with (_, r, _, _) :: _ -> r | [] -> 1.0 in
-  List.iter
-    (fun (w, rate, steer_ns, alloc) ->
-      if w > cores then
-        Printf.printf "  %-10d %14.0f %14.1f %13.2f %14s\n" w rate steer_ns
-          alloc "oversubscribed"
-      else
-        Printf.printf "  %-10d %14.0f %14.1f %13.2f %13.2fx\n" w rate steer_ns
-          alloc (rate /. ubase))
-    uniform_rows;
-  (* -- (b) elephant skew, stealing off vs on -- *)
-  Printf.printf
-    "\n(b) elephant skew (90%% of traffic on worker 0's initial buckets):\n\
-    \    stealing off vs on\n";
-  Printf.printf "  %-10s %14s %14s %10s %10s %15s\n" "workers" "off pkts/s"
-    "on pkts/s" "recovery" "steals" "";
-  let skew_rows =
-    List.map
-      (fun w ->
-        let seqs = skew_seqs w in
-        let off_rate, off_ns, off_alloc, _ = run_case ~workers:w ~stealing:false seqs in
-        let on_rate, on_ns, on_alloc, steals = run_case ~workers:w ~stealing:true seqs in
-        let recovery = on_rate /. off_rate in
+  let table label seqs_of =
+    Printf.printf "%s\n" label;
+    Printf.printf "  %-10s %14s %14s %13s %14s\n" "workers" "pkts/s"
+      "steer ns/pkt" "ingest B/pkt" "vs 1 worker";
+    let rows =
+      List.map
+        (fun w ->
+          let rate, steer_ns, alloc = run_case ~workers:w (seqs_of w) in
+          (w, rate, steer_ns, alloc))
+        [ 1; 2; 4 ]
+    in
+    let base = match rows with (_, r, _, _) :: _ -> r | [] -> 1.0 in
+    List.iter
+      (fun (w, rate, steer_ns, alloc) ->
         if w > cores then
-          Printf.printf "  %-10d %14.0f %14.0f %10s %10d %15s\n" w off_rate
-            on_rate "-" steals (mark w)
+          Printf.printf "  %-10d %14.0f %14.1f %13.2f %14s\n" w rate steer_ns
+            alloc "oversubscribed"
         else
-          Printf.printf "  %-10d %14.0f %14.0f %9.2fx %10d %15s\n" w off_rate
-            on_rate recovery steals "";
-        (w, off_rate, off_ns, off_alloc, on_rate, on_ns, on_alloc, steals))
-      [ 1; 2; 4 ]
+          Printf.printf "  %-10d %14.0f %14.1f %13.2f %13.2fx\n" w rate
+            steer_ns alloc (rate /. base))
+      rows;
+    (rows, base)
+  in
+  let uniform_rows, ubase =
+    table "(a) uniform flow mix (256 flows round-robin)" (fun _ -> uniform_seqs)
+  in
+  let skew_rows, sbase =
+    table "\n(b) elephant skew (90% of traffic on worker 0's flows)" skew_seqs
   in
   if cores < 4 then
     Printf.printf
       "  (only %d core(s) available: rows with more workers than cores are\n\
       \   oversubscribed — they time-share a core and measure the scheduler,\n\
-      \   so no scaling/recovery ratio is reported for them)\n"
+      \   so no scaling ratio is reported for them)\n"
       cores;
+  (* -- (c) who gets the skewed packets: the compiled kernel steering
+     program in the interpreter, and a real 2-worker server's sockets -- *)
+  let share_w = 2 in
+  let seqs = skew_seqs share_w in
+  let prog =
+    match Bpf.steering Formats.Arq.format ~key:"seq" ~workers:share_w with
+    | Ok p -> p
+    | Error e -> failwith e
+  in
+  let oracle = Check.Bpf_oracle.prepare prog in
+  let predicted = Array.make share_w 0 in
+  Array.iter
+    (fun s ->
+      let w = Check.Bpf_oracle.steer oracle pool.(s) in
+      predicted.(w) <- predicted.(w) + 1)
+    seqs;
+  let socket_n = min shard_n 20_000 in
+  let socket =
+    match
+      Net.Server.create ~signals:false ~workers:share_w ~allow_oversubscribe:true
+        ~flight
+        ~listeners:[ Net.Server.Udp { host = "127.0.0.1"; port = 0 } ]
+        Formats.Arq.format
+    with
+    | Error e -> failwith e
+    | Ok srv ->
+      Fun.protect
+        ~finally:(fun () -> Net.Server.close srv)
+        (fun () ->
+          let port = Option.get (Net.Server.udp_port srv) in
+          let dom =
+            Domain.spawn (fun () -> Net.Server.run ~max_packets:socket_n srv)
+          in
+          let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_DGRAM 0 in
+          let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
+          let buf = Bytes.create 2048 in
+          (* 64 packets outstanding: the socket buffers never overflow,
+             so every packet sent is one the kernel steered *)
+          let sent = ref 0 and got = ref 0 and stalled = ref false in
+          while !got < socket_n && not !stalled do
+            while !sent < socket_n && !sent - !got < 64 do
+              let p = pool.(seqs.(!sent)) in
+              ignore (Unix.sendto_substring fd p 0 (String.length p) [] addr);
+              incr sent
+            done;
+            match Unix.select [ fd ] [] [] 1.0 with
+            | [], _, _ -> stalled := true
+            | _ ->
+              ignore (Unix.recv fd buf 0 (Bytes.length buf) []);
+              incr got
+          done;
+          Unix.close fd;
+          if !stalled then Net.Server.request_stop srv;
+          ignore (Domain.join dom);
+          Array.of_list
+            (List.filter_map
+               (fun (label, st) ->
+                 if String.starts_with ~prefix:"udp" label then
+                   Some st.Net.Stats.rx_pkts
+                 else None)
+               (Net.Server.listener_stats srv)))
+  in
+  let share counts =
+    let total = Array.fold_left ( + ) 0 counts in
+    Array.map (fun c -> float_of_int c /. float_of_int (max 1 total)) counts
+  in
+  let pct a =
+    String.concat " / "
+      (Array.to_list (Array.map (fun f -> Printf.sprintf "%.1f%%" (100. *. f)) a))
+  in
+  Printf.printf
+    "\n(c) per-worker share of the skew mix at %d workers (nothing migrates)\n\
+    \  interpreter, compiled steering program (%d pkts): %s\n\
+    \  2-worker server, per-socket rx (%d pkts):        %s\n"
+    share_w shard_n (pct (share predicted)) socket_n (pct (share socket));
   (* -- gates -- *)
   let failures = ref [] in
   let gate name ok = if not ok then failures := name :: !failures in
   let alloc_ok =
-    List.for_all (fun (_, _, _, a) -> a < 1.0) uniform_rows
-    && List.for_all
-         (fun (_, _, _, a_off, _, _, a_on, _) -> a_off < 1.0 && a_on < 1.0)
-         skew_rows
+    List.for_all (fun (_, _, _, a) -> a < 1.0) (uniform_rows @ skew_rows)
   in
   gate "steering allocates (>= 1 B/pkt on the ingest domain)" alloc_ok;
-  let scaling_gates = cores >= 2 in
   let uniform_2w =
-    if not scaling_gates then None
+    if cores < 2 then None
     else
       match List.find_opt (fun (w, _, _, _) -> w = 2) uniform_rows with
       | Some (_, r, _, _) -> Some (r /. ubase >= 1.6)
@@ -2372,25 +2423,10 @@ let e18 () =
   in
   (match uniform_2w with
   | Some ok -> gate "uniform 2-worker scaling < 1.6x" ok
-  | None -> ());
-  let skew_recovery =
-    if not scaling_gates then None
-    else
-      match
-        List.find_opt (fun (w, _, _, _, _, _, _, _) -> w = 2) skew_rows
-      with
-      | Some (_, off_rate, _, _, on_rate, _, _, steals) ->
-        Some (on_rate /. off_rate >= 1.3 && steals > 0)
-      | None -> None
-  in
-  (match skew_recovery with
-  | Some ok -> gate "stealing fails to recover 1.3x on 2-worker skew" ok
-  | None -> ());
-  if not scaling_gates then
+  | None ->
     Printf.printf
-      "\n  scaling gates SKIPPED (1 core): only the 0 B/pkt steering gate is\n\
-      \  enforced here; the >= 1.6x uniform and >= 1.3x stealing-recovery\n\
-      \  gates need >= 2 cores and run in multicore CI\n";
+      "\n  scaling gate SKIPPED (1 core): only the 0 B/pkt steering gate is\n\
+      \  enforced here; the >= 1.6x uniform gate needs >= 2 cores\n");
   (* -- machine-readable dump -- *)
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n";
@@ -2399,45 +2435,35 @@ let e18 () =
   Printf.bprintf buf "  \"cores_available\": %d,\n" cores;
   Printf.bprintf buf "  \"packets_per_case\": %d,\n" shard_n;
   Printf.bprintf buf "  \"skew_hot_share\": 0.9,\n";
-  Buffer.add_string buf "  \"uniform\": [\n";
-  List.iteri
-    (fun i (w, rate, steer_ns, alloc) ->
-      let scaling =
-        if w > cores then ""
-        else Printf.sprintf ", \"scaling_vs_1\": %.2f" (rate /. ubase)
-      in
-      Printf.bprintf buf
-        "    {\"workers\": %d, \"pkts_per_s\": %.0f, \"steer_ns_per_pkt\": \
-         %.1f, \"ingest_alloc_b_per_pkt\": %.2f, \"oversubscribed\": %b%s}%s\n"
-        w rate steer_ns alloc (w > cores) scaling
-        (if i = List.length uniform_rows - 1 then "" else ","))
-    uniform_rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"skew\": [\n";
-  List.iteri
-    (fun i (w, off_rate, off_ns, off_alloc, on_rate, on_ns, on_alloc, steals) ->
-      let recovery =
-        if w > cores then ""
-        else Printf.sprintf ", \"recovery_vs_no_steal\": %.2f" (on_rate /. off_rate)
-      in
-      Printf.bprintf buf
-        "    {\"workers\": %d, \"stealing_off\": {\"pkts_per_s\": %.0f, \
-         \"steer_ns_per_pkt\": %.1f, \"ingest_alloc_b_per_pkt\": %.2f}, \
-         \"stealing_on\": {\"pkts_per_s\": %.0f, \"steer_ns_per_pkt\": %.1f, \
-         \"ingest_alloc_b_per_pkt\": %.2f, \"steals\": %d}, \
-         \"oversubscribed\": %b%s}%s\n"
-        w off_rate off_ns off_alloc on_rate on_ns on_alloc steals (w > cores)
-        recovery
-        (if i = List.length skew_rows - 1 then "" else ","))
-    skew_rows;
-  Buffer.add_string buf "  ],\n";
+  let dump_rows name rows base =
+    Printf.bprintf buf "  \"%s\": [\n" name;
+    List.iteri
+      (fun i (w, rate, steer_ns, alloc) ->
+        let scaling =
+          if w > cores then ""
+          else Printf.sprintf ", \"scaling_vs_1\": %.2f" (rate /. base)
+        in
+        Printf.bprintf buf
+          "    {\"workers\": %d, \"pkts_per_s\": %.0f, \"steer_ns_per_pkt\": \
+           %.1f, \"ingest_alloc_b_per_pkt\": %.2f, \"oversubscribed\": %b%s}%s\n"
+          w rate steer_ns alloc (w > cores) scaling
+          (if i = List.length rows - 1 then "" else ","))
+      rows;
+    Buffer.add_string buf "  ],\n"
+  in
+  dump_rows "uniform" uniform_rows ubase;
+  dump_rows "skew" skew_rows sbase;
+  let floats a =
+    String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%.4f") a))
+  in
+  Printf.bprintf buf
+    "  \"skew_share\": {\"workers\": %d, \"interpreter\": [%s], \
+     \"socket_packets\": %d, \"socket\": [%s]},\n"
+    share_w (floats (share predicted)) socket_n (floats (share socket));
   Buffer.add_string buf "  \"gates\": {\n";
   Printf.bprintf buf "    \"steering_alloc_b_per_pkt_lt_1\": %b,\n" alloc_ok;
-  let opt_b = function None -> "null" | Some b -> string_of_bool b in
-  Printf.bprintf buf "    \"uniform_2w_scaling_ge_1_6x\": %s,\n"
-    (opt_b uniform_2w);
-  Printf.bprintf buf "    \"skew_steal_recovery_ge_1_3x\": %s\n"
-    (opt_b skew_recovery);
+  Printf.bprintf buf "    \"uniform_2w_scaling_ge_1_6x\": %s\n"
+    (match uniform_2w with None -> "null" | Some b -> string_of_bool b);
   Buffer.add_string buf "  }\n}\n";
   let path = "BENCH_E18.json" in
   let oc = open_out path in
@@ -2452,12 +2478,12 @@ let e18 () =
   print_endline
     "\nRESULT shape: per-worker SPSC rings steer each datagram with one hash,\n\
      one blit and one release store — 0 B/pkt on the ingest domain in every\n\
-     row, uniform or skewed, stealing on or off (the always-on gate).  On a\n\
-     multicore box the uniform mix scales with worker count, and under\n\
-     elephant skew fenced bucket stealing claws back the throughput that\n\
-     static ownership strands on one worker — without splitting any flow,\n\
-     so per-flow run-to-completion ordering survives (the determinism test\n\
-     in test_engine.ml re-proves it with stealing forced on)."
+     row, uniform or skewed (the always-on gate).  On a multicore box the\n\
+     uniform mix scales with worker count.  Ownership is static, as it is\n\
+     behind the kernel steering program the sharded server runs: under\n\
+     elephant skew the hot worker takes its flows' share of the packets\n\
+     (section c, interpreter and sockets agree) and bounds the throughput,\n\
+     and no flow is ever split or reordered."
 
 (* ------------------------------------------------------------------ *)
 (* E19: hierarchical timer wheel at flow-table scale *)

@@ -718,15 +718,11 @@ let serve_cmd =
   in
   let serve_workers_opt =
     Arg.(value & opt int 1 & info [ "workers"; "w" ] ~docv:"N"
-           ~doc:"Shard the server across N worker domains (UDP only): the listener thread steers each datagram by its flow key into a per-worker lock-free ring.  Requires $(b,--shard-key).")
+           ~doc:"Serve with N worker domains (UDP only), each its own copy of the serve loop on its own SO_REUSEPORT socket: a classic-BPF program compiled from the $(b,--shard-key) field has the kernel hand every datagram of a flow to the same worker.  Requires $(b,--shard-key).")
   in
   let shard_key_opt =
     Arg.(value & opt (some string) None & info [ "shard-key" ] ~docv:"FIELD"
            ~doc:"Field to steer on with --workers > 1; all packets sharing a value land on the same worker.")
-  in
-  let steal_opt =
-    Arg.(value & flag & info [ "steal" ]
-           ~doc:"Enable work stealing between sharded workers (whole flow-hash buckets, fenced to preserve per-flow ordering).")
   in
   let oversubscribe_opt =
     Arg.(value & flag & info [ "allow-oversubscribe" ]
@@ -748,7 +744,7 @@ let serve_cmd =
            ~doc:"Datagrams moved per recvmmsg/sendmmsg call on the batched path (default 32); also sizes the reply staging window.")
   in
   let run file fmt_name stack_name host udp tcp max_packets duration patches
-      workers shard_key stealing allow_oversubscribe tick_ms io io_batch =
+      workers shard_key allow_oversubscribe tick_ms io io_batch =
     let program = load file in
     let die msg =
       Format.eprintf "netdsl: %s@." msg;
@@ -851,7 +847,7 @@ let serve_cmd =
     in
     match
       Net.Server.create ?stack ~flight ~listeners ~workers
-        ~allow_oversubscribe ~stealing ?shard_key ~tick_ms ~io ~io_batch fmt
+        ~allow_oversubscribe ?shard_key ~tick_ms ~io ~io_batch fmt
     with
     | Error msg -> die msg
     | Ok srv ->
@@ -866,8 +862,7 @@ let serve_cmd =
         (fun (proto, h, p) ->
           Format.printf "serving %s on %s %s:%d (fused mode%s)@." label proto h p
             ((if Net.Server.workers srv > 1 then
-                Printf.sprintf ", %d workers%s" (Net.Server.workers srv)
-                  (if stealing then " + stealing" else "")
+                Printf.sprintf ", %d workers" (Net.Server.workers srv)
               else "")
             (* only a forced flavor is printed: what Auto resolves to
                depends on the host kernel, and cram output must not *)
@@ -884,6 +879,13 @@ let serve_cmd =
              prints them)@."
             (Array.length prog))
         (Net.Server.filter srv);
+      Option.iter
+        (fun (key, prog) ->
+          Format.printf
+            "kernel steering: %d instructions hash field %s to one of %d \
+             workers' SO_REUSEPORT sockets@."
+            (Array.length prog) key (Net.Server.workers srv))
+        (Net.Server.steering srv);
       let n = Net.Server.run ?max_packets ?duration srv in
       (* Reported unconditionally: a SIGINT/SIGTERM exit lands here too,
          [run] having drained what was in flight. *)
@@ -903,7 +905,7 @@ let serve_cmd =
        ~doc:"Answer real datagrams: bind nonblocking UDP/TCP listeners on a format from the file and run every received packet through the engine, echoing each accepted packet back with the requested fields patched in place.  With $(b,--stack), packets decode through the fused layered chain and patches are qualified layer.field names.")
     Term.(const run $ file_arg $ format_opt $ stack_opt $ host_opt $ udp_opt
           $ tcp_opt $ max_packets_opt $ duration_opt $ patch_opt
-          $ serve_workers_opt $ shard_key_opt $ steal_opt $ oversubscribe_opt
+          $ serve_workers_opt $ shard_key_opt $ oversubscribe_opt
           $ tick_opt $ io_opt $ io_batch_opt)
 
 let () =

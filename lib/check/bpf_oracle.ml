@@ -9,10 +9,11 @@ type verdict = Drop | Keep of int
 
 let u32 x = x land 0xFFFF_FFFF
 
-(* Byte [k] of the datagram as a UDP socket filter sees it: an 8-byte
-   UDP header (ports 0, length [len], checksum 0), then the payload. *)
-let byte payload len k =
-  if k >= Bpf.udp_header then Char.code (String.unsafe_get payload (k - Bpf.udp_header))
+(* Byte [k] of what the program reads: [hdr] header bytes, then the
+   payload.  A UDP socket filter sees an 8-byte UDP header (ports 0,
+   length [len], checksum 0); a reuseport steering program sees none. *)
+let byte ~hdr payload len k =
+  if k >= hdr then Char.code (String.unsafe_get payload (k - hdr))
   else if k = 4 then (len lsr 8) land 0xFF
   else if k = 5 then len land 0xFF
   else 0
@@ -21,8 +22,8 @@ let byte payload len k =
    [Bpf.insn]: the encoding is what the kernel runs, and any opcode
    [Bpf.encode] does not emit is refused.  Jumps only go forward, so the
    loop ends; nothing here allocates. *)
-let exec rows payload =
-  let len = String.length payload + Bpf.udp_header in
+let exec ~hdr rows payload =
+  let len = String.length payload + hdr in
   let a = ref 0 and x = ref 0 and pc = ref 0 and ret = ref (-1) in
   while !ret < 0 do
     if !pc >= Array.length rows then invalid_arg "Bpf_oracle: ran off the program";
@@ -36,7 +37,7 @@ let exec rows payload =
       else begin
         a := 0;
         for i = k to k + w - 1 do
-          a := (!a lsl 8) lor byte payload len i
+          a := (!a lsl 8) lor byte ~hdr payload len i
         done
       end
     end
@@ -45,12 +46,15 @@ let exec rows payload =
       | 0x80 -> a := len
       | 0x81 -> x := len
       | 0x04 -> a := u32 (!a + k)
+      | 0x24 -> a := u32 (!a * k)
+      | 0x94 when k > 0 -> a := !a mod k
       | 0x54 -> a := !a land k
       | 0x74 -> a := !a lsr (k land 31)
       | 0x15 | 0x1d -> pc := !pc + if !a = src then jt else jf
       | 0x25 | 0x2d -> pc := !pc + if !a > src then jt else jf
       | 0x35 | 0x3d -> pc := !pc + if !a >= src then jt else jf
       | 0x06 -> ret := u32 k
+      | 0x16 -> ret := !a
       | _ -> invalid_arg (Printf.sprintf "Bpf_oracle: opcode 0x%02x not modelled" code)
   done;
   !ret
@@ -58,7 +62,7 @@ let exec rows payload =
 (* Payload bytes the socket receives, or -1: the kernel keeps
    [max header r] bytes when that is shorter than the datagram. *)
 let kept t payload =
-  match exec t.rows payload with
+  match exec ~hdr:Bpf.udp_header t.rows payload with
   | 0 -> -1
   | r -> min (String.length payload) (max Bpf.udp_header r - Bpf.udp_header)
 
@@ -83,6 +87,8 @@ let unsound view t payload =
 
 let dropped t payloads =
   List.fold_left (fun acc p -> if passes t p then acc else acc + 1) 0 payloads
+
+let steer t payload = exec ~hdr:0 t.rows payload
 
 (* ---- planted mutants ------------------------------------------------- *)
 
@@ -122,8 +128,13 @@ let trim_accept =
     | Bpf.Ret k when k = Bpf.accept -> Some (Bpf.Ret 6)
     | _ -> None)
 
+let wrong_multiplier =
+  mutate_first (function
+    | Bpf.Mul k -> Some (Bpf.Mul ((k + 0x10000) land 0xFFFF_FFFF))
+    | _ -> None)
+
 let mutants prog =
   List.filter_map
     (fun (name, m) -> Option.map (fun p -> (name, p)) (m prog))
     [ ("tightened range", tighten_range); ("loads one byte late", shift_loads);
-      ("accept returns 6", trim_accept) ]
+      ("accept returns 6", trim_accept); ("wrong multiplier", wrong_multiplier) ]

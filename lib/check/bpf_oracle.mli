@@ -1,4 +1,5 @@
-(** A classic-BPF interpreter: the oracle for the kernel pre-filter.
+(** A classic-BPF interpreter: the oracle for the kernel pre-filter and
+    the kernel steering program.
 
     {!Netdsl_format.Bpf.compile} promises that its program never drops a
     datagram {!Netdsl_format.View.decode} accepts.  This module runs a
@@ -7,7 +8,15 @@
     UDP header, a load past the end returning 0, and a nonzero return
     value smaller than the datagram trimming it (to no less than the
     header) — so the promise can be checked on any packet without a
-    socket, and the kernel checked against it on a few. *)
+    socket, and the kernel checked against it on a few.
+
+    {!Netdsl_format.Bpf.steering} promises that its program picks, for
+    every payload, the worker {!Netdsl_format.Bpf.steer} assigns the
+    payload's key.  {!steer} runs a program the way an [SO_REUSEPORT]
+    group does — over the payload alone, offsets payload-relative, a
+    load past the end returning 0 — and returns its value: the index of
+    the socket the kernel queues the datagram to, when it is below the
+    group's size. *)
 
 type t
 (** A program ready to run: its kernel encoding, built once. *)
@@ -32,6 +41,10 @@ val unsound : Netdsl_format.View.t -> t -> string -> string option
     program does not deliver it whole — the one thing a pre-filter must
     never do. *)
 
+val steer : t -> string -> int
+(** The value a steering program returns for one UDP payload.
+    Allocates nothing. *)
+
 val dropped : t option -> string list -> int
 (** How many of the payloads the program keeps from the socket: the
     kernel drop count a server with this filter should report. *)
@@ -53,5 +66,11 @@ val trim_accept : Netdsl_format.Bpf.program -> Netdsl_format.Bpf.program option
 (** The accept returns 6 instead of [0xFFFFFFFF]: the kernel trims each
     accepted datagram to its header, delivering an empty payload. *)
 
+val wrong_multiplier : Netdsl_format.Bpf.program -> Netdsl_format.Bpf.program option
+(** The steering hash multiplies by a constant 2^16 too large: the
+    hash of every key [k > 0] moves by [k], so most keys land on another
+    worker. *)
+
 val mutants : Netdsl_format.Bpf.program -> (string * Netdsl_format.Bpf.program) list
-(** The three above, named, where they apply. *)
+(** The four above, named, where they apply: a filter has no multiply,
+    a steering program no range test or accept, and both load. *)

@@ -351,14 +351,22 @@ module Lossy = struct
     l_chan : Channel.t;
     l_pending : string Queue.t;
     l_pipes : Pipeline.t array;
-    l_key_of : string -> int;
+    l_key : Netdsl_format.View.key_extractor;
   }
 
   let create ?(workers = 1) ?(tick_ms = 1)
       ?(channel = Channel.default_config) ?(seed = 0x1055L) ~machine ~flight
-      ~key_of fmt =
+      fmt =
     if workers < 1 then
       invalid_arg "Loopback.Lossy.create: workers must be >= 1";
+    let key =
+      match Netdsl_engine.Flight.spec_flow_key flight with
+      | None -> invalid_arg "Loopback.Lossy.create: the flight spec has no flow key"
+      | Some k -> (
+        match Netdsl_format.View.key_extractor fmt k with
+        | Ok ke -> ke
+        | Error e -> invalid_arg ("Loopback.Lossy.create: flow key: " ^ e))
+    in
     let now = ref 0 in
     let eng = Sim_engine.create () in
     let pending = Queue.create () in
@@ -378,13 +386,17 @@ module Lossy = struct
       l_chan = chan;
       l_pending = pending;
       l_pipes = pipes;
-      l_key_of = key_of;
+      l_key = key;
     }
 
   let now t = !(t.l_now)
   let workers t = Array.length t.l_pipes
-  let owner t key = t.l_pipes.(key mod Array.length t.l_pipes)
-  let inject t pkt = Pipeline.process (owner t (t.l_key_of pkt)) pkt
+  (* the sharded server's partition: the kernel program computes it *)
+  let owner t key =
+    t.l_pipes.(Netdsl_format.Bpf.steer ~workers:(Array.length t.l_pipes) key)
+
+  let inject t pkt =
+    Pipeline.process (owner t (Netdsl_format.View.extract_key_int t.l_key pkt)) pkt
   let send t pkt = Channel.send t.l_chan pkt
 
   (* Deliveries the channel released at (or before) the current tick,

@@ -122,15 +122,15 @@ module Lossy : sig
     ?seed:int64 ->
     machine:Netdsl_fsm.Machine.t ->
     flight:Netdsl_engine.Flight.spec ->
-    key_of:(string -> int) ->
     Netdsl_format.Desc.t ->
     t
   (** [workers] (default 1) pipelines each own a wheel and run
-      [flight] (its flow key keys the machine instances) in the default
-      [Fused] mode; a packet is routed to pipeline [key_of pkt mod
-      workers] — the same partition the sharded server's steering
-      applies.  [key_of] reads the flow key straight from wire bytes
-      (deliveries carry no side channel). *)
+      [flight] in the default [Fused] mode.  The spec's flow key keys
+      the machine instances and routes packets: it is read from the
+      wire bytes ({!Netdsl_format.View.key_extractor}) and hashed by
+      {!Netdsl_format.Bpf.steer} — the partition the sharded server's
+      kernel steering program computes.  Raises [Invalid_argument] when
+      the spec has no flow key or the format cannot extract it. *)
 
   val now : t -> int
   val workers : t -> int
@@ -150,7 +150,7 @@ module Lossy : sig
 
   val peek : t -> int -> Netdsl_fsm.Step.instance option
   (** The flow's live machine instance on its owning worker (no LRU
-      touch) — [None] until first contact. *)
+      touch), given the flow key — [None] until first contact. *)
 
   val pipelines : t -> Netdsl_engine.Pipeline.t array
   val stats : t -> Netdsl_engine.Stats.t

@@ -796,11 +796,11 @@ let process t pkt =
   run_window t 1;
   outcome_of_slot0 t
 
-(* Ring-driven operation for the sharded path: the consumer domain has
-   already claimed a batch of [n] slots from its [Spsc] ring; map them
-   into the batch window and run it.  The caller polls and releases —
-   keeping claim lifetime in one place lets [Shard] check migration
-   fences between the claim and the run.  [Bytes.unsafe_to_string] is
+(* Ring-driven operation for the in-memory shard: the consumer domain
+   has already claimed a batch of [n] slots from its [Spsc] ring; map
+   them into the batch window and run it.  The caller polls and
+   releases, so the claim lifetime lives in one place.
+   [Bytes.unsafe_to_string] is
    safe under the ring's contract: slots are only read until
    [Spsc.release], and the producer cannot reuse them before it. *)
 let process_ring_batch t ring ~n =

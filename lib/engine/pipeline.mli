@@ -55,11 +55,11 @@
 type config = {
   batch : int;  (** batch size, and the number of pooled view slots *)
   ring_capacity : int;
-      (** slot count of each {!Shard} worker ring (the sharded socket
-          server's included), and so its backpressure depth.  The socket
-          server sizes its slab to one I/O batch and uses this as its
-          per-pass budget: one listener pass takes at most this many
-          packets.  The pipeline itself allocates none *)
+      (** slot count of each {!Shard} worker ring, and so its
+          backpressure depth.  The socket server sizes its slab to one
+          I/O batch and uses this as its per-pass budget: one listener
+          pass takes at most this many packets.  The pipeline itself
+          allocates none *)
   max_flows : int;
       (** per-pipeline bound on live flow instances; when a new flow
           arrives at the bound, the oldest-idle one is evicted (counted in
@@ -165,9 +165,9 @@ val process_batch : t -> string array -> int -> unit
 val process_ring_batch : t -> Spsc.t -> n:int -> unit
 (** Run the [n] slots the caller has claimed (and not yet released) from
     its {!Spsc} ring through the batch window in place — the worker-side
-    drain step of the sharded path.  The caller owns the claim lifetime:
-    [Spsc.poll] before, [Spsc.release] after ({!Shard} checks bucket
-    migration fences in between).  [n] at most [config.batch]. *)
+    drain step of the in-memory {!Shard}.  The caller owns the claim lifetime:
+    [Spsc.poll] before, [Spsc.release] after.  [n] at most
+    [config.batch]. *)
 
 val process_slab_batch : t -> Slab.t -> n:int -> unit
 (** Run the [n] slots the caller has popped (and not yet released) from

@@ -1,22 +1,22 @@
 (* A lock-free single-producer / single-consumer ring of preallocated
    byte slots — the per-worker hand-off lane of [Shard].
 
-   Layout: a power-of-two array of fixed-size [Bytes.t] slots plus
-   parallel [lens]/[tags] int arrays, indexed by absolute positions
+   Layout: a power-of-two array of fixed-size [Bytes.t] slots plus a
+   parallel [lens] int array, indexed by absolute positions
    masked into the array.  Two monotonically increasing absolute
    counters delimit the live region:
 
      [head]  — consumer side: first position not yet released;
      [tail]  — producer side: next position to publish.
 
-   Only [head] and [tail] are atomic.  The slot contents, lengths and
-   tags are plain writes made visible by the release/acquire pairing on
+   Only [head] and [tail] are atomic.  The slot contents and lengths
+   are plain writes made visible by the release/acquire pairing on
    the counters (the message-passing idiom of the OCaml memory model;
    OCaml's [Atomic] is sequentially consistent, which is stronger than
    the release/acquire this protocol needs — see DESIGN.md):
 
-     producer: write slot bytes, len, tag  →  Atomic.set tail (release)
-     consumer: Atomic.get tail (acquire)   →  read slot bytes, len, tag
+     producer: write slot bytes, len  →  Atomic.set tail (release)
+     consumer: Atomic.get tail (acquire)  →  read slot bytes, len
 
    and symmetrically for slot reuse through [head].  Each side keeps a
    local cache of the other side's counter and refreshes it only when
@@ -52,7 +52,6 @@ type t = {
   slot_bytes : int;
   bufs : Bytes.t array;
   lens : int array;
-  tags : int array;
   head : int Atomic.t;
   _head_pad : int array;
   tail : int Atomic.t;
@@ -83,7 +82,6 @@ let create ?(slot_bytes = 2048) ~capacity () =
     slot_bytes;
     bufs = Array.init cap (fun _ -> Bytes.create slot_bytes);
     lens = Array.make cap 0;
-    tags = Array.make cap 0;
     head;
     _head_pad;
     tail;
@@ -107,26 +105,21 @@ let has_space t =
   end
 
 let slot t = t.bufs.(t.prod.p_tail land t.mask)
-let producer_pos t = t.prod.p_tail
 
-(* [tag] is a required label: an optional argument given explicitly at a
-   call site boxes a [Some] per call, which would be the only allocation
-   on the steering hot path. *)
-let publish t ~tag len =
+let publish t len =
   if len < 0 || len > t.slot_bytes then invalid_arg "Spsc.publish: bad len";
   let p = t.prod in
   let i = p.p_tail land t.mask in
   t.lens.(i) <- len;
-  t.tags.(i) <- tag;
   let next = p.p_tail + 1 in
   p.p_tail <- next;
   Atomic.set t.tail next
 
-let try_push t ?(tag = 0) ?(off = 0) ~len src =
+let try_push t ?(off = 0) ~len src =
   has_space t
   && begin
        Bytes.blit_string src off (slot t) 0 len;
-       publish t ~tag len;
+       publish t len;
        true
      end
 
@@ -165,8 +158,6 @@ let poll t ~max =
 
 let buf t i = t.bufs.((t.cons.c_base + i) land t.mask)
 let len t i = t.lens.((t.cons.c_base + i) land t.mask)
-let tag t i = t.tags.((t.cons.c_base + i) land t.mask)
-let consumer_pos t = t.cons.c_base
 
 let release t =
   let c = t.cons in
@@ -177,7 +168,6 @@ let release t =
 
 (* ---- any thread ---- *)
 
-let head_pos t = Atomic.get t.head
 let length t = Atomic.get t.tail - Atomic.get t.head
 
 (* Bounded backoff for a spinning side: burn a few cycles, then yield the

@@ -5,22 +5,19 @@
     first unreleased position, [tail] = next position to publish).  The
     producer blits a packet into the tail slot and publishes it with one
     release store; the consumer claims a whole batch with one acquire
-    load and releases it with one release store.  Slot bytes, lengths
-    and per-slot tags are plain (non-atomic) memory synchronised by the
-    counter pairing — the message-passing idiom of the OCaml memory
+    load and releases it with one release store.  Slot bytes and lengths
+    are plain (non-atomic) memory synchronised by the counter pairing — the message-passing idiom of the OCaml memory
     model (see DESIGN.md "SPSC memory ordering").  Nothing allocates
     after {!create}; neither side ever takes a lock.
 
     Single-producer / single-consumer is a {e contract}: exactly one
     thread may call the producer operations and exactly one (other)
-    thread the consumer operations.  [head_pos]/[length]/[is_closed] are
-    safe from any thread.
+    thread the consumer operations.  [length]/[is_closed] are safe from
+    any thread.
 
     Positions are absolute (monotonically increasing); slot index =
-    [pos land (capacity - 1)].  The absolute positions are what lets
-    {!Shard}'s bucket-migration fences say "worker [v] has processed
-    everything it was handed before position [p]" as a single integer
-    comparison against {!head_pos}. *)
+    [pos land (capacity - 1)], and fullness is [tail - head = capacity]
+    with no reserved slot. *)
 
 type t
 
@@ -41,18 +38,12 @@ val slot : t -> Bytes.t
 (** The slot the next {!publish} will hand off — blit the packet here
     ({e lease}).  Only valid to fill after {!has_space} returned true. *)
 
-val producer_pos : t -> int
-(** Absolute position the next {!publish} will occupy. *)
+val publish : t -> int -> unit
+(** [publish t len] publishes the leased slot: stores [len], then
+    release-stores the new tail.  The slot must not be touched again
+    until the consumer releases it. *)
 
-val publish : t -> tag:int -> int -> unit
-(** [publish t ~tag len] publishes the leased slot: stores [len] and
-    [tag] ({!Shard} stores the packet's flow-hash bucket here; pass [0]
-    if unused — the label is required because supplying an optional
-    argument boxes a [Some] per call, the one allocation the steering
-    hot path must not make), then release-stores the new tail.  The
-    slot must not be touched again until the consumer releases it. *)
-
-val try_push : t -> ?tag:int -> ?off:int -> len:int -> string -> bool
+val try_push : t -> ?off:int -> len:int -> string -> bool
 (** Lease + blit + publish in one call; false (nothing written) when the
     ring is full. *)
 
@@ -72,10 +63,6 @@ val buf : t -> int -> Bytes.t
     Read-only until {!release}; contents beyond [len t i] are stale. *)
 
 val len : t -> int -> int
-val tag : t -> int -> int
-
-val consumer_pos : t -> int
-(** Absolute position of slot 0 of the claimed batch. *)
 
 val release : t -> unit
 (** Hand every slot of the claimed batch back to the producer (one
@@ -84,10 +71,6 @@ val release : t -> unit
 (** {2 Any thread} *)
 
 val is_closed : t -> bool
-
-val head_pos : t -> int
-(** Absolute position below which every packet has been processed and
-    released — the migration-fence comparison point. *)
 
 val length : t -> int
 (** Published-but-unreleased slot count (approximate under concurrency:

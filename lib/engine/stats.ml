@@ -63,6 +63,25 @@ let note_warning t msg =
 
 let warnings t = List.rev t.warnings
 
+(* More worker domains than cores is a benchmark lie waiting to happen:
+   domains time-share, per-worker throughput collapses, and "scaling"
+   rows measure the scheduler.  Clamp unless the caller explicitly opts
+   into oversubscription, and word the warning either way. *)
+let clamp_workers ~allow_oversubscribe n =
+  let cores = Domain.recommended_domain_count () in
+  if n <= cores then (n, None)
+  else if allow_oversubscribe then
+    ( n,
+      Some
+        (Printf.sprintf "shard: %d workers oversubscribe %d available core(s)" n
+           cores) )
+  else
+    ( cores,
+      Some
+        (Printf.sprintf
+           "shard: requested %d workers, clamped to %d available core(s)" n cores)
+    )
+
 let stage_names t = Array.to_list (Array.map (fun s -> s.s_name) t.stages)
 
 let stage_index t name =

@@ -63,6 +63,12 @@ val note_warning : t -> string -> unit
 val warnings : t -> string list
 (** Recorded warnings, oldest first. *)
 
+val clamp_workers : allow_oversubscribe:bool -> int -> int * string option
+(** [clamp_workers ~allow_oversubscribe n]: the worker-domain count to
+    run — [n], or [Domain.recommended_domain_count ()] when [n] exceeds
+    it and oversubscription is not allowed — and the warning to record
+    on every worker's counters whenever [n] exceeds the core count. *)
+
 val merge_into : into:t -> t -> unit
 (** Adds [src] into [into] (same stage layout required; eviction and
     unkeyed counters are summed and warnings unioned too). *)

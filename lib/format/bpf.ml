@@ -9,8 +9,11 @@ type insn =
   | Rsh of int
   | And of int
   | Add of int
+  | Mul of int
+  | Mod of int
   | Jmp of cond * src * int * int
   | Ret of int
+  | Ret_a
 
 type program = insn array
 
@@ -71,25 +74,27 @@ type target = Fall | Pass | Reject
 type item = I of insn | J of cond * src * target * target
 
 (* A := the value of a big-endian field at [bit_off, bit_off + bits) of
-   the payload, with one aligned load, a shift and a mask; [None] when no
-   single load of at most 4 bytes covers it. *)
-let load ~bit_off ~bits =
+   the payload, which starts at offset [base] of what the program reads,
+   with one aligned load, a shift and a mask; [None] when no single load
+   of at most 4 bytes covers it.  The load ends on the field's last byte,
+   so it fails (the program returns 0) exactly when the field is cut. *)
+let load ~base ~bit_off ~bits =
   let b = bit_off / 8 and s = bit_off mod 8 in
   let span = s + bits in
   let lw =
     if span <= 8 then Some (B, 8, b, span)
     else if span <= 16 then Some (H, 16, b, span)
-    else if span <= 24 then Some (W, 32, b - 1, span + 8)
-      (* a 3-byte window: the word that ends on its last byte, which the
-         length check has already shown is present *)
+    else if span <= 24 then
+      (* a 3-byte window: the word that ends on its last byte *)
+      if base + b >= 1 then Some (W, 32, b - 1, span + 8) else None
     else if span <= 32 then Some (W, 32, b, span)
     else None
   in
   Option.map
     (fun (w, wbits, byte, span) ->
-      [ I (Ld_abs (w, udp_header + byte)) ]
-      @ (if wbits > span then [ I (Rsh (wbits - span)) ] else [])
-      @ if span > bits then [ I (And ((1 lsl bits) - 1)) ] else [])
+      [ Ld_abs (w, base + byte) ]
+      @ (if wbits > span then [ Rsh (wbits - span) ] else [])
+      @ if span > bits then [ And ((1 lsl bits) - 1) ] else [])
     lw
 
 (* Membership of A in the intervals: ascending, each lower bound guarded
@@ -122,7 +127,9 @@ let fixed_fields (fmt : Desc.t) =
     (fun (f : Desc.field) ->
       match Sizing.fixed_field_span fmt f.name with
       | Ok (bit_off, bits) when is_scalar f && bits > 0 && bits <= 32 ->
-        Option.map (fun ld -> (f, bits, ld)) (load ~bit_off ~bits)
+        Option.map
+          (fun ld -> (f, bits, List.map (fun i -> I i) ld))
+          (load ~base:udp_header ~bit_off ~bits)
       | _ -> None)
     fmt.fields
 
@@ -259,6 +266,37 @@ let compile (fmt : Desc.t) =
     | [] -> None
     | blocks -> Some (assemble blocks)
 
+(* ---- kernel steering -------------------------------------------------- *)
+
+(* Fibonacci hashing in 32 bits, the width of cBPF's ALU: multiply by
+   2^32/phi and keep the top 16 bits, then reduce to a worker.  The
+   emitter below computes exactly this in the kernel, so this is the one
+   definition of which worker owns a key. *)
+let steer_multiplier = 0x9E37_79B1
+let steer_shift = 16
+
+let steer ~workers key =
+  if key = View.no_key then 0
+  else (((key * steer_multiplier) land 0xFFFF_FFFF) lsr steer_shift) mod workers
+
+let steering fmt ~key ~workers =
+  if workers < 2 then Error "kernel steering needs at least 2 workers"
+  else
+    match View.key_extractor fmt key with
+    | Error _ as e -> e
+    | Ok ke -> (
+      let bit_off, bits, endian = View.key_layout ke in
+      let fail why = Error (Printf.sprintf "field %S %s" key why) in
+      if endian = Desc.Little then fail "is little-endian; the kernel loads big-endian"
+      else if bits > 32 then fail "is wider than the kernel's 32-bit registers"
+      else
+        match load ~base:0 ~bit_off ~bits with
+        | None -> fail "needs more than one kernel load"
+        | Some ld ->
+          Ok
+            (Array.of_list
+               (ld @ [ Mul steer_multiplier; Rsh steer_shift; Mod workers; Ret_a ])))
+
 (* ---- encoding and printing ------------------------------------------- *)
 
 let width_code = function W -> 0x00 | H -> 0x08 | B -> 0x10
@@ -273,9 +311,12 @@ let encode prog =
       | Rsh k -> (0x74, 0, 0, k)
       | And k -> (0x54, 0, 0, k)
       | Add k -> (0x04, 0, 0, k)
+      | Mul k -> (0x24, 0, 0, k)
+      | Mod k -> (0x94, 0, 0, k)
       | Jmp (c, K k, jt, jf) -> (0x05 lor cond_code c, jt, jf, k)
       | Jmp (c, X, jt, jf) -> (0x0d lor cond_code c, jt, jf, 0)
-      | Ret k -> (0x06, 0, 0, k))
+      | Ret k -> (0x06, 0, 0, k)
+      | Ret_a -> (0x16, 0, 0, 0))
     prog
 
 let to_string prog =
@@ -289,11 +330,14 @@ let to_string prog =
     | Rsh k -> plain "rsh" (Printf.sprintf "#%d" k)
     | And k -> plain "and" (Printf.sprintf "#0x%x" k)
     | Add k -> plain "add" (Printf.sprintf "#%d" k)
+    | Mul k -> plain "mul" (Printf.sprintf "#0x%x" k)
+    | Mod k -> plain "mod" (Printf.sprintf "#%d" k)
     | Jmp (c, s, jt, jf) ->
       Printf.sprintf "(%03d) %-8s %-16s jt %d  jf %d" i
         (match c with Jeq -> "jeq" | Jgt -> "jgt" | Jge -> "jge")
         (match s with K k -> Printf.sprintf "#0x%x" k | X -> "x")
         (i + 1 + jt) (i + 1 + jf)
     | Ret k -> plain "ret" (Printf.sprintf "#%d" k)
+    | Ret_a -> plain "ret" "a"
   in
   String.concat "\n" (Array.to_list (Array.mapi line prog)) ^ "\n"

@@ -1,5 +1,5 @@
-(** A format's fixed-offset wire checks, compiled to a classic-BPF socket
-    filter.
+(** Classic-BPF programs compiled from a format: the kernel pre-filter
+    ({!compile}) and the kernel steering program ({!steering}).
 
     {!compile} lowers the part of a format's verification that needs no
     decode — values at fixed offsets of the outermost format and the
@@ -33,7 +33,16 @@
 
     {b Returns.}  The kernel trims a datagram to any nonzero return
     value smaller than its length, so the accept is [0xFFFFFFFF], never
-    a small constant; the reject is [0]. *)
+    a small constant; the reject is [0].
+
+    {b Steering.}  {!steering} compiles a flow key to the program an
+    [SO_REUSEPORT] group runs to pick the socket — the worker — for each
+    datagram ([SO_ATTACH_REUSEPORT_CBPF]): load the key, hash it with
+    {!steer}'s 32-bit function, reduce it [mod workers], return it.  The
+    kernel has already pulled the UDP header there, so its offsets are
+    payload-relative.  A datagram too short to carry the key fails the
+    load, and a failed load returns 0: worker 0, as {!steer} sends
+    {!View.no_key}. *)
 
 type width = B | H | W  (** 1, 2 or 4 bytes, big-endian *)
 
@@ -48,9 +57,13 @@ type insn =
   | Rsh of int  (** A := A >> k *)
   | And of int  (** A := A land k *)
   | Add of int  (** A := (A + k) mod 2^32 *)
+  | Mul of int  (** A := (A * k) mod 2^32 *)
+  | Mod of int  (** A := A mod k, k > 0 *)
   | Jmp of cond * src * int * int
       (** compare A; skip [jt] instructions when true, [jf] when false *)
-  | Ret of int  (** return k: 0 drops, anything else keeps k bytes *)
+  | Ret of int
+      (** return k: a filter drops on 0 and keeps k bytes otherwise *)
+  | Ret_a  (** return A: a steering program's socket index *)
 
 type program = insn array
 
@@ -63,6 +76,18 @@ val udp_header : int
 val compile : Desc.t -> program option
 (** The outermost format's fixed-offset checks, or [None] when none
     applies (the format compiles to nothing and gets no filter). *)
+
+val steer : workers:int -> int -> int
+(** The worker that owns a flow key: [((key * 0x9E3779B1) mod 2^32) lsr
+    16 mod workers], and worker 0 for {!View.no_key}.  The one
+    definition of the partition — the steering program computes it in
+    the kernel, and [Engine.Shard] and the lossy loopback in memory. *)
+
+val steering : Desc.t -> key:string -> workers:int -> (program, string) result
+(** The steering program for [workers] (at least 2) sockets, keyed on the
+    named top-level field: it must be a {!View.key_extractor} key that
+    is big-endian, at most 32 bits wide and covered by one load of at
+    most 4 bytes ending on its last byte. *)
 
 val encode : program -> (int * int * int * int) array
 (** The kernel's [struct sock_filter] rows: [(code, jt, jf, k)]. *)

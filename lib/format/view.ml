@@ -904,6 +904,8 @@ let rec key_read_bits s pos width =
 
 let no_key = min_int
 
+let key_layout ke = (ke.k_bit_off, ke.k_bits, ke.k_endian)
+
 let key_min_bytes ke = (ke.k_bit_off + ke.k_bits + 7) lsr 3
 
 let extract_key_int ke ?(off = 0) data =

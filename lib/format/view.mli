@@ -100,6 +100,11 @@ val key_min_bytes : key_extractor -> int
     against this before {!extract_key_int} (whose own bounds check only
     sees the buffer, not the datagram). *)
 
+val key_layout : key_extractor -> int * int * Desc.endian
+(** [(bit_off, bits, endian)]: where the key sits on the wire — what a
+    program that reads it outside OCaml (the kernel steering program,
+    {!Bpf.steering}) must load. *)
+
 val extract_key_int : key_extractor -> ?off:int -> string -> int
 (** Allocation-free variant of {!extract_key} for the per-packet steering
     path: returns the key as a native int, or {!no_key} when the buffer is

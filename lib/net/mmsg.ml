@@ -1,8 +1,7 @@
 (* Batched kernel I/O: thin OCaml face over the recvmmsg/sendmmsg/epoll
    stubs in mmsg_stubs.c.  All hot-path calls return plain ints (the
    -1 / -2 / -3 convention below) so the server's drain and flush loops
-   stay allocation-free; only setup and the sharded path's per-packet
-   sink construction build OCaml values. *)
+   stay allocation-free; only setup builds OCaml values. *)
 
 type t
 
@@ -38,18 +37,20 @@ module For_testing = struct
   [@@noalloc]
 end
 
-external addr : t -> int -> Unix.sockaddr = "netdsl_mmsg_addr"
+external attach_rows : Unix.file_descr -> bool -> int array -> int
+  = "netdsl_attach_program"
 
-external attach_rows : Unix.file_descr -> int array -> int = "netdsl_attach_filter"
-
-let attach_filter fd prog =
+let attach ~steering fd prog =
   let rows =
     Array.concat
       (List.map
          (fun (c, jt, jf, k) -> [| c; jt; jf; k |])
          (Array.to_list (Netdsl_format.Bpf.encode prog)))
   in
-  attach_rows fd rows = 0
+  attach_rows fd steering rows = 0
+
+let attach_filter = attach ~steering:false
+let attach_steering = attach ~steering:true
 
 external socket_drops : Unix.file_descr -> int = "netdsl_socket_drops" [@@noalloc]
 

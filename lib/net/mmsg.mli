@@ -106,16 +106,22 @@ module For_testing : sig
       datagram per message and stops grouping on this batch. *)
 end
 
-val addr : t -> int -> Unix.sockaddr
-(** Rebuild C slot [i]'s stored address as a [Unix.sockaddr]
-    (allocates — sharded steering's per-packet sinks only). *)
-
 val attach_filter : Unix.file_descr -> Netdsl_format.Bpf.program -> bool
 (** Install a classic-BPF socket filter ([SO_ATTACH_FILTER]); the kernel
     then runs it on every datagram before queueing it to the socket.
     [false] where the option does not exist (non-Linux builds) or the
     kernel refuses the program.  Works on any socket, whichever backend
     reads it. *)
+
+val attach_steering : Unix.file_descr -> Netdsl_format.Bpf.program -> bool
+(** Install a classic-BPF socket-selection program on the socket's
+    [SO_REUSEPORT] group ([SO_ATTACH_REUSEPORT_CBPF]): for each datagram
+    the group receives, the kernel runs it (offsets relative to the UDP
+    payload) and queues the datagram to the socket whose index in the
+    group — its join order — the program returns.  Attached to an
+    unbound [SO_REUSEPORT] socket, it takes effect from that socket's
+    first bind.  [false] where the option does not exist or the kernel
+    refuses the program. *)
 
 val socket_drops : Unix.file_descr -> int
 (** The socket's kernel drop counter ([SO_MEMINFO] slot

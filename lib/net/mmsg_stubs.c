@@ -46,6 +46,9 @@
 #define SO_MEMINFO 55 /* asm-generic/socket.h, Linux >= 4.12 */
 #endif
 #define NETDSL_MEMINFO_DROPS 8 /* SK_MEMINFO_DROPS, linux/sock_diag.h */
+#ifndef SO_ATTACH_REUSEPORT_CBPF
+#define SO_ATTACH_REUSEPORT_CBPF 51 /* asm-generic/socket.h, Linux >= 4.5 */
+#endif
 
 #ifndef SOL_UDP
 #define SOL_UDP 17
@@ -402,34 +405,6 @@ CAMLprim value netdsl_mmsg_refuse_groups(value vbatch, value von)
   return Val_unit;
 }
 
-/* addr batch i: rebuild slot i's source address as a Unix.sockaddr
- * (ADDR_INET: tag-1 block of inet_addr string + port) for the sharded
- * steering path's per-packet sinks. */
-CAMLprim value netdsl_mmsg_addr(value vbatch, value vi)
-{
-  CAMLparam2(vbatch, vi);
-  CAMLlocal2(res, vaddr);
-  struct netdsl_batch *b = Batch_val(vbatch);
-  int i = Int_val(vi);
-  if (i < 0 || i >= b->cap) caml_invalid_argument("Mmsg.addr: bad slot");
-  struct sockaddr_storage *ss = &b->addrs[i];
-  if (ss->ss_family == AF_INET) {
-    struct sockaddr_in *sin = (struct sockaddr_in *)ss;
-    vaddr = caml_alloc_initialized_string(4, (const char *)&sin->sin_addr);
-    res = caml_alloc_small(2, 1);
-    Field(res, 0) = vaddr;
-    Field(res, 1) = Val_int(ntohs(sin->sin_port));
-  } else if (ss->ss_family == AF_INET6) {
-    struct sockaddr_in6 *sin6 = (struct sockaddr_in6 *)ss;
-    vaddr = caml_alloc_initialized_string(16, (const char *)&sin6->sin6_addr);
-    res = caml_alloc_small(2, 1);
-    Field(res, 0) = vaddr;
-    Field(res, 1) = Val_int(ntohs(sin6->sin6_port));
-  } else
-    caml_invalid_argument("Mmsg.addr: empty slot");
-  CAMLreturn(res);
-}
-
 /* Availability probe: a throwaway recvmmsg on an unbound UDP socket.
  * EAGAIN means the syscall exists; ENOSYS means a pre-2.6.33 kernel (or
  * a seccomp filter) and the caller falls back to recvfrom/sendto. */
@@ -450,17 +425,19 @@ CAMLprim value netdsl_mmsg_available(value vunit)
   return Val_bool(ok);
 }
 
-/* ---- socket filter and drop counter ---------------------------------- */
+/* ---- socket filter, steering program and drop counter --------------- */
 
-/* attach_filter fd rows: install a classic-BPF program (rows are the
- * flattened (code, jt, jf, k) quadruples) with SO_ATTACH_FILTER.
- * 0 on success, -2 where the option does not exist, -3 on any other
- * refusal (the kernel's verifier says no). */
-CAMLprim value netdsl_attach_filter(value vfd, value vrows)
+/* attach_program fd steering rows: install a classic-BPF program (rows
+ * are the flattened (code, jt, jf, k) quadruples) as the socket's filter
+ * (SO_ATTACH_FILTER) or, with steering set, as its SO_REUSEPORT group's
+ * socket-selection program (SO_ATTACH_REUSEPORT_CBPF).  0 on success, -2
+ * where the option does not exist, -3 on any other refusal (the kernel's
+ * verifier says no). */
+CAMLprim value netdsl_attach_program(value vfd, value vsteering, value vrows)
 {
   int n = Wosize_val(vrows) / 4;
   if (n <= 0 || n > BPF_MAXINSNS)
-    caml_invalid_argument("Mmsg.attach_filter: program size");
+    caml_invalid_argument("Mmsg.attach: program size");
   struct sock_filter *code = calloc(n, sizeof *code);
   if (!code) caml_raise_out_of_memory();
   for (int i = 0; i < n; i++) {
@@ -470,7 +447,8 @@ CAMLprim value netdsl_attach_filter(value vfd, value vrows)
     code[i].k = (uint32_t)Long_val(Field(vrows, 4 * i + 3));
   }
   struct sock_fprog prog = { .len = (unsigned short)n, .filter = code };
-  int r = setsockopt(Int_val(vfd), SOL_SOCKET, SO_ATTACH_FILTER, &prog, sizeof prog);
+  int opt = Bool_val(vsteering) ? SO_ATTACH_REUSEPORT_CBPF : SO_ATTACH_FILTER;
+  int r = setsockopt(Int_val(vfd), SOL_SOCKET, opt, &prog, sizeof prog);
   int err = errno;
   free(code);
   if (r == 0) return Val_int(0);
@@ -649,9 +627,9 @@ CAMLprim value netdsl_mmsg_last_oversized(value vbatch)
   return Val_int(0);
 }
 
-CAMLprim value netdsl_attach_filter(value vfd, value vrows)
+CAMLprim value netdsl_attach_program(value vfd, value vsteering, value vrows)
 {
-  (void)vfd; (void)vrows;
+  (void)vfd; (void)vsteering; (void)vrows;
   return Val_int(-2);
 }
 
@@ -677,12 +655,6 @@ CAMLprim value netdsl_mmsg_refuse_groups(value a, value b)
 {
   (void)a; (void)b;
   return Val_unit;
-}
-
-CAMLprim value netdsl_mmsg_addr(value a, value b)
-{
-  (void)a; (void)b;
-  caml_failwith("Mmsg.addr: batched I/O unavailable on this platform");
 }
 
 CAMLprim value netdsl_mmsg_available(value vunit)

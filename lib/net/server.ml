@@ -1,9 +1,6 @@
 module Pipeline = Netdsl_engine.Pipeline
 module Flight = Netdsl_engine.Flight
 module Slab = Netdsl_engine.Slab
-module Spsc = Netdsl_engine.Spsc
-module Shard = Netdsl_engine.Shard
-module View = Netdsl_format.View
 module Bpf = Netdsl_format.Bpf
 
 type endpoint =
@@ -66,51 +63,44 @@ type staging = {
      from [li]; returns how many left, or a negative code: [Mmsg.eagain],
      [short_write], or any other error.  A failed call costs the replies
      it carried: at most [tx_per_call].
-   - [sink li i]: run slot [i]'s destination, for steered packets whose
-     replies leave from a worker domain.
    Each backend charges its kernel calls and batching counters to the
    listener; the loop counts packets, bytes and failures. *)
 type backend = {
   wait : timeout_ms:int -> unit;
   recv : int -> base:int -> count:int -> int;
   send : int -> off:int -> n:int -> int;
-  sink : int -> int -> sink;
   tx_per_call : int;
   release : unit -> unit;
 }
 
 let short_write = -4
 
-(* One worker, one pipeline: each run is served where it was read.  Many
-   workers: the loop only steers, and [Shard]'s worker domains serve
-   their rings, replying through [sinks] — per worker, parallel to the
-   ring's slots, stored before the publish. *)
-type work =
-  | Serve of { pipe : Pipeline.t; tx : staging }
-  | Steer of {
-      shard : Shard.t;
-      rings : Spsc.t array;
-      sinks : sink array array;
-      w_stats : Stats.t array;
-          (* worker tx rows: worker domains never write a listener's *)
-      mutable published : int;  (* packets blitted into rings, ever *)
-    }
-
-type t = {
-  s_ls : listener array;
-  s_io : backend;
-  s_mmsg : Mmsg.t option;  (* the batched backend's kernel batch *)
-  s_hot : bool array;
+(* One copy of the serve loop: its own socket per endpoint, backend,
+   slab, reply staging and pipeline.  Sharded, each worker runs on its
+   own domain and only ever touches its own record; the kernel picks the
+   worker of each datagram. *)
+type worker = {
+  w_ls : listener array;
+  w_io : backend;
+  w_mmsg : Mmsg.t option;  (* the batched backend's kernel batch *)
+  w_hot : bool array;
       (* listener may hold more data: set by [wait] or when a pass stops
          at its budget, cleared only when [recv] finds it dry *)
-  s_work : work;
-  s_slab : Slab.t;  (* one I/O batch of run slots *)
-  s_batch : int;
-  s_pass : int;  (* most packets one listener pass takes *)
+  w_pipe : Pipeline.t;
+  w_tx : staging;
+  w_slab : Slab.t;  (* one I/O batch of run slots *)
+  w_batch : int;
+  w_pass : int;  (* most packets one listener pass takes *)
+  mutable w_processed : int;
+  w_loop : Stats.t;  (* the event-loop row: select/epoll_wait syscalls *)
+}
+
+type t = {
+  s_ws : worker array;
   s_stop : bool Atomic.t;
-  mutable s_processed : int;
-  s_loop : Stats.t;  (* the event-loop row: select/epoll_wait syscalls *)
+  s_served : int Atomic.t;  (* packets the current run served, all workers *)
   s_filter : Bpf.program option;  (* attached to every UDP listener *)
+  s_steering : (string * Bpf.program) option;  (* key, reuseport program *)
   s_prev_signals : (int * Sys.signal_behavior) list;
   mutable s_closed : bool;
 }
@@ -128,8 +118,7 @@ let note_failure st r c =
   else if r = short_write then st.Stats.short_writes <- st.Stats.short_writes + c
   else st.Stats.tx_errors <- st.Stats.tx_errors + c
 
-(* One datagram out: the legacy backend's send and a sharded worker's
-   reply.  Nonblocking — a full socket buffer costs the reply, never the
+(* One datagram out, the legacy backend's UDP send.  Nonblocking — a full socket buffer costs the reply, never the
    engine. *)
 let sendto st fd buf len addr =
   st.Stats.syscalls <- st.Stats.syscalls + 1;
@@ -199,7 +188,6 @@ let mmsg_backend ls hot ~bufs ~lens tx =
   ( { wait;
       recv;
       send;
-      sink = (fun li i -> To_udp (ls.(li), Mmsg.addr batch i));
       tx_per_call = max_int;
       release = (fun () -> Mmsg.Epoll.close ep) },
     batch )
@@ -414,7 +402,6 @@ let legacy_backend ls hot ~bufs ~lens tx =
         | `Udp -> legacy_recv_udp lg l ~base
         | `Tcp -> legacy_recv_tcp lg l ~base ~count);
     send = (fun _ ~off ~n:_ -> legacy_send lg ~off);
-    sink = (fun _ i -> lg.lg_dests.(i));
     tx_per_call = 1;
     release =
       (fun () -> Array.iter (fun l -> List.iter (close_conn lg) l.l_conns) ls) }
@@ -470,79 +457,52 @@ let note_rx st lens base r =
   done;
   st.Stats.rx_pkts <- st.Stats.rx_pkts + r
 
-(* One pass over listener [li], at most [s_pass] packets, so a flooded
+(* One pass over listener [li], at most [w_pass] packets, so a flooded
    listener cannot starve timers, the stop flag or the other listeners:
-   lease a slab run, [recv] into it, and finish the run before the next
-   read.  Serving runs it to completion — engine, reply send, release.
-   The send MUST precede [Slab.release]: a staged reply's destination is
-   filed under its request's slot, which the next [recv] overwrites.
-   Steering reads each packet's flow key at its fixed offset (no
-   decode), routes it, and blits it once into its worker's ring, the
-   destination stored in the parallel sink slot; a full ring costs the
-   packet (a drop) rather than blocking the other workers' flows; the
-   run is then handed back unpublished.  Only a dry [recv] clears the
-   hot flag: a pass cut short by its budget or an error comes back after
-   timers.  Returns the packets served or steered. *)
-let pass t li =
-  let st = t.s_ls.(li).l_stats in
-  let slab = t.s_slab in
-  let bufs = Slab.raw_bufs slab and lens = Slab.raw_lens slab in
-  let drained = ref 0 and taken = ref 0 in
+   lease a slab run, [recv] into it, and run it to completion — engine,
+   reply send, release — before the next read.  The send MUST precede
+   [Slab.release]: a staged reply's destination is filed under its
+   request's slot, which the next [recv] overwrites.  Only a dry [recv]
+   clears the hot flag: a pass cut short by its budget or an error comes
+   back after timers.  Returns the packets served. *)
+let pass w li =
+  let st = w.w_ls.(li).l_stats in
+  let slab = w.w_slab in
+  let lens = Slab.raw_lens slab in
+  let drained = ref 0 in
   let continue = ref true in
-  while !continue && !drained < t.s_pass do
-    let k = Slab.lease_run slab ~max:(t.s_pass - !drained) in
+  while !continue && !drained < w.w_pass do
+    let k = Slab.lease_run slab ~max:(w.w_pass - !drained) in
     let base = Slab.producer_slot slab in
-    let r = t.s_io.recv li ~base ~count:k in
+    let r = w.w_io.recv li ~base ~count:k in
     if r > 0 then begin
       note_rx st lens base r;
       drained := !drained + r;
-      match t.s_work with
-      | Serve s ->
-        Slab.publish_run slab ~n:r;
-        s.tx.tx_li <- li;
-        while Slab.length slab > 0 do
-          let n = Slab.pop_batch slab ~max:t.s_batch in
-          Pipeline.process_slab_batch s.pipe slab ~n;
-          flush t.s_io t.s_ls s.tx;
-          Slab.release slab
-        done;
-        t.s_processed <- t.s_processed + r;
-        taken := !taken + r
-      | Steer s ->
-        let steer = Shard.steering s.shard in
-        for i = base to base + r - 1 do
-          let n = lens.(i) and pkt = bufs.(i) in
-          let w = Shard.route s.shard (Bytes.unsafe_to_string pkt) ~len:n in
-          let ring = s.rings.(w) in
-          if not (Spsc.has_space ring) then st.Stats.drops <- st.Stats.drops + 1
-          else begin
-            let sinks = s.sinks.(w) in
-            sinks.(Spsc.producer_pos ring land (Array.length sinks - 1)) <-
-              t.s_io.sink li i;
-            Bytes.blit pkt 0 (Spsc.slot ring) 0 n;
-            Spsc.publish ring ~tag:(Shard.Steer.last_bucket steer) n;
-            s.published <- s.published + 1;
-            incr taken
-          end;
-          Shard.Steer.maybe_rebalance steer s.rings
-        done;
-        Slab.publish_run slab ~n:0
+      Slab.publish_run slab ~n:r;
+      w.w_tx.tx_li <- li;
+      while Slab.length slab > 0 do
+        let n = Slab.pop_batch slab ~max:w.w_batch in
+        Pipeline.process_slab_batch w.w_pipe slab ~n;
+        flush w.w_io w.w_ls w.w_tx;
+        Slab.release slab
+      done;
+      w.w_processed <- w.w_processed + r
     end
     else begin
       Slab.publish_run slab ~n:0;
-      if r = Mmsg.eagain then t.s_hot.(li) <- false;
+      if r = Mmsg.eagain then w.w_hot.(li) <- false;
       continue := false
     end
   done;
   if !drained > st.Stats.hwm_drain then st.Stats.hwm_drain <- !drained;
-  !taken
+  !drained
 
 (* top-level, not closures in [run]: the run's entry cost lands inside
    the benches' per-run allocation bracket *)
 let rec any_hot hot i = i < Array.length hot && (hot.(i) || any_hot hot (i + 1))
 
-let timeout_ms t deadline =
-  if any_hot t.s_hot 0 then 0
+let timeout_ms w deadline =
+  if any_hot w.w_hot 0 then 0
   else begin
     let cap =
       match deadline with
@@ -553,26 +513,16 @@ let timeout_ms t deadline =
     in
     (* sleep no longer than the engine's next armed deadline: an idle
        socket must not delay a retransmission timer by the idle cap *)
-    match t.s_work with
-    | Serve { pipe; _ } -> (
-      match Pipeline.next_timer_ms pipe with -1 -> cap | ms -> min cap ms)
-    | Steer _ -> cap
+    match Pipeline.next_timer_ms w.w_pipe with -1 -> cap | ms -> min cap ms
   end
 
-let shard_processed rings =
-  Array.fold_left (fun acc r -> acc + Spsc.head_pos r) 0 rings
-
-let run ?max_packets ?duration t =
-  if t.s_closed then invalid_arg "Net.Server.run: server is closed";
-  Array.iter (fun l -> Stats.reset_highwater l.l_stats) t.s_ls;
-  Stats.reset_highwater t.s_loop;
-  let budget = match max_packets with None -> max_int | Some m -> m in
-  (* monotonic: a wall-clock step must not stretch or cut the run *)
-  let deadline =
-    match duration with
-    | None -> None
-    | Some d -> Some (Mmsg.now_ns () + int_of_float (d *. 1e9))
-  in
+(* The serve loop of one worker.  The stop flag and the packet budget are
+   the server's, shared by every worker: a budget counts the packets all
+   of them served in this run, and a worker sees a stop or a spent
+   budget at its next wake. *)
+let serve t w ~budget ~deadline =
+  Array.iter (fun l -> Stats.reset_highwater l.l_stats) w.w_ls;
+  Stats.reset_highwater w.w_loop;
   let n_run = ref 0 in
   let fin = ref false in
   while not !fin do
@@ -582,43 +532,73 @@ let run ?max_packets ?duration t =
     let stopping = Atomic.get t.s_stop in
     if
       (not stopping)
-      && (!n_run >= budget
+      && (Atomic.get t.s_served >= budget
          || match deadline with
             | None -> false
             | Some dl -> Mmsg.now_ns () >= dl)
     then fin := true
     else begin
-      let timeout_ms = if stopping then 0 else timeout_ms t deadline in
-      t.s_loop.Stats.syscalls <- t.s_loop.Stats.syscalls + 1;
-      t.s_io.wait ~timeout_ms;
-      for li = 0 to Array.length t.s_ls - 1 do
-        if t.s_hot.(li) then n_run := !n_run + pass t li
+      let timeout_ms = if stopping then 0 else timeout_ms w deadline in
+      w.w_loop.Stats.syscalls <- w.w_loop.Stats.syscalls + 1;
+      w.w_io.wait ~timeout_ms;
+      for li = 0 to Array.length w.w_ls - 1 do
+        if w.w_hot.(li) then begin
+          let n = pass w li in
+          n_run := !n_run + n;
+          ignore (Atomic.fetch_and_add t.s_served n)
+        end
       done;
-      (match t.s_work with
-      | Serve { pipe; _ } -> ignore (Pipeline.poll_timers pipe)
-      | Steer _ -> ());
+      ignore (Pipeline.poll_timers w.w_pipe);
       if stopping then fin := true
     end
   done;
-  (match t.s_work with
-  | Serve _ -> ()
-  | Steer s ->
-    (* replies leave from the worker domains: "served" means the rings
-       are drained, not merely read off the wire *)
-    let k = ref 0 in
-    while shard_processed s.rings < s.published do
-      Spsc.backoff !k;
-      incr k
-    done);
+  !n_run
+
+(* One worker serves on the calling domain; more run one domain each,
+   worker 0 on the caller's, which also takes the signals. *)
+let run ?max_packets ?duration t =
+  if t.s_closed then invalid_arg "Net.Server.run: server is closed";
+  let budget = match max_packets with None -> max_int | Some m -> m in
+  (* monotonic: a wall-clock step must not stretch or cut the run *)
+  let deadline =
+    match duration with
+    | None -> None
+    | Some d -> Some (Mmsg.now_ns () + int_of_float (d *. 1e9))
+  in
+  Atomic.set t.s_served 0;
+  let n =
+    match t.s_ws with
+    | [| w |] -> serve t w ~budget ~deadline
+    | ws ->
+      let others =
+        Array.map
+          (fun w -> Domain.spawn (fun () -> serve t w ~budget ~deadline))
+          (Array.sub ws 1 (Array.length ws - 1))
+      in
+      let n0 =
+        try serve t ws.(0) ~budget ~deadline
+        with e ->
+          Atomic.set t.s_stop true;
+          Array.iter (fun d -> try ignore (Domain.join d) with _ -> ()) others;
+          raise e
+      in
+      Array.fold_left (fun acc d -> acc + Domain.join d) n0 others
+  in
   (* a consumed stop request must not stick to the next run *)
   Atomic.set t.s_stop false;
-  !n_run
+  n
 
 let request_stop t = Atomic.set t.s_stop true
 
 (* ---- create ---------------------------------------------------------- *)
 
-let bind_listener ep =
+(* [group]: join an [SO_REUSEPORT] group on this port — a sharded
+   worker's socket.  [steer]: the group's steering program, attached
+   before the group's first bind so the kernel's default hash never picks
+   a socket.  A single worker's listener founds no group, so no
+   [SO_REUSEPORT] socket can join its port and take a share of its
+   traffic. *)
+let bind_listener ?(group = false) ?steer ep =
   let proto, host, port =
     match ep with
     | Udp { host; port } -> (`Udp, host, port)
@@ -636,29 +616,64 @@ let bind_listener ep =
       match
         Unix.set_nonblock fd;
         Unix.setsockopt fd Unix.SO_REUSEADDR true;
+        if group then Unix.setsockopt fd Unix.SO_REUSEPORT true;
         (* Widen the kernel buffers so the bounded-backpressure story is
            the kernel's, not a 208 KiB default's; best-effort. *)
         (try Unix.setsockopt_int fd Unix.SO_RCVBUF (1 lsl 20)
          with Unix.Unix_error _ -> ());
         (try Unix.setsockopt_int fd Unix.SO_SNDBUF (1 lsl 20)
          with Unix.Unix_error _ -> ());
-        Unix.bind fd (Unix.ADDR_INET (addr, port));
-        if proto = `Tcp then Unix.listen fd 64;
-        (match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, p) -> p
-        | _ -> port)
+        match steer with
+        | Some prog when not (Mmsg.attach_steering fd prog) -> None
+        | _ ->
+          Unix.bind fd (Unix.ADDR_INET (addr, port));
+          if proto = `Tcp then Unix.listen fd 64;
+          Some
+            (match Unix.getsockname fd with
+            | Unix.ADDR_INET (_, p) -> p
+            | _ -> port)
       with
       | exception Unix.Unix_error (e, _, _) ->
         (try Unix.close fd with Unix.Unix_error _ -> ());
         Error
           (Printf.sprintf "cannot bind %s %s:%d: %s" (proto_name proto) host
              port (err_text e))
-      | bound_port ->
+      | None ->
+        (try Unix.close fd with Unix.Unix_error _ -> ());
+        Error
+          "kernel steering unavailable: the kernel refused the SO_REUSEPORT \
+           steering program"
+      | Some bound_port ->
         Ok
           { l_proto = proto; l_fd = fd; l_host = host; l_port = bound_port;
             l_stats = Stats.create (); l_conns = []; l_ready = false })
 
 let mmsg_available () = Mmsg.available () && Mmsg.Epoll.available ()
+
+exception Bind_failed of string
+
+(* Worker 0 binds the endpoints as given, each socket founding its
+   endpoint's group with the steering program attached; every other
+   worker then joins each group on the port worker 0 got (sharded mode
+   is UDP only).  A group's sockets are indexed in join order, so the
+   program's return value [w] is worker [w]'s socket.  [Error] carries
+   what was bound, for the caller to close. *)
+let bind_workers ~steer endpoints n =
+  let bound = ref [] in
+  let bind ?steer ep =
+    match bind_listener ~group:(n > 1) ?steer ep with
+    | Ok l ->
+      bound := l :: !bound;
+      l
+    | Error msg -> raise (Bind_failed msg)
+  in
+  let join l = bind (Udp { host = l.l_host; port = l.l_port }) in
+  match
+    let first = Array.of_list (List.map (bind ?steer) endpoints) in
+    Array.init n (fun w -> if w = 0 then first else Array.map join first)
+  with
+  | rows -> Ok rows
+  | exception Bind_failed msg -> Error (!bound, msg)
 
 (* The format's fixed-offset wire checks run in the kernel on every UDP
    listener, whichever backend reads it: a datagram they reject never
@@ -669,28 +684,55 @@ let attach_filter ls fmt =
   match Bpf.compile fmt with
   | None -> None
   | Some prog ->
-    let udp = List.filter (fun l -> l.l_proto = `Udp) (Array.to_list ls) in
+    let udp = List.filter (fun l -> l.l_proto = `Udp) ls in
     let attached = List.filter (fun l -> Mmsg.attach_filter l.l_fd prog) udp in
     if udp <> [] && List.length attached = List.length udp then Some prog else None
 
-(* A sharded worker's reply: UDP only (sharded mode refuses TCP),
-   charged to the worker's own row. *)
-let worker_reply sinks st pos buf len =
-  if pos >= 0 then
-    match sinks.(pos land (Array.length sinks - 1)) with
-    | To_udp (l, addr) ->
-      let r = sendto st l.l_fd buf len addr in
-      if r > 0 then begin
-        st.Stats.tx_pkts <- st.Stats.tx_pkts + 1;
-        st.Stats.tx_bytes <- st.Stats.tx_bytes + len
-      end
-      else note_failure st r 1
-    | No_sink | To_conn _ -> ()
+(* One worker over its row of sockets: slab, reply staging, backend and
+   pipeline.  Both backends finish each run before the next read, so the
+   slab holds one I/O batch.  Its slots are one byte wider than the
+   largest packet served: a datagram that fills one may have been cut by
+   the kernel, and is dropped whole (both backends). *)
+let make_worker ~config ~mode ?stack ?machine ~tick_ms ~use_mmsg ~io_batch
+    ~flight fmt ls =
+  let hot = Array.make (Array.length ls) false in
+  let slot_bytes = config.Pipeline.slot_bytes in
+  let slab = Slab.create ~slot_bytes:(slot_bytes + 1) ~capacity:io_batch () in
+  let bufs = Slab.raw_bufs slab and lens = Slab.raw_lens slab in
+  let tx =
+    { txb = Array.init io_batch (fun _ -> Bytes.create slot_bytes);
+      txl = Array.make io_batch 0;
+      txa = Array.make io_batch (-1);
+      txn = 0;
+      tx_li = 0 }
+  in
+  match
+    if use_mmsg then
+      let io, batch = mmsg_backend ls hot ~bufs ~lens tx in
+      (io, Some batch)
+    else (legacy_backend ls hot ~bufs ~lens tx, None)
+  with
+  | exception Failure msg -> Error msg
+  | io, mm -> (
+    match
+      Pipeline.create ~config ~mode ?stack ~flight ?machine ~tick_ms
+        ~clock_ms:Mmsg.now_ms ~now_ns:Mmsg.now_ns
+        ~on_reply_slot:(stage io ls tx slab) fmt
+    with
+    | exception e ->
+      io.release ();
+      Error (Printexc.to_string e)
+    | pipe ->
+      Ok
+        { w_ls = ls; w_io = io; w_mmsg = mm; w_hot = hot; w_pipe = pipe;
+          w_tx = tx; w_slab = slab; w_batch = config.Pipeline.batch;
+          w_pass = config.Pipeline.ring_capacity; w_processed = 0;
+          w_loop = Stats.create () })
 
 let create ?(config = Pipeline.default_config) ?(mode = Pipeline.Fused)
     ?stack ?machine ?(tick_ms = 1) ?(signals = true) ?(workers = 1)
-    ?(allow_oversubscribe = false) ?(stealing = false) ?shard_key
-    ?(io = Auto) ?(io_batch = 32) ~flight ~listeners fmt =
+    ?(allow_oversubscribe = false) ?shard_key ?(io = Auto) ?(io_batch = 32)
+    ~flight ~listeners fmt =
   let all_udp =
     List.for_all (function Udp _ -> true | Tcp _ -> false) listeners
   in
@@ -710,10 +752,16 @@ let create ?(config = Pipeline.default_config) ?(mode = Pipeline.Fused)
     | Mmsg -> Ok true
     | Auto -> Ok (all_udp && mmsg_available ())
   in
+  let n_workers, warning =
+    if workers <= 1 then (workers, None)
+    else Netdsl_engine.Stats.clamp_workers ~allow_oversubscribe workers
+  in
   (* Steer on the flight spec's own flow key unless told otherwise:
      packets of a flow must land where that flow's machine instance
-     lives, and the spec already names the field that defines a flow. *)
-  let shard_key =
+     lives, and the spec already names the field that defines a flow.
+     The key is checked whenever sharding was asked for, even if the
+     core count clamps it to one worker. *)
+  let steering =
     if workers <= 1 then Ok None
     else if not all_udp then
       Error "sharded mode (workers > 1) serves UDP listeners only"
@@ -727,18 +775,18 @@ let create ?(config = Pipeline.default_config) ?(mode = Pipeline.Fused)
           "sharded mode needs a steering key: the flight spec has no flow \
            key and no ~shard_key was given"
       | Some k -> (
-        match View.key_extractor fmt k with
+        match Bpf.steering fmt ~key:k ~workers:(max 2 n_workers) with
         | Error e ->
           Error (Printf.sprintf "sharded mode: bad steering key %S: %s" k e)
-        | Ok _ -> Ok (Some k))
+        | Ok prog -> Ok (if n_workers > 1 then Some (k, prog) else None))
   in
   if listeners = [] then Error "no listeners given"
   else if workers <= 0 then Error "workers must be positive"
   else if io_batch <= 0 then Error "io-batch must be a positive batch size"
   else
-    match (use_mmsg, shard_key) with
+    match (use_mmsg, steering) with
     | (Error _ as e), _ | _, (Error _ as e) -> e
-    | Ok use_mmsg, Ok shard_key -> (
+    | Ok use_mmsg, Ok steering -> (
       let stop = Atomic.make false in
       (* Handlers go in before any socket exists: a signal that lands
          during bring-up or a long bind still produces a stats report
@@ -757,163 +805,112 @@ let create ?(config = Pipeline.default_config) ?(mode = Pipeline.Fused)
         List.iter (fun (s, b) -> Sys.set_signal s b) prev_signals;
         Error msg
       in
-      let rec bind_all acc = function
-        | [] -> Ok (List.rev acc)
-        | ep :: rest -> (
-          match bind_listener ep with
-          | Ok l -> bind_all (l :: acc) rest
-          | Error msg -> fail acc msg)
-      in
-      match bind_all [] listeners with
-      | Error _ as e -> e
-      | Ok bound ->
-        let ls = Array.of_list bound in
-        let hot = Array.make (Array.length ls) false in
-        let slot_bytes = config.Pipeline.slot_bytes in
-        (* Both backends finish each run before the next read, so the slab
-           holds one I/O batch.  Its slots are one byte wider than the
-           largest packet served: a datagram that fills one may have been
-           cut by the kernel, and is dropped whole (both backends). *)
-        let slab = Slab.create ~slot_bytes:(slot_bytes + 1) ~capacity:io_batch () in
-        let bufs = Slab.raw_bufs slab and lens = Slab.raw_lens slab in
-        let n_tx = if shard_key = None then io_batch else 0 in
-        let tx =
-          { txb = Array.init n_tx (fun _ -> Bytes.create slot_bytes);
-            txl = Array.make n_tx 0;
-            txa = Array.make n_tx (-1);
-            txn = 0;
-            tx_li = 0 }
+      match bind_workers ~steer:(Option.map snd steering) listeners n_workers with
+      | Error (bound, msg) -> fail bound msg
+      | Ok rows -> (
+        let all = List.concat_map Array.to_list (Array.to_list rows) in
+        let rec build acc = function
+          | [] -> Ok (Array.of_list (List.rev acc))
+          | ls :: rest -> (
+            match
+              make_worker ~config ~mode ?stack ?machine ~tick_ms ~use_mmsg
+                ~io_batch ~flight fmt ls
+            with
+            | Ok w -> build (w :: acc) rest
+            | Error msg ->
+              List.iter (fun w -> w.w_io.release ()) acc;
+              Error msg)
         in
-        match
-          if use_mmsg then
-            let io, batch = mmsg_backend ls hot ~bufs ~lens tx in
-            (io, Some batch)
-          else (legacy_backend ls hot ~bufs ~lens tx, None)
-        with
-        | exception Failure msg -> fail bound msg
-        | io, mm -> (
-          let work =
-            match shard_key with
-            | None -> (
-              match
-                Pipeline.create ~config ~mode ?stack ~flight ?machine ~tick_ms
-                  ~clock_ms:Mmsg.now_ms ~now_ns:Mmsg.now_ns
-                  ~on_reply_slot:(stage io ls tx slab) fmt
-              with
-              | exception e -> Error (Printexc.to_string e)
-              | pipe -> Ok (Serve { pipe; tx }))
-            | Some key -> (
-              let sinks = ref [||] and w_stats = ref [||] in
-              match
-                Shard.create
-                  ~config:{ Shard.workers; pipeline = config }
-                  ~allow_oversubscribe ~stealing ~key ~mode ~flight
-                  ?machine ~tick_ms ~clock_ms:Mmsg.now_ms ~now_ns:Mmsg.now_ns
-                  ~on_reply_slot:(fun w pos buf len ->
-                    worker_reply !sinks.(w) !w_stats.(w) pos buf len)
-                  fmt
-              with
-              | exception e -> Error (Printexc.to_string e)
-              | Error _ as e -> e
-              | Ok shard ->
-                let rings = Shard.rings shard in
-                sinks :=
-                  Array.map (fun r -> Array.make (Spsc.capacity r) No_sink) rings;
-                w_stats := Array.map (fun _ -> Stats.create ()) rings;
-                Shard.start shard;
-                Ok
-                  (Steer
-                     { shard; rings; sinks = !sinks; w_stats = !w_stats;
-                       published = 0 }))
-          in
-          match work with
-          | Error msg ->
-            io.release ();
-            fail bound msg
-          | Ok work ->
-            Ok
-              { s_ls = ls; s_io = io; s_mmsg = mm; s_hot = hot; s_work = work;
-                s_slab = slab;
-                s_batch = config.Pipeline.batch;
-                s_pass = config.Pipeline.ring_capacity; s_stop = stop;
-                s_processed = 0; s_loop = Stats.create ();
-                s_filter = attach_filter ls fmt;
-                s_prev_signals = prev_signals; s_closed = false }))
+        match build [] (Array.to_list rows) with
+        | Error msg -> fail all msg
+        | Ok ws ->
+          Option.iter
+            (fun msg ->
+              Array.iter
+                (fun w -> Netdsl_engine.Stats.note_warning (Pipeline.stats w.w_pipe) msg)
+                ws)
+            warning;
+          Ok
+            { s_ws = ws; s_stop = stop; s_served = Atomic.make 0;
+              s_filter = attach_filter all fmt; s_steering = steering;
+              s_prev_signals = prev_signals; s_closed = false }))
 
 (* ---- accessors ------------------------------------------------------- *)
 
 let bound t =
   Array.to_list
-    (Array.map (fun l -> (proto_name l.l_proto, l.l_host, l.l_port)) t.s_ls)
+    (Array.map
+       (fun l -> (proto_name l.l_proto, l.l_host, l.l_port))
+       t.s_ws.(0).w_ls)
 
 let udp_port t =
   Array.find_map
     (fun l -> if l.l_proto = `Udp then Some l.l_port else None)
-    t.s_ls
+    t.s_ws.(0).w_ls
 
 let listener_stats t =
   (* the kernel's drop counter is read here, when stats are read, never
      per packet; a closed socket's number may name another socket *)
   if not t.s_closed then
     Array.iter
-      (fun l ->
-        if l.l_proto = `Udp then
-          let d = Mmsg.socket_drops l.l_fd in
-          if d >= 0 then l.l_stats.Stats.kernel_drops <- d)
-      t.s_ls;
-  let ls =
-    Array.map
-      (fun l ->
-        ( Printf.sprintf "%s %s:%d" (proto_name l.l_proto) l.l_host l.l_port,
-          l.l_stats ))
-      t.s_ls
+      (fun w ->
+        Array.iter
+          (fun l ->
+            if l.l_proto = `Udp then
+              let d = Mmsg.socket_drops l.l_fd in
+              if d >= 0 then l.l_stats.Stats.kernel_drops <- d)
+          w.w_ls)
+      t.s_ws;
+  let label i s =
+    if Array.length t.s_ws = 1 then s else Printf.sprintf "%s (worker %d)" s i
   in
-  (* worker tx counters are their own rows: replies leave from worker
-     domains and never touch a listener's (single-writer) stats *)
-  let ws =
-    match t.s_work with
-    | Serve _ -> [||]
-    | Steer s ->
-      Array.mapi (fun i st -> (Printf.sprintf "worker %d (tx)" i, st)) s.w_stats
-  in
-  (* the readiness syscalls (select / epoll_wait) belong to the loop,
-     not to any one listener *)
-  Array.to_list ls @ Array.to_list ws @ [ ("event loop", t.s_loop) ]
+  let rows f = List.concat (Array.to_list (Array.mapi f t.s_ws)) in
+  (* the readiness syscalls (select / epoll_wait) belong to a worker's
+     loop, not to any one listener *)
+  rows (fun i w ->
+      Array.to_list
+        (Array.map
+           (fun l ->
+             ( label i
+                 (Printf.sprintf "%s %s:%d" (proto_name l.l_proto) l.l_host
+                    l.l_port),
+               l.l_stats ))
+           w.w_ls))
+  @ rows (fun i w -> [ (label i "event loop", w.w_loop) ])
 
 let net_stats t = Stats.merge (List.map snd (listener_stats t))
 
-let batched_io t = t.s_mmsg <> None
+let batched_io t = t.s_ws.(0).w_mmsg <> None
 
 let filter t = t.s_filter
 
+let steering t = t.s_steering
+
 let engine_stats t =
-  match t.s_work with
-  | Serve { pipe; _ } -> Pipeline.stats pipe
-  | Steer s -> Shard.stats s.shard
+  match t.s_ws with
+  | [| w |] -> Pipeline.stats w.w_pipe
+  | ws ->
+    Netdsl_engine.Stats.merge
+      (Array.to_list (Array.map (fun w -> Pipeline.stats w.w_pipe) ws))
 
-let processed t =
-  match t.s_work with
-  | Serve _ -> t.s_processed
-  | Steer s -> shard_processed s.rings
+let processed t = Array.fold_left (fun acc w -> acc + w.w_processed) 0 t.s_ws
 
-let workers t =
-  match t.s_work with Serve _ -> 1 | Steer s -> Shard.workers s.shard
-
-let steals t =
-  match t.s_work with Serve _ -> 0 | Steer s -> Shard.steals s.shard
+let workers t = Array.length t.s_ws
 
 module For_testing = struct
   let refuse_gso_groups t on =
-    match t.s_mmsg with
-    | Some b -> Mmsg.For_testing.refuse_groups b on
-    | None -> ()
+    Array.iter
+      (fun w -> Option.iter (fun b -> Mmsg.For_testing.refuse_groups b on) w.w_mmsg)
+      t.s_ws
 end
 
 let close t =
   if not t.s_closed then begin
     t.s_closed <- true;
-    (match t.s_work with Serve _ -> () | Steer s -> Shard.drain s.shard);
-    t.s_io.release ();
-    Array.iter (fun l -> try Unix.close l.l_fd with Unix.Unix_error _ -> ()) t.s_ls;
+    Array.iter
+      (fun w ->
+        w.w_io.release ();
+        Array.iter (fun l -> try Unix.close l.l_fd with Unix.Unix_error _ -> ()) w.w_ls)
+      t.s_ws;
     List.iter (fun (s, b) -> Sys.set_signal s b) t.s_prev_signals
   end

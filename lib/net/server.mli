@@ -4,7 +4,7 @@
     answers them: one {!Netdsl_engine.Pipeline} (fused by default — the
     [?mode] label exists so an oracle or a benchmark can run the staged
     reference behind a socket — built from a {!Netdsl_engine.Flight.spec}),
-    or, sharded, a {!Netdsl_engine.Shard} group of them.
+    or, sharded, one per worker, each behind its own sockets.
 
     {b One loop over one batch-I/O backend.}  [run] is a single event
     loop: check the stop flag, the packet budget and the deadline; sleep
@@ -12,12 +12,11 @@
     armed timer); make one pass over each hot listener; poll the timer
     wheel.  A pass leases a run of slab slots, has the backend receive
     into them (each slot's reply destination filed beside it), and
-    finishes the run before the next receive: it serves it — engine,
-    then one send of the staged replies, then release — or, sharded,
-    steers it.  A pass takes at most [ring_capacity] packets, so a
-    flooded listener cannot starve timers, the stop flag or the other
-    listeners ({!Stats.t.hwm_drain}); a listener stays hot until a
-    receive finds it dry.  The backend has two implementations, chosen
+    serves the run before the next receive — engine, then one send of
+    the staged replies, then release.  A pass takes at most
+    [ring_capacity] packets, so a flooded listener cannot starve timers,
+    the stop flag or the other listeners ({!Stats.t.hwm_drain}); a
+    listener stays hot until a receive finds it dry.  The backend has two implementations, chosen
     by [~io]:
     - {b batched} ([Mmsg]; UDP only): a persistent edge-triggered
       [epoll] instance, one [recvmmsg] per run (the kernel writes
@@ -58,27 +57,29 @@
     served as its prefix.
 
     {b Kernel pre-filter.}  [create] compiles the format's fixed-offset
-    wire checks ({!Netdsl_format.Bpf}) and attaches the program to every
-    UDP listener, on both backends, sharded or not; it is always on.  A
-    datagram the program rejects is dropped by the kernel before it
-    wakes the loop, costs a receive or takes a slot; it shows only in
+    wire checks ({!Netdsl_format.Bpf.compile}) and attaches the program
+    to every UDP socket, on both backends, sharded or not; it is always
+    on.  A datagram the program rejects is dropped by the kernel before
+    it wakes the loop, costs a receive or takes a slot; it shows only in
     {!Stats.t.kernel_drops}.  The program checks a subset of what the
     engine verifies (the engine keeps every check), so it never drops a
     packet the engine would accept.
 
-    {b Sharded mode} ([~workers] > 1, UDP only): the loop becomes a pure
-    steering stage over either backend — it reads each packet's flow key
-    at its fixed wire offset (no decode), routes it the
-    {!Netdsl_engine.Shard.Steer} way (Fibonacci-hashed buckets, per-flow
-    worker affinity, optional fenced bucket stealing), and blits it once
-    into the owner worker's lock-free {!Netdsl_engine.Spsc} ring, its
-    return address stored beside the ring slot.  The workers are
-    {!Netdsl_engine.Shard}'s own: each drains its ring through its
-    pipeline on its own domain, polls its timer wheel while idle, and
-    sends each reply with [sendto] (datagrams are atomic, so replies
-    never interleave mid-packet).  Run-to-completion ordering holds
-    {e per flow} rather than globally.  A full worker ring drops the
-    datagram (counted) instead of blocking the listener.
+    {b Sharded mode} ([~workers] > 1, UDP only): [workers] copies of
+    the one serve loop, each with its own sockets, backend, slab and
+    pipeline, each on its own domain during {!run}.  Each endpoint gets
+    one [SO_REUSEPORT] socket per worker, all in one group, and the
+    kernel picks the socket of every datagram with a classic-BPF program
+    compiled from the flow key ({!Netdsl_format.Bpf.steering}): the key
+    hashed by {!Netdsl_format.Bpf.steer}, so every packet of a flow
+    reaches the worker that owns the flow's machine instance, and a
+    datagram too short for the key reaches worker 0.  The program is
+    attached before the group's first bind, so the kernel's own hash
+    never picks a socket.  A worker replies from the socket the request
+    arrived on, through its own batched flush.  Run-to-completion
+    ordering holds {e per flow} rather than globally.  A flow never
+    moves: a skewed flow mix loads its owners unevenly.  A single worker
+    sets no [SO_REUSEPORT].
 
     Graceful shutdown: SIGINT/SIGTERM handlers are installed {e before}
     the sockets are bound (a signal during bring-up still reaches the
@@ -113,7 +114,6 @@ val create :
   ?signals:bool ->
   ?workers:int ->
   ?allow_oversubscribe:bool ->
-  ?stealing:bool ->
   ?shard_key:string ->
   ?io:io ->
   ?io_batch:int ->
@@ -127,25 +127,24 @@ val create :
     undone — on an empty listener list, an out-of-range port, an
     unparseable host, or a socket/bind failure.
 
-    [workers] (default 1) > 1 enables sharded mode: that many pipelines
-    on their own domains (spawned here, joined by {!close}).  Requires
-    UDP-only listeners and a steering key — [shard_key] names the field,
-    defaulting to the flight spec's own flow key; a spec without one is
-    an error.  Counts above [Domain.recommended_domain_count ()] are
-    clamped unless [allow_oversubscribe] (either way a {!Netdsl_engine.Stats}
-    warning is recorded on every worker).  [stealing] turns on fenced
-    bucket stealing for skewed flow mixes
-    ({!Netdsl_engine.Shard.Steer}) — note a stolen flow re-mints its
-    machine instance on the new owner.
+    [workers] (default 1) > 1 enables sharded mode: that many workers,
+    each serving on its own domain while {!run} runs.  Requires UDP-only
+    listeners and a steering key — [shard_key] names the field,
+    defaulting to the flight spec's own flow key; a spec without one, or
+    a key {!Netdsl_format.Bpf.steering} cannot compile, is an error, and
+    so is a kernel that refuses the steering program.  Counts above
+    [Domain.recommended_domain_count ()] are clamped unless
+    [allow_oversubscribe] (either way a {!Netdsl_engine.Stats} warning
+    is recorded on every worker:
+    {!Netdsl_engine.Stats.clamp_workers}).
 
     [tick_ms] (default 1) is the timer granularity handed to every
     pipeline ({!Netdsl_engine.Pipeline.create}); it only matters when
     [machine] declares [timeout] clauses.  The loop caps its sleep at
     the engine's next armed deadline
     ({!Netdsl_engine.Pipeline.next_timer_ms}) and polls the wheel after
-    every wake, so expirations fire on time on an idle socket; sharded
-    workers each own a wheel and poll it between ring batches and
-    whenever their ring is empty.
+    every wake, so expirations fire on time on an idle socket; each
+    sharded worker does the same with its own wheel.
 
     [stack] serves a layered chain: the pipeline decodes each datagram
     through the fused {!Netdsl_format.Stack} plan and the flight spec
@@ -167,15 +166,16 @@ val run : ?max_packets:int -> ?duration:float -> t -> int
 (** Serve until a stop condition; returns the number of packets
     processed by this run.  Stop conditions, checked between drains:
     - [max_packets]: stop once this run has processed at least that
-      many ([0] returns without reading a socket — the deterministic
-      cram path);
+      many, counted over every worker ([0] returns without reading a
+      socket — the deterministic cram path);
     - [duration]: stop after that many seconds;
     - {!request_stop} or SIGINT/SIGTERM: stop after a final nonblocking
       pass over every ready socket, so datagrams already queued in the
       kernel are still answered.
     Every packet received is processed and its reply sent before [run]
-    returns (sharded: before the workers' rings are drained) — a stop
-    never abandons in-flight runs.  High-water marks reset on entry ({!Stats.reset_highwater});
+    returns — a stop never abandons in-flight runs.  Sharded, the
+    workers' domains are spawned on entry and joined before [run]
+    returns; each sees a stop or a spent budget at its next wake.  High-water marks reset on entry ({!Stats.reset_highwater});
     [run] may be called again on the same server. *)
 
 val request_stop : t -> unit
@@ -183,24 +183,25 @@ val request_stop : t -> unit
 
 val bound : t -> (string * string * int) list
 (** [(proto, host, port)] per listener, in [listeners] order, with the
-    actual port after an ephemeral bind. *)
+    actual port after an ephemeral bind (sharded: the port every
+    worker's socket shares). *)
 
 val udp_port : t -> int option
 (** Port of the first UDP listener (convenience for loopback tests). *)
 
 val listener_stats : t -> (string * Stats.t) list
-(** Live per-listener counters, labelled ["udp 127.0.0.1:9000"]-style.
-    Sharded mode appends one ["worker N (tx)"] row per worker: replies
-    leave from worker domains and are counted there, never on a
-    listener.  A final ["event loop"] row carries the readiness
-    syscalls ([select]/[epoll_wait]), which belong to the loop rather
-    than any one socket.  Each UDP row's [kernel_drops] is refreshed
+(** Live per-listener counters, labelled ["udp 127.0.0.1:9000"]-style,
+    then an ["event loop"] row carrying the readiness syscalls
+    ([select]/[epoll_wait]), which belong to the loop rather than any
+    one socket.  Sharded, every worker socket has its own row, worker by
+    worker (["udp 127.0.0.1:9000 (worker 1)"]), then every worker's
+    event-loop row: what the kernel steered to a worker is its socket's
+    [rx_pkts] and [kernel_drops].  Each UDP row's [kernel_drops] is refreshed
     here, one [getsockopt] per listener ({!Mmsg.socket_drops}); the
     loop never reads it. *)
 
 val net_stats : t -> Stats.t
-(** All listeners (plus the event-loop row and, sharded, all worker tx
-    rows) merged via {!Stats.merge}. *)
+(** Every row of {!listener_stats} merged via {!Stats.merge}. *)
 
 val filter : t -> Netdsl_format.Bpf.program option
 (** The kernel pre-filter attached to every UDP listener: the format's
@@ -208,23 +209,23 @@ val filter : t -> Netdsl_format.Bpf.program option
     [None] when the format compiles to nothing, when there is no UDP
     listener, or when the kernel refused it (non-Linux builds). *)
 
+val steering : t -> (string * Netdsl_format.Bpf.program) option
+(** Sharded mode: the steering key and the program every endpoint's
+    [SO_REUSEPORT] group runs ({!Netdsl_format.Bpf.steering}).  [None]
+    with one worker. *)
+
 val batched_io : t -> bool
 (** Whether this server actually runs the [recvmmsg]/[sendmmsg] path
     (after [Auto] resolution). *)
 
 val engine_stats : t -> Netdsl_engine.Stats.t
-(** Sharded mode merges every worker pipeline and folds in the steering
-    stage's unkeyed count ({!Netdsl_engine.Stats.unkeyed}). *)
+(** Sharded mode merges every worker's pipeline counters. *)
 
 val processed : t -> int
 (** Total packets processed since [create] (across runs). *)
 
 val workers : t -> int
-(** Worker-domain count ([1] outside sharded mode). *)
-
-val steals : t -> int
-(** Flow-hash buckets migrated by work stealing so far ([0] unless
-    sharded with [~stealing:true]). *)
+(** Worker count, after any clamping ([1] outside sharded mode). *)
 
 (** Test-only entry points. *)
 module For_testing : sig
@@ -232,11 +233,9 @@ module For_testing : sig
   (** Make the kernel refuse every UDP GSO group the batched reply
       flush builds ({!Mmsg.For_testing.refuse_groups}): the first
       refusal re-sends its entries singly and turns grouping off for
-      this server.  No effect on the legacy backend or in sharded mode,
-      whose workers reply with [sendto]. *)
+      every worker.  No effect on the legacy backend. *)
 end
 
 val close : t -> unit
-(** Close every socket and restore the previous signal handlers; in
-    sharded mode, first {!Netdsl_engine.Shard.drain} the workers (the
-    backlog is served, replies sent).  Idempotent. *)
+(** Close every socket and restore the previous signal handlers.
+    Idempotent. *)

@@ -372,6 +372,134 @@ let filter_interpreter () =
   Alcotest.(check bool) "no program passes everything" true
     (Ck.Bpf_oracle.passes None "")
 
+(* ---- the kernel steering program: the OCaml partition, key by key ----
+
+   [Bpf.steering]'s program must send every payload to the worker
+   [Bpf.steer] assigns its key.  Every top-level field of every shipped
+   format and spec that the emitter accepts is a steering-capable key;
+   the interpreter runs its program over the key's whole domain (2^16
+   evenly spread values for a wider key) at several worker counts, and
+   over every payload too short to carry the key. *)
+
+let shipped_formats () =
+  Ck.Corpus.shipped
+  @ List.concat_map
+      (fun spec ->
+        let src = In_channel.with_open_bin (Testutil.spec_path spec) In_channel.input_all in
+        List.map
+          (fun (name, fmt) -> (spec ^ ":" ^ name, fmt))
+          (Netdsl_lang.Parser.parse_string_exn src).Netdsl_lang.Parser.formats)
+      [ "abp.ndsl"; "arq.ndsl"; "ipv4.ndsl"; "sensor.ndsl"; "stacks.ndsl";
+        "tftp.ndsl"; "timeout.ndsl" ]
+
+(* (format label, field, extractor) for every steering-capable key *)
+let steering_keys () =
+  List.concat_map
+    (fun (label, (fmt : Desc.t)) ->
+      List.filter_map
+        (fun (f : Desc.field) ->
+          match
+            (Bpf.steering fmt ~key:f.name ~workers:2, View.key_extractor fmt f.name)
+          with
+          | Ok _, Ok ke -> Some (label, fmt, f.name, ke)
+          | _ -> None)
+        fmt.fields)
+    (shipped_formats ())
+
+(* Payloads carrying each key of the domain, in one reused buffer: the
+   key's bits at its offset, zeros around it. *)
+let iter_key_payloads ke f =
+  let bit_off, bits, _ = View.key_layout ke in
+  let buf = Bytes.make (View.key_min_bytes ke) ' ' in
+  let set_bit pos v =
+    let i = pos lsr 3 and m = 0x80 lsr (pos land 7) in
+    let c = Char.code (Bytes.get buf i) in
+    Bytes.set buf i (Char.chr (if v then c lor m else c land lnot m))
+  in
+  let n = if bits <= 16 then 1 lsl bits else 1 lsl 16 in
+  let stride = if bits <= 16 then 1 else 1 lsl (bits - 16) in
+  for i = 0 to n - 1 do
+    let k = (i * stride) + (i land (stride - 1)) in
+    for b = 0 to bits - 1 do
+      set_bit (bit_off + b) ((k lsr (bits - 1 - b)) land 1 = 1)
+    done;
+    f k (Bytes.unsafe_to_string buf)
+  done
+
+(* The first payload [prog] sends to another worker than the key's
+   owner, if any. *)
+let steering_disagrees ke prog ~workers =
+  let t = Ck.Bpf_oracle.prepare prog in
+  let exception Found of string in
+  let check p ~want what =
+    let got = Ck.Bpf_oracle.steer t p in
+    if got <> want then
+      raise (Found (Printf.sprintf "%s: program picks %d, owner is %d" (what ()) got want))
+  in
+  match
+    iter_key_payloads ke (fun k p ->
+        let key = View.extract_key_int ke p in
+        if key <> k then raise (Found (Printf.sprintf "key %d read back as %d" k key));
+        check p ~want:(Bpf.steer ~workers key) (fun () -> Printf.sprintf "key %d" k));
+    for len = 0 to View.key_min_bytes ke - 1 do
+      check (String.make len '\xff') ~want:0 (fun () ->
+          Printf.sprintf "a %d-byte payload" len)
+    done
+  with
+  | () -> None
+  | exception Found d -> Some d
+
+let steering_matches_partition () =
+  let keys = steering_keys () in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d steering-capable keys" (List.length keys))
+    true (List.length keys > 20);
+  List.iter
+    (fun (label, fmt, key, ke) ->
+      List.iter
+        (fun workers ->
+          match Bpf.steering fmt ~key ~workers with
+          | Error e -> Alcotest.failf "%s.%s: %s" label key e
+          | Ok prog -> (
+            match steering_disagrees ke prog ~workers with
+            | None -> ()
+            | Some d -> Alcotest.failf "%s.%s, %d workers: %s" label key workers d))
+        [ 2; 3; 4; 7 ])
+    keys
+
+(* Each planted defect must send some key to the wrong worker, on every
+   steering-capable key.  Two workers: at three, both values of a 1-bit
+   key hash to worker 0, and no defect can show. *)
+let steering_mutants_caught () =
+  List.iter
+    (fun (label, fmt, key, ke) ->
+      let prog = Result.get_ok (Bpf.steering fmt ~key ~workers:2) in
+      let mutants = Ck.Bpf_oracle.mutants prog in
+      Alcotest.(check (list string)) "both apply"
+        [ "loads one byte late"; "wrong multiplier" ] (List.map fst mutants);
+      List.iter
+        (fun (name, m) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s.%s: %s caught" label key name)
+            true
+            (steering_disagrees ke m ~workers:2 <> None))
+        mutants)
+    (steering_keys ())
+
+(* What the emitter refuses, it refuses by name. *)
+let steering_refusals () =
+  let refused fmt key =
+    match Bpf.steering fmt ~key ~workers:2 with Ok _ -> false | Error _ -> true
+  in
+  Alcotest.(check bool) "missing field" true (refused Fm.Arq.format "nope");
+  Alcotest.(check bool) "variable-size field" true (refused Fm.Arq.format "payload");
+  Alcotest.(check bool) "one worker" true
+    (Result.is_error (Bpf.steering Fm.Arq.format ~key:"seq" ~workers:1));
+  Alcotest.(check string) "arq seq: load, hash, reduce, return"
+    "(000) ldb      [0]\n(001) mul      #0x9e3779b1\n(002) rsh      #16\n\
+     (003) mod      #3\n(004) ret      a\n"
+    (Bpf.to_string (Result.get_ok (Bpf.steering Fm.Arq.format ~key:"seq" ~workers:3)))
+
 let suite =
   [ ("check.golden", List.map golden_case Ck.Corpus.shipped);
     ("check.zero_iters", List.map zero_iters_case Ck.Corpus.shipped);
@@ -394,6 +522,13 @@ let suite =
           filter_mutants_caught;
         Alcotest.test_case "interpreter models drops and trims" `Quick
           filter_interpreter ] );
+    ( "check.steering",
+      [ Alcotest.test_case "program = partition over every key domain" `Quick
+          steering_matches_partition;
+        Alcotest.test_case "planted steering mutants caught" `Quick
+          steering_mutants_caught;
+        Alcotest.test_case "refusals and the arq program" `Quick
+          steering_refusals ] );
     ("check.chain_golden", List.map chain_golden_case Fm.Stacks.all);
     ("check.chain", List.map chain_fuzz_case Fm.Stacks.all);
     ( "check.chain_self",

@@ -1384,7 +1384,7 @@ let shard_key_must_be_fixed_offset () =
 
 let spsc_fifo_wraparound () =
   (* PRNG-driven push/poll against a queue model over a tiny ring, forcing
-     many wraps; tags must travel with their packets. *)
+     many wraps; lengths must travel with their packets. *)
   let r = Spsc.create ~slot_bytes:32 ~capacity:4 () in
   check_int "capacity rounded" 4 (Spsc.capacity r);
   let rng = Prng.of_int 99 in
@@ -1395,17 +1395,15 @@ let spsc_fifo_wraparound () =
     for _ = 1 to pushes do
       incr fed;
       let pkt = Printf.sprintf "p%d" !fed in
-      Queue.push (pkt, !fed land 0xFF) model;
+      Queue.push pkt model;
       check_bool "pushed" true
-        (Spsc.try_push r ~tag:(!fed land 0xFF) ~len:(String.length pkt) pkt)
+        (Spsc.try_push r ~len:(String.length pkt) pkt)
     done;
     if Spsc.length r > 0 then begin
       let n = Spsc.poll r ~max:(1 + Prng.int rng 4) in
       for i = 0 to n - 1 do
-        let want_pkt, want_tag = Queue.pop model in
-        Alcotest.(check string) "fifo across wrap" want_pkt
-          (Bytes.sub_string (Spsc.buf r i) 0 (Spsc.len r i));
-        check_int "tag travels" want_tag (Spsc.tag r i)
+        Alcotest.(check string) "fifo across wrap" (Queue.pop model)
+          (Bytes.sub_string (Spsc.buf r i) 0 (Spsc.len r i))
       done;
       Spsc.release r
     end
@@ -1421,7 +1419,7 @@ let spsc_two_domains () =
         for i = 1 to n do
           let pkt = Printf.sprintf "%d" i in
           let k = ref 0 in
-          while not (Spsc.try_push r ~tag:i ~len:(String.length pkt) pkt) do
+          while not (Spsc.try_push r ~len:(String.length pkt) pkt) do
             Spsc.backoff !k;
             incr k
           done
@@ -1443,7 +1441,6 @@ let spsc_two_domains () =
         check_int "in order"
           !next
           (int_of_string (Bytes.sub_string (Spsc.buf r i) 0 (Spsc.len r i)));
-        check_int "tag in order" !next (Spsc.tag r i);
         incr next
       done;
       Spsc.release r
@@ -1478,33 +1475,32 @@ let spsc_claim_discipline () =
   | () -> Alcotest.fail "release without claim accepted"
 
 let spsc_positions_are_absolute () =
-  (* head_pos/producer_pos keep counting past the capacity — the property
-     the migration fences rely on. *)
+  (* the counters keep counting past the capacity, and fullness is their
+     difference: no reserved slot, no wraparound ambiguity *)
   let r = Spsc.create ~capacity:2 () in
-  for i = 1 to 10 do
-    ignore (Spsc.try_push r ~len:1 "x");
-    check_int "producer pos" i (Spsc.producer_pos r);
-    ignore (Spsc.poll r ~max:1);
+  for _ = 1 to 10 do
+    check_bool "push" true (Spsc.try_push r ~len:1 "x");
+    check_bool "push" true (Spsc.try_push r ~len:1 "y");
+    check_int "full at capacity" 2 (Spsc.length r);
+    check_bool "no space" false (Spsc.has_space r);
+    check_int "claim both" 2 (Spsc.poll r ~max:2);
     Spsc.release r;
-    check_int "head pos" i (Spsc.head_pos r)
+    check_int "empty" 0 (Spsc.length r)
   done
 
 (* ------------------------------------------------------------------ *)
 (* Steer *)
 
 let steer_distribution () =
-  (* The Fibonacci hash must spread both sequential and strided keys:
-     either pattern fed to [worker_of_key] should load every worker with
-     a reasonable share (a plain mask would collapse strided keys onto
-     one worker). *)
+  (* The 32-bit Fibonacci hash must spread both sequential and strided
+     keys: either pattern should load every worker with a reasonable
+     share (a plain mod would collapse strided keys onto one worker). *)
   let workers = 4 in
-  let st = Shard.Steer.create ~workers () in
-  check_int "buckets power of two" 256 (Shard.Steer.buckets st);
   let spread label keys =
     let counts = Array.make workers 0 in
     List.iter
       (fun k ->
-        let w = Shard.Steer.worker_of_key st k in
+        let w = Netdsl_format.Bpf.steer ~workers k in
         counts.(w) <- counts.(w) + 1)
       keys;
     let total = List.length keys in
@@ -1521,13 +1517,7 @@ let steer_distribution () =
   spread "strided 65536" (List.init 10_000 (fun i -> i * 65536));
   (* unkeyed packets pin to worker 0 *)
   check_int "no_key to worker 0" 0
-    (Shard.Steer.worker_of_key st Netdsl_format.View.no_key)
-
-let steer_bucket_rounding () =
-  let st = Shard.Steer.create ~buckets:100 ~workers:3 () in
-  check_int "rounded up" 128 (Shard.Steer.buckets st);
-  let st = Shard.Steer.create ~buckets:1 ~workers:5 () in
-  check_bool "at least workers" true (Shard.Steer.buckets st >= 5)
+    (Netdsl_format.Bpf.steer ~workers Netdsl_format.View.no_key)
 
 (* ------------------------------------------------------------------ *)
 (* Key extractor fast path *)
@@ -1621,7 +1611,7 @@ let check_same_replies ~label reference got =
         true (want = have))
     reference
 
-let shard_determinism ~stealing () =
+let shard_determinism () =
   let machine = Netdsl_proto.Arq_fsm.receiver ~seq_bits:8 in
   let flows = 64 in
   let counters = Array.make flows 0 in
@@ -1629,10 +1619,8 @@ let shard_determinism ~stealing () =
   let fed = ref [] in
   let sh_tbl, sh_response = reply_log () in
   let config = { Shard.workers = 2; pipeline = Pipeline.default_config } in
-  let steal_threshold = if stealing then Some 0 else None in
   (match
-     Shard.create ~config ~allow_oversubscribe:true ~stealing ?steal_threshold
-       ~key:"seq" ~mode:Pipeline.Fused ~flight:arq_flight ~machine
+     Shard.create ~config ~allow_oversubscribe:true ~key:"seq" ~mode:Pipeline.Fused ~flight:arq_flight ~machine
        ~on_response:sh_response Fm.Arq.format
    with
   | Error e -> Alcotest.failf "shard create: %s" e
@@ -1648,29 +1636,14 @@ let shard_determinism ~stealing () =
       done
     in
     feed_burst 2000;
-    if stealing then begin
-      (* pulse: let the workers run dry (and go hungry), then burst again
-         so the rebalancer has a hungry thief and a backlogged victim *)
-      let rounds = ref 0 in
-      while Shard.steals sh = 0 && !rounds < 100 do
-        incr rounds;
-        Unix.sleepf 0.002;
-        feed_burst 200
-      done
-    end;
     Shard.drain sh;
-    if stealing then
-      check_bool "stealing actually exercised" true (Shard.steals sh > 0)
-    else begin
-      check_int "no steals without stealing" 0 (Shard.steals sh);
-      (* without migration every flow lives on exactly one worker *)
-      let live =
-        Array.fold_left
-          (fun acc p -> acc + Pipeline.flow_count p)
-          0 (Shard.pipelines sh)
-      in
-      check_int "one instance per flow" flows live
-    end);
+    (* a flow never moves: every flow lives on exactly one worker *)
+    let live =
+      Array.fold_left
+        (fun acc p -> acc + Pipeline.flow_count p)
+        0 (Shard.pipelines sh)
+    in
+    check_int "one instance per flow" flows live);
   (* reference: the same packets, same order, through one pipeline *)
   let ref_tbl, ref_response = reply_log () in
   let p =
@@ -1678,12 +1651,7 @@ let shard_determinism ~stealing () =
       ~on_response:ref_response Fm.Arq.format
   in
   List.iter (fun pkt -> ignore (Pipeline.process p pkt)) (List.rev !fed);
-  check_same_replies
-    ~label:(if stealing then "stealing" else "plain")
-    ref_tbl sh_tbl
-
-let shard_determinism_plain () = shard_determinism ~stealing:false ()
-let shard_determinism_stealing () = shard_determinism ~stealing:true ()
+  check_same_replies ~label:"sharded" ref_tbl sh_tbl
 
 (* ------------------------------------------------------------------ *)
 
@@ -1761,7 +1729,7 @@ let suite =
           shard_idle_worker_fires_timers;
         Alcotest.test_case "bad key rejected" `Quick shard_key_must_be_fixed_offset ] );
     ( "engine.spsc",
-      [ Alcotest.test_case "fifo + tags across wraparound" `Quick
+      [ Alcotest.test_case "fifo across wraparound" `Quick
           spsc_fifo_wraparound;
         Alcotest.test_case "two-domain hand-off" `Quick spsc_two_domains;
         Alcotest.test_case "backpressure and close drain" `Quick
@@ -1771,13 +1739,10 @@ let suite =
           spsc_positions_are_absolute ] );
     ( "engine.steer",
       [ Alcotest.test_case "fibonacci distribution" `Quick steer_distribution;
-        Alcotest.test_case "bucket table rounding" `Quick steer_bucket_rounding;
         Alcotest.test_case "fast key read = slow key read" `Quick
           key_int_agrees_with_key_option;
         Alcotest.test_case "unkeyed stats merge" `Quick stats_unkeyed_merge ] );
     ( "engine.shard.determinism",
       [ Alcotest.test_case "sharded = single (per flow)" `Quick
-          shard_determinism_plain;
-        Alcotest.test_case "sharded = single under stealing" `Quick
-          shard_determinism_stealing ] )
+          shard_determinism ] )
   ]

@@ -12,6 +12,8 @@ module Mutate = Netdsl_check.Mutate
 module Server = Netdsl_net.Server
 module Nstats = Netdsl_net.Stats
 module Loopback = Netdsl_check.Loopback
+module Bpf = Netdsl_format.Bpf
+module Bpf_oracle = Netdsl_check.Bpf_oracle
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -43,6 +45,9 @@ let udp_client () = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_DGRAM 0
 
 let send fd port pkt =
   ignore (Unix.sendto fd (Bytes.of_string pkt) 0 (String.length pkt) [] (loopback port))
+
+let mmsg_available () =
+  Netdsl_net.Mmsg.available () && Netdsl_net.Mmsg.Epoll.available ()
 
 let recv_timeout ?(timeout = 5.0) fd =
   match Unix.select [ fd ] [] [] timeout with
@@ -446,11 +451,49 @@ let create_red_paths () =
 (* ------------------------------------------------------------------ *)
 (* sharded mode *)
 
-(* Two worker domains behind one UDP socket: the listener steers each
-   datagram by its seq field into a per-worker SPSC ring; replies come
-   back from the worker domains' own [sendto].  Every flow must be
-   answered (kind patched to ack), rx charged to the listener and tx to
-   the worker rows. *)
+(* What the kernel does with each payload sent to a sharded server, as
+   the interpreter predicts it from the server's own programs: the
+   steering program picks the worker socket, whose pre-filter then keeps
+   or drops it.  Per worker: (received, kernel drops). *)
+let predicted_by_worker srv pkts =
+  let _, prog = Option.get (Server.steering srv) in
+  let steer = Bpf_oracle.prepare prog in
+  let filter = Option.map Bpf_oracle.prepare (Server.filter srv) in
+  let rx = Array.make (Server.workers srv) 0 in
+  let drops = Array.make (Server.workers srv) 0 in
+  List.iter
+    (fun p ->
+      let w = Bpf_oracle.steer steer p in
+      if Bpf_oracle.passes filter p then rx.(w) <- rx.(w) + 1
+      else drops.(w) <- drops.(w) + 1)
+    pkts;
+  (rx, drops)
+
+(* Each worker socket's counters, worker by worker. *)
+let worker_rows srv =
+  List.filter_map
+    (fun (label, st) ->
+      if String.starts_with ~prefix:"udp" label then Some st else None)
+    (Server.listener_stats srv)
+
+let check_rows_predicted srv pkts =
+  let rx, drops = predicted_by_worker srv pkts in
+  let rows = worker_rows srv in
+  check_int "one socket row per worker" (Server.workers srv) (List.length rows);
+  List.iteri
+    (fun w st ->
+      check_int (Printf.sprintf "worker %d rx = the interpreter's share" w)
+        rx.(w) st.Nstats.rx_pkts;
+      check_int (Printf.sprintf "worker %d kernel drops = predicted" w)
+        drops.(w) st.Nstats.kernel_drops)
+    rows;
+  rows
+
+(* Two workers on two SO_REUSEPORT sockets sharing one port: the kernel
+   steering program hands each datagram to the worker that owns its seq
+   flow, and that worker answers from its own socket.  Every flow must
+   be answered (kind patched to ack), each worker socket must receive
+   the share the interpreter predicts, and send as many replies. *)
 let sharded_udp_roundtrip () =
   match
     Server.create ~mode:Pipeline.Fused ~signals:false ~flight:arq_flight
@@ -464,6 +507,8 @@ let sharded_udp_roundtrip () =
       ~finally:(fun () -> Server.close srv)
       (fun () ->
         check_int "two workers" 2 (Server.workers srv);
+        check_bool "steered on the spec's flow key" true
+          (match Server.steering srv with Some ("seq", _) -> true | _ -> false);
         let port = Option.get (Server.udp_port srv) in
         let n = 64 in
         let dom = Domain.spawn (fun () -> Server.run ~max_packets:n srv) in
@@ -472,14 +517,17 @@ let sharded_udp_roundtrip () =
           ~finally:(fun () -> Unix.close fd)
           (fun () ->
             let sent = Hashtbl.create n in
-            for i = 1 to n do
-              let pkt = arq_data ~seq:(i land 0xFF) (Printf.sprintf "m%02d" i) in
-              Hashtbl.replace sent (i land 0xFF) pkt;
-              send fd port pkt
-            done;
-            (* run returns only after the worker rings are drained, so
-               every reply has left a worker's sendto by now *)
-            check_int "all steered and served" n (Domain.join dom);
+            let pkts =
+              List.init n (fun i ->
+                  let i = i + 1 in
+                  let pkt = arq_data ~seq:(i land 0xFF) (Printf.sprintf "m%02d" i) in
+                  Hashtbl.replace sent (i land 0xFF) pkt;
+                  send fd port pkt;
+                  pkt)
+            in
+            (* run returns only after every worker has served its share
+               and sent its replies *)
+            check_int "all served" n (Domain.join dom);
             let got = ref 0 in
             let continue = ref true in
             while !continue do
@@ -499,17 +547,88 @@ let sharded_udp_roundtrip () =
             let module Estats = Netdsl_engine.Stats in
             check_int "every packet decoded" n
               (Estats.stage_packets es (Estats.stage_index es "decode"));
-            let st = Server.net_stats srv in
-            check_int "rx counted (listener)" n st.Nstats.rx_pkts;
-            check_int "tx counted (workers)" n st.Nstats.tx_pkts;
-            (* the listener's own stats carry no tx: replies never touch
-               the select thread *)
-            let l_st =
-              match Server.listener_stats srv with
-              | (_, st) :: _ -> st
-              | [] -> Alcotest.fail "no listener row"
-            in
-            check_int "listener tx untouched" 0 l_st.Nstats.tx_pkts))
+            let rows = check_rows_predicted srv pkts in
+            List.iteri
+              (fun w st ->
+                check_bool (Printf.sprintf "worker %d served" w) true
+                  (st.Nstats.rx_pkts > 0);
+                check_int
+                  (Printf.sprintf "worker %d answers from its own socket" w)
+                  st.Nstats.rx_pkts st.Nstats.tx_pkts)
+              rows))
+
+(* The interpreter is the oracle for the steering program; here it meets
+   the kernel on a three-socket group: every ARQ key, plus an empty
+   datagram (no key: worker 0) and a one-byte one (a key, but too short
+   for the format: its owner's pre-filter drops it). *)
+let steering_kernel_agrees () =
+  match
+    Server.create ~signals:false ~flight:arq_flight ~workers:3
+      ~allow_oversubscribe:true
+      ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
+      Fm.Arq.format
+  with
+  | Error e -> Alcotest.fail e
+  | Ok srv ->
+    Fun.protect
+      ~finally:(fun () -> Server.close srv)
+      (fun () ->
+        let port = Option.get (Server.udp_port srv) in
+        let fd = udp_client () in
+        let short = [ ""; "\x07" ] in
+        let keys = List.init 256 (fun seq -> arq_data ~seq "k") in
+        List.iter (send fd port) (short @ keys);
+        check_int "every keyed packet served" 256 (Server.run ~max_packets:256 srv);
+        Unix.close fd;
+        ignore (check_rows_predicted srv (short @ keys)))
+
+(* Success or timeout (§3.4) on a sharded server: one DATA arms the
+   sender's 150 ms timer on its owner, then nothing arrives.  Each
+   worker's loop sleeps no longer than its own wheel's next deadline,
+   so the two retransmits and the give-up fire while every socket is
+   idle. *)
+let sharded_idle_worker_fires_timers io () =
+  if io = Server.Mmsg && not (mmsg_available ()) then ()
+  else begin
+    let spec =
+      Netdsl_lang.Parser.parse_string_exn
+        (In_channel.with_open_bin (Testutil.spec_path "timeout.ndsl")
+           In_channel.input_all)
+    in
+    let fmt = Option.get (Netdsl_lang.Parser.find_format spec "swt_frame") in
+    let machine = Option.get (Netdsl_lang.Parser.find_machine spec "swt_sender") in
+    let kind_is n ev =
+      { Flight.ev_when = Flight.Cmp (Flight.Eq, Flight.Field "kind", Flight.Const n);
+        ev_name = ev }
+    in
+    let flight =
+      Flight.spec ~classify:[ kind_is 0L "send"; kind_is 1L "ack" ] ~flow_key:"seq" ()
+    in
+    match
+      Server.create ~signals:false ~io ~flight ~machine ~workers:2
+        ~allow_oversubscribe:true
+        ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
+        fmt
+    with
+    | Error e -> Alcotest.fail e
+    | Ok srv ->
+      Fun.protect
+        ~finally:(fun () -> Server.close srv)
+        (fun () ->
+          let data =
+            Netdsl_format.Codec.encode_exn fmt
+              (Netdsl_format.Value.Record
+                 [ ("seq", Netdsl_format.Value.Int 5L);
+                   ("kind", Netdsl_format.Value.Int 0L);
+                   ("payload", Netdsl_format.Value.Bytes "hello") ])
+          in
+          let fd = udp_client () in
+          send fd (Option.get (Server.udp_port srv)) data;
+          Unix.close fd;
+          check_int "one packet served" 1 (Server.run ~duration:0.6 srv);
+          check_int "two retransmits and the give-up fired while idle" 3
+            (Netdsl_engine.Stats.timers_expired (Server.engine_stats srv)))
+  end
 
 let sharded_create_red_paths () =
   let contains msg sub =
@@ -663,9 +782,6 @@ let stats_merge_folds_batch_counters () =
 
 (* ------------------------------------------------------------------ *)
 (* the batched (recvmmsg/sendmmsg + epoll) receive loop *)
-
-let mmsg_available () =
-  Netdsl_net.Mmsg.available () && Netdsl_net.Mmsg.Epoll.available ()
 
 (* Forced-mmsg server, plain per-packet client: every data packet
    acked through the batched drain / staged-flush path, the batching
@@ -1079,8 +1195,6 @@ let mmsg_create_red_paths () =
 (* ------------------------------------------------------------------ *)
 (* oversized datagrams and the kernel pre-filter *)
 
-module Bpf = Netdsl_format.Bpf
-module Bpf_oracle = Netdsl_check.Bpf_oracle
 
 let ethernet_frame payload =
   String.make 6 '\xaa' ^ String.make 6 '\xbb' ^ "\x08\x00" ^ payload
@@ -1289,6 +1403,119 @@ let loopback_soak_mmsg_agrees () =
           (st.Nstats.tx_msgs < st.Nstats.tx_pkts)
   end
 
+(* The soak against the single-worker oracle, sharded: a mutant-laced
+   ARQ stream in bursts of 16 through [workers] SO_REUSEPORT workers.
+   Replies from different workers interleave on the client socket, so
+   they are compared flow by flow: each flow's replies must be
+   byte-identical to [Oracle.Reply_ref]'s for the same packets, in the
+   same order, with nothing extra.  The kernel is held to the
+   interpreter socket by socket: each worker receives the share the
+   steering program predicts, and its pre-filter drops what the filter
+   program predicts. *)
+let sharded_soak_one ~io ~workers =
+  let count = 2000 in
+  let rng = Prng.of_int (4242 + workers) in
+  let plan = Mutate.plan Fm.Arq.format in
+  let packets =
+    List.init count (fun i ->
+        let seq = i land 0xff in
+        let valid =
+          if i mod 7 = 0 then Fm.Arq.to_bytes (Fm.Arq.Ack { seq })
+          else arq_data ~seq (String.make (i / 8 mod 48) 's')
+        in
+        if i mod 4 = 3 then Mutate.apply (Mutate.random plan rng valid) valid
+        else valid)
+  in
+  let machine = Netdsl_proto.Arq_fsm.receiver ~seq_bits:8 in
+  let reference =
+    Netdsl_check.Oracle.Reply_ref.create ~machine ~flight:arq_flight Fm.Arq.format
+  in
+  match
+    Server.create ~signals:false ~io ~machine ~flight:arq_flight ~workers
+      ~allow_oversubscribe:true
+      ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
+      Fm.Arq.format
+  with
+  | Error e -> Alcotest.fail e
+  | Ok srv ->
+    Fun.protect
+      ~finally:(fun () -> Server.close srv)
+      (fun () ->
+        check_int "workers" workers (Server.workers srv);
+        let port = Option.get (Server.udp_port srv) in
+        let dom = Domain.spawn (fun () -> Server.run srv) in
+        let fd = udp_client () in
+        let want = Hashtbl.create 256 and got = Hashtbl.create 256 in
+        let push tbl r =
+          let k = Char.code r.[0] in
+          Hashtbl.replace tbl k (r :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
+        in
+        let expected = ref 0 and replies = ref 0 and silent = ref false in
+        let rec bursts = function
+          | [] -> ()
+          | pkts ->
+            let burst = List.filteri (fun i _ -> i < 16) pkts in
+            let rest = List.filteri (fun i _ -> i >= 16) pkts in
+            List.iter
+              (fun p ->
+                (match snd (Netdsl_check.Oracle.Reply_ref.expected reference p) with
+                | Some r ->
+                  incr expected;
+                  push want r
+                | None -> ());
+                send fd port p)
+              burst;
+            while (not !silent) && !replies < !expected do
+              match recv_timeout fd with
+              | None -> silent := true
+              | Some r ->
+                incr replies;
+                push got r
+            done;
+            bursts rest
+        in
+        bursts packets;
+        (* a rejected packet stays silent: anything left is a stray *)
+        let rec strays () =
+          match recv_timeout ~timeout:0.2 fd with
+          | None -> ()
+          | Some r ->
+            incr replies;
+            push got r;
+            strays ()
+        in
+        strays ();
+        Unix.close fd;
+        Server.request_stop srv;
+        let processed = Domain.join dom in
+        check_bool "no reply went missing" false !silent;
+        check_int "every expected reply, nothing more" !expected !replies;
+        check_bool "some replies flowed" true (!expected > 1000);
+        Hashtbl.iter
+          (fun k w ->
+            Alcotest.(check (list string))
+              (Printf.sprintf "flow %d: the oracle's replies, in order" k)
+              (List.rev w)
+              (List.rev (Option.value ~default:[] (Hashtbl.find_opt got k))))
+          want;
+        let rx, drops = predicted_by_worker srv packets in
+        check_bool "the filter drops some mutants" true (Array.fold_left ( + ) 0 drops > 0);
+        check_int "processed = sent - predicted filter drops"
+          (count - Array.fold_left ( + ) 0 drops) processed;
+        ignore (check_rows_predicted srv packets);
+        Array.iteri
+          (fun w n -> check_bool (Printf.sprintf "worker %d served" w) true (n > 0))
+          rx)
+
+let sharded_soak io () =
+  if io = Server.Mmsg && not (mmsg_available ()) then ()
+  else
+    List.iter
+      (fun workers ->
+        if workers <= max 2 (Domain.recommended_domain_count ()) then
+          sharded_soak_one ~io ~workers)
+      [ 2; 3 ]
+
 (* A client that gives up before the warmup count is reached: its stop
    lands while the warmup run is still waiting, and the measured run
    must end too rather than wait for packets that never come. *)
@@ -1341,7 +1568,13 @@ let suite =
         Alcotest.test_case "sharded udp round trip" `Quick
           sharded_udp_roundtrip;
         Alcotest.test_case "sharded create red paths" `Quick
-          sharded_create_red_paths ] );
+          sharded_create_red_paths;
+        Alcotest.test_case "kernel steering: socket = interpreter" `Quick
+          steering_kernel_agrees;
+        Alcotest.test_case "sharded idle workers fire timers: legacy" `Quick
+          (sharded_idle_worker_fires_timers Server.Legacy);
+        Alcotest.test_case "sharded idle workers fire timers: mmsg" `Quick
+          (sharded_idle_worker_fires_timers Server.Mmsg) ] );
     ( "net.stats",
       [ Alcotest.test_case "merge folds the batching counters" `Quick
           stats_merge_folds_batch_counters ] );
@@ -1370,5 +1603,9 @@ let suite =
           loopback_soak_agrees;
         Alcotest.test_case "2k-mutant soak through the batched path" `Quick
           loopback_soak_mmsg_agrees;
+        Alcotest.test_case "sharded soak = single-worker oracle: legacy" `Quick
+          (sharded_soak Server.Legacy);
+        Alcotest.test_case "sharded soak = single-worker oracle: mmsg" `Quick
+          (sharded_soak Server.Mmsg);
         Alcotest.test_case "client gives up during warmup" `Quick
           loopback_client_gives_up_in_warmup ] ) ]

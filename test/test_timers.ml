@@ -418,8 +418,6 @@ let pipe_tick_granularity () =
 
 let window_flight = by_len [ "send"; "ack"; "finish"; "resend"; "nak" ]
 
-let key_of pkt = Char.code pkt.[0]
-
 (* The driver is the application and the far end at once: it offers
    [total] abstract frames per flow, acks every accepted data frame
    through the lossy channel, and infers delivered acks from the
@@ -440,7 +438,7 @@ let run_lossy ~style ~workers ~seed ~loss ~flows ~total ~horizon () =
   in
   let lb =
     Lossy.create ~workers ~channel:chan ~seed ~machine
-      ~flight:window_flight ~key_of Fm.Arq.format
+      ~flight:window_flight Fm.Arq.format
   in
   let cum = Array.make flows 0 in
   let prev_base = Array.make flows 0 in

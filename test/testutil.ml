@@ -16,6 +16,14 @@ let contains haystack needle =
 module Pipeline = Netdsl_engine.Pipeline
 module Stats = Netdsl_engine.Stats
 
+(* A shipped spec, found from wherever the test binary runs: dune's test
+   directory or the repository root. *)
+let spec_path name =
+  let candidates = [ "../specs/" ^ name; "specs/" ^ name; "../../specs/" ^ name ] in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> failwith ("spec not found: " ^ name)
+
 (* Every stage counter, the eviction count and the flow count of two
    pipelines fed the same traffic must agree exactly. *)
 let check_same_counters a b =
