@@ -189,11 +189,18 @@ let fuzz_cmd =
                  byte late, and prove the filter leg catches it dropping accepted \
                  packets.")
   in
+  let plant_specialiser_flag =
+    Arg.(value & flag & info [ "plant-specialiser-bug" ]
+           ~doc:"Self-test: plant a compiled fast path whose specialiser reads one \
+                 static-offset field one byte late, and prove the fused, chain \
+                 and stacked-reply legs catch it.")
+  in
   let repro_dir_opt =
     Arg.(value & opt (some string) None & info [ "repro-dir" ] ~docv:"DIR"
            ~doc:"Also save any repro dump as a file under DIR (for CI artifacts).")
   in
-  let run file format machine stack seed iters plant_bug plant_filter repro_dir =
+  let run file format machine stack seed iters plant_bug plant_filter
+      plant_specialiser repro_dir =
     let program = load file in
     let module Check = Netdsl.Check in
     (* no selector: fuzz everything in the file; any selector: fuzz only
@@ -217,6 +224,7 @@ let fuzz_cmd =
     let bug =
       if plant_bug then Check.Oracle.Invert_view_accept
       else if plant_filter then Check.Oracle.Shift_filter_loads
+      else if plant_specialiser then Check.Oracle.Late_static_load
       else Check.Oracle.No_bug
     in
     let fail report =
@@ -248,15 +256,17 @@ let fuzz_cmd =
         let bug =
           if plant_bug then Check.Oracle.Invert_chain_accept
           else if plant_filter then Check.Oracle.Shift_filter_loads
+          else if plant_specialiser then Check.Oracle.Late_static_load
           else Check.Oracle.No_bug
         in
         match Check.Fuzz.run_stack ~bug ~seed ~iters (name, st) with
         | Error report -> fail report
         | Ok stats ->
           Format.printf
-            "stack %s: %d mutants (%d chained, %d rejected) — fused = sequential@."
+            "stack %s: %d mutants (%d chained, %d rejected; %d answered) — fused = \
+             sequential, replies = staged@."
             name stats.Check.Fuzz.cs_mutants stats.Check.Fuzz.cs_accepted
-            stats.Check.Fuzz.cs_rejected)
+            stats.Check.Fuzz.cs_rejected stats.Check.Fuzz.cs_answered)
       stacks;
     List.iter
       (fun (name, m) ->
@@ -273,9 +283,10 @@ let fuzz_cmd =
   in
   Cmd.v
     (Cmd.info "fuzz"
-       ~doc:"Differentially fuzz a specification: structure-aware wire mutants through View/Codec/Emit/Pipeline, cross-layer mutants through every stack's fused chain vs sequential decode, adversarial event traces through Step/Interp; exit 1 with a minimised repro on any disagreement.")
+       ~doc:"Differentially fuzz a specification: structure-aware wire mutants through View/Codec/Emit/Pipeline, cross-layer mutants through every stack's fused chain vs sequential decode and its fused replies vs the staged reference, adversarial event traces through Step/Interp; exit 1 with a minimised repro on any disagreement.")
     Term.(const run $ file_arg $ format_opt $ machine_opt $ stack_opt $ seed_opt
-          $ iters_opt $ plant_bug_flag $ plant_filter_flag $ repro_dir_opt)
+          $ iters_opt $ plant_bug_flag $ plant_filter_flag $ plant_specialiser_flag
+          $ repro_dir_opt)
 
 let tests_cmd =
   let run file machine =

@@ -136,6 +136,19 @@ let generic_stack_values stack rng =
                else (name, x))
              (Value.to_record v)))
 
+let stack_generator stack =
+  match Stack.compile stack with
+  | Error _ -> None
+  | Ok plan -> (
+    let gen rng =
+      match Stack.encode plan (generic_stack_values stack rng) with
+      | Ok s -> Some s
+      | Error _ -> None
+    in
+    match gen (Prng.of_int 1) with
+    | exception No_chain_gen -> None
+    | _ -> Some gen)
+
 (* Chained golden seeds: recognised catalogue stacks get real layered
    packets built through their own fused encoder; anything else gets
    generically generated chains, so mutation starts from input that

@@ -62,6 +62,13 @@ val fallback_seeds : Netdsl_format.Desc.t -> string list
     counting bytes) at the format's minimum size — what {!make} uses when
     a format has neither generator nor golden samples. *)
 
+val stack_generator :
+  Netdsl_format.Stack.t -> (Netdsl_util.Prng.t -> string option) option
+(** Random chained packets: one {!Netdsl_format.Gen} value per layer,
+    each carrier's demux field pinned to its first accepted edge, encoded
+    through the stack's fused encoder ([None] for a draw the encoder
+    refuses).  [None] when some layer is not generable. *)
+
 val stack_seeds : Netdsl_format.Stack.t -> string list
 (** Chained golden packets built through the stack's own fused encoder:
     handcrafted {!Netdsl_formats.Stacks} values for the catalogue stacks

@@ -95,6 +95,7 @@ type chain_stats = {
   cs_mutants : int;
   cs_accepted : int;
   cs_rejected : int;
+  cs_answered : int;
 }
 
 (* The chain leg mirrors [run_format]: fresh oracles judge every shrink
@@ -187,6 +188,7 @@ let run_stack ?bug ?(golden = []) ~seed ~iters (name, stack) =
         cs_mutants = checked;
         cs_accepted = accepted;
         cs_rejected = checked - accepted;
+        cs_answered = Oracle.Chain.answered oracle;
       }
 
 let run_machine ?bug ~seed ~iters (name, m) =

@@ -33,6 +33,9 @@ type chain_stats = {
   cs_mutants : int;  (** packets checked, chained seeds included *)
   cs_accepted : int;  (** accepted by both fused and sequential decode *)
   cs_rejected : int;
+  cs_answered : int;
+      (** replies the fused stacked pipeline and the staged reference
+          both produced, byte-equal *)
 }
 
 val run_stack :
@@ -47,7 +50,8 @@ val run_stack :
     {!Mutate.random_chain} aimed with each seed's real layer windows, and
     every mutant judged by {!Oracle.Chain} — fused chain vs sequential
     per-layer decode on verdict, layer windows and every demanded
-    register.  Raises [Invalid_argument] if the stack does not compile
+    register, and the fused stacked replies vs the staged reference byte
+    for byte ({!Oracle.Stack_reply}).  Raises [Invalid_argument] if the stack does not compile
     (callers should pre-compile to fail cleanly). *)
 
 val run_machine :

@@ -46,8 +46,8 @@ let client_socket () =
 
 (* Spin up a server on an ephemeral loopback port plus the domain that
    runs it in two phases — a warmup run, then the measured run whose
-   allocation is metered ([Gc.allocated_bytes] is per-domain, so the
-   meter sees only the server's own garbage) — and run [body] as the
+   allocation is metered (that domain's own minor and direct major
+   words, so the client's garbage never counts) — and run [body] as the
    client.  The restart between phases doubles as a run-twice exercise
    of the server loop. *)
 let with_server ?mode ?machine ?config ?stack ?io ?io_batch ~flight ~warmup
@@ -75,18 +75,24 @@ let with_server ?mode ?machine ?config ?stack ?io ?io_batch ~flight ~warmup
                    or the measured run waits for packets that will
                    never come. *)
                 if Atomic.get client_done then Server.request_stop srv;
-                (* the measurement must not charge the server for its own
-                   bracket: [Gc.allocated_bytes] boxes its float result
-                   after reading the counters, so [a0]'s boxes land
-                   inside the window — [a0 -. cal] is exactly one call's
-                   self-allocation, subtracted back out.  The [?max_packets]
-                   option cell is built before [a0] for the same reason. *)
+                (* The meter counts this domain's own allocation: its
+                   minor words by the unboxed [Gc.minor_words] (nothing
+                   allocated by the bracket itself lands inside it), plus
+                   its direct major allocations, [major - promoted] from
+                   [Gc.counters].  [Gc.allocated_bytes] is not such a
+                   meter: its minor share moves with garbage collections
+                   the client domain triggers (a few hundred bytes a run
+                   here, while the client allocated per packet).  The
+                   [?max_packets] option cell is built before the
+                   bracket. *)
                 let mp = Some (count - n1) in
-                let cal = Gc.allocated_bytes () in
-                let a0 = Gc.allocated_bytes () in
+                let _, pro0, maj0 = Gc.counters () in
+                let min0 = Gc.minor_words () in
                 let n2 = Server.run ?max_packets:mp srv in
-                let a1 = Gc.allocated_bytes () in
-                (n1 + n2, a1 -. a0 -. (a0 -. cal), n2))
+                let min1 = Gc.minor_words () in
+                let _, pro1, maj1 = Gc.counters () in
+                let words = min1 -. min0 +. (maj1 -. maj0) -. (pro1 -. pro0) in
+                (n1 + n2, words *. float_of_int (Sys.word_size / 8), n2))
           in
           let sent, replies, expected, disagreements, first, filtered, elapsed =
             body port (Option.map Bpf_oracle.prepare (Server.filter srv))

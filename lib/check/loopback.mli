@@ -15,8 +15,10 @@
     of outstanding packets, reporting pkts/s through the socket path.
 
     Both measure the server domain's own allocation rate after a warmup
-    run ([Gc.allocated_bytes] before/after the measured run, divided by
-    packets processed): the engine side stays at 0 B/pkt (bench e15),
+    run (its minor words by [Gc.minor_words] plus its direct major
+    allocations, before/after the measured run, divided by packets
+    processed — allocation by the client domain, and the collections it
+    triggers, do not count): the engine side stays at 0 B/pkt (bench e15),
     so what remains is the [Unix] syscall wrapper — the per-[recvfrom]
     [sockaddr] boxing — reported honestly, not hidden. *)
 

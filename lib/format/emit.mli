@@ -104,13 +104,19 @@ val patch_window :
 (** {!patch} with both bounds required: per-packet callers use this so the
     call site does not box an optional argument. *)
 
-val patch_window_int :
-  patcher -> off:int -> len:int -> Bytes.t -> int -> (unit, error) result
-(** {!patch_window} taking the new value as a native [int] — the fused
-    respond path reads its sources as unboxed registers, and boxing an
-    [Int64] per patch would be its only steady-state allocation.  A
-    negative value is out of range for every field.  Identical validation
-    and result to {!patch_window}. *)
+type kernel = Bytes.t -> int -> int -> int -> bool
+(** [k buf off len v]: {!patch_window} [~off ~len buf v] for a native-int
+    value, [true] exactly when it returns [Ok ()], writing the same
+    bytes.  A negative [v] is out of range for every field.
+    @raise Invalid_argument if the window is outside [buf]. *)
+
+val kernel : patcher -> kernel
+(** Compile the patcher once more into a fixed-offset closure: the
+    field's offset and width, its admissible enum values and the covering
+    Internet checksum's offset and word parity are resolved here, so a
+    call is a range test, the byte stores and one incremental checksum
+    update, with no allocation.  Fields wider than 56 bits and
+    constrained fields go through {!patch_window}. *)
 
 val patch_exn : patcher -> ?off:int -> ?len:int -> Bytes.t -> int64 -> unit
 (** @raise Codec.Error on failure. *)

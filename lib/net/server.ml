@@ -615,7 +615,10 @@ let bind_listener ?(group = false) ?steer ep =
       let fd = Unix.socket ~cloexec:true Unix.PF_INET kind 0 in
       match
         Unix.set_nonblock fd;
-        Unix.setsockopt fd Unix.SO_REUSEADDR true;
+        (* TCP only: on Linux [SO_REUSEADDR] lets any other UDP socket
+           that sets it bind the same port and take its unicast
+           traffic. *)
+        if proto = `Tcp then Unix.setsockopt fd Unix.SO_REUSEADDR true;
         if group then Unix.setsockopt fd Unix.SO_REUSEPORT true;
         (* Widen the kernel buffers so the bounded-backpressure story is
            the kernel's, not a 208 KiB default's; best-effort. *)

@@ -287,13 +287,18 @@ let masked_byte s i ~zoff ~zlen =
   done;
   b land lnot !mask
 
+(* Int-typed: [Stdlib.max]/[min] compare polymorphically, a C call per
+   use on the per-packet path. *)
+let imax (a : int) b = if a >= b then a else b
+let imin (a : int) b = if a <= b then a else b
+
 let compute_zeroed alg ~off ~len ~zero_bit_off ~zero_bit_len s =
   if off < 0 || len < 0 || off + len > String.length s then
     invalid_arg "Checksum.compute_zeroed: range out of bounds";
   let st = stream_init alg in
   (* Clip the zero span to the window. *)
-  let zlo = max zero_bit_off (off * 8) in
-  let zhi = min (zero_bit_off + zero_bit_len) ((off + len) * 8) in
+  let zlo = imax zero_bit_off (off * 8) in
+  let zhi = imin (zero_bit_off + zero_bit_len) ((off + len) * 8) in
   if zhi <= zlo then stream_bytes st s off len
   else begin
     let zfirst = zlo / 8 and zlast = (zhi - 1) / 8 in
@@ -355,8 +360,8 @@ let sum_run s o l hi_first =
 let internet_zeroed ~off ~len ~zero_bit_off ~zero_bit_len s =
   if off < 0 || len < 0 || off + len > String.length s then
     invalid_arg "Checksum.internet_zeroed: range out of bounds";
-  let zlo = max zero_bit_off (off * 8) in
-  let zhi = min (zero_bit_off + zero_bit_len) ((off + len) * 8) in
+  let zlo = imax zero_bit_off (off * 8) in
+  let zhi = imin (zero_bit_off + zero_bit_len) ((off + len) * 8) in
   let sum = ref 0 in
   if zhi <= zlo then sum := sum_run s off len true
   else if zlo land 7 = 0 && zhi land 7 = 0 then begin

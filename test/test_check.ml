@@ -208,6 +208,9 @@ let chain_fuzz_case (name, stack) =
         if stats.Ck.Fuzz.cs_accepted = 0 then
           Alcotest.failf "no mutant ever chain-decoded on %s — the fuzz is vacuous"
             name;
+        if stats.Ck.Fuzz.cs_answered = 0 then
+          Alcotest.failf "no mutant was answered on %s — the reply leg is vacuous"
+            name;
         if stats.Ck.Fuzz.cs_accepted + stats.Ck.Fuzz.cs_rejected
            <> stats.Ck.Fuzz.cs_mutants
         then Alcotest.fail "accept/reject split does not sum to total")
@@ -243,6 +246,185 @@ let chain_seeds_decode () =
             Alcotest.failf "sequential decode rejects a %s corpus seed: %s" name e)
         seeds)
     Fm.Stacks.all
+
+(* ---- the stacked-reply leg: fused stacked replies vs the staged
+   reference (Stack.Seq decode + the generic Emit.patch per layer) ---- *)
+
+module Flight = Netdsl_engine.Flight
+module Pipeline = Netdsl_engine.Pipeline
+module Stack = Netdsl_format.Stack
+
+let check_replies name o pkts =
+  Array.iteri
+    (fun i pkt ->
+      match Ck.Oracle.Stack_reply.check o pkt with
+      | Ok () -> ()
+      | Error d ->
+        Alcotest.failf "%s packet %d: %s" name i (Ck.Oracle.disagreement_to_string d))
+    pkts;
+  if Ck.Oracle.Stack_reply.answered o = 0 then
+    Alcotest.failf "%s: nothing answered — the leg is vacuous" name
+
+(* The serve benchmark's tftp-flows traffic and engine: DATA then its ACK
+   per flow over cubically skewed ports, swt_sender keyed on the UDP
+   source port (DATA arms a timer, ACK cancels it), every accepted packet
+   answered with ports and addresses swapped — through a flow table
+   small enough to evict. *)
+let tftp_flows_replies () =
+  let swt_sender =
+    let src = In_channel.with_open_bin "../specs/timeout.ndsl" In_channel.input_all in
+    Option.get
+      (Netdsl_lang.Parser.find_machine (Netdsl_lang.Parser.parse_string_exn src)
+         "swt_sender")
+  in
+  let opcode_is n = Flight.Cmp (Flight.Eq, Flight.Field "tftp.opcode", Flight.Const n) in
+  let flight =
+    Flight.spec
+      ~verify:(Flight.Cmp (Flight.Le, Flight.Field "tftp.opcode", Flight.Const 5L))
+      ~classify:
+        [ { Flight.ev_when = opcode_is 3L; ev_name = "send" };
+          { Flight.ev_when = opcode_is 4L; ev_name = "ack" } ]
+      ~flow_key:"udp.src_port"
+      ~respond:
+        [ { Flight.re_when = Flight.All [];
+            re_set =
+              [ { Flight.set_field = "udp.dst_port"; set_to = Flight.Field "udp.src_port" };
+                { Flight.set_field = "udp.src_port"; set_to = Flight.Const 69L };
+                { Flight.set_field = "ipv4.source"; set_to = Flight.Field "ipv4.destination" };
+                { Flight.set_field = "ipv4.destination"; set_to = Flight.Field "ipv4.source" } ] } ]
+      ()
+  in
+  let o =
+    Result.get_ok
+      (Ck.Oracle.Stack_reply.create
+         ~config:{ Pipeline.default_config with max_flows = 64 }
+         ~machine:swt_sender ~flight Fm.Stacks.inet_tftp)
+  in
+  let plan = Result.get_ok (Stack.compile Fm.Stacks.inet_tftp) in
+  let chain ~src_port pkt =
+    Result.get_ok (Stack.encode plan (Fm.Stacks.inet_tftp_values ~src_port pkt))
+  in
+  let rng = Prng.of_int 3 in
+  let data = String.make 32 'd' in
+  let pkts =
+    Array.concat
+      (List.init 2048 (fun j ->
+           let u = Prng.float rng 1.0 in
+           let src_port = min 65535 (int_of_float (4096. *. u *. u *. u)) in
+           let block = j land 0xFFFF in
+           [| chain ~src_port (Fm.Tftp.Data { block; data });
+              chain ~src_port (Fm.Tftp.Ack { block }) |]))
+  in
+  check_replies "tftp-flows" o pkts
+
+(* Generated chains on every catalogue stack under the default rotation
+   spec. *)
+let generated_chain_replies (name, stack) =
+  Alcotest.test_case name `Quick (fun () ->
+      let gen =
+        match Ck.Corpus.stack_generator stack with
+        | Some g -> g
+        | None -> Alcotest.failf "%s is not generable" name
+      in
+      let o = Result.get_ok (Ck.Oracle.Stack_reply.create stack) in
+      let rng = Prng.of_int seed in
+      let pkts = Array.of_list (List.filter_map (fun _ -> gen rng) (List.init 500 Fun.id)) in
+      if Array.length pkts < 100 then Alcotest.failf "only %d chains generated" (Array.length pkts);
+      check_replies name o pkts)
+
+(* The planted specialiser bug — one static-offset load one byte late in
+   every compiled plan — must be caught by the fused leg on a format, the
+   chain leg on a stack, and the stacked-reply leg on its own. *)
+let planted_specialiser_bug () =
+  (match
+     Ck.Fuzz.run_format ~bug:Ck.Oracle.Late_static_load ~seed ~iters:200 Fm.Arq.format
+   with
+  | Ok _ -> Alcotest.fail "planted specialiser bug not caught on arq"
+  | Error (Ck.Report.Trace _) -> Alcotest.fail "reported as a trace"
+  | Error (Ck.Report.Wire { w_check; _ }) ->
+    Alcotest.(check bool)
+      (Printf.sprintf "caught by the fused leg (%s)" w_check)
+      true
+      (w_check = "flight" || w_check = "fused"));
+  (match
+     Ck.Fuzz.run_stack ~bug:Ck.Oracle.Late_static_load ~seed ~iters:50
+       ("inet_tftp", Fm.Stacks.inet_tftp)
+   with
+  | Ok _ -> Alcotest.fail "planted specialiser bug not caught on inet_tftp"
+  | Error (Ck.Report.Trace _) -> Alcotest.fail "reported as a trace"
+  | Error (Ck.Report.Wire { w_check; _ }) ->
+    Alcotest.(check string) "caught by the chain leg" "chain" w_check);
+  List.iter
+    (fun (name, stack) ->
+      let o =
+        Result.get_ok (Ck.Oracle.Stack_reply.create ~bug:Ck.Oracle.Late_static_load stack)
+      in
+      let caught =
+        List.exists
+          (fun pkt ->
+            match Ck.Oracle.Stack_reply.check o pkt with
+            | Ok () -> false
+            | Error d -> String.equal d.Ck.Oracle.d_check "reply")
+          (Ck.Corpus.stack_seeds stack)
+      in
+      if not caught then Alcotest.failf "stacked-reply leg missed it on %s" name)
+    Fm.Stacks.all
+
+(* The compiled path allocates nothing: every shipped format whose flight
+   compiles to the linear tier, and every catalogue stack, served through
+   a fused pipeline that decodes, demands every eligible register and
+   answers with patched replies. *)
+let compiled_path_zero_alloc () =
+  let measure name p pkts =
+    let batch = Pipeline.default_config.Pipeline.batch in
+    let window = Array.init batch (fun i -> pkts.(i mod Array.length pkts)) in
+    Pipeline.process_batch p window batch;
+    let rounds = 64 in
+    let m0 = Gc.minor_words () in
+    for _ = 1 to rounds do
+      Pipeline.process_batch p window batch
+    done;
+    let m1 = Gc.minor_words () in
+    let per_pkt = (m1 -. m0) *. float (Sys.word_size / 8) /. float (rounds * batch) in
+    if per_pkt > 0. then Alcotest.failf "%s: the compiled path allocates %.2f B/pkt" name per_pkt
+  in
+  let answered = ref 0 in
+  let on_reply_slot _ _ _ = incr answered in
+  let linear = ref 0 in
+  List.iter
+    (fun (name, fmt) ->
+      let eligible = Netdsl_format.View.Hot.eligible_fields fmt in
+      let respond =
+        List.filter_map
+          (fun f ->
+            match Netdsl_format.Emit.patcher fmt f with
+            | Ok _ ->
+              Some { Flight.re_when = Flight.All [];
+                     re_set = [ { Flight.set_field = f; set_to = Flight.Field f } ] }
+            | Error _ -> None)
+          eligible
+      in
+      let p =
+        Pipeline.create ~mode:Pipeline.Fused ~flight:(Flight.spec ~demand:eligible ~respond ())
+          ~on_reply_slot fmt
+      in
+      let c = Ck.Corpus.make fmt (Prng.of_int seed) in
+      if Pipeline.flight_tier p = `Linear then begin
+        incr linear;
+        measure name p (Ck.Corpus.seeds c)
+      end)
+    Ck.Corpus.shipped;
+  if !linear = 0 then Alcotest.fail "no shipped format compiles to the linear tier";
+  List.iter
+    (fun (name, stack) ->
+      let p =
+        Pipeline.create ~mode:Pipeline.Fused ~stack
+          ~flight:(Ck.Oracle.Stack_reply.patch_spec stack) ~on_reply_slot
+          (Stack.layer_format stack 0)
+      in
+      measure name p (Array.of_list (Ck.Corpus.stack_seeds stack)))
+    Fm.Stacks.all;
+  if !answered = 0 then Alcotest.fail "nothing answered — the measurement is vacuous"
 
 (* Step vs Interp lock-step over every shipped machine. *)
 let trace_case (name, m) =
@@ -534,4 +716,11 @@ let suite =
     ( "check.chain_self",
       [ Alcotest.test_case "chained corpus seeds decode" `Quick chain_seeds_decode;
         Alcotest.test_case "planted chain bug caught" `Quick planted_chain_bug ] );
+    ( "check.stack_reply",
+      [ Alcotest.test_case "tftp-flows stream" `Quick tftp_flows_replies;
+        Alcotest.test_case "planted specialiser bug caught by every leg" `Quick
+          planted_specialiser_bug;
+        Alcotest.test_case "compiled path allocates nothing" `Quick
+          compiled_path_zero_alloc ] );
+    ("check.stack_reply_gen", List.map generated_chain_replies Fm.Stacks.all);
     ("check.trace", List.map trace_case Netdsl_proto.Machines.all) ]

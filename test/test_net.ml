@@ -448,6 +448,45 @@ let create_red_paths () =
         fail_is "address already in use"
           (mk [ Server.Tcp { host = "127.0.0.1"; port } ]))
 
+(* A UDP listener does not set SO_REUSEADDR: on Linux that would let
+   any other socket setting it bind the port and take the listener's
+   unicast traffic.  Such a socket must get EADDRINUSE on a single-worker
+   listener and on a two-worker SO_REUSEPORT group alike, and the port of
+   a closed server must bind again. *)
+let udp_port_not_shareable () =
+  let intruder port =
+    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_DGRAM 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        Unix.setsockopt fd Unix.SO_REUSEADDR true;
+        match Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
+        | () -> "bound"
+        | exception Unix.Unix_error (e, _, _) -> Unix.error_message e)
+  in
+  let serve ~workers port =
+    match
+      Server.create ~signals:false ~flight:arq_flight ~workers
+        ~allow_oversubscribe:true
+        ~listeners:[ Server.Udp { host = "127.0.0.1"; port } ]
+        Fm.Arq.format
+    with
+    | Ok srv -> srv
+    | Error e -> Alcotest.failf "%d worker(s) on port %d: %s" workers port e
+  in
+  List.iter
+    (fun workers ->
+      let srv = serve ~workers 0 in
+      let port = Option.get (Server.udp_port srv) in
+      Fun.protect
+        ~finally:(fun () -> Server.close srv)
+        (fun () ->
+          Alcotest.(check string)
+            (Printf.sprintf "%d worker(s): a SO_REUSEADDR socket cannot bind" workers)
+            (Unix.error_message Unix.EADDRINUSE) (intruder port));
+      Server.close (serve ~workers port))
+    [ 1; 2 ]
+
 (* ------------------------------------------------------------------ *)
 (* sharded mode *)
 
@@ -1538,6 +1577,35 @@ let loopback_client_gives_up_in_warmup () =
     check_int "kernel drops = predicted filter drops" 8
       r.Loopback.net.Nstats.kernel_drops
 
+(* The B/pkt meter counts the server domain's allocation only: a client
+   that allocates on every packet (and so triggers collections the
+   server domain takes part in) leaves a batched server's figure at
+   0.00, while the legacy backend's own per-datagram sockaddr boxing
+   still shows. *)
+let loopback_meter_ignores_client () =
+  let pkt = arq_data ~seq:3 "meter" in
+  let packets _ =
+    ignore (Sys.opaque_identity (Bytes.create 4096));
+    Bytes.to_string (Bytes.of_string pkt)
+  in
+  let blast io =
+    match
+      Loopback.blast ~mode:Pipeline.Fused ~flight:arq_flight ~io ~packets
+        ~count:20_000 Fm.Arq.format
+    with
+    | Error e -> Alcotest.fail e
+    | Ok r ->
+      check_int "every packet answered" r.Loopback.sent r.Loopback.replies;
+      r.Loopback.alloc_bytes_per_pkt
+  in
+  if mmsg_available () then
+    Alcotest.(check string) "batched server, allocating client: B/pkt" "0.00"
+      (Printf.sprintf "%.2f" (blast Server.Mmsg));
+  let legacy = blast Server.Legacy in
+  check_bool
+    (Printf.sprintf "legacy backend's own allocation still metered (%.1f B/pkt)" legacy)
+    true (legacy > 1.)
+
 let suite =
   [ ( "net.pipeline",
       [ Alcotest.test_case "process_slab_batch = process" `Quick
@@ -1565,6 +1633,8 @@ let suite =
         Alcotest.test_case "chained tftp served through the fused stack" `Quick
           stacked_serve_chained_tftp;
         Alcotest.test_case "create red paths" `Quick create_red_paths;
+        Alcotest.test_case "udp port not shareable via SO_REUSEADDR" `Quick
+          udp_port_not_shareable;
         Alcotest.test_case "sharded udp round trip" `Quick
           sharded_udp_roundtrip;
         Alcotest.test_case "sharded create red paths" `Quick
@@ -1608,4 +1678,6 @@ let suite =
         Alcotest.test_case "sharded soak = single-worker oracle: mmsg" `Quick
           (sharded_soak Server.Mmsg);
         Alcotest.test_case "client gives up during warmup" `Quick
-          loopback_client_gives_up_in_warmup ] ) ]
+          loopback_client_gives_up_in_warmup;
+        Alcotest.test_case "allocating client leaves the server meter at 0" `Quick
+          loopback_meter_ignores_client ] ) ]
