@@ -1388,11 +1388,11 @@ let e14 () =
 
 (* ------------------------------------------------------------------ *)
 (* E15: fused run-to-completion flight plans.  The staged pipeline walks
-   the whole batch once per stage through a pooled View; the fused mode
+   the whole batch once per stage through sequential views; the fused mode
    compiles (format, verify, classify, machine plan, response patch) into
    one flat plan and runs each packet to completion — same semantics
    (gated below by a packet-for-packet lock-step before any number is
-   printed), fewer passes, no View on the fast tier. *)
+   printed), fewer passes, no View on the fused path. *)
 
 let e15 () =
   section "e15" "fused flight plans: run-to-completion vs staged stages"
@@ -1466,12 +1466,8 @@ let e15 () =
   end;
   Printf.printf
     "lock-step gate: %d mixed packets, staged = fused on outcome, reply\n\
-     bytes, flow count (tier: %s)\n\n"
-    gate_n
-    (match Engine.Pipeline.flight_tier gf with
-    | `Linear -> "Linear"
-    | `Interp -> "Interp"
-    | `Stacked -> "Stacked");
+     bytes, flow count\n\n"
+    gate_n;
   (* -- (a) responder throughput + steady-state allocation, one domain -- *)
   let n = if !quick then 40_000 else 400_000 in
   let payloads = if !quick then [ 8; 256 ] else [ 8; 16; 64; 256; 1024 ] in
@@ -1621,7 +1617,7 @@ let e15 () =
   print_endline
     "\nRESULT shape: one fused pass per packet answers the ARQ responder\n\
      workload at a multiple of the four-stage pipeline's rate with near-zero\n\
-     steady-state allocation (no View on the fast tier, replies patched in\n\
+     steady-state allocation (no View on the fused path, replies patched in\n\
      place); identical semantics are not assumed but gated — the lock-step\n\
      prologue here and the fifth oracle leg in `netdsl fuzz` both demand\n\
      Fused = Staged = Codec on every packet."
@@ -1917,7 +1913,7 @@ let e17 () =
             | Ok () -> ()
             | Error e ->
               Printf.eprintf "bench e17: sequential %s rejects its seed: %s\n"
-                name e;
+                name (Codec.error_to_string e);
               exit 1)
           pool;
         let timed f =

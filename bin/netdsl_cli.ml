@@ -247,7 +247,10 @@ let fuzz_cmd =
             "format %s: %d mutants (%d accepted, %d rejected; the kernel pre-filter \
              drops %d) — all paths agree@."
             name stats.Check.Fuzz.ws_mutants stats.Check.Fuzz.ws_accepted
-            stats.Check.Fuzz.ws_rejected stats.Check.Fuzz.ws_filtered)
+            stats.Check.Fuzz.ws_rejected stats.Check.Fuzz.ws_filtered;
+          Option.iter
+            (Format.printf "  (pipeline legs skipped: %s)@.")
+            stats.Check.Fuzz.ws_skipped)
       formats;
     List.iter
       (fun (name, st) ->
@@ -337,8 +340,9 @@ let decode_cmd =
     let seq = Netdsl.Stack.Seq.create plan in
     (match Netdsl.Stack.Seq.decode seq bytes with
     | Ok () -> ()
-    | Error reason ->
-      Format.eprintf "netdsl: invalid layered packet: %s@." reason;
+    | Error e ->
+      Format.eprintf "netdsl: invalid layered packet: %s@."
+        (Netdsl.Codec.error_to_string e);
       exit 1);
     let names = Netdsl.Stack.layer_names st in
     let layer i lname =
@@ -846,6 +850,11 @@ let serve_cmd =
     let flight =
       Flight.spec ~respond:[ { Flight.re_when = All []; re_set = actions } ] ()
     in
+    (* a format without a compiled plan is refused before binding *)
+    if stack = None then (
+      match Flight.compile fmt flight with
+      | _ -> ()
+      | exception Invalid_argument msg -> die msg);
     if workers > 1 && shard_key = None then
       die "--workers > 1 requires --shard-key FIELD (the flow field to steer on)";
     if tick_ms <= 0 then die "--tick must be a positive millisecond count";

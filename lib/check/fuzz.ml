@@ -7,6 +7,7 @@ type wire_stats = {
   ws_accepted : int;
   ws_rejected : int;
   ws_filtered : int;
+  ws_skipped : string option;
 }
 
 (* Shrinking judges every candidate with a fresh oracle: the oracle's
@@ -88,6 +89,7 @@ let run_format ?bug ?golden ~seed ~iters fmt =
         ws_accepted = accepted;
         ws_rejected = checked - accepted;
         ws_filtered = Oracle.filtered oracle;
+        ws_skipped = Oracle.skipped oracle;
       }
 
 type chain_stats = {

@@ -18,6 +18,8 @@ type wire_stats = {
   ws_filtered : int;
       (** rejected messages the kernel pre-filter drops too; an accepted
           one it drops is a disagreement ({!Oracle.check}'s filter leg) *)
+  ws_skipped : string option;
+      (** why the pipeline legs did not run ({!Oracle.skipped}) *)
 }
 
 val run_format :

@@ -28,14 +28,14 @@ type t = {
   o_emit : Emit.t;
   (* check 3: the staged reference executor with an always-true verify
      predicate armed, so the verify row's packet count shows which
-     packets reached that stage *)
-  o_pipe : Pipeline.t;
-  (* check 4: the fused hot decoder, diffed register by register, plus a
-     whole pipeline running in Fused mode over a flight plan demanding
-     every hot-eligible field *)
+     packets reached that stage; and, for check 4, a whole pipeline
+     running in Fused mode over a flight plan demanding every field its
+     plan extracts.  [Error reason] when the format has no compiled
+     plan. *)
+  o_pipes : (Pipeline.t * Pipeline.t, string) result;
+  (* check 4: the fused hot decoder, diffed register by register *)
   o_hot : View.Hot.t option;
   o_hot_slots : (string * int) array;
-  o_fused : Pipeline.t;
   (* check 5: the kernel pre-filter, run by the cBPF interpreter *)
   o_filter : Bpf_oracle.t option;
   (* reference model of the pipelines' counters, advanced before each
@@ -61,14 +61,32 @@ let filter_of bug fmt =
 (* Whether the fused side compiles with the planted specialiser defect. *)
 let late_load bug = bug = Late_static_load
 
+(* Every top-level field the format's compiled plan extracts, which the
+   fused pipeline demands: a variant format has no hot-eligible fields,
+   but its flattened cases still extract the fields before the variant. *)
+let demandable fmt =
+  List.filter
+    (fun f ->
+      match Flight.compile fmt (Flight.spec ~demand:[ f ] ()) with
+      | _ -> true
+      | exception Invalid_argument _ -> false)
+    (Desc.field_names fmt)
+
 let create ?(bug = No_bug) fmt =
   let plant_late_load = late_load bug in
-  let pipe =
-    Pipeline.create ~mode:Pipeline.Staged
-      ~flight:(Flight.spec ~verify:(Flight.All []) ())
-      fmt
-  in
   let eligible = View.Hot.eligible_fields fmt in
+  let pipes =
+    match
+      ( Pipeline.create ~mode:Pipeline.Staged
+          ~flight:(Flight.spec ~verify:(Flight.All []) ())
+          fmt,
+        Pipeline.create ~mode:Pipeline.Fused
+          ~flight:(Flight.spec ~demand:(demandable fmt) ())
+          ~plant_late_load fmt )
+    with
+    | pipes -> Ok pipes
+    | exception Invalid_argument reason -> Error reason
+  in
   let hot =
     match View.Hot.compile ~demand:eligible ~plant_late_load fmt with
     | Ok h -> Some h
@@ -80,21 +98,15 @@ let create ?(bug = No_bug) fmt =
     | Some h ->
       Array.of_list (List.map (fun f -> (f, View.Hot.demand_slot h f)) eligible)
   in
-  let fused =
-    Pipeline.create ~mode:Pipeline.Fused
-      ~flight:(Flight.spec ~demand:eligible ())
-      ~plant_late_load fmt
-  in
   {
     o_fmt = fmt;
     o_bug = bug;
     o_filter = filter_of bug fmt;
     o_view = View.create fmt;
     o_emit = Emit.create fmt;
-    o_pipe = pipe;
+    o_pipes = pipes;
     o_hot = hot;
     o_hot_slots = hot_slots;
-    o_fused = fused;
     o_exp_decode_pkts = 0;
     o_exp_decode_rejects = 0;
     o_exp_verify_pkts = 0;
@@ -109,6 +121,7 @@ let format t = t.o_fmt
 let checked t = t.o_checked
 let accepted t = t.o_accepted
 let filtered t = t.o_filtered
+let skipped t = match t.o_pipes with Ok _ -> None | Error reason -> Some reason
 
 let fail check fmt_ = Printf.ksprintf (fun s -> Error { d_check = check; d_detail = s }) fmt_
 
@@ -117,39 +130,42 @@ let err = Codec.error_to_string
 (* Check 3: the engine built on the fast paths.  [codec_ok] is the
    baseline verdict both decoders already agreed on. *)
 let check_pipeline t pkt ~codec_ok =
-  t.o_exp_decode_pkts <- t.o_exp_decode_pkts + 1;
-  if not codec_ok then t.o_exp_decode_rejects <- t.o_exp_decode_rejects + 1
-  else t.o_exp_verify_pkts <- t.o_exp_verify_pkts + 1;
-  let stats = Pipeline.stats t.o_pipe in
-  let verified_before = Stats.stage_packets stats 1 in
-  let outcome = Pipeline.process t.o_pipe pkt in
-  let saw_verify = Stats.stage_packets stats 1 > verified_before in
-  match (outcome, codec_ok) with
-  | (Pipeline.Rejected_verify | Pipeline.Rejected_step | Pipeline.Rejected_encode), _
-    ->
-    fail "pipeline" "pipeline rejected past the decode stage with no predicate armed"
-  | Pipeline.Accepted, false ->
-    fail "pipeline" "pipeline accepted a packet the codec rejects"
-  | Pipeline.Rejected_decode e, true ->
-    fail "pipeline" "pipeline rejected a packet the codec accepts: %s" (err e)
-  | Pipeline.Accepted, true when not saw_verify ->
-    fail "pipeline" "accepted packet never reached the verify stage"
-  | Pipeline.Rejected_decode _, false when saw_verify ->
-    fail "pipeline" "rejected mutant leaked past decode into the verify stage"
-  | _ ->
-    let got_dp = Stats.stage_packets stats 0
-    and got_dr = Stats.stage_rejects stats 0
-    and got_vp = Stats.stage_packets stats 1 in
-    if
-      got_dp <> t.o_exp_decode_pkts
-      || got_dr <> t.o_exp_decode_rejects
-      || got_vp <> t.o_exp_verify_pkts
-    then
-      fail "stats"
-        "stage counters drifted: decode %d/%d rejects %d/%d verify %d/%d (got/expected)"
-        got_dp t.o_exp_decode_pkts got_dr t.o_exp_decode_rejects got_vp
-        t.o_exp_verify_pkts
-    else Ok ()
+  match t.o_pipes with
+  | Error _ -> Ok ()
+  | Ok (pipe, _) ->
+    t.o_exp_decode_pkts <- t.o_exp_decode_pkts + 1;
+    if not codec_ok then t.o_exp_decode_rejects <- t.o_exp_decode_rejects + 1
+    else t.o_exp_verify_pkts <- t.o_exp_verify_pkts + 1;
+    let stats = Pipeline.stats pipe in
+    let verified_before = Stats.stage_packets stats 1 in
+    let outcome = Pipeline.process pipe pkt in
+    let saw_verify = Stats.stage_packets stats 1 > verified_before in
+    match (outcome, codec_ok) with
+    | (Pipeline.Rejected_verify | Pipeline.Rejected_step | Pipeline.Rejected_encode), _
+      ->
+      fail "pipeline" "pipeline rejected past the decode stage with no predicate armed"
+    | Pipeline.Accepted, false ->
+      fail "pipeline" "pipeline accepted a packet the codec rejects"
+    | Pipeline.Rejected_decode e, true ->
+      fail "pipeline" "pipeline rejected a packet the codec accepts: %s" (err e)
+    | Pipeline.Accepted, true when not saw_verify ->
+      fail "pipeline" "accepted packet never reached the verify stage"
+    | Pipeline.Rejected_decode _, false when saw_verify ->
+      fail "pipeline" "rejected mutant leaked past decode into the verify stage"
+    | _ ->
+      let got_dp = Stats.stage_packets stats 0
+      and got_dr = Stats.stage_rejects stats 0
+      and got_vp = Stats.stage_packets stats 1 in
+      if
+        got_dp <> t.o_exp_decode_pkts
+        || got_dr <> t.o_exp_decode_rejects
+        || got_vp <> t.o_exp_verify_pkts
+      then
+        fail "stats"
+          "stage counters drifted: decode %d/%d rejects %d/%d verify %d/%d (got/expected)"
+          got_dp t.o_exp_decode_pkts got_dr t.o_exp_decode_rejects got_vp
+          t.o_exp_verify_pkts
+      else Ok ()
 
 (* Check 4a: the fused hot decoder against the codec verdict, and — on
    acceptance — every demanded register against the interpreted view's
@@ -183,31 +199,34 @@ let check_hot t pkt ~codec_ok =
       in
       go 0
 
-(* Check 4b: a whole pipeline in Fused mode (flight plan demanding the
-   hot-eligible fields) must agree with the codec verdict and keep its
+(* Check 4b: a whole pipeline in Fused mode (flight plan demanding every
+   field its plan extracts) must agree with the codec verdict and keep its
    decode counters consistent — the Fused ≡ Staged ≡ Codec leg. *)
 let check_fused t pkt ~codec_ok =
-  t.o_exp_fused_pkts <- t.o_exp_fused_pkts + 1;
-  if not codec_ok then t.o_exp_fused_rejects <- t.o_exp_fused_rejects + 1;
-  let outcome = Pipeline.process t.o_fused pkt in
-  match (outcome, codec_ok) with
-  | ( ( Pipeline.Rejected_verify | Pipeline.Rejected_step
-      | Pipeline.Rejected_encode ),
-      _ ) ->
-    fail "fused" "fused pipeline rejected past the decode stage with nothing armed"
-  | Pipeline.Accepted, false ->
-    fail "fused" "fused pipeline accepted a packet the codec rejects"
-  | Pipeline.Rejected_decode e, true ->
-    fail "fused" "fused pipeline rejected a packet the codec accepts: %s" (err e)
-  | _ ->
-    let stats = Pipeline.stats t.o_fused in
-    let got_p = Stats.stage_packets stats 0
-    and got_r = Stats.stage_rejects stats 0 in
-    if got_p <> t.o_exp_fused_pkts || got_r <> t.o_exp_fused_rejects then
-      fail "stats"
-        "fused stage counters drifted: decode %d/%d rejects %d/%d (got/expected)"
-        got_p t.o_exp_fused_pkts got_r t.o_exp_fused_rejects
-    else Ok ()
+  match t.o_pipes with
+  | Error _ -> Ok ()
+  | Ok (_, fused) ->
+    t.o_exp_fused_pkts <- t.o_exp_fused_pkts + 1;
+    if not codec_ok then t.o_exp_fused_rejects <- t.o_exp_fused_rejects + 1;
+    let outcome = Pipeline.process fused pkt in
+    match (outcome, codec_ok) with
+    | ( ( Pipeline.Rejected_verify | Pipeline.Rejected_step
+        | Pipeline.Rejected_encode ),
+        _ ) ->
+      fail "fused" "fused pipeline rejected past the decode stage with nothing armed"
+    | Pipeline.Accepted, false ->
+      fail "fused" "fused pipeline accepted a packet the codec rejects"
+    | Pipeline.Rejected_decode e, true ->
+      fail "fused" "fused pipeline rejected a packet the codec accepts: %s" (err e)
+    | _ ->
+      let stats = Pipeline.stats fused in
+      let got_p = Stats.stage_packets stats 0
+      and got_r = Stats.stage_rejects stats 0 in
+      if got_p <> t.o_exp_fused_pkts || got_r <> t.o_exp_fused_rejects then
+        fail "stats"
+          "fused stage counters drifted: decode %d/%d rejects %d/%d (got/expected)"
+          got_p t.o_exp_fused_pkts got_r t.o_exp_fused_rejects
+      else Ok ()
 
 let check_flight t pkt ~codec_ok =
   match check_hot t pkt ~codec_ok with
@@ -509,9 +528,9 @@ module Chain = struct
       match (t.c_bug, fused) with Invert_chain_accept, true -> false | _, v -> v
     in
     match (fused, Stack.Seq.decode t.c_seq pkt) with
-    | true, Error reason ->
+    | true, Error e ->
       fail "chain" "fused chain accepts a packet the sequential decode rejects: %s"
-        reason
+        (err e)
     | false, Ok () ->
       fail "chain" "fused chain rejects a packet the sequential decode accepts"
     | false, Error _ -> check_reply t pkt

@@ -22,8 +22,9 @@
     + fused: the {!Netdsl_format.View.Hot} fused decoder must agree with
       the codec verdict and, on acceptance, every demanded register must
       equal the interpreted view's value — and a second pipeline running
-      in [Fused] mode over a {!Netdsl_engine.Flight} plan (demanding all
-      hot-eligible fields) must agree too, with consistent counters:
+      in [Fused] mode over a {!Netdsl_engine.Flight} plan (demanding
+      every top-level field the plan extracts) must agree too, with
+      consistent counters:
       Fused ≡ Staged ≡ Codec;
     + filter: the kernel pre-filter {!Netdsl_format.Bpf.compile} builds
       for the format, run by {!Bpf_oracle}, must deliver every accepted
@@ -93,6 +94,12 @@ val accepted : t -> int
 val filtered : t -> int
 (** Rejected messages the kernel pre-filter drops as well — the share of
     the reject side that would never reach a server. *)
+
+val skipped : t -> string option
+(** Why the engine and fused-pipeline checks are skipped: the reason
+    {!Netdsl_engine.Pipeline.create} refused the format (a list of
+    variable-size records has no compiled plan), or [None] when they
+    run. *)
 
 (** {2 Chained-decode oracle leg}
 

@@ -3,32 +3,27 @@
    A [spec] states, declaratively, everything the pipeline does to a
    packet: which fields the stages read, the semantic verify predicate,
    the event classifier, the flow key, and the respond-by-patching
-   rules.  {!compile} lowers the spec against a format
+   rules.  {!compile_stack} lowers the spec against a layered {!Stack}
    once, into two coordinated artefacts:
 
-   - a {e fused} fast path: when the format admits a {!View.Hot} plan for
-     exactly the demanded fields, one [Hot.run] of its compiled
+   - a {e fused} fast path: one [Stack.run_window] of the chain's compiled
      static-offset kernels decodes, validates and extracts the demanded
-     registers in a single pass; every condition is a precompiled
-     closure reading a register with one array load, and every respond
-     action a fixed-offset patch kernel ({!Emit.kernel}) — no [View.t],
-     no boxed values, no per-packet allocation.  When the
-     format (or a demanded field) is outside the linear subset, the fused
-     path falls back to an internal reusable [View.t]: still fused
-     control flow, staged decode machinery.  {!compile_stack} builds the
-     same fast path over a layered chain's registers.  The two register
-     tiers share one lowering and one assembly; every tier compiles to
-     one closure form, so the per-packet accessors never branch on it.
+     registers in a single pass; every condition is a precompiled closure
+     reading a register with one array load, and every respond action a
+     fixed-offset patch kernel ({!Emit.kernel}) inside its layer's window
+     — no [View.t], no boxed values, no per-packet allocation.  A single
+     format is a one-layer stack: {!compile} qualifies the spec's bare
+     field names once and compiles that, so every flight runs this one
+     engine.
 
    - {e staged} derivations ({!staged_verify}, {!staged_classify_id},
-     {!staged_respond_patch}): the same spec as closures over a decoded
-     view (or a chain's sequential views), which the pipeline's [Staged]
-     reference executor runs — so
-     [Staged] and [Fused] modes of one pipeline run the {e same
+     {!staged_respond_patch}): the same spec as closures over the chain's
+     sequential views, which the pipeline's [Staged] reference executor
+     runs — so [Staged] and [Fused] modes of one pipeline run the {e same
      semantics} from the same source of truth and can be diffed by the
      oracle.
 
-   Ordering guarantee (paper §3.4): [run] performs the {e complete}
+   Ordering guarantee (paper §3.4): [run_window] performs the {e complete}
    syntactic validation of the packet — every constant, constraint,
    computed field and checksum — before returning, and the pipeline
    consults [verify] before any classify/step/respond op.  Fusion changes
@@ -92,6 +87,32 @@ let spec_fields s =
   in
   List.sort_uniq String.compare acc
 
+(* The spec with every field name [f] read as [layer.f]. *)
+let qualify layer s =
+  let q f = layer ^ "." ^ f in
+  let operand = function Field f -> Field (q f) | Const _ as c -> c in
+  let rec cond = function
+    | Cmp (op, a, b) -> Cmp (op, operand a, operand b)
+    | All cs -> All (List.map cond cs)
+    | Any cs -> Any (List.map cond cs)
+    | Not c -> Not (cond c)
+  in
+  {
+    sp_demand = List.map q s.sp_demand;
+    sp_verify = Option.map cond s.sp_verify;
+    sp_classify = List.map (fun r -> { r with ev_when = cond r.ev_when }) s.sp_classify;
+    sp_flow_key = Option.map q s.sp_flow_key;
+    sp_respond =
+      List.map
+        (fun r ->
+          {
+            re_when = cond r.re_when;
+            re_set =
+              List.map (fun a -> { set_field = q a.set_field; set_to = operand a.set_to }) r.re_set;
+          })
+        s.sp_respond;
+  }
+
 (* ---- compiled form ---- *)
 
 (* Event id for a classified name the plan does not know: refused by
@@ -102,27 +123,19 @@ let unknown_event = max_int
 (* Flow-key sentinel for "this packet carries no key". *)
 let no_key = min_int
 
-type engine =
-  | Linear of F.View.Hot.t  (* fused fast path: registers, no View.t *)
-  | Interp of F.View.t  (* fallback: fused control flow, staged decode *)
-  | Stacked of F.Stack.plan  (* fused layered chain: qualified registers *)
-
-(* Every tier compiles to the same fused closure form: guards and the key
-   read the state of the last accepting [run], and a patch rewrites the
-   reply bytes [buf.(0 .. len-1)] in place. *)
-type patch = Bytes.t -> int -> bool
+(* Guards and the key read the state of the last accepting run, and a
+   patch rewrites its layer's window of the reply bytes in place. *)
+type patch = Bytes.t -> bool
 
 type t = {
-  fmt : F.Desc.t;
-  engine : engine;
+  plan : F.Stack.plan;
   verify : (unit -> bool) option;
   classify : (unit -> bool) array;
   events : int array;  (* interned event id of each classify rule *)
   respond : (unit -> bool) array;
   patches : patch array array;  (* each respond rule's actions *)
   key : unit -> int;
-  spec : spec;  (* for the staged derivations *)
-  mutable last_err : F.Codec.error option;
+  spec : spec;  (* qualified, for the staged derivations *)
 }
 
 let cmp_int op x y =
@@ -155,7 +168,7 @@ let rec for_all x = function [] -> true | c :: tl -> c x && for_all x tl
 let rec exists x = function [] -> false | c :: tl -> c x || exists x tl
 
 (* The boolean structure of a condition, over any leaf lowering: [x] is
-   [()] on the register side and the decoded view on the view side. *)
+   [()] on the register side and the decoded source on the staged side. *)
 let rec lower_cond leaf = function
   | Cmp (op, a, b) -> leaf op a b
   | All cs ->
@@ -168,22 +181,14 @@ let rec lower_cond leaf = function
     let c = lower_cond leaf c in
     fun x -> not (c x)
 
-let patched = function Ok () -> true | Error _ -> false
-
-(* An action on a field the format cannot patch compiles, and refuses
-   every packet at the encode stage. *)
-let patch_or_refuse fmt field k =
-  match F.Emit.patcher fmt field with Ok p -> k p | Error _ -> fun _ _ -> false
-
-(* ---- register-side lowering (the [Linear] and [Stacked] tiers) ----
+(* ---- register-side lowering (the fused plan) ----
 
    [reg f] resolves field [f] once, at compile time, to a register file
    and a slot in it: every leaf reads the register of the last accepting
    run with one array load.  A register reads -1 when the accepted packet
-   does not carry the field (a [Stacked] variant case without it;
-   [Linear] registers are in [0, 2^62) and never do).  Then a comparison
-   is false, the key is [no_key] and a patch is refused — what the view
-   side does when [find_int] returns [None]. *)
+   does not carry the field (a variant case without it).  Then a
+   comparison is false, the key is [no_key] and a patch is refused — what
+   the staged side does when its lookup returns [None]. *)
 
 (* [c] as a native int, when it fits *)
 let to_native c =
@@ -224,78 +229,39 @@ let rec reg_cmp reg op a b =
     let k = cmp_i64 op ca cb in
     fun () -> k
 
-(* Where a patch lands: the whole reply, or layer [j]'s window of a
-   stack, read from the chain's window array ([off] at [2j], [len] at
-   [2j + 1]) of the accepted request the reply copies. *)
-type target = Whole | Layer of int array * int
-
-(* The patch of one action: the field's compiled kernel, its source
-   register or constant, and its window, all resolved here. *)
-let reg_patch reg p target src : patch =
-  let k = F.Emit.kernel p in
-  match (src, target) with
-  | Field f, Whole ->
-    let file, i = reg f in
-    fun buf len ->
-      let v = Array.unsafe_get file i in
-      v >= 0 && k buf 0 len v
-  | Field f, Layer (win, j) ->
-    let file, i = reg f in
+(* The patch of one action inside layer [j]'s window, read from the
+   chain's window array ([off] at [2j], [len] at [2j + 1]) of the
+   accepted request the reply copies: the field's compiled kernel and its
+   source register or constant, all resolved here.  An action on a field
+   the format cannot patch compiles, and refuses every packet at the
+   encode stage. *)
+let reg_patch reg fmt field win j src : patch =
+  match F.Emit.patcher fmt field with
+  | Error _ -> fun _ -> false
+  | Ok p -> (
+    let k = F.Emit.kernel p in
     let o = 2 * j in
-    fun buf _ ->
-      let v = Array.unsafe_get file i in
-      v >= 0 && k buf (Array.unsafe_get win o) (Array.unsafe_get win (o + 1)) v
-  | Const c, _ -> (
-    match (to_native c, target) with
-    | Some v, Whole -> fun buf len -> k buf 0 len v
-    | Some v, Layer (win, j) ->
-      let o = 2 * j in
-      fun buf _ -> k buf (Array.unsafe_get win o) (Array.unsafe_get win (o + 1)) v
-    | None, Whole -> fun buf len -> patched (F.Emit.patch_window p ~off:0 ~len buf c)
-    | None, Layer (win, j) ->
-      let o = 2 * j in
-      fun buf _ ->
-        patched
-          (F.Emit.patch_window p ~off:(Array.unsafe_get win o)
-             ~len:(Array.unsafe_get win (o + 1)) buf c))
+    match src with
+    | Field f ->
+      let file, i = reg f in
+      fun buf ->
+        let v = Array.unsafe_get file i in
+        v >= 0 && k buf (Array.unsafe_get win o) (Array.unsafe_get win (o + 1)) v
+    | Const c -> (
+      match to_native c with
+      | Some v -> fun buf -> k buf (Array.unsafe_get win o) (Array.unsafe_get win (o + 1)) v
+      | None ->
+        fun buf ->
+          Result.is_ok
+            (F.Emit.patch_window p ~off:(Array.unsafe_get win o)
+               ~len:(Array.unsafe_get win (o + 1)) buf c)))
 
-(* How a tier lowers the spec's leaves.  [l_action] fails only when the
-   action names no patch target of the tier. *)
-type lowering = {
-  l_cond : cond -> unit -> bool;
-  l_key : string -> unit -> int;
-  l_action : action -> (patch, string) result;
-}
-
-(* [place field] names the format, field and target an action patches. *)
-let reg_lowering reg ~place =
-  {
-    l_cond = lower_cond (reg_cmp reg);
-    l_key =
-      (fun f ->
-        let file, i = reg f in
-        fun () ->
-          let v = Array.unsafe_get file i in
-          if v < 0 then no_key else v);
-    l_action =
-      (fun a ->
-        Result.map
-          (fun (fmt, field, target) ->
-            patch_or_refuse fmt field (fun p -> reg_patch reg p target a.set_to))
-          (place a.set_field));
-  }
-
-(* ---- source-side lowering (the staged semantics, shared by the
-   [Interp] tier and by the staged derivations — identical by
-   construction) ----
+(* ---- source-side lowering (the staged derivations) ----
 
    A [lookup] resolves a field name once to an accessor over a decoded
-   source: a {!View.t} for a single format, a stack's per-layer
-   sequential views for a chain. *)
+   source: a chain's per-layer sequential views. *)
 
 type 's lookup = string -> 's -> int64 option
-
-let view_lookup : F.View.t lookup = fun f view -> F.View.find_int view f
 
 let src_operand (lookup : 's lookup) = function
   | Const c -> fun _ -> Some c
@@ -312,27 +278,7 @@ let src_cmp lookup op a b =
 
 let src_cond lookup = lower_cond (src_cmp lookup)
 
-(* The [Interp] tier: the view-side closures over its pooled view. *)
-let view_lowering fmt v =
-  {
-    l_cond =
-      (fun c ->
-        let c = src_cond view_lookup c in
-        fun () -> c v);
-    l_key =
-      (fun f () ->
-        match F.View.find_int v f with None -> no_key | Some k -> Int64.to_int k);
-    l_action =
-      (fun a ->
-        let src = src_operand view_lookup a.set_to in
-        Ok
-          (patch_or_refuse fmt a.set_field (fun p buf len ->
-               match src v with
-               | None -> false
-               | Some x -> patched (F.Emit.patch_window p ~off:0 ~len buf x))));
-  }
-
-(* ---- one assembly for every tier ---- *)
+(* ---- compile ---- *)
 
 let rec map_result f = function
   | [] -> Ok []
@@ -340,61 +286,11 @@ let rec map_result f = function
     Result.bind (f x) (fun y ->
         Result.bind (map_result f tl) (fun tl -> Ok (y :: tl)))
 
-let assemble ?plan ~fmt ~engine low sp =
-  let ( let* ) = Result.bind in
-  let* patches =
-    map_result
-      (fun r -> Result.map Array.of_list (map_result low.l_action r.re_set))
-      sp.sp_respond
-  in
-  let event_of r =
-    match plan with
-    | None -> unknown_event
-    | Some p ->
-      let id = Fsm.Step.event_id p r.ev_name in
-      if id < 0 then unknown_event else id
-  in
-  let events = Array.of_list (List.map event_of sp.sp_classify) in
-  let classify_when = List.map (fun r -> r.ev_when) sp.sp_classify
-  and respond_when = List.map (fun r -> r.re_when) sp.sp_respond in
-  let guards lower whens = Array.of_list (List.map lower whens) in
-  Ok
-    {
-      fmt;
-      spec = sp;
-      engine;
-      verify = Option.map low.l_cond sp.sp_verify;
-      classify = guards low.l_cond classify_when;
-      events;
-      respond = guards low.l_cond respond_when;
-      patches = Array.of_list patches;
-      key =
-        (match sp.sp_flow_key with None -> fun () -> no_key | Some f -> low.l_key f);
-      last_err = None;
-    }
-
-(* ---- compile ---- *)
-
-let compile ?plan ?plant_late_load fmt sp =
-  let engine, low =
-    match F.View.Hot.compile ~demand:(spec_fields sp) ?plant_late_load fmt with
-    | Ok h ->
-      let reg f = (F.View.Hot.registers h, F.View.Hot.demand_slot h f) in
-      (Linear h, reg_lowering reg ~place:(fun f -> Ok (fmt, f, Whole)))
-    | Error _ ->
-      let v = F.View.create fmt in
-      (Interp v, view_lowering fmt v)
-  in
-  (* both single-format lowerings place every action *)
-  Result.get_ok (assemble ?plan ~fmt ~engine low sp)
-
-(* ---- compile against a layered stack ----
-
-   The chain analogue of {!compile}: every spec field is a qualified
-   ["layer.field"] register of the compiled {!Stack.plan} and actions
-   patch inside the owning layer's recorded window.  The staged side
+(* Every spec field is a qualified ["layer.field"] register of the
+   compiled {!Stack.plan}, and actions patch inside the owning layer's
+   recorded window — the reply buffer is a byte copy of the accepted
+   request, so those windows are valid patch targets.  The staged side
    runs the same spec over the sequential {!Stack.Seq} views. *)
-
 let compile_stack ?plan ?plant_late_load stack sp =
   let ( let* ) = Result.bind in
   let* p = F.Stack.compile ~demand:(spec_fields sp) ?plant_late_load stack in
@@ -403,47 +299,59 @@ let compile_stack ?plan ?plant_late_load stack sp =
     | Ok r -> (F.Stack.registers p, r)
     | Error e -> invalid_arg ("Flight: " ^ e)
   in
-  let place f =
-    let* idx, field = F.Stack.locate p f in
-    (* the reply buffer is a byte copy of the accepted request, so the
-       chain's recorded layer windows are valid patch targets *)
-    Ok (F.Stack.layer_fmt p idx, field, Layer (F.Stack.windows p, idx))
+  let action a =
+    let* j, field = F.Stack.locate p a.set_field in
+    Ok (reg_patch reg (F.Stack.layer_fmt p j) field (F.Stack.windows p) j a.set_to)
   in
-  assemble ?plan ~fmt:(F.Stack.layer_fmt p 0) ~engine:(Stacked p)
-    (reg_lowering reg ~place) sp
+  let* patches =
+    map_result (fun r -> Result.map Array.of_list (map_result action r.re_set)) sp.sp_respond
+  in
+  let event_of r =
+    match plan with
+    | None -> unknown_event
+    | Some plan ->
+      let id = Fsm.Step.event_id plan r.ev_name in
+      if id < 0 then unknown_event else id
+  in
+  let cond = lower_cond (reg_cmp reg) in
+  Ok
+    {
+      plan = p;
+      spec = sp;
+      verify = Option.map cond sp.sp_verify;
+      classify = Array.of_list (List.map (fun r -> cond r.ev_when) sp.sp_classify);
+      events = Array.of_list (List.map event_of sp.sp_classify);
+      respond = Array.of_list (List.map (fun r -> cond r.re_when) sp.sp_respond);
+      patches = Array.of_list patches;
+      key =
+        (match sp.sp_flow_key with
+        | None -> fun () -> no_key
+        | Some f ->
+          let file, i = reg f in
+          fun () ->
+            let v = Array.unsafe_get file i in
+            if v < 0 then no_key else v);
+    }
 
-let tier t =
-  match t.engine with
-  | Linear _ -> `Linear
-  | Interp _ -> `Interp
-  | Stacked _ -> `Stacked
+(* A single format is a one-layer stack named after the format; the
+   spec's bare names are qualified once, here. *)
+let compile ?plan ?plant_late_load (fmt : F.Desc.t) sp =
+  let layer = fmt.F.Desc.format_name in
+  match
+    Result.bind
+      (F.Stack.v ~name:layer [ F.Stack.layer fmt ])
+      (fun stack -> compile_stack ?plan ?plant_late_load stack (qualify layer sp))
+  with
+  | Ok t -> t
+  | Error e -> invalid_arg ("Flight.compile: " ^ e)
 
-let format t = t.fmt
 let flow_key_name t = t.spec.sp_flow_key
-
-let stack_plan t =
-  match t.engine with Stacked p -> Some p | Linear _ | Interp _ -> None
+let stack_plan t = t.plan
 
 (* ---- fused per-packet interface ---- *)
 
-let run_window t ~off ~len data =
-  match t.engine with
-  | Linear h -> F.View.Hot.run_window h ~off ~len data
-  | Stacked p -> F.Stack.run_window p ~off ~len data
-  | Interp v -> (
-    match F.View.decode v ~off ~len data with
-    | Ok () ->
-      t.last_err <- None;
-      true
-    | Error e ->
-      t.last_err <- Some e;
-      false)
+let run_window t ~off ~len data = F.Stack.run_window t.plan ~off ~len data
 
-let run t ?(off = 0) ?len data =
-  let len = match len with None -> String.length data - off | Some l -> l in
-  run_window t ~off ~len data
-
-let last_error t = t.last_err
 let verify_armed t = t.verify <> None
 let verify_ok t = match t.verify with None -> true | Some c -> c ()
 let classify_armed t = Array.length t.classify > 0
@@ -463,13 +371,13 @@ let flow_key t = t.key ()
 
 let response t = first_true t.respond ()
 
-let apply t idx buf ~len =
+let apply t idx buf ~len:_ =
   let set = t.patches.(idx) in
   let n = Array.length set in
   let ok = ref true in
   let i = ref 0 in
   while !ok && !i < n do
-    ok := (Array.unsafe_get set !i) buf len;
+    ok := (Array.unsafe_get set !i) buf;
     incr i
   done;
   !ok
@@ -479,10 +387,8 @@ let n_responses t = Array.length t.respond
 (* ---- staged derivations ----
 
    The same spec as closures over a decoded source, for the staged
-   reference executor.  These are the source-side lowering, which the
-   [Interp] tier wraps verbatim over a view — so Staged and the
-   Interp-tier Fused path are the same code, and the register tiers are
-   diffed against it by the oracle. *)
+   reference executor: the source-side lowering, which shares only the
+   spec with the fused plan, so the oracle can diff the two. *)
 
 let staged_verify t lookup = Option.map (src_cond lookup) t.spec.sp_verify
 

@@ -4,31 +4,27 @@
     to a packet: which fields are read, the semantic verify predicate,
     the event classifier, the flow key, and the respond-by-patching
     rules — the pipeline's only statement of per-packet semantics.
-    {!compile} lowers it against a format once into a plan that the
-    pipeline's [Fused] mode executes per packet run-to-completion — and
-    simultaneously derives the {e staged} closures its [Staged]
-    reference executor runs, so both modes run the same semantics from
-    one source of truth and the differential oracle can diff them.
+    {!compile_stack} lowers it against a layered
+    {!Netdsl_format.Stack} once into a plan that the pipeline's [Fused]
+    mode executes per packet run-to-completion — and simultaneously
+    derives the {e staged} closures its [Staged] reference executor
+    runs, so both modes run the same semantics from one source of truth
+    and the differential oracle can diff them.
 
-    When the format admits a {!Netdsl_format.View.Hot} plan for the
-    demanded fields, the fused path decodes, validates and extracts
-    native-int registers in one pass of compiled static-offset kernels,
-    with no [View.t] and no per-packet allocation (the [`Linear] tier).  Otherwise it falls back to an
-    internal reusable view ([`Interp] tier): fused control flow, staged
-    decode machinery, identical acceptance either way.  {!compile_stack}
-    builds the [`Stacked] tier over a layered chain's registers.
+    There is one engine.  A single format is a one-layer stack:
+    {!compile} qualifies the spec's bare field names once and compiles
+    that.  The fused path decodes, validates and extracts native-int
+    registers in one pass of the chain's compiled static-offset kernels
+    ({!Netdsl_format.Stack.run_window}), with no [View.t] and no
+    per-packet allocation.  Conditions and the flow key are register
+    reads — one array load, the register file and slot resolved at
+    compile time — and every respond action compiles to a fixed-offset
+    patch kernel ({!Netdsl_format.Emit.kernel}) inside its layer's
+    window.  A register read of [-1] means the accepted packet does not
+    carry the field: a comparison on it is [false], the key is
+    {!no_key}, and a patch from it is refused.
 
-    The [`Linear] and [`Stacked] tiers share one lowering of conditions,
-    flow key and respond actions onto a register read — one array load,
-    the register file and slot resolved at compile time — and every
-    respond action compiles to a fixed-offset patch kernel
-    ({!Netdsl_format.Emit.kernel}).  A register read
-    of [-1] means the accepted packet does not carry the field: a
-    comparison on it is [false], the key is {!no_key}, and a patch from
-    it is refused.  The [`Interp] tier runs the view-side (staged)
-    closures over its pooled view.
-
-    §3.4 ordering: {!run} completes {e all} syntactic validation before
+    §3.4 ordering: {!run_window} completes {e all} syntactic validation before
     any field is surfaced, and the pipeline consults {!verify_ok} before
     any machine step or response — fusion moves the work, not its order. *)
 
@@ -79,9 +75,13 @@ type t
 
 val compile :
   ?plan:Netdsl_fsm.Step.plan -> ?plant_late_load:bool -> Netdsl_format.Desc.t -> spec -> t
-(** Always succeeds: formats outside the linear hot subset compile to the
-    [`Interp] tier.  Event names are interned against [plan] (an unknown
-    name classifies to an id [Step.fire_id] refuses as [Unknown_event]). *)
+(** {!compile_stack} over the one-layer stack of [fmt], the spec's bare
+    field names qualified with the format's name.  Raises
+    [Invalid_argument] naming the refused field when the format has no
+    compiled plan — a list of variable-size records (TLV, pcap) — or a
+    field the spec reads cannot be extracted.  Event names are interned
+    against [plan] (an unknown name classifies to an id [Step.fire_id]
+    refuses as [Unknown_event]). *)
 
 val compile_stack :
   ?plan:Netdsl_fsm.Step.plan ->
@@ -89,47 +89,37 @@ val compile_stack :
   Netdsl_format.Stack.t ->
   spec ->
   (t, string) result
-(** Compile the spec against a layered {!Netdsl_format.Stack} instead of a
-    single format.  Every field the spec mentions must be a qualified
-    ["layer.field"] name; conditions and keys read the chain's fused
-    native-int registers (a field absent from the accepted packet's
-    variant case compares [false], keys to {!no_key} and refuses a
-    patch, as on the view side), and respond actions patch inside the
-    owning layer's recorded window.  Fails when the stack cannot be
-    fused, a demanded register cannot be extracted, or an action names
-    an unknown layer.  The resulting plan is the [`Stacked] tier; its
+(** Compile the spec against a layered {!Netdsl_format.Stack}.  Every
+    field the spec mentions must be a qualified ["layer.field"] name;
+    conditions and keys read the chain's fused native-int registers (a
+    field absent from the accepted packet's variant case compares
+    [false], keys to {!no_key} and refuses a patch, as on the staged
+    side), and respond actions patch inside the owning layer's recorded
+    window.  Fails when the stack cannot be fused, a demanded register
+    cannot be extracted, or an action names an unknown layer.  The
     staged derivations run over the chain's sequential views
-    ({!Netdsl_format.Stack.Seq}), the [lib/check] oracles' ground truth. *)
+    ({!Netdsl_format.Stack.Seq}), the [lib/check] oracles' ground truth.
+    [plant_late_load] compiles every layer with
+    {!Netdsl_format.View.Hot.compile}'s planted defect (oracle self-test
+    only). *)
 
-val tier : t -> [ `Linear | `Interp | `Stacked ]
-
-val format : t -> Netdsl_format.Desc.t
-(** For a [`Stacked] plan this is the outermost layer's format. *)
-
-val stack_plan : t -> Netdsl_format.Stack.plan option
-(** The compiled chain behind a [`Stacked] plan — its registers and layer
-    windows read the state of this flight's last accepting {!run}. *)
+val stack_plan : t -> Netdsl_format.Stack.plan
+(** The compiled chain — its registers and layer windows read the state
+    of this flight's last accepting {!run_window}. *)
 
 val flow_key_name : t -> string option
-(** The spec's flow-key field, if any. *)
+(** The spec's flow-key field, qualified, if any. *)
 
 (** {2 Per-packet execution}
 
-    One packet at a time: {!run}, then the accessors, which read the
-    state of the last successful [run]. *)
-
-val run : t -> ?off:int -> ?len:int -> string -> bool
-(** Decode and {e fully} validate one packet against the format — [true]
-    exactly when [View.decode] would return [Ok].  [`Linear] tier
-    allocates nothing. *)
+    One packet at a time: {!run_window}, then the accessors, which read
+    the state of the last successful run. *)
 
 val run_window : t -> off:int -> len:int -> string -> bool
-(** {!run} with both bounds required: the fused per-packet loop uses this
-    so the call site does not box an optional argument. *)
-
-val last_error : t -> Netdsl_format.Codec.error option
-(** Decode error detail of the last failed {!run} — [`Interp] tier only
-    (the linear tier collapses errors to the boolean verdict). *)
+(** Decode and {e fully} validate the packet [data.(off .. off+len-1)]
+    against the stack — [true] exactly when
+    {!Netdsl_format.Stack.Seq.decode} would return [Ok].  Allocates
+    nothing. *)
 
 val verify_armed : t -> bool
 val verify_ok : t -> bool
@@ -157,27 +147,25 @@ val response : t -> int
 
 val apply : t -> int -> Bytes.t -> len:int -> bool
 (** [apply t idx buf ~len] applies respond rule [idx]'s patches in place
-    to the reply bytes [buf.(0 .. len-1)] (a copy of the request).
-    [false] if any patch fails to compile, validate, or find its source
-    field — the packet is then rejected at the encode stage. *)
+    to the reply bytes [buf.(0 .. len-1)], a copy of the last accepted
+    request: each patch writes inside its layer's window as that run
+    recorded it.  [false] if any patch fails to compile, validate, or
+    find its source field — the packet is then rejected at the encode
+    stage. *)
 
 (** {2 Staged derivations}
 
-    The spec as closures over a decoded source — a
-    {!Netdsl_format.View.t} for a single format, a chain's sequential
-    per-layer views ({!Netdsl_format.Stack.Seq}) for a stack: the
-    pipeline's [Staged] reference executor runs these, one stage at a
-    time, so it shares the fused plan's source of truth and nothing
-    else.  The [`Interp] tier's fused closures wrap these same closures
-    over a view; the register tiers share only the spec.  [None] when the
-    spec leaves that stage empty. *)
+    The spec as closures over a decoded source — the chain's sequential
+    per-layer views ({!Netdsl_format.Stack.Seq}): the pipeline's
+    [Staged] reference executor runs these, one stage at a time, so it
+    shares the fused plan's source of truth and nothing else.  The
+    fields they look up are qualified, whichever of {!compile} and
+    {!compile_stack} built the plan.  [None] when the spec leaves that
+    stage empty. *)
 
 type 's lookup = string -> 's -> int64 option
 (** Resolve a field name, once, to its reader over a decoded source;
     [None] when the packet does not carry the field. *)
-
-val view_lookup : Netdsl_format.View.t lookup
-(** {!Netdsl_format.View.find_int}. *)
 
 val staged_verify : t -> 's lookup -> ('s -> bool) option
 

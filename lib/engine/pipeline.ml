@@ -89,11 +89,6 @@ let grow_flows tbl =
   tbl.fnext <- extend tbl.fnext 0;
   tbl.cap <- cap'
 
-(* The staged executor's decoded sources, one per window slot (one in
-   [Fused] mode, for recovering decode-error detail): views of a single
-   format, or a chain's sequential per-layer views. *)
-type src = Views of F.View.t array | Seqs of F.Stack.Seq.t array
-
 type t = {
   cfg : config;
   mode : mode;
@@ -116,8 +111,8 @@ type t = {
      loops so [on_reply_slot] can hand external slab owners the slot *)
   mutable cur_slot : int;
   (* encode-stage machinery: a cache of compiled in-place patchers (keyed
-     by field, with the index of the stack layer whose window they patch,
-     -1 for the whole message — patches rewrite the *request* bytes), and
+     by field, with the index of the stack layer whose window they patch —
+     patches rewrite the *request* bytes), and
      one reusable reply buffer, sized once to the longest packet a front
      end admits, with a per-batch high-water mark so one oversized reply
      cannot pin a larger buffer forever *)
@@ -127,11 +122,11 @@ type t = {
   mutable reply_hwm : int;
   stats : Stats.t;
   (* batch scratch: the packet window of the current batch (data + length),
-     the staged sources, statuses and errors *)
-  src : src;
+     the chain's sequential views per window slot (one in [Fused] mode,
+     for recovering decode-error detail) and statuses *)
+  seqs : F.Stack.Seq.t array;
   status : int array;
   blen : int array;
-  last_error : F.Codec.error option array;
   inbuf : string array;
   default_inst : Fsm.Step.instance option;
   flows : flow_table option;
@@ -287,14 +282,10 @@ let create ?(config = default_config) ?(mode = Fused) ?stack
     match plan with Some p -> Fsm.Step.has_timers p | None -> false
   in
   let slots = match mode with Staged -> config.batch | Fused -> 1 in
-  let src, (verify, classifier, respond_patch, staged_key) =
-    match Flight.stack_plan flight with
-    | None ->
-      let vs = Array.init slots (fun _ -> F.View.create fmt) in
-      (Views vs, staged_stages flight flow_key Flight.view_lookup vs)
-    | Some p ->
-      let qs = Array.init slots (fun _ -> F.Stack.Seq.create p) in
-      (Seqs qs, staged_stages flight flow_key (seq_lookup p) qs)
+  let plan = Flight.stack_plan flight in
+  let seqs = Array.init slots (fun _ -> F.Stack.Seq.create plan) in
+  let verify, classifier, respond_patch, staged_key =
+    staged_stages flight flow_key (seq_lookup plan) seqs
   in
   let t = {
     cfg = config;
@@ -314,10 +305,9 @@ let create ?(config = default_config) ?(mode = Fused) ?stack
     reply_base;
     reply_hwm = 0;
     stats = Stats.create stage_names;
-    src;
+    seqs;
     status = Array.make config.batch live;
     blen = Array.make config.batch 0;
-    last_error = Array.make config.batch None;
     inbuf = Array.make config.batch "";
     default_inst;
     flows =
@@ -373,7 +363,6 @@ let stats t =
 
 let format t = t.fmt
 let mode t = t.mode
-let flight_tier t = Flight.tier t.flight
 let flow_count t = match t.flows with None -> 0 | Some tbl -> tbl.n
 let reply_capacity t = Bytes.length t.reply_buf
 
@@ -427,24 +416,16 @@ let patcher_for t field =
   match Hashtbl.find_opt t.patchers field with
   | Some r -> r
   | None ->
+    let plan = Flight.stack_plan t.flight in
     let r =
-      match Flight.stack_plan t.flight with
-      | None -> Result.map (fun p -> (p, -1)) (F.Emit.patcher t.fmt field)
-      | Some plan ->
-        Result.bind (F.Stack.locate plan field) (fun (j, f) ->
-            Result.map (fun p -> (p, j)) (F.Emit.patcher (F.Stack.layer_fmt plan j) f))
+      Result.bind (F.Stack.locate plan field) (fun (j, f) ->
+          Result.map (fun p -> (p, j)) (F.Emit.patcher (F.Stack.layer_fmt plan j) f))
     in
     Hashtbl.add t.patchers field r;
     r
 
 (* The staged decode of window slot [i]. *)
-let staged_decode t i =
-  match t.src with
-  | Views vs -> F.View.decode vs.(i) ~len:t.blen.(i) t.inbuf.(i)
-  | Seqs qs -> (
-    match F.Stack.Seq.decode qs.(i) ~len:t.blen.(i) t.inbuf.(i) with
-    | Ok () -> Ok ()
-    | Error reason -> Error (F.Codec.Eval_error { path = []; reason }))
+let staged_decode t i = F.Stack.Seq.decode t.seqs.(i) ~len:t.blen.(i) t.inbuf.(i)
 
 let emit_reply t len =
   if len > t.reply_hwm then t.reply_hwm <- len;
@@ -477,12 +458,9 @@ let staged_batch t n =
   for i = 0 to n - 1 do
     bytes := !bytes + t.blen.(i);
     match staged_decode t i with
-    | Ok () ->
-      t.status.(i) <- live;
-      t.last_error.(i) <- None
-    | Error e ->
+    | Ok () -> t.status.(i) <- live
+    | Error _ ->
       t.status.(i) <- rej_decode;
-      t.last_error.(i) <- Some e;
       incr rejects
   done;
   Stats.record_batch stats st_decode ~packets:n ~bytes:!bytes ~rejects:!rejects
@@ -565,14 +543,12 @@ let staged_batch t n =
           let ok =
             List.for_all
               (fun (field, v) ->
-                match (patcher_for t field, t.src) with
-                | Error _, _ -> false
-                | Ok (p, -1), _ -> Result.is_ok (F.Emit.patch p ~off:0 ~len t.reply_buf v)
-                | Ok (p, j), Seqs qs ->
+                match patcher_for t field with
+                | Error _ -> false
+                | Ok (p, j) ->
                   Result.is_ok
-                    (F.Emit.patch p ~off:(F.Stack.Seq.layer_off qs.(i) j)
-                       ~len:(F.Stack.Seq.layer_len qs.(i) j) t.reply_buf v)
-                | Ok _, Views _ -> false)
+                    (F.Emit.patch p ~off:(F.Stack.Seq.layer_off t.seqs.(i) j)
+                       ~len:(F.Stack.Seq.layer_len t.seqs.(i) j) t.reply_buf v))
               mutations
           in
           if ok then begin
@@ -588,8 +564,8 @@ let staged_batch t n =
     Stats.record_batch stats st_encode ~packets:!packets ~bytes:!bytes
       ~rejects:!rejects ~elapsed_ns:(t.now_ns () - t0))
 
-(* ---- fused mode: one run-to-completion pass per packet, no [View.t] on
-   the fast tier.  Counters mirror the staged stage rows exactly (same
+(* ---- fused mode: one run-to-completion pass per packet, no [View.t].
+   Counters mirror the staged stage rows exactly (same
    arming conditions, same increments); wall-clock cannot be split across
    fused stages, so the whole batch's latency lands on the decode row and
    the other rows report elapsed 0. ---- *)
@@ -618,12 +594,10 @@ let fused_batch t n =
     d_bytes := !d_bytes + blen;
     if not (Flight.run_window fl ~off:0 ~len:blen t.inbuf.(i)) then begin
       t.status.(i) <- rej_decode;
-      t.last_error.(i) <- Flight.last_error fl;
       incr d_rej
     end
     else begin
       t.status.(i) <- live;
-      t.last_error.(i) <- None;
       (* §3.4: the packet is fully validated (decode above, semantic
          verify here) before any machine step or response below *)
       if verify_armed then begin
@@ -795,26 +769,15 @@ let process_batch t pkts n =
   done;
   run_window t n
 
-(* The single-packet decode-error slow path for the fused fast tier: the
-   linear plan collapses errors to a boolean, so recover the detail from
-   the pooled view.  If the view disagrees and accepts, the fused decoder
-   has a bug — report it as such (the differential oracle hunts exactly
-   this). *)
+(* The single-packet decode-error slow path: the compiled plan collapses
+   errors to a boolean, so replay slot 0 through the sequential
+   reference, which names the failing layer and field.  If it accepts,
+   the fused decoder has a bug — report it as such (the differential
+   oracle hunts exactly this). *)
 let recover_decode_error t =
-  match t.last_error.(0) with
-  | Some e -> e
-  | None -> (
-    (* replay through the staged decode — on a stack the sequential
-       reference, which names the failing layer *)
-    match staged_decode t 0 with
-    | Error e -> e
-    | Ok () ->
-      F.Codec.Eval_error
-        { path = [];
-          reason =
-            (match t.src with
-            | Views _ -> "fused decode diverged"
-            | Seqs _ -> "fused chain decode diverged") })
+  match staged_decode t 0 with
+  | Error e -> e
+  | Ok () -> F.Codec.Eval_error { path = []; reason = "fused chain decode diverged" }
 
 let outcome_of_slot0 t =
   match t.status.(0) with

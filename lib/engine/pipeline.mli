@@ -18,12 +18,12 @@
     A fast path plus its reference, over the same spec:
     - {!Fused} (default): the spec's {!Flight} plan runs each packet to
       completion in one pass — demand-driven field extraction into
-      native-int registers, no [View.t] on the fast tier, no per-packet
-      allocation.  Every serving path runs this.
+      native-int registers, no [View.t], no per-packet allocation.
+      Every serving path runs this.
     - {!Staged}: the reference executor.  Each stage walks the whole
-      batch before the next starts, over materialised
-      {!Netdsl_format.View}s (on a stack, the sequential per-layer views
-      of {!Netdsl_format.Stack.Seq}), running the spec's staged
+      batch before the next starts, over the sequential per-layer views
+      of {!Netdsl_format.Stack.Seq} (a single format is a one-layer
+      stack), running the spec's staged
       derivations ({!Flight.staged_verify}, {!Flight.staged_classify_id},
       {!Flight.staged_respond_patch}) and patching replies with the
       generic {!Netdsl_format.Emit.patch} rather than the fused plan's
@@ -46,7 +46,7 @@
     - {!process_ring_batch}: a claimed run of a {!Spsc} ring ([Shard]'s
       worker domains).
 
-    State is sized once and reused: the batch window and view pool at
+    State is sized once and reused: the batch window and sequential views at
     {!create}, flow slots and their machine instances as the flow table
     first reaches them (an evicted flow's slot and instance are reset in
     place for the next flow), and the flow-key and timer-key maps are
@@ -55,7 +55,7 @@
     and timer cancels included. *)
 
 type config = {
-  batch : int;  (** batch size, and the number of pooled view slots *)
+  batch : int;  (** batch size, and the number of staged sequential views *)
   ring_capacity : int;
       (** slot count of each {!Shard} worker ring, and so its
           backpressure depth.  The socket server sizes its slab to one
@@ -80,7 +80,8 @@ type mode = Staged | Fused
 type outcome =
   | Accepted
   | Rejected_decode of Netdsl_format.Codec.error
-      (** failed syntactic/semantic validation (view decode) *)
+      (** failed syntactic/semantic validation: the sequential
+          reference's error, the failing layer first on its path *)
   | Rejected_verify  (** failed the spec's verify predicate *)
   | Rejected_step  (** the machine refused the event *)
   | Rejected_encode  (** a respond rule's patch could not be applied *)
@@ -108,7 +109,10 @@ val create :
       reference the oracle legs select.
     - [flight] (default [Flight.spec ()]: decode and validate only) is
       the whole per-packet semantics — verify, classify, flow key,
-      respond-by-patch — compiled once against [fmt] and [machine].
+      respond-by-patch — compiled once against [fmt] and [machine] by
+      {!Flight.compile}: bare field names, one-layer stack.  Raises
+      [Invalid_argument] naming the field when [fmt] has no compiled
+      plan (a list of variable-size records, as in TLV or pcap).
       Classified event names are interned against the machine: a name
       it does not know rejects the packet at the step stage.  Respond
       rules answer with a copy of the request whose named scalar fields
@@ -196,9 +200,6 @@ val stage_names : string list
 val format : t -> Netdsl_format.Desc.t
 
 val mode : t -> mode
-
-val flight_tier : t -> [ `Linear | `Interp | `Stacked ]
-(** Tier of the compiled flight plan (what [Fused] mode runs). *)
 
 val flow_count : t -> int
 (** Number of per-flow machine instances currently live (bounded by

@@ -142,7 +142,7 @@ let push_batch t pkts n =
     backoff_wait t t.not_full (fun () -> free t > 0 || t.closed);
     if t.closed then ok := false
     else begin
-      let run = min (free t) (n - !i) in
+      let run = Int.min (free t) (n - !i) in
       for j = 0 to run - 1 do
         let pkt = pkts.(!i + j) in
         let s = (t.tail + j) mod cap in
@@ -227,7 +227,7 @@ let lease_run t ~max =
   else begin
     let cap = Array.length t.bufs in
     let seam = cap - (t.tail mod cap) in
-    let k = min (min max (free t)) seam in
+    let k = Int.min (Int.min max (free t)) seam in
     if k > 0 then begin
       t.leased <- true;
       t.lease_len <- k
@@ -302,7 +302,7 @@ let pop_batch t ~max =
     end
     else Condition.wait t.not_empty t.mu
   done;
-  let n = min (t.tail - t.head) max in
+  let n = Int.min (t.tail - t.head) max in
   t.batch_start <- t.head;
   t.batch_len <- n;
   Mutex.unlock t.mu;

@@ -58,23 +58,25 @@ let pp_error ppf = function
 let error_to_string e = Format.asprintf "%a" pp_error e
 let fail e = raise (Error e)
 
+let map_path f = function
+  | Io e -> Io { e with path = f e.path }
+  | Const_mismatch e -> Const_mismatch { e with path = f e.path }
+  | Enum_unknown e -> Enum_unknown { e with path = f e.path }
+  | Constraint_violation e -> Constraint_violation { e with path = f e.path }
+  | Computed_mismatch e -> Computed_mismatch { e with path = f e.path }
+  | Checksum_mismatch e -> Checksum_mismatch { e with path = f e.path }
+  | Variant_unknown_tag e -> Variant_unknown_tag { e with path = f e.path }
+  | Missing_field e -> Missing_field { path = f e.path }
+  | Type_mismatch e -> Type_mismatch { e with path = f e.path }
+  | Length_mismatch e -> Length_mismatch { e with path = f e.path }
+  | Eval_error e -> Eval_error { e with path = f e.path }
+  | Trailing_input _ as e -> e
+  | Value_out_of_range e -> Value_out_of_range { e with path = f e.path }
+
 (* Paths are threaded innermost-first (cons per nesting level, O(1) on the
    hot path) and reversed into root-first reader order only when an error
    escapes through the public entry points. *)
-let outward_error = function
-  | Io e -> Io { e with path = List.rev e.path }
-  | Const_mismatch e -> Const_mismatch { e with path = List.rev e.path }
-  | Enum_unknown e -> Enum_unknown { e with path = List.rev e.path }
-  | Constraint_violation e -> Constraint_violation { e with path = List.rev e.path }
-  | Computed_mismatch e -> Computed_mismatch { e with path = List.rev e.path }
-  | Checksum_mismatch e -> Checksum_mismatch { e with path = List.rev e.path }
-  | Variant_unknown_tag e -> Variant_unknown_tag { e with path = List.rev e.path }
-  | Missing_field e -> Missing_field { path = List.rev e.path }
-  | Type_mismatch e -> Type_mismatch { e with path = List.rev e.path }
-  | Length_mismatch e -> Length_mismatch { e with path = List.rev e.path }
-  | Eval_error e -> Eval_error { e with path = List.rev e.path }
-  | Trailing_input _ as e -> e
-  | Value_out_of_range e -> Value_out_of_range { e with path = List.rev e.path }
+let outward_error = map_path List.rev
 
 (* ------------------------------------------------------------------ *)
 (* Scopes: the environment of already-seen fields, one scope per record

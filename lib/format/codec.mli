@@ -49,6 +49,9 @@ exception Error of error
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
+val map_path : (path -> path) -> error -> error
+(** Rewrite the error's field path ([Trailing_input] carries none). *)
+
 val decode : ?allow_trailing:bool -> Desc.t -> string -> (Value.t, error) result
 (** [decode fmt bytes] parses and validates.  With [allow_trailing] (default
     [false]) leftover input after the message is not an error. *)

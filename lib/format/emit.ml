@@ -25,22 +25,9 @@ type error = Codec.error
 
 let fail e = raise (Codec.Error e)
 
-(* Encode-side copy of Codec.outward_error: paths are threaded
-   innermost-first while encoding and reversed when an error escapes. *)
-let outward_error : Codec.error -> Codec.error = function
-  | Io e -> Io { e with path = List.rev e.path }
-  | Const_mismatch e -> Const_mismatch { e with path = List.rev e.path }
-  | Enum_unknown e -> Enum_unknown { e with path = List.rev e.path }
-  | Constraint_violation e -> Constraint_violation { e with path = List.rev e.path }
-  | Computed_mismatch e -> Computed_mismatch { e with path = List.rev e.path }
-  | Checksum_mismatch e -> Checksum_mismatch { e with path = List.rev e.path }
-  | Variant_unknown_tag e -> Variant_unknown_tag { e with path = List.rev e.path }
-  | Missing_field e -> Missing_field { path = List.rev e.path }
-  | Type_mismatch e -> Type_mismatch { e with path = List.rev e.path }
-  | Length_mismatch e -> Length_mismatch { e with path = List.rev e.path }
-  | Eval_error e -> Eval_error { e with path = List.rev e.path }
-  | Trailing_input _ as e -> e
-  | Value_out_of_range e -> Value_out_of_range { e with path = List.rev e.path }
+(* Paths are threaded innermost-first while encoding and reversed when
+   an error escapes. *)
+let outward_error = Codec.map_path List.rev
 
 (* ------------------------------------------------------------------ *)
 (* Compiled ops *)

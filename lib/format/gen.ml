@@ -192,11 +192,26 @@ and gen_field config rng scope chosen_cases (f : Desc.field) : Value.t option =
     let count =
       match length with
       | Len_fixed n -> Some n
-      | Len_expr e ->
-        let v = eval scope e in
-        if Int64.compare v 0L < 0 || Int64.compare v 100_000L > 0 then
-          unsupported "generated element count %Ld out of range" v
-        else Some (Int64.to_int v)
+      | Len_expr e -> (
+        (* The array analogue of a plain length prefix:
+           `count : computed = len(items) / k; items : elem[count]` with
+           [elem] exactly [k] bytes.  Any element count is self-consistent,
+           so pick one. *)
+        let invertible =
+          match e with
+          | Desc.Field name -> (
+            match (lookup_computed scope name, Sizing.fixed_bytes elem) with
+            | Some (Desc.Div (Desc.Byte_len target, Desc.Const k)), Some n ->
+              String.equal target f.name && Int64.equal k (Int64.of_int n)
+            | _ -> false)
+          | _ -> false
+        in
+        if invertible then Some (P.int rng (config.max_array_elems + 1))
+        else
+          let v = eval scope e in
+          if Int64.compare v 0L < 0 || Int64.compare v 100_000L > 0 then
+            unsupported "generated element count %Ld out of range" v
+          else Some (Int64.to_int v))
       | Len_bytes _ -> None
       | Len_terminated _ -> unsupported "arrays cannot be terminator-delimited"
       | Len_remaining -> Some (P.int rng (config.max_array_elems + 1))

@@ -106,7 +106,7 @@ let validate_layer ~terminal (l : layer) =
 let v ~name layers =
   let ( let* ) = Result.bind in
   let n = List.length layers in
-  let* () = if n < 2 then errf "stack %s: needs at least two layers" name else Ok () in
+  let* () = if n < 1 then errf "stack %s: needs at least one layer" name else Ok () in
   let* () =
     let names = List.map (fun l -> l.l_name) layers in
     if List.length (List.sort_uniq compare names) <> n then
@@ -151,14 +151,8 @@ type flattened = {
   fl_has_default : bool;
 }
 
-let flatten_terminal (fmt : Desc.t) =
+let flatten_terminal (fmt : Desc.t) ~prefix ~tag ~cases ~default =
   let ( let* ) = Result.bind in
-  let* prefix, tag, cases, default =
-    match List.rev fmt.Desc.fields with
-    | { ty = Desc.Variant { tag; cases; default }; _ } :: rev_prefix ->
-      Ok (List.rev rev_prefix, tag, cases, default)
-    | _ -> errf "not a trailing-variant format"
-  in
   let* tag_bits, tag_endian =
     match List.find_opt (fun (f : Desc.field) -> String.equal f.name tag) prefix with
     | None -> errf "variant tag %S is not a prefix field" tag
@@ -383,13 +377,12 @@ let compile ?(demand = []) ?plant_late_load (t : t) =
                 l.l_name e
           end
           else
-            match View.Hot.compile ~demand:lay_demand ?plant_late_load l.l_fmt with
-            | Ok h -> Ok (E_hot, [| h |], [| l.l_fmt |])
-            | Error e_linear -> (
-              match flatten_terminal l.l_fmt with
-              | Error e_flat ->
-                errf "layer %s is not fusable: %s; variant flattening: %s"
-                  l.l_name e_linear e_flat
+            match List.rev l.l_fmt.Desc.fields with
+            | { ty = Desc.Variant { tag; cases; default }; _ } :: rev_prefix -> (
+              match
+                flatten_terminal l.l_fmt ~prefix:(List.rev rev_prefix) ~tag ~cases ~default
+              with
+              | Error e -> errf "layer %s is not fusable: %s" l.l_name e
               | Ok fl ->
                 let rec comp acc = function
                   | [] -> Ok (List.rev acc)
@@ -427,6 +420,10 @@ let compile ?(demand = []) ?plant_late_load (t : t) =
                       },
                     hots,
                     fmts ))
+            | _ -> (
+              match View.Hot.compile ~demand:lay_demand ?plant_late_load l.l_fmt with
+              | Ok h -> Ok (E_hot, [| h |], [| l.l_fmt |])
+              | Error e -> errf "layer %s is not fusable: %s" l.l_name e)
         in
         let demux, edges64 =
           match l.l_select with Some (d, vs) -> (d, vs) | None -> ("", [])
@@ -761,24 +758,29 @@ module Seq = struct
     let rec go i off len =
       let y = layers.(i) in
       let view = q.q_views.(i) in
+      let fail fmt =
+        Printf.ksprintf
+          (fun reason -> Error (Codec.Eval_error { path = [ y.y_name ]; reason }))
+          fmt
+      in
       match View.decode view ~off ~len data with
-      | Error e -> errf "layer %s: %s" y.y_name (Codec.error_to_string e)
+      | Error e -> Error (Codec.map_path (fun p -> y.y_name :: p) e)
       | Ok () ->
         q.q_offs.(i) <- off;
         q.q_lens.(i) <- len;
         if i = n - 1 then Ok ()
         else (
           match View.find_int view y.y_demux with
-          | None -> errf "layer %s: demux field %S missing" y.y_name y.y_demux
+          | None -> fail "demux field %S missing" y.y_demux
           | Some d ->
             if not (List.exists (Int64.equal d) y.y_edges64) then
-              errf "layer %s: %s = %Ld selects no next layer" y.y_name y.y_demux d
+              fail "%s = %Ld selects no next layer" y.y_demux d
             else (
               match View.find_span view y.y_via with
-              | None -> errf "layer %s: payload field %S missing" y.y_name y.y_via
+              | None -> fail "payload field %S missing" y.y_via
               | Some (so, sl) ->
                 if so land 7 <> 0 || sl land 7 <> 0 then
-                  errf "layer %s: payload span is not byte-aligned" y.y_name
+                  fail "payload span is not byte-aligned"
                 else go (i + 1) (so lsr 3) (sl lsr 3)))
     in
     go 0 off len

@@ -56,8 +56,10 @@ type t
 (** A validated stack description. *)
 
 val v : name:string -> layer list -> (t, string) result
-(** Validates the chain shape (>= 2 layers, unique layer names, demux
-    fields scalar and in range, via fields trailing byte payloads). *)
+(** Validates the chain shape (>= 1 layer, unique layer names, demux
+    fields scalar and in range, via fields trailing byte payloads).  A
+    single format is a one-layer stack: that is how {!Netdsl_engine.Flight}
+    compiles every flight. *)
 
 val name : t -> string
 val layer_names : t -> string list
@@ -168,9 +170,10 @@ module Seq : sig
 
   val create : plan -> t
 
-  val decode : t -> ?off:int -> ?len:int -> string -> (unit, string) result
-  (** [Error reason] names the failing layer: decode error, demux value
-      selecting no next layer, or a misaligned/truncated payload span. *)
+  val decode : t -> ?off:int -> ?len:int -> string -> (unit, Codec.error) result
+  (** The failing layer's {!View.decode} error with the layer's name
+      prepended to its path; a demux value selecting no next layer or a
+      misaligned payload span is an [Eval_error] on that layer. *)
 
   val view : t -> int -> View.t
   (** Layer [i]'s decoded view after an accepting {!decode}. *)

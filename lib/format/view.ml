@@ -7,22 +7,9 @@ type error = Codec.error
 
 let fail e = raise (Codec.Error e)
 
-(* Decode-side subset of Codec.outward_error: paths are threaded
-   innermost-first during the parse and reversed when an error escapes. *)
-let outward_error : Codec.error -> Codec.error = function
-  | Io e -> Io { e with path = List.rev e.path }
-  | Const_mismatch e -> Const_mismatch { e with path = List.rev e.path }
-  | Enum_unknown e -> Enum_unknown { e with path = List.rev e.path }
-  | Constraint_violation e -> Constraint_violation { e with path = List.rev e.path }
-  | Computed_mismatch e -> Computed_mismatch { e with path = List.rev e.path }
-  | Checksum_mismatch e -> Checksum_mismatch { e with path = List.rev e.path }
-  | Variant_unknown_tag e -> Variant_unknown_tag { e with path = List.rev e.path }
-  | Missing_field e -> Missing_field { path = List.rev e.path }
-  | Type_mismatch e -> Type_mismatch { e with path = List.rev e.path }
-  | Length_mismatch e -> Length_mismatch { e with path = List.rev e.path }
-  | Eval_error e -> Eval_error { e with path = List.rev e.path }
-  | Trailing_input _ as e -> e
-  | Value_out_of_range e -> Value_out_of_range { e with path = List.rev e.path }
+(* Paths are threaded innermost-first during the parse and reversed when
+   an error escapes. *)
+let outward_error = Codec.map_path List.rev
 
 (* ------------------------------------------------------------------ *)
 (* The span table.  One entry per value-bearing field, in wire order; a
@@ -788,14 +775,17 @@ let entry_bytes t (e : entry) =
   if e.kind = k_bytes then extract_bytes t ~bit_off:e.voff ~bit_len:e.vlen
   else invalid_arg (Printf.sprintf "View: field %S is not bytes" e.name)
 
+(* A top-level field, else a field of a top-level variant's selected
+   case — where {!Stack}'s variant flattening puts it. *)
 let find_entry t name =
-  let rec go i =
+  let rec go ~cases i =
     if i >= t.n then None
     else
       let e = t.entries.(i) in
-      if String.equal e.name name then Some e else go e.stop
+      if String.equal e.name name then Some e
+      else go ~cases (if cases && e.kind = k_variant then i + 1 else e.stop)
   in
-  go 0
+  match go ~cases:false 0 with None -> go ~cases:true 0 | found -> found
 
 let get_entry t name =
   match find_entry t name with
@@ -885,10 +875,12 @@ let extract_key ke ?(off = 0) data =
     let raw = B.Reader.read_bits r ~width:ke.k_bits in
     Some (Int64.to_int (of_wire ~bits:ke.k_bits ~endian:ke.k_endian raw))
 
-(* MSB-first native-int bit read for the steering fast path; bounds
-   already checked by the caller.  Same logic as [Hot.read_narrow]. *)
-let rec key_read_bits s pos width =
-  if width <= 56 then begin
+(* MSB-first bit read returning a native int ([width] <= 62); bounds
+   already checked by the caller.  The steering key read and every
+   [Hot] kernel share it. *)
+let rec read_narrow s pos width =
+  if width = 0 then 0
+  else if width <= 56 then begin
     let first = pos lsr 3 in
     let last = (pos + width - 1) lsr 3 in
     let drop = pos land 7 in
@@ -900,7 +892,7 @@ let rec key_read_bits s pos width =
   end
   else
     let hiw = width - 32 in
-    (key_read_bits s pos hiw lsl 32) lor key_read_bits s (pos + hiw) 32
+    (read_narrow s pos hiw lsl 32) lor read_narrow s (pos + hiw) 32
 
 let no_key = min_int
 
@@ -912,7 +904,7 @@ let extract_key_int ke ?(off = 0) data =
   let bit_off = (off * 8) + ke.k_bit_off in
   if bit_off + ke.k_bits > String.length data * 8 then no_key
   else
-    let v = key_read_bits data bit_off ke.k_bits in
+    let v = read_narrow data bit_off ke.k_bits in
     match ke.k_endian with
     | Desc.Big -> v
     | Desc.Little -> bswap_int ~bits:ke.k_bits v
@@ -948,10 +940,12 @@ let extract_key_int ke ?(off = 0) data =
    nothing.
 
    Only formats whose top level is a straight line of scalar-ish fields
-   qualify (no arrays/records/variants — no nested scopes), and only when
-   every expression provably stays inside native-int-exact arithmetic;
-   anything else returns [Error] and callers fall back to the interpreted
-   view. *)
+   qualify — no records or variants, and no array but a counted one of
+   fixed-size scalar records, whose elements' checks compile once and run
+   at [start + i * stride] — and only when every expression provably stays
+   inside native-int-exact arithmetic; anything else returns [Error]
+   naming the field.  {!Stack} flattens a trailing variant into one such
+   plan per case. *)
 
 module Hot = struct
   exception Reject
@@ -980,23 +974,6 @@ module Hot = struct
   }
 
   type t = hot
-
-  (* MSB-first bit read returning a native int; bounds already checked. *)
-  let rec read_narrow s pos width =
-    if width = 0 then 0
-    else if width <= 56 then begin
-      let first = pos lsr 3 in
-      let last = (pos + width - 1) lsr 3 in
-      let drop = pos land 7 in
-      let acc = ref (Char.code (String.unsafe_get s first) land (0xFF lsr drop)) in
-      for i = first + 1 to last do
-        acc := (!acc lsl 8) lor Char.code (String.unsafe_get s i)
-      done;
-      !acc lsr ((8 - ((pos + width) land 7)) land 7)
-    end
-    else
-      let hiw = width - 32 in
-      (read_narrow s pos hiw lsl 32) lor read_narrow s (pos + hiw) 32
 
   let read_wide s pos width =
     if width <= 62 then Int64.of_int (read_narrow s pos width)
@@ -1180,6 +1157,31 @@ module Hot = struct
     | K_padding bits when bits >= 0 -> Some bits
     | _ -> None
 
+  (* A counted array whose element is a fixed-size record of scalars,
+     like a P4 header stack: its stride in bits and its checked fields as
+     (bit offset in the element, width, little-endian, checks).  [None]
+     for an element of variable size or with fields it cannot check in
+     isolation. *)
+  let element_layout (elem : op array) =
+    let rec go o acc i =
+      if i = Array.length elem then if o > 0 then Some (o, List.rev acc) else None
+      else
+        let op = elem.(i) in
+        match (op.o_k, static_width op) with
+        | K_scalar sc, Some w ->
+          let lo, hi, resid = narrow_checks sc.check sc.constraints in
+          let acc =
+            if lo = 0 && hi = max_int && resid = [] then acc
+            else (o, w, sc.little, lo, hi, resid) :: acc
+          in
+          go (o + w) acc (i + 1)
+        | (K_bool | K_padding _ | K_bytes (L_fixed _)), Some w
+        | K_scalar64 { check = W_none; constraints = []; _ }, Some w ->
+          go (o + w) acc (i + 1)
+        | _ -> None
+    in
+    go 0 [] 0
+
   let compile ?(demand = []) ?(span_demand = []) ?(plant_late_load = false) (fmt : Desc.t) =
     let vn, sn = collect_refs fmt in
     let vn = List.sort_uniq compare (demand @ vn) in
@@ -1229,9 +1231,16 @@ module Hot = struct
     Array.iteri
       (fun i (op : op) ->
         (match op.o_k with
-        | K_array _ | K_record _ | K_variant _ ->
-          fail_ "format is not linear (nested containers)"
-        | K_invalid _ -> fail_ "format has an invalid field"
+        | K_array a -> (
+          match (element_layout a.elem, a.length) with
+          | None, _ ->
+            fail_ (Printf.sprintf "field %S is a list of variable-size records" op.o_name)
+          | Some _, (A_bytes _ | A_remaining) ->
+            fail_ (Printf.sprintf "field %S is a list without an element count" op.o_name)
+          | Some _, (A_fixed _ | A_expr _) -> ())
+        | K_record _ -> fail_ (Printf.sprintf "field %S is a nested record" op.o_name)
+        | K_variant _ -> fail_ (Printf.sprintf "field %S is a variant" op.o_name)
+        | K_invalid _ -> fail_ (Printf.sprintf "field %S is invalid" op.o_name)
         | K_scalar64 _ when op.o_val ->
           fail_ "a wide (> 62 bit) field value is referenced"
         | K_computed c when c.bits > 62 -> fail_ "wide computed field"
@@ -1599,6 +1608,45 @@ module Hot = struct
           done;
           land_at start !q;
           next d
+      | K_array { length = (A_fixed _ | A_expr _) as length; elem; _ } -> (
+        match element_layout elem with
+        | None -> next
+        | Some (stride, checked) ->
+          let count =
+            match length with
+            | A_fixed n -> fun _ -> n
+            | A_expr ex ->
+              let ex, _, _ = cexpr ~before:i ex in
+              exp_fun ex
+            | A_bytes _ | A_remaining -> assert false
+          in
+          (* each element's checks, compiled once, read at the element's
+             start in [c.pos] *)
+          let elem =
+            List.fold_right
+              (fun (o, w, little, lo, hi, resid) (k : kernel) : kernel ->
+                let residual = resid <> [] in
+                fun d ->
+                  let v = load d (c.pos + o) w little in
+                  if v < lo || v > hi || (residual && not (all_hold resid v)) then
+                    raise Reject;
+                  k d)
+              checked
+              (fun _ -> ())
+          in
+          let checking = checked <> [] in
+          fun d ->
+            let start = if st then (c.base lsl 3) + so else c.pos in
+            let n = count (c.lim - (c.base lsl 3)) in
+            if n < 0 || n > Sys.max_string_length || n > (c.lim - start) / stride then
+              raise Reject;
+            if checking then
+              for k = 0 to n - 1 do
+                c.pos <- start + (k * stride);
+                elem d
+              done;
+            land_at start (start + (n * stride));
+            next d)
       | K_array _ | K_record _ | K_variant _ | K_invalid _ -> next
     in
     for i = nops - 1 downto 0 do

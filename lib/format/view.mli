@@ -41,7 +41,9 @@ val of_string : ?allow_trailing:bool -> Desc.t -> string -> (t, error) result
 
 (** {2 Field access}
 
-    All lookups address top-level fields by name.  [get_*] raise
+    All lookups address fields by name: a top-level field, or else a
+    field of a top-level variant's selected case (the flat namespace
+    {!Stack} compiles a variant format to).  [get_*] raise
     [Invalid_argument] on a missing field or a kind mismatch. *)
 
 val get_int : t -> string -> int64
@@ -113,7 +115,10 @@ val extract_key_int : key_extractor -> ?off:int -> string -> int
 (** {2 Fused hot-path decode}
 
     A second lowering of the same compiled plan, for {e linear} formats
-    (straight-line top level, no arrays/records/variants), into a chain
+    (straight-line top level: no records or variants, and arrays only
+    when counted — a fixed count or a count expression — over fixed-size
+    records of scalars, whose checks compile once and run at every
+    element's [start + i * stride], like P4 header stacks), into a chain
     of specialised kernels — one closure per field that needs work,
     built once at compile time.  Every field whose bit offset does not
     depend on the packet is resolved to a constant offset in the window:
@@ -128,8 +133,8 @@ val extract_key_int : key_extractor -> ?off:int -> string -> int
     {!Hot.run} allocates nothing.  The accept
     set is exactly {!decode}'s (the differential oracle enforces this);
     only the error detail is collapsed to a boolean verdict.  Formats or
-    demands the lowering cannot prove native-int-exact return [Error] and
-    callers fall back to the interpreted view. *)
+    demands the lowering cannot prove native-int-exact return [Error]
+    naming the refused field. *)
 
 module Hot : sig
   type t

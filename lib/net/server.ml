@@ -426,7 +426,7 @@ let flush io ls tx =
       sent := !sent + r
     end
     else begin
-      let c = min n io.tx_per_call in
+      let c = Int.min n io.tx_per_call in
       note_failure st r c;
       sent := !sent + c
     end
@@ -509,11 +509,11 @@ let timeout_ms w deadline =
       | None -> 200
       | Some dl ->
         let tl = dl - Mmsg.now_ns () in
-        if tl <= 0 then 0 else min 200 ((tl + 999_999) / 1_000_000)
+        if tl <= 0 then 0 else Int.min 200 ((tl + 999_999) / 1_000_000)
     in
     (* sleep no longer than the engine's next armed deadline: an idle
        socket must not delay a retransmission timer by the idle cap *)
-    match Pipeline.next_timer_ms w.w_pipe with -1 -> cap | ms -> min cap ms
+    match Pipeline.next_timer_ms w.w_pipe with -1 -> cap | ms -> Int.min cap ms
   end
 
 (* The serve loop of one worker.  The stop flag and the packet budget are

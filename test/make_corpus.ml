@@ -61,7 +61,7 @@ let chain_malformed stack plan valid =
   | Ok () -> ()
   | Error e ->
     Printf.eprintf "chained golden for %s does not decode: %s\n"
-      (Stack.name stack) e;
+      (Stack.name stack) (Codec.error_to_string e);
     exit 1);
   let n = Stack.layer_count plan in
   let windows =

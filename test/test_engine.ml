@@ -1,5 +1,5 @@
 (* The packet-processing engine: slab hand-off, per-stage stats, the
-   batched pipeline over pooled views, and multicore flow sharding. *)
+   batched pipeline over compiled plans, and multicore flow sharding. *)
 
 open Netdsl_engine
 module Fm = Netdsl_formats
@@ -698,15 +698,6 @@ let pipeline_classify_id_fast_path () =
 (* ------------------------------------------------------------------ *)
 (* Flight / fused mode *)
 
-let fused_is_linear () =
-  (* The ARQ format must actually take the fast tier — otherwise the
-     fused-vs-staged diff only exercises the fallback engine. *)
-  let p =
-    Pipeline.create ~mode:Pipeline.Fused ~flight:arq_flight
-      ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8) Fm.Arq.format
-  in
-  check_bool "linear tier" true (Pipeline.flight_tier p = `Linear)
-
 (* The lock-step property: one flight spec, two pipelines (Staged and
    Fused), identical mixed traffic — per-packet outcomes, reply bytes and
    every stage counter must agree exactly. *)
@@ -778,21 +769,20 @@ let fused_verify_and_passthrough () =
   check_int "one reply" 1 !replies
 
 let fused_rejected_decode_error () =
-  (* The fast tier collapses decode errors to a verdict; [process] must
+  (* The compiled plan collapses decode errors to a verdict; [process] must
      still recover a faithful error for the one-packet API. *)
   let p = Pipeline.create ~mode:Pipeline.Fused ~flight:(Flight.spec ()) Fm.Arq.format in
   match Pipeline.process p "\xff" with
   | Pipeline.Rejected_decode _ -> ()
   | o -> Alcotest.failf "expected decode reject, got %s" (outcome_tag o)
 
-(* The Interp tier: ICMP's variant body keeps it off the linear fast path,
-   so its fused closures run the view-side lowering over the flight's
-   pooled view.  A responder stamping each echo request's code (checksum
+(* ICMP's variant body compiles through the one-layer stack's variant
+   flattening.  A responder stamping each echo request's code (checksum
    repaired incrementally) behind a verify predicate, fed valid packets
    and structure-aware mutants, must agree with the staged reference.
    (The variant tag icmp_type itself is not patchable: the body's case is
    derived from it.) *)
-let interp_tier_matches_staged () =
+let icmp_echo_matches_staged () =
   let echo_flight =
     Flight.spec
       ~verify:(Flight.Cmp (Flight.Eq, Flight.Field "code", Flight.Const 0L))
@@ -825,8 +815,6 @@ let interp_tier_matches_staged () =
           ~on_response:(fun s -> replies := s :: !replies)
           Fm.Icmp.format
       in
-      if mode = Pipeline.Fused then
-        check_bool "interp tier" true (Pipeline.flight_tier p = `Interp);
       List.iter (fun pkt -> ignore (Pipeline.process p pkt)) pkts;
       let s = Pipeline.stats p in
       check_bool "some mutants rejected at decode" true
@@ -845,6 +833,152 @@ let interp_tier_matches_staged () =
       answered := List.length !replies;
       (p, List.rev !replies));
   check_bool "echo requests answered" true (!answered >= 200)
+
+(* A spec file's format and machine, parsed from the shipped spec. *)
+let spec_program name =
+  Netdsl_lang.Parser.parse_string_exn
+    (In_channel.with_open_bin (Testutil.spec_path name) In_channel.input_all)
+
+(* Run [pkts] through a pipeline in both modes: per-packet outcomes,
+   counters, flows and replies must agree, and the traffic must exercise
+   both verdicts. *)
+let lock_step ?machine ~flight fmt pkts =
+  let outcomes = Hashtbl.create 2 in
+  Testutil.in_both_modes (fun mode ->
+      let replies = ref [] in
+      let p =
+        Pipeline.create ~mode ~flight ?machine
+          ~on_response:(fun s -> replies := s :: !replies)
+          fmt
+      in
+      Hashtbl.replace outcomes mode
+        (List.map (fun pkt -> outcome_tag (Pipeline.process p pkt)) pkts);
+      (p, List.rev !replies));
+  let staged = Hashtbl.find outcomes Pipeline.Staged in
+  List.iteri
+    (fun i (a, b) ->
+      if a <> b then Alcotest.failf "packet %d: staged %s, fused %s" i a b)
+    (List.combine staged (Hashtbl.find outcomes Pipeline.Fused));
+  check_bool "some packets accepted" true (List.mem "accepted" staged);
+  check_bool "some packets rejected at decode" true (List.mem "rejected_decode" staged)
+
+(* Structure-aware mutants of [seeds], and every seed cut short. *)
+let mutants fmt rng seeds =
+  let plan = Netdsl_check.Mutate.plan fmt in
+  List.concat_map
+    (fun pkt ->
+      List.init 8 (fun _ ->
+          Netdsl_check.Mutate.apply (Netdsl_check.Mutate.random plan rng pkt) pkt)
+      @ List.init (String.length pkt) (fun n -> String.sub pkt 0 n))
+    seeds
+
+(* The shipped TFTP spec: a five-way variant, so every case is its own
+   flattened plan.  The flow key [block] lives in two cases only; on the
+   others both modes key to the shared default instance. *)
+let tftp_spec_matches_staged () =
+  let prog = spec_program "tftp.ndsl" in
+  let fmt = Option.get (Netdsl_lang.Parser.find_format prog "tftp") in
+  let machine =
+    Option.get
+      (Netdsl_lang.Parser.find_machine
+         (Netdsl_lang.Parser.parse_string_exn
+            "machine peer { states { idle init accepting; } events { data, ack } \
+             on data: idle -> idle; on ack: idle -> idle; }")
+         "peer")
+  in
+  let opcode op = Flight.Cmp (Flight.Eq, Flight.Field "opcode", Flight.Const op) in
+  let flight =
+    Flight.spec
+      ~verify:(Flight.Cmp (Flight.Ne, Flight.Field "opcode", Flight.Const 5L))
+      ~classify:
+        [ { Flight.ev_when = opcode 3L; ev_name = "data" };
+          { Flight.ev_when = opcode 4L; ev_name = "ack" } ]
+      ~flow_key:"block" ()
+  in
+  let seeds =
+    List.map Fm.Tftp.to_bytes_exn
+      [ Fm.Tftp.Rrq { filename = "boot.img"; mode = "octet" };
+        Fm.Tftp.Wrq { filename = "log"; mode = "netascii" };
+        Fm.Tftp.Data { block = 7; data = "payload" };
+        Fm.Tftp.Data { block = 9; data = "" };
+        Fm.Tftp.Ack { block = 7 };
+        Fm.Tftp.Error { code = 1; message = "not found" } ]
+  in
+  lock_step ~machine ~flight fmt (seeds @ mutants fmt (Prng.of_int 31) seeds)
+
+(* [sensor_report]'s counted array of 3-byte readings runs on the
+   compiled plan.  Besides the mutator's own, count lies with the CRC
+   repaired (so only the count can reject) and readings cut mid-element. *)
+let sensor_report_matches_staged () =
+  let prog = spec_program "sensor.ndsl" in
+  let fmt = Option.get (Netdsl_lang.Parser.find_format prog "sensor_report") in
+  let machine = Option.get (Netdsl_lang.Parser.find_machine prog "sensor_node") in
+  let count = Flight.Field "count" in
+  let flight =
+    Flight.spec
+      ~verify:(Flight.Cmp (Flight.Le, Flight.Field "battery", Flight.Const 90L))
+      ~classify:
+        [ { Flight.ev_when = Flight.Cmp (Flight.Eq, count, Flight.Const 0L); ev_name = "wake" };
+          { Flight.ev_when = Flight.Cmp (Flight.Gt, count, Flight.Const 0L); ev_name = "sampled" } ]
+      ~flow_key:"node" ()
+  in
+  let module V = Netdsl_format.Value in
+  let report ~node ~battery n =
+    Netdsl_format.Codec.encode_exn fmt
+      (V.record
+         [ ("magic", V.int 0x5EA1); ("node", V.int node); ("battery", V.int battery);
+           ( "readings",
+             V.list
+               (List.init n (fun i ->
+                    V.record [ ("channel", V.int (1 + (i mod 3))); ("value", V.int (i * 77)) ])) ) ])
+  in
+  (* rewrite the count byte (offset 5), then repair the trailing CRC-32 *)
+  let with_count pkt c =
+    let b = Bytes.of_string pkt in
+    Bytes.set b 5 (Char.chr (c land 0xFF));
+    let body = Bytes.length b - 4 in
+    Bytes.set_int32_be b body
+      (Int64.to_int32 (Netdsl_util.Checksum.crc32 ~len:body (Bytes.to_string b)));
+    Bytes.to_string b
+  in
+  let cut_mid_element pkt =
+    (* drop one byte of the last reading, keep the CRC-32 at the end *)
+    let n = String.length pkt in
+    String.sub pkt 0 (n - 5) ^ String.sub pkt (n - 4) 4
+  in
+  let seeds =
+    List.map
+      (fun (node, battery, n) -> report ~node ~battery n)
+      [ (1, 50, 0); (2, 99, 1); (3, 20, 4); (1, 80, 9); (4, 95, 2) ]
+  in
+  let lies =
+    List.concat_map
+      (fun pkt ->
+        let c = Char.code pkt.[5] in
+        [ with_count pkt (c + 1); with_count pkt (c - 1); with_count pkt 255;
+          with_count pkt c ]
+        @ if c > 0 then [ cut_mid_element pkt ] else [])
+      seeds
+  in
+  lock_step ~machine ~flight fmt (seeds @ lies @ mutants fmt (Prng.of_int 37) seeds)
+
+(* A list of variable-size records has no compiled plan: building a
+   pipeline refuses, naming the field, and the format oracle skips its
+   pipeline legs saying why. *)
+let variable_records_refused () =
+  List.iter
+    (fun (fmt, field) ->
+      let named msg =
+        check_bool (Printf.sprintf "%S names %s" msg field) true
+          (Testutil.contains msg (Printf.sprintf "%S" field))
+      in
+      (match Pipeline.create fmt with
+      | _ -> Alcotest.failf "%s: pipeline built" fmt.Netdsl_format.Desc.format_name
+      | exception Invalid_argument msg -> named msg);
+      match Netdsl_check.Oracle.skipped (Netdsl_check.Oracle.create fmt) with
+      | None -> Alcotest.failf "%s: oracle ran its pipeline legs" fmt.Netdsl_format.Desc.format_name
+      | Some msg -> named msg)
+    [ (Fm.Tlv.format, "entries"); (Fm.Pcap.format, "records") ]
 
 let reply_buf_high_water_reset () =
   (* Regression: one oversized reply used to pin a big buffer forever.
@@ -956,7 +1090,6 @@ let stack_pipeline_serves_chain () =
       ~on_response:(fun s -> replies := s :: !replies)
       Fm.Ethernet.format
   in
-  check_bool "stacked tier" true (Pipeline.flight_tier p = `Stacked);
   let ack = tftp_chain ~src_port:50000 (Fm.Tftp.Ack { block = 7 }) in
   check_bool "ack accepted" true (Pipeline.process p ack = Pipeline.Accepted);
   (* a read request is accepted but matches no respond rule *)
@@ -1003,10 +1136,10 @@ let stack_pipeline_red_paths () =
       (* the default spec: decode and validate the chain, nothing more *)
       let p = Pipeline.create ~mode ~stack:Fm.Stacks.inet_tftp Fm.Ethernet.format in
       match Pipeline.process p (Bytes.to_string ack) with
-      | Pipeline.Rejected_decode (FF.Codec.Eval_error { reason; _ }) ->
+      | Pipeline.Rejected_decode (FF.Codec.Eval_error { path; reason }) ->
         check_bool
-          (Printf.sprintf "reason names the layer (%s)" reason)
-          true (contains_sub reason "ethernet")
+          (Printf.sprintf "the path names the layer (%s)" reason)
+          true (path = [ "ethernet" ])
       | o -> Alcotest.failf "expected layered decode reject, got %s" (outcome_tag o))
     [ Pipeline.Fused; Pipeline.Staged ]
 
@@ -1024,7 +1157,6 @@ let stack_absent_field_convention () =
       Pipeline.create ~mode:Pipeline.Fused ~stack:Fm.Stacks.inet_tftp ~flight
         ?machine ?on_response Fm.Ethernet.format
     in
-    check_bool "stacked tier" true (Pipeline.flight_tier p = `Stacked);
     p
   in
   (* verify: [block <= 65535] holds for every carried value *)
@@ -1689,15 +1821,19 @@ let suite =
         Alcotest.test_case "classify_id fast path" `Quick
           pipeline_classify_id_fast_path ] );
     ( "engine.flight",
-      [ Alcotest.test_case "arq flight takes the linear tier" `Quick
-          fused_is_linear;
-        Alcotest.test_case "fused = staged lock-step" `Quick fused_matches_staged;
+      [ Alcotest.test_case "fused = staged lock-step" `Quick fused_matches_staged;
         Alcotest.test_case "verify veto and pass-through" `Quick
           fused_verify_and_passthrough;
         Alcotest.test_case "decode error recovered" `Quick
           fused_rejected_decode_error;
-        Alcotest.test_case "interp tier = staged (icmp echo)" `Quick
-          interp_tier_matches_staged;
+        Alcotest.test_case "icmp echo responder: fused = staged" `Quick
+          icmp_echo_matches_staged;
+        Alcotest.test_case "tftp spec: fused = staged under mutants" `Quick
+          tftp_spec_matches_staged;
+        Alcotest.test_case "sensor_report: fused = staged, count lies" `Quick
+          sensor_report_matches_staged;
+        Alcotest.test_case "list of variable-size records refused" `Quick
+          variable_records_refused;
         Alcotest.test_case "reply buffer high-water reset" `Quick
           reply_buf_high_water_reset;
         Alcotest.test_case "slab-driven run, both modes" `Quick

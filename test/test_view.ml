@@ -122,6 +122,50 @@ let key_extraction () =
   | Ok kx ->
     Alcotest.(check bool) "key value" true (View.extract_key kx pkt = Some 99)
 
+(* Counted arrays of fixed-size records compile to the hot plan: the
+   shipped sensor report, and elements carrying enum, range and sub-byte
+   checks — followed by a fixed-count array and a field, or ending the
+   message, where only the count bound catches a cut element.  Each is
+   fuzzed through every oracle leg. *)
+let counted_arrays () =
+  let parse src = Netdsl_lang.Parser.parse_string_exn src in
+  let sensor =
+    parse (In_channel.with_open_bin (Testutil.spec_path "sensor.ndsl") In_channel.input_all)
+  in
+  let checked =
+    parse
+      {|format item {
+          kind  : enum uint8 { a = 1, b = 2, c = 5 };
+          hi    : uint4 where 1..9;
+          lo    : uint4;
+          level : uint16 where 0..1000;
+        }
+        format counted {
+          magic : const uint8 = 0xA5;
+          n     : uint8;
+          items : item[n];
+          pair  : item[2];
+          tail  : uint16;
+        }
+        format trailing {
+          n     : uint8;
+          items : item[n];
+        }|}
+  in
+  List.iter
+    (fun (prog, name) ->
+      let fmt = Option.get (Netdsl_lang.Parser.find_format prog name) in
+      (match View.Hot.compile fmt with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s has no hot plan: %s" name e);
+      match Ck.Fuzz.run_format ~seed:5 ~iters:3000 fmt with
+      | Error r -> Alcotest.failf "%s: %s" name (Ck.Report.to_string r)
+      | Ok st ->
+        Alcotest.(check bool)
+          (name ^ ": both verdicts seen") true
+          (st.Ck.Fuzz.ws_accepted > 0 && st.Ck.Fuzz.ws_rejected > 0))
+    [ (sensor, "sensor_report"); (checked, "counted"); (checked, "trailing") ]
+
 let suite =
   [ ( "view.equivalence",
       List.map equivalence_case all_formats
@@ -130,4 +174,5 @@ let suite =
       [ Alcotest.test_case "pool reuse after reject" `Quick reuse_after_reject;
         Alcotest.test_case "windowed decode" `Quick windowed_decode;
         Alcotest.test_case "accessors" `Quick accessors;
-        Alcotest.test_case "key extraction" `Quick key_extraction ] ) ]
+        Alcotest.test_case "key extraction" `Quick key_extraction;
+        Alcotest.test_case "counted arrays on the hot plan" `Quick counted_arrays ] ) ]
