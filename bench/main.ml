@@ -655,9 +655,9 @@ let ablate () =
      over the codec itself."
 
 (* ------------------------------------------------------------------ *)
-(* E11: engine throughput — allocating codec vs zero-copy view vs the
-   sharded multicore pipeline.  Wall-clock batch timing (not bechamel:
-   the sharded runs span domains). *)
+(* E11: engine throughput — the allocating reference codec vs the compiled
+   decoder vs the sharded multicore pipeline.  Wall-clock batch timing
+   (not bechamel: the sharded runs span domains). *)
 
 let time_loop n f =
   let t0 = Unix.gettimeofday () in
@@ -667,7 +667,7 @@ let time_loop n f =
   Unix.gettimeofday () -. t0
 
 let e11 () =
-  section "e11" "engine throughput: codec vs zero-copy view vs sharded pipeline"
+  section "e11" "engine throughput: codec vs compiled decoder vs sharded pipeline"
     "ROADMAP north star; P4/Zebu line-rate argument";
   let n = if !quick then 20_000 else 300_000 in
   let cores = Domain.recommended_domain_count () in
@@ -703,8 +703,8 @@ let e11 () =
   let pool_bytes pool =
     Array.fold_left (fun a s -> a + String.length s) 0 pool
   in
-  Printf.printf "(a) decode+validate, single domain: allocating codec vs zero-copy view\n";
-  Printf.printf "  %-20s %14s %14s %9s\n" "workload" "codec ns/pkt" "view ns/pkt" "speedup";
+  Printf.printf "(a) decode+validate, single domain: allocating codec vs compiled decoder\n";
+  Printf.printf "  %-20s %14s %14s %9s\n" "workload" "codec ns/pkt" "hot ns/pkt" "speedup";
   let decode_rows =
     List.map
       (fun (name, fmt, pool) ->
@@ -715,21 +715,22 @@ let e11 () =
           | Ok _ -> ()
           | Error _ -> assert false
         in
-        let view = View.create fmt in
-        let view_once i =
-          match View.decode view pool.(i land mask) with
-          | Ok () -> ()
-          | Error _ -> assert false
+        (* the compiled decoder, extracting every field it can *)
+        let hot =
+          match View.Hot.compile ~demand:(View.Hot.eligible_fields fmt) fmt with
+          | Ok h -> h
+          | Error e -> failwith (name ^ ": no compiled plan: " ^ e)
         in
-        for i = 0 to 999 do codec_once i; view_once i done;
+        let hot_once i = if not (View.Hot.run hot pool.(i land mask)) then assert false in
+        for i = 0 to 999 do codec_once i; hot_once i done;
         let codec_dt = time_loop n codec_once in
-        let view_dt = time_loop n view_once in
+        let hot_dt = time_loop n hot_once in
         let codec_ns = codec_dt *. 1e9 /. float_of_int n in
-        let view_ns = view_dt *. 1e9 /. float_of_int n in
-        let speedup = codec_ns /. view_ns in
-        Printf.printf "  %-20s %14.1f %14.1f %8.2fx\n" name codec_ns view_ns speedup;
+        let hot_ns = hot_dt *. 1e9 /. float_of_int n in
+        let speedup = codec_ns /. hot_ns in
+        Printf.printf "  %-20s %14.1f %14.1f %8.2fx\n" name codec_ns hot_ns speedup;
         let avg_len = float_of_int (pool_bytes pool) /. float_of_int (Array.length pool) in
-        (name, codec_ns, view_ns, speedup, avg_len))
+        (name, codec_ns, hot_ns, speedup, avg_len))
       workloads
   in
   (* -- sharded pipeline scaling -- *)
@@ -748,9 +749,11 @@ let e11 () =
         in
         match
           (* the multi-worker rows on small boxes are deliberate: they are
-             printed as "oversubscribed", not as scaling *)
+             printed as "oversubscribed", not as scaling; each worker runs
+             the fused plan every server runs (the staged reference would
+             time its reference decoder, not steering) *)
           Engine.Shard.create ~config ~allow_oversubscribe:true ~key:"seq"
-            ~mode:Engine.Pipeline.Staged Formats.Arq.format
+            Formats.Arq.format
         with
         | Error e -> failwith e
         | Ok shard ->
@@ -800,11 +803,11 @@ let e11 () =
   Printf.bprintf buf "  \"packets_per_measurement\": %d,\n" n;
   Buffer.add_string buf "  \"decode\": [\n";
   List.iteri
-    (fun i (name, codec_ns, view_ns, speedup, avg_len) ->
+    (fun i (name, codec_ns, hot_ns, speedup, avg_len) ->
       Printf.bprintf buf
         "    {\"workload\": %S, \"avg_bytes\": %.0f, \"codec_ns_per_pkt\": %.1f, \
-         \"view_ns_per_pkt\": %.1f, \"view_speedup\": %.2f}%s\n"
-        name avg_len codec_ns view_ns speedup
+         \"hot_ns_per_pkt\": %.1f, \"hot_speedup\": %.2f}%s\n"
+        name avg_len codec_ns hot_ns speedup
         (if i = List.length decode_rows - 1 then "" else ","))
     decode_rows;
   Buffer.add_string buf "  ],\n";
@@ -829,11 +832,11 @@ let e11 () =
   close_out oc;
   Printf.printf "\n(wrote %s)\n" path;
   print_endline
-    "\nRESULT shape: the zero-copy view decodes the same packets with the\n\
+    "\nRESULT shape: the compiled decoder validates the same packets with the\n\
      same accept/reject verdicts at a multiple of the allocating codec's\n\
      rate (the gap widens with payload size: the codec copies checksum\n\
-     regions and payloads, the view copies nothing); domain scaling tracks\n\
-     the cores actually available."
+     regions and payloads, the compiled plan copies nothing); domain\n\
+     scaling tracks the cores actually available."
 
 (* ------------------------------------------------------------------ *)
 (* E12: the encode-side dual of E11 — interpreting codec vs compiled emit
@@ -923,11 +926,10 @@ let e12 () =
       workloads
   in
   (* -- (b) respond / forward loops: the reply is the request with one
-     scalar flipped, produced three ways that must agree byte-for-byte -- *)
+     scalar flipped, produced two ways that must agree byte-for-byte -- *)
   Printf.printf
     "\n(b) respond/forward: reply = request with one field rewritten\n";
-  Printf.printf "  %-26s %12s %12s %12s %9s\n" "scenario" "codec ns" "emit_view ns"
-    "patch ns" "speedup";
+  Printf.printf "  %-26s %12s %12s %9s\n" "scenario" "codec ns" "patch ns" "speedup";
   let respond_rows = ref [] in
   (* ARQ responder: flip kind -> ack, payload echoed *)
   let () =
@@ -935,22 +937,18 @@ let e12 () =
       Formats.Arq.to_bytes
         (Formats.Arq.Data { seq = 9; payload = String.make 64 'x' })
     in
-    let view = View.create Formats.Arq.format in
-    (match View.decode view request with Ok () -> () | Error _ -> assert false);
-    let emitter = Emit.create Formats.Arq.format in
+    let decoded = Codec.decode_exn Formats.Arq.format request in
     let p_kind =
       match Emit.patcher Formats.Arq.format "kind" with
       | Ok p -> p
       | Error e -> failwith e
     in
-    let set = [ ("kind", Value.int 1) ] in
     let rebuild () =
       Value.record
-        [ ("seq", Value.int64 (View.get_int view "seq")); ("kind", Value.int 1);
-          ("payload", Value.bytes (View.get_bytes view "payload")) ]
+        [ ("seq", Value.int64 (Value.get_int64 decoded "seq")); ("kind", Value.int 1);
+          ("payload", Value.bytes (Value.get_bytes decoded "payload")) ]
     in
     let expected = Codec.encode_exn Formats.Arq.format (rebuild ()) in
-    assert (String.equal expected (Emit.encode_view_exn emitter ~set view));
     let len = String.length request in
     let reply = Bytes.create len in
     let patch_once _ =
@@ -963,16 +961,11 @@ let e12 () =
     let codec_ns =
       per (time_loop n (fun _ -> ignore (Codec.encode_exn Formats.Arq.format (rebuild ()))))
     in
-    let emit_view_ns =
-      per (time_loop n (fun _ -> ignore (Emit.encode_view_exn emitter ~set view)))
-    in
     let patch_ns = per (time_loop n patch_once) in
     let speedup = codec_ns /. patch_ns in
-    Printf.printf "  %-26s %12.1f %12.1f %12.1f %8.2fx\n"
-      "arq data -> ack (64B)" codec_ns emit_view_ns patch_ns speedup;
-    respond_rows :=
-      ("arq data -> ack (64B)", len, codec_ns, Some emit_view_ns, patch_ns, speedup)
-      :: !respond_rows
+    Printf.printf "  %-26s %12.1f %12.1f %8.2fx\n"
+      "arq data -> ack (64B)" codec_ns patch_ns speedup;
+    respond_rows := ("arq data -> ack (64B)", len, codec_ns, patch_ns, speedup) :: !respond_rows
   in
   (* IPv4 forward: decrement TTL, checksum updated incrementally *)
   let () =
@@ -1015,11 +1008,10 @@ let e12 () =
     in
     let patch_ns = per (time_loop n patch_once) in
     let speedup = codec_ns /. patch_ns in
-    Printf.printf "  %-26s %12.1f %12s %12.1f %8.2fx\n"
-      "ipv4 ttl decrement (512B)" codec_ns "-" patch_ns speedup;
+    Printf.printf "  %-26s %12.1f %12.1f %8.2fx\n"
+      "ipv4 ttl decrement (512B)" codec_ns patch_ns speedup;
     respond_rows :=
-      ("ipv4 ttl decrement (512B)", len, codec_ns, None, patch_ns, speedup)
-      :: !respond_rows
+      ("ipv4 ttl decrement (512B)", len, codec_ns, patch_ns, speedup) :: !respond_rows
   in
   let respond_rows = List.rev !respond_rows in
   (* -- machine-readable dump -- *)
@@ -1045,15 +1037,11 @@ let e12 () =
   Buffer.add_string buf "  ],\n";
   Buffer.add_string buf "  \"respond\": [\n";
   List.iteri
-    (fun i (name, len, codec_ns, emit_view_ns, patch_ns, speedup) ->
+    (fun i (name, len, codec_ns, patch_ns, speedup) ->
       Printf.bprintf buf
-        "    {\"scenario\": %S, \"bytes\": %d, \"codec_ns\": %.1f%s, \
+        "    {\"scenario\": %S, \"bytes\": %d, \"codec_ns\": %.1f, \
          \"patch_ns\": %.1f, \"patch_speedup\": %.2f}%s\n"
-        name len codec_ns
-        (match emit_view_ns with
-        | Some v -> Printf.sprintf ", \"emit_view_ns\": %.1f" v
-        | None -> "")
-        patch_ns speedup
+        name len codec_ns patch_ns speedup
         (if i = List.length respond_rows - 1 then "" else ","))
     respond_rows;
   Buffer.add_string buf "  ]\n}\n";
@@ -1161,8 +1149,9 @@ let e13 () =
   Printf.printf "  %-20s %14s %14s %8.2fx (geometric mean)\n" "" "" "" geomean;
   (* -- (b) pipeline end-to-end: interpreted step stage vs compiled --- *)
   (* The "before" row reproduces the step stage the pipeline ran before
-     compiled plans landed: decode to a view, read the flow key, look the
-     flow's interpreter up, [Interp.fire] with the event *name*.  The
+     compiled plans landed: decode (with the reference codec), read the
+     flow key, look the flow's interpreter up, [Interp.fire] with the
+     event *name*.  The
      "after" row is the shipped pipeline ([process_batch] whose flight
      spec classifies every packet to the interned "pkt" id for
      [Step.fire_id], run by the staged executor) — including its stats
@@ -1191,14 +1180,13 @@ let e13 () =
   Printf.printf
     "\n(b) pipeline end-to-end (ARQ 256B, flow key = seq, %d packets)\n" pn;
   let before_rate =
-    let view = View.create fmt in
     let prepared = Interp.prepare meter in
     let flows : (int64, Interp.t) Hashtbl.t = Hashtbl.create 512 in
     let once i =
-      match View.decode view pool.(i land mask) with
+      match Codec.decode fmt pool.(i land mask) with
       | Error _ -> assert false
-      | Ok () ->
-        let key = View.get_int view "seq" in
+      | Ok v ->
+        let key = Value.get_int64 v "seq" in
         let inst =
           match Hashtbl.find_opt flows key with
           | Some inst -> inst
@@ -1285,7 +1273,7 @@ let e13 () =
 (* ------------------------------------------------------------------ *)
 (* E14: differential fuzzing throughput.  The oracle is only useful if
    it is cheap enough to run at depth: every mutant is decoded twice
-   (Codec and the zero-copy View), re-encoded twice when accepted (Codec
+   (Codec and the compiled plan), re-encoded twice when accepted (Codec
    and the compiled Emit plan), and pushed through an engine Pipeline
    whose counters are cross-checked against a reference model.  This
    experiment measures mutants judged per second for every shipped
@@ -1298,8 +1286,8 @@ let e14 () =
   let seed = 20260806 in
   let iters = if !quick then 2_000 else 20_000 in
   Printf.printf
-    "(%d structure-aware mutants per format; each judged by Codec, View,\n\
-    \ Emit and the Pipeline; %d adversarial traces per machine)\n\n"
+    "(%d structure-aware mutants per format; each judged by Codec, the\n\
+    \ compiled plan, Emit and the Pipeline; %d adversarial traces per machine)\n\n"
     iters (iters / 10);
   Printf.printf "(a) wire oracle\n";
   Printf.printf "  %-12s %9s %9s %9s %12s\n" "format" "mutants" "accepted"
@@ -1388,11 +1376,11 @@ let e14 () =
 
 (* ------------------------------------------------------------------ *)
 (* E15: fused run-to-completion flight plans.  The staged pipeline walks
-   the whole batch once per stage through sequential views; the fused mode
+   the whole batch once per stage through sequential decoded values; the fused mode
    compiles (format, verify, classify, machine plan, response patch) into
    one flat plan and runs each packet to completion — same semantics
    (gated below by a packet-for-packet lock-step before any number is
-   printed), fewer passes, no View on the fused path. *)
+   printed), fewer passes, no value tree on the fused path. *)
 
 let e15 () =
   section "e15" "fused flight plans: run-to-completion vs staged stages"
@@ -1617,7 +1605,7 @@ let e15 () =
   print_endline
     "\nRESULT shape: one fused pass per packet answers the ARQ responder\n\
      workload at a multiple of the four-stage pipeline's rate with near-zero\n\
-     steady-state allocation (no View on the fused path, replies patched in\n\
+     steady-state allocation (no value tree on the fused path, replies patched in\n\
      place); identical semantics are not assumed but gated — the lock-step\n\
      prologue here and the fifth oracle leg in `netdsl fuzz` both demand\n\
      Fused = Staged = Codec on every packet."
@@ -1815,7 +1803,7 @@ let e16 () =
 (* E17: fused parse graphs.  A layered header stack (eth -> ipv4 -> udp
    -> tftp) compiled once into one flat decode/encode plan, priced
    against the naive sequential reference that re-decodes (re-encodes)
-   every layer through the interpreted per-format path — the pre-stack
+   every layer through the reference codec — the pre-stack
    way to handle a chain.  Semantics are not assumed equal: the chain
    oracle leg below re-judges both implementations on >= 100k
    structure-aware cross-layer mutants before the numbers count. *)
@@ -1882,7 +1870,7 @@ let e17 () =
       exit 1
   in
   (* -- (a) chained decode: fused Stack.run vs the sequential per-layer
-     reference (interpreted View per layer, window from find_span) -- *)
+     reference (Codec per layer, the next window its trailing payload) -- *)
   let n = if !quick then 20_000 else 500_000 in
   let decode_rows =
     List.map

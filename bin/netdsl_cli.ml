@@ -57,7 +57,7 @@ let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"The .ndsl source file.")
 
 let format_opt =
-  Arg.(value & opt (some string) None & info [ "format"; "f" ] ~docv:"NAME" ~doc:"Format to operate on (default: the first one).")
+  Arg.(value & opt (some string) None & info [ "format"; "f" ] ~docv:"NAME" ~doc:"Format to operate on (default: the file's one root format, which no other format references).")
 
 let machine_opt =
   Arg.(value & opt (some string) None & info [ "machine"; "m" ] ~docv:"NAME" ~doc:"Machine to operate on (default: the first one).")
@@ -69,13 +69,36 @@ let stack_opt =
   Arg.(value & opt (some string) None & info [ "stack"; "s" ] ~docv:"NAME"
          ~doc:"Layered stack to operate on instead of a single format.")
 
+(* The default format is the file's root: the one format no other format
+   in the file references.  A nested record, array element or variant
+   case body is never the default, and a file with several roots names
+   them instead of guessing. *)
 let pick_format program = function
   | Some name -> find_format program name
   | None -> (
-    match program.P.formats with
-    | (_, fmt) :: _ -> fmt
+    let referenced (fmt : Netdsl.Desc.t) =
+      List.concat_map
+        (fun (f : Netdsl.Desc.field) ->
+          match f.ty with
+          | Netdsl.Desc.Record sub | Netdsl.Desc.Array { elem = sub; _ } ->
+            [ sub.format_name ]
+          | Netdsl.Desc.Variant { cases; default; _ } ->
+            List.map
+              (fun (sub : Netdsl.Desc.t) -> sub.format_name)
+              (List.map (fun (_, _, sub) -> sub) cases @ Option.to_list default)
+          | _ -> [])
+        fmt.fields
+    in
+    let nested = List.concat_map (fun (_, fmt) -> referenced fmt) program.P.formats in
+    match List.filter (fun (name, _) -> not (List.mem name nested)) program.P.formats with
+    | [ (_, fmt) ] -> fmt
     | [] ->
       prerr_endline "the file defines no formats";
+      exit 1
+    | roots ->
+      Format.eprintf "netdsl: the file has %d root formats (%s); name the one to use@."
+        (List.length roots)
+        (String.concat ", " (List.map fst roots));
       exit 1)
 
 let pick_machine program = function
@@ -137,7 +160,7 @@ let filter_cmd =
      the format's fixed-offset wire checks as classic BPF. *)
   let format_pos =
     Arg.(value & pos 1 (some string) None & info [] ~docv:"FORMAT"
-           ~doc:"Format to compile (default: the first one).")
+           ~doc:"Format to compile (default: the file's one root format, which no other format references).")
   in
   let run file format =
     let program = load file in
@@ -168,20 +191,22 @@ let dot_cmd =
 
 let fuzz_cmd =
   (* Differential fuzzing: every format in the file is hammered with
-     structure-aware wire mutants and every compiled fast path (View,
-     Emit, the engine Pipeline) must agree with the interpreted Codec;
-     every machine is driven with adversarial event traces and the
-     compiled Step plan must stay in lock-step with Interp.  Exit 1 with a
-     deterministic, committable repro on the first disagreement. *)
+     structure-aware wire mutants and every compiled fast path (the
+     format's compiled plan, Emit, the engine Pipeline) must agree with
+     the reference Codec; every machine is driven with adversarial event
+     traces and the compiled Step plan must stay in lock-step with Interp.
+     Exit 1 with a deterministic, committable repro on the first
+     disagreement. *)
   let iters_opt =
     Arg.(value & opt int 10_000 & info [ "iters"; "n" ] ~docv:"K"
            ~doc:"Mutants per format and traces per machine.")
   in
   let plant_bug_flag =
     Arg.(value & flag & info [ "plant-bug" ]
-           ~doc:"Self-test: plant a known defect (an inverted view accept \
-                 verdict on formats, an inverted chain accept verdict on \
-                 stacks) and prove the harness catches and shrinks it.")
+           ~doc:"Self-test: plant a known defect (an inverted accept verdict \
+                 of the format's compiled plan on formats, an inverted chain \
+                 accept verdict on stacks) and prove the harness catches and \
+                 shrinks it.")
   in
   let plant_filter_flag =
     Arg.(value & flag & info [ "plant-filter-bug" ]
@@ -222,7 +247,7 @@ let fuzz_cmd =
       | None -> if selected then [] else program.P.stacks
     in
     let bug =
-      if plant_bug then Check.Oracle.Invert_view_accept
+      if plant_bug then Check.Oracle.Invert_flight_accept
       else if plant_filter then Check.Oracle.Shift_filter_loads
       else if plant_specialiser then Check.Oracle.Late_static_load
       else Check.Oracle.No_bug
@@ -286,7 +311,7 @@ let fuzz_cmd =
   in
   Cmd.v
     (Cmd.info "fuzz"
-       ~doc:"Differentially fuzz a specification: structure-aware wire mutants through View/Codec/Emit/Pipeline, cross-layer mutants through every stack's fused chain vs sequential decode and its fused replies vs the staged reference, adversarial event traces through Step/Interp; exit 1 with a minimised repro on any disagreement.")
+       ~doc:"Differentially fuzz a specification: structure-aware wire mutants through Codec and the compiled plan, Emit and Pipeline, cross-layer mutants through every stack's fused chain vs sequential decode and its fused replies vs the staged reference, adversarial event traces through Step/Interp; exit 1 with a minimised repro on any disagreement.")
     Term.(const run $ file_arg $ format_opt $ machine_opt $ stack_opt $ seed_opt
           $ iters_opt $ plant_bug_flag $ plant_filter_flag $ plant_specialiser_flag
           $ repro_dir_opt)
@@ -332,7 +357,7 @@ let decode_cmd =
   in
   (* Chained decode: walk the layered packet with the sequential decoder
      (the same windows the fused plan computes) and print every layer's
-     field table.  A demux mismatch or a truncated inner header exits 1
+     decoded value.  A demux mismatch or a truncated inner header exits 1
      with the failing layer named. *)
   let decode_stack program name bytes json =
     let st = find_stack program name in
@@ -344,21 +369,16 @@ let decode_cmd =
       Format.eprintf "netdsl: invalid layered packet: %s@."
         (Netdsl.Codec.error_to_string e);
       exit 1);
-    let names = Netdsl.Stack.layer_names st in
-    let layer i lname =
-      let off = Netdsl.Stack.Seq.layer_off seq i
-      and len = Netdsl.Stack.Seq.layer_len seq i in
-      let fmt = Netdsl.Stack.layer_format st i in
-      match Netdsl.Codec.decode fmt (String.sub bytes off len) with
-      | Ok v -> (lname, fmt, off, len, v)
-      | Error e ->
-        (* unreachable after an accepting Seq.decode; fail like any other
-           malformed chain if it ever happens *)
-        Format.eprintf "netdsl: invalid layered packet: layer %s: %s@." lname
-          (Netdsl.Codec.error_to_string e);
-        exit 1
+    let layers =
+      List.mapi
+        (fun i lname ->
+          ( lname,
+            Netdsl.Stack.layer_format st i,
+            Netdsl.Stack.Seq.layer_off seq i,
+            Netdsl.Stack.Seq.layer_len seq i,
+            Netdsl.Stack.Seq.value seq i ))
+        (Netdsl.Stack.layer_names st)
     in
-    let layers = List.mapi layer names in
     if json then
       print_endline
         ("{ "

@@ -1,5 +1,5 @@
 module Bpf = Netdsl_format.Bpf
-module View = Netdsl_format.View
+module Codec = Netdsl_format.Codec
 
 type t = { rows : (int * int * int * int) array }
 
@@ -71,10 +71,10 @@ let run t payload = match kept t payload with -1 -> Drop | n -> Keep n
 let passes t payload =
   match t with None -> true | Some t -> kept t payload = String.length payload
 
-let unsound view t payload =
-  match View.decode view payload with
+let unsound fmt t payload =
+  match Codec.decode fmt payload with
   | Error _ -> None
-  | Ok () -> (
+  | Ok _ -> (
     match run t payload with
     | Keep n when n = String.length payload -> None
     | v ->

@@ -2,7 +2,7 @@
     the kernel steering program.
 
     {!Netdsl_format.Bpf.compile} promises that its program never drops a
-    datagram {!Netdsl_format.View.decode} accepts.  This module runs a
+    datagram {!Netdsl_format.Codec.decode} accepts.  This module runs a
     program the way a Linux UDP socket does — on the kernel's encoding
     ({!Netdsl_format.Bpf.encode}), over the datagram behind its 8-byte
     UDP header, a load past the end returning 0, and a nonzero return
@@ -36,10 +36,10 @@ val passes : t option -> string -> bool
     Allocates nothing: senders predict their kernel drops with it per
     packet. *)
 
-val unsound : Netdsl_format.View.t -> t -> string -> string option
-(** [Some detail] when the view's format accepts the payload and the
-    program does not deliver it whole — the one thing a pre-filter must
-    never do. *)
+val unsound : Netdsl_format.Desc.t -> t -> string -> string option
+(** [Some detail] when the format accepts the payload
+    ({!Netdsl_format.Codec.decode} is the judge) and the program does not
+    deliver it whole — the one thing a pre-filter must never do. *)
 
 val steer : t -> string -> int
 (** The value a steering program returns for one UDP payload.

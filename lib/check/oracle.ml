@@ -1,7 +1,6 @@
 module Desc = Netdsl_format.Desc
 module Value = Netdsl_format.Value
 module Codec = Netdsl_format.Codec
-module View = Netdsl_format.View
 module Emit = Netdsl_format.Emit
 module Stack = Netdsl_format.Stack
 module Pipeline = Netdsl_engine.Pipeline
@@ -10,7 +9,6 @@ module Stats = Netdsl_engine.Stats
 
 type bug =
   | No_bug
-  | Invert_view_accept
   | Invert_flight_accept
   | Invert_chain_accept
   | Shift_filter_loads
@@ -24,7 +22,6 @@ let disagreement_to_string d = Printf.sprintf "%s: %s" d.d_check d.d_detail
 type t = {
   o_fmt : Desc.t;
   o_bug : bug;
-  o_view : View.t;
   o_emit : Emit.t;
   (* check 3: the staged reference executor with an always-true verify
      predicate armed, so the verify row's packet count shows which
@@ -33,9 +30,10 @@ type t = {
      plan extracts.  [Error reason] when the format has no compiled
      plan. *)
   o_pipes : (Pipeline.t * Pipeline.t, string) result;
-  (* check 4: the fused hot decoder, diffed register by register *)
-  o_hot : View.Hot.t option;
-  o_hot_slots : (string * int) array;
+  (* check 4a: the format's one-layer stack plan — what [Flight.compile]
+     runs — demanding every field it can extract, diffed register by
+     register against the codec's value: bare field name, register *)
+  o_hot : (Stack.plan * (string * Stack.reg) array) option;
   (* check 5: the kernel pre-filter, run by the cBPF interpreter *)
   o_filter : Bpf_oracle.t option;
   (* reference model of the pipelines' counters, advanced before each
@@ -61,52 +59,83 @@ let filter_of bug fmt =
 (* Whether the fused side compiles with the planted specialiser defect. *)
 let late_load bug = bug = Late_static_load
 
-(* Every top-level field the format's compiled plan extracts, which the
-   fused pipeline demands: a variant format has no hot-eligible fields,
-   but its flattened cases still extract the fields before the variant. *)
-let demandable fmt =
-  List.filter
-    (fun f ->
-      match Flight.compile fmt (Flight.spec ~demand:[ f ] ()) with
-      | _ -> true
-      | exception Invalid_argument _ -> false)
-    (Desc.field_names fmt)
+(* The names a stack plan resolves in one layer: its top-level fields and
+   the fields of its top-level variant's cases — the flat namespace a
+   variant layer compiles to. *)
+let flat_names (fmt : Desc.t) =
+  let names (sub : Desc.t) = List.map (fun (f : Desc.field) -> f.name) sub.fields in
+  List.sort_uniq compare
+    (List.concat_map
+       (fun (f : Desc.field) ->
+         match f.ty with
+         | Desc.Variant { cases; default; _ } ->
+           f.name
+           :: List.concat_map names
+                (List.map (fun (_, _, sub) -> sub) cases @ Option.to_list default)
+         | _ -> [ f.name ])
+       fmt.Desc.fields)
+
+(* The stack compiled demanding every field any layer's plan can extract,
+   qualified; a candidate the chain compiler refuses is probed alone and
+   dropped rather than failing the oracle.  [Error] only if the stack
+   itself does not compile. *)
+let compile_demanding_all ?plant_late_load stack =
+  let all =
+    List.concat
+      (List.mapi
+         (fun i lname ->
+           List.map (fun f -> lname ^ "." ^ f) (flat_names (Stack.layer_format stack i)))
+         (Stack.layer_names stack))
+  in
+  let demand =
+    match Stack.compile ~demand:all stack with
+    | Ok _ -> all
+    | Error _ -> List.filter (fun q -> Result.is_ok (Stack.compile ~demand:[ q ] stack)) all
+  in
+  Result.map (fun plan -> (plan, demand)) (Stack.compile ~demand ?plant_late_load stack)
+
+(* The format's one-layer stack, as [Flight.compile] builds it, and its
+   registers by bare field name. *)
+let hot_plan ~plant_late_load (fmt : Desc.t) =
+  match Stack.v ~name:fmt.format_name [ Stack.layer fmt ] with
+  | Error _ -> None
+  | Ok stack -> (
+    match compile_demanding_all ~plant_late_load stack with
+    | Error _ -> None
+    | Ok (plan, demand) ->
+      let regs =
+        List.map
+          (fun q ->
+            let _, field = Result.get_ok (Stack.locate plan q) in
+            (field, Result.get_ok (Stack.reg plan q)))
+          demand
+      in
+      Some (plan, Array.of_list regs))
 
 let create ?(bug = No_bug) fmt =
   let plant_late_load = late_load bug in
-  let eligible = View.Hot.eligible_fields fmt in
+  let hot = hot_plan ~plant_late_load fmt in
+  (* the fused pipeline demands every field the compiled plan extracts *)
+  let demand = match hot with Some (_, regs) -> List.map fst (Array.to_list regs) | None -> [] in
   let pipes =
     match
       ( Pipeline.create ~mode:Pipeline.Staged
           ~flight:(Flight.spec ~verify:(Flight.All []) ())
           fmt,
         Pipeline.create ~mode:Pipeline.Fused
-          ~flight:(Flight.spec ~demand:(demandable fmt) ())
+          ~flight:(Flight.spec ~demand ())
           ~plant_late_load fmt )
     with
     | pipes -> Ok pipes
     | exception Invalid_argument reason -> Error reason
   in
-  let hot =
-    match View.Hot.compile ~demand:eligible ~plant_late_load fmt with
-    | Ok h -> Some h
-    | Error _ -> None
-  in
-  let hot_slots =
-    match hot with
-    | None -> [||]
-    | Some h ->
-      Array.of_list (List.map (fun f -> (f, View.Hot.demand_slot h f)) eligible)
-  in
   {
     o_fmt = fmt;
     o_bug = bug;
     o_filter = filter_of bug fmt;
-    o_view = View.create fmt;
     o_emit = Emit.create fmt;
     o_pipes = pipes;
     o_hot = hot;
-    o_hot_slots = hot_slots;
     o_exp_decode_pkts = 0;
     o_exp_decode_rejects = 0;
     o_exp_verify_pkts = 0;
@@ -128,7 +157,7 @@ let fail check fmt_ = Printf.ksprintf (fun s -> Error { d_check = check; d_detai
 let err = Codec.error_to_string
 
 (* Check 3: the engine built on the fast paths.  [codec_ok] is the
-   baseline verdict both decoders already agreed on. *)
+   reference verdict. *)
 let check_pipeline t pkt ~codec_ok =
   match t.o_pipes with
   | Error _ -> Ok ()
@@ -167,37 +196,35 @@ let check_pipeline t pkt ~codec_ok =
           t.o_exp_verify_pkts
       else Ok ()
 
-(* Check 4a: the fused hot decoder against the codec verdict, and — on
-   acceptance — every demanded register against the interpreted view's
-   value for the same field.  [t.o_view] holds the decoded packet when
-   [codec_ok].  The planted fusion defect inverts the hot verdict on
-   accepted input, as if a fused bounds check were flipped. *)
-let check_hot t pkt ~codec_ok =
+(* Check 4a: the format's compiled plan against the codec verdict, and —
+   on acceptance — every demanded register against the codec's value for
+   the same field, [-1] for a case field the packet does not carry.
+   [codec] is the codec's decode of [pkt].  The planted fusion defect
+   inverts the plan's verdict on accepted input, as if a fused bounds
+   check were flipped. *)
+let check_hot t pkt ~codec =
   match t.o_hot with
   | None -> Ok ()
-  | Some h ->
-    let ok = View.Hot.run h pkt in
+  | Some (plan, regs) -> (
+    let ok = Stack.run plan pkt in
     let ok = match (t.o_bug, ok) with Invert_flight_accept, true -> false | _ -> ok in
-    if ok && not codec_ok then
-      fail "flight" "fused decoder accepts a packet the codec rejects"
-    else if (not ok) && codec_ok then
-      fail "flight" "fused decoder rejects a packet the codec accepts"
-    else if not ok then Ok ()
-    else
-      let n = Array.length t.o_hot_slots in
+    match (ok, codec) with
+    | true, Error e ->
+      fail "flight" "fused decoder accepts a packet the codec rejects: %s" (err e)
+    | false, Ok _ -> fail "flight" "fused decoder rejects a packet the codec accepts"
+    | false, Error _ -> Ok ()
+    | true, Ok cv ->
       let rec go i =
-        if i >= n then Ok ()
+        if i >= Array.length regs then Ok ()
         else begin
-          let field, slot = t.o_hot_slots.(i) in
-          let hv = Int64.of_int (View.Hot.get h slot) in
-          let vv = View.get_int t.o_view field in
-          if Int64.equal hv vv then go (i + 1)
-          else
-            fail "flight" "register %S diverged: fused %Ld, view %Ld" field hv
-              vv
+          let field, reg = regs.(i) in
+          let fv = Int64.of_int (Stack.reg_get plan reg) in
+          let cv = Option.value (Value.find_int_flat cv field) ~default:(-1L) in
+          if Int64.equal fv cv then go (i + 1)
+          else fail "flight" "register %S diverged: fused %Ld, codec %Ld" field fv cv
         end
       in
-      go 0
+      go 0)
 
 (* Check 4b: a whole pipeline in Fused mode (flight plan demanding every
    field its plan extracts) must agree with the codec verdict and keep its
@@ -228,10 +255,10 @@ let check_fused t pkt ~codec_ok =
           got_p t.o_exp_fused_pkts got_r t.o_exp_fused_rejects
       else Ok ()
 
-let check_flight t pkt ~codec_ok =
-  match check_hot t pkt ~codec_ok with
+let check_flight t pkt ~codec =
+  match check_hot t pkt ~codec with
   | Error _ as e -> e
-  | Ok () -> check_fused t pkt ~codec_ok
+  | Ok () -> check_fused t pkt ~codec_ok:(Result.is_ok codec)
 
 (* Check 2: compiled emit vs interpreting codec on the decoded value. *)
 let check_reencode t value =
@@ -245,36 +272,21 @@ let check_reencode t value =
   | Error e, Ok _ -> fail "reencode" "emit encodes, codec rejects: %s" (err e)
 
 let check_inner t pkt =
-  let codec_r = Codec.decode t.o_fmt pkt in
-  let view_r = View.decode t.o_view pkt in
-  (* the planted defect: report parse success as rejection, as if a bounds
-     check inside the view compiler were inverted *)
-  let view_verdict =
-    match (t.o_bug, view_r) with
-    | Invert_view_accept, Ok () -> Error "planted bug: inverted accept"
-    | _, Ok () -> Ok ()
-    | _, Error e -> Error (err e)
-  in
-  match (codec_r, view_verdict) with
-  | Ok _, Error ve -> fail "verdict" "codec accepts, view rejects: %s" ve
-  | Error ce, Ok () -> fail "verdict" "view accepts, codec rejects: %s" (err ce)
-  | Error _, Error _ -> (
+  let codec = Codec.decode t.o_fmt pkt in
+  match codec with
+  | Error _ -> (
     if not (Bpf_oracle.passes t.o_filter pkt) then t.o_filtered <- t.o_filtered + 1;
-    match check_flight t pkt ~codec_ok:false with
+    match check_flight t pkt ~codec with
     | Error _ as e -> e
     | Ok () -> check_pipeline t pkt ~codec_ok:false)
-  | Ok cv, Ok () -> (
-    let vv = View.to_value t.o_view in
+  | Ok cv -> (
     if not (Bpf_oracle.passes t.o_filter pkt) then
       fail "filter" "the decoders accept, the kernel pre-filter does not deliver it whole"
-    else if not (Value.equal cv vv) then
-      fail "value" "decoders accept but values differ\ncodec: %s\nview:  %s"
-        (Value.to_string cv) (Value.to_string vv)
     else
       match check_reencode t cv with
       | Error _ as e -> e
       | Ok () -> (
-        match check_flight t pkt ~codec_ok:true with
+        match check_flight t pkt ~codec with
         | Error _ as e -> e
         | Ok () -> (
           match check_pipeline t pkt ~codec_ok:true with
@@ -459,35 +471,10 @@ module Chain = struct
     mutable c_accepted : int;
   }
 
-  (* Every register the chain can serve: each layer's hot-eligible static
-     prefix, qualified.  A candidate the chain compiler cannot extract is
-     probed individually and dropped rather than failing the oracle. *)
-  let demandable stack =
-    List.concat
-      (List.mapi
-         (fun i lname ->
-           List.map
-             (fun f -> lname ^ "." ^ f)
-             (View.Hot.eligible_fields (Stack.layer_format stack i)))
-         (Stack.layer_names stack))
-
   let create ?(bug = No_bug) stack =
-    let all = demandable stack in
-    let plant_late_load = late_load bug in
-    let compiled =
-      match Stack.compile ~demand:all ~plant_late_load stack with
-      | Ok p -> Ok p
-      | Error _ ->
-        let keep =
-          List.filter
-            (fun f -> Result.is_ok (Stack.compile ~demand:[ f ] stack))
-            all
-        in
-        Stack.compile ~demand:keep ~plant_late_load stack
-    in
-    match compiled with
+    match compile_demanding_all ~plant_late_load:(late_load bug) stack with
     | Error _ as e -> e
-    | Ok plan ->
+    | Ok (plan, all) ->
       let regs =
         List.filter_map
           (fun qualified ->
@@ -557,9 +544,8 @@ module Chain = struct
           let layer, field, reg = t.c_regs.(i) in
           let fv = Int64.of_int (Stack.reg_get t.c_plan reg) in
           let sv =
-            match View.find_int (Stack.Seq.view t.c_seq layer) field with
-            | Some v -> v
-            | None -> -1L
+            Option.value ~default:(-1L)
+              (Value.find_int_flat (Stack.Seq.value t.c_seq layer) field)
           in
           if Int64.equal fv sv then registers (i + 1)
           else

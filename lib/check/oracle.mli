@@ -1,27 +1,29 @@
 (** The differential oracle: one mutant, every fast path, demand agreement.
 
-    The compiled fast paths ({!Netdsl_format.View} decode,
+    The compiled fast paths ({!Netdsl_format.View.Hot} decode,
     {!Netdsl_format.Emit} encode, the {!Netdsl_engine.Pipeline} built on
-    both) are only trustworthy while they agree with the interpreted
-    {!Netdsl_format.Codec} baseline on *adversarial* input, not just on
-    generator output.  {!check} runs one wire message through four
+    both) are only trustworthy while they agree with the reference
+    {!Netdsl_format.Codec} on *adversarial* input, not just on generator
+    output.  {!check} decodes one wire message with [Codec.decode] — the
+    one reference verdict and value — and runs it through these
     differential comparisons:
 
-    + verdict and value: [View.decode] vs [Codec.decode] must agree on
-      accept/reject, and on acceptance the materialised view value must
-      equal the codec's byte for byte;
     + re-encode: on accepted input, [Emit.encode] of the decoded value
       must reproduce [Codec.encode] exactly (same bytes or same error);
     + engine: the [Staged] reference executor, armed with an
       always-true verify predicate, must not raise, must reject exactly
-      when the decoders reject, must pass every accepted packet — and no
+      when the codec rejects, must pass every accepted packet — and no
       rejected mutant — through the verify stage (read off that stage's
       packet count), and must keep the per-stage
       {!Netdsl_engine.Stats} counters consistent with the packets
       actually fed;
-    + fused: the {!Netdsl_format.View.Hot} fused decoder must agree with
-      the codec verdict and, on acceptance, every demanded register must
-      equal the interpreted view's value — and a second pipeline running
+    + fused: the format's compiled plan — its one-layer
+      {!Netdsl_format.Stack} plan, which is what {!Netdsl_engine.Flight}
+      runs, demanding every field it can extract (a variant format's case
+      fields included) — must agree with the codec verdict and, on
+      acceptance, every register must equal the codec's value for that
+      field ([-1] for a case field the packet does not carry); and a
+      second pipeline running
       in [Fused] mode over a {!Netdsl_engine.Flight} plan (demanding
       every top-level field the plan extracts) must agree too, with
       consistent counters:
@@ -37,12 +39,10 @@
 
 type bug =
   | No_bug
-  | Invert_view_accept
-      (** report the view verdict inverted on successfully parsed input —
-          the seeded-bug sanity check of the acceptance criteria *)
   | Invert_flight_accept
-      (** report the fused hot-decoder verdict inverted on accepted input
-          — proves the fused leg can catch a fusion bug *)
+      (** report the compiled plan's verdict inverted on accepted input —
+          proves the fused leg can catch a fusion bug; [netdsl fuzz
+          --plant-bug] plants it on formats *)
   | Invert_chain_accept
       (** report the fused {e chain} verdict inverted on accepted layered
           input, as if a chained bounds check were flipped — proves the
@@ -65,8 +65,8 @@ type bug =
 
 type disagreement = {
   d_check : string;
-      (** which comparison diverged: ["verdict"], ["value"], ["reencode"],
-          ["pipeline"], ["flight"], ["fused"], ["stats"], ["filter"],
+      (** which comparison diverged: ["reencode"], ["pipeline"],
+          ["flight"], ["fused"], ["stats"], ["filter"],
           ["chain"], ["reply"], ["timers"] or ["crash"] *)
   d_detail : string;  (** rendered evidence: both sides of the divergence *)
 }
@@ -74,22 +74,22 @@ type disagreement = {
 val disagreement_to_string : disagreement -> string
 
 type t
-(** A reusable oracle for one format: the view, emitter and pipeline are
-    compiled once; {!check} is then allocation-light per mutant. *)
+(** A reusable oracle for one format: the compiled plan, emitter and
+    pipelines are compiled once. *)
 
 val create : ?bug:bug -> Netdsl_format.Desc.t -> t
 val format : t -> Netdsl_format.Desc.t
 
 val check : t -> string -> (unit, disagreement) result
-(** Run one wire message through all three comparisons.  [Ok] means every
+(** Run one wire message through every comparison.  [Ok] means every
     path agreed (whether the message was accepted or rejected). *)
 
 val checked : t -> int
 (** Messages checked so far. *)
 
 val accepted : t -> int
-(** Messages all decoders accepted — the accept side of the split that
-    bench e14 reports. *)
+(** Messages the codec accepted (and every path with it) — the accept
+    side of the split that bench e14 reports. *)
 
 val filtered : t -> int
 (** Rejected messages the kernel pre-filter drops as well — the share of
@@ -107,9 +107,9 @@ val skipped : t -> string option
     per-layer reference ({!Netdsl_format.Stack.Seq}) — same stack, two
     decode strategies.  On every packet the two must agree on the chain
     verdict; on acceptance, every layer window and every demanded
-    register (each layer's hot-eligible static prefix, compared against
-    {!Netdsl_format.View.find_int} on the sequential per-layer views,
-    absent variant-case fields as [-1]) must match.  Cross-layer length
+    register (every field each layer's plan can extract, compared
+    against {!Netdsl_format.Value.find_int_flat} on the sequential
+    per-layer values, absent variant-case fields as [-1]) must match.  Cross-layer length
     lies need no special casing: an outer length lie moves the inner
     window, and both strategies must move it identically or the window
     comparison fires.  Every check also runs the stacked-reply leg
@@ -118,8 +118,9 @@ module Chain : sig
   type t
 
   val create : ?bug:bug -> Netdsl_format.Stack.t -> (t, string) result
-  (** Compiles the fused plan demanding every per-layer hot-eligible
-      field (candidates the chain compiler cannot extract are probed
+  (** Compiles the fused plan demanding every field each layer's plan can
+      extract — top-level fields and a terminal variant's case fields
+      (candidates the chain compiler cannot extract are probed
       individually and dropped); [Error] only if the stack itself does
       not compile. *)
 

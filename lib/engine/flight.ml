@@ -11,14 +11,14 @@
      registers in a single pass; every condition is a precompiled closure
      reading a register with one array load, and every respond action a
      fixed-offset patch kernel ({!Emit.kernel}) inside its layer's window
-     — no [View.t], no boxed values, no per-packet allocation.  A single
+     — no value tree, no boxed values, no per-packet allocation.  A single
      format is a one-layer stack: {!compile} qualifies the spec's bare
      field names once and compiles that, so every flight runs this one
      engine.
 
    - {e staged} derivations ({!staged_verify}, {!staged_classify_id},
      {!staged_respond_patch}): the same spec as closures over the chain's
-     sequential views, which the pipeline's [Staged] reference executor
+     sequential per-layer values, which the pipeline's [Staged] reference executor
      runs — so [Staged] and [Fused] modes of one pipeline run the {e same
      semantics} from the same source of truth and can be diffed by the
      oracle.
@@ -259,7 +259,7 @@ let reg_patch reg fmt field win j src : patch =
 (* ---- source-side lowering (the staged derivations) ----
 
    A [lookup] resolves a field name once to an accessor over a decoded
-   source: a chain's per-layer sequential views. *)
+   source: a chain's per-layer sequential values. *)
 
 type 's lookup = string -> 's -> int64 option
 
@@ -290,7 +290,7 @@ let rec map_result f = function
    compiled {!Stack.plan}, and actions patch inside the owning layer's
    recorded window — the reply buffer is a byte copy of the accepted
    request, so those windows are valid patch targets.  The staged side
-   runs the same spec over the sequential {!Stack.Seq} views. *)
+   runs the same spec over the sequential {!Stack.Seq} values. *)
 let compile_stack ?plan ?plant_late_load stack sp =
   let ( let* ) = Result.bind in
   let* p = F.Stack.compile ~demand:(spec_fields sp) ?plant_late_load stack in

@@ -15,7 +15,7 @@
     {!compile} qualifies the spec's bare field names once and compiles
     that.  The fused path decodes, validates and extracts native-int
     registers in one pass of the chain's compiled static-offset kernels
-    ({!Netdsl_format.Stack.run_window}), with no [View.t] and no
+    ({!Netdsl_format.Stack.run_window}), with no value tree and no
     per-packet allocation.  Conditions and the flow key are register
     reads — one array load, the register file and slot resolved at
     compile time — and every respond action compiles to a fixed-offset
@@ -97,7 +97,7 @@ val compile_stack :
     side), and respond actions patch inside the owning layer's recorded
     window.  Fails when the stack cannot be fused, a demanded register
     cannot be extracted, or an action names an unknown layer.  The
-    staged derivations run over the chain's sequential views
+    staged derivations run over the chain's sequential decode
     ({!Netdsl_format.Stack.Seq}), the [lib/check] oracles' ground truth.
     [plant_late_load] compiles every layer with
     {!Netdsl_format.View.Hot.compile}'s planted defect (oracle self-test
@@ -156,7 +156,7 @@ val apply : t -> int -> Bytes.t -> len:int -> bool
 (** {2 Staged derivations}
 
     The spec as closures over a decoded source — the chain's sequential
-    per-layer views ({!Netdsl_format.Stack.Seq}): the pipeline's
+    per-layer values ({!Netdsl_format.Stack.Seq}): the pipeline's
     [Staged] reference executor runs these, one stage at a time, so it
     shares the fused plan's source of truth and nothing else.  The
     fields they look up are qualified, whichever of {!compile} and

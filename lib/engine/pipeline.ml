@@ -122,7 +122,7 @@ type t = {
   mutable reply_hwm : int;
   stats : Stats.t;
   (* batch scratch: the packet window of the current batch (data + length),
-     the chain's sequential views per window slot (one in [Fused] mode,
+     the chain's sequential decoders per window slot (one in [Fused] mode,
      for recovering decode-error detail) and statuses *)
   seqs : F.Stack.Seq.t array;
   status : int array;
@@ -230,12 +230,14 @@ let fire_expiry t ~key ~ev =
     end
   | Some dflt, _ -> deliver_expiry t dflt ~key ~ev
 
-(* A chain's qualified ["layer.field"] over its sequential views. *)
+(* A chain's qualified ["layer.field"] over its sequential per-layer
+   values: a top-level field, else a field of a top-level variant's
+   selected case, as the fused plan's flattened cases extract it. *)
 let seq_lookup plan : F.Stack.Seq.t Flight.lookup =
  fun q ->
   match F.Stack.locate plan q with
   | Error _ -> fun _ -> None
-  | Ok (j, field) -> fun s -> F.View.find_int (F.Stack.Seq.view s j) field
+  | Ok (j, field) -> fun s -> F.Value.find_int_flat (F.Stack.Seq.value s j) field
 
 (* The spec's staged derivations over the sources of the window slots,
    indexed by slot. *)
@@ -367,7 +369,7 @@ let flow_count t = match t.flows with None -> 0 | Some tbl -> tbl.n
 let reply_capacity t = Bytes.length t.reply_buf
 
 (* Instance lookup by native-int key, shared by both modes (the staged
-   side extracts the key from the view first).  Option-free for the
+   side extracts the key from the decoded value first).  Option-free for the
    per-packet loops (precondition: [t.default_inst = Some dflt]). *)
 let touch_flow t dflt k =
   match t.flows with
@@ -451,7 +453,7 @@ let reset_reply_buf t =
 
 let staged_batch t n =
   let stats = t.stats in
-  (* decode (includes full verification of the view) *)
+  (* decode (includes full verification of every layer) *)
   let bytes = ref 0 in
   let rejects = ref 0 in
   let t0 = t.now_ns () in
@@ -465,7 +467,7 @@ let staged_batch t n =
   done;
   Stats.record_batch stats st_decode ~packets:n ~bytes:!bytes ~rejects:!rejects
     ~elapsed_ns:(t.now_ns () - t0);
-  (* verify: the spec's semantic predicate over the view *)
+  (* verify: the spec's semantic predicate over the decoded values *)
   (match t.verify with
   | None -> ()
   | Some pred ->
@@ -564,7 +566,7 @@ let staged_batch t n =
     Stats.record_batch stats st_encode ~packets:!packets ~bytes:!bytes
       ~rejects:!rejects ~elapsed_ns:(t.now_ns () - t0))
 
-(* ---- fused mode: one run-to-completion pass per packet, no [View.t].
+(* ---- fused mode: one run-to-completion pass per packet, no value tree.
    Counters mirror the staged stage rows exactly (same
    arming conditions, same increments); wall-clock cannot be split across
    fused stages, so the whole batch's latency lands on the decode row and

@@ -18,10 +18,10 @@
     A fast path plus its reference, over the same spec:
     - {!Fused} (default): the spec's {!Flight} plan runs each packet to
       completion in one pass — demand-driven field extraction into
-      native-int registers, no [View.t], no per-packet allocation.
+      native-int registers, no value tree, no per-packet allocation.
       Every serving path runs this.
     - {!Staged}: the reference executor.  Each stage walks the whole
-      batch before the next starts, over the sequential per-layer views
+      batch before the next starts, over the sequential per-layer values
       of {!Netdsl_format.Stack.Seq} (a single format is a one-layer
       stack), running the spec's staged
       derivations ({!Flight.staged_verify}, {!Flight.staged_classify_id},
@@ -46,7 +46,7 @@
     - {!process_ring_batch}: a claimed run of a {!Spsc} ring ([Shard]'s
       worker domains).
 
-    State is sized once and reused: the batch window and sequential views at
+    State is sized once and reused: the batch window and sequential decoders at
     {!create}, flow slots and their machine instances as the flow table
     first reaches them (an evicted flow's slot and instance are reset in
     place for the next flow), and the flow-key and timer-key maps are
@@ -55,7 +55,7 @@
     and timer cancels included. *)
 
 type config = {
-  batch : int;  (** batch size, and the number of staged sequential views *)
+  batch : int;  (** batch size, and the number of staged sequential decoders *)
   ring_capacity : int;
       (** slot count of each {!Shard} worker ring, and so its
           backpressure depth.  The socket server sizes its slab to one

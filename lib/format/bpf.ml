@@ -42,7 +42,7 @@ let inter xs ys =
 
 let points vs = normalise (List.map (fun v -> (v, v)) vs)
 
-(* The values [View.decode] lets through, as intervals of the field's
+(* The values [Codec.decode] lets through, as intervals of the field's
    domain; [None] when it checks nothing on this field's value. *)
 let allowed (f : Desc.field) ~bits =
   let domain = [ (0L, Int64.pred (Int64.shift_left 1L bits)) ] in

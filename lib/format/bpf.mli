@@ -10,7 +10,7 @@
 
     {b What compiles.}  Every top-level field {!Sizing.fixed_field_span}
     places at a fixed offset, big-endian and at most 32 bits wide,
-    contributes the checks {!View.decode} applies to its value:
+    contributes the checks {!Codec.decode} applies to its value:
     exhaustive-enum membership, [Const] magic, and [In_range] / [One_of]
     / [Not_equal] constraints (folded into one set of allowed intervals).
     The datagram length must reach {!Sizing.min_bytes}.  A derived length
@@ -22,7 +22,7 @@
     variable offsets, little-endian or wider fields, nested formats, and
     whatever a flight spec verifies.
 
-    {b Soundness.}  Each emitted check is one that {!View.decode} makes
+    {b Soundness.}  Each emitted check is one that {!Codec.decode} makes
     on the same bytes, so the program may pass a datagram the decoder
     rejects but never drops one it accepts.  [lib/check]'s interpreter
     ([Netdsl_check.Bpf_oracle]) holds it to that on every corpus.

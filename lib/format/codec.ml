@@ -15,7 +15,7 @@ type error =
   | Type_mismatch of { path : path; expected : string }
   | Length_mismatch of { path : path; expected : int64; actual : int64 }
   | Eval_error of { path : path; reason : string }
-  | Trailing_input of { bits : int }
+  | Trailing_input of { path : path; bits : int }
   | Value_out_of_range of { path : path; value : int64; bits : int }
 
 exception Error of error
@@ -50,8 +50,10 @@ let pp_error ppf = function
     Format.fprintf ppf "%a: length mismatch: expected %Ld, found %Ld" pp_path path
       expected actual
   | Eval_error { path; reason } -> Format.fprintf ppf "%a: %s" pp_path path reason
-  | Trailing_input { bits } ->
+  | Trailing_input { path = []; bits } ->
     Format.fprintf ppf "%d unconsumed bits after message" bits
+  | Trailing_input { path; bits } ->
+    Format.fprintf ppf "%a: %d unconsumed bits after message" pp_path path bits
   | Value_out_of_range { path; value; bits } ->
     Format.fprintf ppf "%a: value %Ld does not fit in %d bits" pp_path path value bits
 
@@ -70,7 +72,7 @@ let map_path f = function
   | Type_mismatch e -> Type_mismatch { e with path = f e.path }
   | Length_mismatch e -> Length_mismatch { e with path = f e.path }
   | Eval_error e -> Eval_error { e with path = f e.path }
-  | Trailing_input _ as e -> e
+  | Trailing_input e -> Trailing_input { e with path = f e.path }
   | Value_out_of_range e -> Value_out_of_range { e with path = f e.path }
 
 (* Paths are threaded innermost-first (cons per nesting level, O(1) on the
@@ -439,7 +441,7 @@ let decode ?(allow_trailing = false) fmt data =
       rem < 8 && Int64.equal (B.Reader.read_bits r ~width:rem) 0L
     in
     if (not allow_trailing) && rem > 0 && not (padding_only ()) then
-      fail (Trailing_input { bits = rem });
+      fail (Trailing_input { path = []; bits = rem });
     v
   with
   | v -> Ok v

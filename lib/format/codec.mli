@@ -40,8 +40,9 @@ type error =
   | Eval_error of { path : path; reason : string }
       (** expression evaluation failed (unknown field, division by zero,
           non-byte-aligned span, dependency cycle) *)
-  | Trailing_input of { bits : int }
-      (** decode consumed the message but input remained *)
+  | Trailing_input of { path : path; bits : int }
+      (** decode consumed the message but input remained; [path] is [[]]
+          for a whole message, the layer's name for a {!Stack} layer *)
   | Value_out_of_range of { path : path; value : int64; bits : int }
 
 exception Error of error
@@ -50,7 +51,7 @@ val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 val map_path : (path -> path) -> error -> error
-(** Rewrite the error's field path ([Trailing_input] carries none). *)
+(** Rewrite the error's field path. *)
 
 val decode : ?allow_trailing:bool -> Desc.t -> string -> (Value.t, error) result
 (** [decode fmt bytes] parses and validates.  With [allow_trailing] (default

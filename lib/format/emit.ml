@@ -1,4 +1,4 @@
-(* Compiled encode plans: the mirror image of [View]'s decode plans.
+(* Compiled encode plans: the encode-side mirror of [View]'s compiled decoder.
 
    [create] lowers a format descriptor once into a flat array of emit ops —
    endianness, widths and value checks are resolved at compile time, and
@@ -430,16 +430,17 @@ let reserve t ~path bits =
   put_zeros t ~path bits;
   off
 
-let put_sub t ~path s off len =
+let put_string t ~path s =
+  let len = String.length s in
   ensure t ~path (8 * len);
   if t.pos_bits land 7 = 0 then begin
-    Bytes.blit_string s off t.out (t.pos_bits lsr 3) len;
+    Bytes.blit_string s 0 t.out (t.pos_bits lsr 3) len;
     t.pos_bits <- t.pos_bits + (8 * len)
   end
   else
     for i = 0 to len - 1 do
       set_bits_at t ~bit_off:t.pos_bits ~width:8
-        (Int64.of_int (Char.code (String.unsafe_get s (off + i))));
+        (Int64.of_int (Char.code (String.unsafe_get s i)));
       t.pos_bits <- t.pos_bits + 8
     done
 
@@ -474,13 +475,8 @@ let push_slot t =
   s
 
 (* ------------------------------------------------------------------ *)
-(* Field-value sources: a [Value.t] record tree, or a decoded view with
-   optional overrides (view-to-wire).  Nested structure can only come from
-   explicit values. *)
-
-type source =
-  | S_value of (string * Value.t) list
-  | S_view of { view : View.t; over : (string * Value.t) list }
+(* Field values come from the record being encoded: its field list, in
+   wire order.  Nested structure recurses into the nested record. *)
 
 let as_int ~path = function
   | Value.Int v -> v
@@ -500,67 +496,18 @@ let expect_record ~path = function
   | Value.Record fields -> fields
   | _ -> fail (Type_mismatch { path; expected = "record" })
 
-let require_int src (op : op) =
-  match src with
-  | S_value fields -> (
-    match List.assoc_opt op.o_name fields with
-    | Some v -> as_int ~path:op.o_path v
-    | None -> fail (Missing_field { path = op.o_path }))
-  | S_view { view; over } -> (
-    match List.assoc_opt op.o_name over with
-    | Some v -> as_int ~path:op.o_path v
-    | None -> (
-      match View.find_int view op.o_name with
-      | Some v -> v
-      | None -> fail (Missing_field { path = op.o_path })))
+let require_value fields (op : op) =
+  match List.assoc_opt op.o_name fields with
+  | Some v -> v
+  | None -> fail (Missing_field { path = op.o_path })
 
-(* Overrides only: constants and computed fields never *need* a source, so
-   a view is not consulted for them (its values already passed validation). *)
-let override_int src (op : op) =
-  match src with
-  | S_value fields ->
-    Option.map (as_int ~path:op.o_path) (List.assoc_opt op.o_name fields)
-  | S_view { over; _ } ->
-    Option.map (as_int ~path:op.o_path) (List.assoc_opt op.o_name over)
+let require_int fields (op : op) = as_int ~path:op.o_path (require_value fields op)
+let require_bytes fields (op : op) = as_bytes ~path:op.o_path (require_value fields op)
 
-(* Bytes as (string, byte_off, byte_len): for view sources an aligned span
-   is a window into the view's raw buffer — the payload is blitted straight
-   from wire to wire, never copied into an intermediate string. *)
-let require_bytes src (op : op) =
-  match src with
-  | S_value fields -> (
-    match List.assoc_opt op.o_name fields with
-    | Some v ->
-      let s = as_bytes ~path:op.o_path v in
-      (s, 0, String.length s)
-    | None -> fail (Missing_field { path = op.o_path }))
-  | S_view { view; over } -> (
-    match List.assoc_opt op.o_name over with
-    | Some v ->
-      let s = as_bytes ~path:op.o_path v in
-      (s, 0, String.length s)
-    | None -> (
-      match View.find_span view op.o_name with
-      | Some (bit_off, bit_len) when bit_off land 7 = 0 && bit_len land 7 = 0 ->
-        (View.raw view, bit_off lsr 3, bit_len lsr 3)
-      | Some _ ->
-        let s = View.get_bytes view op.o_name in
-        (s, 0, String.length s)
-      | None -> fail (Missing_field { path = op.o_path })))
-
-let require_value src (op : op) =
-  match src with
-  | S_value fields -> (
-    match List.assoc_opt op.o_name fields with
-    | Some v -> v
-    | None -> fail (Missing_field { path = op.o_path }))
-  | S_view { over; _ } -> (
-    match List.assoc_opt op.o_name over with
-    | Some v -> v
-    | None ->
-      fail (Type_mismatch
-              { path = op.o_path;
-                expected = "explicit value (nested fields cannot be sourced from a view)" }))
+(* Constants and computed fields never *need* a value: one supplied is
+   checked against the derivation. *)
+let override_int fields (op : op) =
+  Option.map (as_int ~path:op.o_path) (List.assoc_opt op.o_name fields)
 
 (* ------------------------------------------------------------------ *)
 (* The compiled-plan encoder.  Mirrors Codec.encode_field case by case so
@@ -638,7 +585,8 @@ and run_op t src scope record_end (op : op) =
     s.p_region <- region;
     s.p_record_end <- record_end
   | E_bytes spec ->
-    let s, boff, blen = require_bytes src op in
+    let s = require_bytes src op in
+    let blen = String.length s in
     (match spec with
     | L_fixed n ->
       if blen <> n then
@@ -655,7 +603,7 @@ and run_op t src scope record_end (op : op) =
             fail (Length_mismatch { path = op.o_path; expected; actual }))
         :: t.checks
     | L_terminated term ->
-      for i = boff to boff + blen - 1 do
+      for i = 0 to blen - 1 do
         if Char.code (String.unsafe_get s i) = term then
           fail (Eval_error
                   { path = op.o_path;
@@ -664,7 +612,7 @@ and run_op t src scope record_end (op : op) =
                         term })
       done
     | L_remaining -> ());
-    put_sub t ~path:op.o_path s boff blen;
+    put_string t ~path:op.o_path s;
     (match spec with
     | L_terminated term -> put_byte t ~path:op.o_path term
     | L_fixed _ | L_expr _ | L_remaining -> ())
@@ -705,18 +653,18 @@ and run_op t src scope record_end (op : op) =
     List.iter
       (fun ev ->
         let child = new_scope (Some scope) in
-        run_prog t (S_value (expect_record ~path:op.o_path ev)) child elem)
+        run_prog t (expect_record ~path:op.o_path ev) child elem)
       elems
   | E_record body ->
     let v = require_value src op in
     let child = new_scope (Some scope) in
-    run_prog t (S_value (expect_record ~path:op.o_path v)) child body
+    run_prog t (expect_record ~path:op.o_path v) child body
   | E_variant { tag; cases; default } -> (
     match require_value src op with
     | Value.Variant (case_name, body) -> (
       let encode_body sub =
         let child = new_scope (Some scope) in
-        run_prog t (S_value (expect_record ~path:op.o_path body)) child sub
+        run_prog t (expect_record ~path:op.o_path body) child sub
       in
       match List.find_opt (fun (n, _, _) -> String.equal n case_name) cases with
       | Some (_, tag_value, sub) ->
@@ -798,50 +746,35 @@ let run t src =
 
 let restore t = t.out <- t.scratch; t.own <- true
 
-let encode_src t src =
-  reset t ~out:t.scratch ~own:true ~off:0;
-  match run t src with
-  | () -> Ok (Bytes.sub_string t.out 0 (msg_len_bytes t))
-  | exception Codec.Error e -> Result.Error (outward_error e)
-
-let encode_src_into t ~off buf src =
-  if off < 0 || off > Bytes.length buf then
-    invalid_arg "Emit.encode_into: offset out of bounds";
-  reset t ~out:buf ~own:false ~off;
-  match run t src with
-  | () ->
-    let n = msg_len_bytes t in
-    restore t;
-    Ok n
-  | exception Codec.Error e ->
-    restore t;
-    Result.Error (outward_error e)
-
-let top_record ~what value =
-  match value with
-  | Value.Record fields -> fields
-  | _ -> ignore what; fail (Type_mismatch { path = []; expected = "record" })
+let not_a_record = Result.Error (Codec.Type_mismatch { path = []; expected = "record" })
 
 let encode t value =
-  match top_record ~what:"encode" value with
-  | fields -> encode_src t (S_value fields)
-  | exception Codec.Error e -> Result.Error (outward_error e)
+  match value with
+  | Value.Record fields -> (
+    reset t ~out:t.scratch ~own:true ~off:0;
+    match run t fields with
+    | () -> Ok (Bytes.sub_string t.out 0 (msg_len_bytes t))
+    | exception Codec.Error e -> Result.Error (outward_error e))
+  | _ -> not_a_record
 
 let encode_exn t value =
   match encode t value with Ok s -> s | Error e -> raise (Codec.Error e)
 
 let encode_into t ?(off = 0) buf value =
-  match top_record ~what:"encode_into" value with
-  | fields -> encode_src_into t ~off buf (S_value fields)
-  | exception Codec.Error e -> Result.Error (outward_error e)
-
-let encode_view t ?(set = []) view = encode_src t (S_view { view; over = set })
-
-let encode_view_exn t ?set view =
-  match encode_view t ?set view with Ok s -> s | Error e -> raise (Codec.Error e)
-
-let encode_view_into t ?(set = []) ?(off = 0) buf view =
-  encode_src_into t ~off buf (S_view { view; over = set })
+  match value with
+  | Value.Record fields -> (
+    if off < 0 || off > Bytes.length buf then
+      invalid_arg "Emit.encode_into: offset out of bounds";
+    reset t ~out:buf ~own:false ~off;
+    match run t fields with
+    | () ->
+      let n = msg_len_bytes t in
+      restore t;
+      Ok n
+    | exception Codec.Error e ->
+      restore t;
+      Result.Error (outward_error e))
+  | _ -> not_a_record
 
 (* ------------------------------------------------------------------ *)
 (* In-place patching: mutate one scalar field of an already-encoded (and

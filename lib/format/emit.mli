@@ -1,4 +1,5 @@
-(** Compiled encode plans: the encode-side mirror of {!View}.
+(** Compiled encode plans: the encode-side mirror of {!View}'s compiled
+    decoder.
 
     {!create} lowers a format description once into a flat program of emit
     ops — widths, endianness and constraint sets resolved at compile time.
@@ -6,7 +7,7 @@
     slots}: the encoder reserves their bytes, streams the rest of the
     message, then back-fills them in place, so a checksummed region is
     written exactly once and never copied.  Encoding into a caller-provided
-    reusable buffer ({!encode_into}, {!encode_view_into}) allocates nothing
+    reusable buffer ({!encode_into}) allocates nothing
     on the fixed-layout path.
 
     Output is byte-for-byte identical to {!Codec.encode}, including which
@@ -21,7 +22,7 @@
 
 type t
 (** A compiled emitter.  Holds reusable scratch state; not thread-safe —
-    use one per domain (cf. {!View.t}). *)
+    use one per domain. *)
 
 type error = Codec.error
 (** Emit errors are {!Codec} errors: same constructors, same rendering. *)
@@ -48,24 +49,6 @@ val encode_into : t -> ?off:int -> Bytes.t -> Value.t -> (int, error) result
     grown: a message that does not fit fails with [Io Truncated].  Stale
     buffer contents never leak into the output.
     @raise Invalid_argument if [off] is outside [buf]. *)
-
-(** {2 Encoding from views (view-to-wire)}
-
-    Re-emit a decoded message, optionally overriding top-level scalar
-    fields — the respond path: decode a request once, flip a field or two,
-    emit the reply.  Top-level scalars and byte fields are read straight
-    out of the view (aligned byte spans are blitted wire-to-wire without an
-    intermediate copy); derived fields are recomputed.  Fields with nested
-    structure (records, arrays, variants) must be supplied in [set] — a
-    view cannot provide them. *)
-
-val encode_view : t -> ?set:(string * Value.t) list -> View.t -> (string, error) result
-
-val encode_view_exn : t -> ?set:(string * Value.t) list -> View.t -> string
-(** @raise Codec.Error on failure. *)
-
-val encode_view_into :
-  t -> ?set:(string * Value.t) list -> ?off:int -> Bytes.t -> View.t -> (int, error) result
 
 (** {2 In-place patching} *)
 

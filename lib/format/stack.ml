@@ -9,7 +9,7 @@
    terminal one-level-variant format (TFTP, ICMP) is flattened into one
    hot plan per case behind a fixed-offset tag peek — so a whole
    eth->ipv4->udp->tftp decode allocates nothing.  The accept set is
-   exactly the sequential per-layer [View.decode] reference in [Seq];
+   exactly the sequential per-layer [Codec.decode] reference in [Seq];
    the lib/check chain oracle keeps the two in lock-step.
 
    Encode writes each carrier header once, directly at its final offset
@@ -133,7 +133,7 @@ let layer_select t i = t.s_layers.(i).l_select
    trailing Variant over a fixed-offset tag" becomes one synthetic linear
    format per case (prefix @ case body), each hot-compiled on its own.
    Dispatch is a raw tag peek; the chosen plan then revalidates the whole
-   window from the start, so the verdict is exactly [View.decode]'s:
+   window from the start, so the verdict is exactly [Codec.decode]'s:
    prefix checks, enum exhaustiveness on the tag, unknown-tag rejection
    (no case, no default) and the global trailing check all live in the
    flattened plans. *)
@@ -735,7 +735,7 @@ let encode_seq p (values : Value.t array) =
 module Seq = struct
   type seq = {
     q_plan : plan;
-    q_views : View.t array;
+    q_values : Value.t array;
     q_offs : int array;
     q_lens : int array;
   }
@@ -746,7 +746,7 @@ module Seq = struct
     let n = Array.length p.p_layers in
     {
       q_plan = p;
-      q_views = Array.map (fun y -> View.create y.y_fmt) p.p_layers;
+      q_values = Array.make n (Value.Record []);
       q_offs = Array.make n 0;
       q_lens = Array.make n 0;
     }
@@ -757,35 +757,37 @@ module Seq = struct
     let n = Array.length layers in
     let rec go i off len =
       let y = layers.(i) in
-      let view = q.q_views.(i) in
       let fail fmt =
         Printf.ksprintf
           (fun reason -> Error (Codec.Eval_error { path = [ y.y_name ]; reason }))
           fmt
       in
-      match View.decode view ~off ~len data with
+      match Codec.decode y.y_fmt (String.sub data off len) with
       | Error e -> Error (Codec.map_path (fun p -> y.y_name :: p) e)
-      | Ok () ->
+      | Ok v -> (
+        q.q_values.(i) <- v;
         q.q_offs.(i) <- off;
         q.q_lens.(i) <- len;
         if i = n - 1 then Ok ()
-        else (
-          match View.find_int view y.y_demux with
+        else
+          match Value.find_int_flat v y.y_demux with
           | None -> fail "demux field %S missing" y.y_demux
-          | Some d ->
+          | Some d -> (
             if not (List.exists (Int64.equal d) y.y_edges64) then
               fail "%s = %Ld selects no next layer" y.y_demux d
-            else (
-              match View.find_span view y.y_via with
-              | None -> fail "payload field %S missing" y.y_via
-              | Some (so, sl) ->
-                if so land 7 <> 0 || sl land 7 <> 0 then
-                  fail "payload span is not byte-aligned"
-                else go (i + 1) (so lsr 3) (sl lsr 3)))
+            else
+              (* the via field is the trailing remaining-bytes payload
+                 ([validate_layer] enforces it), so it ends where the
+                 window ends *)
+              match Value.find v y.y_via with
+              | Some (Value.Bytes payload) ->
+                let pl = String.length payload in
+                go (i + 1) (off + len - pl) pl
+              | _ -> fail "payload field %S missing" y.y_via))
     in
     go 0 off len
 
-  let view q i = q.q_views.(i)
+  let value q i = q.q_values.(i)
   let layer_off q i = q.q_offs.(i)
   let layer_len q i = q.q_lens.(i)
 end

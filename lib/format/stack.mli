@@ -20,8 +20,8 @@
     edges become flat native-int tables.
 
     The accept set is exactly that of decoding each layer with
-    {!View.decode} over the payload span of the one before ({!Seq} below
-    is that reference, and the [lib/check] chain oracle diffs the two
+    {!Codec.decode} over the payload of the one before ({!Seq} below is
+    that reference, and the [lib/check] chain oracle diffs the two
     verdict- and register-exact under the structure-aware mutator).
     Cross-layer length consistency needs no extra machinery: an outer
     length lie moves the inner window, and the inner layer's own computed
@@ -78,9 +78,9 @@ val layer_select : t -> int -> (string * int64 list) option
 
 type plan
 (** A compiled chain: per-layer fused decoders, demux tables, payload-span
-    windowing, register directory, encoder and back-patch slots.  Like
-    {!View.t}, a plan is a reusable single-thread object: accessors are
-    only meaningful after the last {!run} accepted. *)
+    windowing, register directory, encoder and back-patch slots.  A plan
+    is a reusable single-thread object: accessors are only meaningful
+    after the last {!run} accepted. *)
 
 val compile : ?demand:string list -> ?plant_late_load:bool -> t -> (plan, string) result
 (** [compile ~demand stack] lowers the chain.  [demand] lists qualified
@@ -159,11 +159,15 @@ val encode_seq : plan -> Value.t array -> (string, string) result
 
 (** {1 Sequential reference decode}
 
-    Decode the chain the pre-stack way: one interpreted {!View.decode}
-    per layer, demux read through {!View.find_int}, the next window from
-    {!View.find_span}.  This is the semantic ground truth the fused plan
-    is diffed against, the naive baseline E17 measures, and the error
-    reporter for the CLI (layer-qualified reasons). *)
+    Decode the chain one layer at a time with the reference decoder:
+    {!Codec.decode} over each layer's window, the demux field read from
+    the layer's {!Value.t}, and the next window the trailing
+    [bytes remaining] payload ({!v} enforces that the via field is one),
+    so it starts at [off + len - String.length payload].  This defines
+    the accept set the fused plan must match — the semantic ground truth
+    the chain oracle diffs it against — and is the naive baseline E17
+    measures, the staged pipeline's decoder, and the error reporter for
+    the CLI (layer-qualified reasons). *)
 
 module Seq : sig
   type t
@@ -171,12 +175,13 @@ module Seq : sig
   val create : plan -> t
 
   val decode : t -> ?off:int -> ?len:int -> string -> (unit, Codec.error) result
-  (** The failing layer's {!View.decode} error with the layer's name
-      prepended to its path; a demux value selecting no next layer or a
-      misaligned payload span is an [Eval_error] on that layer. *)
+  (** The failing layer's {!Codec.decode} error with the layer's name
+      prepended to its path (trailing input included); a demux value
+      selecting no next layer is an [Eval_error] on that layer. *)
 
-  val view : t -> int -> View.t
-  (** Layer [i]'s decoded view after an accepting {!decode}. *)
+  val value : t -> int -> Value.t
+  (** Layer [i]'s decoded value after an accepting {!decode}; read a
+      demanded field with {!Value.find_int_flat}. *)
 
   val layer_off : t -> int -> int
   val layer_len : t -> int -> int

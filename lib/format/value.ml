@@ -38,6 +38,24 @@ let find v name =
   | Variant (_, Record fields) -> List.assoc_opt name fields
   | _ -> None
 
+let find_int_flat v name =
+  let scalar = function
+    | Int x -> Some x
+    | Bool b -> Some (if b then 1L else 0L)
+    | Bytes _ | List _ | Record _ | Variant _ -> None
+  in
+  match v with
+  | Record fields -> (
+    match List.assoc_opt name fields with
+    | Some x -> scalar x
+    | None ->
+      List.find_map
+        (function
+          | _, Variant (_, Record case) -> Option.bind (List.assoc_opt name case) scalar
+          | _ -> None)
+        fields)
+  | _ -> None
+
 let get v name =
   match find v name with
   | Some x -> x

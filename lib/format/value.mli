@@ -37,6 +37,12 @@ val to_record : t -> (string * t) list
 val find : t -> string -> t option
 (** [find record name] looks a field up in a record value. *)
 
+val find_int_flat : t -> string -> int64 option
+(** [find_int_flat record name]: the integer value (a bool as 0/1) of a
+    top-level field, else of a field of a top-level variant's selected
+    case — the flat namespace {!Stack} compiles a variant format to.
+    [None] when no such scalar field is present. *)
+
 val get : t -> string -> t
 val get_int : t -> string -> int
 val get_int64 : t -> string -> int64

@@ -1,61 +1,22 @@
 module B = Netdsl_util.Bitio
 module Ck = Netdsl_util.Checksum
 
-(* Errors are shared with Codec so callers see one decode-error type
-   regardless of which decode path ran. *)
-type error = Codec.error
-
-let fail e = raise (Codec.Error e)
-
-(* Paths are threaded innermost-first during the parse and reversed when
-   an error escapes. *)
-let outward_error = Codec.map_path List.rev
-
 (* ------------------------------------------------------------------ *)
-(* The span table.  One entry per value-bearing field, in wire order; a
-   container's children follow it and [stop] indexes one past its subtree.
-   Entries are pooled and reused across decodes, so the steady-state decode
-   path allocates no per-field values. *)
-
-let k_int = 0 (* scalar; [ival] holds the value (fits an OCaml int) *)
-let k_int_wide = 1 (* scalar > 62 bits; re-read from the span on access *)
-let k_bool = 2 (* [ival] is 0/1 *)
-let k_bytes = 3 (* span only; bytes are extracted lazily *)
-let k_record = 4
-let k_list = 5 (* [ival] is the element count *)
-let k_variant = 6 (* [sval] is the chosen case name *)
-
-type entry = {
-  mutable name : string;
-  mutable kind : int;
-  mutable ival : int;
-  mutable sval : string;
-  mutable voff : int; (* absolute bit offset of the field's span *)
-  mutable vlen : int; (* bit length *)
-  mutable stop : int; (* index one past this entry's subtree *)
-}
-
-let fresh_entry () =
-  { name = ""; kind = 0; ival = 0; sval = ""; voff = 0; vlen = 0; stop = 0 }
-
-(* ------------------------------------------------------------------ *)
-(* Compiled decode plans.  [create] lowers the format descriptor into a
-   flat op array once; the per-packet walk then dispatches on precomputed
-   ops instead of re-interpreting the tree: error paths are consed at
-   compile time, endianness and width classification are baked in, and
-   each op carries booleans saying whether any expression in the format
-   actually references its value or span (so the hot loop records scope
-   bindings only when something will read them). *)
+(* The op lowering.  [Hot.compile] lowers the format descriptor into a
+   flat op array once, then compiles that array into kernels: endianness
+   and width classification are baked in, and each op carries booleans
+   saying whether any expression in the format references its value or
+   span (so only those fields get a register or a span slot). *)
 
 type scalar_check =
   | C_none
-  | C_const of int * int64 (* comparison value, declared value for errors *)
+  | C_const of int (* comparison value; -1 when no narrow read can match *)
   | C_enum of int list (* exhaustive case values that can fit the width *)
 
 type wide_check =
   | W_none
   | W_const of int64
-  | W_enum of (string * int64) list
+  | W_enum of int64 list
 
 type blen =
   | L_fixed of int
@@ -71,7 +32,6 @@ type alen =
 
 type op = {
   o_name : string;
-  o_path : string list; (* innermost-first, ready for [outward_error] *)
   o_val : bool; (* some expression reads this field's value *)
   o_span : bool; (* some expression or checksum region reads its span *)
   o_k : okind;
@@ -91,28 +51,16 @@ and okind =
       constraints : Desc.constr list;
     }
   | K_bool
-  | K_computed of { bits : int; little : bool; endian : Desc.endian; expr : Desc.expr }
+  | K_computed of { bits : int; little : bool; expr : Desc.expr }
   | K_checksum of { alg : Ck.algorithm; bits : int; region : Desc.region }
   | K_bytes of blen
-  | K_array of { length : alen; elem_name : string; elem : op array }
-  | K_record of op array
-  | K_variant of {
-      tag : string;
-      cases : (string * int64 * op array) list;
-      default : op array option;
-    }
+  | K_array of { length : alen; elem : op array }
+  | K_record
+  | K_variant
   | K_padding of int
-  | K_invalid of string (* ill-formed field: fails when reached, as Codec does *)
-
-type t = {
-  fmt : Desc.t;
-  prog : op array;
-  mutable data : string;
-  mutable base_bits : int; (* window start *)
-  mutable msg_bits : int; (* window length *)
-  mutable entries : entry array;
-  mutable n : int;
-}
+  | K_invalid (* ill-formed field (a little-endian width that is not whole
+                 bytes, a terminator-delimited array): Codec rejects every
+                 message that reaches it, and no plan compiles over it *)
 
 let collect_refs (fmt : Desc.t) =
   let vals = ref [] and spans = ref [] in
@@ -154,7 +102,6 @@ let collect_refs (fmt : Desc.t) =
 let needed name l = List.exists (String.equal name) l
 
 let le_bad bits = function Desc.Big -> false | Desc.Little -> bits land 7 <> 0
-let le_bad_reason = "little-endian field width must be whole bytes"
 
 (* A narrow (<= 62 bit) field value is a non-negative immediate int, so
    only declared values in [0, 2^62) can ever match; anything else maps to
@@ -169,37 +116,30 @@ let narrow_enum_cases cases =
     (fun (_, c) -> if fits_narrow c then Some (Int64.to_int c) else None)
     cases
 
-let rec compile_fields ~vn ~sn path (fields : Desc.t_fields) : op array =
-  Array.of_list (List.map (compile_field ~vn ~sn path) fields)
+let rec compile_fields ~vn ~sn (fields : Desc.t_fields) : op array =
+  Array.of_list (List.map (compile_field ~vn ~sn) fields)
 
-and compile_field ~vn ~sn path (f : Desc.field) : op =
-  let path_f = f.name :: path in
-  let mk k =
-    { o_name = f.name;
-      o_path = path_f;
-      o_val = needed f.name vn;
-      o_span = needed f.name sn;
-      o_k = k }
-  in
+and compile_field ~vn ~sn (f : Desc.field) : op =
+  let mk k = { o_name = f.name; o_val = needed f.name vn; o_span = needed f.name sn; o_k = k } in
   match f.ty with
   | Uint { bits; endian } ->
-    if le_bad bits endian then mk (K_invalid le_bad_reason)
+    if le_bad bits endian then mk K_invalid
     else if bits <= 62 then
       mk (K_scalar
             { bits; little = (endian = Desc.Little); check = C_none;
               constraints = f.constraints })
     else mk (K_scalar64 { bits; endian; check = W_none; constraints = f.constraints })
   | Const { bits; endian; value } ->
-    if le_bad bits endian then mk (K_invalid le_bad_reason)
+    if le_bad bits endian then mk K_invalid
     else if bits <= 62 then
       mk (K_scalar
             { bits; little = (endian = Desc.Little);
-              check = C_const (narrow_const value, value);
+              check = C_const (narrow_const value);
               constraints = f.constraints })
     else
       mk (K_scalar64 { bits; endian; check = W_const value; constraints = f.constraints })
   | Enum { bits; endian; cases; exhaustive } ->
-    if le_bad bits endian then mk (K_invalid le_bad_reason)
+    if le_bad bits endian then mk K_invalid
     else if bits <= 62 then
       mk (K_scalar
             { bits; little = (endian = Desc.Little);
@@ -208,12 +148,12 @@ and compile_field ~vn ~sn path (f : Desc.field) : op =
     else
       mk (K_scalar64
             { bits; endian;
-              check = (if exhaustive then W_enum cases else W_none);
+              check = (if exhaustive then W_enum (List.map snd cases) else W_none);
               constraints = f.constraints })
   | Bool_flag -> mk K_bool
   | Computed { bits; endian; expr } ->
-    if le_bad bits endian then mk (K_invalid le_bad_reason)
-    else mk (K_computed { bits; little = (endian = Desc.Little); endian; expr })
+    if le_bad bits endian then mk K_invalid
+    else mk (K_computed { bits; little = (endian = Desc.Little); expr })
   | Checksum { algorithm; region } ->
     mk (K_checksum { alg = algorithm; bits = Ck.width_bits algorithm; region })
   | Bytes spec ->
@@ -226,91 +166,16 @@ and compile_field ~vn ~sn path (f : Desc.field) : op =
     in
     mk (K_bytes spec)
   | Array { elem; length } -> (
-    let elem_ops = compile_fields ~vn ~sn path_f elem.fields in
+    let elem = compile_fields ~vn ~sn elem.fields in
     match length with
-    | Len_fixed n ->
-      mk (K_array { length = A_fixed n; elem_name = elem.format_name; elem = elem_ops })
-    | Len_expr e ->
-      mk (K_array { length = A_expr e; elem_name = elem.format_name; elem = elem_ops })
-    | Len_bytes e ->
-      mk (K_array { length = A_bytes e; elem_name = elem.format_name; elem = elem_ops })
-    | Len_remaining ->
-      mk (K_array
-            { length = A_remaining; elem_name = elem.format_name; elem = elem_ops })
-    | Len_terminated _ -> mk (K_invalid "arrays cannot be terminator-delimited"))
-  | Record sub -> mk (K_record (compile_fields ~vn ~sn path_f sub.fields))
-  | Variant { tag; cases; default } ->
-    mk (K_variant
-          { tag;
-            cases =
-              List.map
-                (fun (cn, v, (sub : Desc.t)) ->
-                  (cn, v, compile_fields ~vn ~sn path_f sub.fields))
-                cases;
-            default =
-              Option.map
-                (fun (sub : Desc.t) -> compile_fields ~vn ~sn path_f sub.fields)
-                default })
+    | Len_fixed n -> mk (K_array { length = A_fixed n; elem })
+    | Len_expr e -> mk (K_array { length = A_expr e; elem })
+    | Len_bytes e -> mk (K_array { length = A_bytes e; elem })
+    | Len_remaining -> mk (K_array { length = A_remaining; elem })
+    | Len_terminated _ -> mk K_invalid)
+  | Record _ -> mk K_record
+  | Variant _ -> mk K_variant
   | Padding { bits } -> mk (K_padding bits)
-
-let create fmt =
-  let vn, sn = collect_refs fmt in
-  {
-    fmt;
-    prog = compile_fields ~vn ~sn [] fmt.Desc.fields;
-    data = "";
-    base_bits = 0;
-    msg_bits = 0;
-    entries = Array.init 16 (fun _ -> fresh_entry ());
-    n = 0;
-  }
-
-let format t = t.fmt
-let raw t = t.data
-let length_bytes t = t.msg_bits / 8
-
-let push t =
-  if t.n >= Array.length t.entries then begin
-    let bigger =
-      Array.init (2 * Array.length t.entries) (fun i ->
-          if i < Array.length t.entries then t.entries.(i) else fresh_entry ())
-    in
-    t.entries <- bigger
-  end;
-  let e = t.entries.(t.n) in
-  t.n <- t.n + 1;
-  e
-
-(* ------------------------------------------------------------------ *)
-(* Scopes: as in Codec, one per record nesting level, shared with deferred
-   checks so a check registered early sees siblings decoded later. *)
-
-type scope = {
-  mutable vals : (string * int64) list;
-  mutable spans : (string * (int * int)) list;
-  parent : scope option;
-}
-
-let new_scope parent = { vals = []; spans = []; parent }
-
-let rec lookup_val scope name =
-  match List.assoc_opt name scope.vals with
-  | Some v -> Some v
-  | None -> ( match scope.parent with None -> None | Some p -> lookup_val p name)
-
-let rec lookup_span scope name =
-  match List.assoc_opt name scope.spans with
-  | Some s -> Some s
-  | None -> ( match scope.parent with None -> None | Some p -> lookup_span p name)
-
-(* ------------------------------------------------------------------ *)
-(* Shared helpers (mirroring Codec's decode side). *)
-
-let check_le_width ~path ~bits = function
-  | Desc.Big -> ()
-  | Desc.Little ->
-    if bits land 7 <> 0 then
-      fail (Eval_error { path; reason = "little-endian field width must be whole bytes" })
 
 let bswap ~bits v =
   let n = bits / 8 in
@@ -324,85 +189,6 @@ let bswap ~bits v =
 let of_wire ~bits ~endian v =
   match endian with Desc.Big -> v | Desc.Little -> bswap ~bits v
 
-let apply_constraints ~path constraints value =
-  let ok = function
-    | Desc.In_range (lo, hi) -> Int64.compare lo value <= 0 && Int64.compare value hi <= 0
-    | Desc.One_of vs -> List.exists (Int64.equal value) vs
-    | Desc.Not_equal v -> not (Int64.equal value v)
-  in
-  List.iter
-    (fun c -> if not (ok c) then fail (Constraint_violation { path; constr = c; value }))
-    constraints
-
-(* Decode-side expression evaluation: every referenced field is concrete. *)
-let rec eval ~path ~msg_bits scope (expr : Desc.expr) =
-  match expr with
-  | Const v -> v
-  | Field name -> (
-    match lookup_val scope name with
-    | Some v -> v
-    | None ->
-      fail (Eval_error { path; reason = Printf.sprintf "unknown field %S in expression" name }))
-  | Byte_len name -> (
-    match lookup_span scope name with
-    | Some (_, bit_len) ->
-      if bit_len land 7 <> 0 then
-        fail (Eval_error
-                { path; reason = Printf.sprintf "len(%s): field is not a whole number of bytes" name })
-      else Int64.of_int (bit_len / 8)
-    | None ->
-      fail (Eval_error { path; reason = Printf.sprintf "len(%s): unknown field" name }))
-  | Msg_len -> Int64.of_int (msg_bits / 8)
-  | Add (a, b) -> Int64.add (eval ~path ~msg_bits scope a) (eval ~path ~msg_bits scope b)
-  | Sub (a, b) -> Int64.sub (eval ~path ~msg_bits scope a) (eval ~path ~msg_bits scope b)
-  | Mul (a, b) -> Int64.mul (eval ~path ~msg_bits scope a) (eval ~path ~msg_bits scope b)
-  | Div (a, b) ->
-    let d = eval ~path ~msg_bits scope b in
-    if Int64.equal d 0L then fail (Eval_error { path; reason = "division by zero" })
-    else Int64.div (eval ~path ~msg_bits scope a) d
-
-let region_bits ~path ~base_bits ~msg_bits scope region ~own_span:(ooff, olen)
-    ~record_end =
-  match (region : Desc.region) with
-  | Desc.Region_message -> (base_bits, msg_bits)
-  | Desc.Region_rest ->
-    let stop = !record_end in
-    (ooff + olen, stop - (ooff + olen))
-  | Desc.Region_span (a, b) -> (
-    match (List.assoc_opt a scope.spans, List.assoc_opt b scope.spans) with
-    | Some (aoff, _), Some (boff, blen) ->
-      if boff + blen < aoff then
-        fail (Eval_error { path; reason = Printf.sprintf "empty checksum span %s .. %s" a b })
-      else (aoff, boff + blen - aoff)
-    | None, _ ->
-      fail (Eval_error { path; reason = Printf.sprintf "checksum span: unknown field %S" a })
-    | _, None ->
-      fail (Eval_error { path; reason = Printf.sprintf "checksum span: unknown field %S" b }))
-
-(* The checksum of a region with the field's own bits read as zero —
-   computed in place over the message, no copy. *)
-let compute_checksum ~path ~algorithm ~data ~region_bits:(roff, rlen)
-    ~own_span:(ooff, olen) =
-  if roff land 7 <> 0 || rlen land 7 <> 0 then
-    fail (Eval_error { path; reason = "checksum region is not byte-aligned" });
-  Ck.compute_zeroed algorithm ~off:(roff / 8) ~len:(rlen / 8) ~zero_bit_off:ooff
-    ~zero_bit_len:olen data
-
-(* ------------------------------------------------------------------ *)
-(* Decoding *)
-
-type ctx = {
-  view : t;
-  mutable deferred : (unit -> unit) list; (* run (in order) after the parse *)
-}
-
-let with_io path f = try f () with B.Error e -> fail (Io { path; error = e })
-
-let read_int ~path r ~bits ~endian =
-  check_le_width ~path ~bits endian;
-  let raw = with_io path (fun () -> B.Reader.read_bits r ~width:bits) in
-  of_wire ~bits ~endian raw
-
 (* Native-int byte swap for whole-byte widths up to 62 bits. *)
 let bswap_int ~bits v =
   let n = bits lsr 3 in
@@ -411,433 +197,6 @@ let bswap_int ~bits v =
     r := (!r lsl 8) lor ((v lsr (8 * i)) land 0xFF)
   done;
   !r
-
-let max_len64 = Int64.of_int Sys.max_string_length
-
-let positive_len ~path n =
-  if Int64.compare n 0L < 0 then
-    fail (Length_mismatch { path; expected = 0L; actual = n })
-  else if Int64.compare n max_len64 > 0 then
-    fail (Eval_error { path; reason = "length expression absurdly large" })
-  else Int64.to_int n
-
-(* Same checks for lengths fixed in the descriptor, without boxing. *)
-let check_count ~path n =
-  if n < 0 then
-    fail (Length_mismatch { path; expected = 0L; actual = Int64.of_int n })
-  else if n > Sys.max_string_length then
-    fail (Eval_error { path; reason = "length expression absurdly large" })
-  else n
-
-let endian_flag = function Desc.Big -> 0 | Desc.Little -> 1
-let flag_endian = function 0 -> Desc.Big | _ -> Desc.Little
-
-(* On pool reuse the slot already holds this field's name; skipping the
-   store skips a write barrier per field. *)
-let set_name (e : entry) name = if e.name != name then e.name <- name
-
-let set_scalar_int ctx name ~start ~bits v =
-  let e = push ctx.view in
-  set_name e name;
-  e.voff <- start;
-  e.vlen <- bits;
-  e.kind <- k_int;
-  e.ival <- v;
-  e.stop <- ctx.view.n
-
-let set_scalar ctx name ~start ~bits ~endian v =
-  let e = push ctx.view in
-  e.name <- name;
-  e.voff <- start;
-  e.vlen <- bits;
-  if bits <= 62 then begin
-    e.kind <- k_int;
-    e.ival <- Int64.to_int v
-  end
-  else begin
-    e.kind <- k_int_wide;
-    e.ival <- endian_flag endian
-  end;
-  e.stop <- ctx.view.n
-
-(* The compiled-plan interpreter.  One op per field; [o_path] and the
-   classification work were done at compile time, so the per-packet cost
-   of a scalar field is a bounds-checked read, the optional value check,
-   and a pooled entry store. *)
-let rec run_prog ctx scope (prog : op array) r =
-  let record_end = ref 0 in
-  for i = 0 to Array.length prog - 1 do
-    run_op ctx scope record_end (Array.unsafe_get prog i) r
-  done;
-  record_end := B.Reader.bit_pos r
-
-and run_op ctx scope record_end (op : op) r =
-  let start = B.Reader.bit_pos r in
-  (match op.o_k with
-  | K_scalar s ->
-    let v =
-      match B.Reader.read_bits_int r ~width:s.bits with
-      | v -> if s.little then bswap_int ~bits:s.bits v else v
-      | exception B.Error e -> fail (Io { path = op.o_path; error = e })
-    in
-    (match s.check with
-    | C_none -> ()
-    | C_const (c, declared) ->
-      if v <> c then
-        fail
-          (Const_mismatch
-             { path = op.o_path; expected = declared; actual = Int64.of_int v })
-    | C_enum cs ->
-      if not (List.exists (fun (c : int) -> c = v) cs) then
-        fail (Enum_unknown { path = op.o_path; value = Int64.of_int v }));
-    if s.constraints <> [] then
-      apply_constraints ~path:op.o_path s.constraints (Int64.of_int v);
-    if op.o_val then scope.vals <- (op.o_name, Int64.of_int v) :: scope.vals;
-    set_scalar_int ctx op.o_name ~start ~bits:s.bits v
-  | K_scalar64 s ->
-    let v = read_int ~path:op.o_path r ~bits:s.bits ~endian:s.endian in
-    (match s.check with
-    | W_none -> ()
-    | W_const c ->
-      if not (Int64.equal v c) then
-        fail (Const_mismatch { path = op.o_path; expected = c; actual = v })
-    | W_enum cases ->
-      if not (List.exists (fun (_, c) -> Int64.equal c v) cases) then
-        fail (Enum_unknown { path = op.o_path; value = v }));
-    apply_constraints ~path:op.o_path s.constraints v;
-    if op.o_val then scope.vals <- (op.o_name, v) :: scope.vals;
-    set_scalar ctx op.o_name ~start ~bits:s.bits ~endian:s.endian v
-  | K_bool ->
-    let b =
-      match B.Reader.read_bit r with
-      | b -> b
-      | exception B.Error e -> fail (Io { path = op.o_path; error = e })
-    in
-    if op.o_val then scope.vals <- (op.o_name, if b then 1L else 0L) :: scope.vals;
-    let e = push ctx.view in
-    set_name e op.o_name;
-    e.kind <- k_bool;
-    e.ival <- (if b then 1 else 0);
-    e.voff <- start;
-    e.vlen <- 1;
-    e.stop <- ctx.view.n
-  | K_computed c ->
-    if c.bits <= 62 then begin
-      let v =
-        match B.Reader.read_bits_int r ~width:c.bits with
-        | i -> if c.little then bswap_int ~bits:c.bits i else i
-        | exception B.Error e -> fail (Io { path = op.o_path; error = e })
-      in
-      if op.o_val then scope.vals <- (op.o_name, Int64.of_int v) :: scope.vals;
-      ctx.deferred <-
-        (fun () ->
-          let expected =
-            eval ~path:op.o_path ~msg_bits:ctx.view.msg_bits scope c.expr
-          in
-          if not (Int64.equal expected (Int64.of_int v)) then
-            fail
-              (Computed_mismatch
-                 { path = op.o_path; expected; actual = Int64.of_int v }))
-        :: ctx.deferred;
-      set_scalar_int ctx op.o_name ~start ~bits:c.bits v
-    end
-    else begin
-      let v = read_int ~path:op.o_path r ~bits:c.bits ~endian:c.endian in
-      if op.o_val then scope.vals <- (op.o_name, v) :: scope.vals;
-      ctx.deferred <-
-        (fun () ->
-          let expected =
-            eval ~path:op.o_path ~msg_bits:ctx.view.msg_bits scope c.expr
-          in
-          if not (Int64.equal expected v) then
-            fail (Computed_mismatch { path = op.o_path; expected; actual = v }))
-        :: ctx.deferred;
-      set_scalar ctx op.o_name ~start ~bits:c.bits ~endian:c.endian v
-    end
-  | K_checksum c ->
-    let v =
-      match B.Reader.read_bits_int r ~width:c.bits with
-      | v -> v
-      | exception B.Error e -> fail (Io { path = op.o_path; error = e })
-    in
-    let own_span = (start, c.bits) in
-    ctx.deferred <-
-      (fun () ->
-        let rbits =
-          region_bits ~path:op.o_path ~base_bits:ctx.view.base_bits
-            ~msg_bits:ctx.view.msg_bits scope c.region ~own_span ~record_end
-        in
-        let expected =
-          compute_checksum ~path:op.o_path ~algorithm:c.alg ~data:ctx.view.data
-            ~region_bits:rbits ~own_span
-        in
-        if not (Int64.equal expected (Int64.of_int v)) then
-          fail
-            (Checksum_mismatch
-               { path = op.o_path; expected; actual = Int64.of_int v }))
-      :: ctx.deferred;
-    if op.o_val then scope.vals <- (op.o_name, Int64.of_int v) :: scope.vals;
-    set_scalar_int ctx op.o_name ~start ~bits:c.bits v
-  | K_bytes spec ->
-    let e = push ctx.view in
-    set_name e op.o_name;
-    e.kind <- k_bytes;
-    (match spec with
-    | L_terminated terminator ->
-      (* Consume whole bytes until (and including) the terminator; the
-         recorded span excludes it. *)
-      let rec scan () =
-        let b =
-          match B.Reader.read_uint8 r with
-          | b -> b
-          | exception B.Error err -> fail (Io { path = op.o_path; error = err })
-        in
-        if b <> terminator then scan ()
-      in
-      scan ();
-      e.voff <- start;
-      e.vlen <- B.Reader.bit_pos r - start - 8
-    | L_fixed _ | L_expr _ | L_remaining ->
-      let n =
-        match spec with
-        | L_remaining ->
-          let rem = B.Reader.bits_remaining r in
-          if rem land 7 <> 0 then
-            fail
-              (Eval_error
-                 { path = op.o_path;
-                   reason = "remaining input is not a whole number of bytes" })
-          else rem / 8
-        | L_fixed n -> check_count ~path:op.o_path n
-        | L_expr le ->
-          positive_len ~path:op.o_path
-            (eval ~path:op.o_path ~msg_bits:ctx.view.msg_bits scope le)
-        | L_terminated _ -> assert false
-      in
-      (match B.Reader.skip_bits r (n * 8) with
-      | () -> ()
-      | exception B.Error err -> fail (Io { path = op.o_path; error = err }));
-      e.voff <- start;
-      e.vlen <- n * 8);
-    e.stop <- ctx.view.n
-  | K_array a ->
-    let e = push ctx.view in
-    set_name e op.o_name;
-    e.kind <- k_list;
-    e.voff <- start;
-    let count = ref 0 in
-    let decode_elem sub_r =
-      incr count;
-      let ee = push ctx.view in
-      set_name ee a.elem_name;
-      ee.kind <- k_record;
-      ee.voff <- B.Reader.bit_pos sub_r;
-      let child = new_scope (Some scope) in
-      run_prog ctx child a.elem sub_r;
-      ee.vlen <- B.Reader.bit_pos sub_r - ee.voff;
-      ee.stop <- ctx.view.n
-    in
-    (match a.length with
-    | A_fixed n ->
-      let n = check_count ~path:op.o_path n in
-      for _ = 1 to n do
-        decode_elem r
-      done
-    | A_expr le ->
-      let n =
-        positive_len ~path:op.o_path
-          (eval ~path:op.o_path ~msg_bits:ctx.view.msg_bits scope le)
-      in
-      for _ = 1 to n do
-        decode_elem r
-      done
-    | A_bytes le ->
-      let nbytes =
-        positive_len ~path:op.o_path
-          (eval ~path:op.o_path ~msg_bits:ctx.view.msg_bits scope le)
-      in
-      let w =
-        match B.Reader.sub_window r ~bit_len:(nbytes * 8) with
-        | w -> w
-        | exception B.Error err -> fail (Io { path = op.o_path; error = err })
-      in
-      while not (B.Reader.at_end w) do
-        decode_elem w
-      done
-    | A_remaining ->
-      while not (B.Reader.at_end r) do
-        decode_elem r
-      done);
-    e.ival <- !count;
-    e.vlen <- B.Reader.bit_pos r - start;
-    e.stop <- ctx.view.n
-  | K_record body ->
-    let e = push ctx.view in
-    set_name e op.o_name;
-    e.kind <- k_record;
-    e.voff <- start;
-    let child = new_scope (Some scope) in
-    run_prog ctx child body r;
-    e.vlen <- B.Reader.bit_pos r - start;
-    e.stop <- ctx.view.n
-  | K_variant vr ->
-    let tag_value =
-      match lookup_val scope vr.tag with
-      | Some v -> v
-      | None ->
-        fail
-          (Eval_error
-             { path = op.o_path;
-               reason = Printf.sprintf "variant tag %S not in scope" vr.tag })
-    in
-    let e = push ctx.view in
-    set_name e op.o_name;
-    e.kind <- k_variant;
-    e.voff <- start;
-    let body case_name sub =
-      if e.sval != case_name then e.sval <- case_name;
-      let child = new_scope (Some scope) in
-      run_prog ctx child sub r
-    in
-    (match List.find_opt (fun (_, v, _) -> Int64.equal v tag_value) vr.cases with
-    | Some (case_name, _, sub) -> body case_name sub
-    | None -> (
-      match vr.default with
-      | Some sub -> body "default" sub
-      | None -> fail (Variant_unknown_tag { path = op.o_path; value = tag_value })));
-    e.vlen <- B.Reader.bit_pos r - start;
-    e.stop <- ctx.view.n
-  | K_padding bits -> (
-    match B.Reader.skip_bits r bits with
-    | () -> ()
-    | exception B.Error e -> fail (Io { path = op.o_path; error = e }))
-  | K_invalid reason -> fail (Eval_error { path = op.o_path; reason }));
-  if op.o_span then
-    scope.spans <- (op.o_name, (start, B.Reader.bit_pos r - start)) :: scope.spans
-
-let decode ?(allow_trailing = false) t ?(off = 0) ?len data =
-  let len =
-    match len with
-    | None -> String.length data - off
-    | Some l -> l
-  in
-  if off < 0 || len < 0 || off + len > String.length data then
-    invalid_arg "View.decode: window out of bounds";
-  t.data <- data;
-  t.base_bits <- off * 8;
-  t.msg_bits <- len * 8;
-  t.n <- 0;
-  match
-    let r = B.Reader.of_string ~bit_off:(off * 8) ~bit_len:(len * 8) data in
-    let ctx = { view = t; deferred = [] } in
-    let scope = new_scope None in
-    run_prog ctx scope t.prog r;
-    List.iter (fun check -> check ()) (List.rev ctx.deferred);
-    let rem = B.Reader.bits_remaining r in
-    let padding_only () =
-      rem < 8 && Int64.equal (B.Reader.read_bits r ~width:rem) 0L
-    in
-    if (not allow_trailing) && rem > 0 && not (padding_only ()) then
-      fail (Trailing_input { bits = rem })
-  with
-  | () -> Ok ()
-  | exception Codec.Error e ->
-    t.n <- 0;
-    Result.Error (outward_error e)
-
-let of_string ?allow_trailing fmt data =
-  let t = create fmt in
-  match decode ?allow_trailing t data with
-  | Ok () -> Ok t
-  | Error e -> Result.Error e
-
-(* ------------------------------------------------------------------ *)
-(* Access *)
-
-let reread_int t (e : entry) =
-  let r = B.Reader.of_string ~bit_off:e.voff ~bit_len:e.vlen t.data in
-  of_wire ~bits:e.vlen ~endian:(flag_endian e.ival) (B.Reader.read_bits r ~width:e.vlen)
-
-let entry_int t (e : entry) =
-  if e.kind = k_int || e.kind = k_bool then Int64.of_int e.ival
-  else if e.kind = k_int_wide then reread_int t e
-  else invalid_arg (Printf.sprintf "View: field %S is not a scalar" e.name)
-
-let extract_bytes t ~bit_off ~bit_len =
-  if bit_len land 7 = 0 && bit_off land 7 = 0 then
-    String.sub t.data (bit_off / 8) (bit_len / 8)
-  else begin
-    let r = B.Reader.of_string ~bit_off ~bit_len t.data in
-    String.init (bit_len / 8) (fun _ -> Char.chr (B.Reader.read_uint8 r))
-  end
-
-let entry_bytes t (e : entry) =
-  if e.kind = k_bytes then extract_bytes t ~bit_off:e.voff ~bit_len:e.vlen
-  else invalid_arg (Printf.sprintf "View: field %S is not bytes" e.name)
-
-(* A top-level field, else a field of a top-level variant's selected
-   case — where {!Stack}'s variant flattening puts it. *)
-let find_entry t name =
-  let rec go ~cases i =
-    if i >= t.n then None
-    else
-      let e = t.entries.(i) in
-      if String.equal e.name name then Some e
-      else go ~cases (if cases && e.kind = k_variant then i + 1 else e.stop)
-  in
-  match go ~cases:false 0 with None -> go ~cases:true 0 | found -> found
-
-let get_entry t name =
-  match find_entry t name with
-  | Some e -> e
-  | None -> invalid_arg (Printf.sprintf "View: no top-level field %S" name)
-
-let find_int t name = Option.map (entry_int t) (find_entry t name)
-let get_int t name = entry_int t (get_entry t name)
-let get_bool t name = (get_entry t name).ival <> 0
-let get_bytes t name = entry_bytes t (get_entry t name)
-
-let find_span t name =
-  match find_entry t name with
-  | Some e when e.kind = k_bytes -> Some (e.voff, e.vlen)
-  | Some _ | None -> None
-
-let variant_case t name =
-  match find_entry t name with
-  | Some e when e.kind = k_variant -> Some e.sval
-  | Some _ | None -> None
-
-(* ------------------------------------------------------------------ *)
-(* Materialization: rebuild the Value.t that Codec.decode would have
-   produced (used by the equivalence tests and by callers that want to
-   leave the zero-copy world). *)
-
-let to_value t =
-  (* Consumes entries [i, stop) of a record body, returning the fields. *)
-  let rec fields i stop =
-    if i >= stop then []
-    else
-      let e = t.entries.(i) in
-      (e.name, value_at i) :: fields e.stop stop
-  and value_at i =
-    let e = t.entries.(i) in
-    if e.kind = k_int || e.kind = k_int_wide then Value.Int (entry_int t e)
-    else if e.kind = k_bool then Value.Bool (e.ival <> 0)
-    else if e.kind = k_bytes then Value.Bytes (entry_bytes t e)
-    else if e.kind = k_record then Value.Record (fields (i + 1) e.stop)
-    else if e.kind = k_list then begin
-      let rec elems i stop =
-        if i >= stop then []
-        else
-          let ee = t.entries.(i) in
-          Value.Record (fields (i + 1) ee.stop) :: elems ee.stop stop
-      in
-      Value.List (elems (i + 1) e.stop)
-    end
-    else (* k_variant *)
-      Value.Variant (e.sval, Value.Record (fields (i + 1) e.stop))
-  in
-  Value.Record (fields 0 t.n)
 
 (* ------------------------------------------------------------------ *)
 (* Key extraction: a precompiled reader for a scalar field that sits at a
@@ -912,10 +271,10 @@ let extract_key_int ke ?(off = 0) data =
 (* ------------------------------------------------------------------ *)
 (* Hot: the compiled fast path for linear formats.
 
-   [Hot.compile] lowers the same op array a second time, into a chain of
-   specialised closures — kernels — over preallocated native-int
-   register and span files: no [View.t] entry table, no scope assoc
-   lists, no per-packet dispatch on the field kind, no reader record.
+   [Hot.compile] lowers the op array into a chain of specialised
+   closures — kernels — over preallocated native-int register and span
+   files: no value tree, no scope assoc lists, no per-packet dispatch on
+   the field kind, no reader record.
    Every field whose bit offset does not depend on the packet is resolved
    to a constant offset inside the window:
 
@@ -932,11 +291,11 @@ let extract_key_int ke ?(off = 0) data =
    - computed and checksum checks run after the parse, in parse order,
      over the same constants.
 
-   Every check the interpreted decoder performs is preserved (constants,
-   enum exhaustiveness, constraints, computed fields, checksums, trailing
-   bits), only collapsed to a verdict: the accept set is exactly
-   [View.decode]'s, which the differential oracle enforces over the
-   corpus and fuzz mutants.  A successful steady-state [run] allocates
+   Every check the reference decoder [Codec.decode] performs is preserved
+   (constants, enum exhaustiveness, constraints, computed fields,
+   checksums, trailing bits), only collapsed to a verdict: the accept set
+   is exactly [Codec.decode]'s, which the differential oracle enforces
+   over the corpus and fuzz mutants.  A successful steady-state [run] allocates
    nothing.
 
    Only formats whose top level is a straight line of scalar-ish fields
@@ -1043,7 +402,7 @@ module Hot = struct
     in
     (match check with
     | C_none -> ()
-    | C_const (c, _) -> if c < 0 then meet 1 0 else meet c c
+    | C_const c -> if c < 0 then meet 1 0 else meet c c
     | C_enum cs -> (
       match List.sort_uniq compare cs with
       | [] -> meet 1 0
@@ -1186,7 +545,7 @@ module Hot = struct
     let vn, sn = collect_refs fmt in
     let vn = List.sort_uniq compare (demand @ vn) in
     let sn = List.sort_uniq compare (span_demand @ sn) in
-    let ops = compile_fields ~vn ~sn [] fmt.Desc.fields in
+    let ops = compile_fields ~vn ~sn fmt.Desc.fields in
     let nops = Array.length ops in
     let err = ref None in
     let fail_ msg = if !err = None then err := Some msg in
@@ -1218,7 +577,7 @@ module Hot = struct
       ops;
     (* slot assignment; binding lists are consed newest-first so the first
        match below a cutoff is the latest earlier binding, mirroring scope
-       shadowing in the interpreted decoder *)
+       shadowing in [Codec.decode] *)
     let nregs = ref 0 and nspans = ref 0 and npos = ref 0 in
     let fresh r =
       let s = !r in
@@ -1238,9 +597,9 @@ module Hot = struct
           | Some _, (A_bytes _ | A_remaining) ->
             fail_ (Printf.sprintf "field %S is a list without an element count" op.o_name)
           | Some _, (A_fixed _ | A_expr _) -> ())
-        | K_record _ -> fail_ (Printf.sprintf "field %S is a nested record" op.o_name)
-        | K_variant _ -> fail_ (Printf.sprintf "field %S is a variant" op.o_name)
-        | K_invalid _ -> fail_ (Printf.sprintf "field %S is invalid" op.o_name)
+        | K_record -> fail_ (Printf.sprintf "field %S is a nested record" op.o_name)
+        | K_variant -> fail_ (Printf.sprintf "field %S is a variant" op.o_name)
+        | K_invalid -> fail_ (Printf.sprintf "field %S is invalid" op.o_name)
         | K_scalar64 _ when op.o_val ->
           fail_ "a wide (> 62 bit) field value is referenced"
         | K_computed c when c.bits > 62 -> fail_ "wide computed field"
@@ -1346,8 +705,8 @@ module Hot = struct
         match lookup_reg ~before name with
         | Some (slot, w) -> (E_fun (fun _ -> Array.unsafe_get regs slot), 0., ldexp 1. w -. 1.)
         | None ->
-          (* the interpreted eval fails with "unknown field" exactly when
-             this expression is evaluated: same verdict, same moment *)
+          (* Codec's eval fails with "unknown field" exactly when this
+             expression is evaluated: same verdict, same moment *)
           (reject_exp, 0., 0.))
       | Desc.Byte_len name -> (
         match lookup_span ~before name with
@@ -1409,8 +768,8 @@ module Hot = struct
       | Static o, Some w -> (o + w, -1)
       | _ -> (0, slot)
     in
-    (* deferred checks, in parse order, exactly as the interpreted decoder
-       replays its deferred list; then the trailing-bits check *)
+    (* deferred checks, in parse order, exactly as [Codec.decode] replays
+       its deferred list; then the trailing-bits check *)
     let trailing : kernel =
      fun d ->
       let p = c.pos in
@@ -1563,7 +922,7 @@ module Hot = struct
           | W_none -> ()
           | W_const k -> if not (Int64.equal v k) then raise Reject
           | W_enum cases ->
-            if not (List.exists (fun (_, k) -> Int64.equal k v) cases) then
+            if not (List.exists (Int64.equal v) cases) then
               raise Reject);
           List.iter (fun k -> if not (wcon_ok k v) then raise Reject) w.constraints;
           if not st then c.pos <- start + w.bits;
@@ -1647,7 +1006,7 @@ module Hot = struct
               done;
             land_at start (start + (n * stride));
             next d)
-      | K_array _ | K_record _ | K_variant _ | K_invalid _ -> next
+      | K_array _ | K_record | K_variant | K_invalid -> next
     in
     for i = nops - 1 downto 0 do
       chain := record_span i (field_kernel i ops.(i) !chain)

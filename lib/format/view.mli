@@ -1,78 +1,18 @@
-(** Zero-copy validating decode.
+(** Compiled decoding: the one compiled form of a format's decoder.
 
-    [View] parses and validates a message exactly as {!Codec.decode} does —
-    constants, enum exhaustiveness, constraints, computed fields, checksums,
-    trailing input — but records only a table of field {e spans} (bit
-    offset / length windows into the original buffer) instead of building a
-    {!Value.t} tree.  No region is copied during validation: checksums are
-    computed in place with {!Netdsl_util.Checksum.compute_zeroed}, and
-    payload bytes are extracted lazily, only when a caller asks for them.
-
-    The validation guarantee is unchanged: {!decode} returns [Ok] only after
-    {e every} check has passed, so no field of an unverified packet is ever
-    surfaced ("no processing occurs on unverified packets", paper §3.4).
-    The equivalence property tests in [test/test_view.ml] assert that a
-    view decode accepts/rejects exactly when the allocating codec does, with
-    identical field values.
-
-    A [t] is a {e reusable} decoder: allocate once, call {!decode} per
-    packet.  In steady state the hot path allocates only small scope
-    bookkeeping, never per-field values — this is the engine's fast path. *)
-
-type error = Codec.error
-(** Shared with {!Codec} so both decode paths report one error type. *)
-
-type t
-(** A reusable decoder and, after a successful {!decode}, a view of the
-    last message.  Accessors are only meaningful after [decode] returned
-    [Ok]; a subsequent [decode] invalidates the previous view. *)
-
-val create : Desc.t -> t
-val format : t -> Desc.t
-
-val decode :
-  ?allow_trailing:bool -> t -> ?off:int -> ?len:int -> string -> (unit, error) result
-(** [decode t data] parses and validates [data] (or the byte window
-    [data.(off .. off+len-1)]) against [format t].  Same semantics and
-    acceptance as {!Codec.decode}, including [allow_trailing]. *)
-
-val of_string : ?allow_trailing:bool -> Desc.t -> string -> (t, error) result
-(** One-shot convenience: [create] + [decode]. *)
-
-(** {2 Field access}
-
-    All lookups address fields by name: a top-level field, or else a
-    field of a top-level variant's selected case (the flat namespace
-    {!Stack} compiles a variant format to).  [get_*] raise
-    [Invalid_argument] on a missing field or a kind mismatch. *)
-
-val get_int : t -> string -> int64
-(** Scalar fields: uint, const, enum, computed, checksum (bool as 0/1). *)
-
-val find_int : t -> string -> int64 option
-val get_bool : t -> string -> bool
-
-val get_bytes : t -> string -> string
-(** Copies the payload out of the underlying buffer — the only point at
-    which bytes are materialised. *)
-
-val find_span : t -> string -> (int * int) option
-(** [(bit_off, bit_len)] of a bytes field's content within {!raw} — the
-    true zero-copy access path. *)
-
-val variant_case : t -> string -> string option
-(** The selected case name of a variant field ("default" for the default
-    arm). *)
-
-val raw : t -> string
-(** The buffer the last decode ran over. *)
-
-val length_bytes : t -> int
-(** Size of the decoded window in bytes. *)
-
-val to_value : t -> Value.t
-(** Materialise the full {!Value.t} the allocating codec would have
-    produced (leaves the zero-copy world; used by the equivalence tests). *)
+    {!Codec.decode} is the reference decoder: it defines which messages a
+    format accepts and what their fields hold.  This module compiles a
+    format into the fast paths the engine runs per packet — {!Hot}, a
+    chain of static-offset kernels that validates a message in place and
+    leaves the demanded fields in native-int registers, and the flow-key
+    extractor that steers a packet without decoding it.  {!Hot}'s accept
+    set is defined as {!Codec.decode}'s: it performs every check the codec
+    does (constants, enum exhaustiveness, constraints, computed fields,
+    checksums, trailing input) and only collapses the error detail to a
+    boolean verdict.  The differential oracle ([Netdsl_check.Oracle])
+    diffs the two verdict- and register-exact over the corpus and fuzz
+    mutants; no field of an unverified packet is ever surfaced ("no
+    processing occurs on unverified packets", paper §3.4). *)
 
 (** {2 Flow keys}
 
@@ -114,7 +54,7 @@ val extract_key_int : key_extractor -> ?off:int -> string -> int
 
 (** {2 Fused hot-path decode}
 
-    A second lowering of the same compiled plan, for {e linear} formats
+    The compiled plan of a {e linear} format
     (straight-line top level: no records or variants, and arrays only
     when counted — a fixed count or a count expression — over fixed-size
     records of scalars, whose checks compile once and run at every
@@ -131,8 +71,8 @@ val extract_key_int : key_extractor -> ?off:int -> string -> int
     checks run after the parse over the same constants.  Demanded fields
     land in preallocated native-int registers, and a steady-state
     {!Hot.run} allocates nothing.  The accept
-    set is exactly {!decode}'s (the differential oracle enforces this);
-    only the error detail is collapsed to a boolean verdict.  Formats or
+    set is exactly {!Codec.decode}'s (the differential oracle enforces
+    this); only the error detail is collapsed to a boolean verdict.  Formats or
     demands the lowering cannot prove native-int-exact return [Error]
     naming the refused field. *)
 
@@ -159,7 +99,7 @@ module Hot : sig
 
   val run : t -> ?off:int -> ?len:int -> string -> bool
   (** Parse and fully validate one message; [true] exactly when
-      {!View.decode} would return [Ok].  Steady state allocates nothing. *)
+      {!Codec.decode} would return [Ok].  Steady state allocates nothing. *)
 
   val run_window : t -> off:int -> len:int -> string -> bool
   (** {!run} with both bounds required: per-packet callers use this so

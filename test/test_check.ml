@@ -76,14 +76,15 @@ let fuzz_case (name, fmt) =
            <> stats.Ck.Fuzz.ws_mutants
         then Alcotest.fail "accept/reject split does not sum to total")
 
-(* The seeded-bug sanity check of the acceptance criteria: inverting the
-   view's accept verdict must be caught and shrunk to a small repro. *)
+(* The seeded-bug sanity check [netdsl fuzz --plant-bug] runs on a format:
+   inverting the compiled plan's accept verdict must be caught and shrunk
+   to a small, committable repro. *)
 let planted_wire_bug () =
   match
-    Ck.Fuzz.run_format ~bug:Ck.Oracle.Invert_view_accept
+    Ck.Fuzz.run_format ~bug:Ck.Oracle.Invert_flight_accept
       ~golden:(golden Fm.Arq.format) ~seed ~iters:50 Fm.Arq.format
   with
-  | Ok _ -> Alcotest.fail "planted view bug not caught"
+  | Ok _ -> Alcotest.fail "planted bug not caught"
   | Error (Ck.Report.Trace _) -> Alcotest.fail "wire bug reported as trace"
   | Error (Ck.Report.Wire { w_bytes; _ } as r) ->
     if String.length w_bytes > 64 then
@@ -101,26 +102,30 @@ let planted_wire_bug () =
         then Alcotest.failf "repro missing %S line:\n%s" needle rendered)
       [ "FUZZ DISAGREEMENT"; "format:"; "seed:"; "check:"; "input:"; "detail:" ]
 
-(* Same sanity check for the fused leg: inverting the fused decoder's
-   accept verdict must be caught by the "flight" comparison and shrunk —
-   proof the new leg can catch a fusion bug. *)
+(* The fused leg runs every format's compiled plan — a linear one and a
+   variant format's flattened case plans alike: inverting its accept
+   verdict must be caught by the "flight" comparison and shrunk. *)
 let planted_flight_bug () =
-  match
-    Ck.Fuzz.run_format ~bug:Ck.Oracle.Invert_flight_accept
-      ~golden:(golden Fm.Arq.format) ~seed ~iters:50 Fm.Arq.format
-  with
-  | Ok _ -> Alcotest.fail "planted fusion bug not caught"
-  | Error (Ck.Report.Trace _) -> Alcotest.fail "fusion bug reported as trace"
-  | Error (Ck.Report.Wire { w_check; w_bytes; _ }) ->
-    Alcotest.(check string) "caught by the flight leg" "flight" w_check;
-    if String.length w_bytes > 64 then
-      Alcotest.failf "repro not shrunk: %d bytes" (String.length w_bytes)
+  List.iter
+    (fun fmt ->
+      let name = fmt.Netdsl_format.Desc.format_name in
+      match
+        Ck.Fuzz.run_format ~bug:Ck.Oracle.Invert_flight_accept ~golden:(golden fmt) ~seed
+          ~iters:50 fmt
+      with
+      | Ok _ -> Alcotest.failf "planted fusion bug not caught on %s" name
+      | Error (Ck.Report.Trace _) -> Alcotest.fail "fusion bug reported as trace"
+      | Error (Ck.Report.Wire { w_check; w_bytes; _ }) ->
+        Alcotest.(check string) (name ^ " caught by the flight leg") "flight" w_check;
+        if String.length w_bytes > 64 then
+          Alcotest.failf "%s: repro not shrunk: %d bytes" name (String.length w_bytes))
+    [ Fm.Arq.format; Fm.Icmp.format; Fm.Tftp.format ]
 
 (* Determinism: the same (seed, iters) must find the same repro, ops
    included — that is what makes a dump committable. *)
 let planted_bug_deterministic () =
   let run () =
-    Ck.Fuzz.run_format ~bug:Ck.Oracle.Invert_view_accept
+    Ck.Fuzz.run_format ~bug:Ck.Oracle.Invert_flight_accept
       ~golden:(golden Fm.Arq.format) ~seed ~iters:50 Fm.Arq.format
   in
   match (run (), run ()) with
@@ -334,17 +339,18 @@ let generated_chain_replies (name, stack) =
       check_replies name o pkts)
 
 (* The planted specialiser bug — one static-offset load one byte late in
-   every compiled plan — must be caught by the fused leg on a format (a
-   linear one, ICMP's one-layer variant plan, and sensor_report's counted
-   array), the chain leg on a stack, and the stacked-reply leg on its
-   own. *)
+   every compiled plan — must be caught on a format (a linear one, ICMP's
+   and TFTP's flattened variant case plans, and sensor_report's counted
+   array) by the register-by-register comparison against the codec
+   ("flight"), before the fused pipeline leg sees the packet; by the
+   chain leg on a stack; and by the stacked-reply leg on its own. *)
 let planted_specialiser_bug () =
-  let sensor =
+  let spec_format file name =
     Option.get
       (Netdsl_lang.Parser.find_format
          (Netdsl_lang.Parser.parse_string_exn
-            (In_channel.with_open_bin (Testutil.spec_path "sensor.ndsl") In_channel.input_all))
-         "sensor_report")
+            (In_channel.with_open_bin (Testutil.spec_path file) In_channel.input_all))
+         name)
   in
   List.iter
     (fun fmt ->
@@ -353,11 +359,11 @@ let planted_specialiser_bug () =
       | Ok _ -> Alcotest.failf "planted specialiser bug not caught on %s" name
       | Error (Ck.Report.Trace _) -> Alcotest.fail "reported as a trace"
       | Error (Ck.Report.Wire { w_check; _ }) ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s caught by the fused leg (%s)" name w_check)
-          true
-          (w_check = "flight" || w_check = "fused"))
-    [ Fm.Arq.format; Fm.Icmp.format; sensor ];
+        Alcotest.(check string) (name ^ " caught by the value leg") "flight" w_check)
+    [ Fm.Arq.format;
+      Fm.Icmp.format;
+      spec_format "tftp.ndsl" "tftp";
+      spec_format "sensor.ndsl" "sensor_report" ];
   (match
      Ck.Fuzz.run_stack ~bug:Ck.Oracle.Late_static_load ~seed ~iters:50
        ("inet_tftp", Fm.Stacks.inet_tftp)
@@ -460,7 +466,7 @@ let planted_trace_bug () =
 (* ---- the kernel pre-filter: sound on every corpus ----
 
    [Bpf.compile]'s program may pass what the decoder rejects, never the
-   reverse.  The cBPF interpreter is the judge: no packet [View.decode]
+   reverse.  The cBPF interpreter is the judge: no packet [Codec.decode]
    accepts may be dropped or trimmed, over golden and generated seeds,
    [Gen] output and structure-aware mutants of every shipped format. *)
 
@@ -468,9 +474,8 @@ module Bpf = Netdsl_format.Bpf
 module View = Netdsl_format.View
 
 let filter_unsound fmt prog pkts =
-  let view = View.create fmt in
   let t = Ck.Bpf_oracle.prepare prog in
-  List.find_map (fun p -> Ck.Bpf_oracle.unsound view t p) pkts
+  List.find_map (fun p -> Ck.Bpf_oracle.unsound fmt t p) pkts
 
 let mutant_stream fmt ~n =
   let rng = Prng.of_int seed in

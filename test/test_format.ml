@@ -155,7 +155,7 @@ let test_trailing_input () =
   let fmt = D.format "t" [ D.field "a" D.u8 ] in
   (match Codec.decode fmt "\x01\x02" with
   | Ok _ -> Alcotest.fail "trailing input accepted"
-  | Error (Codec.Trailing_input { bits }) -> check_int "bits" 8 bits
+  | Error (Codec.Trailing_input { path = []; bits }) -> check_int "bits" 8 bits
   | Error e -> Alcotest.failf "wrong error: %s" (Codec.error_to_string e));
   match Codec.decode ~allow_trailing:true fmt "\x01\x02" with
   | Ok v -> check_int "lenient" 1 (V.get_int v "a")

@@ -777,8 +777,7 @@ let stacked_serve_chained_tftp () =
                   (Netdsl_format.Codec.error_to_string e)
               | Ok () ->
                 check_int "ttl patched inside the ipv4 window" 7
-                  (Int64.to_int
-                     (Netdsl_format.View.get_int (Stack.Seq.view seq 1) "ttl"));
+                  (Netdsl_format.Value.get_int (Stack.Seq.value seq 1) "ttl");
                 let tftp_off = Stack.Seq.layer_off seq 3 in
                 let tftp_len = Stack.Seq.layer_len seq 3 in
                 check_string "tftp window untouched"

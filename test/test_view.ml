@@ -1,10 +1,10 @@
-(* Equivalence of the zero-copy [View] decoder and the allocating [Codec]:
-   for every shipped format and any input — valid, structure-aware mutant,
-   bit-flipped, truncated, or garbage — both decoders must agree on the
-   accept/reject verdict, and on acceptance the view must materialise
-   exactly the codec's value.  This is the safety argument for using the
-   zero-copy path in the engine: it surfaces no field the full validator
-   would have rejected.
+(* Equivalence of the compiled decoder ([View.Hot], run as the format's
+   one-layer [Stack] plan) and the reference [Codec]: for every shipped
+   format and any input — valid, structure-aware mutant, bit-flipped,
+   truncated, or garbage — both must agree on the accept/reject verdict,
+   and on acceptance every register must hold the codec's value.  This is
+   the safety argument for the engine's compiled path: it surfaces no
+   field the full validator would have rejected.
 
    The adversarial inputs come from [Netdsl_check]: corpus seeds mutated
    by the structure-aware fuzzer, judged by the differential oracle
@@ -51,7 +51,8 @@ let equivalence_case (name, fmt) =
             (Gen.truncate_random rng seed_pkt)
       done)
 
-(* The view must also reject garbage the way the codec does, not crash. *)
+(* The compiled paths must also reject garbage the way the codec does,
+   not crash. *)
 let random_garbage () =
   let rng = Prng.of_int 4096 in
   List.iter
@@ -64,53 +65,71 @@ let random_garbage () =
       done)
     all_formats
 
-(* Reuse: a view that just rejected must decode the next packet cleanly. *)
+(* The compiled decoder on ARQ, demanding every scalar and the payload
+   span. *)
+let arq_hot () =
+  match
+    View.Hot.compile ~demand:[ "seq"; "kind"; "len"; "chk" ] ~span_demand:[ "payload" ]
+      Fm.Arq.format
+  with
+  | Ok h -> h
+  | Error e -> Alcotest.failf "arq has no hot plan: %s" e
+
+(* The demanded registers after an accepting run, as the codec's values. *)
+let hot_fields h =
+  List.map
+    (fun f -> (f, Int64.of_int (View.Hot.get h (View.Hot.demand_slot h f))))
+    [ "seq"; "kind"; "len"; "chk" ]
+
+let codec_fields pkt =
+  let v = Codec.decode_exn Fm.Arq.format pkt in
+  List.map (fun f -> (f, Value.get_int64 v f)) [ "seq"; "kind"; "len"; "chk" ]
+
+let fields = Alcotest.(list (pair string int64))
+
+(* Reuse: a plan that just rejected must run the next packet cleanly. *)
 let reuse_after_reject () =
   let rng = Prng.of_int 7 in
-  let view = View.create Fm.Arq.format in
+  let h = arq_hot () in
   let good = Gen.generate_bytes rng Fm.Arq.format in
-  (match View.decode view good with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "valid arq rejected: %s" (Codec.error_to_string e));
-  let before = View.to_value view in
-  (match View.decode view (Gen.mutate rng ~flips:4 good) with
-  | Ok () -> () (* a flip can land in the payload and keep the packet valid *)
-  | Error _ -> ());
-  (match View.decode view good with
-  | Ok () -> ()
-  | Error e ->
-    Alcotest.failf "valid arq rejected after reuse: %s" (Codec.error_to_string e));
-  Alcotest.(check bool)
-    "same value after pool reuse" true
-    (Value.equal before (View.to_value view))
+  Alcotest.(check bool) "valid arq accepted" true (View.Hot.run h good);
+  let before = hot_fields h in
+  (* a flip can land in the payload and keep the packet valid *)
+  ignore (View.Hot.run h (Gen.mutate rng ~flips:4 good));
+  Alcotest.(check bool) "valid arq accepted after reuse" true (View.Hot.run h good);
+  Alcotest.check fields "same registers after reuse" before (hot_fields h);
+  Alcotest.check fields "registers are the codec's values" (codec_fields good) before
 
-(* Windowed decode: the view validates a sub-range of a larger buffer
-   in place, checksums included. *)
+(* Windowed decode: the plan validates a sub-range of a larger buffer in
+   place, checksum included; a window one byte short rejects. *)
 let windowed_decode () =
   let rng = Prng.of_int 11 in
   let pkt = Gen.generate_bytes rng Fm.Arq.format in
   let buf = "HDR" ^ pkt ^ "TRAILER" in
-  let view = View.create Fm.Arq.format in
-  (match View.decode view ~off:3 ~len:(String.length pkt) buf with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "windowed decode failed: %s" (Codec.error_to_string e));
-  let direct = Codec.decode_exn Fm.Arq.format pkt in
+  let h = arq_hot () in
   Alcotest.(check bool)
-    "windowed value matches" true
-    (Value.equal direct (View.to_value view))
+    "window accepted" true
+    (View.Hot.run h ~off:3 ~len:(String.length pkt) buf);
+  Alcotest.check fields "windowed registers match" (codec_fields pkt) (hot_fields h);
+  Alcotest.(check int) "window length" (String.length pkt) (View.Hot.length_bytes h);
+  Alcotest.(check bool)
+    "short window rejected" false
+    (View.Hot.run h ~off:3 ~len:(String.length pkt - 1) buf)
 
-let accessors () =
-  let pkt =
-    match Fm.Arq.to_bytes (Fm.Arq.Data { seq = 42; payload = "hello" }) with
-    | s -> s
-  in
-  let view = View.create Fm.Arq.format in
-  (match View.decode view pkt with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "decode failed: %s" (Codec.error_to_string e));
-  Alcotest.(check int64) "seq" 42L (View.get_int view "seq");
-  Alcotest.(check string) "payload" "hello" (View.get_bytes view "payload");
-  Alcotest.(check bool) "missing find_int" true (View.find_int view "nope" = None)
+(* Registers and spans: a demanded scalar is one register read, a
+   demanded bytes field an absolute span into the decoded string. *)
+let registers_and_spans () =
+  let pkt = Fm.Arq.to_bytes (Fm.Arq.Data { seq = 42; payload = "hello" }) in
+  let buf = "xy" ^ pkt in
+  let h = arq_hot () in
+  Alcotest.(check bool) "accepted" true (View.Hot.run h ~off:2 buf);
+  Alcotest.(check int) "seq" 42 (View.Hot.get h (View.Hot.demand_slot h "seq"));
+  let s = View.Hot.span_slot h "payload" in
+  let off = View.Hot.span_off h s and len = View.Hot.span_len h s in
+  Alcotest.(check string) "payload" "hello" (String.sub buf (off / 8) (len / 8));
+  Alcotest.check_raises "undemanded field"
+    (Invalid_argument "View.Hot: field \"nope\" was not demanded") (fun () ->
+      ignore (View.Hot.demand_slot h "nope"))
 
 let key_extraction () =
   let pkt =
@@ -171,8 +190,8 @@ let suite =
       List.map equivalence_case all_formats
       @ [ Alcotest.test_case "random garbage" `Quick random_garbage ] );
     ( "view.behaviour",
-      [ Alcotest.test_case "pool reuse after reject" `Quick reuse_after_reject;
+      [ Alcotest.test_case "plan reuse after reject" `Quick reuse_after_reject;
         Alcotest.test_case "windowed decode" `Quick windowed_decode;
-        Alcotest.test_case "accessors" `Quick accessors;
+        Alcotest.test_case "registers and spans" `Quick registers_and_spans;
         Alcotest.test_case "key extraction" `Quick key_extraction;
         Alcotest.test_case "counted arrays on the hot plan" `Quick counted_arrays ] ) ]
