@@ -655,9 +655,8 @@ let ablate () =
      over the codec itself."
 
 (* ------------------------------------------------------------------ *)
-(* E11: engine throughput — the allocating reference codec vs the compiled
-   decoder vs the sharded multicore pipeline.  Wall-clock batch timing
-   (not bechamel: the sharded runs span domains). *)
+(* E11: decode throughput — the allocating reference codec vs the compiled
+   decoder, on one domain.  Wall-clock loop timing. *)
 
 let time_loop n f =
   let t0 = Unix.gettimeofday () in
@@ -667,16 +666,11 @@ let time_loop n f =
   Unix.gettimeofday () -. t0
 
 let e11 () =
-  section "e11" "engine throughput: codec vs compiled decoder vs sharded pipeline"
+  section "e11" "decode throughput: codec vs compiled decoder"
     "ROADMAP north star; P4/Zebu line-rate argument";
   let n = if !quick then 20_000 else 300_000 in
   let cores = Domain.recommended_domain_count () in
   Printf.printf "(%d packets per measurement; %d core(s) available to this process)\n\n" n cores;
-  if cores = 1 then
-    Printf.printf
-      "NOTE: only 1 core is available to this process — domain scaling in (b)\n\
-      \      cannot exceed 1x here; the multi-worker rows measure ring\n\
-      \      hand-off overhead, not parallel speedup.\n\n";
   (* -- workloads: ARQ at three payload sizes, plus generated IPv4 -- *)
   let arq_pool payload_len =
     Array.init 256 (fun i ->
@@ -733,66 +727,6 @@ let e11 () =
         (name, codec_ns, hot_ns, speedup, avg_len))
       workloads
   in
-  (* -- sharded pipeline scaling -- *)
-  Printf.printf
-    "\n(b) sharded pipeline (ARQ 256B, key = seq): 1 / 2 / 4 worker domains\n";
-  Printf.printf "  %-10s %14s %14s %12s\n" "workers" "pkts/s" "steer ns/pkt"
-    "vs 1 worker";
-  let shard_pool = arq_pool 256 in
-  let shard_mask = Array.length shard_pool - 1 in
-  let shard_n = if !quick then 20_000 else 200_000 in
-  let shard_rows =
-    List.map
-      (fun workers ->
-        let config =
-          { Engine.Shard.workers; pipeline = Engine.Pipeline.default_config }
-        in
-        match
-          (* the multi-worker rows on small boxes are deliberate: they are
-             printed as "oversubscribed", not as scaling; each worker runs
-             the fused plan every server runs (the staged reference would
-             time its reference decoder, not steering) *)
-          Engine.Shard.create ~config ~allow_oversubscribe:true ~key:"seq"
-            Formats.Arq.format
-        with
-        | Error e -> failwith e
-        | Ok shard ->
-          Engine.Shard.start shard;
-          let feed_dt =
-            time_loop shard_n (fun i ->
-                ignore (Engine.Shard.feed shard shard_pool.(i land shard_mask)))
-          in
-          let t0 = Unix.gettimeofday () in
-          Engine.Shard.drain shard;
-          let dt = feed_dt +. (Unix.gettimeofday () -. t0) in
-          let packets, _, rejects = Engine.Stats.totals (Engine.Shard.stats shard) in
-          assert (packets = shard_n && rejects = 0);
-          (* the feed loop IS the steering stage: hash + route + blit +
-             publish, plus any backpressure spin when workers lag *)
-          let steer_ns = feed_dt *. 1e9 /. float_of_int shard_n in
-          (workers, float_of_int shard_n /. dt, steer_ns))
-      [ 1; 2; 4 ]
-  in
-  let base = match shard_rows with (_, r, _) :: _ -> r | [] -> 1.0 in
-  (* Honesty: a ratio against the 1-worker row only measures parallel
-     speedup when the workers actually have cores to run on.  A row with
-     more workers than cores is oversubscribed — print and record that
-     instead of a misleading scaling number. *)
-  List.iter
-    (fun (w, rate, steer_ns) ->
-      if w > cores then
-        Printf.printf "  %-10d %14.0f %14.1f %12s\n" w rate steer_ns
-          "oversubscribed"
-      else
-        Printf.printf "  %-10d %14.0f %14.1f %11.2fx\n" w rate steer_ns
-          (rate /. base))
-    shard_rows;
-  if cores < 4 then
-    Printf.printf
-      "  (only %d core(s) available: rows with more workers than cores are\n\
-      \   oversubscribed — they measure ring hand-off overhead, not scaling,\n\
-      \   so no scaling ratio is reported for them)\n"
-      cores;
   (* -- machine-readable dump -- *)
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
@@ -810,21 +744,6 @@ let e11 () =
         name avg_len codec_ns hot_ns speedup
         (if i = List.length decode_rows - 1 then "" else ","))
     decode_rows;
-  Buffer.add_string buf "  ],\n";
-  Printf.bprintf buf "  \"sharded_skipped\": %b,\n" (cores = 1);
-  Buffer.add_string buf "  \"sharded\": [\n";
-  List.iteri
-    (fun i (w, rate, steer_ns) ->
-      let scaling =
-        (* only meaningful when the workers have real cores underneath *)
-        if w > cores then "" else Printf.sprintf ", \"scaling_vs_1\": %.2f" (rate /. base)
-      in
-      Printf.bprintf buf
-        "    {\"workers\": %d, \"pkts_per_s\": %.0f, \"steer_ns_per_pkt\": \
-         %.1f, \"oversubscribed\": %b%s}%s\n"
-        w rate steer_ns (w > cores) scaling
-        (if i = List.length shard_rows - 1 then "" else ","))
-    shard_rows;
   Buffer.add_string buf "  ]\n}\n";
   let path = "BENCH_E11.json" in
   let oc = open_out path in
@@ -835,8 +754,7 @@ let e11 () =
     "\nRESULT shape: the compiled decoder validates the same packets with the\n\
      same accept/reject verdicts at a multiple of the allocating codec's\n\
      rate (the gap widens with payload size: the codec copies checksum\n\
-     regions and payloads, the compiled plan copies nothing); domain\n\
-     scaling tracks the cores actually available."
+     regions and payloads, the compiled plan copies nothing)."
 
 (* ------------------------------------------------------------------ *)
 (* E12: the encode-side dual of E11 — interpreting codec vs compiled emit
@@ -849,11 +767,6 @@ let e12 () =
   let cores = Domain.recommended_domain_count () in
   Printf.printf "(%d encodes per measurement; %d core(s) available to this process)\n"
     n cores;
-  if cores = 1 then
-    Printf.printf
-      "NOTE: only 1 core is available — all measurements here are\n\
-      \      single-domain and unaffected, but domain scaling elsewhere\n\
-      \      (E11 section b) cannot exceed 1x on this machine.\n";
   print_newline ();
   (* -- (a) value-to-wire: one fixed value per workload, streamed by the
      interpreting codec, by the compiled emitter (fresh string), and by the
@@ -1387,7 +1300,7 @@ let e15 () =
     "ROADMAP north star; §3.4 verify-before-process preserved under fusion";
   let cores = Domain.recommended_domain_count () in
   (* the ARQ responder: verify the sequence range, classify data frames as
-     the machine's "ok" event, shard flows by seq, answer each data frame
+     the machine's "ok" event, key flows by seq, answer each data frame
      by patching kind -> ack in place (checksum updated incrementally) *)
   let flight =
     Engine.Flight.(
@@ -1507,61 +1420,6 @@ let e15 () =
         (pl, s_ns, f_ns, s_alloc, f_alloc))
       payloads
   in
-  (* -- (b) slab-fed fused shard scaling, e11's honesty convention -- *)
-  Printf.printf
-    "\n(b) slab-fed fused shard (ARQ 256B responder, key = seq): 1 / 2 / 4 \
-     workers\n";
-  Printf.printf "  %-10s %14s %14s %12s\n" "workers" "pkts/s" "steer ns/pkt"
-    "vs 1 worker";
-  let shard_pool = pool 256 in
-  let shard_mask = Array.length shard_pool - 1 in
-  let shard_n = if !quick then 20_000 else 200_000 in
-  let shard_rows =
-    List.map
-      (fun workers ->
-        let config =
-          { Engine.Shard.workers; pipeline = Engine.Pipeline.default_config }
-        in
-        match
-          Engine.Shard.create ~config ~allow_oversubscribe:true ~key:"seq"
-            ~mode:Engine.Pipeline.Fused ~flight ~machine
-            ~on_reply_slot:(fun _ _ _ -> ())
-            Formats.Arq.format
-        with
-        | Error e -> failwith e
-        | Ok shard ->
-          Engine.Shard.start shard;
-          let feed_dt =
-            time_loop shard_n (fun i ->
-                ignore (Engine.Shard.feed shard shard_pool.(i land shard_mask)))
-          in
-          let t0 = Unix.gettimeofday () in
-          Engine.Shard.drain shard;
-          let dt = feed_dt +. (Unix.gettimeofday () -. t0) in
-          let stats = Engine.Shard.stats shard in
-          let d = Engine.Stats.stage_index stats "decode" in
-          assert (Engine.Stats.stage_packets stats d = shard_n);
-          assert (Engine.Stats.stage_rejects stats d = 0);
-          let steer_ns = feed_dt *. 1e9 /. float_of_int shard_n in
-          (workers, float_of_int shard_n /. dt, steer_ns))
-      [ 1; 2; 4 ]
-  in
-  let base = match shard_rows with (_, r, _) :: _ -> r | [] -> 1.0 in
-  List.iter
-    (fun (w, rate, steer_ns) ->
-      if w > cores then
-        Printf.printf "  %-10d %14.0f %14.1f %12s\n" w rate steer_ns
-          "oversubscribed"
-      else
-        Printf.printf "  %-10d %14.0f %14.1f %11.2fx\n" w rate steer_ns
-          (rate /. base))
-    shard_rows;
-  if cores < 4 then
-    Printf.printf
-      "  (only %d core(s) available: rows with more workers than cores are\n\
-      \   oversubscribed — they measure slab hand-off overhead, not scaling,\n\
-      \   so no scaling ratio is reported for them)\n"
-      cores;
   (* -- machine-readable dump -- *)
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\n";
@@ -1582,20 +1440,6 @@ let e15 () =
         pl s_ns f_ns (s_ns /. f_ns) s_alloc f_alloc
         (if i = List.length rows - 1 then "" else ","))
     rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"sharded\": [\n";
-  List.iteri
-    (fun i (w, rate, steer_ns) ->
-      let scaling =
-        if w > cores then ""
-        else Printf.sprintf ", \"scaling_vs_1\": %.2f" (rate /. base)
-      in
-      Printf.bprintf buf
-        "    {\"workers\": %d, \"pkts_per_s\": %.0f, \"steer_ns_per_pkt\": \
-         %.1f, \"oversubscribed\": %b%s}%s\n"
-        w rate steer_ns (w > cores) scaling
-        (if i = List.length shard_rows - 1 then "" else ","))
-    shard_rows;
   Buffer.add_string buf "  ]\n}\n";
   let path = "BENCH_E15.json" in
   let oc = open_out path in
@@ -2218,11 +2062,11 @@ let e17 () =
      on >= 100k cross-layer mutants each run."
 
 let e18 () =
-  section "e18" "shard steering: uniform vs elephant skew, per-worker share"
+  section "e18" "flow steering: per-worker share of an elephant skew"
     "ROADMAP multicore north star; §3.4 per-flow ordering";
   let cores = Domain.recommended_domain_count () in
   (* same ARQ responder as e15: verify seq range, classify data frames,
-     shard by seq, patch kind -> ack in place *)
+     key flows by seq (the steering key), patch kind -> ack in place *)
   let flight =
     Engine.Flight.(
       spec
@@ -2235,118 +2079,46 @@ let e18 () =
               re_set = [ { set_field = "kind"; set_to = Const 1L } ] } ]
         ())
   in
-  let machine = Arq_fsm.receiver ~seq_bits:8 in
   let pool =
     Array.init 256 (fun i ->
         Formats.Arq.to_bytes
           (Formats.Arq.Data { seq = i land 0xFF; payload = String.make 64 'x' }))
   in
-  let shard_n = if !quick then 20_000 else 200_000 in
-  (* uniform mix: all 256 flows round-robin *)
-  let uniform_seqs = Array.init shard_n (fun i -> i land 0xFF) in
+  let n = if !quick then 20_000 else 200_000 in
   (* elephant skew: 90% of the traffic lands on flows the steering hash
-     gives worker 0 at this worker count (hash skew — the adversarial
-     case for static ownership, which nothing migrates). *)
-  let skew_seqs workers =
+     gives worker 0 (hash skew — the adversarial case for static
+     ownership, which nothing migrates) *)
+  let workers = 2 in
+  let seqs =
     let hot = ref [] and cold = ref [] in
     for s = 255 downto 0 do
       if Bpf.steer ~workers s = 0 then hot := s :: !hot else cold := s :: !cold
     done;
     let hot = Array.of_list !hot and cold = Array.of_list !cold in
     let cold = if Array.length cold = 0 then hot else cold in
-    Array.init shard_n (fun i ->
+    Array.init n (fun i ->
         if i mod 10 < 9 then hot.(i mod Array.length hot)
         else cold.(i mod Array.length cold))
   in
-  let run_case ~workers seqs =
-    let config =
-      { Engine.Shard.workers; pipeline = Engine.Pipeline.default_config }
-    in
-    match
-      Engine.Shard.create ~config ~allow_oversubscribe:true ~key:"seq"
-        ~mode:Engine.Pipeline.Fused ~flight ~machine
-        ~on_reply_slot:(fun _ _ _ -> ())
-        Formats.Arq.format
-    with
-    | Error e -> failwith e
-    | Ok shard ->
-      Engine.Shard.start shard;
-      (* the alloc window wraps only the steering loop: this is the 0 B/pkt
-         claim (hash + blit + publish mint nothing on the ingest domain;
-         OCaml 5 Gc counters are per-domain, so worker-side flow minting
-         does not leak into this number) *)
-      Gc.full_major ();
-      let a0 = Gc.allocated_bytes () in
-      let feed_dt =
-        time_loop shard_n (fun i -> ignore (Engine.Shard.feed shard pool.(seqs.(i))))
-      in
-      let a1 = Gc.allocated_bytes () in
-      let t0 = Unix.gettimeofday () in
-      Engine.Shard.drain shard;
-      let dt = feed_dt +. (Unix.gettimeofday () -. t0) in
-      let stats = Engine.Shard.stats shard in
-      let d = Engine.Stats.stage_index stats "decode" in
-      assert (Engine.Stats.stage_packets stats d = shard_n);
-      assert (Engine.Stats.stage_rejects stats d = 0);
-      ( float_of_int shard_n /. dt,
-        feed_dt *. 1e9 /. float_of_int shard_n,
-        (a1 -. a0) /. float_of_int shard_n )
-  in
-  let table label seqs_of =
-    Printf.printf "%s\n" label;
-    Printf.printf "  %-10s %14s %14s %13s %14s\n" "workers" "pkts/s"
-      "steer ns/pkt" "ingest B/pkt" "vs 1 worker";
-    let rows =
-      List.map
-        (fun w ->
-          let rate, steer_ns, alloc = run_case ~workers:w (seqs_of w) in
-          (w, rate, steer_ns, alloc))
-        [ 1; 2; 4 ]
-    in
-    let base = match rows with (_, r, _, _) :: _ -> r | [] -> 1.0 in
-    List.iter
-      (fun (w, rate, steer_ns, alloc) ->
-        if w > cores then
-          Printf.printf "  %-10d %14.0f %14.1f %13.2f %14s\n" w rate steer_ns
-            alloc "oversubscribed"
-        else
-          Printf.printf "  %-10d %14.0f %14.1f %13.2f %13.2fx\n" w rate
-            steer_ns alloc (rate /. base))
-      rows;
-    (rows, base)
-  in
-  let uniform_rows, ubase =
-    table "(a) uniform flow mix (256 flows round-robin)" (fun _ -> uniform_seqs)
-  in
-  let skew_rows, sbase =
-    table "\n(b) elephant skew (90% of traffic on worker 0's flows)" skew_seqs
-  in
-  if cores < 4 then
-    Printf.printf
-      "  (only %d core(s) available: rows with more workers than cores are\n\
-      \   oversubscribed — they time-share a core and measure the scheduler,\n\
-      \   so no scaling ratio is reported for them)\n"
-      cores;
-  (* -- (c) who gets the skewed packets: the compiled kernel steering
-     program in the interpreter, and a real 2-worker server's sockets -- *)
-  let share_w = 2 in
-  let seqs = skew_seqs share_w in
+  Printf.printf "(%d core(s) available to this process)\n\n" cores;
+  (* who gets the skewed packets: the compiled kernel steering program
+     in the interpreter, and a real 2-worker server's sockets *)
   let prog =
-    match Bpf.steering Formats.Arq.format ~key:"seq" ~workers:share_w with
+    match Bpf.steering Formats.Arq.format ~key:"seq" ~workers with
     | Ok p -> p
     | Error e -> failwith e
   in
   let oracle = Check.Bpf_oracle.prepare prog in
-  let predicted = Array.make share_w 0 in
+  let predicted = Array.make workers 0 in
   Array.iter
     (fun s ->
       let w = Check.Bpf_oracle.steer oracle pool.(s) in
       predicted.(w) <- predicted.(w) + 1)
     seqs;
-  let socket_n = min shard_n 20_000 in
+  let socket_n = min n 20_000 in
   let socket =
     match
-      Net.Server.create ~signals:false ~workers:share_w ~allow_oversubscribe:true
+      Net.Server.create ~signals:false ~workers ~allow_oversubscribe:true
         ~flight
         ~listeners:[ Net.Server.Udp { host = "127.0.0.1"; port = 0 } ]
         Formats.Arq.format
@@ -2398,87 +2170,36 @@ let e18 () =
       (Array.to_list (Array.map (fun f -> Printf.sprintf "%.1f%%" (100. *. f)) a))
   in
   Printf.printf
-    "\n(c) per-worker share of the skew mix at %d workers (nothing migrates)\n\
+    "per-worker share of the skew mix at %d workers (nothing migrates)\n\
     \  interpreter, compiled steering program (%d pkts): %s\n\
     \  2-worker server, per-socket rx (%d pkts):        %s\n"
-    share_w shard_n (pct (share predicted)) socket_n (pct (share socket));
-  (* -- gates -- *)
-  let failures = ref [] in
-  let gate name ok = if not ok then failures := name :: !failures in
-  let alloc_ok =
-    List.for_all (fun (_, _, _, a) -> a < 1.0) (uniform_rows @ skew_rows)
-  in
-  gate "steering allocates (>= 1 B/pkt on the ingest domain)" alloc_ok;
-  let uniform_2w =
-    if cores < 2 then None
-    else
-      match List.find_opt (fun (w, _, _, _) -> w = 2) uniform_rows with
-      | Some (_, r, _, _) -> Some (r /. ubase >= 1.6)
-      | None -> None
-  in
-  (match uniform_2w with
-  | Some ok -> gate "uniform 2-worker scaling < 1.6x" ok
-  | None ->
-    Printf.printf
-      "\n  scaling gate SKIPPED (1 core): only the 0 B/pkt steering gate is\n\
-      \  enforced here; the >= 1.6x uniform gate needs >= 2 cores\n");
+    workers n (pct (share predicted)) socket_n (pct (share socket));
   (* -- machine-readable dump -- *)
-  let buf = Buffer.create 2048 in
+  let floats a =
+    String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%.4f") a))
+  in
+  let buf = Buffer.create 512 in
   Buffer.add_string buf "{\n";
   Printf.bprintf buf "  \"experiment\": \"e18\",\n";
   Printf.bprintf buf "  \"quick\": %b,\n" !quick;
   Printf.bprintf buf "  \"cores_available\": %d,\n" cores;
-  Printf.bprintf buf "  \"packets_per_case\": %d,\n" shard_n;
+  Printf.bprintf buf "  \"packets_per_case\": %d,\n" n;
   Printf.bprintf buf "  \"skew_hot_share\": 0.9,\n";
-  let dump_rows name rows base =
-    Printf.bprintf buf "  \"%s\": [\n" name;
-    List.iteri
-      (fun i (w, rate, steer_ns, alloc) ->
-        let scaling =
-          if w > cores then ""
-          else Printf.sprintf ", \"scaling_vs_1\": %.2f" (rate /. base)
-        in
-        Printf.bprintf buf
-          "    {\"workers\": %d, \"pkts_per_s\": %.0f, \"steer_ns_per_pkt\": \
-           %.1f, \"ingest_alloc_b_per_pkt\": %.2f, \"oversubscribed\": %b%s}%s\n"
-          w rate steer_ns alloc (w > cores) scaling
-          (if i = List.length rows - 1 then "" else ","))
-      rows;
-    Buffer.add_string buf "  ],\n"
-  in
-  dump_rows "uniform" uniform_rows ubase;
-  dump_rows "skew" skew_rows sbase;
-  let floats a =
-    String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%.4f") a))
-  in
   Printf.bprintf buf
     "  \"skew_share\": {\"workers\": %d, \"interpreter\": [%s], \
-     \"socket_packets\": %d, \"socket\": [%s]},\n"
-    share_w (floats (share predicted)) socket_n (floats (share socket));
-  Buffer.add_string buf "  \"gates\": {\n";
-  Printf.bprintf buf "    \"steering_alloc_b_per_pkt_lt_1\": %b,\n" alloc_ok;
-  Printf.bprintf buf "    \"uniform_2w_scaling_ge_1_6x\": %s\n"
-    (match uniform_2w with None -> "null" | Some b -> string_of_bool b);
-  Buffer.add_string buf "  }\n}\n";
+     \"socket_packets\": %d, \"socket\": [%s]}\n"
+    workers (floats (share predicted)) socket_n (floats (share socket));
+  Buffer.add_string buf "}\n";
   let path = "BENCH_E18.json" in
   let oc = open_out path in
   output_string oc (Buffer.contents buf);
   close_out oc;
   Printf.printf "\n(wrote %s)\n" path;
-  (match !failures with
-  | [] -> ()
-  | fs ->
-    List.iter (fun f -> Printf.eprintf "bench e18: GATE FAILED: %s\n" f) fs;
-    exit 1);
   print_endline
-    "\nRESULT shape: per-worker SPSC rings steer each datagram with one hash,\n\
-     one blit and one release store — 0 B/pkt on the ingest domain in every\n\
-     row, uniform or skewed (the always-on gate).  On a multicore box the\n\
-     uniform mix scales with worker count.  Ownership is static, as it is\n\
-     behind the kernel steering program the sharded server runs: under\n\
-     elephant skew the hot worker takes its flows' share of the packets\n\
-     (section c, interpreter and sockets agree) and bounds the throughput,\n\
-     and no flow is ever split or reordered."
+    "\nRESULT shape: ownership is static behind the kernel steering program\n\
+     the sharded server runs: under elephant skew the hot worker takes its\n\
+     flows' share of the packets (interpreter and sockets agree), and no\n\
+     flow is ever split or reordered."
 
 (* ------------------------------------------------------------------ *)
 (* E19: hierarchical timer wheel at flow-table scale *)

@@ -490,14 +490,6 @@ let encode_cmd =
     Term.(const run $ file_arg $ format_opt $ fields_arg)
 
 let bench_cmd =
-  let workers_opt =
-    Arg.(value & opt int 1 & info [ "workers"; "w" ] ~docv:"N"
-           ~doc:"Worker domains; with N > 1, $(b,--key) selects the sharding field.")
-  in
-  let key_opt =
-    Arg.(value & opt (some string) None & info [ "key" ] ~docv:"FIELD"
-           ~doc:"Field to shard flows on (must sit at a fixed wire offset).")
-  in
   let bench_count_opt =
     Arg.(value & opt int 200_000 & info [ "count"; "n" ] ~docv:"N"
            ~doc:"Packets to push through the engine.")
@@ -506,7 +498,7 @@ let bench_cmd =
     Arg.(value & opt float 0.0 & info [ "corrupt" ] ~docv:"FRACTION"
            ~doc:"Fraction of packets to bit-flip before feeding (exercises the reject path).")
   in
-  let run file format count workers key corrupt seed =
+  let run file format count corrupt seed =
     let program = load file in
     let fmt = pick_format program format in
     let rng = Netdsl.Prng.of_int seed in
@@ -524,60 +516,33 @@ let bench_cmd =
         exit 1
     in
     let t0 = Unix.gettimeofday () in
-    let stats =
-      if workers > 1 then begin
-        let key =
-          match key with
-          | Some k -> k
-          | None ->
-            prerr_endline "netdsl: --workers > 1 requires --key FIELD";
-            exit 1
-        in
-        let config = { Netdsl.Engine.Shard.default_config with workers } in
-        match Netdsl.Engine.Shard.create ~config ~key fmt with
-        | Error e ->
-          Format.eprintf "netdsl: %s@." e;
-          exit 1
-        | Ok shard ->
-          Netdsl.Engine.Shard.start shard;
-          for i = 0 to count - 1 do
-            ignore (Netdsl.Engine.Shard.feed shard pool.(i mod pool_size))
-          done;
-          Netdsl.Engine.Shard.drain shard;
-          Netdsl.Engine.Shard.stats shard
-      end
-      else begin
-        let pipe = Netdsl.Engine.Pipeline.create fmt in
-        let batch = Netdsl.Engine.Pipeline.default_config.batch in
-        let buf = Array.make batch "" in
-        let fed = ref 0 in
-        while !fed < count do
-          let n = min batch (count - !fed) in
-          for i = 0 to n - 1 do
-            buf.(i) <- pool.((!fed + i) mod pool_size)
-          done;
-          Netdsl.Engine.Pipeline.process_batch pipe buf n;
-          fed := !fed + n
-        done;
-        Netdsl.Engine.Pipeline.stats pipe
-      end
-    in
+    let pipe = Netdsl.Engine.Pipeline.create fmt in
+    let batch = Netdsl.Engine.Pipeline.default_config.batch in
+    let buf = Array.make batch "" in
+    let fed = ref 0 in
+    while !fed < count do
+      let n = min batch (count - !fed) in
+      for i = 0 to n - 1 do
+        buf.(i) <- pool.((!fed + i) mod pool_size)
+      done;
+      Netdsl.Engine.Pipeline.process_batch pipe buf n;
+      fed := !fed + n
+    done;
+    let stats = Netdsl.Engine.Pipeline.stats pipe in
     let dt = Unix.gettimeofday () -. t0 in
     let packets = Netdsl.Engine.Stats.stage_packets stats 0 in
     let bytes = Netdsl.Engine.Stats.stage_bytes stats 0 in
     print_string (Netdsl.Engine.Stats.to_text stats);
-    Format.printf "%d packets, %d bytes in %.3fs — %.0f pkts/s, %.1f MB/s (%d worker%s)@."
+    Format.printf "%d packets, %d bytes in %.3fs — %.0f pkts/s, %.1f MB/s@."
       packets bytes dt
       (float_of_int packets /. dt)
       (float_of_int bytes /. dt /. 1e6)
-      workers
-      (if workers = 1 then "" else "s")
   in
   Cmd.v
     (Cmd.info "bench"
-       ~doc:"Push generated packets for a format through the processing engine and report per-stage counters and throughput.")
-    Term.(const run $ file_arg $ format_opt $ bench_count_opt $ workers_opt
-          $ key_opt $ corrupt_opt $ seed_opt)
+       ~doc:"Push generated packets for a format through one engine pipeline and report per-stage counters and throughput (multicore serving is $(b,serve --workers)).")
+    Term.(const run $ file_arg $ format_opt $ bench_count_opt $ corrupt_opt
+          $ seed_opt)
 
 let print_cmd =
   let run file =

@@ -2,15 +2,16 @@
    format descriptions that drive the codec, the simulator and the
    verifier here drive a high-throughput engine — zero-copy validated
    decode, a batched pipeline with an attached protocol machine, automatic
-   responses, per-stage counters, and multicore flow sharding.
+   responses, per-stage counters, and the flow steering behind multicore
+   serving.
 
    Three scenes:
      1. an ARQ receiver pipeline that acknowledges valid DATA packets and
         counts the corrupted ones it refused;
      2. a TFTP server loop on the variant-dispatched TFTP format, its
         events and replies declared by one flight spec;
-     3. the same ARQ traffic sharded across worker domains by the
-        DSL-declared "seq" field.
+     3. the kernel steering program compiled from the DSL-declared "seq"
+        field, and the per-worker split it gives the same ARQ traffic.
 
    Run with: dune exec examples/engine_tour.exe *)
 
@@ -132,40 +133,37 @@ let scene_tftp () =
     (List.rev !replies)
 
 (* ------------------------------------------------------------------ *)
-(* Scene 3: flow sharding.  [Shard.feed] reads the declared key straight
-   from the raw bytes (no decode) and hashes it to a worker domain; every
-   packet of a flow lands on the same domain, so per-flow machines need
-   no locks.  On a single-core container the domains interleave rather
-   than parallelise — the structure is the point here; experiment E11
-   measures the throughput. *)
+(* Scene 3: flow steering.  Multicore serving is [netdsl serve --workers
+   N]: N copies of the one serve loop, each on its own SO_REUSEPORT
+   socket, with the kernel picking each datagram's worker by running a
+   classic BPF program compiled from the DSL-declared key field.  Every
+   packet of a flow lands on the same worker, so per-flow machines need
+   no locks.  This scene prints that program and, on this one domain,
+   the split [Bpf.steer] (the same hash, in OCaml) gives the ARQ
+   traffic; experiment E18 checks a real 2-worker server against it. *)
 
-let scene_shard () =
-  rule "3. Multicore flow sharding by the DSL-declared \"seq\" field";
-  let config = { Engine.Shard.workers = 2; pipeline = Engine.Pipeline.default_config } in
-  (* two workers on purpose even on a one-core box: the sharding structure
-     is the point of the scene, so opt out of the core clamp *)
+let scene_steering () =
+  rule "3. Flow steering by the DSL-declared \"seq\" field";
   match
-    Engine.Shard.create ~config ~allow_oversubscribe:true ~key:"seq"
-      Formats.Arq.format
+    ( Bpf.steering Formats.Arq.format ~key:"seq" ~workers:2,
+      View.key_extractor Formats.Arq.format "seq" )
   with
-  | Error e -> Printf.printf "shard setup refused: %s\n" e
-  | Ok shard ->
-    Engine.Shard.start shard;
+  | Error e, _ | _, Error e -> Printf.printf "steering refused: %s\n" e
+  | Ok prog, Ok key ->
+    print_string (Bpf.to_string prog);
     let rng = Prng.of_int 43 in
     let pkts = arq_traffic rng 4000 in
-    Array.iter (fun pkt -> ignore (Engine.Shard.feed shard pkt)) pkts;
-    Engine.Shard.drain shard;
+    let per_worker = Array.make 2 0 in
+    Array.iter
+      (fun pkt ->
+        let w = Bpf.steer ~workers:2 (View.extract_key_int key pkt) in
+        per_worker.(w) <- per_worker.(w) + 1)
+      pkts;
     Array.iteri
-      (fun i p ->
-        let st = Engine.Pipeline.stats p in
-        let d = Engine.Stats.stage_index st "decode" in
-        Printf.printf "worker %d: %4d packets, %3d refused\n" i
-          (Engine.Stats.stage_packets st d)
-          (Engine.Stats.stage_rejects st d))
-      (Engine.Shard.pipelines shard);
-    print_string (Engine.Stats.to_text (Engine.Shard.stats shard))
+      (fun w n -> Printf.printf "worker %d: %4d packets\n" w n)
+      per_worker
 
 let () =
   scene_receiver ();
   scene_tftp ();
-  scene_shard ()
+  scene_steering ()

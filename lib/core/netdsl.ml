@@ -15,11 +15,11 @@
       {!Testgen}, {!Interp}, {!Step} (compiled execution plans), {!Dot}
     - correct-by-construction layer (the paper's §3.4 with OCaml types):
       {!Checked}, {!Send_machine}, {!Recv_machine}
-    - packet-processing runtime: {!Engine} (zero-copy {!View} decode,
-      batched pipeline, multicore flow sharding, per-stage counters)
-    - socket front end: {!Net} (select-based nonblocking UDP/TCP
-      listeners draining straight into the engine's slab, per-listener
-      wire counters)
+    - packet-processing runtime: {!Engine} (compiled {!View} decode,
+      batched pipeline, flow table and timer wheel, per-stage counters)
+    - socket front end: {!Net} (UDP/TCP listeners draining straight into
+      the engine's slab, per-listener wire counters; multicore as
+      [SO_REUSEPORT] workers the kernel steers by flow key)
     - fuzzing + differential testing: {!Check} (structure-aware wire
       mutation, a Codec/View/Emit/Pipeline oracle, Step-vs-Interp trace
       lock-step, a loopback soak harness, shrinking, committable repro

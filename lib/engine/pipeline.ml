@@ -796,30 +796,14 @@ let process t pkt =
   run_window t 1;
   outcome_of_slot0 t
 
-(* Ring-driven operation for the in-memory shard: the consumer domain
-   has already claimed a batch of [n] slots from its [Spsc] ring; map
-   them into the batch window and run it.  The caller polls and
-   releases, so the claim lifetime lives in one place.
-   [Bytes.unsafe_to_string] is
-   safe under the ring's contract: slots are only read until
-   [Spsc.release], and the producer cannot reuse them before it. *)
-let process_ring_batch t ring ~n =
-  if n > t.cfg.batch then invalid_arg "Pipeline.process_ring_batch: batch too large";
-  for i = 0 to n - 1 do
-    t.inbuf.(i) <- Bytes.unsafe_to_string (Spsc.buf ring i);
-    t.blen.(i) <- Spsc.len ring i
-  done;
-  run_window t n
-
-(* Slab-window sibling of [process_ring_batch] for external slab owners
-   (the batched socket front end): map a popped run of caller-owned
-   slots into the window and run it once, so stats recording and timer
-   polling cost per batch, not per packet.  Same read-only contract as
-   [process_ring_batch]: slots are not touched by the producer until
-   [Slab.release], which must come after this returns (and after any
-   replies staged via [on_reply_slot] — which receives each reply's
-   window index — are flushed, if their destinations live in per-slot
-   sidecars). *)
+(* Slab-window entry point for slab owners (the batched socket front
+   end): map a popped run of caller-owned slots into the window and run
+   it once, so stats recording and timer polling cost per batch, not
+   per packet.  [Bytes.unsafe_to_string] is safe under the slab's
+   contract: the slots are not refilled until [Slab.release], which
+   must come after this returns (and after any replies staged via
+   [on_reply_slot] — which receives each reply's window index — are
+   flushed, if their destinations live in per-slot sidecars). *)
 let process_slab_batch t slab ~n =
   if n > t.cfg.batch then
     invalid_arg "Pipeline.process_slab_batch: batch too large";

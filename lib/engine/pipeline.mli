@@ -36,15 +36,12 @@
 
     The caller owns the packets' memory: the pipeline keeps no ingest
     buffer of its own, only a window of borrowed references to the
-    current batch.  Four entry points drive it, all on the caller's
-    domain:
+    current batch.  Three entry points drive it, all on the caller's
+    domain and all over the one batch window:
     - {!process} / {!process_batch}: strings (tests, the bench
       baselines, in-memory references);
     - {!process_slab_batch}: a popped run of the caller's {!Slab} slots
-      (the socket front end; a test that wants a producer domain owns a
-      slab and drains it through this);
-    - {!process_ring_batch}: a claimed run of a {!Spsc} ring ([Shard]'s
-      worker domains).
+      (the socket front end's serve loop, one per worker).
 
     State is sized once and reused: the batch window and sequential decoders at
     {!create}, flow slots and their machine instances as the flow table
@@ -57,18 +54,16 @@
 type config = {
   batch : int;  (** batch size, and the number of staged sequential decoders *)
   ring_capacity : int;
-      (** slot count of each {!Shard} worker ring, and so its
-          backpressure depth.  The socket server sizes its slab to one
-          I/O batch and uses this as its per-pass budget: one listener
-          pass takes at most this many packets.  The pipeline itself
-          allocates none *)
+      (** the socket server's per-pass budget: one listener pass takes
+          at most this many packets (the server sizes its slab to one
+          I/O batch).  The pipeline itself allocates no ring *)
   max_flows : int;
       (** per-pipeline bound on live flow instances; when a new flow
           arrives at the bound, the oldest-idle one is evicted (counted in
           {!Stats.evicted_flows}) *)
   slot_bytes : int;
-      (** slot capacity of that slab or ring: the longest packet a front
-          end admits *)
+      (** slot capacity of a front end's {!Slab}: the longest packet it
+          admits *)
 }
 
 val default_config : config
@@ -172,19 +167,11 @@ val process_batch : t -> string array -> int -> unit
 (** [process_batch t pkts n] runs packets [0, n)] of [pkts] through all
     stages ([n] at most [config.batch]); results land in {!stats}. *)
 
-val process_ring_batch : t -> Spsc.t -> n:int -> unit
-(** Run the [n] slots the caller has claimed (and not yet released) from
-    its {!Spsc} ring through the batch window in place — the worker-side
-    drain step of the in-memory {!Shard}.  The caller owns the claim lifetime:
-    [Spsc.poll] before, [Spsc.release] after.  [n] at most
-    [config.batch]. *)
-
 val process_slab_batch : t -> Slab.t -> n:int -> unit
 (** Run the [n] slots the caller has popped (and not yet released) from
-    its own {!Slab} through the batch window in place — the slab sibling
-    of {!process_ring_batch}, for front ends that batch their ingest
-    (one engine window per [recvmmsg] run, so stats recording and timer
-    polling cost per batch).  The caller owns the slot lifetime:
+    its own {!Slab} through the batch window in place, for front ends
+    that batch their ingest (one engine window per [recvmmsg] run, so
+    stats recording and timer polling cost per batch).  The caller owns the slot lifetime:
     [Slab.pop_batch] before, [Slab.release] after — and after flushing
     any replies staged via [on_reply_slot] whose return addresses live
     in per-slot sidecars.  [n] at most [config.batch]. *)
@@ -234,8 +221,9 @@ val next_timer_ms : t -> int
 
 val peek_flow : t -> int -> Netdsl_fsm.Step.instance option
 (** The live machine instance for a flow key, without touching LRU order
-    — observability for tests comparing per-flow end states across
-    sharded and single-pipeline runs.  [None] on unkeyed pipelines.
+    — observability for tests comparing per-flow end states, such as
+    the lossy loopback's steered worker pipelines against one reference
+    pipeline.  [None] on unkeyed pipelines.
     The instance belongs to that flow only until the flow is evicted:
     eviction resets it in place and hands it to the next new flow, so
     read it before further traffic can evict the flow. *)

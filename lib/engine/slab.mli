@@ -1,21 +1,23 @@
-(** Zero-allocation ingest ring.
+(** Zero-allocation batch window.
 
     A preallocated ring of fixed-capacity [Bytes.t] buffers plus a length
-    array.  The producer blits wire bytes into the next free slot (or
-    leases it and fills it in place, e.g. from a socket read) and
-    publishes the index; the consumer dequeues whole index runs with
-    {!pop_batch}, processes them in place, and hands the run back with
-    {!release}.  Steady-state ingest moves bytes only — no per-packet
-    allocation on either side.
+    array.  The owner leases a contiguous run of free slots, fills them
+    in place (a [recvmmsg] scatters datagrams straight into their
+    buffers), publishes the filled prefix, then pops whole index runs
+    with {!pop_batch}, processes them in place, and hands each run back
+    with {!release}.  Steady-state ingest moves bytes only — no
+    per-packet allocation.
 
-    Single-producer / single-consumer.  Producers block while the ring
-    is full, {!pop_batch} blocks while it is empty, and {!close} releases
-    every waiter.
-
-    The slab is mutex-based and meant for one domain (or a producer
-    thread that may block).  Its lock-free cross-domain sibling is
-    {!Spsc} — same slot-ring shape, but atomics-only hand-off for the
-    shard's per-worker rings. *)
+    Single-owner: one domain fills and drains a slab, so nothing here
+    locks, waits or blocks — {!lease_run} returns [0] on a full ring and
+    {!pop_batch} returns [0] on an empty one, and the owner decides what
+    to do next.  Each slab belongs to one loop (one per [Net.Server]
+    worker, one per [perfbench] client) and only the domain running that
+    loop touches it: handing it over once before the loop starts, as
+    [Domain.spawn] does, is safe; two domains using it at once is a data
+    race.  The calls still check the lease/return discipline: a bad
+    count, a second lease or batch, or a release without a batch raises
+    [Invalid_argument]. *)
 
 type t
 
@@ -30,41 +32,7 @@ val slot_bytes : t -> int
 val length : t -> int
 (** Slots currently in flight (published and not yet released). *)
 
-val close : t -> unit
-(** Idempotent.  Producers return [false] / [None] once closed; the
-    consumer drains what remains, then {!pop_batch} returns [0]. *)
-
-val is_closed : t -> bool
-
-(** {2 Producer side} *)
-
-val push : t -> ?off:int -> ?len:int -> string -> bool
-(** Blit one packet (or the window [pkt.(off .. off+len-1)]) into the
-    next slot and publish it.  Blocks while the ring is full; [false] if
-    the slab is closed.  Raises [Invalid_argument] if the window is out
-    of bounds or longer than {!slot_bytes}. *)
-
-val push_batch : t -> string array -> int -> bool
-(** [push_batch t pkts n] publishes [pkts.(0 .. n-1)] as whole index
-    runs, taking the lock once per free run rather than per packet.
-    Blocks as needed; [false] if the slab closed before all [n] were
-    published. *)
-
-val lease : t -> Bytes.t option
-(** Borrow the next free slot to fill in place (zero-copy ingest from a
-    socket read).  Blocks while the ring is full; [None] if closed.  At
-    most one lease may be outstanding; a second {!lease} — or any [push]
-    while leased — raises [Invalid_argument]. *)
-
-val publish : t -> int -> unit
-(** Publish the leased slot with the given byte length.  Raises
-    [Invalid_argument] without an outstanding lease or if the length
-    exceeds {!slot_bytes}. *)
-
-val abandon : t -> unit
-(** Return the leased slot unpublished. *)
-
-(** {2 Contiguous-run lease}
+(** {2 Filling: the contiguous-run lease}
 
     The batched socket path ([recvmmsg]) fills many slots with one
     syscall: lease a whole run of free slots, let the kernel scatter
@@ -77,20 +45,20 @@ val abandon : t -> unit
 val lease_run : t -> max:int -> int
 (** Lease up to [max] contiguous free slots starting at
     {!producer_slot}.  Returns the run length, [0] when the ring is
-    full or closed — unlike {!lease} this never blocks; the socket
-    loop owns the drop policy.  Raises [Invalid_argument] if a lease
-    is already outstanding or [max <= 0]. *)
+    full.  Raises [Invalid_argument] if a lease is already outstanding
+    or [max <= 0]. *)
 
 val producer_slot : t -> int
-(** Array index of the first slot of the leased run (producer thread
-    only; stable while the lease is outstanding). *)
+(** Array index of the first slot of the leased run (stable while the
+    lease is outstanding). *)
 
 val publish_run : t -> n:int -> unit
 (** Publish the first [n] slots of the leased run — their lengths must
     already be stored in {!raw_lens} — and return the rest unfilled.
     [n = 0] abandons the whole run.  Raises [Invalid_argument] without
     an outstanding run, if [n] exceeds it, or if a published slot's
-    recorded length is outside [0 .. slot_bytes]. *)
+    recorded length is outside [0 .. slot_bytes]; a refused publish
+    drops the lease and publishes nothing. *)
 
 val raw_bufs : t -> Bytes.t array
 val raw_lens : t -> int array
@@ -99,14 +67,15 @@ val raw_lens : t -> int array
     leased run / claimed batch their contents are unstable; treat them
     as write-targets for the current lease only. *)
 
-(** {2 Consumer side} *)
+(** {2 Draining} *)
 
 val pop_batch : t -> max:int -> int
-(** Claim the next run of up to [max] published slots.  Blocks while the
-    slab is empty and open; [0] means closed and drained.  The claimed
-    slots stay owned by the consumer — readable via {!buf} / {!len}
-    without locking — until {!release}.  Raises [Invalid_argument] if the
-    previous batch has not been released (lease/return discipline). *)
+(** Claim the next run of up to [max] published slots and return its
+    length; [0] when nothing is published (no batch is then
+    outstanding, so there is nothing to {!release}).  The claimed slots
+    are readable via {!buf} / {!len} until {!release}.  Raises
+    [Invalid_argument] if [max <= 0] or the previous batch has not been
+    released. *)
 
 val buf : t -> int -> Bytes.t
 (** [buf t i] is the buffer of the [i]th slot of the current batch.
@@ -121,5 +90,5 @@ val batch_slot : t -> int -> int
     (source address, owning listener) at ingest time. *)
 
 val release : t -> unit
-(** Hand the current batch's slots back to the producer.  Raises
+(** Hand the current batch's slots back for filling.  Raises
     [Invalid_argument] if no batch is outstanding. *)

@@ -34,13 +34,6 @@ val note_evicted_flow : t -> unit
 
 val evicted_flows : t -> int
 
-val note_unkeyed : ?n:int -> t -> unit
-(** Counts packets the sharding stage could not read a flow key from
-    (too short for the key field) — they are steered to worker 0 for the
-    decode stage to reject; this counter is how they reach reports. *)
-
-val unkeyed : t -> int
-
 val note_timers : expired:int -> cancelled:int -> cascaded:int -> t -> unit
 (** Fold a batch of timer-wheel activity ([Wheel] counter deltas) into the
     counter set — bumped by the pipeline after each timer poll. *)
@@ -64,17 +57,18 @@ val warnings : t -> string list
 (** Recorded warnings, oldest first. *)
 
 val clamp_workers : allow_oversubscribe:bool -> int -> int * string option
-(** [clamp_workers ~allow_oversubscribe n]: the worker-domain count to
-    run — [n], or [Domain.recommended_domain_count ()] when [n] exceeds
-    it and oversubscription is not allowed — and the warning to record
-    on every worker's counters whenever [n] exceeds the core count. *)
+(** [clamp_workers ~allow_oversubscribe n]: the worker count a sharded
+    [Net.Server] runs — [n], or [Domain.recommended_domain_count ()]
+    when [n] exceeds it and oversubscription is not allowed — and the
+    warning it records on every worker's counters whenever [n] exceeds
+    the core count. *)
 
 val merge_into : into:t -> t -> unit
 (** Adds [src] into [into] (same stage layout required; eviction and
-    unkeyed counters are summed and warnings unioned too). *)
+    timer counters are summed and warnings unioned too). *)
 
 val merge : t list -> t
-(** Fresh aggregate of a non-empty list (shard-wide totals). *)
+(** Fresh aggregate of a non-empty list (a sharded server's totals). *)
 
 val copy : t -> t
 

@@ -81,7 +81,7 @@ val steer : workers:int -> int -> int
 (** The worker that owns a flow key: [((key * 0x9E3779B1) mod 2^32) lsr
     16 mod workers], and worker 0 for {!View.no_key}.  The one
     definition of the partition — the steering program computes it in
-    the kernel, and [Engine.Shard] and the lossy loopback in memory. *)
+    the kernel, and the lossy loopback in memory. *)
 
 val steering : Desc.t -> key:string -> workers:int -> (program, string) result
 (** The steering program for [workers] (at least 2) sockets, keyed on the

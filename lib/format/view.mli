@@ -17,7 +17,8 @@
 (** {2 Flow keys}
 
     A precompiled extractor for a scalar field at a fixed wire offset: the
-    sharding key read used by [Engine.Shard] to pick a worker without
+    flow-key read that {!Netdsl_format.Bpf.steering} compiles into the
+    kernel's worker choice and the lossy loopback steers by, without
     decoding the packet. *)
 
 type key_extractor

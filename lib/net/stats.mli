@@ -25,12 +25,10 @@ type t = {
           [tx_pkts / tx_msgs] is the datagrams-per-message ratio *)
   mutable tx_bytes : int;
   mutable drops : int;
-      (** packets discarded in user space: a datagram steered to a full
-          shard worker ring (the bounded-backpressure path that never
-          blocks the listener), an oversized TCP frame, which also
-          closes its connection, or an oversized datagram: one wider
-          than a slot is discarded whole rather than served as its
-          slot-sized prefix.  Never a full ingest slab: every run is
+      (** packets discarded in user space: an oversized TCP frame,
+          which also closes its connection, or an oversized datagram:
+          one wider than a slot is discarded whole rather than served
+          as its slot-sized prefix.  Never a full ingest slab: every run is
           finished before the next read, so the kernel socket buffer is
           the only queue *)
   mutable kernel_drops : int;

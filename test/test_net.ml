@@ -93,7 +93,7 @@ let slab_batch_matches_process () =
       else valid
     in
     ignore (Pipeline.process singles pkt);
-    check_bool "slab slot free" true (Slab.push slab pkt);
+    check_int "slab slot free" 1 (Testutil.fill_slab slab [| pkt |]);
     (* uneven runs: a full batch, then stragglers *)
     if Slab.length slab = Pipeline.default_config.batch || i mod 37 = 0 then
       drain ()
@@ -706,6 +706,35 @@ let sharded_create_red_paths () =
        ~allow_oversubscribe:true ~shard_key:"nope"
        ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
        Fm.Arq.format)
+
+(* More workers than cores: clamped to the cores unless the caller opts
+   into oversubscription, and warned on the engine counters either way.
+   Port 0 binds only [cores + 2] sockets; nothing runs. *)
+let sharded_oversubscription_clamped () =
+  let cores = Domain.recommended_domain_count () in
+  let create allow_oversubscribe =
+    match
+      Server.create ~signals:false ~flight:arq_flight ~workers:(cores + 2)
+        ~allow_oversubscribe
+        ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
+        Fm.Arq.format
+    with
+    | Error e -> Alcotest.failf "create: %s" e
+    | Ok srv -> srv
+  in
+  let warned srv =
+    Netdsl_engine.Stats.warnings (Server.engine_stats srv) <> []
+  in
+  (* default: clamp to the available cores and say so *)
+  let srv = create false in
+  Fun.protect ~finally:(fun () -> Server.close srv) (fun () ->
+      check_int "clamped" cores (Server.workers srv);
+      check_bool "warning lands in the engine stats" true (warned srv));
+  (* explicit opt-in: keep the requested count, still warn *)
+  let srv = create true in
+  Fun.protect ~finally:(fun () -> Server.close srv) (fun () ->
+      check_int "kept" (cores + 2) (Server.workers srv);
+      check_bool "warned anyway" true (warned srv))
 
 (* ------------------------------------------------------------------ *)
 (* serving a layered chain *)
@@ -1643,6 +1672,8 @@ let suite =
           sharded_udp_roundtrip;
         Alcotest.test_case "sharded create red paths" `Quick
           sharded_create_red_paths;
+        Alcotest.test_case "oversubscription clamped+warned" `Quick
+          sharded_oversubscription_clamped;
         Alcotest.test_case "kernel steering: socket = interpreter" `Quick
           steering_kernel_agrees;
         Alcotest.test_case "sharded idle workers fire timers: legacy" `Quick

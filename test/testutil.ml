@@ -15,6 +15,34 @@ let contains haystack needle =
 
 module Pipeline = Netdsl_engine.Pipeline
 module Stats = Netdsl_engine.Stats
+module Slab = Netdsl_engine.Slab
+
+(* Publish [pkts.(from ..)] into [slab] on the caller's domain the way a
+   socket front end fills it: lease a contiguous run, write each packet
+   and its length into the run's slots (through [raw_bufs]/[raw_lens],
+   where [recvmmsg] writes), publish the run.  Stops at a full ring;
+   returns the index of the first packet that did not fit.  A packet
+   longer than a slot is written cut but recorded at its full length,
+   so [publish_run] refuses it. *)
+let fill_slab ?(from = 0) slab pkts =
+  let bufs = Slab.raw_bufs slab and lens = Slab.raw_lens slab in
+  let n = Array.length pkts in
+  let rec go i =
+    let k = if i < n then Slab.lease_run slab ~max:(n - i) else 0 in
+    if k = 0 then i
+    else begin
+      let base = Slab.producer_slot slab in
+      for j = 0 to k - 1 do
+        let p = pkts.(i + j) in
+        let l = String.length p in
+        Bytes.blit_string p 0 bufs.(base + j) 0 (Int.min l (Slab.slot_bytes slab));
+        lens.(base + j) <- l
+      done;
+      Slab.publish_run slab ~n:k;
+      go (i + k)
+    end
+  in
+  go from
 
 (* A shipped spec, found from wherever the test binary runs: dune's test
    directory or the repository root. *)
