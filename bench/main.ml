@@ -757,91 +757,21 @@ let e11 () =
      regions and payloads, the compiled plan copies nothing)."
 
 (* ------------------------------------------------------------------ *)
-(* E12: the encode-side dual of E11 — interpreting codec vs compiled emit
-   plans vs in-place patching on the respond/forward path. *)
+(* E12: the encode-side dual of E11 — the respond/forward path answers by
+   patching the request in place; priced against rebuilding the reply
+   from a value through the reference codec. *)
 
 let e12 () =
-  section "e12" "encode throughput: codec vs compiled emit vs in-place patch"
+  section "e12" "respond/forward: codec rebuild vs in-place patch"
     "ROADMAP north star; encode-side dual of E11";
   let n = if !quick then 20_000 else 300_000 in
   let cores = Domain.recommended_domain_count () in
-  Printf.printf "(%d encodes per measurement; %d core(s) available to this process)\n"
+  Printf.printf "(%d replies per measurement; %d core(s) available to this process)\n"
     n cores;
   print_newline ();
-  (* -- (a) value-to-wire: one fixed value per workload, streamed by the
-     interpreting codec, by the compiled emitter (fresh string), and by the
-     compiled emitter into a caller-owned reusable buffer -- *)
-  let tftp_value =
-    Value.strip_derived Formats.Tftp.format
-      (Codec.decode_exn Formats.Tftp.format
-         (Formats.Tftp.to_bytes_exn
-            (Formats.Tftp.Data { block = 7; data = String.make 512 'd' })))
-  in
-  let arq_value payload_len =
-    Value.record
-      [ ("seq", Value.int 42); ("kind", Value.int 0);
-        ("payload", Value.bytes (String.make payload_len 'x')) ]
-  in
-  let workloads =
-    [
-      ( "arq 64B payload", Formats.Arq.format, arq_value 64,
-        Some (fun () -> B.serialize (B.Data { seq = 42; payload = String.make 64 'x' })) );
-      ( "arq 1024B payload", Formats.Arq.format, arq_value 1024,
-        Some (fun () -> B.serialize (B.Data { seq = 42; payload = String.make 1024 'x' })) );
-      ( "ipv4 (512B payload)", Formats.Ipv4.format,
-        Formats.Ipv4.make ~identification:7 ~protocol:Formats.Ipv4.protocol_udp
-          ~source:(Formats.Ipv4.addr_of_string "10.0.0.1")
-          ~destination:(Formats.Ipv4.addr_of_string "10.0.0.2")
-          ~payload:(String.make 512 'p') (),
-        None );
-      ( "udp (256B payload)", Formats.Udp.format,
-        Formats.Udp.make ~src_port:5353 ~dst_port:53
-          ~payload:(String.make 256 'u') (),
-        None );
-      ("tftp data (512B)", Formats.Tftp.format, tftp_value, None);
-    ]
-  in
-  Printf.printf "(a) value -> wire, single domain\n";
-  Printf.printf "  %-20s %12s %12s %12s %9s %12s\n" "workload" "codec ns"
-    "emit ns" "emit_into ns" "speedup" "handwritten";
-  let encode_rows =
-    List.map
-      (fun (name, fmt, value, handwritten) ->
-        let emitter = Emit.create fmt in
-        let expected = Codec.encode_exn fmt value in
-        let len = String.length expected in
-        (* correctness gate before any timing: identical wire bytes *)
-        assert (String.equal expected (Emit.encode_exn emitter value));
-        let buf = Bytes.create (len + 16) in
-        (match Emit.encode_into emitter buf value with
-        | Ok m ->
-          assert (m = len && String.equal expected (Bytes.sub_string buf 0 len))
-        | Error e -> failwith (Codec.error_to_string e));
-        (match handwritten with
-        | Some hw -> assert (String.equal expected (hw ()))
-        | None -> ());
-        let codec_once _ = ignore (Codec.encode_exn fmt value) in
-        let emit_once _ = ignore (Emit.encode_exn emitter value) in
-        let into_once _ = ignore (Emit.encode_into emitter buf value) in
-        for i = 0 to 999 do codec_once i; emit_once i; into_once i done;
-        let per dt = dt *. 1e9 /. float_of_int n in
-        let codec_ns = per (time_loop n codec_once) in
-        let emit_ns = per (time_loop n emit_once) in
-        let into_ns = per (time_loop n into_once) in
-        let hw_ns =
-          Option.map (fun hw -> per (time_loop n (fun _ -> ignore (hw ())))) handwritten
-        in
-        let speedup = codec_ns /. into_ns in
-        Printf.printf "  %-20s %12.1f %12.1f %12.1f %8.2fx %12s\n" name codec_ns
-          emit_ns into_ns speedup
-          (match hw_ns with Some h -> Printf.sprintf "%.1f" h | None -> "-");
-        (name, len, codec_ns, emit_ns, into_ns, speedup, hw_ns))
-      workloads
-  in
-  (* -- (b) respond / forward loops: the reply is the request with one
-     scalar flipped, produced two ways that must agree byte-for-byte -- *)
-  Printf.printf
-    "\n(b) respond/forward: reply = request with one field rewritten\n";
+  (* The reply is the request with one scalar flipped, produced two ways
+     that must agree byte-for-byte. *)
+  Printf.printf "respond/forward: reply = request with one field rewritten\n";
   Printf.printf "  %-26s %12s %12s %9s\n" "scenario" "codec ns" "patch ns" "speedup";
   let respond_rows = ref [] in
   (* ARQ responder: flip kind -> ack, payload echoed *)
@@ -934,20 +864,7 @@ let e12 () =
   Printf.bprintf buf "  \"quick\": %b,\n" !quick;
   Printf.bprintf buf "  \"cores_available\": %d,\n" cores;
   Printf.bprintf buf "  \"single_core_caveat\": %b,\n" (cores = 1);
-  Printf.bprintf buf "  \"encodes_per_measurement\": %d,\n" n;
-  Buffer.add_string buf "  \"encode\": [\n";
-  List.iteri
-    (fun i (name, len, codec_ns, emit_ns, into_ns, speedup, hw_ns) ->
-      Printf.bprintf buf
-        "    {\"workload\": %S, \"bytes\": %d, \"codec_ns\": %.1f, \"emit_ns\": %.1f, \
-         \"emit_into_ns\": %.1f, \"emit_speedup\": %.2f%s}%s\n"
-        name len codec_ns emit_ns into_ns speedup
-        (match hw_ns with
-        | Some h -> Printf.sprintf ", \"handwritten_ns\": %.1f" h
-        | None -> "")
-        (if i = List.length encode_rows - 1 then "" else ","))
-    encode_rows;
-  Buffer.add_string buf "  ],\n";
+  Printf.bprintf buf "  \"replies_per_measurement\": %d,\n" n;
   Buffer.add_string buf "  \"respond\": [\n";
   List.iteri
     (fun i (name, len, codec_ns, patch_ns, speedup) ->
@@ -964,12 +881,10 @@ let e12 () =
   close_out oc;
   Printf.printf "\n(wrote %s)\n" path;
   print_endline
-    "\nRESULT shape: the compiled emit plan streams the same bytes as the\n\
-     interpreting codec at a multiple of its rate (widening with payload\n\
-     size — the codec re-walks the description and copies checksum regions,\n\
-     the plan writes each byte once); the in-place patch answers in the\n\
-     time of a memcpy plus an RFC 1624 checksum delta, independent of how\n\
-     expensive the full encode would have been."
+    "\nRESULT shape: the in-place patch answers in the time of a memcpy\n\
+     plus an RFC 1624 checksum delta, independent of how expensive the\n\
+     full encode would have been; the codec rebuild re-walks the\n\
+     description and re-checksums the region on every reply."
 
 (* ------------------------------------------------------------------ *)
 (* E13: the behavioural dual of E11/E12 — interpreted Interp.fire vs the
@@ -1185,10 +1100,10 @@ let e13 () =
 
 (* ------------------------------------------------------------------ *)
 (* E14: differential fuzzing throughput.  The oracle is only useful if
-   it is cheap enough to run at depth: every mutant is decoded twice
-   (Codec and the compiled plan), re-encoded twice when accepted (Codec
-   and the compiled Emit plan), and pushed through an engine Pipeline
-   whose counters are cross-checked against a reference model.  This
+   it is cheap enough to run at depth: every mutant is decoded by Codec
+   and by the compiled plan, run through the kernel pre-filter, and
+   pushed through staged and fused engine Pipelines whose counters are
+   cross-checked against a reference model.  This
    experiment measures mutants judged per second for every shipped
    format, plus trace-fuzz events per second for every shipped machine
    (Step and Interp in lock-step). *)
@@ -1200,7 +1115,8 @@ let e14 () =
   let iters = if !quick then 2_000 else 20_000 in
   Printf.printf
     "(%d structure-aware mutants per format; each judged by Codec, the\n\
-    \ compiled plan, Emit and the Pipeline; %d adversarial traces per machine)\n\n"
+    \ compiled plan, the pre-filter and the Pipelines; %d adversarial traces\n\
+    \ per machine)\n\n"
     iters (iters / 10);
   Printf.printf "(a) wire oracle\n";
   Printf.printf "  %-12s %9s %9s %9s %12s\n" "format" "mutants" "accepted"
@@ -1645,12 +1561,12 @@ let e16 () =
 
 (* ------------------------------------------------------------------ *)
 (* E17: fused parse graphs.  A layered header stack (eth -> ipv4 -> udp
-   -> tftp) compiled once into one flat decode/encode plan, priced
-   against the naive sequential reference that re-decodes (re-encodes)
-   every layer through the reference codec — the pre-stack
-   way to handle a chain.  Semantics are not assumed equal: the chain
-   oracle leg below re-judges both implementations on >= 100k
-   structure-aware cross-layer mutants before the numbers count. *)
+   -> tftp) compiled once into one flat decode plan, priced against the
+   naive sequential reference that re-decodes every layer through the
+   reference codec — the pre-stack way to handle a chain.  Semantics
+   are not assumed equal: the chain oracle leg below re-judges both
+   implementations on >= 100k structure-aware cross-layer mutants
+   before the numbers count. *)
 
 let e17 () =
   section "e17"
@@ -1796,73 +1712,7 @@ let e17 () =
   | None ->
     prerr_endline "bench e17: no 4-layer chain in the matrix";
     exit 1);
-  (* -- (b) chained encode: headers written once + back-patch vs the
-     naive innermost-first re-encode through every enclosing layer -- *)
-  let en = if !quick then 10_000 else 100_000 in
-  let encode_cases =
-    [
-      ("eth_arp", Formats.Stacks.eth_arp, Formats.Stacks.eth_arp_values ());
-      ("eth_ipv4_udp/32B", eth_ipv4_udp,
-       eth_ipv4_udp_values (String.make 32 'u'));
-      ("eth_ipv4_udp/512B", eth_ipv4_udp,
-       eth_ipv4_udp_values (String.make 512 'u'));
-      ("inet_tftp/32B", Formats.Stacks.inet_tftp,
-       Formats.Stacks.inet_tftp_values
-         (Formats.Tftp.Data { block = 7; data = String.make 32 'd' }));
-      ("inet_tftp/512B", Formats.Stacks.inet_tftp,
-       Formats.Stacks.inet_tftp_values
-         (Formats.Tftp.Data { block = 7; data = String.make 512 'd' }));
-    ]
-  in
-  let encode_rows =
-    List.map
-      (fun (name, stack, vs) ->
-        let plan = compile_or_die name stack in
-        (match (Stack.encode plan vs, Stack.encode_seq plan vs) with
-        | Ok a, Ok b when String.equal a b -> ()
-        | Ok _, Ok _ ->
-          Printf.eprintf "bench e17: %s encode <> encode_seq\n" name;
-          exit 1
-        | Error e, _ | _, Error e ->
-          Printf.eprintf "bench e17: %s encode failed: %s\n" name e;
-          exit 1);
-        let timed f =
-          for _ = 1 to en / 10 do
-            f ()
-          done;
-          Gc.full_major ();
-          let dt = time_loop en (fun _ -> f ()) in
-          dt *. 1e9 /. float_of_int en
-        in
-        (* The fused design point is [encode_into] a caller-owned buffer
-           (the responder's slab): headers land once at their final
-           offsets, nothing is re-copied.  The sequential reference has
-           no such entry point — each layer's encoder allocates and
-           re-copies the grown payload by construction. *)
-        let ebuf = Bytes.create 4096 in
-        let f_ns =
-          timed (fun () -> ignore (Stack.encode_into plan ebuf vs))
-        in
-        let s_ns = timed (fun () -> ignore (Stack.encode_seq plan vs)) in
-        (name, Stack.layer_count plan, f_ns, s_ns))
-      encode_cases
-  in
-  Printf.printf
-    "\n(b) chained encode, %d per row: write-once + RFC 1624 back-patch\n\
-    \    (encode_into a caller buffer) vs innermost-first sequential\n\
-    \    re-encode (byte-equal outputs, checked).  Both are dominated by\n\
-    \    per-layer value-tree encoding, so expect parity in ns — the fused\n\
-    \    entry point buys the no-copy single-buffer discipline, not rate;\n\
-    \    the serve path never runs it at all (it patches in place).\n"
-    en;
-  Printf.printf "  %-18s %6s %10s %10s %8s\n" "chain" "layers" "fused ns"
-    "seq ns" "speedup";
-  List.iter
-    (fun (name, layers, f_ns, s_ns) ->
-      Printf.printf "  %-18s %6d %10.1f %10.1f %7.2fx\n" name layers f_ns s_ns
-        (s_ns /. f_ns))
-    encode_rows;
-  (* -- (c) the layered responder end to end: verify on an inner register,
+  (* -- (b) the layered responder end to end: verify on an inner register,
      flow-key on the UDP layer, answer by patching ipv4.ttl inside its
      recorded window (the covering checksum repaired incrementally) -- *)
   let stack = Formats.Stacks.inet_tftp in
@@ -1919,7 +1769,7 @@ let e17 () =
     exit 1
   end;
   Printf.printf
-    "\n(c) layered responder (eth->ipv4->udp->tftp, verify tftp.opcode,\n\
+    "\n(b) layered responder (eth->ipv4->udp->tftp, verify tftp.opcode,\n\
     \    flow-key udp.src_port, patch ipv4.ttl):\n\
     \  engine (in-memory batches): %.0f pkts/s, %.1f ns/pkt, %.1f B/pkt\n"
     eng_rate eng_ns eng_alloc;
@@ -1955,12 +1805,12 @@ let e17 () =
       "  (client and server share %d core(s): the socket rate is an\n\
       \   oversubscribed loopback round trip, not engine headroom)\n"
       cores;
-  (* -- (d) the chain oracle: the numbers above only count because fused
+  (* -- (c) the chain oracle: the numbers above only count because fused
      and sequential are re-judged equal on cross-layer mutants here -- *)
   let iters = if !quick then 2_000 else 34_000 in
   let seed = 20260808 in
   Printf.printf
-    "\n(d) chain oracle: %d cross-layer mutants per stack, fused chained\n\
+    "\n(c) chain oracle: %d cross-layer mutants per stack, fused chained\n\
     \    decode vs sequential per-layer (verdict, windows, registers)\n"
     iters;
   Printf.printf "  %-14s %9s %9s %9s %12s\n" "stack" "mutants" "chained"
@@ -2009,17 +1859,6 @@ let e17 () =
     decode_rows;
   Buffer.add_string buf "  ],\n";
   Buffer.add_string buf "  \"four_layer_speedup_gate\": 1.5,\n";
-  Printf.bprintf buf "  \"encode_per_row\": %d,\n" en;
-  Buffer.add_string buf "  \"encode\": [\n";
-  List.iteri
-    (fun i (name, layers, f_ns, s_ns) ->
-      Printf.bprintf buf
-        "    {\"chain\": %S, \"layers\": %d, \"fused_ns\": %.1f, \
-         \"seq_ns\": %.1f, \"fused_speedup\": %.2f}%s\n"
-        name layers f_ns s_ns (s_ns /. f_ns)
-        (if i = List.length encode_rows - 1 then "" else ","))
-    encode_rows;
-  Buffer.add_string buf "  ],\n";
   Buffer.add_string buf "  \"responder\": {\n";
   Printf.bprintf buf
     "    \"engine\": {\"pkts_per_s\": %.0f, \"ns_per_pkt\": %.1f, \
@@ -2053,13 +1892,10 @@ let e17 () =
   print_endline
     "\nRESULT shape: compiling the whole parse graph once beats decoding a\n\
      layered packet layer by interpreted layer (gated at 1.5x on the\n\
-     4-layer chain, with 0 B/pkt on the fused path); the write-once\n\
-     back-patching encoder matches the sequential re-encode in ns (both\n\
-     are value-tree bound — honest parity) while producing byte-identical\n\
-     output into a single caller buffer; and the layered responder keeps\n\
-     the engine's zero-allocation steady state behind a real socket —\n\
-     equivalence with the per-layer reference is not assumed but re-proved\n\
-     on >= 100k cross-layer mutants each run."
+     4-layer chain, with 0 B/pkt on the fused path), and the layered\n\
+     responder keeps the engine's zero-allocation steady state behind a\n\
+     real socket — equivalence with the per-layer reference is not\n\
+     assumed but re-proved on >= 100k cross-layer mutants each run."
 
 let e18 () =
   section "e18" "flow steering: per-worker share of an elephant skew"

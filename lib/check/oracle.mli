@@ -1,15 +1,13 @@
 (** The differential oracle: one mutant, every fast path, demand agreement.
 
-    The compiled fast paths ({!Netdsl_format.View.Hot} decode,
-    {!Netdsl_format.Emit} encode, the {!Netdsl_engine.Pipeline} built on
-    both) are only trustworthy while they agree with the reference
+    The compiled fast paths ({!Netdsl_format.View.Hot} decode, the
+    {!Netdsl_engine.Pipeline} built on it, the kernel pre-filter) are
+    only trustworthy while they agree with the reference
     {!Netdsl_format.Codec} on *adversarial* input, not just on generator
     output.  {!check} decodes one wire message with [Codec.decode] — the
     one reference verdict and value — and runs it through these
     differential comparisons:
 
-    + re-encode: on accepted input, [Emit.encode] of the decoded value
-      must reproduce [Codec.encode] exactly (same bytes or same error);
     + engine: the [Staged] reference executor, armed with an
       always-true verify predicate, must not raise, must reject exactly
       when the codec rejects, must pass every accepted packet — and no
@@ -65,7 +63,7 @@ type bug =
 
 type disagreement = {
   d_check : string;
-      (** which comparison diverged: ["reencode"], ["pipeline"],
+      (** which comparison diverged: ["pipeline"],
           ["flight"], ["fused"], ["stats"], ["filter"],
           ["chain"], ["reply"], ["timers"] or ["crash"] *)
   d_detail : string;  (** rendered evidence: both sides of the divergence *)
@@ -74,8 +72,8 @@ type disagreement = {
 val disagreement_to_string : disagreement -> string
 
 type t
-(** A reusable oracle for one format: the compiled plan, emitter and
-    pipelines are compiled once. *)
+(** A reusable oracle for one format: the compiled plan and pipelines
+    are compiled once. *)
 
 val create : ?bug:bug -> Netdsl_format.Desc.t -> t
 val format : t -> Netdsl_format.Desc.t

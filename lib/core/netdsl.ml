@@ -7,10 +7,12 @@
 
     {2 Map}
 
-    - packet descriptions: {!Desc}, {!Value}, {!Codec}, {!Emit}, {!Wf},
-      {!Sizing}, {!Diagram}, {!Gen}, {!Stack} (layered parse graphs
-      compiled to one fused decode/encode plan), {!Bpf} (fixed-offset
-      wire checks compiled to a kernel socket filter)
+    - packet descriptions: {!Desc}, {!Value}, {!Codec} (the reference
+      decoder and the one whole-message encoder), {!Emit} (in-place
+      field patches with incremental checksums), {!Wf}, {!Sizing},
+      {!Diagram}, {!Gen}, {!Stack} (layered parse graphs compiled to one
+      fused decode plan), {!Bpf} (fixed-offset wire checks compiled to a
+      kernel socket filter)
     - behaviour: {!Machine}, {!Analysis}, {!Compose}, {!Model_check},
       {!Testgen}, {!Interp}, {!Step} (compiled execution plans), {!Dot}
     - correct-by-construction layer (the paper's §3.4 with OCaml types):
@@ -21,7 +23,8 @@
       the engine's slab, per-listener wire counters; multicore as
       [SO_REUSEPORT] workers the kernel steers by flow key)
     - fuzzing + differential testing: {!Check} (structure-aware wire
-      mutation, a Codec/View/Emit/Pipeline oracle, Step-vs-Interp trace
+      mutation, an oracle diffing the compiled plans, Pipelines and
+      kernel pre-filter against Codec, Step-vs-Interp trace
       lock-step, a loopback soak harness, shrinking, committable repro
       reports)
     - simulation substrate: {!Sim_engine}, {!Channel}, {!Timer}, {!Trace},

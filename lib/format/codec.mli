@@ -15,9 +15,11 @@
 
     Role: the {e reference executor} for formats.  No serving path runs
     it per packet — the engine decodes with the compiled {!View} plans and
-    replies with {!Emit} patchers, and the differential oracle
-    ([Netdsl_check.Oracle]) diffs both against this interpreter.  It stays
-    the value-level API for tools, tests and the typed format helpers. *)
+    replies with {!Emit} patchers.  The differential oracle
+    ([Netdsl_check.Oracle]) diffs the compiled decoders against this
+    interpreter, and the patch tests diff {!Emit} against {!encode}.  It
+    stays the value-level API for tools, tests and the typed format
+    helpers, and {!encode} is the one whole-message encoder. *)
 
 type path = string list
 (** Field path from the message root, outermost first. *)

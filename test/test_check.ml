@@ -63,7 +63,8 @@ let zero_iters_case (name, fmt) =
           Alcotest.failf "only %d seeds checked at iters=0" stats.Ck.Fuzz.ws_mutants)
 
 (* The main property: a few hundred structure-aware mutants per format,
-   zero disagreements between View, Codec, Emit and the Pipeline.  The
+   zero disagreements between Codec, the compiled plan, the Pipelines and
+   the kernel pre-filter.  The
    10k-per-format depth runs in CI via `netdsl fuzz`. *)
 let fuzz_case (name, fmt) =
   Alcotest.test_case name `Quick (fun () ->

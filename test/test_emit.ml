@@ -1,9 +1,9 @@
-(* Equivalence of the compiled [Emit] encoder and the interpreting [Codec]:
-   for every shipped format and any generated value both must produce the
-   same bytes (or the same rejection), and [Emit.patch] must produce
-   exactly what a decode → mutate → full re-encode round trip would —
-   incremental checksum included.  This is the licence for the engine's
-   respond path to never call the full encoder. *)
+(* The encode side of the serve path: [Emit.patch] and its compiled
+   kernel must produce exactly what a decode → mutate → [Codec.encode]
+   round trip would, incremental checksum included — the licence for the
+   engine's respond path to never build a message from a value.  The
+   wire-to-wire cases pin the reference itself: [Codec.encode] of a
+   decoded packet reproduces it. *)
 
 open Netdsl_format
 module Fm = Netdsl_formats
@@ -14,8 +14,6 @@ let trials = 200
 
 module Check = Netdsl_check
 
-(* The handcrafted IPv4/TCP value generators that used to live here (and
-   in test_view.ml) are now centralised in [Netdsl_check.Corpus]. *)
 let all_formats = Check.Corpus.shipped
 
 let sample rng fmt =
@@ -30,33 +28,9 @@ let gen_ipv4_value rng =
 
 let hex = Netdsl_util.Hexdump.to_hex
 
-(* One value through both encoders; fails the test on any disagreement. *)
-let check_same_bytes name fmt emitter value =
-  match (Codec.encode fmt value, Emit.encode emitter value) with
-  | Ok c, Ok e ->
-    if not (String.equal c e) then
-      Alcotest.failf "%s: encoders disagree\ncodec: %s\nemit:  %s" name (hex c)
-        (hex e)
-  | Error _, Error _ -> ()
-  | Ok _, Error e ->
-    Alcotest.failf "%s: codec encodes, emit rejects: %s" name
-      (Codec.error_to_string e)
-  | Error e, Ok _ ->
-    Alcotest.failf "%s: emit encodes, codec rejects: %s" name
-      (Codec.error_to_string e)
-
-let equivalence_case (name, fmt) =
-  Alcotest.test_case name `Quick (fun () ->
-      let rng = Prng.of_int 20260806 in
-      let emitter = Emit.create fmt in
-      for _ = 1 to trials do
-        let value = sample rng fmt in
-        check_same_bytes name fmt emitter value
-      done)
-
-(* Adversarial re-encode: corpus seeds mutated by the structure-aware
-   fuzzer, through the differential oracle — which re-encodes whatever
-   both decoders accept with Emit and Codec and demands identical bytes. *)
+(* Adversarial input: corpus seeds mutated by the structure-aware fuzzer,
+   through the differential oracle — every compiled fast path must agree
+   with the codec's verdict (and, on acceptance, its field values). *)
 let mutant_case (name, fmt) =
   Alcotest.test_case name `Quick (fun () ->
       let rng = Prng.of_int 46 in
@@ -74,58 +48,15 @@ let mutant_case (name, fmt) =
           Alcotest.failf "%s: %s" name (Check.Oracle.disagreement_to_string d)
       done)
 
-(* encode_into: bytes land at the requested offset, the rest of the buffer
-   is untouched, and an undersized buffer is a clean Truncated error. *)
-let encode_into_offsets () =
-  let rng = Prng.of_int 31 in
-  let emitter = Emit.create Fm.Arq.format in
-  let buf = Bytes.create 256 in
-  for _ = 1 to 50 do
-    Bytes.fill buf 0 (Bytes.length buf) '\xAA';
-    let value = Gen.generate rng Fm.Arq.format in
-    let expected = Codec.encode_exn Fm.Arq.format value in
-    let off = Prng.int rng 32 in
-    match Emit.encode_into emitter ~off buf value with
-    | Error e -> Alcotest.failf "encode_into: %s" (Codec.error_to_string e)
-    | Ok n ->
-      Alcotest.(check int) "length" (String.length expected) n;
-      Alcotest.(check string)
-        "bytes at offset" expected
-        (Bytes.sub_string buf off n);
-      Alcotest.(check char) "byte after message untouched" '\xAA'
-        (Bytes.get buf (off + n));
-      if off > 0 then
-        Alcotest.(check char) "preceding byte untouched" '\xAA'
-          (Bytes.get buf (off - 1))
-  done;
-  let value = Gen.generate rng Fm.Arq.format in
-  match Emit.encode_into emitter Bytes.empty value with
-  | Error (Codec.Io { error = Netdsl_util.Bitio.Truncated _; _ }) -> ()
-  | Error e -> Alcotest.failf "expected Truncated, got %s" (Codec.error_to_string e)
-  | Ok _ -> Alcotest.fail "encode into empty buffer succeeded"
-
-(* A reused emitter must never leak bytes of a longer previous message
-   into a shorter next one. *)
-let buffer_reuse () =
-  let emitter = Emit.create Fm.Arq.format in
-  let big = Value.(record [ ("seq", int 1); ("kind", int 0);
-                            ("payload", bytes (String.make 300 '\xFF')) ]) in
-  let small = Value.(record [ ("seq", int 2); ("kind", int 0);
-                              ("payload", bytes "") ]) in
-  List.iter
-    (fun v -> check_same_bytes "arq reuse" Fm.Arq.format emitter v)
-    [ big; small; big; small ]
-
 (* ------------------------------------------------------------------ *)
 (* Wire to wire *)
 
-(* Re-emitting a decoded message reproduces it byte for byte: the
+(* Re-encoding a decoded message reproduces it byte for byte: the
    codec's value of a packet, derived fields included, is something the
-   emitter accepts and turns back into the same packet. *)
+   codec accepts and turns back into the same packet. *)
 let wire_roundtrip_case (name, fmt) =
   Alcotest.test_case name `Quick (fun () ->
       let rng = Prng.of_int 4242 in
-      let emitter = Emit.create fmt in
       for _ = 1 to 50 do
         match Codec.encode fmt (sample rng fmt) with
         | Error _ -> ()
@@ -134,13 +65,13 @@ let wire_roundtrip_case (name, fmt) =
           | Error e ->
             Alcotest.failf "%s: decode failed: %s" name (Codec.error_to_string e)
           | Ok v -> (
-            match Emit.encode emitter v with
+            match Codec.encode fmt v with
             | Ok pkt' ->
               if not (String.equal pkt pkt') then
                 Alcotest.failf "%s: wire round trip differs\nin:  %s\nout: %s"
                   name (hex pkt) (hex pkt')
             | Error e ->
-              Alcotest.failf "%s: re-emitting the decoded value failed: %s" name
+              Alcotest.failf "%s: re-encoding the decoded value failed: %s" name
                 (Codec.error_to_string e)))
       done)
 
@@ -156,11 +87,11 @@ let set_field name v value =
   | other -> other
 
 (* A decoded value with one field replaced — its stale checksum still in
-   it — re-emits as the reference does: decode, strip derived fields,
-   substitute, full re-encode. *)
+   it — re-encodes as the reference does: decode, strip derived fields,
+   substitute, full re-encode.  A supplied checksum is recomputed, never
+   trusted. *)
 let wire_override () =
   let rng = Prng.of_int 99 in
-  let emitter = Emit.create Fm.Arq.format in
   for _ = 1 to 100 do
     let pkt = Gen.generate_bytes rng Fm.Arq.format in
     let decoded = Codec.decode_exn Fm.Arq.format pkt in
@@ -169,9 +100,9 @@ let wire_override () =
       Codec.encode_exn Fm.Arq.format
         (set_field "seq" seq (strip_derived Fm.Arq.format decoded))
     in
-    match Emit.encode emitter (set_field "seq" seq decoded) with
+    match Codec.encode Fm.Arq.format (set_field "seq" seq decoded) with
     | Ok got -> Alcotest.(check string) "override bytes" expected got
-    | Error e -> Alcotest.failf "re-emit with seq replaced: %s" (Codec.error_to_string e)
+    | Error e -> Alcotest.failf "re-encode with seq replaced: %s" (Codec.error_to_string e)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -301,6 +232,52 @@ let patcher_rejections () =
   expect_error Fm.Ipv4.format "version" (* constant *);
   expect_error Fm.Tftp.format "opcode" (* variant tag: others derive from it *)
 
+(* The patch against its reference on every shipped format: for every
+   patchable field of generated messages and random values, [Emit.patch]
+   and decode → strip derived → substitute → [Codec.encode] must agree on
+   the verdict, and on acceptance byte for byte. *)
+let patch_reference_case (name, fmt) =
+  Alcotest.test_case name `Quick (fun () ->
+      let rng = Prng.of_int 20261020 in
+      let patchers =
+        List.filter_map
+          (fun (f : Desc.field) ->
+            match Emit.patcher fmt f.name with Ok p -> Some p | Error _ -> None)
+          fmt.Desc.fields
+      in
+      for _ = 1 to 50 do
+        match Codec.encode fmt (sample rng fmt) with
+        | Error _ -> ()
+        | Ok pkt ->
+          let stripped = strip_derived fmt (Codec.decode_exn fmt pkt) in
+          List.iter
+            (fun p ->
+              let field = Emit.patcher_field p in
+              let v =
+                Int64.of_int
+                  (match Prng.int rng 3 with
+                  | 0 -> Prng.int rng 256
+                  | 1 -> Prng.int rng 70_000
+                  | _ -> Prng.int rng 0x1_0000_0000)
+              in
+              let buf = Bytes.of_string pkt in
+              match
+                (Emit.patch p buf v, Codec.encode fmt (set_field field (Value.Int v) stripped))
+              with
+              | Ok (), Ok want ->
+                if not (String.equal want (Bytes.to_string buf)) then
+                  Alcotest.failf "%s.%s := %Ld\nwant: %s\ngot:  %s" name field v
+                    (hex want) (hex (Bytes.to_string buf))
+              | Error _, Error _ -> ()
+              | Ok (), Error e ->
+                Alcotest.failf "%s.%s := %Ld: patch accepts, codec rejects: %s" name
+                  field v (Codec.error_to_string e)
+              | Error e, Ok _ ->
+                Alcotest.failf "%s.%s := %Ld: codec accepts, patch rejects: %s" name
+                  field v (Codec.error_to_string e))
+            patchers
+      done)
+
 (* RFC 1624 incremental update against full recomputation. *)
 let internet_delta_matches () =
   let rng = Prng.of_int 90125 in
@@ -375,11 +352,7 @@ let kernel_case (name, fmt) =
         fields)
 
 let suite =
-  [ ( "emit.equivalence",
-      List.map equivalence_case all_formats
-      @ List.map mutant_case all_formats
-      @ [ Alcotest.test_case "encode_into offsets" `Quick encode_into_offsets;
-          Alcotest.test_case "buffer reuse" `Quick buffer_reuse ] );
+  [ ("oracle.mutants", List.map mutant_case all_formats);
     ( "emit.wire",
       List.map wire_roundtrip_case all_formats
       @ [ Alcotest.test_case "override" `Quick wire_override ] );
@@ -390,4 +363,5 @@ let suite =
         Alcotest.test_case "validation" `Quick patch_validation;
         Alcotest.test_case "rejections" `Quick patcher_rejections;
         Alcotest.test_case "internet delta" `Quick internet_delta_matches ] );
+    ("emit.patch_reference", List.map patch_reference_case all_formats);
     ("emit.kernel", List.map kernel_case all_formats) ]

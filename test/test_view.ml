@@ -8,7 +8,8 @@
 
    The adversarial inputs come from [Netdsl_check]: corpus seeds mutated
    by the structure-aware fuzzer, judged by the differential oracle
-   (which also cross-checks Emit and the Pipeline on the same bytes).
+   (which also cross-checks the Pipelines and the kernel pre-filter on
+   the same bytes).
    The ad-hoc IPv4/TCP generators that used to live here are now
    [Netdsl_check.Corpus.value_generator]. *)
 
