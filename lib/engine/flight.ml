@@ -233,10 +233,10 @@ let rec reg_cmp reg op a b =
    chain's window array ([off] at [2j], [len] at [2j + 1]) of the
    accepted request the reply copies: the field's compiled kernel and its
    source register or constant, all resolved here.  An action on a field
-   the format cannot patch compiles, and refuses every packet at the
-   encode stage. *)
-let reg_patch reg fmt field win j src : patch =
-  match F.Emit.patcher fmt field with
+   that cannot be patched ({!Stack.patcher} refused it) compiles, and
+   refuses every packet at the encode stage. *)
+let reg_patch reg patcher win j src : patch =
+  match patcher with
   | Error _ -> fun _ -> false
   | Ok p -> (
     let k = F.Emit.kernel p in
@@ -301,7 +301,10 @@ let compile_stack ?plan ?plant_late_load stack sp =
   in
   let action a =
     let* j, field = F.Stack.locate p a.set_field in
-    Ok (reg_patch reg (F.Stack.layer_fmt p j) field (F.Stack.windows p) j a.set_to)
+    Ok
+      (reg_patch reg
+         (F.Stack.patcher (F.Stack.stack p) j field)
+         (F.Stack.windows p) j a.set_to)
   in
   let* patches =
     map_result (fun r -> Result.map Array.of_list (map_result action r.re_set)) sp.sp_respond

@@ -95,7 +95,8 @@ val compile_stack :
     field absent from the accepted packet's variant case compares
     [false], keys to {!no_key} and refuses a patch, as on the staged
     side), and respond actions patch inside the owning layer's recorded
-    window.  Fails when the stack cannot be fused, a demanded register
+    window ({!Netdsl_format.Stack.patcher}: a field under an enclosing
+    carrier's payload checksum cannot be patched).  Fails when the stack cannot be fused, a demanded register
     cannot be extracted, or an action names an unknown layer.  The
     staged derivations run over the chain's sequential decode
     ({!Netdsl_format.Stack.Seq}), the [lib/check] oracles' ground truth.

@@ -421,7 +421,7 @@ let patcher_for t field =
     let plan = Flight.stack_plan t.flight in
     let r =
       Result.bind (F.Stack.locate plan field) (fun (j, f) ->
-          Result.map (fun p -> (p, j)) (F.Emit.patcher (F.Stack.layer_fmt plan j) f))
+          Result.map (fun p -> (p, j)) (F.Stack.patcher (F.Stack.stack plan) j f))
     in
     Hashtbl.add t.patchers field r;
     r

@@ -120,7 +120,7 @@ val create :
       format as [fmt]).  Every spec field is qualified as
       ["layer.field"].  The spec compiles via {!Flight.compile_stack};
       respond rules patch a byte copy of the request inside the owning
-      layer's window.  [Staged] decodes the chain with
+      layer's window, resolved by {!Netdsl_format.Stack.patcher}.  [Staged] decodes the chain with
       {!Netdsl_format.Stack.Seq} and patches inside its windows.  Raises
       [Invalid_argument] with the compiler's reason when the chain or a
       spec reference cannot be fused.
