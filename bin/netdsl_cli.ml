@@ -293,7 +293,7 @@ let fuzz_cmd =
         | Ok stats ->
           Format.printf
             "stack %s: %d mutants (%d chained, %d rejected; %d answered) — fused = \
-             sequential, replies = staged@."
+             sequential, replies = reference@."
             name stats.Check.Fuzz.cs_mutants stats.Check.Fuzz.cs_accepted
             stats.Check.Fuzz.cs_rejected stats.Check.Fuzz.cs_answered)
       stacks;
@@ -312,7 +312,7 @@ let fuzz_cmd =
   in
   Cmd.v
     (Cmd.info "fuzz"
-       ~doc:"Differentially fuzz a specification: structure-aware wire mutants through Codec and the compiled plan, the Pipelines and the kernel pre-filter, cross-layer mutants through every stack's fused chain vs sequential decode and its fused replies vs the staged reference, adversarial event traces through Step/Interp; exit 1 with a minimised repro on any disagreement.")
+       ~doc:"Differentially fuzz a specification: structure-aware wire mutants through Codec and the compiled plan, the Pipelines and the kernel pre-filter, cross-layer mutants through every stack's fused chain vs sequential decode and its fused replies vs the reference executor, adversarial event traces through Step/Interp; exit 1 with a minimised repro on any disagreement.")
     Term.(const run $ file_arg $ format_opt $ machine_opt $ stack_opt $ seed_opt
           $ iters_opt $ plant_bug_flag $ plant_filter_flag $ plant_specialiser_flag
           $ repro_dir_opt)

@@ -139,7 +139,7 @@ let scene_tftp () =
    classic BPF program compiled from the DSL-declared key field.  Every
    packet of a flow lands on the same worker, so per-flow machines need
    no locks.  This scene prints that program and, on this one domain,
-   the split [Bpf.steer] (the same hash, in OCaml) gives the ARQ
+   the split [Bpf.steer] (the same rule, in OCaml) gives the ARQ
    traffic; experiment E18 checks a real 2-worker server against it. *)
 
 let scene_steering () =
@@ -156,7 +156,8 @@ let scene_steering () =
     let per_worker = Array.make 2 0 in
     Array.iter
       (fun pkt ->
-        let w = Bpf.steer ~workers:2 (View.extract_key_int key pkt) in
+        let _, bits, _ = View.key_layout key in
+        let w = Bpf.steer ~workers:2 ~bits (View.extract_key_int key pkt) in
         per_worker.(w) <- per_worker.(w) + 1)
       pkts;
     Array.iteri

@@ -123,7 +123,10 @@ let minimise_chain ?bug stack ~seed_packet ~ops =
     in
     (ops, bytes)
 
-let report_chain ?bug name stack ~seed ~seed_packet ~ops =
+(* [first] is the disagreement as the run saw it: a stateful leg's (a
+   flow evicted or a timer fired by earlier packets) does not replay on a
+   fresh oracle, and is reported as it happened. *)
+let report_chain ?bug name stack ~seed ~seed_packet ~ops ~first =
   let ops, bytes = minimise_chain ?bug stack ~seed_packet ~ops in
   let check, detail =
     match Oracle.Chain.create ?bug stack with
@@ -131,7 +134,9 @@ let report_chain ?bug name stack ~seed ~seed_packet ~ops =
     | Ok o -> (
       match Oracle.Chain.check o bytes with
       | Error d -> (d.Oracle.d_check, d.Oracle.d_detail)
-      | Ok () -> ("unknown", "disagreement vanished while shrinking"))
+      | Ok () ->
+        ( first.Oracle.d_check,
+          first.Oracle.d_detail ^ " (after the packets before it; does not replay alone)" ))
   in
   Report.Wire
     {
@@ -165,8 +170,8 @@ let run_stack ?bug ?(golden = []) ~seed ~iters (name, stack) =
   let fail_on ~seed_packet ~ops pkt =
     match Oracle.Chain.check oracle pkt with
     | Ok () -> ()
-    | Error _ ->
-      failure := Some (report_chain ?bug name stack ~seed ~seed_packet ~ops)
+    | Error first ->
+      failure := Some (report_chain ?bug name stack ~seed ~seed_packet ~ops ~first)
   in
   Array.iter
     (fun s -> if !failure = None then fail_on ~seed_packet:s ~ops:[] s)

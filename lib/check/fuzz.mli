@@ -36,8 +36,8 @@ type chain_stats = {
   cs_accepted : int;  (** accepted by both fused and sequential decode *)
   cs_rejected : int;
   cs_answered : int;
-      (** replies the fused stacked pipeline and the staged reference
-          both produced, byte-equal *)
+      (** replies the fused stacked pipeline and the reference executor
+          both produced, byte-equal, under the default rotation spec *)
 }
 
 val run_stack :
@@ -52,8 +52,11 @@ val run_stack :
     {!Mutate.random_chain} aimed with each seed's real layer windows, and
     every mutant judged by {!Oracle.Chain} — fused chain vs sequential
     per-layer decode on verdict, layer windows and every demanded
-    register, and the fused stacked replies vs the staged reference byte
-    for byte ({!Oracle.Stack_reply}).  Raises [Invalid_argument] if the stack does not compile
+    register, and the fused stacked replies, flows and timers vs the
+    {!Reference} executor ({!Oracle.Stack_reply}).  A disagreement that
+    needs the packets before it (an eviction, an expiry) does not replay
+    on a fresh oracle; its report names the packet and the disagreement
+    as the run saw them.  Raises [Invalid_argument] if the stack does not compile
     (callers should pre-compile to fail cleanly). *)
 
 val run_machine :

@@ -50,10 +50,10 @@ let client_socket () =
    words, so the client's garbage never counts) — and run [body] as the
    client.  The restart between phases doubles as a run-twice exercise
    of the server loop. *)
-let with_server ?mode ?machine ?config ?stack ?io ?io_batch ~flight ~warmup
-    ~count fmt body =
+let with_server ?machine ?config ?stack ?io ?io_batch ~flight ~warmup ~count fmt
+    body =
   match
-    Server.create ?config ?mode ?machine ?stack ?io ?io_batch ~signals:false
+    Server.create ?config ?machine ?stack ?io ?io_batch ~signals:false
       ~flight
       ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
       fmt
@@ -119,14 +119,13 @@ let with_server ?mode ?machine ?config ?stack ?io ?io_batch ~flight ~warmup
    grouped (GSO) sends too. *)
 let soak_burst = 16
 
-let soak ?(mode = Pipeline.Fused) ?machine ?config ?warmup ?io ?io_batch
-    ~flight ~packets ~count fmt =
+let soak ?machine ?config ?warmup ?io ?io_batch ~flight ~packets ~count fmt =
   if count < 2 then Error "loopback soak: count must be at least 2"
   else begin
     let warmup = default_warmup ?warmup count in
-    (* The reference leg: same spec, staged derivation, in-memory. *)
+    (* The reference leg: same spec, the reference executor, in-memory. *)
     let reference = Oracle.Reply_ref.create ?config ?machine ~flight fmt in
-    with_server ?config ~mode ?machine ?io ?io_batch ~flight ~warmup ~count fmt
+    with_server ?config ?machine ?io ?io_batch ~flight ~warmup ~count fmt
       (fun port filter ->
         let addr =
           Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port)
@@ -199,8 +198,8 @@ let soak ?(mode = Pipeline.Fused) ?machine ?config ?warmup ?io ?io_batch
              elapsed)))
   end
 
-let blast ?(mode = Pipeline.Fused) ?machine ?config ?warmup ?stack ?io
-    ?io_batch ?(window = 64) ~flight ~packets ~count fmt =
+let blast ?machine ?config ?warmup ?stack ?io ?io_batch ?(window = 64) ~flight
+    ~packets ~count fmt =
   if count < 2 then Error "loopback blast: count must be at least 2"
   else begin
     let warmup = default_warmup ?warmup count in
@@ -211,8 +210,8 @@ let blast ?(mode = Pipeline.Fused) ?machine ?config ?warmup ?stack ?io
     let client_batch =
       match io_batch with Some b when b > 0 -> b | _ -> 32
     in
-    with_server ?config ~mode ?machine ?stack ?io ?io_batch ~flight ~warmup
-      ~count fmt (fun port filter ->
+    with_server ?config ?machine ?stack ?io ?io_batch ~flight ~warmup ~count fmt
+      (fun port filter ->
         let addr =
           Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port)
         in
@@ -399,7 +398,8 @@ module Lossy = struct
   let workers t = Array.length t.l_pipes
   (* the sharded server's partition: the kernel program computes it *)
   let owner t key =
-    t.l_pipes.(Netdsl_format.Bpf.steer ~workers:(Array.length t.l_pipes) key)
+    let _, bits, _ = Netdsl_format.View.key_layout t.l_key in
+    t.l_pipes.(Netdsl_format.Bpf.steer ~workers:(Array.length t.l_pipes) ~bits key)
 
   let inject t pkt =
     Pipeline.process (owner t (Netdsl_format.View.extract_key_int t.l_key pkt)) pkt

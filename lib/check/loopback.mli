@@ -4,7 +4,7 @@
     socket bound to 127.0.0.1; the client (the calling domain) sends generated packets
     through the kernel and diffs every reply byte-for-byte against
     {!Oracle.Reply_ref} — the same flight spec driven
-    through an in-memory pipeline.  A packet whose reference reply is
+    through the in-memory {!Reference} executor.  A packet whose reference reply is
     [None] must produce {e no} datagram; any stray reply left on the
     socket at the end of a run is a disagreement too.
 
@@ -43,7 +43,6 @@ type result_ = {
 }
 
 val soak :
-  ?mode:Netdsl_engine.Pipeline.mode ->
   ?machine:Netdsl_fsm.Machine.t ->
   ?config:Netdsl_engine.Pipeline.config ->
   ?warmup:int ->
@@ -56,10 +55,8 @@ val soak :
   (result_, string) result
 (** Differential run of [count] packets ([packets i] is the
     [i]th wire message; mix valid and mutated freely — rejected packets
-    are expected to stay silent).  The reference pipeline runs in
-    [Staged] mode regardless of [?mode] (default [Fused]), so a fused
-    server is diffed against the staged derivation of its own spec.
-    The server restarts its loop once after [warmup] packets (default
+    are expected to stay silent).  The server is diffed against the
+    {!Reference} executor running its own spec.  The server restarts its loop once after [warmup] packets (default
     [count/5], capped at 2000) to exercise run-twice restart and scope
     the allocation measurement to steady state.  The client sends 16
     packets back to back, then reads their replies in order (one socket
@@ -71,7 +68,6 @@ val soak :
     path against the same in-memory reference. *)
 
 val blast :
-  ?mode:Netdsl_engine.Pipeline.mode ->
   ?machine:Netdsl_fsm.Machine.t ->
   ?config:Netdsl_engine.Pipeline.config ->
   ?warmup:int ->
@@ -90,7 +86,7 @@ val blast :
     under-counts).  [replies/elapsed_s] is the socket-path packet rate;
     both domains share whatever cores the host has, which on a 1-core
     box oversubscribes — callers report that caveat.  [stack] serves a
-    layered chain through the fused plan (flight operands become
+    layered chain (flight operands become
     qualified ["layer.field"] names); [fmt] must then be the stack's
     outermost format.  [io]/[io_batch] select the server's receive
     loop; forcing [~io:Mmsg] also switches the {e client} to a
@@ -127,7 +123,7 @@ module Lossy : sig
     Netdsl_format.Desc.t ->
     t
   (** [workers] (default 1) pipelines each own a wheel and run
-      [flight] in the default [Fused] mode.  The spec's flow key keys
+      [flight].  The spec's flow key keys
       the machine instances and routes packets: it is read from the
       wire bytes ({!Netdsl_format.View.key_extractor}) and hashed by
       {!Netdsl_format.Bpf.steer} — the partition the sharded server's

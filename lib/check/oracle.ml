@@ -13,6 +13,9 @@ type bug =
   | Shift_filter_loads
   | Drop_expiry
   | Late_static_load
+  | Evict_mru
+  | Late_tick
+  | Unrefused_patch
 
 type disagreement = { d_check : string; d_detail : string }
 
@@ -21,26 +24,18 @@ let disagreement_to_string d = Printf.sprintf "%s: %s" d.d_check d.d_detail
 type t = {
   o_fmt : Desc.t;
   o_bug : bug;
-  (* check 2: the staged reference executor with an always-true verify
-     predicate armed, so the verify row's packet count shows which
-     packets reached that stage; and, for check 3, a whole pipeline
-     running in Fused mode over a flight plan demanding every field its
-     plan extracts.  [Error reason] when the format has no compiled
-     plan. *)
-  o_pipes : (Pipeline.t * Pipeline.t, string) result;
+  (* check 2: the reference executor and a whole pipeline over one spec
+     with an always-true verify predicate armed, so the verify row's
+     packet count shows which packets reached that stage; the pipeline
+     demands every field its plan extracts.  [Error reason] when the
+     format has no compiled plan. *)
+  o_pipes : (Reference.t * Pipeline.t, string) result;
   (* check 3a: the format's one-layer stack plan — what [Flight.compile]
      runs — demanding every field it can extract, diffed register by
      register against the codec's value: bare field name, register *)
   o_hot : (Stack.plan * (string * Stack.reg) array) option;
   (* check 4: the kernel pre-filter, run by the cBPF interpreter *)
   o_filter : Bpf_oracle.t option;
-  (* reference model of the pipelines' counters, advanced before each
-     [process]; any drift is a stats-consistency disagreement *)
-  mutable o_exp_decode_pkts : int;
-  mutable o_exp_decode_rejects : int;
-  mutable o_exp_verify_pkts : int;
-  mutable o_exp_fused_pkts : int;
-  mutable o_exp_fused_rejects : int;
   mutable o_checked : int;
   mutable o_accepted : int;
   mutable o_filtered : int;
@@ -54,8 +49,14 @@ let filter_of bug fmt =
     | Shift_filter_loads, Some p -> Bpf_oracle.shift_loads p
     | _, p -> p)
 
-(* Whether the fused side compiles with the planted specialiser defect. *)
-let late_load bug = bug = Late_static_load
+(* The engine-side defect a bug plants, if any. *)
+let plant_of = function
+  | Late_static_load -> Some Flight.Late_static_load
+  | Evict_mru -> Some Flight.Evict_mru
+  | Late_tick -> Some Flight.Late_tick
+  | Unrefused_patch -> Some Flight.Unrefused_patch
+  | No_bug | Invert_flight_accept | Invert_chain_accept | Shift_filter_loads | Drop_expiry ->
+    None
 
 (* The names a stack plan resolves in one layer: its top-level fields and
    the fields of its top-level variant's cases — the flat namespace a
@@ -111,20 +112,16 @@ let hot_plan ~plant_late_load (fmt : Desc.t) =
       Some (plan, Array.of_list regs))
 
 let create ?(bug = No_bug) fmt =
-  let plant_late_load = late_load bug in
-  let hot = hot_plan ~plant_late_load fmt in
+  let plant = plant_of bug in
+  let hot = hot_plan ~plant_late_load:(plant = Some Flight.Late_static_load) fmt in
   (* the fused pipeline demands every field the compiled plan extracts *)
   let demand = match hot with Some (_, regs) -> List.map fst (Array.to_list regs) | None -> [] in
   let pipes =
     match
-      ( Pipeline.create ~mode:Pipeline.Staged
-          ~flight:(Flight.spec ~verify:(Flight.All []) ())
-          fmt,
-        Pipeline.create ~mode:Pipeline.Fused
-          ~flight:(Flight.spec ~demand ())
-          ~plant_late_load fmt )
+      let flight = Flight.spec ~demand ~verify:(Flight.All []) () in
+      (Pipeline.create ~flight ?plant fmt, Reference.create ~flight fmt)
     with
-    | pipes -> Ok pipes
+    | pipe, reference -> Ok (reference, pipe)
     | exception Invalid_argument reason -> Error reason
   in
   {
@@ -133,11 +130,6 @@ let create ?(bug = No_bug) fmt =
     o_filter = filter_of bug fmt;
     o_pipes = pipes;
     o_hot = hot;
-    o_exp_decode_pkts = 0;
-    o_exp_decode_rejects = 0;
-    o_exp_verify_pkts = 0;
-    o_exp_fused_pkts = 0;
-    o_exp_fused_rejects = 0;
     o_checked = 0;
     o_accepted = 0;
     o_filtered = 0;
@@ -153,45 +145,53 @@ let fail check fmt_ = Printf.ksprintf (fun s -> Error { d_check = check; d_detai
 
 let err = Codec.error_to_string
 
-(* Check 2: the engine built on the fast paths.  [codec_ok] is the
-   reference verdict. *)
+let tag = function
+  | Pipeline.Accepted -> "accepted"
+  | Pipeline.Rejected_decode _ -> "rejected at decode"
+  | Pipeline.Rejected_verify -> "rejected at verify"
+  | Pipeline.Rejected_step -> "rejected at step"
+  | Pipeline.Rejected_encode -> "rejected at encode"
+
+(* Check 2: the pipeline against the reference executor.  [codec_ok] is
+   the codec's verdict.  Both must agree with it and with each other, the
+   pipeline must pass every accepted packet — and no rejected mutant —
+   through its verify stage, and its decode and verify counters must
+   equal the reference's. *)
 let check_pipeline t pkt ~codec_ok =
   match t.o_pipes with
   | Error _ -> Ok ()
-  | Ok (pipe, _) ->
-    t.o_exp_decode_pkts <- t.o_exp_decode_pkts + 1;
-    if not codec_ok then t.o_exp_decode_rejects <- t.o_exp_decode_rejects + 1
-    else t.o_exp_verify_pkts <- t.o_exp_verify_pkts + 1;
+  | Ok (reference, pipe) -> (
     let stats = Pipeline.stats pipe in
     let verified_before = Stats.stage_packets stats 1 in
-    let outcome = Pipeline.process pipe pkt in
+    let ro = Reference.process reference pkt in
+    let po = Pipeline.process pipe pkt in
     let saw_verify = Stats.stage_packets stats 1 > verified_before in
-    match (outcome, codec_ok) with
-    | (Pipeline.Rejected_verify | Pipeline.Rejected_step | Pipeline.Rejected_encode), _
-      ->
-      fail "pipeline" "pipeline rejected past the decode stage with no predicate armed"
-    | Pipeline.Accepted, false ->
-      fail "pipeline" "pipeline accepted a packet the codec rejects"
-    | Pipeline.Rejected_decode e, true ->
-      fail "pipeline" "pipeline rejected a packet the codec accepts: %s" (err e)
-    | Pipeline.Accepted, true when not saw_verify ->
+    match (ro, po, codec_ok) with
+    | (Pipeline.Accepted, _, false | Pipeline.Rejected_decode _, _, true)
+    | ((Pipeline.Rejected_verify | Rejected_step | Rejected_encode), _, _) ->
+      fail "pipeline" "reference %s a packet the codec %s" (tag ro)
+        (if codec_ok then "accepts" else "rejects")
+    | _, Pipeline.Accepted, false ->
+      fail "fused" "fused pipeline accepted a packet the codec rejects"
+    | _, Pipeline.Rejected_decode e, true ->
+      fail "fused" "fused pipeline rejected a packet the codec accepts: %s" (err e)
+    | _, (Pipeline.Rejected_verify | Rejected_step | Rejected_encode), _ ->
+      fail "fused" "fused pipeline %s with an always-true predicate" (tag po)
+    | _, Pipeline.Accepted, true when not saw_verify ->
       fail "pipeline" "accepted packet never reached the verify stage"
-    | Pipeline.Rejected_decode _, false when saw_verify ->
+    | _, Pipeline.Rejected_decode _, false when saw_verify ->
       fail "pipeline" "rejected mutant leaked past decode into the verify stage"
     | _ ->
+      let d = Reference.stage reference "decode" and v = Reference.stage reference "verify" in
       let got_dp = Stats.stage_packets stats 0
       and got_dr = Stats.stage_rejects stats 0
       and got_vp = Stats.stage_packets stats 1 in
-      if
-        got_dp <> t.o_exp_decode_pkts
-        || got_dr <> t.o_exp_decode_rejects
-        || got_vp <> t.o_exp_verify_pkts
-      then
+      if got_dp <> d.packets || got_dr <> d.rejects || got_vp <> v.packets then
         fail "stats"
-          "stage counters drifted: decode %d/%d rejects %d/%d verify %d/%d (got/expected)"
-          got_dp t.o_exp_decode_pkts got_dr t.o_exp_decode_rejects got_vp
-          t.o_exp_verify_pkts
-      else Ok ()
+          "stage counters drifted: decode %d/%d rejects %d/%d verify %d/%d \
+           (pipeline/reference)"
+          got_dp d.packets got_dr d.rejects got_vp v.packets
+      else Ok ())
 
 (* Check 3a: the format's compiled plan against the codec verdict, and —
    on acceptance — every demanded register against the codec's value for
@@ -223,60 +223,26 @@ let check_hot t pkt ~codec =
       in
       go 0)
 
-(* Check 3b: a whole pipeline in Fused mode (flight plan demanding every
-   field its plan extracts) must agree with the codec verdict and keep its
-   decode counters consistent — the Fused ≡ Staged ≡ Codec leg. *)
-let check_fused t pkt ~codec_ok =
-  match t.o_pipes with
-  | Error _ -> Ok ()
-  | Ok (_, fused) ->
-    t.o_exp_fused_pkts <- t.o_exp_fused_pkts + 1;
-    if not codec_ok then t.o_exp_fused_rejects <- t.o_exp_fused_rejects + 1;
-    let outcome = Pipeline.process fused pkt in
-    match (outcome, codec_ok) with
-    | ( ( Pipeline.Rejected_verify | Pipeline.Rejected_step
-        | Pipeline.Rejected_encode ),
-        _ ) ->
-      fail "fused" "fused pipeline rejected past the decode stage with nothing armed"
-    | Pipeline.Accepted, false ->
-      fail "fused" "fused pipeline accepted a packet the codec rejects"
-    | Pipeline.Rejected_decode e, true ->
-      fail "fused" "fused pipeline rejected a packet the codec accepts: %s" (err e)
-    | _ ->
-      let stats = Pipeline.stats fused in
-      let got_p = Stats.stage_packets stats 0
-      and got_r = Stats.stage_rejects stats 0 in
-      if got_p <> t.o_exp_fused_pkts || got_r <> t.o_exp_fused_rejects then
-        fail "stats"
-          "fused stage counters drifted: decode %d/%d rejects %d/%d (got/expected)"
-          got_p t.o_exp_fused_pkts got_r t.o_exp_fused_rejects
-      else Ok ()
-
 let check_flight t pkt ~codec =
   match check_hot t pkt ~codec with
   | Error _ as e -> e
-  | Ok () -> check_fused t pkt ~codec_ok:(Result.is_ok codec)
+  | Ok () -> check_pipeline t pkt ~codec_ok:(Result.is_ok codec)
 
 let check_inner t pkt =
   let codec = Codec.decode t.o_fmt pkt in
   match codec with
-  | Error _ -> (
+  | Error _ ->
     if not (Bpf_oracle.passes t.o_filter pkt) then t.o_filtered <- t.o_filtered + 1;
-    match check_flight t pkt ~codec with
-    | Error _ as e -> e
-    | Ok () -> check_pipeline t pkt ~codec_ok:false)
+    check_flight t pkt ~codec
   | Ok _ -> (
     if not (Bpf_oracle.passes t.o_filter pkt) then
       fail "filter" "the decoders accept, the kernel pre-filter does not deliver it whole"
     else
       match check_flight t pkt ~codec with
       | Error _ as e -> e
-      | Ok () -> (
-        match check_pipeline t pkt ~codec_ok:true with
-        | Error _ as e -> e
-        | Ok () ->
-          t.o_accepted <- t.o_accepted + 1;
-          Ok ()))
+      | Ok () ->
+        t.o_accepted <- t.o_accepted + 1;
+        Ok ())
 
 let check t pkt =
   t.o_checked <- t.o_checked + 1;
@@ -289,78 +255,82 @@ let check t pkt =
 (* ---- the in-memory reply reference for the socket oracle leg ----
 
    [Loopback] reads replies off a real UDP socket and diffs them byte for
-   byte against this: the same flight spec driven through an in-memory
-   pipeline whose [on_response] captures the emitted reply as a fresh
-   string.  Default mode is the [Staged] reference executor, so a fused
-   server is cross-checked against the staged derivation of the same
-   spec — the socket run then differences both the wire path *and* the
-   mode. *)
+   byte against this: the same flight spec driven through the reference
+   executor, whose [on_response] captures each reply as a fresh string —
+   so the socket run differences the wire path and the engine at once. *)
 module Reply_ref = struct
-  type nonrec t = { r_pipe : Pipeline.t; r_last : string option ref }
+  type nonrec t = { r_ref : Reference.t; r_last : string option ref }
 
-  let create ?config ?(mode = Pipeline.Staged) ?machine ?stack ?clock_ms ~flight fmt =
+  let create ?config ?machine ?stack ?clock_ms ~flight fmt =
     let r_last = ref None in
-    let r_pipe =
-      Pipeline.create ?config ~mode ?stack ~flight ?machine ?clock_ms
+    let r_ref =
+      Reference.create ?config ?stack ?machine ?clock_ms
         ~on_response:(fun s -> r_last := Some s)
-        fmt
+        ~flight fmt
     in
-    { r_pipe; r_last }
+    { r_ref; r_last }
 
   let expected t pkt =
     t.r_last := None;
-    let outcome = Pipeline.process t.r_pipe pkt in
+    let outcome = Reference.process t.r_ref pkt in
     (outcome, !(t.r_last))
-
-  let stats t = Pipeline.stats t.r_pipe
 end
 
 (* ---- the stacked-reply oracle leg ----
 
-   A fused stacked pipeline — compiled decode kernels, compiled patch
-   kernels — against the staged one over the same stack and spec, whose
-   decode is the sequential per-layer [Stack.Seq] and whose replies are
-   the generic [Emit.patch] on each layer's window: the verdict and every
-   reply byte must agree.  Both run on a frozen clock, so a machine's
-   timers never fire mid-check and flow state advances in lock-step. *)
+   A stacked pipeline — compiled decode kernels, compiled patch kernels,
+   its flow table and wheel — against the reference executor over the
+   same stack, spec and machine: the verdict, every reply byte and the
+   flow and timer counts must agree after every packet.  Both read one
+   virtual clock that advances a millisecond per checked packet, so flow
+   state and timers advance in lock-step. *)
 module Stack_reply = struct
   type nonrec t = {
     s_fused : Pipeline.t;
     s_last : string option ref;
     s_ref : Reply_ref.t;
+    s_clock : int ref;
     mutable s_checked : int;
     mutable s_answered : int;
   }
 
-  (* The default spec: one respond rule over every patchable field of
-     every layer — each takes the value of the next field of its width
-     (a rotation), so the replies move real bytes and repair real
-     checksums; an exhaustive-enum or constrained field keeps its own
-     value. *)
-  let patch_spec stack =
-    let fields =
-      List.concat
-        (List.mapi
-           (fun i lname ->
-             let fmt = Stack.layer_format stack i in
-             List.filter_map
-               (fun (f : Desc.field) ->
-                 let q = lname ^ "." ^ f.name in
-                 match
-                   ( Stack.patcher stack i f.name,
-                     Netdsl_format.Sizing.fixed_field_span fmt f.name,
-                     Stack.compile ~demand:[ q ] stack )
-                 with
-                 | Ok _, Ok (_, bits), Ok _ ->
-                   let own =
-                     f.constraints <> []
-                     || match f.ty with Desc.Enum { exhaustive; _ } -> exhaustive | _ -> false
-                   in
-                   Some (q, bits, own)
-                 | _ -> None)
-               fmt.Desc.fields)
-           (Stack.layer_names stack))
-    in
+  (* Every field of every layer a stacked patch can set, qualified, with
+     its width and whether it must keep its own value (an exhaustive
+     enum or a constrained field); [covered] selects those under an
+     enclosing payload checksum instead, which only a single layer's
+     patcher accepts. *)
+  let patch_fields ~covered stack =
+    List.concat
+      (List.mapi
+         (fun i lname ->
+           let fmt = Stack.layer_format stack i in
+           List.filter_map
+             (fun (f : Desc.field) ->
+               let q = lname ^ "." ^ f.name in
+               let resolved =
+                 if covered then
+                   Result.is_error (Stack.patcher stack i f.name)
+                   && Result.is_ok (Netdsl_format.Emit.patcher fmt f.name)
+                 else Result.is_ok (Stack.patcher stack i f.name)
+               in
+               match
+                 (resolved, Netdsl_format.Sizing.fixed_field_span fmt f.name,
+                  Stack.compile ~demand:[ q ] stack)
+               with
+               | true, Ok (_, bits), Ok _ ->
+                 let own =
+                   f.constraints <> []
+                   || match f.ty with Desc.Enum { exhaustive; _ } -> exhaustive | _ -> false
+                 in
+                 Some (q, bits, own)
+               | _ -> None)
+             fmt.Desc.fields)
+         (Stack.layer_names stack))
+
+  (* One respond rule: each field takes the value of the next field of its
+     width (a rotation), so replies move real bytes and repair real
+     checksums; an own-valued field keeps its value. *)
+  let rotation fields =
     let action (q, bits, own) =
       let peers = List.filter (fun (_, b, o) -> b = bits && not o) fields in
       let next =
@@ -375,25 +345,57 @@ module Stack_reply = struct
       in
       { Flight.set_field = q; set_to = Flight.Field next }
     in
-    match fields with
+    { Flight.re_when = Flight.All []; re_set = List.map action fields }
+
+  let patch_spec stack =
+    match patch_fields ~covered:false stack with
     | [] -> Flight.spec ()
-    | _ ->
-      Flight.spec
-        ~respond:[ { Flight.re_when = Flight.All []; re_set = List.map action fields } ]
-        ()
+    | fields -> Flight.spec ~respond:[ rotation fields ] ()
+
+  let covered_spec stack =
+    match patch_fields ~covered:true stack with
+    | [] -> None
+    | fields -> Some (Flight.spec ~respond:[ rotation fields ] ())
+
+  (* The flow leg's machine: a flow takes three packets, then refuses
+     more until its 3 ms timer returns it to idle. *)
+  let flow_machine =
+    let module M = Netdsl_fsm.Machine in
+    let bump = [ M.Assign ("n", M.Add (M.Reg "n", M.Int 1)) ] in
+    let arm = M.Arm_timer { after_ms = 3; fire = "tick" } in
+    M.machine ~name:"oracle_flow" ~states:[ "idle"; "busy" ] ~events:[ "pkt"; "tick" ]
+      ~registers:[ M.reg "n" ~domain:4 ] ~initial:"idle"
+      ~ignores:[ ("idle", "tick") ]
+      [ M.trans ~label:"FIRST" ~src:"idle" ~event:"pkt" ~dst:"busy" ~actions:bump ~timer:arm ();
+        M.trans ~label:"AGAIN" ~src:"busy" ~event:"pkt" ~dst:"busy"
+          ~guard:(M.Lt (M.Reg "n", M.Int 3)) ~actions:bump ~timer:arm ();
+        M.trans ~label:"REST" ~src:"busy" ~event:"tick" ~dst:"idle" () ]
+
+  (* The flow leg's spec: every packet is one [pkt] event of the flow its
+     innermost patchable field keys, through a two-flow table, answered
+     with the rotation. *)
+  let flow_spec stack =
+    match List.rev (patch_fields ~covered:false stack) with
+    | [] -> None
+    | ((key, _, _) :: _) as rev ->
+      Some
+        (Flight.spec
+           ~classify:[ { Flight.ev_when = Flight.All []; ev_name = "pkt" } ]
+           ~flow_key:key ~respond:[ rotation (List.rev rev) ] ())
 
   let create ?(bug = No_bug) ?config ?machine ?flight stack =
     let flight = match flight with Some f -> f | None -> patch_spec stack in
     let fmt = Stack.layer_format stack 0 in
-    let clock_ms () = 0 in
+    let s_clock = ref 0 in
+    let clock_ms () = !s_clock in
     match
       let s_last = ref None in
       let s_fused =
-        Pipeline.create ?config ~mode:Pipeline.Fused ~stack ~flight ?machine ~clock_ms
-          ~on_response:(fun r -> s_last := Some r) ~plant_late_load:(late_load bug) fmt
+        Pipeline.create ?config ~stack ~flight ?machine ~clock_ms
+          ~on_response:(fun r -> s_last := Some r) ?plant:(plant_of bug) fmt
       in
       let s_ref = Reply_ref.create ?config ?machine ~stack ~clock_ms ~flight fmt in
-      { s_fused; s_last; s_ref; s_checked = 0; s_answered = 0 }
+      { s_fused; s_last; s_ref; s_clock; s_checked = 0; s_answered = 0 }
     with
     | t -> Ok t
     | exception Invalid_argument e -> Error e
@@ -401,29 +403,32 @@ module Stack_reply = struct
   let checked t = t.s_checked
   let answered t = t.s_answered
 
-  let tag = function
-    | Pipeline.Accepted -> "accepted"
-    | Pipeline.Rejected_decode _ -> "rejected at decode"
-    | Pipeline.Rejected_verify -> "rejected at verify"
-    | Pipeline.Rejected_step -> "rejected at step"
-    | Pipeline.Rejected_encode -> "rejected at encode"
-
   let hex = Netdsl_util.Hexdump.to_hex
   let show = function None -> "no reply" | Some r -> hex r
 
   let check_inner t pkt =
+    incr t.s_clock;
     t.s_last := None;
     let fo = Pipeline.process t.s_fused pkt in
     let fr = !(t.s_last) in
     let ro, rr = Reply_ref.expected t.s_ref pkt in
+    let stats = Pipeline.stats t.s_fused and r = t.s_ref.Reply_ref.r_ref in
+    let counts =
+      [ ("evicted flows", Stats.evicted_flows stats, Reference.evicted r);
+        ("expired timers", Stats.timers_expired stats, Reference.expired r);
+        ("live flows", Pipeline.flow_count t.s_fused, Reference.flow_count r);
+        ("live timers", Pipeline.timers_live t.s_fused, Reference.timers_live r) ]
+    in
     if not (String.equal (tag fo) (tag ro)) then
-      fail "reply" "fused stack %s, staged reference %s" (tag fo) (tag ro)
+      fail "reply" "fused stack %s, reference %s" (tag fo) (tag ro)
     else if not (Option.equal String.equal fr rr) then
-      fail "reply" "replies differ\n  fused:  %s\n  staged: %s" (show fr) (show rr)
-    else begin
-      if fr <> None then t.s_answered <- t.s_answered + 1;
-      Ok ()
-    end
+      fail "reply" "replies differ\n  fused:     %s\n  reference: %s" (show fr) (show rr)
+    else
+      match List.find_opt (fun (_, f, r) -> f <> r) counts with
+      | Some (what, f, r) -> fail "reply" "%s: fused %d, reference %d" what f r
+      | None ->
+        if fr <> None then t.s_answered <- t.s_answered + 1;
+        Ok ()
 
   let check t pkt =
     t.s_checked <- t.s_checked + 1;
@@ -450,12 +455,17 @@ module Chain = struct
     c_layers : int;
     c_filter : Bpf_oracle.t option;  (* layer 0's *)
     c_reply : Stack_reply.t option;  (* under [Stack_reply.patch_spec] *)
+    c_legs : Stack_reply.t list;
+        (* the flow leg, and the covered-patch leg on a stack that has
+           fields under a payload checksum *)
     mutable c_checked : int;
     mutable c_accepted : int;
   }
 
   let create ?(bug = No_bug) stack =
-    match compile_demanding_all ~plant_late_load:(late_load bug) stack with
+    match
+      compile_demanding_all ~plant_late_load:(plant_of bug = Some Flight.Late_static_load) stack
+    with
     | Error _ as e -> e
     | Ok (plan, all) ->
       let regs =
@@ -477,6 +487,15 @@ module Chain = struct
           c_layers = Stack.layer_count plan;
           c_filter = filter_of bug (Stack.layer_format stack 0);
           c_reply = Result.to_option (Stack_reply.create ~bug stack);
+          c_legs =
+            List.filter_map
+              (fun (config, machine, flight) ->
+                Option.bind flight (fun flight ->
+                    Result.to_option (Stack_reply.create ~bug ?config ?machine ~flight stack)))
+              [ ( Some { Pipeline.default_config with max_flows = 2 },
+                  Some Stack_reply.flow_machine,
+                  Stack_reply.flow_spec stack );
+                (None, None, Stack_reply.covered_spec stack) ];
           c_checked = 0;
           c_accepted = 0;
         }
@@ -488,7 +507,10 @@ module Chain = struct
     match t.c_reply with None -> 0 | Some r -> Stack_reply.answered r
 
   let check_reply t pkt =
-    match t.c_reply with None -> Ok () | Some r -> Stack_reply.check r pkt
+    List.fold_left
+      (fun acc r -> match acc with Ok () -> Stack_reply.check r pkt | e -> e)
+      (Ok ())
+      (Option.to_list t.c_reply @ t.c_legs)
 
   let check_inner t pkt =
     let fused = Stack.run t.c_plan pkt in

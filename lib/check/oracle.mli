@@ -8,24 +8,20 @@
     one reference verdict and value — and runs it through these
     differential comparisons:
 
-    + engine: the [Staged] reference executor, armed with an
-      always-true verify predicate, must not raise, must reject exactly
-      when the codec rejects, must pass every accepted packet — and no
-      rejected mutant — through the verify stage (read off that stage's
-      packet count), and must keep the per-stage
-      {!Netdsl_engine.Stats} counters consistent with the packets
-      actually fed;
     + fused: the format's compiled plan — its one-layer
       {!Netdsl_format.Stack} plan, which is what {!Netdsl_engine.Flight}
       runs, demanding every field it can extract (a variant format's case
       fields included) — must agree with the codec verdict and, on
       acceptance, every register must equal the codec's value for that
-      field ([-1] for a case field the packet does not carry); and a
-      second pipeline running
-      in [Fused] mode over a {!Netdsl_engine.Flight} plan (demanding
-      every top-level field the plan extracts) must agree too, with
-      consistent counters:
-      Fused ≡ Staged ≡ Codec;
+      field ([-1] for a case field the packet does not carry);
+    + engine: a {!Netdsl_engine.Pipeline} over a flight plan demanding
+      every field the plan extracts, with an always-true verify predicate
+      armed, and the {!Reference} executor over the same spec must both
+      agree with the codec verdict and not raise; the pipeline must pass
+      every accepted packet — and no rejected mutant — through its verify
+      stage (read off that stage's packet count), and its decode and
+      verify counters must equal the reference's: Pipeline ≡ Reference ≡
+      Codec;
     + filter: the kernel pre-filter {!Netdsl_format.Bpf.compile} builds
       for the format, run by {!Bpf_oracle}, must deliver every accepted
       packet whole.  It may drop rejected ones; {!filtered} counts them.
@@ -60,10 +56,22 @@ type bug =
           {!Netdsl_format.View.Hot.compile})
           in every plan the oracle compiles — proves the fused, chain and
           stacked-reply legs can catch a specialiser bug *)
+  | Evict_mru
+      (** the pipeline's flow table evicts the most recently used flow —
+          proves the {!Chain} flow leg can catch a wrong eviction end *)
+  | Late_tick
+      (** the pipeline's wheel fires every timer one tick late — proves
+          the {!Chain} flow leg can catch a late deadline *)
+  | Unrefused_patch
+      (** a stacked patch under an enclosing payload checksum repairs only
+          its own layer's checksum ({!Netdsl_format.Stack.patcher}'s
+          refusal switched off) — proves the {!Chain} covered-patch leg
+          catches a stale carrier checksum *)
 
 type disagreement = {
   d_check : string;
-      (** which comparison diverged: ["pipeline"],
+      (** which comparison diverged: ["pipeline"] (the reference or the
+          pipeline's verify-stage discipline),
           ["flight"], ["fused"], ["stats"], ["filter"],
           ["chain"], ["reply"], ["timers"] or ["crash"] *)
   d_detail : string;  (** rendered evidence: both sides of the divergence *)
@@ -110,8 +118,12 @@ val skipped : t -> string option
     per-layer values, absent variant-case fields as [-1]) must match.  Cross-layer length
     lies need no special casing: an outer length lie moves the inner
     window, and both strategies must move it identically or the window
-    comparison fires.  Every check also runs the stacked-reply leg
-    ({!Stack_reply}) under its default spec. *)
+    comparison fires.  Every check also runs the stacked-reply legs
+    ({!Stack_reply}): under {!Stack_reply.patch_spec}; under
+    {!Stack_reply.flow_spec} with {!Stack_reply.flow_machine} through a
+    two-flow table, so flows are minted, evicted, refused and timed out;
+    and, on a stack with fields under an enclosing payload checksum,
+    under {!Stack_reply.covered_spec}. *)
 module Chain : sig
   type t
 
@@ -131,7 +143,7 @@ module Chain : sig
   val accepted : t -> int
 
   val answered : t -> int
-  (** Packets the stacked-reply leg answered (both sides byte-equal). *)
+  (** Packets the [patch_spec] reply leg answered (both sides byte-equal). *)
 
   val seed_windows : t -> string -> (int * int) array
   (** Per-layer [(byte_off, byte_len)] windows of a packet the sequential
@@ -141,50 +153,43 @@ end
 
 (** {2 Socket oracle leg: the in-memory reply reference}
 
-    The reference side of the loopback soak ({!Loopback}): the
-    same flight spec, driven through an in-memory pipeline, with every
+    The reference side of the loopback soak ({!Loopback}): the same
+    flight spec driven through the {!Reference} executor, with every
     emitted reply captured as a fresh string.  A reply read off a real
     socket must be byte-for-byte identical to {!Reply_ref.expected} for
     the same input — and a packet for which [expected] returns [None]
-    must produce {e no} datagram.  Defaults to the [Staged] reference
-    executor, so a server — which runs [Fused] — is diffed against the
-    staged derivation of its own spec. *)
+    must produce {e no} datagram. *)
 module Reply_ref : sig
   type t
 
   val create :
     ?config:Netdsl_engine.Pipeline.config ->
-    ?mode:Netdsl_engine.Pipeline.mode ->
     ?machine:Netdsl_fsm.Machine.t ->
     ?stack:Netdsl_format.Stack.t ->
     ?clock_ms:(unit -> int) ->
     flight:Netdsl_engine.Flight.spec ->
     Netdsl_format.Desc.t ->
     t
-  (** [?stack] (pass its outermost format as the format): the staged
-      executor decodes the chain with {!Netdsl_format.Stack.Seq} and
-      patches each reply with the generic {!Netdsl_format.Emit.patch}
-      inside the owning layer's sequential window — never the fused
-      plan's compiled kernels.  [?clock_ms] as for
-      {!Netdsl_engine.Pipeline.create}. *)
+  (** As {!Reference.create}: [?stack] takes its outermost format as the
+      format, [?clock_ms] defaults to wall time. *)
 
   val expected :
     t -> string -> Netdsl_engine.Pipeline.outcome * string option
   (** Run one packet; the captured reply, or [None] when the packet is
       rejected or matches no respond rule.  Flow state advances exactly
-      as the server's pipeline does, so lock-step callers stay in sync. *)
-
-  val stats : t -> Netdsl_engine.Stats.t
+      as a pipeline's does, so lock-step callers stay in sync. *)
 end
 
 (** {2 Stacked-reply oracle leg}
 
-    The fused stacked pipeline — compiled decode and patch kernels —
-    diffed against {!Reply_ref}'s staged stacked mode over the same
-    stack, spec and machine: on every packet the outcome (accepted or the
-    stage that rejected it) and the reply bytes must be identical.  Both
-    sides run on a frozen clock, so timers never fire and flow state
-    advances in lock-step. *)
+    A stacked {!Netdsl_engine.Pipeline} — compiled decode and patch
+    kernels, its flow table and wheel — diffed against the {!Reference}
+    executor over the same stack, spec and machine: after every packet
+    the outcome (accepted or the stage that rejected it), the reply
+    bytes, the evicted-flow and expired-timer counts and the live flows
+    and timers must be identical.  Both sides read one virtual clock that
+    advances one millisecond per checked packet, so flow state and timers
+    advance in lock-step. *)
 module Stack_reply : sig
   type t
 
@@ -193,6 +198,20 @@ module Stack_reply : sig
       every layer, each set from the next patchable field of its width
       (an exhaustive-enum or constrained field keeps its own value), so
       replies move real bytes and repair real checksums. *)
+
+  val flow_spec : Netdsl_format.Stack.t -> Netdsl_engine.Flight.spec option
+  (** {!patch_spec}'s rule, with every packet classified as the [pkt]
+      event of {!flow_machine} on the flow its innermost patchable field
+      keys; [None] when no field is patchable. *)
+
+  val flow_machine : Netdsl_fsm.Machine.t
+  (** A flow accepts three packets, then refuses them until its 3 ms
+      timer returns it to idle. *)
+
+  val covered_spec : Netdsl_format.Stack.t -> Netdsl_engine.Flight.spec option
+  (** A rotation over the fields that only an enclosing payload checksum
+      keeps from being patched — every packet it matches is refused at
+      the encode stage — or [None] when the stack has no such field. *)
 
   val create :
     ?bug:bug ->

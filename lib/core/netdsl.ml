@@ -23,10 +23,11 @@
       the engine's slab, per-listener wire counters; multicore as
       [SO_REUSEPORT] workers the kernel steers by flow key)
     - fuzzing + differential testing: {!Check} (structure-aware wire
-      mutation, an oracle diffing the compiled plans, Pipelines and
-      kernel pre-filter against Codec, Step-vs-Interp trace
-      lock-step, a loopback soak harness, shrinking, committable repro
-      reports)
+      mutation, the reference executor [Check.Reference] that restates
+      the engine's semantics without its code, an oracle diffing the
+      compiled plans, Pipelines and kernel pre-filter against Codec and
+      that reference, Step-vs-Interp trace lock-step, a loopback soak
+      harness, shrinking, committable repro reports)
     - simulation substrate: {!Sim_engine}, {!Channel}, {!Timer}, {!Trace},
       {!Stats}
     - executable protocols: {!Stop_and_wait}, {!Go_back_n},

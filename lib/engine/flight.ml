@@ -4,9 +4,7 @@
    packet: which fields the stages read, the semantic verify predicate,
    the event classifier, the flow key, and the respond-by-patching
    rules.  {!compile_stack} lowers the spec against a layered {!Stack}
-   once, into two coordinated artefacts:
-
-   - a {e fused} fast path: one [Stack.run_window] of the chain's compiled
+   once, into a {e fused} fast path: one [Stack.run_window] of the chain's compiled
      static-offset kernels decodes, validates and extracts the demanded
      registers in a single pass; every condition is a precompiled closure
      reading a register with one array load, and every respond action a
@@ -14,14 +12,9 @@
      — no value tree, no boxed values, no per-packet allocation.  A single
      format is a one-layer stack: {!compile} qualifies the spec's bare
      field names once and compiles that, so every flight runs this one
-     engine.
-
-   - {e staged} derivations ({!staged_verify}, {!staged_classify_id},
-     {!staged_respond_patch}): the same spec as closures over the chain's
-     sequential per-layer values, which the pipeline's [Staged] reference executor
-     runs — so [Staged] and [Fused] modes of one pipeline run the {e same
-     semantics} from the same source of truth and can be diffed by the
-     oracle.
+     engine.  The spec record is readable outside, so the oracles'
+     reference executor ([Check.Reference]) states the same semantics
+     over decoded values without running any of this.
 
    Ordering guarantee (paper §3.4): [run_window] performs the {e complete}
    syntactic validation of the packet — every constant, constraint,
@@ -55,6 +48,8 @@ type spec = {
   sp_flow_key : string option;
   sp_respond : response list;
 }
+
+type plant = Late_static_load | Unrefused_patch | Evict_mru | Late_tick
 
 let spec ?(demand = []) ?verify ?(classify = []) ?flow_key ?(respond = []) () =
   { sp_demand = demand; sp_verify = verify; sp_classify = classify;
@@ -135,7 +130,7 @@ type t = {
   respond : (unit -> bool) array;
   patches : patch array array;  (* each respond rule's actions *)
   key : unit -> int;
-  spec : spec;  (* qualified, for the staged derivations *)
+  flow_key_name : string option;  (* qualified *)
 }
 
 let cmp_int op x y =
@@ -167,19 +162,18 @@ let first_true guards x =
 let rec for_all x = function [] -> true | c :: tl -> c x && for_all x tl
 let rec exists x = function [] -> false | c :: tl -> c x || exists x tl
 
-(* The boolean structure of a condition, over any leaf lowering: [x] is
-   [()] on the register side and the decoded source on the staged side. *)
+(* The boolean structure of a condition over its leaf lowering. *)
 let rec lower_cond leaf = function
   | Cmp (op, a, b) -> leaf op a b
   | All cs ->
     let cs = List.map (lower_cond leaf) cs in
-    fun x -> for_all x cs
+    fun () -> for_all () cs
   | Any cs ->
     let cs = List.map (lower_cond leaf) cs in
-    fun x -> exists x cs
+    fun () -> exists () cs
   | Not c ->
     let c = lower_cond leaf c in
-    fun x -> not (c x)
+    fun () -> not (c ())
 
 (* ---- register-side lowering (the fused plan) ----
 
@@ -187,8 +181,7 @@ let rec lower_cond leaf = function
    and a slot in it: every leaf reads the register of the last accepting
    run with one array load.  A register reads -1 when the accepted packet
    does not carry the field (a variant case without it).  Then a
-   comparison is false, the key is [no_key] and a patch is refused — what
-   the staged side does when its lookup returns [None]. *)
+   comparison is false, the key is [no_key] and a patch is refused. *)
 
 (* [c] as a native int, when it fits *)
 let to_native c =
@@ -256,28 +249,6 @@ let reg_patch reg patcher win j src : patch =
             (F.Emit.patch_window p ~off:(Array.unsafe_get win o)
                ~len:(Array.unsafe_get win (o + 1)) buf c)))
 
-(* ---- source-side lowering (the staged derivations) ----
-
-   A [lookup] resolves a field name once to an accessor over a decoded
-   source: a chain's per-layer sequential values. *)
-
-type 's lookup = string -> 's -> int64 option
-
-let src_operand (lookup : 's lookup) = function
-  | Const c -> fun _ -> Some c
-  | Field f -> lookup f
-
-(* A comparison over a field the source cannot produce is [false]: the
-   spec asked about a value the packet does not carry. *)
-let src_cmp lookup op a b =
-  let ga = src_operand lookup a and gb = src_operand lookup b in
-  fun src ->
-    match (ga src, gb src) with
-    | Some x, Some y -> cmp_i64 op x y
-    | _ -> false
-
-let src_cond lookup = lower_cond (src_cmp lookup)
-
 (* ---- compile ---- *)
 
 let rec map_result f = function
@@ -289,11 +260,18 @@ let rec map_result f = function
 (* Every spec field is a qualified ["layer.field"] register of the
    compiled {!Stack.plan}, and actions patch inside the owning layer's
    recorded window — the reply buffer is a byte copy of the accepted
-   request, so those windows are valid patch targets.  The staged side
-   runs the same spec over the sequential {!Stack.Seq} values. *)
-let compile_stack ?plan ?plant_late_load stack sp =
+   request, so those windows are valid patch targets.  The planted
+   [Unrefused_patch] resolves a patch with {!Emit.patcher} alone, as if
+   {!Stack.patcher}'s refusal under a payload checksum were switched
+   off. *)
+let compile_stack ?plan ?plant stack sp =
   let ( let* ) = Result.bind in
-  let* p = F.Stack.compile ~demand:(spec_fields sp) ?plant_late_load stack in
+  let plant_late_load = plant = Some Late_static_load in
+  let patcher j field =
+    if plant = Some Unrefused_patch then F.Emit.patcher (F.Stack.layer_format stack j) field
+    else F.Stack.patcher stack j field
+  in
+  let* p = F.Stack.compile ~demand:(spec_fields sp) ~plant_late_load stack in
   let reg f =
     match F.Stack.reg p f with
     | Ok r -> (F.Stack.registers p, r)
@@ -301,10 +279,7 @@ let compile_stack ?plan ?plant_late_load stack sp =
   in
   let action a =
     let* j, field = F.Stack.locate p a.set_field in
-    Ok
-      (reg_patch reg
-         (F.Stack.patcher (F.Stack.stack p) j field)
-         (F.Stack.windows p) j a.set_to)
+    Ok (reg_patch reg (patcher j field) (F.Stack.windows p) j a.set_to)
   in
   let* patches =
     map_result (fun r -> Result.map Array.of_list (map_result action r.re_set)) sp.sp_respond
@@ -320,7 +295,7 @@ let compile_stack ?plan ?plant_late_load stack sp =
   Ok
     {
       plan = p;
-      spec = sp;
+      flow_key_name = sp.sp_flow_key;
       verify = Option.map cond sp.sp_verify;
       classify = Array.of_list (List.map (fun r -> cond r.ev_when) sp.sp_classify);
       events = Array.of_list (List.map event_of sp.sp_classify);
@@ -338,17 +313,17 @@ let compile_stack ?plan ?plant_late_load stack sp =
 
 (* A single format is a one-layer stack named after the format; the
    spec's bare names are qualified once, here. *)
-let compile ?plan ?plant_late_load (fmt : F.Desc.t) sp =
+let compile ?plan ?plant (fmt : F.Desc.t) sp =
   let layer = fmt.F.Desc.format_name in
   match
     Result.bind
       (F.Stack.v ~name:layer [ F.Stack.layer fmt ])
-      (fun stack -> compile_stack ?plan ?plant_late_load stack (qualify layer sp))
+      (fun stack -> compile_stack ?plan ?plant stack (qualify layer sp))
   with
   | Ok t -> t
   | Error e -> invalid_arg ("Flight.compile: " ^ e)
 
-let flow_key_name t = t.spec.sp_flow_key
+let flow_key_name t = t.flow_key_name
 let stack_plan t = t.plan
 
 (* ---- fused per-packet interface ---- *)
@@ -360,16 +335,14 @@ let verify_ok t = match t.verify with None -> true | Some c -> c ()
 let classify_armed t = Array.length t.classify > 0
 
 (* First matching rule wins; no match means the packet does not concern
-   the machine (pass-through, -1) — same contract as the staged
-   classifier closure. *)
+   the machine (pass-through, -1). *)
 let event t =
   let i = first_true t.classify () in
   if i < 0 then -1 else Array.unsafe_get t.events i
 
 (* Flow key as a native int; [no_key] = [min_int] means "no key on this
-   packet" (fall back to the shared default instance, as the staged path
-   does when [find_int] returns [None]).  Wide keys are truncated by
-   [Int64.to_int] identically in both modes. *)
+   packet" (fall back to the shared default instance).  Wide keys are
+   truncated by [Int64.to_int]. *)
 let flow_key t = t.key ()
 
 let response t = first_true t.respond ()
@@ -386,50 +359,3 @@ let apply t idx buf ~len:_ =
   !ok
 
 let n_responses t = Array.length t.respond
-
-(* ---- staged derivations ----
-
-   The same spec as closures over a decoded source, for the staged
-   reference executor: the source-side lowering, which shares only the
-   spec with the fused plan, so the oracle can diff the two. *)
-
-let staged_verify t lookup = Option.map (src_cond lookup) t.spec.sp_verify
-
-let staged_classify_id t lookup =
-  match t.spec.sp_classify with
-  | [] -> None
-  | rules ->
-    let guards = Array.of_list (List.map (fun r -> src_cond lookup r.ev_when) rules) in
-    let events = t.events in
-    Some
-      (fun src ->
-        let i = first_true guards src in
-        if i < 0 then -1 else events.(i))
-
-let staged_respond_patch t lookup =
-  match t.spec.sp_respond with
-  | [] -> None
-  | rules ->
-    let guards = Array.of_list (List.map (fun r -> src_cond lookup r.re_when) rules) in
-    let sets =
-      Array.of_list
-        (List.map
-           (fun r -> List.map (fun a -> (a.set_field, src_operand lookup a.set_to)) r.re_set)
-           rules)
-    in
-    Some
-      (fun src ->
-        let i = first_true guards src in
-        if i < 0 then None
-        else
-          Some
-            (List.map
-               (fun (field, get) ->
-                 match get src with
-                 | Some v -> (field, v)
-                 | None ->
-                   (* source field absent: an impossible mutation, so the
-                      staged encode stage rejects the packet as the fused
-                      [apply] does *)
-                   ("", 0L))
-               sets.(i)))

@@ -5,11 +5,11 @@
     the event classifier, the flow key, and the respond-by-patching
     rules — the pipeline's only statement of per-packet semantics.
     {!compile_stack} lowers it against a layered
-    {!Netdsl_format.Stack} once into a plan that the pipeline's [Fused]
-    mode executes per packet run-to-completion — and simultaneously
-    derives the {e staged} closures its [Staged] reference executor
-    runs, so both modes run the same semantics from one source of truth
-    and the differential oracle can diff them.
+    {!Netdsl_format.Stack} once into a plan that the pipeline executes
+    per packet run-to-completion.  The spec record is readable (and only
+    buildable through {!spec}): the oracles' reference executor
+    ([Netdsl_check.Reference]) reads it and evaluates the same semantics
+    over decoded values, sharing nothing else with this plan.
 
     There is one engine.  A single format is a one-layer stack:
     {!compile} qualifies the spec's bare field names once and compiles
@@ -52,7 +52,15 @@ type action = { set_field : string; set_to : operand }
 type response = { re_when : cond; re_set : action list }
 (** Respond rule: first matching rule's actions build the reply. *)
 
-type spec
+type spec = private {
+  sp_demand : string list;
+  sp_verify : cond option;
+  sp_classify : rule list;
+  sp_flow_key : string option;
+  sp_respond : response list;
+}
+(** Field names are bare (a single format) or qualified ["layer.field"]
+    (a stack), as the caller wrote them. *)
 
 val spec :
   ?demand:string list ->
@@ -71,10 +79,24 @@ val spec_flow_key : spec -> string option
 
 (** {2 Compilation} *)
 
+type plant =
+  | Late_static_load
+      (** every layer compiled with {!Netdsl_format.View.Hot.compile}'s
+          planted defect: one static-offset field read one byte late *)
+  | Unrefused_patch
+      (** respond patches resolved by {!Netdsl_format.Emit.patcher} alone,
+          as if {!Netdsl_format.Stack.patcher}'s refusal under an
+          enclosing payload checksum were switched off *)
+  | Evict_mru  (** [Pipeline]'s flow table evicts the most recently used flow *)
+  | Late_tick  (** [Pipeline]'s wheel fires every timer one tick late *)
+(** A planted defect, for the differential oracles' self-tests only: each
+    is one the reference executor must catch.  {!compile} applies the
+    first two; [Pipeline.create] the last two. *)
+
 type t
 
 val compile :
-  ?plan:Netdsl_fsm.Step.plan -> ?plant_late_load:bool -> Netdsl_format.Desc.t -> spec -> t
+  ?plan:Netdsl_fsm.Step.plan -> ?plant:plant -> Netdsl_format.Desc.t -> spec -> t
 (** {!compile_stack} over the one-layer stack of [fmt], the spec's bare
     field names qualified with the format's name.  Raises
     [Invalid_argument] naming the refused field when the format has no
@@ -85,7 +107,7 @@ val compile :
 
 val compile_stack :
   ?plan:Netdsl_fsm.Step.plan ->
-  ?plant_late_load:bool ->
+  ?plant:plant ->
   Netdsl_format.Stack.t ->
   spec ->
   (t, string) result
@@ -93,16 +115,11 @@ val compile_stack :
     field the spec mentions must be a qualified ["layer.field"] name;
     conditions and keys read the chain's fused native-int registers (a
     field absent from the accepted packet's variant case compares
-    [false], keys to {!no_key} and refuses a patch, as on the staged
-    side), and respond actions patch inside the owning layer's recorded
+    [false], keys to {!no_key} and refuses a patch), and respond actions patch inside the owning layer's recorded
     window ({!Netdsl_format.Stack.patcher}: a field under an enclosing
     carrier's payload checksum cannot be patched).  Fails when the stack cannot be fused, a demanded register
-    cannot be extracted, or an action names an unknown layer.  The
-    staged derivations run over the chain's sequential decode
-    ({!Netdsl_format.Stack.Seq}), the [lib/check] oracles' ground truth.
-    [plant_late_load] compiles every layer with
-    {!Netdsl_format.View.Hot.compile}'s planted defect (oracle self-test
-    only). *)
+    cannot be extracted, or an action names an unknown layer.  [plant]
+    (oracle self-test only) plants a defect. *)
 
 val stack_plan : t -> Netdsl_format.Stack.plan
 (** The compiled chain — its registers and layer windows read the state
@@ -136,7 +153,7 @@ val event : t -> int
 val flow_key : t -> int
 (** The flow-key field of the decoded packet as a native int, or
     [min_int] when the packet carries no key (use the default shared
-    instance, as the staged path does). *)
+    instance). *)
 
 val no_key : int
 (** = [min_int], the {!flow_key} "no key" sentinel. *)
@@ -153,27 +170,3 @@ val apply : t -> int -> Bytes.t -> len:int -> bool
     recorded it.  [false] if any patch fails to compile, validate, or
     find its source field — the packet is then rejected at the encode
     stage. *)
-
-(** {2 Staged derivations}
-
-    The spec as closures over a decoded source — the chain's sequential
-    per-layer values ({!Netdsl_format.Stack.Seq}): the pipeline's
-    [Staged] reference executor runs these, one stage at a time, so it
-    shares the fused plan's source of truth and nothing else.  The
-    fields they look up are qualified, whichever of {!compile} and
-    {!compile_stack} built the plan.  [None] when the spec leaves that
-    stage empty. *)
-
-type 's lookup = string -> 's -> int64 option
-(** Resolve a field name, once, to its reader over a decoded source;
-    [None] when the packet does not carry the field. *)
-
-val staged_verify : t -> 's lookup -> ('s -> bool) option
-
-val staged_classify_id : t -> 's lookup -> ('s -> int) option
-
-val staged_respond_patch :
-  t -> 's lookup -> ('s -> (string * int64) list option) option
-(** Responses in a spec read only decoded fields, never machine state, so
-    the derived closure takes just the source.  A source field the packet
-    lacks yields the action [("", 0L)], which no patcher accepts. *)

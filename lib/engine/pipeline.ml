@@ -11,7 +11,7 @@ type config = {
 let default_config =
   { batch = 64; ring_capacity = 1024; max_flows = 65536; slot_bytes = 2048 }
 
-type mode = Staged | Fused
+type mode = Fused
 
 (* Stage indices — fixed layout, also the Stats layout. *)
 let st_decode = 0
@@ -44,7 +44,7 @@ type outcome =
    evict are O(1) and allocation-free; arrays double up to [max_flows].
 
    Flow keys are native ints (wide key fields truncate via
-   [Int64.to_int], identically in both modes); [Flight.no_key]
+   [Int64.to_int]); [Flight.no_key]
    (= [min_int]) is the "packet carries no key" sentinel, served by the
    shared default instance. *)
 type flow_table = {
@@ -60,6 +60,8 @@ type flow_table = {
   mutable n : int; (* live flows, in slots 1..n *)
   mutable cap : int; (* slots available before the next doubling *)
   max_flows : int;
+  (* the oracles' planted defect: evict the most recently used flow *)
+  evict_mru : bool;
 }
 
 let unlink tbl slot =
@@ -67,6 +69,10 @@ let unlink tbl slot =
   and nx = Array.unsafe_get tbl.fnext slot in
   Array.unsafe_set tbl.fnext p nx;
   Array.unsafe_set tbl.fprev nx p
+
+(* The flow a full table gives up: the least recently used, unless the
+   oracles planted the wrong end. *)
+let lru_victim tbl = if tbl.evict_mru then tbl.fprev.(0) else tbl.fnext.(0)
 
 (* Insert just before the sentinel: the most-recently-used end. *)
 let push_mru tbl slot =
@@ -91,18 +97,8 @@ let grow_flows tbl =
 
 type t = {
   cfg : config;
-  mode : mode;
   fmt : F.Desc.t;
   flight : Flight.t;
-  (* the spec's staged derivations, which [Staged] mode runs over the
-     source of a window slot: the verify predicate, the classifier (>= 0
-     an event id for the plan, any negative value means the packet does
-     not concern the machine), the respond-by-patch rules and the flow
-     key *)
-  verify : (int -> bool) option;
-  classifier : (int -> int) option;
-  respond_patch : (int -> (string * int64) list option) option;
-  staged_key : int -> int;
   on_transition : (Fsm.Machine.transition -> unit) option;
   on_response : string -> unit;
   on_reply_slot : (int -> Bytes.t -> int -> unit) option;
@@ -110,21 +106,17 @@ type t = {
      packet context (timer-driven emission), maintained by the batch
      loops so [on_reply_slot] can hand external slab owners the slot *)
   mutable cur_slot : int;
-  (* encode-stage machinery: a cache of compiled in-place patchers (keyed
-     by field, with the index of the stack layer whose window they patch —
-     patches rewrite the *request* bytes), and
-     one reusable reply buffer, sized once to the longest packet a front
+  (* one reusable reply buffer, sized once to the longest packet a front
      end admits, with a per-batch high-water mark so one oversized reply
      cannot pin a larger buffer forever *)
-  patchers : (string, (F.Emit.patcher * int, string) result) Hashtbl.t;
   mutable reply_buf : Bytes.t;
   reply_base : int;
   mutable reply_hwm : int;
   stats : Stats.t;
-  (* batch scratch: the packet window of the current batch (data + length),
-     the chain's sequential decoders per window slot (one in [Fused] mode,
-     for recovering decode-error detail) and statuses *)
-  seqs : F.Stack.Seq.t array;
+  (* batch scratch: the packet window of the current batch (data + length)
+     and statuses, and the chain's sequential decoder, which names the
+     failing layer and field of a one-packet decode reject *)
+  seq : F.Stack.Seq.t;
   status : int array;
   blen : int array;
   inbuf : string array;
@@ -153,11 +145,6 @@ type t = {
 }
 
 let no_key = Flight.no_key
-
-(* The timer key of a flow: its native-int flow key when the pipeline is
-   keyed; [no_key] stands for the shared default instance (both the
-   unkeyed pipeline and keyless packets of a keyed one). *)
-let wheel_key t k = match t.flows with Some _ -> k | None -> no_key
 
 (* Post-fire timer op: one array read and a zero compare on the packed
    word ([Step.timer_word]) — the whole hot-path cost for transitions
@@ -230,48 +217,38 @@ let fire_expiry t ~key ~ev =
     end
   | Some dflt, _ -> deliver_expiry t dflt ~key ~ev
 
-(* A chain's qualified ["layer.field"] over its sequential per-layer
-   values: a top-level field, else a field of a top-level variant's
-   selected case, as the fused plan's flattened cases extract it. *)
-let seq_lookup plan : F.Stack.Seq.t Flight.lookup =
- fun q ->
-  match F.Stack.locate plan q with
-  | Error _ -> fun _ -> None
-  | Ok (j, field) -> fun s -> F.Value.find_int_flat (F.Stack.Seq.value s j) field
-
-(* The spec's staged derivations over the sources of the window slots,
-   indexed by slot. *)
-let staged_stages flight flow_key lookup srcs =
-  let slotted f = Option.map (fun g i -> g (Array.unsafe_get srcs i)) f in
-  ( slotted (Flight.staged_verify flight lookup),
-    slotted (Flight.staged_classify_id flight lookup),
-    slotted (Flight.staged_respond_patch flight lookup),
-    match flow_key with
-    | None -> fun _ -> no_key
-    | Some k ->
-      let get = lookup k in
-      fun i ->
-        match get (Array.unsafe_get srcs i) with
-        | None -> no_key
-        | Some v -> Int64.to_int v )
-
 let default_clock_ms () = int_of_float (Unix.gettimeofday () *. 1e3)
 let default_now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
-let create ?(config = default_config) ?(mode = Fused) ?stack
+(* The planted late wheel: every armed deadline one tick long. *)
+let late_by_a_tick ~tick_ms (m : Fsm.Machine.t) =
+  let late (tr : Fsm.Machine.transition) =
+    match tr.timer with
+    | Fsm.Machine.Arm_timer { after_ms; fire } ->
+      { tr with timer = Fsm.Machine.Arm_timer { after_ms = after_ms + tick_ms; fire } }
+    | Fsm.Machine.No_timer | Fsm.Machine.Cancel_timer -> tr
+  in
+  { m with transitions = List.map late m.transitions }
+
+let create ?(config = default_config) ?mode:(_ : mode option) ?stack
     ?(flight = Flight.spec ()) ?machine ?on_transition
     ?(clock_ms = default_clock_ms) ?(now_ns = default_now_ns) ?(tick_ms = 1)
-    ?(on_response = fun _ -> ()) ?on_reply_slot ?plant_late_load fmt =
+    ?(on_response = fun _ -> ()) ?on_reply_slot ?plant fmt =
   if config.batch <= 0 then invalid_arg "Pipeline.create: batch must be positive";
   if config.max_flows <= 0 then
     invalid_arg "Pipeline.create: max_flows must be positive";
   if tick_ms <= 0 then invalid_arg "Pipeline.create: tick_ms must be positive";
+  let machine =
+    match plant with
+    | Some Flight.Late_tick -> Option.map (late_by_a_tick ~tick_ms) machine
+    | _ -> machine
+  in
   let plan = Option.map Fsm.Step.compile machine in
   let flight =
     match stack with
-    | None -> Flight.compile ?plan ?plant_late_load fmt flight
+    | None -> Flight.compile ?plan ?plant fmt flight
     | Some st -> (
-      match Flight.compile_stack ?plan ?plant_late_load st flight with
+      match Flight.compile_stack ?plan ?plant st flight with
       | Ok fl -> fl
       | Error e -> invalid_arg ("Pipeline.create: stack: " ^ e))
   in
@@ -283,31 +260,19 @@ let create ?(config = default_config) ?(mode = Fused) ?stack
   let timed =
     match plan with Some p -> Fsm.Step.has_timers p | None -> false
   in
-  let slots = match mode with Staged -> config.batch | Fused -> 1 in
-  let plan = Flight.stack_plan flight in
-  let seqs = Array.init slots (fun _ -> F.Stack.Seq.create plan) in
-  let verify, classifier, respond_patch, staged_key =
-    staged_stages flight flow_key (seq_lookup plan) seqs
-  in
   let t = {
     cfg = config;
-    mode;
     fmt;
     flight;
-    verify;
-    classifier;
-    respond_patch;
-    staged_key;
     on_transition;
     on_response;
     on_reply_slot;
     cur_slot = -1;
-    patchers = Hashtbl.create 4;
     reply_buf = Bytes.create reply_base;
     reply_base;
     reply_hwm = 0;
     stats = Stats.create stage_names;
-    seqs;
+    seq = F.Stack.Seq.create (Flight.stack_plan flight);
     status = Array.make config.batch live;
     blen = Array.make config.batch 0;
     inbuf = Array.make config.batch "";
@@ -328,6 +293,7 @@ let create ?(config = default_config) ?(mode = Fused) ?stack
             n = 0;
             cap;
             max_flows = config.max_flows;
+            evict_mru = plant = Some Flight.Evict_mru;
           }
       | _ -> None);
     timed;
@@ -364,13 +330,11 @@ let stats t =
   t.stats
 
 let format t = t.fmt
-let mode t = t.mode
 let flow_count t = match t.flows with None -> 0 | Some tbl -> tbl.n
 let reply_capacity t = Bytes.length t.reply_buf
 
-(* Instance lookup by native-int key, shared by both modes (the staged
-   side extracts the key from the decoded value first).  Option-free for the
-   per-packet loops (precondition: [t.default_inst = Some dflt]). *)
+(* Instance lookup by native-int key.  Option-free for the per-packet
+   loop (precondition: [t.default_inst = Some dflt]). *)
 let touch_flow t dflt k =
   match t.flows with
   | Some tbl when k <> no_key ->
@@ -386,7 +350,7 @@ let touch_flow t dflt k =
           (* evict the LRU flow and reuse its slot and instance; its
              pending timer goes with it — an expiry for a dead flow must
              never fire *)
-          let victim = tbl.fnext.(0) in
+          let victim = lru_victim tbl in
           unlink tbl victim;
           ignore (Keymap.remove tbl.index tbl.keys.(victim));
           (match t.wheel with
@@ -414,21 +378,6 @@ let ensure_reply t len =
   if Bytes.length t.reply_buf < len then
     t.reply_buf <- Bytes.create (max len (2 * Bytes.length t.reply_buf))
 
-let patcher_for t field =
-  match Hashtbl.find_opt t.patchers field with
-  | Some r -> r
-  | None ->
-    let plan = Flight.stack_plan t.flight in
-    let r =
-      Result.bind (F.Stack.locate plan field) (fun (j, f) ->
-          Result.map (fun p -> (p, j)) (F.Stack.patcher (F.Stack.stack plan) j f))
-    in
-    Hashtbl.add t.patchers field r;
-    r
-
-(* The staged decode of window slot [i]. *)
-let staged_decode t i = F.Stack.Seq.decode t.seqs.(i) ~len:t.blen.(i) t.inbuf.(i)
-
 let emit_reply t len =
   if len > t.reply_hwm then t.reply_hwm <- len;
   match t.on_reply_slot with
@@ -446,131 +395,13 @@ let reset_reply_buf t =
   then t.reply_buf <- Bytes.create (max t.reply_base t.reply_hwm);
   t.reply_hwm <- 0
 
-(* ---- staged mode, the reference executor: each stage walks the whole
-   batch before the next starts, so stage timing is a straight
-   wall-clock interval around a tight loop.  Operates on the batch
-   window [t.inbuf]/[t.blen]. ---- *)
-
-let staged_batch t n =
-  let stats = t.stats in
-  (* decode (includes full verification of every layer) *)
-  let bytes = ref 0 in
-  let rejects = ref 0 in
-  let t0 = t.now_ns () in
-  for i = 0 to n - 1 do
-    bytes := !bytes + t.blen.(i);
-    match staged_decode t i with
-    | Ok () -> t.status.(i) <- live
-    | Error _ ->
-      t.status.(i) <- rej_decode;
-      incr rejects
-  done;
-  Stats.record_batch stats st_decode ~packets:n ~bytes:!bytes ~rejects:!rejects
-    ~elapsed_ns:(t.now_ns () - t0);
-  (* verify: the spec's semantic predicate over the decoded values *)
-  (match t.verify with
-  | None -> ()
-  | Some pred ->
-    let packets = ref 0 and bytes = ref 0 and rejects = ref 0 in
-    let t0 = t.now_ns () in
-    for i = 0 to n - 1 do
-      if t.status.(i) = live then begin
-        incr packets;
-        bytes := !bytes + t.blen.(i);
-        if not (pred i) then begin
-          t.status.(i) <- rej_verify;
-          incr rejects
-        end
-      end
-    done;
-    Stats.record_batch stats st_verify ~packets:!packets ~bytes:!bytes
-      ~rejects:!rejects ~elapsed_ns:(t.now_ns () - t0));
-  (* step: drive the per-flow compiled machine with the classified event id.
-     The accept path is ids and flat arrays end to end — no strings, no
-     allocation; label reconstruction happens only inside the opt-in
-     [on_transition] hook. *)
-  (match (t.classifier, t.default_inst) with
-  | Some classify, Some dflt ->
-    let packets = ref 0 and bytes = ref 0 and rejects = ref 0 in
-    let t0 = t.now_ns () in
-    for i = 0 to n - 1 do
-      if t.status.(i) = live then begin
-        incr packets;
-        bytes := !bytes + t.blen.(i);
-        let ev = classify i in
-        if ev >= 0 then begin
-          let k = t.staged_key i in
-          let inst = touch_flow t dflt k in
-          match Fsm.Step.fire_id inst ev with
-          | Fsm.Step.Fired ->
-            if t.timed then apply_timer t inst (wheel_key t k);
-            (match t.on_transition with
-            | None -> ()
-            | Some hook ->
-              (* slow path: recover the transition (and its label) from the
-                 plan's intern tables *)
-              let plan = Fsm.Step.plan_of inst in
-              hook (Fsm.Step.transition plan (Fsm.Step.last_transition inst)))
-          | Fsm.Step.Unknown_event | Fsm.Step.Unhandled
-          | Fsm.Step.Nondeterministic ->
-            t.status.(i) <- rej_step;
-            incr rejects
-        end
-      end
-    done;
-    Stats.record_batch stats st_step ~packets:!packets ~bytes:!bytes
-      ~rejects:!rejects ~elapsed_ns:(t.now_ns () - t0)
-  | _ -> ());
-  (* encode: answer with a copy of the request whose named fields are
-     rewritten in place by the generic {!F.Emit.patch} — on a stack,
-     inside the owning layer's sequential window — checksums updated
-     incrementally, nothing re-encoded.  The patchers are this module's
-     own, not the fused plan's compiled [Flight.apply], so the reference
-     stays independent of the code it checks. *)
-  (match t.respond_patch with
-  | None -> ()
-  | Some respond_patch ->
-    let packets = ref 0 and bytes = ref 0 and rejects = ref 0 in
-    let t0 = t.now_ns () in
-    for i = 0 to n - 1 do
-      if t.status.(i) = live then begin
-        match respond_patch i with
-        | None -> ()
-        | Some mutations ->
-          incr packets;
-          t.cur_slot <- i;
-          let len = t.blen.(i) in
-          ensure_reply t len;
-          Bytes.blit_string t.inbuf.(i) 0 t.reply_buf 0 len;
-          let ok =
-            List.for_all
-              (fun (field, v) ->
-                match patcher_for t field with
-                | Error _ -> false
-                | Ok (p, j) ->
-                  Result.is_ok
-                    (F.Emit.patch p ~off:(F.Stack.Seq.layer_off t.seqs.(i) j)
-                       ~len:(F.Stack.Seq.layer_len t.seqs.(i) j) t.reply_buf v))
-              mutations
-          in
-          if ok then begin
-            bytes := !bytes + len;
-            emit_reply t len
-          end
-          else begin
-            t.status.(i) <- rej_encode;
-            incr rejects
-          end
-      end
-    done;
-    Stats.record_batch stats st_encode ~packets:!packets ~bytes:!bytes
-      ~rejects:!rejects ~elapsed_ns:(t.now_ns () - t0))
-
-(* ---- fused mode: one run-to-completion pass per packet, no value tree.
-   Counters mirror the staged stage rows exactly (same
-   arming conditions, same increments); wall-clock cannot be split across
-   fused stages, so the whole batch's latency lands on the decode row and
-   the other rows report elapsed 0. ---- *)
+(* ---- one run-to-completion pass per packet, no value tree.  Each
+   stage row counts what reached that stage (verify: decoded packets when
+   the spec has a predicate; step: verified packets when it classifies
+   and there is a machine; encode: packets a respond rule matched);
+   wall-clock cannot be split across fused stages, so the whole batch's
+   latency lands on the decode row and the other rows report elapsed
+   0. ---- *)
 
 let fused_batch t n =
   let fl = t.flight in
@@ -757,7 +588,7 @@ let peek_flow t k =
     if slot >= 0 then Some tbl.insts.(slot) else None
 
 let run_window t n =
-  (match t.mode with Staged -> staged_batch t n | Fused -> fused_batch t n);
+  fused_batch t n;
   (* replies fired past this point (timer expiries) have no window slot *)
   t.cur_slot <- -1;
   if t.timed then ignore (poll_timers t);
@@ -777,7 +608,7 @@ let process_batch t pkts n =
    the fused decoder has a bug — report it as such (the differential
    oracle hunts exactly this). *)
 let recover_decode_error t =
-  match staged_decode t 0 with
+  match F.Stack.Seq.decode t.seq ~len:t.blen.(0) t.inbuf.(0) with
   | Error e -> e
   | Ok () -> F.Codec.Eval_error { path = []; reason = "fused chain decode diverged" }
 

@@ -15,24 +15,14 @@
     Names and labels reappear only on opt-in slow paths ([on_transition],
     error reporting).
 
-    A fast path plus its reference, over the same spec:
-    - {!Fused} (default): the spec's {!Flight} plan runs each packet to
-      completion in one pass — demand-driven field extraction into
-      native-int registers, no value tree, no per-packet allocation.
-      Every serving path runs this.
-    - {!Staged}: the reference executor.  Each stage walks the whole
-      batch before the next starts, over the sequential per-layer values
-      of {!Netdsl_format.Stack.Seq} (a single format is a one-layer
-      stack), running the spec's staged
-      derivations ({!Flight.staged_verify}, {!Flight.staged_classify_id},
-      {!Flight.staged_respond_patch}) and patching replies with the
-      generic {!Netdsl_format.Emit.patch} rather than the fused plan's
-      compiled patch kernels — so
-      the differential oracle legs that select it check the fused code
-      against an independent executor.  It also times each stage
-      separately.  It lives here rather than in [lib/check] because it
-      shares the flow table, the timer wheel and the stats with
-      [Fused]; moving it out would mean exporting those or copying them.
+    One executor: the spec's {!Flight} plan runs each packet to
+    completion in one pass — demand-driven field extraction into
+    native-int registers, no value tree, no per-packet allocation — and
+    every serving path runs it.  Its differential reference lives
+    outside the engine ([Netdsl_check.Reference]): it decodes with the
+    codec, evaluates the spec over decoded values, steps flows with the
+    machine interpreter and keeps its own flow table and timer list, so
+    no oracle leg runs the code it checks.
 
     The caller owns the packets' memory: the pipeline keeps no ingest
     buffer of its own, only a window of borrowed references to the
@@ -43,16 +33,16 @@
     - {!process_slab_batch}: a popped run of the caller's {!Slab} slots
       (the socket front end's serve loop, one per worker).
 
-    State is sized once and reused: the batch window and sequential decoders at
-    {!create}, flow slots and their machine instances as the flow table
+    State is sized once and reused: the batch window and the sequential
+    decoder at {!create}, flow slots and their machine instances as the flow table
     first reaches them (an evicted flow's slot and instance are reset in
     place for the next flow), and the flow-key and timer-key maps are
-    tombstone-free ({!Keymap}), so they reallocate only to grow.  In
-    fused mode the steady state allocates nothing per packet, evictions
-    and timer cancels included. *)
+    tombstone-free ({!Keymap}), so they reallocate only to grow.  The
+    steady state allocates nothing per packet, evictions and timer
+    cancels included. *)
 
 type config = {
-  batch : int;  (** batch size, and the number of staged sequential decoders *)
+  batch : int;  (** batch size: the most packets one window takes *)
   ring_capacity : int;
       (** the socket server's per-pass budget: one listener pass takes
           at most this many packets (the server sizes its slab to one
@@ -70,13 +60,17 @@ val default_config : config
 (** [{ batch = 64; ring_capacity = 1024; max_flows = 65536;
       slot_bytes = 2048 }] *)
 
-type mode = Staged | Fused
+type mode = Fused
+(** Kept only so the serve benchmark's programs, which pass
+    [~mode:Fused], still build: there is one executor.  The next change
+    to the benchmark drops it. *)
 
 type outcome =
   | Accepted
   | Rejected_decode of Netdsl_format.Codec.error
       (** failed syntactic/semantic validation: the sequential
-          reference's error, the failing layer first on its path *)
+          decoder's error ({!Netdsl_format.Stack.Seq}), the failing layer
+          first on its path *)
   | Rejected_verify  (** failed the spec's verify predicate *)
   | Rejected_step  (** the machine refused the event *)
   | Rejected_encode  (** a respond rule's patch could not be applied *)
@@ -95,13 +89,12 @@ val create :
   ?tick_ms:int ->
   ?on_response:(string -> unit) ->
   ?on_reply_slot:(int -> Bytes.t -> int -> unit) ->
-  ?plant_late_load:bool ->
+  ?plant:Flight.plant ->
   Netdsl_format.Desc.t ->
   t
 (** [create fmt] builds a pipeline for [fmt].
 
-    - [mode] (default [Fused]) picks the executor; [Staged] is the
-      reference the oracle legs select.
+    - [mode] is ignored: [Fused] is the one executor (see {!mode}).
     - [flight] (default [Flight.spec ()]: decode and validate only) is
       the whole per-packet semantics — verify, classify, flow key,
       respond-by-patch — compiled once against [fmt] and [machine] by
@@ -120,15 +113,14 @@ val create :
       format as [fmt]).  Every spec field is qualified as
       ["layer.field"].  The spec compiles via {!Flight.compile_stack};
       respond rules patch a byte copy of the request inside the owning
-      layer's window, resolved by {!Netdsl_format.Stack.patcher}.  [Staged] decodes the chain with
-      {!Netdsl_format.Stack.Seq} and patches inside its windows.  Raises
+      layer's window, resolved by {!Netdsl_format.Stack.patcher}.  Raises
       [Invalid_argument] with the compiler's reason when the chain or a
       spec reference cannot be fused.
     - [machine] is validated and compiled once ({!Netdsl_fsm.Step.compile})
       and instantiated per flow; the spec's flow key names the field
       whose value identifies a flow (without one, one instance serves
       all packets).  Keys are native ints; a key field wider than 62
-      bits truncates via [Int64.to_int], identically in both modes.  At
+      bits truncates via [Int64.to_int].  At
       most [config.max_flows] instances are live; beyond that the
       oldest-idle flow is evicted.
     - [clock_ms] is the pipeline's clock: a monotone millisecond counter
@@ -158,8 +150,7 @@ val create :
       [on_response] as a fresh string.  The reply buffer starts at
       [config.slot_bytes] and carries a per-batch high-water mark: one
       oversized reply grows it only until the end of the batch.
-    - [plant_late_load] (default [false]) compiles the fused decode with
-      {!Netdsl_format.View.Hot.compile}'s planted defect — the oracles'
+    - [plant] plants a defect ({!Flight.plant}) — the oracles'
       self-test, never set in serving. *)
 
 val process : t -> string -> outcome
@@ -177,16 +168,14 @@ val process_slab_batch : t -> Slab.t -> n:int -> unit
     in per-slot sidecars.  [n] at most [config.batch]. *)
 
 val stats : t -> Stats.t
-(** Stage layout: {!stage_names}.  In [Fused] mode the counters mirror
-    the staged rows exactly, but per-stage wall-clock cannot exist in a
-    fused pass: the batch's whole latency lands on the decode row. *)
+(** Stage layout: {!stage_names}.  Each row counts the packets that
+    reached its stage, but per-stage wall-clock cannot exist in a fused
+    pass: the batch's whole latency lands on the decode row. *)
 
 val stage_names : string list
 (** [["decode"; "verify"; "step"; "encode"]] — the {!Stats} layout. *)
 
 val format : t -> Netdsl_format.Desc.t
-
-val mode : t -> mode
 
 val flow_count : t -> int
 (** Number of per-flow machine instances currently live (bounded by
@@ -222,7 +211,7 @@ val next_timer_ms : t -> int
 val peek_flow : t -> int -> Netdsl_fsm.Step.instance option
 (** The live machine instance for a flow key, without touching LRU order
     — observability for tests comparing per-flow end states, such as
-    the lossy loopback's steered worker pipelines against one reference
+    the lossy loopback's steered worker pipelines against one single
     pipeline.  [None] on unkeyed pipelines.
     The instance belongs to that flow only until the flow is evicted:
     eviction resets it in place and hands it to the next new flow, so

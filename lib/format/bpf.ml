@@ -268,16 +268,34 @@ let compile (fmt : Desc.t) =
 
 (* ---- kernel steering -------------------------------------------------- *)
 
-(* Fibonacci hashing in 32 bits, the width of cBPF's ALU: multiply by
-   2^32/phi and keep the top 16 bits, then reduce to a worker.  The
-   emitter below computes exactly this in the kernel, so this is the one
-   definition of which worker owns a key. *)
+(* The steering arithmetic, after the key is loaded into A: the one
+   definition of which worker owns a key.  The kernel program runs these
+   instructions and [steer] evaluates the same list in OCaml.  A key of
+   at most [small_key_bits] bits has few enough values that a hash could
+   leave a worker empty (both values of a 1-bit key hash to worker 0 of
+   3), so it is reduced as it is: [key mod workers], which gives every
+   worker [ceil (2^bits / workers)] values at most.  A wider key is
+   Fibonacci-hashed in 32 bits, the width of cBPF's ALU: multiplied by
+   2^32/phi, its top 16 bits kept, then reduced. *)
+let small_key_bits = 8
 let steer_multiplier = 0x9E37_79B1
 let steer_shift = 16
 
-let steer ~workers key =
+let steer_insns ~bits ~workers =
+  if bits <= small_key_bits then [ Mod workers ]
+  else [ Mul steer_multiplier; Rsh steer_shift; Mod workers ]
+
+let steer ~workers ~bits key =
   if key = View.no_key then 0
-  else (((key * steer_multiplier) land 0xFFFF_FFFF) lsr steer_shift) mod workers
+  else
+    List.fold_left
+      (fun a insn ->
+        match insn with
+        | Mul k -> (a * k) land 0xFFFF_FFFF
+        | Rsh k -> a lsr k
+        | Mod k -> a mod k
+        | _ -> a)
+      (key land 0xFFFF_FFFF) (steer_insns ~bits ~workers)
 
 let steering fmt ~key ~workers =
   if workers < 2 then Error "kernel steering needs at least 2 workers"
@@ -295,7 +313,7 @@ let steering fmt ~key ~workers =
         | Some ld ->
           Ok
             (Array.of_list
-               (ld @ [ Mul steer_multiplier; Rsh steer_shift; Mod workers; Ret_a ])))
+               (ld @ steer_insns ~bits ~workers @ [ Ret_a ])))
 
 (* ---- encoding and printing ------------------------------------------- *)
 

@@ -37,8 +37,8 @@
 
     {b Steering.}  {!steering} compiles a flow key to the program an
     [SO_REUSEPORT] group runs to pick the socket — the worker — for each
-    datagram ([SO_ATTACH_REUSEPORT_CBPF]): load the key, hash it with
-    {!steer}'s 32-bit function, reduce it [mod workers], return it.  The
+    datagram ([SO_ATTACH_REUSEPORT_CBPF]): load the key, reduce it to a
+    worker by {!steer}'s rule, return it.  The
     kernel has already pulled the UDP header there, so its offsets are
     payload-relative.  A datagram too short to carry the key fails the
     load, and a failed load returns 0: worker 0, as {!steer} sends
@@ -77,11 +77,14 @@ val compile : Desc.t -> program option
 (** The outermost format's fixed-offset checks, or [None] when none
     applies (the format compiles to nothing and gets no filter). *)
 
-val steer : workers:int -> int -> int
-(** The worker that owns a flow key: [((key * 0x9E3779B1) mod 2^32) lsr
-    16 mod workers], and worker 0 for {!View.no_key}.  The one
-    definition of the partition — the steering program computes it in
-    the kernel, and the lossy loopback in memory. *)
+val steer : workers:int -> bits:int -> int -> int
+(** The worker that owns a flow key of a [bits]-bit field.  A key of at
+    most 8 bits (256 values) goes to [key mod workers], so no worker gets
+    more than [ceil (2^bits / workers)] of its values; a wider key is
+    hashed first, [((key * 0x9E3779B1) mod 2^32) lsr 16 mod workers].
+    {!View.no_key} goes to worker 0.  The one definition of the
+    partition: {!steering}'s program runs the same instruction list in
+    the kernel, and this evaluates it in memory (the lossy loopback). *)
 
 val steering : Desc.t -> key:string -> workers:int -> (program, string) result
 (** The steering program for [workers] (at least 2) sockets, keyed on the

@@ -133,15 +133,20 @@ let to_wire ~bits ~endian v =
 
 let of_wire = to_wire (* byte swapping is an involution *)
 
-let apply_constraints ~path constraints value =
-  let ok = function
-    | Desc.In_range (lo, hi) -> Int64.compare lo value <= 0 && Int64.compare value hi <= 0
-    | Desc.One_of vs -> List.exists (Int64.equal value) vs
-    | Desc.Not_equal v -> not (Int64.equal value v)
-  in
-  List.iter
-    (fun c -> if not (ok c) then fail (Constraint_violation { path; constr = c; value }))
-    constraints
+let constraint_ok value = function
+  | Desc.In_range (lo, hi) -> Int64.compare lo value <= 0 && Int64.compare value hi <= 0
+  | Desc.One_of vs -> List.exists (Int64.equal value) vs
+  | Desc.Not_equal v -> not (Int64.equal value v)
+
+(* A recursive walk, not [List.iter] over a closure: this runs once per
+   scalar field, and most fields have no constraint at all. *)
+let rec apply_constraints ~path constraints value =
+  match constraints with
+  | [] -> ()
+  | c :: rest ->
+    if not (constraint_ok value c) then
+      fail (Constraint_violation { path; constr = c; value });
+    apply_constraints ~path rest value
 
 let enum_check ~path ~exhaustive cases value =
   if exhaustive && not (List.exists (fun (_, v) -> Int64.equal v value) cases) then
@@ -198,7 +203,7 @@ let compute_checksum ~path ~algorithm ~message ~region_bits:(roff, rlen)
     ~own_span:(ooff, olen) =
   if roff land 7 <> 0 || rlen land 7 <> 0 then
     fail (Eval_error { path; reason = "checksum region is not byte-aligned" });
-  let sub = Bytes.of_string (String.sub message (roff / 8) (rlen / 8)) in
+  let sub = Bytes.sub (Bytes.unsafe_of_string message) (roff / 8) (rlen / 8) in
   (* Zero the checksum field itself where it overlaps the region. *)
   for i = 0 to olen - 1 do
     let bit = ooff + i in
@@ -209,14 +214,14 @@ let compute_checksum ~path ~algorithm ~message ~region_bits:(roff, rlen)
       Bytes.set sub byte_idx (Char.chr (old land lnot (1 lsl bit_idx)))
     end
   done;
-  Ck.compute algorithm (Bytes.to_string sub)
+  Ck.compute algorithm (Bytes.unsafe_to_string sub)
 
 (* Resolves a checksum region to absolute (bit_off, bit_len) given the
    checksum field's own span, its scope, and the enclosing record's final
    extent (a ref filled in once the record has been fully processed). *)
-let region_bits ~path ~msg_bits scope region ~own_span:(ooff, olen) ~record_end =
+let region_bits ~path ~msg_base ~msg_bits scope region ~own_span:(ooff, olen) ~record_end =
   match (region : Desc.region) with
-  | Region_message -> (0, msg_bits ())
+  | Region_message -> (msg_base, msg_bits ())
   | Region_rest ->
     let stop = !record_end in
     (ooff + olen, stop - (ooff + olen))
@@ -236,16 +241,19 @@ let region_bits ~path ~msg_bits scope region ~own_span:(ooff, olen) ~record_end 
 
 type dctx = {
   data : string;
+  base : int; (* bit offset of the message in [data] *)
   msg_bits : int;
   mutable deferred : (unit -> unit) list; (* run (in order) after the parse *)
 }
 
 let with_io path f = try f () with B.Error e -> fail (Io { path; error = e })
 
+(* No [with_io] closure here: this runs once per scalar field. *)
 let read_int ~path r ~bits ~endian =
   check_le_width ~path ~bits endian;
-  let raw = with_io path (fun () -> B.Reader.read_bits r ~width:bits) in
-  of_wire ~bits ~endian raw
+  match B.Reader.read_bits r ~width:bits with
+  | raw -> of_wire ~bits ~endian raw
+  | exception B.Error e -> fail (Io { path; error = e })
 
 let read_str ~path r n =
   with_io path (fun () ->
@@ -282,14 +290,17 @@ let positive_len ~path n =
 
 let rec decode_fields ctx scope path (fmt : Desc.t) r : Value.t =
   let record_end = ref 0 in
-  let out =
-    List.filter_map (fun (f : Desc.field) -> decode_field ctx scope path record_end f r)
-      fmt.fields
+  let rec go acc = function
+    | [] -> List.rev acc
+    | f :: rest -> go (decode_field ctx scope path record_end f r acc) rest
   in
+  let out = go [] fmt.fields in
   record_end := B.Reader.bit_pos r;
   Value.Record out
 
-and decode_field ctx scope path record_end (f : Desc.field) r =
+(* [acc] is the record's fields so far, newest first; a decoded field is
+   pushed onto it (padding pushes nothing). *)
+and decode_field ctx scope path record_end (f : Desc.field) r acc =
   let path_f = f.name :: path in
   let start = B.Reader.bit_pos r in
   let value =
@@ -335,7 +346,8 @@ and decode_field ctx scope path record_end (f : Desc.field) r =
       ctx.deferred <-
         (fun () ->
           let rbits =
-            region_bits ~path:path_f ~msg_bits:(fun () -> ctx.msg_bits) scope region
+            region_bits ~path:path_f ~msg_base:ctx.base ~msg_bits:(fun () -> ctx.msg_bits)
+              scope region
               ~own_span ~record_end
           in
           let expected =
@@ -425,12 +437,15 @@ and decode_field ctx scope path record_end (f : Desc.field) r =
       None
   in
   scope.spans <- (f.name, (start, B.Reader.bit_pos r - start)) :: scope.spans;
-  match value with None -> None | Some v -> Some (f.name, v)
+  match value with None -> acc | Some v -> (f.name, v) :: acc
 
-let decode ?(allow_trailing = false) fmt data =
+let decode ?(allow_trailing = false) ?(off = 0) ?len fmt data =
+  let len = match len with Some l -> l | None -> String.length data - off in
+  if off < 0 || len < 0 || off + len > String.length data then
+    invalid_arg "Codec.decode: window outside the input";
   match
-    let ctx = { data; msg_bits = String.length data * 8; deferred = [] } in
-    let r = B.Reader.of_string data in
+    let ctx = { data; base = off * 8; msg_bits = len * 8; deferred = [] } in
+    let r = B.Reader.of_string ~bit_off:(off * 8) ~bit_len:(len * 8) data in
     let scope = new_scope None in
     let v = decode_fields ctx scope [] fmt r in
     List.iter (fun check -> check ()) (List.rev ctx.deferred);
@@ -719,7 +734,8 @@ let run_patches ctx =
         let message = B.Writer.contents ctx.w in
         let own_span = (p.p_bit_off, p.p_bits) in
         let rbits =
-          region_bits ~path:p.p_path ~msg_bits:(fun () -> B.Writer.bit_length ctx.w)
+          region_bits ~path:p.p_path ~msg_base:0
+            ~msg_bits:(fun () -> B.Writer.bit_length ctx.w)
             p.p_scope region ~own_span ~record_end
         in
         let v =

@@ -55,9 +55,14 @@ val error_to_string : error -> string
 val map_path : (path -> path) -> error -> error
 (** Rewrite the error's field path. *)
 
-val decode : ?allow_trailing:bool -> Desc.t -> string -> (Value.t, error) result
+val decode :
+  ?allow_trailing:bool -> ?off:int -> ?len:int -> Desc.t -> string -> (Value.t, error) result
 (** [decode fmt bytes] parses and validates.  With [allow_trailing] (default
-    [false]) leftover input after the message is not an error. *)
+    [false]) leftover input after the message is not an error.  [off] and
+    [len] (default: all of [bytes]) decode the message occupying
+    [bytes.(off .. off+len-1)] in place, exactly as [decode] of that
+    substring would, without copying it.
+    @raise Invalid_argument if the window is outside [bytes]. *)
 
 val decode_exn : ?allow_trailing:bool -> Desc.t -> string -> Value.t
 

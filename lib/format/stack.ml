@@ -619,7 +619,7 @@ module Seq = struct
           (fun reason -> Error (Codec.Eval_error { path = [ y.y_name ]; reason }))
           fmt
       in
-      match Codec.decode y.y_fmt (String.sub data off len) with
+      match Codec.decode y.y_fmt ~off ~len data with
       | Error e -> Error (Codec.map_path (fun p -> y.y_name :: p) e)
       | Ok v -> (
         q.q_values.(i) <- v;

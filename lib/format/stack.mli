@@ -161,8 +161,9 @@ val encode : plan -> Value.t array -> (string, string) result
     so it starts at [off + len - String.length payload].  This defines
     the accept set the fused plan must match — the semantic ground truth
     the chain oracle diffs it against — and is the naive baseline E17
-    measures, the staged pipeline's decoder, and the error reporter for
-    the CLI (layer-qualified reasons). *)
+    measures, the reference executor's decoder ([Netdsl_check.Reference]),
+    and the error reporter for the pipeline and the CLI (layer-qualified
+    reasons). *)
 
 module Seq : sig
   type t

@@ -38,6 +38,10 @@ let prepared_machine p = p.p_machine
 let instantiate ?(on_transition = fun _ _ -> ()) ?(on_unhandled = fun _ _ -> ()) p =
   { m = p.p_machine; cfg = p.p_initial; log = []; on_transition; on_unhandled }
 
+let resume t cfg =
+  t.cfg <- cfg;
+  t.log <- []
+
 let machine t = t.m
 let config t = t.cfg
 let state t = t.cfg.M.state

@@ -50,6 +50,12 @@ val instantiate :
   t
 (** A fresh interpreter at the initial configuration; no re-validation. *)
 
+val resume : t -> Machine.config -> unit
+(** Continue from [cfg] (a configuration this machine reached) with an
+    empty {!history}: one interpreter can step many flows in turn, each
+    flow keeping only its configuration, and no log grows with the
+    traffic. *)
+
 val machine : t -> Machine.t
 val config : t -> Machine.config
 val state : t -> string

@@ -696,7 +696,7 @@ let attach_filter ls fmt =
    slab holds one I/O batch.  Its slots are one byte wider than the
    largest packet served: a datagram that fills one may have been cut by
    the kernel, and is dropped whole (both backends). *)
-let make_worker ~config ~mode ?stack ?machine ~tick_ms ~use_mmsg ~io_batch
+let make_worker ~config ?stack ?machine ~tick_ms ~use_mmsg ~io_batch
     ~flight fmt ls =
   let hot = Array.make (Array.length ls) false in
   let slot_bytes = config.Pipeline.slot_bytes in
@@ -718,7 +718,7 @@ let make_worker ~config ~mode ?stack ?machine ~tick_ms ~use_mmsg ~io_batch
   | exception Failure msg -> Error msg
   | io, mm -> (
     match
-      Pipeline.create ~config ~mode ?stack ~flight ?machine ~tick_ms
+      Pipeline.create ~config ?stack ~flight ?machine ~tick_ms
         ~clock_ms:Mmsg.now_ms ~now_ns:Mmsg.now_ns
         ~on_reply_slot:(stage io ls tx slab) fmt
     with
@@ -732,7 +732,7 @@ let make_worker ~config ~mode ?stack ?machine ~tick_ms ~use_mmsg ~io_batch
           w_pass = config.Pipeline.ring_capacity; w_processed = 0;
           w_loop = Stats.create () })
 
-let create ?(config = Pipeline.default_config) ?(mode = Pipeline.Fused)
+let create ?(config = Pipeline.default_config) ?mode:(_ : Pipeline.mode option)
     ?stack ?machine ?(tick_ms = 1) ?(signals = true) ?(workers = 1)
     ?(allow_oversubscribe = false) ?shard_key ?(io = Auto) ?(io_batch = 32)
     ~flight ~listeners fmt =
@@ -816,7 +816,7 @@ let create ?(config = Pipeline.default_config) ?(mode = Pipeline.Fused)
           | [] -> Ok (Array.of_list (List.rev acc))
           | ls :: rest -> (
             match
-              make_worker ~config ~mode ?stack ?machine ~tick_ms ~use_mmsg
+              make_worker ~config ?stack ?machine ~tick_ms ~use_mmsg
                 ~io_batch ~flight fmt ls
             with
             | Ok w -> build (w :: acc) rest

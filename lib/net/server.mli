@@ -1,10 +1,11 @@
 (** The socket front end: real traffic through the fused engine.
 
     A server owns a set of nonblocking listeners and the engine that
-    answers them: one {!Netdsl_engine.Pipeline} (fused by default — the
-    [?mode] label exists so an oracle or a benchmark can run the staged
-    reference behind a socket — built from a {!Netdsl_engine.Flight.spec}),
-    or, sharded, one per worker, each behind its own sockets.
+    answers them: one {!Netdsl_engine.Pipeline} built from a
+    {!Netdsl_engine.Flight.spec}, or, sharded, one per worker, each
+    behind its own sockets.  [?mode] is ignored: it is kept only so the
+    serve benchmark's programs, which pass [~mode:Fused], still build,
+    and goes with the next change to the benchmark.
 
     {b One loop over one batch-I/O backend.}  [run] is a single event
     loop: check the stop flag, the packet budget and the deadline; sleep
@@ -71,7 +72,7 @@
     one [SO_REUSEPORT] socket per worker, all in one group, and the
     kernel picks the socket of every datagram with a classic-BPF program
     compiled from the flow key ({!Netdsl_format.Bpf.steering}): the key
-    hashed by {!Netdsl_format.Bpf.steer}, so every packet of a flow
+    reduced to a worker by {!Netdsl_format.Bpf.steer}'s rule, so every packet of a flow
     reaches the worker that owns the flow's machine instance, and a
     datagram too short for the key reaches worker 0.  The program is
     attached before the group's first bind, so the kernel's own hash
@@ -149,9 +150,8 @@ val create :
     [stack] serves a layered chain: the pipeline decodes each datagram
     through the fused {!Netdsl_format.Stack} plan and the flight spec
     (all fields ["layer.field"]-qualified) patches replies inside layer
-    windows — see {!Netdsl_engine.Pipeline.create}.  Runs in the
-    default [Fused] mode only; [fmt] should be the chain's outermost
-    format.
+    windows — see {!Netdsl_engine.Pipeline.create}.  [fmt] should be
+    the chain's outermost format.
 
     [io] (default [Auto]) selects the backend; [io_batch] (default 32,
     must be positive) is the run: the slab's slot count, the most

@@ -254,12 +254,13 @@ let chain_seeds_decode () =
         seeds)
     Fm.Stacks.all
 
-(* ---- the stacked-reply leg: fused stacked replies vs the staged
-   reference (Stack.Seq decode + the generic Emit.patch per layer) ---- *)
+(* ---- the stacked-reply leg: fused stacked replies, flows and timers
+   vs the reference executor (Stack.Seq decode, Codec re-encode) ---- *)
 
 module Flight = Netdsl_engine.Flight
 module Pipeline = Netdsl_engine.Pipeline
 module Stack = Netdsl_format.Stack
+module Stats = Netdsl_engine.Stats
 
 let check_replies name o pkts =
   Array.iteri
@@ -323,6 +324,154 @@ let tftp_flows_replies () =
               chain ~src_port (Fm.Tftp.Ack { block }) |]))
   in
   check_replies "tftp-flows" o pkts
+
+(* The serve benchmark's tftp-flows shape, judged independently: a fused
+   pipeline and the reference executor in lock-step over 24 000 packets,
+   DATA then its ACK per flow on ports drawn with a cubic skew over the
+   16-bit space, through a 4096-flow table — the benchmark's spec
+   (inet_tftp, swt_sender keyed on the UDP source port, every accepted
+   packet answered with ports and addresses swapped), copied here.  Once
+   on a frozen clock; once on a clock that jumps ahead by 151-400 ms
+   before every 997th packet, so 150 ms timers expire (and retransmit)
+   before an ACK cancels them.  [Error] names the first divergence. *)
+let swt_sender =
+  lazy
+    (let src = In_channel.with_open_bin (Testutil.spec_path "timeout.ndsl") In_channel.input_all in
+     Option.get
+       (Netdsl_lang.Parser.find_machine (Netdsl_lang.Parser.parse_string_exn src) "swt_sender"))
+
+let tftp_flows_flight =
+  let opcode_is n = Flight.Cmp (Flight.Eq, Flight.Field "tftp.opcode", Flight.Const n) in
+  Flight.spec
+    ~verify:(Flight.Cmp (Flight.Le, Flight.Field "tftp.opcode", Flight.Const 5L))
+    ~classify:
+      [ { Flight.ev_when = opcode_is 3L; ev_name = "send" };
+        { Flight.ev_when = opcode_is 4L; ev_name = "ack" } ]
+    ~flow_key:"udp.src_port"
+    ~respond:
+      [ { Flight.re_when = Flight.All [];
+          re_set =
+            [ { Flight.set_field = "udp.dst_port"; set_to = Flight.Field "udp.src_port" };
+              { Flight.set_field = "udp.src_port"; set_to = Flight.Const 69L };
+              { Flight.set_field = "ipv4.source"; set_to = Flight.Field "ipv4.destination" };
+              { Flight.set_field = "ipv4.destination"; set_to = Flight.Field "ipv4.source" } ] } ]
+    ()
+
+let tftp_flows_stream =
+  lazy
+    (let plan = Result.get_ok (Stack.compile Fm.Stacks.inet_tftp) in
+     let chain ~src_port pkt =
+       Result.get_ok (Stack.encode plan (Fm.Stacks.inet_tftp_values ~src_port pkt))
+     in
+     let rng = Prng.of_int 1 in
+     let data = String.make 32 'd' in
+     Array.concat
+       (List.init 12_000 (fun j ->
+            let u = Prng.float rng 1.0 in
+            let src_port = min 65535 (int_of_float (65536. *. u *. u *. u)) in
+            let block = j land 0xFFFF in
+            [| chain ~src_port (Fm.Tftp.Data { block; data });
+               chain ~src_port (Fm.Tftp.Ack { block }) |])))
+
+let tftp_flows_lockstep ?plant ~stepping () =
+  let now = ref 0 in
+  let clock_ms () = !now in
+  let config = { Pipeline.default_config with max_flows = 4096 } in
+  let machine = Lazy.force swt_sender and flight = tftp_flows_flight in
+  let fmt = Stack.layer_format Fm.Stacks.inet_tftp 0 and stack = Fm.Stacks.inet_tftp in
+  let fr = ref None and rr = ref None in
+  let p =
+    Pipeline.create ~config ~stack ~flight ~machine ~clock_ms ?plant
+      ~on_response:(fun s -> fr := Some s)
+      fmt
+  in
+  let r =
+    Ck.Reference.create ~config ~stack ~flight ~machine ~clock_ms
+      ~on_response:(fun s -> rr := Some s)
+      fmt
+  in
+  let rng = Prng.of_int 2 in
+  let pkts = Lazy.force tftp_flows_stream in
+  let rec go i =
+    if i >= Array.length pkts then begin
+      let st = Pipeline.stats p in
+      if Stats.evicted_flows st <> Ck.Reference.evicted r then
+        Error (Printf.sprintf "evictions: fused %d, reference %d" (Stats.evicted_flows st)
+                 (Ck.Reference.evicted r))
+      else if Stats.timers_expired st <> Ck.Reference.expired r then
+        Error (Printf.sprintf "expiries: fused %d, reference %d" (Stats.timers_expired st)
+                 (Ck.Reference.expired r))
+      else Ok (Ck.Reference.evicted r, Ck.Reference.expired r)
+    end
+    else begin
+      if stepping && i mod 997 = 996 then now := !now + 151 + Prng.int rng 250;
+      fr := None;
+      rr := None;
+      let a = Pipeline.process p pkts.(i) and b = Ck.Reference.process r pkts.(i) in
+      if Testutil.outcome_tag a <> Testutil.outcome_tag b then
+        Error (Printf.sprintf "packet %d: fused %s, reference %s" i (Testutil.outcome_tag a)
+                 (Testutil.outcome_tag b))
+      else if !fr <> !rr then Error (Printf.sprintf "packet %d: replies differ" i)
+      else if Pipeline.flow_count p <> Ck.Reference.flow_count r then
+        Error (Printf.sprintf "packet %d: live flows: fused %d, reference %d" i
+                 (Pipeline.flow_count p) (Ck.Reference.flow_count r))
+      else go (i + 1)
+    end
+  in
+  go 0
+
+let tftp_flows_vs_reference () =
+  List.iter
+    (fun stepping ->
+      let what = if stepping then "stepping clock" else "frozen clock" in
+      match tftp_flows_lockstep ~stepping () with
+      | Error e -> Alcotest.failf "%s: %s" what e
+      | Ok (evicted, expired) ->
+        if evicted = 0 then Alcotest.failf "%s: no flow evicted — the table is idle" what;
+        if stepping && expired = 0 then Alcotest.failf "%s: no timer expired" what)
+    [ false; true ];
+  match tftp_flows_lockstep ~plant:Flight.Evict_mru ~stepping:false () with
+  | Ok _ -> Alcotest.fail "a flow table evicting its most recent flow went unnoticed"
+  | Error _ -> ()
+
+(* Three defects in code a pipeline-vs-pipeline leg would share with the
+   code it checks, each planted and each caught by a reference leg through
+   the fuzz driver at every seed: a flow table that evicts the wrong end
+   and a wheel that fires a tick late (the flow leg, on inet_tftp), and a
+   stacked patch under a payload-covering carrier checksum that repairs
+   only its own layer (the covered-patch leg, on a sealed carrier). *)
+let sealed_stack =
+  lazy
+    (let sealed =
+       Desc.format "sealed"
+         [ Desc.field "kind" Desc.u8;
+           Desc.field "tag" Desc.u8;
+           Desc.field "len" (Desc.computed 16 Desc.Msg_len);
+           Desc.field "chk" (Desc.checksum ~region:Desc.Region_message Netdsl_util.Checksum.Internet);
+           Desc.field "payload" Desc.bytes_remaining ]
+     in
+     Result.get_ok
+       (Stack.v ~name:"sealed_arq"
+          [ Stack.layer ~select:("kind", [ 7L ]) sealed; Stack.layer Fm.Arq.format ]))
+
+let new_plants_caught () =
+  List.iter
+    (fun (bug, name, stack) ->
+      List.iter
+        (fun seed ->
+          (match Ck.Fuzz.run_stack ~seed ~iters:3000 (name, Lazy.force stack) with
+          | Ok _ -> ()
+          | Error r -> fail_report r);
+          match Ck.Fuzz.run_stack ~bug ~seed ~iters:3000 (name, Lazy.force stack) with
+          | Ok _ -> Alcotest.failf "%s: planted defect not caught at seed %d" name seed
+          | Error (Ck.Report.Trace _) -> Alcotest.fail "reported as a trace"
+          | Error (Ck.Report.Wire { w_check; _ }) ->
+            Alcotest.(check string) (Printf.sprintf "%s, seed %d: caught by a reply leg" name seed)
+              "reply" w_check)
+        [ 1; 42; 20260806; 777; 123456789 ])
+    [ (Ck.Oracle.Evict_mru, "inet_tftp", lazy Fm.Stacks.inet_tftp);
+      (Ck.Oracle.Late_tick, "inet_tftp", lazy Fm.Stacks.inet_tftp);
+      (Ck.Oracle.Unrefused_patch, "sealed_arq", sealed_stack) ]
 
 (* Generated chains on every catalogue stack under the default rotation
    spec. *)
@@ -424,7 +573,7 @@ let compiled_path_zero_alloc () =
           eligible
       in
       match
-        Pipeline.create ~mode:Pipeline.Fused ~flight:(Flight.spec ~demand:eligible ~respond ())
+        Pipeline.create ~flight:(Flight.spec ~demand:eligible ~respond ())
           ~on_reply_slot fmt
       with
       | exception Invalid_argument _ -> () (* no compiled plan: TLV, pcap *)
@@ -436,7 +585,7 @@ let compiled_path_zero_alloc () =
   List.iter
     (fun (name, stack) ->
       let p =
-        Pipeline.create ~mode:Pipeline.Fused ~stack
+        Pipeline.create ~stack
           ~flight:(Ck.Oracle.Stack_reply.patch_spec stack) ~on_reply_slot
           (Stack.layer_format stack 0)
       in
@@ -639,7 +788,8 @@ let steering_disagrees ke prog ~workers =
     iter_key_payloads ke (fun k p ->
         let key = View.extract_key_int ke p in
         if key <> k then raise (Found (Printf.sprintf "key %d read back as %d" k key));
-        check p ~want:(Bpf.steer ~workers key) (fun () -> Printf.sprintf "key %d" k));
+        let _, bits, _ = View.key_layout ke in
+        check p ~want:(Bpf.steer ~workers ~bits key) (fun () -> Printf.sprintf "key %d" k));
     for len = 0 to View.key_min_bytes ke - 1 do
       check (String.make len '\xff') ~want:0 (fun () ->
           Printf.sprintf "a %d-byte payload" len)
@@ -667,22 +817,52 @@ let steering_matches_partition () =
     keys
 
 (* Each planted defect must send some key to the wrong worker, on every
-   steering-capable key.  Two workers: at three, both values of a 1-bit
-   key hash to worker 0, and no defect can show. *)
+   steering-capable key, at three workers: a key of at most 8 bits is
+   reduced without a hash, so only the late load applies to it. *)
 let steering_mutants_caught () =
   List.iter
     (fun (label, fmt, key, ke) ->
-      let prog = Result.get_ok (Bpf.steering fmt ~key ~workers:2) in
+      let prog = Result.get_ok (Bpf.steering fmt ~key ~workers:3) in
       let mutants = Ck.Bpf_oracle.mutants prog in
-      Alcotest.(check (list string)) "both apply"
-        [ "loads one byte late"; "wrong multiplier" ] (List.map fst mutants);
+      let _, bits, _ = View.key_layout ke in
+      Alcotest.(check (list string)) "the mutants that apply"
+        ("loads one byte late" :: (if bits <= 8 then [] else [ "wrong multiplier" ]))
+        (List.map fst mutants);
       List.iter
         (fun (name, m) ->
           Alcotest.(check bool)
             (Printf.sprintf "%s.%s: %s caught" label key name)
             true
-            (steering_disagrees ke m ~workers:2 <> None))
+            (steering_disagrees ke m ~workers:3 <> None))
         mutants)
+    (steering_keys ())
+
+(* No worker owns much more than its share of a key's whole domain (2^16
+   evenly spread values for a wider key): at most [ceil (D / N)] of the
+   [D] values, plus 2% of [D] for the hash of a wider key.  Both values
+   of a 1-bit key hashed to one worker of three before small keys were
+   reduced without the hash. *)
+let steering_shares () =
+  List.iter
+    (fun (label, _, key, ke) ->
+      let _, bits, _ = View.key_layout ke in
+      List.iter
+        (fun workers ->
+          let counts = Array.make workers 0 and d = ref 0 in
+          iter_key_payloads ke (fun k _ ->
+              let w = Bpf.steer ~workers ~bits k in
+              counts.(w) <- counts.(w) + 1;
+              incr d);
+          let d = !d in
+          let bound = ((d + workers - 1) / workers) + (d / 50) in
+          Array.iteri
+            (fun w c ->
+              if c > bound then
+                Alcotest.failf "%s.%s (%d bits), %d workers: worker %d owns %d of %d values \
+                                (bound %d)"
+                  label key bits workers w c d bound)
+            counts)
+        [ 2; 3; 4 ])
     (steering_keys ())
 
 (* What the emitter refuses, it refuses by name. *)
@@ -694,10 +874,13 @@ let steering_refusals () =
   Alcotest.(check bool) "variable-size field" true (refused Fm.Arq.format "payload");
   Alcotest.(check bool) "one worker" true
     (Result.is_error (Bpf.steering Fm.Arq.format ~key:"seq" ~workers:1));
-  Alcotest.(check string) "arq seq: load, hash, reduce, return"
-    "(000) ldb      [0]\n(001) mul      #0x9e3779b1\n(002) rsh      #16\n\
+  Alcotest.(check string) "arq seq (8 bits): load, reduce, return"
+    "(000) ldb      [0]\n(001) mod      #3\n(002) ret      a\n"
+    (Bpf.to_string (Result.get_ok (Bpf.steering Fm.Arq.format ~key:"seq" ~workers:3)));
+  Alcotest.(check string) "udp dst_port (16 bits): load, hash, reduce, return"
+    "(000) ldh      [2]\n(001) mul      #0x9e3779b1\n(002) rsh      #16\n\
      (003) mod      #3\n(004) ret      a\n"
-    (Bpf.to_string (Result.get_ok (Bpf.steering Fm.Arq.format ~key:"seq" ~workers:3)))
+    (Bpf.to_string (Result.get_ok (Bpf.steering Fm.Udp.format ~key:"dst_port" ~workers:3)))
 
 let suite =
   [ ("check.golden", List.map golden_case Ck.Corpus.shipped);
@@ -726,6 +909,7 @@ let suite =
           steering_matches_partition;
         Alcotest.test_case "planted steering mutants caught" `Quick
           steering_mutants_caught;
+        Alcotest.test_case "per-worker share of every key domain" `Quick steering_shares;
         Alcotest.test_case "refusals and the arq program" `Quick
           steering_refusals ] );
     ("check.chain_golden", List.map chain_golden_case Fm.Stacks.all);
@@ -735,6 +919,9 @@ let suite =
         Alcotest.test_case "planted chain bug caught" `Quick planted_chain_bug ] );
     ( "check.stack_reply",
       [ Alcotest.test_case "tftp-flows stream" `Quick tftp_flows_replies;
+        Alcotest.test_case "tftp-flows shape: fused = reference" `Quick
+          tftp_flows_vs_reference;
+        Alcotest.test_case "new plants caught at every seed" `Quick new_plants_caught;
         Alcotest.test_case "planted specialiser bug caught by every leg" `Quick
           planted_specialiser_bug;
         Alcotest.test_case "compiled path allocates nothing" `Quick

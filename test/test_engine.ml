@@ -476,15 +476,10 @@ let arq_flight =
     ~classify:[ { Flight.ev_when = kind_is 0L; ev_name = "ok" } ]
     ~flow_key:"seq" ~respond:[ ack_data ] ()
 
-let outcome_tag = function
-  | Pipeline.Accepted -> "accepted"
-  | Pipeline.Rejected_decode _ -> "rejected_decode"
-  | Pipeline.Rejected_verify -> "rejected_verify"
-  | Pipeline.Rejected_step -> "rejected_step"
-  | Pipeline.Rejected_encode -> "rejected_encode"
+let outcome_tag = Testutil.outcome_tag
 
 let pipeline_accepts_and_rejects () =
-  let p = Pipeline.create ~mode:Pipeline.Staged Fm.Arq.format in
+  let p = Pipeline.create Fm.Arq.format in
   let good = arq_data ~seq:1 "hello" in
   check_bool "accept" true (Pipeline.process p good = Pipeline.Accepted);
   let corrupt = Bytes.of_string good in
@@ -498,37 +493,34 @@ let pipeline_accepts_and_rejects () =
   check_int "decode rejects" 1 (Stats.stage_rejects s d)
 
 let pipeline_verify_stage () =
-  Testutil.in_both_modes (fun mode ->
-      let p =
-        Pipeline.create ~mode
-          ~flight:
-            (Flight.spec
-               ~verify:(Flight.Cmp (Flight.Ne, Flight.Field "seq", Flight.Const 13L))
-               ())
-          Fm.Arq.format
-      in
-      check_bool "passes" true (Pipeline.process p (arq_data ~seq:1 "x") = Accepted);
-      check_bool "vetoed" true
-        (Pipeline.process p (arq_data ~seq:13 "x") = Rejected_verify);
-      let s = Pipeline.stats p in
-      check_int "verify rejects" 1 (Stats.stage_rejects s (Stats.stage_index s "verify"));
-      (p, []))
+  let tw =
+    Testutil.twin
+      ~flight:
+        (Flight.spec
+           ~verify:(Flight.Cmp (Flight.Ne, Flight.Field "seq", Flight.Const 13L))
+           ())
+      Fm.Arq.format
+  in
+  check_bool "passes" true (Testutil.process tw (arq_data ~seq:1 "x") = Accepted);
+  check_bool "vetoed" true (Testutil.process tw (arq_data ~seq:13 "x") = Rejected_verify);
+  let s = Pipeline.stats tw.pipe in
+  check_int "verify rejects" 1 (Stats.stage_rejects s (Stats.stage_index s "verify"));
+  Testutil.finish tw
 
 let pipeline_machine_flows () =
   (* The ARQ receiver machine accepts any data packet ("ok" event); with a
      flow key each seq value gets its own machine instance. *)
   let machine = Netdsl_proto.Arq_fsm.receiver ~seq_bits:8 in
-  Testutil.in_both_modes (fun mode ->
-      let p =
-        Pipeline.create ~mode
-          ~flight:(Flight.spec ~classify:[ always "ok" ] ~flow_key:"seq" ())
-          ~machine Fm.Arq.format
-      in
-      for seq = 0 to 4 do
-        check_bool "stepped" true (Pipeline.process p (arq_data ~seq "d") = Accepted)
-      done;
-      check_int "one machine per flow" 5 (Pipeline.flow_count p);
-      (p, []))
+  let tw =
+    Testutil.twin
+      ~flight:(Flight.spec ~classify:[ always "ok" ] ~flow_key:"seq" ())
+      ~machine Fm.Arq.format
+  in
+  for seq = 0 to 4 do
+    check_bool "stepped" true (Testutil.process tw (arq_data ~seq "d") = Accepted)
+  done;
+  check_int "one machine per flow" 5 (Pipeline.flow_count tw.pipe);
+  Testutil.finish tw
 
 let pipeline_batch_matches_singles () =
   let rng = Prng.of_int 5 in
@@ -538,10 +530,10 @@ let pipeline_batch_matches_singles () =
         let good = arq_data ~seq:(i land 0xFF) "payload" in
         if i mod 3 = 0 then Netdsl_format.Gen.mutate rng ~flips:4 good else good)
   in
-  let p1 = Pipeline.create ~mode:Pipeline.Staged Fm.Arq.format in
+  let p1 = Pipeline.create Fm.Arq.format in
   Array.iter (fun pkt -> ignore (Pipeline.process p1 pkt)) pkts;
   let p2 =
-    Pipeline.create ~mode:Pipeline.Staged
+    Pipeline.create
       ~config:{ Pipeline.default_config with batch = 64; ring_capacity = 64 }
       Fm.Arq.format
   in
@@ -576,7 +568,7 @@ let run_through_slab p slab pkts =
 
 let pipeline_slab_driven () =
   (* a slab smaller than the traffic: it fills and drains several times *)
-  let p = Pipeline.create ~mode:Pipeline.Staged Fm.Arq.format in
+  let p = Pipeline.create Fm.Arq.format in
   let slab = Slab.create ~capacity:128 () in
   run_through_slab p slab
     (Array.init 500 (fun i -> arq_data ~seq:((i + 1) land 0xFF) "zz"));
@@ -592,45 +584,42 @@ let pipeline_responder () =
         if i mod 4 = 3 then Fm.Arq.to_bytes (Fm.Arq.Ack { seq = i })
         else arq_data ~seq:i "pp")
   in
-  Testutil.in_both_modes (fun mode ->
-      let acks = ref [] in
-      let p =
-        Pipeline.create ~mode ~flight:arq_flight
-          ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
-          ~on_reply_slot:(fun i buf len ->
-            acks := (i, Bytes.sub_string buf 0 len) :: !acks)
-          Fm.Arq.format
-      in
-      Pipeline.process_batch p pkts (Array.length pkts);
-      let acks = List.rev !acks in
-      check_int "one ack per data packet" 9 (List.length acks);
-      List.iter
-        (fun (i, reply) ->
-          check_bool "answers a data packet" true (i >= 0 && i mod 4 <> 3);
-          match Fm.Arq.of_bytes reply with
-          | Ok (Fm.Arq.Ack { seq }) -> check_int "ack seq" i seq
-          | Ok _ -> Alcotest.fail "expected an ack"
-          | Error e -> Alcotest.failf "ack does not decode: %s" e)
-        acks;
-      (p, List.map snd acks))
+  let acks = ref [] in
+  let tw =
+    Testutil.twin ~flight:arq_flight
+      ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
+      ~on_reply_slot:(fun i buf len -> acks := (i, Bytes.sub_string buf 0 len) :: !acks)
+      Fm.Arq.format
+  in
+  Testutil.process_batch tw pkts (Array.length pkts);
+  let acks = List.rev !acks in
+  check_int "one ack per data packet" 9 (List.length acks);
+  List.iter
+    (fun (i, reply) ->
+      check_bool "answers a data packet" true (i >= 0 && i mod 4 <> 3);
+      match Fm.Arq.of_bytes reply with
+      | Ok (Fm.Arq.Ack { seq }) -> check_int "ack seq" i seq
+      | Ok _ -> Alcotest.fail "expected an ack"
+      | Error e -> Alcotest.failf "ack does not decode: %s" e)
+    acks;
+  Testutil.finish tw
 
 let pipeline_patch_responder () =
   (* The in-place responder: answer each data packet by flipping its kind
      field to Ack and truncating nothing — the reply must decode as the
      request with only kind changed. *)
-  Testutil.in_both_modes (fun mode ->
-      let acks = ref [] in
-      let p =
-        Pipeline.create ~mode
-          ~flight:(Flight.spec ~classify:[ always "ok" ] ~respond:[ ack_data ] ())
-          ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
-          ~on_response:(fun s -> acks := s :: !acks)
-          Fm.Arq.format
-      in
+  (let acks = ref [] in
+   let tw =
+     Testutil.twin
+       ~flight:(Flight.spec ~classify:[ always "ok" ] ~respond:[ ack_data ] ())
+       ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
+       ~on_response:(fun s -> acks := s :: !acks)
+       Fm.Arq.format
+   in
       check_bool "data accepted" true
-        (Pipeline.process p (arq_data ~seq:7 "pp") = Accepted);
+        (Testutil.process tw (arq_data ~seq:7 "pp") = Accepted);
       check_bool "ack passes through unanswered" true
-        (Pipeline.process p (Fm.Arq.to_bytes (Fm.Arq.Ack { seq = 3 })) = Accepted);
+        (Testutil.process tw (Fm.Arq.to_bytes (Fm.Arq.Ack { seq = 3 })) = Accepted);
       check_int "one ack" 1 (List.length !acks);
       (let module V = Netdsl_format.Value in
        match Netdsl_format.Codec.decode Fm.Arq.format (List.hd !acks) with
@@ -641,36 +630,35 @@ let pipeline_patch_responder () =
        | Error e ->
          Alcotest.failf "patched reply does not decode: %s"
            (Netdsl_format.Codec.error_to_string e));
-      (p, !acks));
+      Testutil.finish tw);
   (* an unpatchable field is a clean encode-stage reject, not a crash *)
-  Testutil.in_both_modes (fun mode ->
-      let chk_zero =
-        { Flight.re_when = Flight.All [];
-          re_set = [ { Flight.set_field = "chk"; set_to = Flight.Const 0L } ] }
-      in
-      let p =
-        Pipeline.create ~mode
-          ~flight:(Flight.spec ~classify:[ always "ok" ] ~respond:[ chk_zero ] ())
-          ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
-          Fm.Arq.format
-      in
-      check_bool "derived field rejected at encode" true
-        (Pipeline.process p (arq_data ~seq:1 "x") = Rejected_encode);
-      (p, []))
+  let chk_zero =
+    { Flight.re_when = Flight.All [];
+      re_set = [ { Flight.set_field = "chk"; set_to = Flight.Const 0L } ] }
+  in
+  let tw =
+    Testutil.twin
+      ~flight:(Flight.spec ~classify:[ always "ok" ] ~respond:[ chk_zero ] ())
+      ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
+      Fm.Arq.format
+  in
+  check_bool "derived field rejected at encode" true
+    (Testutil.process tw (arq_data ~seq:1 "x") = Rejected_encode);
+  Testutil.finish tw
 
 let pipeline_flow_eviction () =
   (* max_flows bounds the table and eviction is oldest-idle: with room for
      3 flows, touching flow 0 must protect it from the next eviction. *)
   let machine = Netdsl_proto.Arq_fsm.receiver ~seq_bits:8 in
-  Testutil.in_both_modes (fun mode ->
-      let p =
-        Pipeline.create ~mode
-          ~config:{ Pipeline.default_config with max_flows = 3 }
-          ~flight:(Flight.spec ~classify:[ always "ok" ] ~flow_key:"seq" ())
-          ~machine Fm.Arq.format
-      in
+  let tw =
+    Testutil.twin
+      ~config:{ Pipeline.default_config with max_flows = 3 }
+      ~flight:(Flight.spec ~classify:[ always "ok" ] ~flow_key:"seq" ())
+      ~machine Fm.Arq.format
+  in
+  let p = tw.pipe in
       let step seq =
-        check_bool "stepped" true (Pipeline.process p (arq_data ~seq "d") = Accepted)
+        check_bool "stepped" true (Testutil.process tw (arq_data ~seq "d") = Accepted)
       in
       step 0; step 1; step 2;
       check_int "table full" 3 (Pipeline.flow_count p);
@@ -682,7 +670,7 @@ let pipeline_flow_eviction () =
       step 0; (* if LRU ignored the touch, flow 0 would be gone and this would
                  mint a new instance, evicting again *)
       check_int "touched flow survived" 1 (Stats.evicted_flows (Pipeline.stats p));
-      (p, []))
+      Testutil.finish tw
 
 let pipeline_eviction_churn () =
   (* Adversarial churn over a max_flows-sized table: 64 flows hammered
@@ -703,13 +691,13 @@ let pipeline_eviction_churn () =
           ~actions:[ M.Assign ("n", M.Add (M.Reg "n", M.Int 1)) ]
           ~src:"s" ~event:"ok" ~dst:"s" () ]
   in
-  Testutil.in_both_modes (fun mode ->
-      let p =
-        Pipeline.create ~mode
-          ~config:{ Pipeline.default_config with max_flows }
-          ~flight:(Flight.spec ~classify:[ always "ok" ] ~flow_key:"seq" ())
-          ~machine Fm.Arq.format
-      in
+  let tw =
+    Testutil.twin
+      ~config:{ Pipeline.default_config with max_flows }
+      ~flight:(Flight.spec ~classify:[ always "ok" ] ~flow_key:"seq" ())
+      ~machine Fm.Arq.format
+  in
+  let p = tw.pipe in
       (* reference model: seq -> count, plus MRU-first recency order *)
       let counts = Hashtbl.create 16 in
       let order = ref [] in
@@ -737,7 +725,7 @@ let pipeline_eviction_churn () =
       for i = 1 to 2000 do
         if Prng.int rng 4 = 0 then begin
           (* malformed packets must bounce at decode without touching flows *)
-          match Pipeline.process p "\xff" with
+          match Testutil.process tw "\xff" with
           | Rejected_decode _ -> ()
           | _ -> Alcotest.fail "garbage survived decode"
         end
@@ -750,16 +738,15 @@ let pipeline_eviction_churn () =
           in
           let expected = model_touch seq in
           check_bool "accepted" true
-            (Pipeline.process p (arq_data ~seq "d") = Accepted);
+            (Testutil.process tw (arq_data ~seq "d") = Accepted);
           match Pipeline.peek_flow p seq with
           | None -> Alcotest.failf "flow %d not live after an accepted packet" seq
           | Some inst ->
             let got_n = Step.register_by_name inst "n" in
             if got_n <> expected then
               Alcotest.failf
-                "%s: flow %d: instance register %d, model %d — stale or lost \
+                "flow %d: instance register %d, model %d — stale or lost \
                  state after %d evictions"
-                (Testutil.mode_name mode)
                 seq got_n expected !evictions
         end
       done;
@@ -768,59 +755,48 @@ let pipeline_eviction_churn () =
         (Stats.evicted_flows (Pipeline.stats p));
       check_int "live flows match the model" (Hashtbl.length counts)
         (Pipeline.flow_count p);
-      (p, []))
+      Testutil.finish tw
 
 let pipeline_classify_id_fast_path () =
   (* The id classifier: no matching rule = pass-through, a matching rule
      fires its interned event, and the opt-in hook sees the reconstructed
      transition. *)
   let machine = Netdsl_proto.Arq_fsm.receiver ~seq_bits:8 in
-  Testutil.in_both_modes (fun mode ->
-      let labels = ref [] in
-      let p =
-        Pipeline.create ~mode
-          ~flight:
-            (Flight.spec
-               ~classify:[ { Flight.ev_when = kind_is 0L; ev_name = "ok" } ]
-               ~flow_key:"seq" ())
-          ~machine
-          ~on_transition:(fun tr ->
-            labels := tr.Netdsl_fsm.Machine.t_label :: !labels)
-          Fm.Arq.format
-      in
-      check_bool "data fires" true (Pipeline.process p (arq_data ~seq:1 "x") = Accepted);
-      check_bool "ack passes through" true
-        (Pipeline.process p (Fm.Arq.to_bytes (Fm.Arq.Ack { seq = 1 })) = Accepted);
-      check_int "one flow (ack passed through)" 1 (Pipeline.flow_count p);
-      check_bool "hook saw RECV" true (!labels = [ "RECV" ]);
-      (p, []));
+  (let labels = ref [] in
+   let tw =
+     Testutil.twin
+       ~flight:
+         (Flight.spec
+            ~classify:[ { Flight.ev_when = kind_is 0L; ev_name = "ok" } ]
+            ~flow_key:"seq" ())
+       ~machine
+       ~on_transition:(fun tr -> labels := tr.Netdsl_fsm.Machine.t_label :: !labels)
+       Fm.Arq.format
+   in
+   check_bool "data fires" true (Testutil.process tw (arq_data ~seq:1 "x") = Accepted);
+   check_bool "ack passes through" true
+     (Testutil.process tw (Fm.Arq.to_bytes (Fm.Arq.Ack { seq = 1 })) = Accepted);
+   check_int "one flow (ack passed through)" 1 (Pipeline.flow_count tw.pipe);
+   check_bool "hook saw RECV" true (!labels = [ "RECV" ]);
+   Testutil.finish tw);
   (* an event the machine does not know is refused at the step stage *)
-  Testutil.in_both_modes (fun mode ->
-      let p =
-        Pipeline.create ~mode
-          ~flight:(Flight.spec ~classify:[ always "no_such_event" ] ())
-          ~machine Fm.Arq.format
-      in
-      check_bool "unknown event rejected" true
-        (Pipeline.process p (arq_data ~seq:1 "x") = Rejected_step);
-      (p, []))
+  let tw =
+    Testutil.twin ~flight:(Flight.spec ~classify:[ always "no_such_event" ] ()) ~machine
+      Fm.Arq.format
+  in
+  check_bool "unknown event rejected" true
+    (Testutil.process tw (arq_data ~seq:1 "x") = Rejected_step);
+  Testutil.finish tw
 
 (* ------------------------------------------------------------------ *)
 (* Flight / fused mode *)
 
-(* The lock-step property: one flight spec, two pipelines (Staged and
-   Fused), identical mixed traffic — per-packet outcomes, reply bytes and
-   every stage counter must agree exactly. *)
-let fused_matches_staged () =
+(* The lock-step property: one flight spec, the pipeline and the
+   reference executor, identical mixed traffic — per-packet outcomes,
+   reply bytes and every stage counter must agree exactly. *)
+let fused_matches_reference () =
   let machine = Netdsl_proto.Arq_fsm.receiver ~seq_bits:8 in
-  let mk mode replies =
-    Pipeline.create ~mode ~flight:arq_flight ~machine
-      ~on_response:(fun s -> replies := s :: !replies)
-      Fm.Arq.format
-  in
-  let staged_replies = ref [] and fused_replies = ref [] in
-  let staged = mk Pipeline.Staged staged_replies in
-  let fused = mk Pipeline.Fused fused_replies in
+  let tw = Testutil.twin ~flight:arq_flight ~machine Fm.Arq.format in
   let rng = Prng.of_int 77 in
   for i = 1 to 1000 do
     let pkt =
@@ -831,17 +807,10 @@ let fused_matches_staged () =
         Netdsl_format.Gen.mutate rng ~flips:2 (arq_data ~seq:(i land 0xFF) "mm")
       | _ -> arq_data ~seq:(i land 0xFF) (String.make (Prng.int rng 20) 'p')
     in
-    let a = Pipeline.process staged pkt and b = Pipeline.process fused pkt in
-    if outcome_tag a <> outcome_tag b then
-      Alcotest.failf "packet %d: staged %s, fused %s" i (outcome_tag a)
-        (outcome_tag b)
+    ignore (Testutil.process tw pkt)
   done;
-  check_int "same reply count" (List.length !staged_replies)
-    (List.length !fused_replies);
-  List.iter2
-    (fun a b -> Alcotest.(check string) "same reply bytes" a b)
-    !staged_replies !fused_replies;
-  Testutil.check_same_counters staged fused
+  check_bool "some replies" true (!(tw.Testutil.fused_replies) <> []);
+  Testutil.finish tw
 
 let fused_verify_and_passthrough () =
   (* Fused semantics corners: the verify cond vetoes, acks pass through
@@ -862,7 +831,7 @@ let fused_verify_and_passthrough () =
   in
   let replies = ref 0 in
   let p =
-    Pipeline.create ~mode:Pipeline.Fused ~flight:spec
+    Pipeline.create ~flight:spec
       ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
       ~on_response:(fun _ -> incr replies)
       Fm.Arq.format
@@ -881,7 +850,7 @@ let fused_verify_and_passthrough () =
 let fused_rejected_decode_error () =
   (* The compiled plan collapses decode errors to a verdict; [process] must
      still recover a faithful error for the one-packet API. *)
-  let p = Pipeline.create ~mode:Pipeline.Fused ~flight:(Flight.spec ()) Fm.Arq.format in
+  let p = Pipeline.create ~flight:(Flight.spec ()) Fm.Arq.format in
   match Pipeline.process p "\xff" with
   | Pipeline.Rejected_decode _ -> ()
   | o -> Alcotest.failf "expected decode reject, got %s" (outcome_tag o)
@@ -889,10 +858,10 @@ let fused_rejected_decode_error () =
 (* ICMP's variant body compiles through the one-layer stack's variant
    flattening.  A responder stamping each echo request's code (checksum
    repaired incrementally) behind a verify predicate, fed valid packets
-   and structure-aware mutants, must agree with the staged reference.
+   and structure-aware mutants, must agree with the reference executor.
    (The variant tag icmp_type itself is not patchable: the body's case is
    derived from it.) *)
-let icmp_echo_matches_staged () =
+let icmp_echo_matches_reference () =
   let echo_flight =
     Flight.spec
       ~verify:(Flight.Cmp (Flight.Eq, Flight.Field "code", Flight.Const 0L))
@@ -918,15 +887,13 @@ let icmp_echo_matches_staged () =
         | _ -> request)
   in
   let answered = ref 0 in
-  Testutil.in_both_modes (fun mode ->
-      let replies = ref [] in
-      let p =
-        Pipeline.create ~mode ~flight:echo_flight
-          ~on_response:(fun s -> replies := s :: !replies)
-          Fm.Icmp.format
-      in
-      List.iter (fun pkt -> ignore (Pipeline.process p pkt)) pkts;
-      let s = Pipeline.stats p in
+  (let replies = ref [] in
+   let tw =
+     Testutil.twin ~flight:echo_flight ~on_response:(fun s -> replies := s :: !replies)
+       Fm.Icmp.format
+   in
+      List.iter (fun pkt -> ignore (Testutil.process tw pkt)) pkts;
+      let s = Pipeline.stats tw.pipe in
       check_bool "some mutants rejected at decode" true
         (Stats.stage_rejects s (Stats.stage_index s "decode") > 0);
       List.iter
@@ -941,7 +908,7 @@ let icmp_echo_matches_staged () =
               (Netdsl_format.Codec.error_to_string e))
         !replies;
       answered := List.length !replies;
-      (p, List.rev !replies));
+      Testutil.finish tw);
   check_bool "echo requests answered" true (!answered >= 200)
 
 (* A spec file's format and machine, parsed from the shipped spec. *)
@@ -949,28 +916,15 @@ let spec_program name =
   Netdsl_lang.Parser.parse_string_exn
     (In_channel.with_open_bin (Testutil.spec_path name) In_channel.input_all)
 
-(* Run [pkts] through a pipeline in both modes: per-packet outcomes,
-   counters, flows and replies must agree, and the traffic must exercise
-   both verdicts. *)
+(* Run [pkts] through the pipeline and the reference executor: per-packet
+   outcomes, counters, flows and replies must agree, and the traffic must
+   exercise both verdicts. *)
 let lock_step ?machine ~flight fmt pkts =
-  let outcomes = Hashtbl.create 2 in
-  Testutil.in_both_modes (fun mode ->
-      let replies = ref [] in
-      let p =
-        Pipeline.create ~mode ~flight ?machine
-          ~on_response:(fun s -> replies := s :: !replies)
-          fmt
-      in
-      Hashtbl.replace outcomes mode
-        (List.map (fun pkt -> outcome_tag (Pipeline.process p pkt)) pkts);
-      (p, List.rev !replies));
-  let staged = Hashtbl.find outcomes Pipeline.Staged in
-  List.iteri
-    (fun i (a, b) ->
-      if a <> b then Alcotest.failf "packet %d: staged %s, fused %s" i a b)
-    (List.combine staged (Hashtbl.find outcomes Pipeline.Fused));
-  check_bool "some packets accepted" true (List.mem "accepted" staged);
-  check_bool "some packets rejected at decode" true (List.mem "rejected_decode" staged)
+  let tw = Testutil.twin ~flight ?machine fmt in
+  let outcomes = List.map (fun pkt -> outcome_tag (Testutil.process tw pkt)) pkts in
+  Testutil.finish tw;
+  check_bool "some packets accepted" true (List.mem "accepted" outcomes);
+  check_bool "some packets rejected at decode" true (List.mem "rejected_decode" outcomes)
 
 (* Structure-aware mutants of [seeds], and every seed cut short. *)
 let mutants fmt rng seeds =
@@ -984,8 +938,8 @@ let mutants fmt rng seeds =
 
 (* The shipped TFTP spec: a five-way variant, so every case is its own
    flattened plan.  The flow key [block] lives in two cases only; on the
-   others both modes key to the shared default instance. *)
-let tftp_spec_matches_staged () =
+   others the packet keys to the shared default instance. *)
+let tftp_spec_matches_reference () =
   let prog = spec_program "tftp.ndsl" in
   let fmt = Option.get (Netdsl_lang.Parser.find_format prog "tftp") in
   let machine =
@@ -1019,7 +973,7 @@ let tftp_spec_matches_staged () =
 (* [sensor_report]'s counted array of 3-byte readings runs on the
    compiled plan.  Besides the mutator's own, count lies with the CRC
    repaired (so only the count can reject) and readings cut mid-element. *)
-let sensor_report_matches_staged () =
+let sensor_report_matches_reference () =
   let prog = spec_program "sensor.ndsl" in
   let fmt = Option.get (Netdsl_lang.Parser.find_format prog "sensor_report") in
   let machine = Option.get (Netdsl_lang.Parser.find_machine prog "sensor_node") in
@@ -1093,57 +1047,66 @@ let variable_records_refused () =
 let reply_buf_high_water_reset () =
   (* Regression: one oversized reply used to pin a big buffer forever.
      Now the buffer shrinks back once the batch's high-water mark drops. *)
-  Testutil.in_both_modes (fun mode ->
-      let p =
-        Pipeline.create ~mode
-          ~flight:(Flight.spec ~classify:[ always "ok" ] ~respond:[ ack_data ] ())
-          ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
-          Fm.Arq.format
-      in
+  let tw =
+    Testutil.twin
+      ~flight:(Flight.spec ~classify:[ always "ok" ] ~respond:[ ack_data ] ())
+      ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
+      Fm.Arq.format
+  in
+  let p = tw.pipe in
+  let process pkt = Testutil.process tw pkt in
       let base = Pipeline.reply_capacity p in
       check_bool "small reply fits the base buffer" true
-        (Pipeline.process p (arq_data ~seq:1 "x") = Accepted
+        (process (arq_data ~seq:1 "x") = Accepted
         && Pipeline.reply_capacity p = base);
       (* one jumbo request grows the buffer for its batch... *)
       let jumbo = arq_data ~seq:2 (String.make 4000 'J') in
-      check_bool "jumbo accepted" true (Pipeline.process p jumbo = Accepted);
+      check_bool "jumbo accepted" true (process jumbo = Accepted);
       check_bool "buffer grew" true (Pipeline.reply_capacity p >= 4000);
       (* ...and the next small batch lets it shrink back to the base size *)
       check_bool "small again" true
-        (Pipeline.process p (arq_data ~seq:3 "x") = Accepted);
+        (process (arq_data ~seq:3 "x") = Accepted);
       check_int "high-water reset" base (Pipeline.reply_capacity p);
       (* steady traffic near the buffer size must not churn it *)
       let mid = arq_data ~seq:4 (String.make (base * 2) 'M') in
-      check_bool "mid accepted" true (Pipeline.process p mid = Accepted);
+      check_bool "mid accepted" true (process mid = Accepted);
       let grown = Pipeline.reply_capacity p in
-      check_bool "mid again" true (Pipeline.process p mid = Accepted);
+      check_bool "mid again" true (process mid = Accepted);
       check_int "no churn while the high-water holds" grown
         (Pipeline.reply_capacity p);
-      (p, []))
+      Testutil.finish tw
 
-let pipeline_slab_driven_both_modes () =
-  (* A test-owned slab drained through [process_slab_batch] in both
-     modes: every packet fed must be decoded, replies must flow. *)
-  List.iter
-    (fun mode ->
-      let replies = ref 0 in
-      let p =
-        Pipeline.create ~mode ~flight:arq_flight
-          ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
-          ~on_reply_slot:(fun _ _ _ -> incr replies)
-          Fm.Arq.format
-      in
-      let slab = Slab.create ~capacity:128 () in
-      let batch = Array.init 50 (fun i -> arq_data ~seq:(i land 0xFF) "zz") in
-      run_through_slab p slab
-        (Array.concat
-           (List.init 6 (fun _ -> batch)
-           @ [ Array.init 200 (fun i -> arq_data ~seq:((i + 1) land 0xFF) "y") ]));
-      let s = Pipeline.stats p in
-      check_int "all decoded" 500
-        (Stats.stage_packets s (Stats.stage_index s "decode"));
-      check_int "all answered" 500 !replies)
-    [ Pipeline.Staged; Pipeline.Fused ]
+let pipeline_slab_driven_matches_reference () =
+  (* A test-owned slab drained through [process_slab_batch]: every packet
+     fed must be decoded, replies must flow, and the replies and counters
+     must be the reference executor's for the same packets. *)
+  let replies = ref [] in
+  let machine = Netdsl_proto.Arq_fsm.receiver ~seq_bits:8 in
+  let p =
+    Pipeline.create ~flight:arq_flight ~machine
+      ~on_reply_slot:(fun _ buf len -> replies := Bytes.sub_string buf 0 len :: !replies)
+      Fm.Arq.format
+  in
+  let ref_replies = ref [] in
+  let r =
+    Testutil.Reference.create ~flight:arq_flight ~machine
+      ~on_response:(fun s -> ref_replies := s :: !ref_replies)
+      Fm.Arq.format
+  in
+  let slab = Slab.create ~capacity:128 () in
+  let batch = Array.init 50 (fun i -> arq_data ~seq:(i land 0xFF) "zz") in
+  let pkts =
+    Array.concat
+      (List.init 6 (fun _ -> batch)
+      @ [ Array.init 200 (fun i -> arq_data ~seq:((i + 1) land 0xFF) "y") ])
+  in
+  run_through_slab p slab pkts;
+  Array.iter (fun pkt -> ignore (Testutil.Reference.process r pkt)) pkts;
+  let s = Pipeline.stats p in
+  check_int "all decoded" 500 (Stats.stage_packets s (Stats.stage_index s "decode"));
+  check_int "all answered" 500 (List.length !replies);
+  Testutil.check_counters_match_reference p r;
+  Alcotest.(check (list string)) "replies = reference" !ref_replies !replies
 
 (* ------------------------------------------------------------------ *)
 (* Stack pipelines: layered chains through the fused engine *)
@@ -1189,7 +1152,7 @@ let stack_flight =
 let stack_pipeline_serves_chain () =
   let replies = ref [] in
   let p =
-    Pipeline.create ~mode:Pipeline.Fused ~stack:Fm.Stacks.inet_tftp
+    Pipeline.create ~stack:Fm.Stacks.inet_tftp
       ~flight:stack_flight
       ~on_response:(fun s -> replies := s :: !replies)
       Fm.Ethernet.format
@@ -1231,21 +1194,28 @@ let contains_sub s sub =
 let stack_pipeline_red_paths () =
   let ack = Bytes.of_string (tftp_chain (Fm.Tftp.Ack { block = 1 })) in
   (* ethertype := ARP — the chain's first demux edge must refuse, and the
-     error detail (recovered on the fused path, the staged decode's own
-     on the staged one) must name the failing layer *)
+     error detail (recovered on the pipeline, the reference's own decode)
+     must name the failing layer *)
   Bytes.set ack 12 '\x08';
   Bytes.set ack 13 '\x06';
-  List.iter
-    (fun mode ->
-      (* the default spec: decode and validate the chain, nothing more *)
-      let p = Pipeline.create ~mode ~stack:Fm.Stacks.inet_tftp Fm.Ethernet.format in
-      match Pipeline.process p (Bytes.to_string ack) with
-      | Pipeline.Rejected_decode (FF.Codec.Eval_error { path; reason }) ->
-        check_bool
-          (Printf.sprintf "the path names the layer (%s)" reason)
-          true (path = [ "ethernet" ])
-      | o -> Alcotest.failf "expected layered decode reject, got %s" (outcome_tag o))
-    [ Pipeline.Fused; Pipeline.Staged ]
+  let named o =
+    match o with
+    | Pipeline.Rejected_decode (FF.Codec.Eval_error { path; reason }) ->
+      check_bool
+        (Printf.sprintf "the path names the layer (%s)" reason)
+        true (path = [ "ethernet" ])
+    | o -> Alcotest.failf "expected layered decode reject, got %s" (outcome_tag o)
+  in
+  (* the default spec: decode and validate the chain, nothing more *)
+  named
+    (Pipeline.process
+       (Pipeline.create ~stack:Fm.Stacks.inet_tftp Fm.Ethernet.format)
+       (Bytes.to_string ack));
+  named
+    (Testutil.Reference.process
+       (Testutil.Reference.create ~stack:Fm.Stacks.inet_tftp ~flight:(Flight.spec ())
+          Fm.Ethernet.format)
+       (Bytes.to_string ack))
 
 (* The register-side convention for a field the accepted packet does not
    carry (the chain register reads -1): on a read request, which has no
@@ -1258,7 +1228,7 @@ let stack_absent_field_convention () =
   let rrq = tftp_chain (Fm.Tftp.Rrq { filename = "f"; mode = "octet" }) in
   let stacked ?machine ?on_response flight =
     let p =
-      Pipeline.create ~mode:Pipeline.Fused ~stack:Fm.Stacks.inet_tftp ~flight
+      Pipeline.create ~stack:Fm.Stacks.inet_tftp ~flight
         ?machine ?on_response Fm.Ethernet.format
     in
     p
@@ -1314,7 +1284,7 @@ let stack_absent_field_convention () =
 let stack_pipeline_zero_alloc () =
   let replies = ref 0 in
   let p =
-    Pipeline.create ~mode:Pipeline.Fused ~stack:Fm.Stacks.inet_tftp
+    Pipeline.create ~stack:Fm.Stacks.inet_tftp
       ~flight:stack_flight
       ~on_reply_slot:(fun _ _ _ -> incr replies)
       Fm.Ethernet.format
@@ -1370,7 +1340,7 @@ let swt_flight =
 let swt_pipeline ?on_reply_slot ~max_flows ~now () =
   Pipeline.create
     ~config:{ Pipeline.default_config with max_flows }
-    ~mode:Pipeline.Fused ~stack:Fm.Stacks.inet_tftp ~flight:swt_flight
+    ~stack:Fm.Stacks.inet_tftp ~flight:swt_flight
     ~machine:(Lazy.force swt_sender)
     ~clock_ms:(fun () -> !now)
     ?on_reply_slot Fm.Ethernet.format
@@ -1479,7 +1449,7 @@ let create_allocates_no_ingest_slab () =
   for _ = 1 to n do
     ignore
       (Sys.opaque_identity
-         (Pipeline.create ~mode:Pipeline.Fused ~flight:arq_flight
+         (Pipeline.create ~flight:arq_flight
             ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
             Fm.Arq.format))
   done;
@@ -1498,7 +1468,7 @@ let steer_distribution () =
     let counts = Array.make workers 0 in
     List.iter
       (fun k ->
-        let w = Netdsl_format.Bpf.steer ~workers k in
+        let w = Netdsl_format.Bpf.steer ~workers ~bits:32 k in
         counts.(w) <- counts.(w) + 1)
       keys;
     let total = List.length keys in
@@ -1515,7 +1485,7 @@ let steer_distribution () =
   spread "strided 65536" (List.init 10_000 (fun i -> i * 65536));
   (* unkeyed packets pin to worker 0 *)
   check_int "no_key to worker 0" 0
-    (Netdsl_format.Bpf.steer ~workers Netdsl_format.View.no_key)
+    (Netdsl_format.Bpf.steer ~workers ~bits:32 Netdsl_format.View.no_key)
 
 (* ------------------------------------------------------------------ *)
 (* Key extractor fast path *)
@@ -1560,7 +1530,8 @@ let key_of fmt field =
   | Error e -> Alcotest.failf "key_extractor %s: %s" field e
 
 let worker_of ke ~workers pkt =
-  Netdsl_format.Bpf.steer ~workers (Netdsl_format.View.extract_key_int ke pkt)
+  let _, bits, _ = Netdsl_format.View.key_layout ke in
+  Netdsl_format.Bpf.steer ~workers ~bits (Netdsl_format.View.extract_key_int ke pkt)
 
 let steer_into ke pipelines pkt =
   let w = worker_of ke ~workers:(Array.length pipelines) pkt in
@@ -1576,7 +1547,7 @@ let merged_stats pipelines =
 
 let steered_cover_all_packets () =
   let ke = key_of Fm.Arq.format "seq" in
-  let ps = Array.init 2 (fun _ -> Pipeline.create ~mode:Pipeline.Staged Fm.Arq.format) in
+  let ps = Array.init 2 (fun _ -> Pipeline.create Fm.Arq.format) in
   let n = 2000 in
   for i = 1 to n do
     ignore (steer_into ke ps (arq_data ~seq:(i land 0xFF) "payload"))
@@ -1597,7 +1568,7 @@ let steered_fused_responders () =
   let replies = Array.make 2 0 in
   let ps =
     Array.init 2 (fun w ->
-        Pipeline.create ~mode:Pipeline.Fused ~flight:arq_flight
+        Pipeline.create ~flight:arq_flight
           ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
           ~on_response:(fun _ -> replies.(w) <- replies.(w) + 1)
           Fm.Arq.format)
@@ -1647,7 +1618,7 @@ let steered_matches_single () =
   let steered_tbl, steered_response = reply_log ke in
   let ps =
     Array.init 2 (fun _ ->
-        Pipeline.create ~mode:Pipeline.Fused ~flight:arq_flight ~machine
+        Pipeline.create ~flight:arq_flight ~machine
           ~on_response:steered_response Fm.Arq.format)
   in
   Array.iter (fun pkt -> ignore (steer_into ke ps pkt)) fed;
@@ -1655,7 +1626,7 @@ let steered_matches_single () =
     (Array.fold_left (fun acc p -> acc + Pipeline.flow_count p) 0 ps);
   let ref_tbl, ref_response = reply_log ke in
   let p =
-    Pipeline.create ~mode:Pipeline.Fused ~flight:arq_flight ~machine
+    Pipeline.create ~flight:arq_flight ~machine
       ~on_response:ref_response Fm.Arq.format
   in
   Array.iter (fun pkt -> ignore (Pipeline.process p pkt)) fed;
@@ -1690,7 +1661,7 @@ let steered_idle_worker_fires_timers () =
   let now = ref 0 in
   let ps =
     Array.init 2 (fun _ ->
-        Pipeline.create ~mode:Pipeline.Fused ~flight
+        Pipeline.create ~flight
           ~machine:(Lazy.force swt_sender)
           ~clock_ms:(fun () -> !now)
           fmt)
@@ -1728,7 +1699,7 @@ let steered_slabs_match_single () =
       (List.filter (fun p -> worker_of ke ~workers p = w) (Array.to_list pkts))
   in
   let create () =
-    Pipeline.create ~mode:Pipeline.Fused ~flight:arq_flight
+    Pipeline.create ~flight:arq_flight
       ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
       Fm.Arq.format
   in
@@ -1802,23 +1773,23 @@ let suite =
         Alcotest.test_case "classify_id fast path" `Quick
           pipeline_classify_id_fast_path ] );
     ( "engine.flight",
-      [ Alcotest.test_case "fused = staged lock-step" `Quick fused_matches_staged;
+      [ Alcotest.test_case "fused = reference lock-step" `Quick fused_matches_reference;
         Alcotest.test_case "verify veto and pass-through" `Quick
           fused_verify_and_passthrough;
         Alcotest.test_case "decode error recovered" `Quick
           fused_rejected_decode_error;
-        Alcotest.test_case "icmp echo responder: fused = staged" `Quick
-          icmp_echo_matches_staged;
-        Alcotest.test_case "tftp spec: fused = staged under mutants" `Quick
-          tftp_spec_matches_staged;
-        Alcotest.test_case "sensor_report: fused = staged, count lies" `Quick
-          sensor_report_matches_staged;
+        Alcotest.test_case "icmp echo responder: fused = reference" `Quick
+          icmp_echo_matches_reference;
+        Alcotest.test_case "tftp spec: fused = reference under mutants" `Quick
+          tftp_spec_matches_reference;
+        Alcotest.test_case "sensor_report: fused = reference, count lies" `Quick
+          sensor_report_matches_reference;
         Alcotest.test_case "list of variable-size records refused" `Quick
           variable_records_refused;
         Alcotest.test_case "reply buffer high-water reset" `Quick
           reply_buf_high_water_reset;
-        Alcotest.test_case "slab-driven run, both modes" `Quick
-          pipeline_slab_driven_both_modes ] );
+        Alcotest.test_case "slab-driven run = reference" `Quick
+          pipeline_slab_driven_matches_reference ] );
     ( "engine.stack",
       [ Alcotest.test_case "stacked chain responder" `Quick
           stack_pipeline_serves_chain;

@@ -124,7 +124,7 @@ let udp_roundtrip_every_format () =
       | None, _ | (exception Invalid_argument _) -> ()
       | Some gen, _ -> (
         match
-          Server.create ~config ~mode:Pipeline.Fused ~signals:false
+          Server.create ~config ~signals:false
             ~flight:echo_flight
             ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
             fmt
@@ -154,7 +154,7 @@ let udp_roundtrip_every_format () =
 
 let udp_truncated_rejected () =
   match
-    Server.create ~mode:Pipeline.Fused ~signals:false ~flight:echo_flight
+    Server.create ~signals:false ~flight:echo_flight
       ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
       Fm.Arq.format
   with
@@ -202,7 +202,7 @@ let udp_truncated_rejected () =
    and flushes every reply before [run] returns. *)
 let shutdown_drains_in_flight () =
   match
-    Server.create ~mode:Pipeline.Fused ~signals:false ~flight:echo_flight
+    Server.create ~signals:false ~flight:echo_flight
       ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
       Fm.Arq.format
   with
@@ -243,7 +243,7 @@ let shutdown_drains_in_flight () =
    arrives, so only the deadline can end it. *)
 let duration_ends_idle_run () =
   match
-    Server.create ~mode:Pipeline.Fused ~signals:false ~flight:echo_flight
+    Server.create ~signals:false ~flight:echo_flight
       ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
       Fm.Arq.format
   with
@@ -281,7 +281,7 @@ let read_exactly fd n =
 
 let tcp_roundtrip_framed () =
   match
-    Server.create ~mode:Pipeline.Fused ~signals:false ~flight:echo_flight
+    Server.create ~signals:false ~flight:echo_flight
       ~listeners:[ Server.Tcp { host = "127.0.0.1"; port = 0 } ]
       Fm.Arq.format
   with
@@ -325,7 +325,7 @@ let tcp_roundtrip_framed () =
 let tcp_burst_served_in_order () =
   let config = { Pipeline.default_config with Pipeline.ring_capacity = 16 } in
   match
-    Server.create ~config ~mode:Pipeline.Fused ~signals:false
+    Server.create ~config ~signals:false
       ~flight:echo_flight ~io_batch:8
       ~listeners:[ Server.Tcp { host = "127.0.0.1"; port = 0 } ]
       Fm.Arq.format
@@ -379,7 +379,7 @@ let syscall_pin io () =
   then ()
   else
     match
-      Server.create ~mode:Pipeline.Fused ~signals:false ~flight:echo_flight ~io
+      Server.create ~signals:false ~flight:echo_flight ~io
         ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
         Fm.Arq.format
     with
@@ -536,7 +536,7 @@ let check_rows_predicted srv pkts =
    the share the interpreter predicts, and send as many replies. *)
 let sharded_udp_roundtrip () =
   match
-    Server.create ~mode:Pipeline.Fused ~signals:false ~flight:arq_flight
+    Server.create ~signals:false ~flight:arq_flight
       ~workers:2 ~allow_oversubscribe:true
       ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
       Fm.Arq.format
@@ -778,7 +778,7 @@ let stacked_serve_chained_tftp () =
       ()
   in
   match
-    Server.create ~mode:Pipeline.Fused ~signals:false ~stack ~flight
+    Server.create ~signals:false ~stack ~flight
       ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
       (Stack.layer_format stack 0)
   with
@@ -862,7 +862,7 @@ let mmsg_udp_roundtrip () =
   if not (mmsg_available ()) then ()
   else
     match
-      Server.create ~mode:Pipeline.Fused ~signals:false ~flight:arq_flight
+      Server.create ~signals:false ~flight:arq_flight
         ~io:Server.Mmsg ~io_batch:8
         ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
         Fm.Arq.format
@@ -910,7 +910,7 @@ let mmsg_shutdown_drains_in_flight () =
   if not (mmsg_available ()) then ()
   else
     match
-      Server.create ~mode:Pipeline.Fused ~signals:false ~flight:echo_flight
+      Server.create ~signals:false ~flight:echo_flight
         ~io:Server.Mmsg ~io_batch:16
         ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
         Fm.Arq.format
@@ -946,7 +946,7 @@ let mmsg_create_is_small () =
   if mmsg_available () then begin
     let before = Gc.allocated_bytes () in
     match
-      Server.create ~mode:Pipeline.Fused ~signals:false ~flight:arq_flight
+      Server.create ~signals:false ~flight:arq_flight
         ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
         ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
         Fm.Arq.format
@@ -969,7 +969,7 @@ let mmsg_flood_pass_bounded () =
   if mmsg_available () then
     let config = { Pipeline.default_config with Pipeline.ring_capacity = 64 } in
     match
-      Server.create ~config ~mode:Pipeline.Fused ~signals:false
+      Server.create ~config ~signals:false
         ~flight:arq_flight ~io:Server.Mmsg
         ~listeners:
           [ Server.Udp { host = "127.0.0.1"; port = 0 };
@@ -1053,7 +1053,7 @@ let blob_pkt i len = String.init len (fun j -> Char.chr ((i * 31 + j) land 0xff)
    the whole burst and the grouping is deterministic. *)
 let with_gso_server ?(refuse = false) f =
   match
-    Server.create ~mode:Pipeline.Fused ~signals:false ~flight:echo_flight
+    Server.create ~signals:false ~flight:echo_flight
       ~io:Server.Mmsg ~io_batch:64
       ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
       blob
@@ -1187,7 +1187,7 @@ let gso_refusal_resends () =
    the fallback stays a first-class, tested path. *)
 let legacy_forced_roundtrip () =
   match
-    Server.create ~mode:Pipeline.Fused ~signals:false ~flight:echo_flight
+    Server.create ~signals:false ~flight:echo_flight
       ~io:Server.Legacy
       ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
       Fm.Arq.format
@@ -1279,7 +1279,7 @@ let ethernet_frame payload =
 let oversized_datagram_dropped () =
   let run io =
     match
-      Server.create ~mode:Pipeline.Fused ~signals:false ~flight:echo_flight ~io
+      Server.create ~signals:false ~flight:echo_flight ~io
         ~listeners:[ Server.Udp { host = "127.0.0.1"; port = 0 } ]
         Fm.Ethernet.format
     with
@@ -1393,8 +1393,8 @@ let filter_kernel_agrees () =
 (* the socket oracle leg *)
 
 (* 5k structure-aware mutants (1 in 4 packets mutated) through a real
-   socket pair in fused mode, every reply diffed byte-for-byte against
-   the staged in-memory reference: the smoke-sized version of bench
+   socket pair, every reply diffed byte-for-byte against the in-memory
+   reference executor: the smoke-sized version of bench
    e16's soak. *)
 let loopback_soak_agrees () =
   let rng = Prng.of_int 2026 in
@@ -1409,7 +1409,7 @@ let loopback_soak_agrees () =
     else valid
   in
   match
-    Loopback.soak ~mode:Pipeline.Fused
+    Loopback.soak
       ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8) ~flight:arq_flight
       ~packets ~count:5000 Fm.Arq.format
   with
@@ -1429,8 +1429,8 @@ let loopback_soak_agrees () =
       r.Loopback.replies
 
 (* The same differential soak with the server forced onto the batched
-   drain/flush path: byte-for-byte agreement with the in-memory staged
-   reference is the correctness gate for the mmsg rework. *)
+   drain/flush path: byte-for-byte agreement with the in-memory
+   reference executor is the correctness gate for the mmsg rework. *)
 let loopback_soak_mmsg_agrees () =
   if not (mmsg_available ()) then ()
   else begin
@@ -1448,7 +1448,7 @@ let loopback_soak_mmsg_agrees () =
       else valid
     in
     match
-      Loopback.soak ~mode:Pipeline.Fused
+      Loopback.soak
         ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
         ~flight:arq_flight ~io:Server.Mmsg ~io_batch:8 ~packets
         ~count:2000 Fm.Arq.format
@@ -1597,7 +1597,7 @@ let loopback_client_gives_up_in_warmup () =
      shorter than any ARQ packet, so the kernel pre-filter drops all 8
      and the server never sees one. *)
   match
-    Loopback.blast ~mode:Pipeline.Fused ~flight:arq_flight ~window:8
+    Loopback.blast ~flight:arq_flight ~window:8
       ~packets:(fun _ -> "\xff") ~count:1000 Fm.Arq.format
   with
   | Error e -> Alcotest.fail e
@@ -1623,7 +1623,7 @@ let loopback_meter_ignores_client () =
   in
   let blast io =
     match
-      Loopback.blast ~mode:Pipeline.Fused ~flight:arq_flight ~io ~packets
+      Loopback.blast ~flight:arq_flight ~io ~packets
         ~count:20_000 Fm.Arq.format
     with
     | Error e -> Alcotest.fail e

@@ -298,25 +298,29 @@ let test_payload_checksum_carrier () =
   | Error _ -> ());
   let module P = Netdsl_engine.Pipeline in
   let module Fl = Netdsl_engine.Flight in
-  let respond field v mode =
+  (* the pipeline, and the reference executor by its own reading of the
+     carrier's checksum regions *)
+  let respond field v executor =
     let replies = ref [] in
-    let pipe =
-      P.create ~mode ~stack
-        ~flight:
-          (Fl.spec
-             ~respond:
-               [ { Fl.re_when = All [];
-                   re_set = [ { Fl.set_field = field; set_to = Fl.Const v } ] } ]
-             ())
-        ~on_response:(fun r -> replies := r :: !replies)
-        sealed
+    let flight =
+      Fl.spec
+        ~respond:
+          [ { Fl.re_when = All []; re_set = [ { Fl.set_field = field; set_to = Fl.Const v } ] } ]
+        ()
     in
-    let outcome = P.process pipe data in
+    let on_response r = replies := r :: !replies in
+    let outcome =
+      if executor = "fused" then P.process (P.create ~stack ~flight ~on_response sealed) data
+      else
+        Netdsl_check.Reference.process
+          (Netdsl_check.Reference.create ~stack ~flight ~on_response sealed)
+          data
+    in
     (outcome, !replies)
   in
   List.iter
-    (fun (mode, name) ->
-      (match respond "sealed.tag" 9L mode with
+    (fun name ->
+      (match respond "sealed.tag" 9L name with
       | P.Accepted, [ reply ] -> (
         match Codec.decode sealed reply with
         | Ok v ->
@@ -328,10 +332,10 @@ let test_payload_checksum_carrier () =
           Alcotest.failf "%s: carrier reply does not decode: %s" name
             (Codec.error_to_string e))
       | _ -> Alcotest.failf "%s: carrier patch gave no single reply" name);
-      match respond "arq_packet.kind" 1L mode with
+      match respond "arq_packet.kind" 1L name with
       | P.Rejected_encode, [] -> ()
       | _ -> Alcotest.failf "%s: patch under the payload checksum not refused" name)
-    [ (P.Fused, "fused"); (P.Staged, "staged") ]
+    [ "fused"; "reference" ]
 
 (* Encode round trip per shipped stack, over random payload sizes: both
    decoders accept the chain with the same windows, the terminal window

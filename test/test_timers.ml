@@ -357,24 +357,22 @@ let by_len events =
 let saw_flight = by_len [ "send"; "ack0" ]
 
 let pipe_virtual_clock () =
-  Testutil.in_both_modes @@ fun mode ->
   let now = ref 0 in
   let machine = Machines.stop_and_wait ~timeout_ms:100 () in
-  let p =
-    Pipeline.create ~mode ~flight:saw_flight ~machine
-      ~clock_ms:(fun () -> !now)
-      Fm.Arq.format
+  let tw =
+    Testutil.twin ~flight:saw_flight ~machine ~clock_ms:(fun () -> !now) Fm.Arq.format
   in
+  let p = tw.pipe in
   check_bool "nothing armed yet" true (Pipeline.next_timer_s p = None);
-  ignore (Pipeline.process p (arq_data ~seq:7 "x"));
+  ignore (Testutil.process tw (arq_data ~seq:7 "x"));
   check_int "send armed the flow's timer" 1 (Pipeline.timers_live p);
   (match Pipeline.next_timer_s p with
   | Some d -> check_bool "deadline ~100 ms out" true (d > 0.0 && d <= 0.101)
   | None -> Alcotest.fail "expected a deadline");
   now := 99;
-  check_int "one tick early: silent" 0 (Pipeline.poll_timers p);
+  check_int "one tick early: silent" 0 (Testutil.poll_timers tw);
   now := 100;
-  check_int "expiry fires through the step stage" 1 (Pipeline.poll_timers p);
+  check_int "expiry fires through the step stage" 1 (Testutil.poll_timers tw);
   (match Pipeline.peek_flow p 7 with
   | Some inst ->
     check_string "still awaiting" "awaiting_ack" (Step.state_name_of inst);
@@ -382,36 +380,34 @@ let pipe_virtual_clock () =
   | None -> Alcotest.fail "flow should be live");
   (* each expiry re-arms until attempts run out: 200, 300, then give_up *)
   now := 500;
-  check_int "expiry chain to failure" 3 (Pipeline.poll_timers p);
+  check_int "expiry chain to failure" 3 (Testutil.poll_timers tw);
   (match Pipeline.peek_flow p 7 with
   | Some inst -> check_string "gave up" "failed" (Step.state_name_of inst)
   | None -> Alcotest.fail "flow should be live");
   check_int "nothing armed after give-up" 0 (Pipeline.timers_live p);
   check_int "expired counted" 4 (Stats.timers_expired (Pipeline.stats p));
   (* a second flow whose ack lands in time cancels its timer *)
-  ignore (Pipeline.process p (arq_data ~seq:8 "y"));
-  ignore (Pipeline.process p (arq_data ~seq:8 "yy"));
+  ignore (Testutil.process tw (arq_data ~seq:8 "y"));
+  ignore (Testutil.process tw (arq_data ~seq:8 "yy"));
   check_int "ack cancelled the timer" 1
     (Stats.timers_cancelled (Pipeline.stats p));
   check_int "unseen key peeks to None" 0
     (match Pipeline.peek_flow p 99 with None -> 0 | Some _ -> 1);
-  (p, [])
+  Testutil.finish tw
 
 let pipe_tick_granularity () =
-  Testutil.in_both_modes @@ fun mode ->
   let now = ref 0 in
   let machine = Machines.stop_and_wait ~timeout_ms:95 () in
-  let p =
-    Pipeline.create ~mode ~flight:saw_flight ~machine
-      ~clock_ms:(fun () -> !now)
-      ~tick_ms:10 Fm.Arq.format
+  let tw =
+    Testutil.twin ~flight:saw_flight ~machine ~clock_ms:(fun () -> !now) ~tick_ms:10
+      Fm.Arq.format
   in
-  ignore (Pipeline.process p (arq_data ~seq:1 "x"));
+  ignore (Testutil.process tw (arq_data ~seq:1 "x"));
   now := 99;
-  check_int "95 ms rounds up to tick 10" 0 (Pipeline.poll_timers p);
+  check_int "95 ms rounds up to tick 10" 0 (Testutil.poll_timers tw);
   now := 100;
-  check_int "fires on the coarse tick" 1 (Pipeline.poll_timers p);
-  (p, [])
+  check_int "fires on the coarse tick" 1 (Testutil.poll_timers tw);
+  Testutil.finish tw
 
 (* ------------------------------------------------------------------ *)
 (* Lossy loopback: success-or-timeout, never stuck                     *)

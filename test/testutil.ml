@@ -52,6 +52,15 @@ let spec_path name =
   | Some p -> p
   | None -> failwith ("spec not found: " ^ name)
 
+module Reference = Netdsl_check.Reference
+
+let outcome_tag = function
+  | Pipeline.Accepted -> "accepted"
+  | Pipeline.Rejected_decode _ -> "rejected_decode"
+  | Pipeline.Rejected_verify -> "rejected_verify"
+  | Pipeline.Rejected_step -> "rejected_step"
+  | Pipeline.Rejected_encode -> "rejected_encode"
+
 (* Every stage counter, the eviction count and the flow count of two
    pipelines fed the same traffic must agree exactly. *)
 let check_same_counters a b =
@@ -69,14 +78,76 @@ let check_same_counters a b =
   check_int "evictions equal" (Stats.evicted_flows sa) (Stats.evicted_flows sb);
   check_int "flow count equal" (Pipeline.flow_count a) (Pipeline.flow_count b)
 
-let mode_name = function Pipeline.Staged -> "staged" | Pipeline.Fused -> "fused"
+(* The same for a pipeline and the reference executor, expiries
+   included. *)
+let check_counters_match_reference p r =
+  let check_int = Alcotest.(check int) in
+  let s = Pipeline.stats p in
+  List.iteri
+    (fun idx name ->
+      let c = Reference.stage r name in
+      check_int (name ^ " packets equal") c.Reference.packets (Stats.stage_packets s idx);
+      check_int (name ^ " rejects equal") c.Reference.rejects (Stats.stage_rejects s idx);
+      check_int (name ^ " bytes equal") c.Reference.bytes (Stats.stage_bytes s idx))
+    Pipeline.stage_names;
+  check_int "evictions equal" (Reference.evicted r) (Stats.evicted_flows s);
+  check_int "expiries equal" (Reference.expired r) (Stats.timers_expired s);
+  check_int "flow count equal" (Reference.flow_count r) (Pipeline.flow_count p)
 
-(* Run [case] under the staged reference and the fused fast path: each
-   run makes its own assertions and returns its pipeline and the replies
-   it captured, which must then agree between the modes — counters and
-   reply bytes alike. *)
-let in_both_modes case =
-  let staged, staged_replies = case Pipeline.Staged in
-  let fused, fused_replies = case Pipeline.Fused in
-  check_same_counters staged fused;
-  Alcotest.(check (list string)) "same reply bytes" staged_replies fused_replies
+(* A pipeline and the reference executor built from the same arguments
+   and driven in lock-step: every call runs both and asserts they agree
+   (outcome, timers fired), and [finish] asserts equal counters and
+   reply bytes.  Cases make their own assertions on [pipe]. *)
+type twin = {
+  pipe : Pipeline.t;
+  reference : Reference.t;
+  fused_replies : string list ref;  (* newest first *)
+  ref_replies : string list ref;
+}
+
+let twin ?config ?stack ?flight ?machine ?on_transition ?clock_ms ?tick_ms ?on_response
+    ?on_reply_slot fmt =
+  let fused_replies = ref [] and ref_replies = ref [] in
+  let on_response s =
+    fused_replies := s :: !fused_replies;
+    Option.iter (fun f -> f s) on_response
+  in
+  let on_reply_slot =
+    Option.map
+      (fun f i buf len ->
+        fused_replies := Bytes.sub_string buf 0 len :: !fused_replies;
+        f i buf len)
+      on_reply_slot
+  in
+  let pipe =
+    Pipeline.create ?config ?stack ?flight ?machine ?on_transition ?clock_ms ?tick_ms
+      ~on_response ?on_reply_slot fmt
+  in
+  let reference =
+    Reference.create ?config ?stack ?machine ?clock_ms ?tick_ms
+      ~on_response:(fun s -> ref_replies := s :: !ref_replies)
+      ~flight:(Option.value flight ~default:(Netdsl_engine.Flight.spec ()))
+      fmt
+  in
+  { pipe; reference; fused_replies; ref_replies }
+
+let process tw pkt =
+  let a = Pipeline.process tw.pipe pkt and b = Reference.process tw.reference pkt in
+  Alcotest.(check string) "outcome = reference" (outcome_tag b) (outcome_tag a);
+  a
+
+let process_batch tw pkts n =
+  Pipeline.process_batch tw.pipe pkts n;
+  Reference.process_batch tw.reference pkts n
+
+let poll_timers tw =
+  let a = Pipeline.poll_timers tw.pipe and b = Reference.poll_timers tw.reference in
+  Alcotest.(check int) "timers fired = reference" b a;
+  a
+
+let finish tw =
+  check_counters_match_reference tw.pipe tw.reference;
+  Alcotest.(check int) "live timers = reference" (Reference.timers_live tw.reference)
+    (Pipeline.timers_live tw.pipe);
+  Alcotest.(check (list string)) "reply bytes = reference" (List.rev !(tw.ref_replies))
+    (List.rev !(tw.fused_replies))
