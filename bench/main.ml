@@ -655,1543 +655,175 @@ let ablate () =
      over the codec itself."
 
 (* ------------------------------------------------------------------ *)
-(* E11: decode throughput — the allocating reference codec vs the compiled
-   decoder, on one domain.  Wall-clock loop timing. *)
+(* The engine timing gates.  Every deterministic engine claim (lock-step
+   against the reference executor, 0 B/pkt, syscalls/pkt, timer capacity,
+   the socket soaks, the fuzz depths) is a test under test/, with a
+   [`Slow] case at the nightly depth.  What stays here are the two gates
+   that are timings: E19's timer overhead and E20's batched-I/O speedup.
+   Each writes BENCH_<ID>.json through [report] and exits 1 when a gate
+   fails. *)
 
-let time_loop n f =
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to n - 1 do
-    f i
-  done;
-  Unix.gettimeofday () -. t0
+type gate = { name : string; pass : bool; detail : string }
 
-let e11 () =
-  section "e11" "decode throughput: codec vs compiled decoder"
-    "ROADMAP north star; P4/Zebu line-rate argument";
-  let n = if !quick then 20_000 else 300_000 in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "(%d packets per measurement; %d core(s) available to this process)\n\n" n cores;
-  (* -- workloads: ARQ at three payload sizes, plus generated IPv4 -- *)
-  let arq_pool payload_len =
-    Array.init 256 (fun i ->
-        Formats.Arq.to_bytes
-          (Formats.Arq.Data
-             { seq = i land 0xFF; payload = String.make payload_len 'x' }))
-  in
-  let ipv4_pool =
-    Array.init 256 (fun i ->
-        Codec.encode_exn Formats.Ipv4.format
-          (Formats.Ipv4.make ~identification:i ~protocol:Formats.Ipv4.protocol_udp
-             ~source:(Formats.Ipv4.addr_of_string "10.0.0.1")
-             ~destination:(Formats.Ipv4.addr_of_string "10.0.0.2")
-             ~payload:(String.make 512 'p') ()))
-  in
-  let workloads =
-    [
-      ("arq 64B payload", Formats.Arq.format, arq_pool 64);
-      ("arq 256B payload", Formats.Arq.format, arq_pool 256);
-      ("arq 1024B payload", Formats.Arq.format, arq_pool 1024);
-      ("ipv4 (generated)", Formats.Ipv4.format, ipv4_pool);
-    ]
-  in
-  let pool_bytes pool =
-    Array.fold_left (fun a s -> a + String.length s) 0 pool
-  in
-  Printf.printf "(a) decode+validate, single domain: allocating codec vs compiled decoder\n";
-  Printf.printf "  %-20s %14s %14s %9s\n" "workload" "codec ns/pkt" "hot ns/pkt" "speedup";
-  let decode_rows =
-    List.map
-      (fun (name, fmt, pool) ->
-        let mask = Array.length pool - 1 in
-        (* warm up minor heap / lazy tables, then measure *)
-        let codec_once i =
-          match Codec.decode fmt pool.(i land mask) with
-          | Ok _ -> ()
-          | Error _ -> assert false
-        in
-        (* the compiled decoder, extracting every field it can *)
-        let hot =
-          match View.Hot.compile ~demand:(View.Hot.eligible_fields fmt) fmt with
-          | Ok h -> h
-          | Error e -> failwith (name ^ ": no compiled plan: " ^ e)
-        in
-        let hot_once i = if not (View.Hot.run hot pool.(i land mask)) then assert false in
-        for i = 0 to 999 do codec_once i; hot_once i done;
-        let codec_dt = time_loop n codec_once in
-        let hot_dt = time_loop n hot_once in
-        let codec_ns = codec_dt *. 1e9 /. float_of_int n in
-        let hot_ns = hot_dt *. 1e9 /. float_of_int n in
-        let speedup = codec_ns /. hot_ns in
-        Printf.printf "  %-20s %14.1f %14.1f %8.2fx\n" name codec_ns hot_ns speedup;
-        let avg_len = float_of_int (pool_bytes pool) /. float_of_int (Array.length pool) in
-        (name, codec_ns, hot_ns, speedup, avg_len))
-      workloads
-  in
-  (* -- machine-readable dump -- *)
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"experiment\": \"e11\",\n";
-  Printf.bprintf buf "  \"quick\": %b,\n" !quick;
-  Printf.bprintf buf "  \"cores_available\": %d,\n" cores;
-  Printf.bprintf buf "  \"single_core_caveat\": %b,\n" (cores = 1);
-  Printf.bprintf buf "  \"packets_per_measurement\": %d,\n" n;
-  Buffer.add_string buf "  \"decode\": [\n";
-  List.iteri
-    (fun i (name, codec_ns, hot_ns, speedup, avg_len) ->
-      Printf.bprintf buf
-        "    {\"workload\": %S, \"avg_bytes\": %.0f, \"codec_ns_per_pkt\": %.1f, \
-         \"hot_ns_per_pkt\": %.1f, \"hot_speedup\": %.2f}%s\n"
-        name avg_len codec_ns hot_ns speedup
-        (if i = List.length decode_rows - 1 then "" else ","))
-    decode_rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let path = "BENCH_E11.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "\n(wrote %s)\n" path;
-  print_endline
-    "\nRESULT shape: the compiled decoder validates the same packets with the\n\
-     same accept/reject verdicts at a multiple of the allocating codec's\n\
-     rate (the gap widens with payload size: the codec copies checksum\n\
-     regions and payloads, the compiled plan copies nothing)."
+let json_obj fields =
+  "{"
+  ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) fields)
+  ^ "}"
 
-(* ------------------------------------------------------------------ *)
-(* E12: the encode-side dual of E11 — the respond/forward path answers by
-   patching the request in place; priced against rebuilding the reply
-   from a value through the reference codec. *)
-
-let e12 () =
-  section "e12" "respond/forward: codec rebuild vs in-place patch"
-    "ROADMAP north star; encode-side dual of E11";
-  let n = if !quick then 20_000 else 300_000 in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "(%d replies per measurement; %d core(s) available to this process)\n"
-    n cores;
-  print_newline ();
-  (* The reply is the request with one scalar flipped, produced two ways
-     that must agree byte-for-byte. *)
-  Printf.printf "respond/forward: reply = request with one field rewritten\n";
-  Printf.printf "  %-26s %12s %12s %9s\n" "scenario" "codec ns" "patch ns" "speedup";
-  let respond_rows = ref [] in
-  (* ARQ responder: flip kind -> ack, payload echoed *)
-  let () =
-    let request =
-      Formats.Arq.to_bytes
-        (Formats.Arq.Data { seq = 9; payload = String.make 64 'x' })
-    in
-    let decoded = Codec.decode_exn Formats.Arq.format request in
-    let p_kind =
-      match Emit.patcher Formats.Arq.format "kind" with
-      | Ok p -> p
-      | Error e -> failwith e
-    in
-    let rebuild () =
-      Value.record
-        [ ("seq", Value.int64 (Value.get_int64 decoded "seq")); ("kind", Value.int 1);
-          ("payload", Value.bytes (Value.get_bytes decoded "payload")) ]
-    in
-    let expected = Codec.encode_exn Formats.Arq.format (rebuild ()) in
-    let len = String.length request in
-    let reply = Bytes.create len in
-    let patch_once _ =
-      Bytes.blit_string request 0 reply 0 len;
-      match Emit.patch p_kind reply 1L with Ok () -> () | Error _ -> assert false
-    in
-    patch_once 0;
-    assert (String.equal expected (Bytes.to_string reply));
-    let per dt = dt *. 1e9 /. float_of_int n in
-    let codec_ns =
-      per (time_loop n (fun _ -> ignore (Codec.encode_exn Formats.Arq.format (rebuild ()))))
-    in
-    let patch_ns = per (time_loop n patch_once) in
-    let speedup = codec_ns /. patch_ns in
-    Printf.printf "  %-26s %12.1f %12.1f %8.2fx\n"
-      "arq data -> ack (64B)" codec_ns patch_ns speedup;
-    respond_rows := ("arq data -> ack (64B)", len, codec_ns, patch_ns, speedup) :: !respond_rows
+(* The one JSON shape: the experiment, its depth and the host's core
+   count, every gate, and the measured rows (each row's values are JSON
+   literals). *)
+let report id gates rows =
+  let path = Printf.sprintf "BENCH_%s.json" (String.uppercase_ascii id) in
+  let list items = "[\n    " ^ String.concat ",\n    " items ^ "\n  ]" in
+  let gate g =
+    json_obj
+      [ ("name", Printf.sprintf "%S" g.name); ("pass", string_of_bool g.pass);
+        ("detail", Printf.sprintf "%S" g.detail) ]
   in
-  (* IPv4 forward: decrement TTL, checksum updated incrementally *)
-  let () =
-    let request =
-      Codec.encode_exn Formats.Ipv4.format
-        (Formats.Ipv4.make ~ttl:64 ~identification:7
-           ~protocol:Formats.Ipv4.protocol_udp
-           ~source:(Formats.Ipv4.addr_of_string "10.0.0.1")
-           ~destination:(Formats.Ipv4.addr_of_string "10.0.0.2")
-           ~payload:(String.make 512 'p') ())
-    in
-    let decoded = Codec.decode_exn Formats.Ipv4.format request in
-    let p_ttl =
-      match Emit.patcher Formats.Ipv4.format "ttl" with
-      | Ok p -> p
-      | Error e -> failwith e
-    in
-    let rebuild () =
-      match Value.strip_derived Formats.Ipv4.format decoded with
-      | Value.Record fields ->
-        Value.Record
-          (List.map
-             (fun (k, v) -> if String.equal k "ttl" then (k, Value.int 63) else (k, v))
-             fields)
-      | v -> v
-    in
-    let expected = Codec.encode_exn Formats.Ipv4.format (rebuild ()) in
-    let len = String.length request in
-    let fwd = Bytes.create len in
-    let patch_once _ =
-      Bytes.blit_string request 0 fwd 0 len;
-      match Emit.patch p_ttl fwd 63L with Ok () -> () | Error _ -> assert false
-    in
-    patch_once 0;
-    assert (String.equal expected (Bytes.to_string fwd));
-    let per dt = dt *. 1e9 /. float_of_int n in
-    let codec_ns =
-      per
-        (time_loop n (fun _ -> ignore (Codec.encode_exn Formats.Ipv4.format (rebuild ()))))
-    in
-    let patch_ns = per (time_loop n patch_once) in
-    let speedup = codec_ns /. patch_ns in
-    Printf.printf "  %-26s %12.1f %12.1f %8.2fx\n"
-      "ipv4 ttl decrement (512B)" codec_ns patch_ns speedup;
-    respond_rows :=
-      ("ipv4 ttl decrement (512B)", len, codec_ns, patch_ns, speedup) :: !respond_rows
-  in
-  let respond_rows = List.rev !respond_rows in
-  (* -- machine-readable dump -- *)
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"experiment\": \"e12\",\n";
-  Printf.bprintf buf "  \"quick\": %b,\n" !quick;
-  Printf.bprintf buf "  \"cores_available\": %d,\n" cores;
-  Printf.bprintf buf "  \"single_core_caveat\": %b,\n" (cores = 1);
-  Printf.bprintf buf "  \"replies_per_measurement\": %d,\n" n;
-  Buffer.add_string buf "  \"respond\": [\n";
-  List.iteri
-    (fun i (name, len, codec_ns, patch_ns, speedup) ->
-      Printf.bprintf buf
-        "    {\"scenario\": %S, \"bytes\": %d, \"codec_ns\": %.1f, \
-         \"patch_ns\": %.1f, \"patch_speedup\": %.2f}%s\n"
-        name len codec_ns patch_ns speedup
-        (if i = List.length respond_rows - 1 then "" else ","))
-    respond_rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let path = "BENCH_E12.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "\n(wrote %s)\n" path;
-  print_endline
-    "\nRESULT shape: the in-place patch answers in the time of a memcpy\n\
-     plus an RFC 1624 checksum delta, independent of how expensive the\n\
-     full encode would have been; the codec rebuild re-walks the\n\
-     description and re-checksums the region on every reply."
-
-(* ------------------------------------------------------------------ *)
-(* E13: the behavioural dual of E11/E12 — interpreted Interp.fire vs the
-   compiled Step plan, per event and end-to-end through the pipeline. *)
-
-let e13 () =
-  section "e13" "FSM execution: interpreted fire vs compiled step plans"
-    "§3.2(iii) executing valid transitions; §3.4(3) runtime efficiency";
-  let n = if !quick then 50_000 else 1_000_000 in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "(~%d events per measurement; %d core(s) available to this process)\n\n" n cores;
-  (* -- (a) fire latency, machine by machine, over mined tours --------- *)
-  (* Testgen mines transition tours (event runs from the initial
-     configuration that cover every transition); both executors replay
-     the same runs, resetting between runs, so every fired event is a
-     real accept on the machine's own behaviour — no synthetic always-on
-     self-loop. *)
-  Printf.printf "(a) fire latency over Testgen-mined transition tours\n";
-  Printf.printf "  %-20s %14s %14s %9s\n" "machine" "interp ns/ev" "step ns/ev" "speedup";
-  let fire_rows =
-    List.filter_map
-      (fun (name, m) ->
-        match Testgen.transition_tour m with
-        | exception Invalid_argument _ -> None
-        | tours ->
-          let tours = List.filter (fun t -> t <> []) tours in
-          if tours = [] then None
-          else begin
-            let plan = Step.compile m in
-            let name_runs = Array.of_list (List.map Array.of_list tours) in
-            let id_runs =
-              Array.map (Array.map (Step.event_id plan)) name_runs
-            in
-            let per_round =
-              Array.fold_left (fun a r -> a + Array.length r) 0 name_runs
-            in
-            let rounds = max 1 (n / per_round) in
-            let total = rounds * per_round in
-            let interp = Interp.instantiate (Interp.prepare m) in
-            let interp_round () =
-              Array.iter
-                (fun run ->
-                  Interp.reset interp;
-                  Array.iter
-                    (fun ev ->
-                      match Interp.fire interp ev with
-                      | Ok _ -> ()
-                      | Error _ -> assert false)
-                    run)
-                name_runs
-            in
-            let inst = Step.instance plan in
-            let step_round () =
-              Array.iter
-                (fun run ->
-                  Step.reset inst;
-                  Array.iter
-                    (fun ev ->
-                      match Step.fire_id inst ev with
-                      | Step.Fired -> ()
-                      | _ -> assert false)
-                    run)
-                id_runs
-            in
-            interp_round ();
-            step_round ();
-            let interp_ns =
-              time_loop rounds (fun _ -> interp_round ())
-              *. 1e9 /. float_of_int total
-            in
-            let step_ns =
-              time_loop rounds (fun _ -> step_round ())
-              *. 1e9 /. float_of_int total
-            in
-            let speedup = interp_ns /. step_ns in
-            Printf.printf "  %-20s %14.1f %14.1f %8.2fx\n" name interp_ns
-              step_ns speedup;
-            Some (name, interp_ns, step_ns, speedup, total)
-          end)
-      Machines.all
-  in
-  let geomean =
-    match fire_rows with
-    | [] -> 1.0
-    | rows ->
-      exp
-        (List.fold_left (fun a (_, _, _, s, _) -> a +. log s) 0.0 rows
-        /. float_of_int (List.length rows))
-  in
-  Printf.printf "  %-20s %14s %14s %8.2fx (geometric mean)\n" "" "" "" geomean;
-  (* -- (b) pipeline end-to-end: interpreted step stage vs compiled --- *)
-  (* The "before" row reproduces the step stage the pipeline ran before
-     compiled plans landed: decode (with the reference codec), read the
-     flow key, look the flow's interpreter up, [Interp.fire] with the
-     event *name*.  The
-     "after" row is the shipped pipeline ([process_batch] whose flight
-     spec classifies every packet to the interned "pkt" id for
-     [Step.fire_id], run by its one fused executor) — including its stats
-     and batching bookkeeping, which the hand-rolled baseline is spared. *)
-  let meter =
-    let t = Machine.trans in
-    let count = [ Machine.Assign ("seen", Machine.Add (Machine.Reg "seen", Machine.Int 1)) ] in
-    Machine.machine ~name:"meter" ~states:[ "even"; "odd" ]
-      ~events:[ "pkt" ]
-      ~registers:[ Machine.reg "seen" ~domain:1024 ]
-      ~initial:"even" ~accepting:[ "even" ]
-      [
-        t ~label:"meter_even" ~src:"even" ~event:"pkt" ~dst:"odd" ~actions:count ();
-        t ~label:"meter_odd" ~src:"odd" ~event:"pkt" ~dst:"even" ~actions:count ();
-      ]
-  in
-  let fmt = Formats.Arq.format in
-  let pool =
-    Array.init 256 (fun i ->
-        Formats.Arq.to_bytes
-          (Formats.Arq.Data { seq = i land 0xFF; payload = String.make 256 'x' }))
-  in
-  let mask = Array.length pool - 1 in
-  let pn = if !quick then 20_000 else 200_000 in
-  Printf.printf
-    "\n(b) pipeline end-to-end (ARQ 256B, flow key = seq, %d packets)\n" pn;
-  let before_rate =
-    let prepared = Interp.prepare meter in
-    let flows : (int64, Interp.t) Hashtbl.t = Hashtbl.create 512 in
-    let once i =
-      match Codec.decode fmt pool.(i land mask) with
-      | Error _ -> assert false
-      | Ok v ->
-        let key = Value.get_int64 v "seq" in
-        let inst =
-          match Hashtbl.find_opt flows key with
-          | Some inst -> inst
-          | None ->
-            let inst = Interp.instantiate prepared in
-            Hashtbl.add flows key inst;
-            inst
-        in
-        (match Interp.fire inst "pkt" with
-        | Ok _ -> ()
-        | Error _ -> assert false)
-    in
-    for i = 0 to 999 do once i done;
-    float_of_int pn /. time_loop pn once
-  in
-  let after_rate =
-    let flight =
-      Engine.Flight.(
-        spec ~classify:[ { ev_when = All []; ev_name = "pkt" } ] ~flow_key:"seq"
-          ())
-    in
-    let p =
-      Engine.Pipeline.create ~flight ~machine:meter fmt
-    in
-    let batch = Engine.Pipeline.default_config.Engine.Pipeline.batch in
-    let pkts = Array.make batch "" in
-    let run_batch b =
-      let base = b * batch in
-      for j = 0 to batch - 1 do
-        pkts.(j) <- pool.((base + j) land mask)
-      done;
-      Engine.Pipeline.process_batch p pkts batch
-    in
-    run_batch 0;
-    let nbatches = pn / batch in
-    let dt = time_loop nbatches run_batch in
-    let st = Engine.Pipeline.stats p in
-    let _, _, rejects = Engine.Stats.totals st in
-    assert (Engine.Stats.stage_packets st 0 = (nbatches + 1) * batch);
-    assert (rejects = 0);
-    float_of_int (nbatches * batch) /. dt
-  in
-  let improvement = after_rate /. before_rate in
-  Printf.printf "  %-34s %14s %9s\n" "step stage" "pkts/s" "vs before";
-  Printf.printf "  %-34s %14.0f %9s\n" "interpreted (Interp per flow)" before_rate "1.00x";
-  Printf.printf "  %-34s %14.0f %8.2fx\n" "compiled (Step plan, event ids)" after_rate improvement;
-  (* -- machine-readable dump -- *)
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"experiment\": \"e13\",\n";
-  Printf.bprintf buf "  \"quick\": %b,\n" !quick;
-  Printf.bprintf buf "  \"cores_available\": %d,\n" cores;
-  Printf.bprintf buf "  \"single_core_caveat\": %b,\n" (cores = 1);
-  Buffer.add_string buf "  \"fire\": [\n";
-  List.iteri
-    (fun i (name, interp_ns, step_ns, speedup, total) ->
-      Printf.bprintf buf
-        "    {\"machine\": %S, \"events\": %d, \"interp_ns_per_event\": %.1f, \
-         \"step_ns_per_event\": %.1f, \"step_speedup\": %.2f}%s\n"
-        name total interp_ns step_ns speedup
-        (if i = List.length fire_rows - 1 then "" else ","))
-    fire_rows;
-  Buffer.add_string buf "  ],\n";
-  Printf.bprintf buf "  \"fire_speedup_geomean\": %.2f,\n" geomean;
-  Buffer.add_string buf "  \"pipeline\": {\n";
-  Printf.bprintf buf "    \"packets_per_measurement\": %d,\n" pn;
-  Printf.bprintf buf "    \"interp_pkts_per_s\": %.0f,\n" before_rate;
-  Printf.bprintf buf "    \"step_pkts_per_s\": %.0f,\n" after_rate;
-  Printf.bprintf buf "    \"improvement\": %.2f\n" improvement;
-  Buffer.add_string buf "  }\n}\n";
-  let path = "BENCH_E13.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "\n(wrote %s)\n" path;
-  print_endline
-    "\nRESULT shape: compiling a machine once into integer-indexed tables\n\
-     with guards and actions pre-lowered to closures over a flat register\n\
-     file removes the per-event string lookups, association-list walks and\n\
-     result allocations of the interpreter — several-fold per event — and\n\
-     a visible share of whole-pipeline time even though decode dominates."
-
-(* ------------------------------------------------------------------ *)
-(* E14: differential fuzzing throughput.  The oracle is only useful if
-   it is cheap enough to run at depth: every mutant is decoded by Codec
-   and by the compiled plan, run through the kernel pre-filter, and
-   pushed through an engine Pipeline and the reference executor whose
-   outcomes and counters are cross-checked.  This
-   experiment measures mutants judged per second for every shipped
-   format, plus trace-fuzz events per second for every shipped machine
-   (Step and Interp in lock-step). *)
-
-let e14 () =
-  section "e14" "differential fuzzing: oracle throughput over every fast path"
-    "§3.2 validating wire formats; §3.4(2) testable specifications";
-  let seed = 20260806 in
-  let iters = if !quick then 2_000 else 20_000 in
-  Printf.printf
-    "(%d structure-aware mutants per format; each judged by Codec, the\n\
-    \ compiled plan, the pre-filter and the Pipelines; %d adversarial traces\n\
-    \ per machine)\n\n"
-    iters (iters / 10);
-  Printf.printf "(a) wire oracle\n";
-  Printf.printf "  %-12s %9s %9s %9s %12s\n" "format" "mutants" "accepted"
-    "rejected" "mutants/s";
-  let wire_rows =
-    List.map
-      (fun (name, fmt) ->
-        let t0 = Unix.gettimeofday () in
-        match Check.Fuzz.run_format ~seed ~iters fmt with
-        | Error r ->
-          prerr_string (Check.Report.to_string r);
-          Printf.eprintf "bench e14: fuzz disagreement on %s\n" name;
-          exit 1
-        | Ok st ->
-          let dt = Unix.gettimeofday () -. t0 in
-          let rate = float_of_int st.Check.Fuzz.ws_mutants /. dt in
-          Printf.printf "  %-12s %9d %9d %9d %12.0f\n" name
-            st.Check.Fuzz.ws_mutants st.Check.Fuzz.ws_accepted
-            st.Check.Fuzz.ws_rejected rate;
-          (name, st, rate))
-      Check.Corpus.shipped
-  in
-  let trace_iters = iters / 10 in
-  Printf.printf "\n(b) trace lock-step (Step vs Interp)\n";
-  Printf.printf "  %-20s %9s %9s %9s %12s\n" "machine" "traces" "fired"
-    "refused" "events/s";
-  let trace_rows =
-    List.map
-      (fun (name, m) ->
-        let t0 = Unix.gettimeofday () in
-        match Check.Fuzz.run_machine ~seed ~iters:trace_iters (name, m) with
-        | Error r ->
-          prerr_string (Check.Report.to_string r);
-          Printf.eprintf "bench e14: trace disagreement on %s\n" name;
-          exit 1
-        | Ok st ->
-          let dt = Unix.gettimeofday () -. t0 in
-          let rate = float_of_int st.Check.Trace_fuzz.events /. dt in
-          Printf.printf "  %-20s %9d %9d %9d %12.0f\n" name
-            st.Check.Trace_fuzz.traces st.Check.Trace_fuzz.fired
-            st.Check.Trace_fuzz.refused rate;
-          (name, st, rate))
-      Machines.all
-  in
-  (* -- machine-readable dump -- *)
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"experiment\": \"e14\",\n";
-  Printf.bprintf buf "  \"quick\": %b,\n" !quick;
-  Printf.bprintf buf "  \"seed\": %d,\n" seed;
-  Printf.bprintf buf "  \"iters_per_format\": %d,\n" iters;
-  Buffer.add_string buf "  \"wire\": [\n";
-  List.iteri
-    (fun i (name, st, rate) ->
-      Printf.bprintf buf
-        "    {\"format\": %S, \"mutants\": %d, \"accepted\": %d, \
-         \"rejected\": %d, \"mutants_per_s\": %.0f}%s\n"
-        name st.Check.Fuzz.ws_mutants st.Check.Fuzz.ws_accepted
-        st.Check.Fuzz.ws_rejected rate
-        (if i = List.length wire_rows - 1 then "" else ","))
-    wire_rows;
-  Buffer.add_string buf "  ],\n";
-  Printf.bprintf buf "  \"traces_per_machine\": %d,\n" trace_iters;
-  Buffer.add_string buf "  \"trace\": [\n";
-  List.iteri
-    (fun i (name, st, rate) ->
-      Printf.bprintf buf
-        "    {\"machine\": %S, \"traces\": %d, \"events\": %d, \
-         \"fired\": %d, \"refused\": %d, \"events_per_s\": %.0f}%s\n"
-        name st.Check.Trace_fuzz.traces st.Check.Trace_fuzz.events
-        st.Check.Trace_fuzz.fired st.Check.Trace_fuzz.refused rate
-        (if i = List.length trace_rows - 1 then "" else ","))
-    trace_rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let path = "BENCH_E14.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "\n(wrote %s)\n" path;
-  print_endline
-    "\nRESULT shape: the full four-way oracle judges on the order of a\n\
-     hundred thousand mutants per second per format, so the 10k-deep CI\n\
-     run costs seconds — deep differential coverage of every compiled\n\
-     fast path is cheap enough to run on every change, which is the\n\
-     practical substitute for the dependent types the paper wishes for."
-
-(* ------------------------------------------------------------------ *)
-(* E15: fused run-to-completion flight plans.  The pipeline compiles
-   (format, verify, classify, machine plan, response patch) into one flat
-   plan and runs each packet to completion, with no value tree.  Its
-   semantics are gated first, packet for packet, against the reference
-   executor (Check.Reference), which shares none of its code; then the
-   responder's throughput and steady-state allocation are measured. *)
-
-let e15 () =
-  section "e15" "fused flight plans: run-to-completion, gated against the reference"
-    "ROADMAP north star; §3.4 verify-before-process preserved under fusion";
-  let cores = Domain.recommended_domain_count () in
-  (* the ARQ responder: verify the sequence range, classify data frames as
-     the machine's "ok" event, key flows by seq, answer each data frame
-     by patching kind -> ack in place (checksum updated incrementally) *)
-  let flight =
-    Engine.Flight.(
-      spec
-        ~verify:(Cmp (Lt, Field "seq", Const 256L))
-        ~classify:
-          [ { ev_when = Cmp (Eq, Field "kind", Const 0L); ev_name = "ok" } ]
-        ~flow_key:"seq"
-        ~respond:
-          [ { re_when = Cmp (Eq, Field "kind", Const 0L);
-              re_set = [ { set_field = "kind"; set_to = Const 1L } ] } ]
-        ())
-  in
-  let machine = Arq_fsm.receiver ~seq_bits:8 in
-  let arq_data ~seq payload =
-    Formats.Arq.to_bytes (Formats.Arq.Data { seq; payload })
-  in
-  let pool payload_len =
-    Array.init 256 (fun i ->
-        arq_data ~seq:(i land 0xFF) (String.make payload_len 'x'))
-  in
-  (* -- correctness gate: the pipeline must agree with the reference
-     executor packet for packet (outcome, reply bytes, flow table,
-     evictions) over a mixed accept/reject/mutant stream before any
-     throughput number below is worth printing -- *)
-  let tag = function
-    | Engine.Pipeline.Accepted -> "accepted"
-    | Engine.Pipeline.Rejected_decode _ -> "rej_decode"
-    | Engine.Pipeline.Rejected_verify -> "rej_verify"
-    | Engine.Pipeline.Rejected_step -> "rej_step"
-    | Engine.Pipeline.Rejected_encode -> "rej_encode"
-  in
-  let gate_n = if !quick then 5_000 else 50_000 in
-  let ref_replies = ref [] and fused_replies = ref [] in
-  let gs =
-    Check.Reference.create ~flight ~machine
-      ~on_response:(fun s -> ref_replies := s :: !ref_replies)
-      Formats.Arq.format
-  in
-  let gf =
-    Engine.Pipeline.create ~flight ~machine
-      ~on_response:(fun s -> fused_replies := s :: !fused_replies)
-      Formats.Arq.format
-  in
-  let rng = Prng.of_int 20260806 in
-  for i = 1 to gate_n do
-    let pkt =
-      match Prng.int rng 4 with
-      | 0 -> Formats.Arq.to_bytes (Formats.Arq.Ack { seq = i land 0xFF })
-      | 1 -> Gen.mutate rng ~flips:2 (arq_data ~seq:(i land 0xFF) "mm")
-      | _ -> arq_data ~seq:(i land 0xFF) (String.make (Prng.int rng 64) 'p')
-    in
-    let a = Check.Reference.process gs pkt
-    and b = Engine.Pipeline.process gf pkt in
-    if tag a <> tag b then begin
-      Printf.eprintf "bench e15: packet %d diverged: reference %s, fused %s\n" i
-        (tag a) (tag b);
-      exit 1
-    end
-  done;
-  if
-    !ref_replies <> !fused_replies
-    || Check.Reference.flow_count gs <> Engine.Pipeline.flow_count gf
-    || Check.Reference.evicted gs
-       <> Engine.Stats.evicted_flows (Engine.Pipeline.stats gf)
-  then begin
-    prerr_endline "bench e15: reference and fused disagree on replies or flows";
-    exit 1
-  end;
-  Printf.printf
-    "lock-step gate: %d mixed packets, reference = fused on outcome, reply\n\
-     bytes, flow count, evictions\n\n"
-    gate_n;
-  (* -- (a) responder throughput + steady-state allocation, one domain -- *)
-  let n = if !quick then 40_000 else 400_000 in
-  let payloads = if !quick then [ 8; 256 ] else [ 8; 16; 64; 256; 1024 ] in
-  let batch = Engine.Pipeline.default_config.Engine.Pipeline.batch in
-  let measure pl =
-    let p =
-      Engine.Pipeline.create ~flight ~machine
-        ~on_reply_slot:(fun _ _ _ -> ())
-        Formats.Arq.format
-    in
-    let pool = pool pl in
-    let mask = Array.length pool - 1 in
-    let scratch = Array.make batch "" in
-    let fill b0 =
-      for i = 0 to batch - 1 do
-        scratch.(i) <- pool.((b0 + i) land mask)
-      done
-    in
-    (* warm up: touch every flow so the steady state mints nothing *)
-    for w = 0 to Array.length pool / batch do
-      fill (w * batch);
-      Engine.Pipeline.process_batch p scratch batch
-    done;
-    Gc.full_major ();
-    let batches = n / batch in
-    let a0 = Gc.allocated_bytes () in
-    let t0 = Unix.gettimeofday () in
-    for b = 0 to batches - 1 do
-      fill (b * batch);
-      Engine.Pipeline.process_batch p scratch batch
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    let a1 = Gc.allocated_bytes () in
-    let pkts = float_of_int (batches * batch) in
-    (dt *. 1e9 /. pkts, (a1 -. a0) /. pkts)
-  in
-  Printf.printf "(a) ARQ responder, single domain, fused flight plan\n";
-  Printf.printf "  %-16s %12s %11s\n" "payload" "fused ns" "fused B/pkt";
-  let rows =
-    List.map
-      (fun pl ->
-        let f_ns, f_alloc = measure pl in
-        Printf.printf "  %-16s %12.1f %11.1f\n" (Printf.sprintf "%dB payload" pl) f_ns
-          f_alloc;
-        (pl, f_ns, f_alloc))
-      payloads
-  in
-  (* -- machine-readable dump -- *)
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"experiment\": \"e15\",\n";
-  Printf.bprintf buf "  \"quick\": %b,\n" !quick;
-  Printf.bprintf buf "  \"cores_available\": %d,\n" cores;
-  Printf.bprintf buf "  \"lockstep_packets\": %d,\n" gate_n;
-  Printf.bprintf buf "  \"lockstep_disagreements\": 0,\n";
-  Printf.bprintf buf "  \"packets_per_measurement\": %d,\n" n;
-  Buffer.add_string buf "  \"responder\": [\n";
-  List.iteri
-    (fun i (pl, f_ns, f_alloc) ->
-      Printf.bprintf buf
-        "    {\"payload_bytes\": %d, \"fused_ns_per_pkt\": %.1f, \
-         \"fused_alloc_b_per_pkt\": %.1f}%s\n"
-        pl f_ns f_alloc
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let path = "BENCH_E15.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "\n(wrote %s)\n" path;
-  print_endline
-    "\nRESULT shape: one fused pass per packet answers the ARQ responder\n\
-     workload with zero steady-state allocation (no value tree, replies\n\
-     patched in place); its semantics are not assumed but gated — the\n\
-     lock-step prologue here and the oracle legs in `netdsl fuzz` both\n\
-     demand Pipeline = Reference = Codec on every packet."
-
-let e16 () =
-  section "e16"
-    "the socket front end: real UDP datagrams through the fused engine"
-    "position: a protocol DSL pays off behind live sockets (Zebu, P4); §3.4 \
-     ordering across the wire";
-  let cores = Domain.recommended_domain_count () in
-  let flight =
-    Engine.Flight.(
-      spec
-        ~verify:(Cmp (Lt, Field "seq", Const 256L))
-        ~classify:
-          [ { ev_when = Cmp (Eq, Field "kind", Const 0L); ev_name = "ok" } ]
-        ~flow_key:"seq"
-        ~respond:
-          [ { re_when = Cmp (Eq, Field "kind", Const 0L);
-              re_set = [ { set_field = "kind"; set_to = Const 1L } ] } ]
-        ())
-  in
-  let machine = Arq_fsm.receiver ~seq_bits:8 in
-  let arq_data ~seq payload =
-    Formats.Arq.to_bytes (Formats.Arq.Data { seq; payload })
-  in
-  (* -- (a) correctness soak: a burst-paced valid+mutant stream through a
-     real socket pair, the server's every reply diffed byte for byte
-     against the in-memory reference executor (Oracle.Reply_ref).
-     30k packets in quick mode too: CI asserts the 0 below. -- *)
-  let soak_n = if !quick then 30_000 else 200_000 in
-  let plan = Check.Mutate.plan Formats.Arq.format in
-  let rng = Prng.of_int 20260808 in
-  let soak_packets i =
-    let seq = i land 0xFF in
-    let valid =
-      if i mod 7 = 0 then Formats.Arq.to_bytes (Formats.Arq.Ack { seq })
-      else arq_data ~seq (String.make (i mod 64) 'p')
-    in
-    if i mod 4 = 3 then
-      Check.Mutate.apply (Check.Mutate.random plan rng valid) valid
-    else valid
-  in
-  let soak =
-    match
-      Check.Loopback.soak ~machine ~flight ~packets:soak_packets ~count:soak_n
-        Formats.Arq.format
-    with
-    | Error e ->
-      Printf.eprintf "bench e16: soak failed to start: %s\n" e;
-      exit 1
-    | Ok r ->
-      if r.Check.Loopback.disagreements > 0 then begin
-        Printf.eprintf "bench e16: %d socket/memory disagreement(s):\n%s\n"
-          r.Check.Loopback.disagreements
-          (Option.value ~default:"?" r.Check.Loopback.first_disagreement);
-        exit 1
-      end;
-      (* exact accounting: the kernel pre-filter drops what the cBPF
-         interpreter predicts, and the server processes the rest *)
-      let predicted = r.Check.Loopback.filtered in
-      if r.Check.Loopback.server_processed <> soak_n - predicted then begin
-        Printf.eprintf
-          "bench e16: soak processed %d of %d packets, %d predicted filtered\n"
-          r.Check.Loopback.server_processed soak_n predicted;
-        exit 1
-      end;
-      if r.Check.Loopback.net.Net.Stats.kernel_drops <> predicted then begin
-        Printf.eprintf "bench e16: kernel dropped %d packets, %d predicted\n"
-          r.Check.Loopback.net.Net.Stats.kernel_drops predicted;
-        exit 1
-      end;
-      r
-  in
-  Printf.printf
-    "loopback soak, server vs the in-memory reference executor:\n\
-    \  %d packets (1 in 4 a structure-aware mutant) through a real UDP\n\
-    \  socket pair: %d expected replies, %d received, 0 disagreements\n\
-    \  (every reply byte-identical, every rejected packet silent)\n\
-    \  kernel pre-filter: %d dropped in the kernel, as the cBPF interpreter\n\
-    \  predicts; %d reached the server\n"
-    soak_n soak.Check.Loopback.expected_replies soak.Check.Loopback.replies
-    soak.Check.Loopback.filtered soak.Check.Loopback.server_processed;
-  Printf.printf
-    "  server-domain allocation: %.1f B/pkt post-warmup (the engine holds\n\
-    \  0 B/pkt — e15 — so anything here is the socket backend's: the\n\
-    \  legacy loop, NETDSL_NO_MMSG=1, boxes a sockaddr per recvfrom; e20\n\
-    \  prices both backends.  Reported rather than hidden.)\n"
-    soak.Check.Loopback.alloc_bytes_per_pkt;
-  (* -- machine-readable dump -- *)
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"experiment\": \"e16\",\n";
-  Printf.bprintf buf "  \"quick\": %b,\n" !quick;
-  Printf.bprintf buf "  \"cores_available\": %d,\n" cores;
-  Printf.bprintf buf "  \"single_core_caveat\": %b,\n" (cores < 2);
-  Buffer.add_string buf "  \"soak\": {\n";
-  Printf.bprintf buf "    \"packets\": %d,\n" soak_n;
-  Printf.bprintf buf "    \"mutant_share\": 0.25,\n";
-  Printf.bprintf buf "    \"expected_replies\": %d,\n"
-    soak.Check.Loopback.expected_replies;
-  Printf.bprintf buf "    \"replies\": %d,\n" soak.Check.Loopback.replies;
-  Printf.bprintf buf "    \"disagreements\": %d,\n"
-    soak.Check.Loopback.disagreements;
-  Printf.bprintf buf "    \"kernel_filtered\": %d,\n" soak.Check.Loopback.filtered;
-  Printf.bprintf buf "    \"server_alloc_b_per_pkt\": %.1f\n"
-    soak.Check.Loopback.alloc_bytes_per_pkt;
-  Buffer.add_string buf "  }\n}\n";
-  let path = "BENCH_E16.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "\n(wrote %s)\n" path;
-  print_endline
-    "\nRESULT shape: the compiled pipeline answers real datagrams — the wire\n\
-     path preserves the engine's semantics exactly (every socket reply\n\
-     byte-identical to the in-memory reference executor over a\n\
-     mutant-laced soak), and the residual server B/pkt is the syscall\n\
-     wrapper's sockaddr boxing, counted honestly; e20 prices the socket\n\
-     path itself."
-
-(* ------------------------------------------------------------------ *)
-(* E17: fused parse graphs.  A layered header stack (eth -> ipv4 -> udp
-   -> tftp) compiled once into one flat decode plan, priced against the
-   naive sequential reference that re-decodes every layer through the
-   reference codec — the pre-stack way to handle a chain.  Semantics
-   are not assumed equal: the chain oracle leg below re-judges both
-   implementations on >= 100k structure-aware cross-layer mutants
-   before the numbers count. *)
-
-let e17 () =
-  section "e17"
-    "fused parse graphs: one flat plan for a layered chain vs per-layer \
-     sequential"
-    "P4-style parse graphs restricted to one path; §3.2 layered formats in \
-     one framework";
-  let cores = Domain.recommended_domain_count () in
-  (* -- the chains: 2, 3 and 4 layers deep.  eth_arp and inet_tftp ship
-     in the catalogue; the 3-layer chain is eth -> ipv4 -> udp with UDP
-     terminal, built here the way an application would. *)
-  let eth_ipv4_udp =
-    match
-      Stack.v ~name:"eth_ipv4_udp"
-        [
-          Stack.layer
-            ~select:
-              ("ethertype", [ Int64.of_int Formats.Ethernet.ethertype_ipv4 ])
-            Formats.Ethernet.format;
-          Stack.layer
-            ~select:("protocol", [ Int64.of_int Formats.Ipv4.protocol_udp ])
-            Formats.Ipv4.format;
-          Stack.layer Formats.Udp.format;
-        ]
-    with
-    | Ok s -> s
-    | Error e ->
-      Printf.eprintf "bench e17: eth_ipv4_udp does not validate: %s\n" e;
-      exit 1
-  in
-  let mac_a = Formats.Ethernet.mac_of_string "02:00:00:00:00:0a" in
-  let mac_b = Formats.Ethernet.mac_of_string "02:00:00:00:00:0b" in
-  let ip_a = Formats.Ipv4.addr_of_string "192.0.2.1" in
-  let ip_b = Formats.Ipv4.addr_of_string "192.0.2.2" in
-  let eth_ipv4_udp_values payload =
-    [|
-      Formats.Ethernet.make ~dst:mac_b ~src:mac_a
-        ~ethertype:Formats.Ethernet.ethertype_ipv4 ~payload:"";
-      Formats.Ipv4.make ~protocol:Formats.Ipv4.protocol_udp ~source:ip_a
-        ~destination:ip_b ~payload:"" ();
-      Formats.Udp.make ~src_port:50000 ~dst_port:4242 ~payload ();
-    |]
-  in
-  let chains =
-    [
-      ("eth_arp", Formats.Stacks.eth_arp, [ Formats.Stacks.eth_arp_values () ]);
-      ("eth_ipv4_udp", eth_ipv4_udp,
-       [ eth_ipv4_udp_values (String.make 32 'u');
-         eth_ipv4_udp_values (String.make 8 'v') ]);
-      ("inet_tftp", Formats.Stacks.inet_tftp,
-       [ Formats.Stacks.inet_tftp_values
-           (Formats.Tftp.Data { block = 7; data = String.make 32 'd' });
-         Formats.Stacks.inet_tftp_values (Formats.Tftp.Ack { block = 7 }) ]);
-    ]
-  in
-  let compile_or_die name stack =
-    match Stack.compile stack with
-    | Ok plan -> plan
-    | Error e ->
-      Printf.eprintf "bench e17: %s does not fuse: %s\n" name e;
-      exit 1
-  in
-  (* -- (a) chained decode: fused Stack.run vs the sequential per-layer
-     reference (Codec per layer, the next window its trailing payload) -- *)
-  let n = if !quick then 20_000 else 500_000 in
-  let decode_rows =
-    List.map
-      (fun (name, stack, values) ->
-        let plan = compile_or_die name stack in
-        let layers = Stack.layer_count plan in
-        let pool =
-          Array.of_list
-            (List.map
-               (fun vs ->
-                 match Stack.encode plan vs with
-                 | Ok s -> s
-                 | Error e ->
-                   Printf.eprintf "bench e17: %s seed does not encode: %s\n"
-                     name e;
-                   exit 1)
-               values)
-        in
-        let pn = Array.length pool in
-        let seq = Stack.Seq.create plan in
-        Array.iter
-          (fun pkt ->
-            if not (Stack.run plan pkt) then begin
-              Printf.eprintf "bench e17: fused %s rejects its own seed\n" name;
-              exit 1
-            end;
-            match Stack.Seq.decode seq pkt with
-            | Ok () -> ()
-            | Error e ->
-              Printf.eprintf "bench e17: sequential %s rejects its seed: %s\n"
-                name (Codec.error_to_string e);
-              exit 1)
-          pool;
-        let timed f =
-          for i = 0 to (n / 10) - 1 do
-            f pool.(i mod pn)
-          done;
-          Gc.full_major ();
-          let a0 = Gc.allocated_bytes () in
-          let dt = time_loop n (fun i -> f pool.(i mod pn)) in
-          let a1 = Gc.allocated_bytes () in
-          (dt *. 1e9 /. float_of_int n, (a1 -. a0) /. float_of_int n)
-        in
-        let f_ns, f_alloc = timed (fun pkt -> ignore (Stack.run plan pkt)) in
-        let s_ns, s_alloc =
-          timed (fun pkt -> ignore (Stack.Seq.decode seq pkt))
-        in
-        (name, layers, String.length pool.(0), f_ns, s_ns, f_alloc, s_alloc))
-      chains
-  in
-  Printf.printf
-    "(a) chained decode, %d packets per row: fused flat plan vs sequential\n\
-    \    per-layer reference\n"
-    n;
-  Printf.printf "  %-14s %6s %6s %10s %10s %8s %10s %10s\n" "chain" "layers"
-    "bytes" "fused ns" "seq ns" "speedup" "fused B/p" "seq B/p";
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc
+        "{\n  \"experiment\": %S,\n  \"quick\": %b,\n  \"cores_available\": %d,\n  \
+         \"gates\": %s,\n  \"rows\": %s\n}\n"
+        id !quick
+        (Domain.recommended_domain_count ())
+        (list (List.map gate gates))
+        (list (List.map json_obj rows)));
+  Printf.printf "\n";
   List.iter
-    (fun (name, layers, bytes, f_ns, s_ns, f_alloc, s_alloc) ->
-      Printf.printf "  %-14s %6d %6d %10.1f %10.1f %7.2fx %10.1f %10.1f\n"
-        name layers bytes f_ns s_ns (s_ns /. f_ns) f_alloc s_alloc)
-    decode_rows;
-  (* the headline gate: the deepest chain must pay off *)
-  (match
-     List.find_opt (fun (_, layers, _, _, _, _, _) -> layers = 4) decode_rows
-   with
-  | Some (_, _, _, f_ns, s_ns, f_alloc, _) ->
-    if s_ns /. f_ns < 1.5 then begin
-      Printf.eprintf
-        "bench e17: 4-layer fused decode speedup %.2fx below the 1.5x gate\n"
-        (s_ns /. f_ns);
-      exit 1
-    end;
-    if f_alloc > 0.5 then begin
-      Printf.eprintf
-        "bench e17: fused 4-layer decode allocates %.1f B/pkt (want 0)\n"
-        f_alloc;
-      exit 1
-    end
-  | None ->
-    prerr_endline "bench e17: no 4-layer chain in the matrix";
-    exit 1);
-  (* -- (b) the layered responder end to end: verify on an inner register,
-     flow-key on the UDP layer, answer by patching ipv4.ttl inside its
-     recorded window (the covering checksum repaired incrementally) -- *)
-  let stack = Formats.Stacks.inet_tftp in
-  let flight =
-    Engine.Flight.(
-      spec
-        ~verify:(Cmp (Lt, Field "tftp.opcode", Const 6L))
-        ~flow_key:"udp.src_port"
-        ~respond:
-          [ { re_when = All [];
-              re_set = [ { set_field = "ipv4.ttl"; set_to = Const 7L } ] } ]
-        ())
-  in
-  let req =
-    match
-      Stack.compile stack
-      |> Result.get_ok
-      |> Fun.flip Stack.encode
-           (Formats.Stacks.inet_tftp_values
-              (Formats.Tftp.Data { block = 7; data = String.make 32 'd' }))
-    with
-    | Ok s -> s
-    | Error e ->
-      Printf.eprintf "bench e17: responder seed: %s\n" e;
-      exit 1
-  in
-  (* engine-level: the fused stacked pipeline in memory, batch-fed *)
-  let batch = Engine.Pipeline.default_config.Engine.Pipeline.batch in
-  let serve_n = if !quick then 40_000 else 400_000 in
-  let p =
-    Engine.Pipeline.create ~stack ~flight
-      ~on_reply_slot:(fun _ _ _ -> ())
-      (Stack.layer_format stack 0)
-  in
-  let scratch = Array.make batch req in
-  for _ = 0 to 4 do
-    Engine.Pipeline.process_batch p scratch batch
-  done;
-  Gc.full_major ();
-  let batches = serve_n / batch in
-  let a0 = Gc.allocated_bytes () in
-  let dt =
-    time_loop batches (fun _ -> Engine.Pipeline.process_batch p scratch batch)
-  in
-  let a1 = Gc.allocated_bytes () in
-  let eng_pkts = batches * batch in
-  let eng_ns = dt *. 1e9 /. float_of_int eng_pkts in
-  let eng_alloc = (a1 -. a0) /. float_of_int eng_pkts in
-  let eng_rate = float_of_int eng_pkts /. dt in
-  if eng_alloc > 0.5 then begin
-    Printf.eprintf
-      "bench e17: stacked fused responder allocates %.1f B/pkt (want 0)\n"
-      eng_alloc;
-    exit 1
-  end;
-  Printf.printf
-    "\n(b) layered responder (eth->ipv4->udp->tftp, verify tftp.opcode,\n\
-    \    flow-key udp.src_port, patch ipv4.ttl):\n\
-    \  engine (in-memory batches): %.0f pkts/s, %.1f ns/pkt, %.1f B/pkt\n"
-    eng_rate eng_ns eng_alloc;
-  (* socket-path: the same chain served over a real UDP socket pair *)
-  let blast_n = if !quick then 20_000 else 100_000 in
-  let socket_row =
-    match
-      Check.Loopback.blast ~stack ~flight
-        ~packets:(fun _ -> req)
-        ~count:blast_n
-        (Stack.layer_format stack 0)
-    with
-    | Error e ->
-      Printf.eprintf "bench e17: stacked blast failed: %s\n" e;
-      exit 1
-    | Ok r ->
-      let rate =
-        if r.Check.Loopback.elapsed_s > 0. then
-          float_of_int r.Check.Loopback.replies /. r.Check.Loopback.elapsed_s
-        else 0.
-      in
-      Printf.printf
-        "  socket (real UDP round trip): %.0f pkts/s (%d sent, %d replies),\n\
-        \  server domain %.1f B/pkt (the Unix binding's sockaddr boxing —\n\
-        \  the engine holds 0, above)\n"
-        rate r.Check.Loopback.sent r.Check.Loopback.replies
-        r.Check.Loopback.alloc_bytes_per_pkt;
-      (rate, r.Check.Loopback.sent, r.Check.Loopback.replies,
-       r.Check.Loopback.alloc_bytes_per_pkt)
-    in
-  if cores < 2 then
-    Printf.printf
-      "  (client and server share %d core(s): the socket rate is an\n\
-      \   oversubscribed loopback round trip, not engine headroom)\n"
-      cores;
-  (* -- (c) the chain oracle: the numbers above only count because fused
-     and sequential are re-judged equal on cross-layer mutants here -- *)
-  let iters = if !quick then 2_000 else 34_000 in
-  let seed = 20260808 in
-  Printf.printf
-    "\n(c) chain oracle: %d cross-layer mutants per stack, fused chained\n\
-    \    decode vs sequential per-layer (verdict, windows, registers)\n"
-    iters;
-  Printf.printf "  %-14s %9s %9s %9s %12s\n" "stack" "mutants" "chained"
-    "rejected" "mutants/s";
-  let oracle_rows =
-    List.map
-      (fun (name, st) ->
-        let t0 = Unix.gettimeofday () in
-        match Check.Fuzz.run_stack ~seed ~iters (name, st) with
-        | Error r ->
-          prerr_string (Check.Report.to_string r);
-          Printf.eprintf "bench e17: chain disagreement on %s\n" name;
-          exit 1
-        | Ok cs ->
-          let dt = Unix.gettimeofday () -. t0 in
-          let rate = float_of_int cs.Check.Fuzz.cs_mutants /. dt in
-          Printf.printf "  %-14s %9d %9d %9d %12.0f\n" name
-            cs.Check.Fuzz.cs_mutants cs.Check.Fuzz.cs_accepted
-            cs.Check.Fuzz.cs_rejected rate;
-          (name, cs, rate))
-      Formats.Stacks.all
-  in
-  let total_mutants =
-    List.fold_left
-      (fun acc (_, cs, _) -> acc + cs.Check.Fuzz.cs_mutants)
-      0 oracle_rows
-  in
-  Printf.printf "  total: %d mutants, 0 disagreements\n" total_mutants;
-  (* -- machine-readable dump -- *)
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"experiment\": \"e17\",\n";
-  Printf.bprintf buf "  \"quick\": %b,\n" !quick;
-  Printf.bprintf buf "  \"cores_available\": %d,\n" cores;
-  Printf.bprintf buf "  \"decode_packets_per_row\": %d,\n" n;
-  Buffer.add_string buf "  \"decode\": [\n";
-  List.iteri
-    (fun i (name, layers, bytes, f_ns, s_ns, f_alloc, s_alloc) ->
-      Printf.bprintf buf
-        "    {\"chain\": %S, \"layers\": %d, \"packet_bytes\": %d, \
-         \"fused_ns_per_pkt\": %.1f, \"seq_ns_per_pkt\": %.1f, \
-         \"fused_speedup\": %.2f, \"fused_alloc_b_per_pkt\": %.1f, \
-         \"seq_alloc_b_per_pkt\": %.1f}%s\n"
-        name layers bytes f_ns s_ns (s_ns /. f_ns) f_alloc s_alloc
-        (if i = List.length decode_rows - 1 then "" else ","))
-    decode_rows;
-  Buffer.add_string buf "  ],\n";
-  Buffer.add_string buf "  \"four_layer_speedup_gate\": 1.5,\n";
-  Buffer.add_string buf "  \"responder\": {\n";
-  Printf.bprintf buf
-    "    \"engine\": {\"pkts_per_s\": %.0f, \"ns_per_pkt\": %.1f, \
-     \"alloc_b_per_pkt\": %.1f},\n"
-    eng_rate eng_ns eng_alloc;
-  let sk_rate, sk_sent, sk_replies, sk_alloc = socket_row in
-  Printf.bprintf buf
-    "    \"socket\": {\"pkts_per_s\": %.0f, \"sent\": %d, \"replies\": %d, \
-     \"server_alloc_b_per_pkt\": %.1f}\n"
-    sk_rate sk_sent sk_replies sk_alloc;
-  Buffer.add_string buf "  },\n";
-  Printf.bprintf buf "  \"oracle_iters_per_stack\": %d,\n" iters;
-  Buffer.add_string buf "  \"oracle\": [\n";
-  List.iteri
-    (fun i (name, cs, rate) ->
-      Printf.bprintf buf
-        "    {\"stack\": %S, \"mutants\": %d, \"chained\": %d, \
-         \"rejected\": %d, \"mutants_per_s\": %.0f}%s\n"
-        name cs.Check.Fuzz.cs_mutants cs.Check.Fuzz.cs_accepted
-        cs.Check.Fuzz.cs_rejected rate
-        (if i = List.length oracle_rows - 1 then "" else ","))
-    oracle_rows;
-  Buffer.add_string buf "  ],\n";
-  Printf.bprintf buf "  \"oracle_total_mutants\": %d,\n" total_mutants;
-  Buffer.add_string buf "  \"oracle_disagreements\": 0\n}\n";
-  let path = "BENCH_E17.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "\n(wrote %s)\n" path;
-  print_endline
-    "\nRESULT shape: compiling the whole parse graph once beats decoding a\n\
-     layered packet layer by interpreted layer (gated at 1.5x on the\n\
-     4-layer chain, with 0 B/pkt on the fused path), and the layered\n\
-     responder keeps the engine's zero-allocation steady state behind a\n\
-     real socket — equivalence with the per-layer reference is not\n\
-     assumed but re-proved on >= 100k cross-layer mutants each run."
+    (fun g ->
+      Printf.printf "  GATE %s: %s  (%s)\n" g.name (if g.pass then "PASS" else "FAIL")
+        g.detail)
+    gates;
+  Printf.printf "(wrote %s)\n" path;
+  let failed = List.filter (fun g -> not g.pass) gates in
+  List.iter (fun g -> Printf.eprintf "bench %s: GATE FAILED: %s\n" id g.name) failed;
+  if failed <> [] then exit 1
 
-let e18 () =
-  section "e18" "flow steering: per-worker share of an elephant skew"
-    "ROADMAP multicore north star; §3.4 per-flow ordering";
-  let cores = Domain.recommended_domain_count () in
-  (* same ARQ responder as e15: verify seq range, classify data frames,
-     key flows by seq (the steering key), patch kind -> ack in place *)
-  let flight =
-    Engine.Flight.(
-      spec
-        ~verify:(Cmp (Lt, Field "seq", Const 256L))
-        ~classify:
-          [ { ev_when = Cmp (Eq, Field "kind", Const 0L); ev_name = "ok" } ]
-        ~flow_key:"seq"
-        ~respond:
-          [ { re_when = Cmp (Eq, Field "kind", Const 0L);
-              re_set = [ { set_field = "kind"; set_to = Const 1L } ] } ]
-        ())
-  in
-  let pool =
-    Array.init 256 (fun i ->
-        Formats.Arq.to_bytes
-          (Formats.Arq.Data { seq = i land 0xFF; payload = String.make 64 'x' }))
-  in
-  let n = if !quick then 20_000 else 200_000 in
-  (* elephant skew: 90% of the traffic lands on flows the steering hash
-     gives worker 0 (hash skew — the adversarial case for static
-     ownership, which nothing migrates) *)
-  let workers = 2 in
-  let seqs =
-    let hot = ref [] and cold = ref [] in
-    for s = 255 downto 0 do
-      if Bpf.steer ~workers ~bits:8 s = 0 then hot := s :: !hot else cold := s :: !cold
-    done;
-    let hot = Array.of_list !hot and cold = Array.of_list !cold in
-    let cold = if Array.length cold = 0 then hot else cold in
-    Array.init n (fun i ->
-        if i mod 10 < 9 then hot.(i mod Array.length hot)
-        else cold.(i mod Array.length cold))
-  in
-  Printf.printf "(%d core(s) available to this process)\n\n" cores;
-  (* who gets the skewed packets: the compiled kernel steering program
-     in the interpreter, and a real 2-worker server's sockets *)
-  let prog =
-    match Bpf.steering Formats.Arq.format ~key:"seq" ~workers with
-    | Ok p -> p
-    | Error e -> failwith e
-  in
-  let oracle = Check.Bpf_oracle.prepare prog in
-  let predicted = Array.make workers 0 in
-  Array.iter
-    (fun s ->
-      let w = Check.Bpf_oracle.steer oracle pool.(s) in
-      predicted.(w) <- predicted.(w) + 1)
-    seqs;
-  let socket_n = min n 20_000 in
-  let socket =
-    match
-      Net.Server.create ~signals:false ~workers ~allow_oversubscribe:true
-        ~flight
-        ~listeners:[ Net.Server.Udp { host = "127.0.0.1"; port = 0 } ]
-        Formats.Arq.format
-    with
-    | Error e -> failwith e
-    | Ok srv ->
-      Fun.protect
-        ~finally:(fun () -> Net.Server.close srv)
-        (fun () ->
-          let port = Option.get (Net.Server.udp_port srv) in
-          let dom =
-            Domain.spawn (fun () -> Net.Server.run ~max_packets:socket_n srv)
-          in
-          let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_DGRAM 0 in
-          let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
-          let buf = Bytes.create 2048 in
-          (* 64 packets outstanding: the socket buffers never overflow,
-             so every packet sent is one the kernel steered *)
-          let sent = ref 0 and got = ref 0 and stalled = ref false in
-          while !got < socket_n && not !stalled do
-            while !sent < socket_n && !sent - !got < 64 do
-              let p = pool.(seqs.(!sent)) in
-              ignore (Unix.sendto_substring fd p 0 (String.length p) [] addr);
-              incr sent
-            done;
-            match Unix.select [ fd ] [] [] 1.0 with
-            | [], _, _ -> stalled := true
-            | _ ->
-              ignore (Unix.recv fd buf 0 (Bytes.length buf) []);
-              incr got
-          done;
-          Unix.close fd;
-          if !stalled then Net.Server.request_stop srv;
-          ignore (Domain.join dom);
-          Array.of_list
-            (List.filter_map
-               (fun (label, st) ->
-                 if String.starts_with ~prefix:"udp" label then
-                   Some st.Net.Stats.rx_pkts
-                 else None)
-               (Net.Server.listener_stats srv)))
-  in
-  let share counts =
-    let total = Array.fold_left ( + ) 0 counts in
-    Array.map (fun c -> float_of_int c /. float_of_int (max 1 total)) counts
-  in
-  let pct a =
-    String.concat " / "
-      (Array.to_list (Array.map (fun f -> Printf.sprintf "%.1f%%" (100. *. f)) a))
-  in
-  Printf.printf
-    "per-worker share of the skew mix at %d workers (nothing migrates)\n\
-    \  interpreter, compiled steering program (%d pkts): %s\n\
-    \  2-worker server, per-socket rx (%d pkts):        %s\n"
-    workers n (pct (share predicted)) socket_n (pct (share socket));
-  (* -- machine-readable dump -- *)
-  let floats a =
-    String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%.4f") a))
-  in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"experiment\": \"e18\",\n";
-  Printf.bprintf buf "  \"quick\": %b,\n" !quick;
-  Printf.bprintf buf "  \"cores_available\": %d,\n" cores;
-  Printf.bprintf buf "  \"packets_per_case\": %d,\n" n;
-  Printf.bprintf buf "  \"skew_hot_share\": 0.9,\n";
-  Printf.bprintf buf
-    "  \"skew_share\": {\"workers\": %d, \"interpreter\": [%s], \
-     \"socket_packets\": %d, \"socket\": [%s]}\n"
-    workers (floats (share predicted)) socket_n (floats (share socket));
-  Buffer.add_string buf "}\n";
-  let path = "BENCH_E18.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "\n(wrote %s)\n" path;
-  print_endline
-    "\nRESULT shape: ownership is static behind the kernel steering program\n\
-     the sharded server runs: under elephant skew the hot worker takes its\n\
-     flows' share of the packets (interpreter and sockets agree), and no\n\
-     flow is ever split or reordered."
+let median xs =
+  let a = Array.copy xs in
+  Array.sort compare a;
+  let k = Array.length a in
+  if k mod 2 = 1 then a.(k / 2) else (a.((k / 2) - 1) +. a.(k / 2)) /. 2.
+
+let f1 = Printf.sprintf "%.1f"
 
 (* ------------------------------------------------------------------ *)
-(* E19: hierarchical timer wheel at flow-table scale *)
+(* E19: what a DSL timeout clause costs per packet on the fused path.
+   The same flight over the same one-state machine, with and without a
+   timeout clause on its one transition; the deadline is an hour out and
+   the virtual clock never moves, so the difference is pure timer cost:
+   one packed-word read, one wheel re-arm, one poll branch.  Plain and
+   timed slices alternate inside one timing region, and the gated figure
+   is the median of the per-round differences: CPU-frequency drift and
+   scheduler noise hit both slices of a round alike and cancel, where
+   independent best-of runs swing by more than the budget measured. *)
 
 let e19 () =
-  section "e19"
-    "hierarchical timer wheel: a million armed flows, churn, amortized cost"
+  section "e19" "timer overhead per packet: a timeout clause on the fused path"
     "§3.4 success-or-timeout, at engine scale";
-  let n_flows = if !quick then 100_000 else 1_000_000 in
-  let nop ~key:_ ~ev:_ = () in
-  (* -- (a) raw wheel: arm every flow, then churn at full occupancy -- *)
-  let w = Engine.Wheel.create () in
-  let arm_dt =
-    time_loop n_flows (fun i ->
-        Engine.Wheel.arm w ~key:i ~after:(1 + (i land 0xFFFF)) ~ev:0)
-  in
-  let million_armed = Engine.Wheel.live w = n_flows in
-  let churn_n = if !quick then 200_000 else 2_000_000 in
-  (* the wheel is fully grown: steady-state churn must mint nothing *)
-  Gc.full_major ();
-  let a0 = Gc.allocated_bytes () in
-  let churn_dt =
-    time_loop churn_n (fun i ->
-        Engine.Wheel.arm w
-          ~key:(i * 0x9E3779B1 mod n_flows)
-          ~after:(1 + (i land 0x3FF))
-          ~ev:0;
-        if i land 0xFF = 0xFF then
-          ignore
-            (Engine.Wheel.advance w ~now:(Engine.Wheel.now w + 1) nop))
-  in
-  let a1 = Gc.allocated_bytes () in
-  let churn_alloc = (a1 -. a0) /. float_of_int churn_n in
-  let arm_ns = arm_dt *. 1e9 /. float_of_int n_flows in
-  let churn_ns = churn_dt *. 1e9 /. float_of_int churn_n in
-  Printf.printf "(a) raw wheel, %d armed flows\n" n_flows;
-  Printf.printf "  first arm:  %7.1f ns/op\n" arm_ns;
-  Printf.printf "  churn:      %7.1f ns/op  (%.2f B/op; re-arm + tick mix)\n"
-    churn_ns churn_alloc;
-  (* -- (b) drain: fire every armed timer, cascades included -- *)
-  let live_before = Engine.Wheel.live w in
-  let fired = ref 0 in
-  Gc.full_major ();
-  let t0 = Unix.gettimeofday () in
-  while Engine.Wheel.live w > 0 do
-    fired :=
-      !fired + Engine.Wheel.advance w ~now:(Engine.Wheel.now w + 4096) nop
-  done;
-  let drain_dt = Unix.gettimeofday () -. t0 in
-  let drain_ns = drain_dt *. 1e9 /. float_of_int !fired in
-  Printf.printf "(b) drain: %d expirations at %.1f ns/expiry, %d cascades\n"
-    !fired drain_ns (Engine.Wheel.cascaded w);
-  assert (!fired = live_before);
-  (* -- (c) per-packet amortized overhead through the pipeline: the same
-     fused flight over the same machine, with and without a timeout
-     clause on its one transition.  The deadline is an hour out and the
-     virtual clock never moves, so the difference is pure timer cost:
-     one packed-word read, one wheel re-arm, one poll branch. -- *)
   let mk_machine timed =
-    Machine.machine ~name:"rearm" ~states:[ "run" ] ~events:[ "pkt" ]
-      ~initial:"run" ~accepting:[ "run" ]
+    Machine.machine ~name:"rearm" ~states:[ "run" ] ~events:[ "pkt" ] ~initial:"run"
+      ~accepting:[ "run" ]
       [
         Machine.trans ~label:"pkt" ~src:"run" ~event:"pkt" ~dst:"run"
           ~timer:
-            (if timed then
-               Machine.Arm_timer { after_ms = 3_600_000; fire = "pkt" }
+            (if timed then Machine.Arm_timer { after_ms = 3_600_000; fire = "pkt" }
              else Machine.No_timer)
           ();
       ]
-  in
-  let flight =
-    Engine.Flight.(
-      spec
-        ~verify:(Cmp (Lt, Field "seq", Const 256L))
-        ~classify:
-          [ { ev_when = Cmp (Eq, Field "kind", Const 0L); ev_name = "pkt" } ]
-        ~flow_key:"seq" ())
   in
   let pkts =
     Array.init 256 (fun i ->
         Formats.Arq.to_bytes (Formats.Arq.Data { seq = i; payload = "x" }))
   in
   let mk_pipe timed =
-    let clock = ref 0 in
     Engine.Pipeline.create
       ~config:{ Engine.Pipeline.default_config with batch = 256 }
-      ~flight
+      ~flight:
+        Engine.Flight.(
+          spec
+            ~verify:(Cmp (Lt, Field "seq", Const 256L))
+            ~classify:[ { ev_when = Cmp (Eq, Field "kind", Const 0L); ev_name = "pkt" } ]
+            ~flow_key:"seq" ())
       ~machine:(mk_machine timed)
-      ~clock_ms:(fun () -> !clock)
+      ~clock_ms:(fun () -> 0)
       Formats.Arq.format
   in
-  (* batched drive — the engine's normal operating mode; a window is one
-     poll, so the timer cost left per packet is the wheel re-arm.  The
-     overhead is a paired measurement: plain and timed slices alternate
-     inside one timing region, and the reported figure is the median of
-     per-round differences — CPU-frequency drift and scheduler noise hit
-     both slices of a round alike and cancel, where independent best-of
-     runs swing by more than the budget being measured. *)
   let p_plain = mk_pipe false and p_timed = mk_pipe true in
   Engine.Pipeline.process_batch p_plain pkts 256;
   Engine.Pipeline.process_batch p_timed pkts 256;
   let rounds = if !quick then 48 else 128 in
   let slice = 16 (* batches of 256 per side per round *) in
-  let slice_pkts = float_of_int (slice * 256) in
-  let diffs = Array.make rounds 0. in
-  let tot_plain = ref 0. and tot_timed = ref 0. in
-  Gc.full_major ();
-  let a0 = Gc.allocated_bytes () in
-  for r = 0 to rounds - 1 do
+  let per_pkt dt = dt *. 1e9 /. float_of_int (slice * 256) in
+  let run p =
     let t0 = Unix.gettimeofday () in
     for _ = 1 to slice do
-      Engine.Pipeline.process_batch p_plain pkts 256
+      Engine.Pipeline.process_batch p pkts 256
     done;
-    let t1 = Unix.gettimeofday () in
-    for _ = 1 to slice do
-      Engine.Pipeline.process_batch p_timed pkts 256
-    done;
-    let t2 = Unix.gettimeofday () in
-    tot_plain := !tot_plain +. (t1 -. t0);
-    tot_timed := !tot_timed +. (t2 -. t1);
-    diffs.(r) <- (t2 -. t1 -. (t1 -. t0)) *. 1e9 /. slice_pkts
-  done;
-  let a1 = Gc.allocated_bytes () in
-  let pipe_n = rounds * slice * 256 in
-  (* both sides ran between [a0] and [a1]; the plain side is known
-     0 B/pkt, so the whole budget is charged to the timed side *)
-  let timed_alloc = (a1 -. a0) /. float_of_int pipe_n in
-  Array.sort compare diffs;
-  let overhead = diffs.(rounds / 2) in
-  let plain_ns = !tot_plain *. 1e9 /. float_of_int pipe_n in
-  let timed_ns = !tot_timed *. 1e9 /. float_of_int pipe_n in
+    per_pkt (Unix.gettimeofday () -. t0)
+  in
+  Gc.full_major ();
+  let measured =
+    Array.init rounds (fun _ ->
+        let plain = run p_plain in
+        let timed = run p_timed in
+        (plain, timed))
+  in
+  let plain = median (Array.map fst measured)
+  and timed = median (Array.map snd measured)
+  and overhead = median (Array.map (fun (p, t) -> t -. p) measured) in
   Printf.printf
-    "(c) pipeline, 256 flows re-arming every packet (median of %d paired \
-     rounds)\n"
-    rounds;
-  Printf.printf "  no timeout clause:   %7.1f ns/pkt\n" plain_ns;
-  Printf.printf "  with timeout clause: %7.1f ns/pkt  (%.2f B/pkt)\n" timed_ns
-    timed_alloc;
-  Printf.printf "  timer overhead:      %7.1f ns/pkt amortized\n" overhead;
-  (* -- gates -- *)
-  let failures = ref [] in
-  let gate name ok = if not ok then failures := name :: !failures in
-  gate
-    (Printf.sprintf "wheel did not hold %d concurrent timers" n_flows)
-    million_armed;
-  gate "timer overhead > 15 ns/pkt amortized" (overhead <= 15.0);
-  gate "steady-state churn allocates (>= 1 B/op)" (churn_alloc < 1.0);
-  gate "timed pipeline allocates (>= 1 B/pkt steady state)"
-    (timed_alloc < 1.0);
-  (* -- machine-readable dump -- *)
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"experiment\": \"e19\",\n";
-  Printf.bprintf buf "  \"quick\": %b,\n" !quick;
-  Printf.bprintf buf "  \"armed_flows\": %d,\n" n_flows;
-  Printf.bprintf buf "  \"wheel\": {\n";
-  Printf.bprintf buf "    \"first_arm_ns\": %.1f,\n" arm_ns;
-  Printf.bprintf buf "    \"churn_ns\": %.1f,\n" churn_ns;
-  Printf.bprintf buf "    \"churn_alloc_b_per_op\": %.2f,\n" churn_alloc;
-  Printf.bprintf buf "    \"drain_ns_per_expiry\": %.1f,\n" drain_ns;
-  Printf.bprintf buf "    \"expired\": %d,\n" !fired;
-  Printf.bprintf buf "    \"cascaded\": %d\n" (Engine.Wheel.cascaded w);
-  Buffer.add_string buf "  },\n";
-  Printf.bprintf buf "  \"pipeline\": {\n";
-  Printf.bprintf buf "    \"packets\": %d,\n" pipe_n;
-  Printf.bprintf buf "    \"plain_ns_per_pkt\": %.1f,\n" plain_ns;
-  Printf.bprintf buf "    \"timed_ns_per_pkt\": %.1f,\n" timed_ns;
-  Printf.bprintf buf "    \"timed_alloc_b_per_pkt\": %.2f,\n" timed_alloc;
-  Printf.bprintf buf "    \"timer_overhead_ns_per_pkt\": %.1f\n" overhead;
-  Buffer.add_string buf "  },\n";
-  Buffer.add_string buf "  \"gates\": {\n";
-  Printf.bprintf buf "    \"concurrent_armed_flows\": %b,\n" million_armed;
-  Printf.bprintf buf "    \"timer_overhead_le_15ns\": %b,\n"
-    (overhead <= 15.0);
-  Printf.bprintf buf "    \"churn_alloc_b_per_op_lt_1\": %b,\n"
-    (churn_alloc < 1.0);
-  Printf.bprintf buf "    \"pipeline_alloc_b_per_pkt_lt_1\": %b\n"
-    (timed_alloc < 1.0);
-  Buffer.add_string buf "  }\n}\n";
-  let path = "BENCH_E19.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "\n(wrote %s)\n" path;
-  (match !failures with
-  | [] -> ()
-  | fs ->
-    List.iter (fun f -> Printf.eprintf "bench e19: GATE FAILED: %s\n" f) fs;
-    exit 1);
+    "pipeline, 256 flows re-arming every packet, %d paired rounds of %d packets \
+     per side (medians):\n"
+    rounds (slice * 256);
+  Printf.printf "  no timeout clause:   %7.1f ns/pkt\n" plain;
+  Printf.printf "  with timeout clause: %7.1f ns/pkt\n" timed;
+  Printf.printf "  timer overhead:      %7.1f ns/pkt\n" overhead;
+  report "e19"
+    [ { name = Printf.sprintf "timer overhead <= 15 ns/pkt (median of %d pairs)" rounds;
+        pass = overhead <= 15.0;
+        detail = Printf.sprintf "%.1f ns/pkt; plain %.1f, timed %.1f" overhead plain timed } ]
+    (Array.to_list
+       (Array.mapi
+          (fun r (p, t) ->
+            [ ("round", string_of_int r); ("plain_ns_per_pkt", f1 p);
+              ("timed_ns_per_pkt", f1 t); ("overhead_ns_per_pkt", f1 (t -. p)) ])
+          measured));
   print_endline
-    "\nRESULT shape: the wheel holds a million concurrent deadlines in flat\n\
-     int arrays — arm, re-arm and cancel are O(1) pointer splices, so full-\n\
-     occupancy churn runs at memory speed and allocates nothing.  Draining\n\
-     the whole population cascades entries down the levels a handful of\n\
-     times each.  Through the pipeline, a DSL timeout clause costs one\n\
-     packed-word read and a signature check per accepted packet — deadlines\n\
-     are tick-quantized, so a re-arm inside the same tick is idempotent and\n\
-     skips the wheel entirely; the splice happens once per tick per flow —\n\
-     within the 15 ns/pkt amortized budget, 0 B/pkt at steady state — so\n\
-     per-flow retransmission deadlines ride the fast path instead of a heap."
+    "\nRESULT shape: a DSL timeout clause costs one packed-word read and a\n\
+     signature check per accepted packet: deadlines are tick-quantized, so a\n\
+     re-arm inside the same tick is idempotent and skips the wheel; the\n\
+     splice happens once per tick per flow, within the 15 ns/pkt budget."
 
 (* ------------------------------------------------------------------ *)
-(* E20: batched kernel I/O.  e16 showed that once the kernel round trip
-   is in the loop, syscalls — not parsing — dominate the socket path.
-   This experiment prices the fix: recvmmsg/sendmmsg over preallocated
-   arrays pointing straight into leased slab runs, behind a persistent
+(* E20: batched kernel I/O.  recvmmsg/sendmmsg over preallocated arrays
+   pointing straight into leased slab runs, behind a persistent
    edge-triggered epoll, against the legacy select + recvfrom/sendto
-   loop those numbers were measured on.  Correctness first (the e16
-   mutant soak rerun through the batched path, 0 disagreements), then
-   the paired blast with three gates: >= 2x packets/s over legacy,
-   0 B/pkt on the server's rx/tx loops, and < 0.5 syscalls/pkt at
-   batch >= 8. *)
+   loop.  A closed-loop blast runs through each, in rounds that alternate
+   which loop goes first, so host noise lands on both sides of every
+   pair; the gated statistic is the best batch size's median of per-round
+   mmsg/legacy ratios. *)
 
 let e20 () =
   section "e20"
-    "batched kernel I/O: recvmmsg/sendmmsg + persistent epoll vs the legacy \
-     loop"
-    "position: DSL overhead must not hide at the syscall boundary; e16's \
-     socket/engine gap, closed";
+    "batched kernel I/O: recvmmsg/sendmmsg + persistent epoll vs the legacy loop"
+    "position: DSL overhead must not hide at the syscall boundary";
   if not (Net.Mmsg.available () && Net.Mmsg.Epoll.available ()) then begin
     Printf.eprintf
-      "bench e20: the recvmmsg/epoll stubs report unavailable on this \
-       kernel (or NETDSL_NO_MMSG is set); nothing to measure\n";
+      "bench e20: the recvmmsg/epoll stubs report unavailable on this kernel (or \
+       NETDSL_NO_MMSG is set); nothing to measure\n";
     exit 1
   end;
   let cores = Domain.recommended_domain_count () in
+  (* the ARQ responder: data frames are the machine's "ok" event, flows
+     are keyed by seq, and each data frame is answered by patching
+     kind -> ack in place *)
   let flight =
     Engine.Flight.(
       spec
         ~verify:(Cmp (Lt, Field "seq", Const 256L))
-        ~classify:
-          [ { ev_when = Cmp (Eq, Field "kind", Const 0L); ev_name = "ok" } ]
+        ~classify:[ { ev_when = Cmp (Eq, Field "kind", Const 0L); ev_name = "ok" } ]
         ~flow_key:"seq"
         ~respond:
           [ { re_when = Cmp (Eq, Field "kind", Const 0L);
@@ -2199,313 +831,110 @@ let e20 () =
         ())
   in
   let machine = Arq_fsm.receiver ~seq_bits:8 in
-  let arq_data ~seq payload =
-    Formats.Arq.to_bytes (Formats.Arq.Data { seq; payload })
-  in
-  let failures = ref [] in
-  let gate name ok detail =
-    Printf.printf "  GATE %-34s %s  (%s)\n" name
-      (if ok then "PASS" else "FAIL")
-      detail;
-    if not ok then failures := name :: !failures
-  in
-  (* -- (a) correctness: the e16 mutant-laced soak, rerun with
-     the server forced onto the batched drain/flush path.  Same stream
-     shape, same in-memory reference executor, same demand: every reply
-     byte-identical, every rejected packet silent. -- *)
-  let soak_n = if !quick then 30_000 else 200_000 in
-  let plan = Check.Mutate.plan Formats.Arq.format in
-  let rng = Prng.of_int 20260808 in
-  let soak_packets i =
-    let seq = i land 0xFF in
-    let valid =
-      if i mod 7 = 0 then Formats.Arq.to_bytes (Formats.Arq.Ack { seq })
-      else arq_data ~seq (String.make (i mod 64) 'p')
-    in
-    if i mod 4 = 3 then
-      Check.Mutate.apply (Check.Mutate.random plan rng valid) valid
-    else valid
-  in
-  let soak =
-    match
-      Check.Loopback.soak ~machine ~flight
-        ~io:Net.Server.Mmsg ~io_batch:32 ~packets:soak_packets ~count:soak_n
-        Formats.Arq.format
-    with
-    | Error e ->
-      Printf.eprintf "bench e20: soak failed to start: %s\n" e;
-      exit 1
-    | Ok r ->
-      if r.Check.Loopback.disagreements > 0 then begin
-        Printf.eprintf "bench e20: %d socket/memory disagreement(s):\n%s\n"
-          r.Check.Loopback.disagreements
-          (Option.value ~default:"?" r.Check.Loopback.first_disagreement);
-        exit 1
-      end;
-      (* exact accounting: the kernel pre-filter drops what the cBPF
-         interpreter predicts, and the server processes the rest *)
-      let predicted = r.Check.Loopback.filtered in
-      if r.Check.Loopback.server_processed <> soak_n - predicted then begin
-        Printf.eprintf
-          "bench e20: soak processed %d of %d packets, %d predicted filtered\n"
-          r.Check.Loopback.server_processed soak_n predicted;
-        exit 1
-      end;
-      if r.Check.Loopback.net.Net.Stats.kernel_drops <> predicted then begin
-        Printf.eprintf "bench e20: kernel dropped %d packets, %d predicted\n"
-          r.Check.Loopback.net.Net.Stats.kernel_drops predicted;
-        exit 1
-      end;
-      r
-  in
-  Printf.printf
-    "(a) mutant soak through the batched path (e16's stream, mmsg server):\n\
-    \  %d packets (1 in 4 a structure-aware mutant), %d expected replies,\n\
-    \  %d received, 0 disagreements — the batch drain preserves arrival\n\
-    \  order into the slab, so the differential oracle cannot tell the\n\
-    \  two receive loops apart; the kernel pre-filter dropped %d, as\n\
-    \  predicted, and %d reached the server\n\n"
-    soak_n soak.Check.Loopback.expected_replies soak.Check.Loopback.replies
-    soak.Check.Loopback.filtered soak.Check.Loopback.server_processed;
-  (* -- (b) the paired blast: the legacy loop against the batched
-     server+client at increasing batch sizes, in rounds that alternate
-     which loop goes first, so host noise lands on both sides of every
-     pair.  Window is identical across rows so only the I/O flavor
-     moves. -- *)
   let n = if !quick then 20_000 else 200_000 in
-  let window = 256 in
-  let payload = 64 in
+  let window = 256 and payload = 64 in
   let rounds = if !quick then 3 else 5 in
-  (* precomputed: a client that allocates per packet throttles itself and
-     lets server flows idle into timer expiries — the blast should measure
-     the receive loops under pressure, not the client's garbage *)
+  let batches = if !quick then [ 8; 32 ] else [ 8; 16; 32; 64 ] in
+  (* precomputed: a client that allocates per packet throttles itself *)
   let pre =
-    Array.init 256 (fun seq -> arq_data ~seq (String.make payload 'x'))
+    Array.init 256 (fun seq ->
+        Formats.Arq.to_bytes (Formats.Arq.Data { seq; payload = String.make payload 'x' }))
   in
-  let packets i = pre.(i land 0xFF) in
-  let blast ~io ~io_batch =
+  let blast io io_batch =
     match
-      Check.Loopback.blast ~machine ~flight ~io
-        ~io_batch ~window ~packets ~count:n Formats.Arq.format
+      Check.Loopback.blast ~machine ~flight ~io ~io_batch ~window
+        ~packets:(fun i -> pre.(i land 0xFF))
+        ~count:n Formats.Arq.format
     with
     | Error e ->
       Printf.eprintf "bench e20: blast failed: %s\n" e;
       exit 1
     | Ok r ->
-      let st = r.Check.Loopback.net in
-      let pkts = st.Net.Stats.rx_pkts + st.Net.Stats.tx_pkts in
-      let spp =
-        if pkts > 0 then
-          float_of_int st.Net.Stats.syscalls /. float_of_int pkts
-        else 0.
-      in
-      let rate =
-        if r.Check.Loopback.elapsed_s > 0. then
-          float_of_int r.Check.Loopback.replies /. r.Check.Loopback.elapsed_s
-        else 0.
-      in
-      (rate, r.Check.Loopback.alloc_bytes_per_pkt, spp,
-       st.Net.Stats.hwm_pkts_per_syscall, r.Check.Loopback.replies,
-       st.Net.Stats.drops + st.Net.Stats.send_eagain)
-  in
-  let batches = if !quick then [ 8; 32 ] else [ 8; 16; 32; 64 ] in
-  let median xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    let k = Array.length a in
-    if k mod 2 = 1 then a.(k / 2) else (a.((k / 2) - 1) +. a.(k / 2)) /. 2.
+      if r.Check.Loopback.elapsed_s > 0. then
+        float_of_int r.Check.Loopback.replies /. r.Check.Loopback.elapsed_s
+      else 0.
   in
   Printf.printf
-    "(b) socket-path blast (%d packets, %dB payload, %d outstanding), %d \
-     rounds,\n\
-    \    legacy and mmsg in alternating order; each pair's ratio is mmsg \
-     over\n\
-    \    the same round's legacy\n"
+    "socket-path blast (%d packets, %dB payload, %d outstanding), %d rounds, legacy\n\
+     and mmsg in alternating order; each ratio is mmsg over the same round's legacy\n"
     n payload window rounds;
-  (* one round: the legacy run and one run per batch size, legacy first
-     on even rounds and last on odd ones *)
+  (* one round: the legacy run and one run per batch size, legacy first on
+     even rounds and last on odd ones *)
   let round r =
-    let legacy () = blast ~io:Net.Server.Legacy ~io_batch:32 in
-    let mmsg () = List.map (fun b -> (b, blast ~io:Net.Server.Mmsg ~io_batch:b)) batches in
-    let l, m =
+    let mmsg () = List.map (fun b -> (b, blast Net.Server.Mmsg b)) batches in
+    let legacy, mmsg =
       if r mod 2 = 0 then
-        let l = legacy () in
+        let l = blast Net.Server.Legacy 32 in
         (l, mmsg ())
       else
         let m = mmsg () in
-        (legacy (), m)
+        (blast Net.Server.Legacy 32, m)
     in
-    let l_rate, _, _, _, _, _ = l in
+    let ratio rate = if legacy > 0. then rate /. legacy else 0. in
     Printf.printf "  round %d (%s first): legacy %.0f pkt/s" (r + 1)
-      (if r mod 2 = 0 then "legacy" else "mmsg") l_rate;
-    List.iter
-      (fun (b, (rate, _, _, _, _, _)) ->
-        Printf.printf ", batch %d %.0f (%.2fx)" b rate
-          (if l_rate > 0. then rate /. l_rate else 0.))
-      m;
+      (if r mod 2 = 0 then "legacy" else "mmsg")
+      legacy;
+    List.iter (fun (b, rate) -> Printf.printf ", batch %d %.0f (%.2fx)" b rate (ratio rate)) mmsg;
     print_newline ();
-    (l, m)
+    (legacy, List.map (fun (b, rate) -> (b, rate, ratio rate)) mmsg)
   in
-  let runs = List.init rounds round in
-  let legacy_runs = List.map fst runs in
-  let l_rate = median (List.map (fun (r, _, _, _, _, _) -> r) legacy_runs) in
-  let l_alloc = median (List.map (fun (_, a, _, _, _, _) -> a) legacy_runs) in
-  let l_spp = median (List.map (fun (_, _, s, _, _, _) -> s) legacy_runs) in
-  let l_hwm = List.fold_left (fun m (_, _, _, h, _, _) -> max m h) 0 legacy_runs in
-  let l_replies = List.fold_left (fun m (_, _, _, _, r, _) -> m + r) 0 legacy_runs in
-  let l_lost = List.fold_left (fun m (_, _, _, _, _, l) -> m + l) 0 legacy_runs in
-  Printf.printf
-    "  medians of the rounds; mmsg B/pkt and syscalls/pkt are the worst round's\n";
-  Printf.printf "  %-14s %12s %10s %13s %14s %8s\n" "io" "pkt/s" "B/pkt"
-    "syscalls/pkt" "hwm pkts/call" "speedup";
-  Printf.printf "  %-14s %12.0f %10.2f %13.2f %14d %7s\n" "legacy" l_rate
-    l_alloc l_spp l_hwm "1.00x";
-  let rows =
-    List.map
-      (fun b ->
-        let per_round =
-          List.map
-            (fun ((lr, _, _, _, _, _), m) ->
-              let (rate, alloc, spp, hwm, replies, lost) = List.assoc b m in
-              (rate, alloc, spp, hwm, replies, lost, if lr > 0. then rate /. lr else 0.))
-            runs
-        in
-        let rate = median (List.map (fun (r, _, _, _, _, _, _) -> r) per_round) in
-        let speedup = median (List.map (fun (_, _, _, _, _, _, s) -> s) per_round) in
-        (* the allocation and syscall gates hold for every round *)
-        let alloc = List.fold_left (fun m (_, a, _, _, _, _, _) -> max m a) 0. per_round in
-        let spp = List.fold_left (fun m (_, _, s, _, _, _, _) -> max m s) 0. per_round in
-        let hwm = List.fold_left (fun m (_, _, _, h, _, _, _) -> max m h) 0 per_round in
-        let replies = List.fold_left (fun m (_, _, _, _, r, _, _) -> m + r) 0 per_round in
-        let lost = List.fold_left (fun m (_, _, _, _, _, l, _) -> m + l) 0 per_round in
-        Printf.printf "  %-14s %12.0f %10.2f %13.2f %14d %7.2fx\n"
-          (Printf.sprintf "mmsg (batch %d)" b)
-          rate alloc spp hwm speedup;
-        (b, rate, alloc, spp, hwm, replies, lost, speedup, per_round))
-      batches
+  let runs = Array.init rounds round in
+  let median_ratio b =
+    median
+      (Array.map
+         (fun (_, ms) ->
+           let _, _, ratio = List.find (fun (b', _, _) -> b' = b) ms in
+           ratio)
+         runs)
   in
-  let oversubscribed = cores < 2 in
-  if oversubscribed then
-    Printf.printf
-      "  (client and server domains share %d core(s): rates measure the\n\
-      \   oversubscribed loopback round trip.  That stacks the deck\n\
-      \   against batching — the batched client is itself faster, feeding\n\
-      \   the shared core harder — so the speedup below is a floor, not a\n\
-      \   ceiling.)\n"
-      cores;
-  (* -- gates -- *)
-  print_newline ();
-  (* the gated statistic: the best batch size's median paired ratio *)
-  let best_speedup =
-    List.fold_left (fun m (_, _, _, _, _, _, _, s, _) -> max m s) 0. rows
+  let best, best_batch =
+    List.fold_left
+      (fun (best, bb) b ->
+        let m = median_ratio b in
+        Printf.printf "  batch %d: median ratio %.2fx\n" b m;
+        if m > best then (m, b) else (best, bb))
+      (0., 0) batches
   in
   (* The 2x bar assumes the client and server overlap on separate cores.
-     Time-shared on one core, both rows pay the same irreducible
-     kernel-per-datagram and engine cost per round trip — only syscall
-     entry/exit amortizes — which caps the observable ratio well under
-     2x (measured ~1.6-1.7x here) even when the server-side loop is
-     strictly better.  The floor below is set under that band so the
-     gate still proves batching wins materially on a 1-core box; the
-     caveat is printed above and recorded in the JSON. *)
-  let speedup_bar = if oversubscribed then 1.35 else 2.0 in
-  gate
-    (Printf.sprintf "mmsg >= %.2fx legacy pkts/s (median of %d pairs)" speedup_bar rounds)
-    (best_speedup >= speedup_bar)
-    (Printf.sprintf "best median %.2fx over a median %.0f pkt/s legacy%s" best_speedup
-       l_rate
-       (if oversubscribed then ", 1-core floor" else ""));
-  List.iter
-    (fun (b, _, alloc, spp, _, _, _, _, _) ->
-      gate
-        (Printf.sprintf "0 B/pkt on the mmsg loops (batch %d)" b)
-        (alloc <= 0.005)
-        (Printf.sprintf "%.4f B/pkt server-domain post-warmup" alloc);
-      if b >= 8 then
-        gate
-          (Printf.sprintf "< 0.5 syscalls/pkt (batch %d)" b)
-          (spp < 0.5)
-          (Printf.sprintf "%.3f syscalls/pkt" spp))
-    rows;
-  gate "soak disagreements = 0" (soak.Check.Loopback.disagreements = 0)
-    (Printf.sprintf "%d over %d packets" soak.Check.Loopback.disagreements
-       soak_n);
-  (* -- machine-readable dump -- *)
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Printf.bprintf buf "  \"experiment\": \"e20\",\n";
-  Printf.bprintf buf "  \"quick\": %b,\n" !quick;
-  Printf.bprintf buf "  \"cores_available\": %d,\n" cores;
-  Printf.bprintf buf "  \"single_core_caveat\": %b,\n" oversubscribed;
-  Buffer.add_string buf "  \"soak_mmsg\": {\n";
-  Printf.bprintf buf "    \"packets\": %d,\n" soak_n;
-  Printf.bprintf buf "    \"mutant_share\": 0.25,\n";
-  Printf.bprintf buf "    \"expected_replies\": %d,\n"
-    soak.Check.Loopback.expected_replies;
-  Printf.bprintf buf "    \"replies\": %d,\n" soak.Check.Loopback.replies;
-  Printf.bprintf buf "    \"disagreements\": %d,\n"
-    soak.Check.Loopback.disagreements;
-  Printf.bprintf buf "    \"kernel_filtered\": %d\n" soak.Check.Loopback.filtered;
-  Buffer.add_string buf "  },\n";
-  Printf.bprintf buf "  \"speedup_bar\": %.2f,\n" speedup_bar;
-  Printf.bprintf buf "  \"blast_packets\": %d,\n" n;
-  Printf.bprintf buf "  \"payload_bytes\": %d,\n" payload;
-  Printf.bprintf buf "  \"window\": %d,\n" window;
-  Printf.bprintf buf "  \"rounds\": %d,\n" rounds;
-  Printf.bprintf buf "  \"speedup_statistic\": \"best batch's median of per-round mmsg/legacy ratios\",\n";
-  Printf.bprintf buf
-    "  \"legacy\": {\"pkts_per_s\": %.0f, \"alloc_b_per_pkt\": %.2f, \
-     \"syscalls_per_pkt\": %.3f, \"replies\": %d, \"lost\": %d, \
-     \"pkts_per_s_rounds\": [%s]},\n"
-    l_rate l_alloc l_spp l_replies l_lost
-    (String.concat ", "
-       (List.map (fun (r, _, _, _, _, _) -> Printf.sprintf "%.0f" r) legacy_runs));
-  Buffer.add_string buf "  \"mmsg\": [\n";
-  List.iteri
-    (fun i (b, rate, alloc, spp, hwm, replies, lost, speedup, per_round) ->
-      Printf.bprintf buf
-        "    {\"io_batch\": %d, \"pkts_per_s\": %.0f, \"speedup\": %.2f, \
-         \"alloc_b_per_pkt\": %.4f, \"syscalls_per_pkt\": %.3f, \
-         \"hwm_pkts_per_syscall\": %d, \"replies\": %d, \"lost\": %d, \
-         \"speedup_rounds\": [%s]}%s\n"
-        b rate speedup alloc spp hwm replies lost
-        (String.concat ", "
-           (List.map (fun (_, _, _, _, _, _, s) -> Printf.sprintf "%.2f" s) per_round))
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Buffer.add_string buf "  ],\n";
-  Printf.bprintf buf "  \"gates_failed\": %d\n" (List.length !failures);
-  Buffer.add_string buf "}\n";
-  let path = "BENCH_E20.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "\n(wrote %s)\n" path;
-  (match !failures with
-  | [] -> ()
-  | fs ->
-    List.iter (fun f -> Printf.eprintf "bench e20: GATE FAILED: %s\n" f) fs;
-    exit 1);
+     Time-shared on one core, both loops pay the same kernel-per-datagram
+     and engine cost per round trip and only syscall entry/exit
+     amortizes, which caps the observable ratio well under 2x (~1.6-1.7x
+     measured); the floor is set under that band. *)
+  let bar = if cores < 2 then 1.35 else 2.0 in
+  report "e20"
+    [ { name = Printf.sprintf "mmsg >= %.2fx legacy pkts/s (median of %d pairs)" bar rounds;
+        pass = best >= bar;
+        detail =
+          Printf.sprintf "best median %.2fx at batch %d over a median %.0f pkt/s legacy%s"
+            best best_batch
+            (median (Array.map fst runs))
+            (if cores < 2 then ", 1-core floor" else "") } ]
+    (List.concat
+       (Array.to_list
+          (Array.mapi
+             (fun r (legacy, ms) ->
+               [ ("round", string_of_int r); ("io", "\"legacy\"");
+                 ("pkts_per_s", Printf.sprintf "%.0f" legacy) ]
+               :: List.map
+                    (fun (b, rate, ratio) ->
+                      [ ("round", string_of_int r); ("io", "\"mmsg\"");
+                        ("io_batch", string_of_int b);
+                        ("pkts_per_s", Printf.sprintf "%.0f" rate);
+                        ("ratio", Printf.sprintf "%.2f" ratio) ])
+                    ms)
+             runs)));
   print_endline
     "\nRESULT shape: one recvmmsg fills a leased run of slab slots and one\n\
-     sendmmsg flushes the staged replies, so the kernel round trips that\n\
-     dominated e16 amortize across the batch — syscalls/pkt collapses\n\
-     below 0.5 and the socket path clears the legacy rate by the bar\n\
-     above (2x with cores to overlap on; the 1-core floor otherwise) —\n\
-     while\n\
-     the server's receive and transmit loops allocate nothing per packet:\n\
-     even the per-recvfrom sockaddr boxing e16 reported is gone, the\n\
-     kernel writing source addresses into preallocated C slots instead.\n\
-     The differential soak pins the semantics: batch drain preserves\n\
-     arrival order, so the batched server is byte-for-byte the per-packet\n\
-     server, only cheaper."
+     sendmmsg flushes the staged replies, so the per-datagram kernel round\n\
+     trips of the legacy loop amortize across the batch and the socket\n\
+     path clears the legacy rate by the bar above (2x with cores to overlap\n\
+     on; the 1-core floor otherwise)."
 
 let experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5);
     ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10);
-    ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
-    ("e16", e16); ("e17", e17); ("e18", e18); ("e19", e19); ("e20", e20);
-    ("ablate", ablate);
+    ("e19", e19); ("e20", e20); ("ablate", ablate);
   ]
 
 let () =

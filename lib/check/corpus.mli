@@ -21,7 +21,7 @@ type t
 
 val shipped : (string * Netdsl_format.Desc.t) list
 (** Every format the repository ships, by [format_name] — the fuzzing
-    matrix of the test suite, bench e14 and CI. *)
+    matrix of the test suite and CI. *)
 
 val find_shipped : string -> Netdsl_format.Desc.t option
 

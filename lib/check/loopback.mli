@@ -18,7 +18,7 @@
     run (its minor words by [Gc.minor_words] plus its direct major
     allocations, before/after the measured run, divided by packets
     processed — allocation by the client domain, and the collections it
-    triggers, do not count): the engine side stays at 0 B/pkt (bench e15),
+    triggers, do not count): the engine side stays at 0 B/pkt (the engine tests gate it),
     so what remains is the [Unix] syscall wrapper — the per-[recvfrom]
     [sockaddr] boxing — reported honestly, not hidden. *)
 

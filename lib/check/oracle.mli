@@ -95,7 +95,7 @@ val checked : t -> int
 
 val accepted : t -> int
 (** Messages the codec accepted (and every path with it) — the accept
-    side of the split that bench e14 reports. *)
+    side of the split the fuzz statistics report. *)
 
 val filtered : t -> int
 (** Rejected messages the kernel pre-filter drops as well — the share of

@@ -545,8 +545,9 @@ let poll_timers t =
       t.expiry_refused <- 0;
       let fired = Wheel.advance w ~now:target t.expiry_cb in
       let refused = t.expiry_refused in
-      if fired > 0 || refused > 0 then
-        Stats.record_batch t.stats st_step ~packets:(fired + refused) ~bytes:0
+      (* [fired] counts the refused expiries too *)
+      if fired > 0 then
+        Stats.record_batch t.stats st_step ~packets:fired ~bytes:0
           ~rejects:refused ~elapsed_ns:(t.now_ns () - t0);
       sync_timer_stats t;
       fired

@@ -7,7 +7,8 @@
 
     - {!inet_tftp} — Ethernet → IPv4 (proto 17) → UDP (dst port 69) →
       TFTP: the realistic internet-facing request path, and the 4-layer
-      chain experiment E17 prices.
+      chain whose fused decode the stack tests gate against the
+      per-layer reference.
     - {!eth_arp} — Ethernet → ARP (ethertype 0x0806): the shortest chain,
       terminal layer fully linear.
     - {!ipv4_icmp} — IPv4 (proto 1) → ICMP: a chain ending in a

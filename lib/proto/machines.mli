@@ -5,7 +5,7 @@
     paper's §3.4 datatype style — registers for sequence counters and
     retry budgets, guards for window occupancy, wrap-on-assign for
     sequence arithmetic.  They serve as equivalence fixtures for the
-    [Step ≡ Interp] property suite and as workloads for bench E13, so
+    [Step ≡ Interp] property suite and as workloads for the trace fuzz, so
     they deliberately exercise every construct the guard language has:
     modular window arithmetic, complementary guards on one event, and
     registers that wrap.
@@ -52,4 +52,4 @@ val all : (string * Netdsl_fsm.Machine.t) list
 (** Every shipped protocol machine under a stable name: the five {!Abp}
     machines, {!Arq_fsm} sender and receiver at 3 sequence bits, and the
     three machines above at their defaults.  The [Step ≡ Interp] suite
-    and bench E13 iterate this list. *)
+    and the trace fuzz iterate this list. *)

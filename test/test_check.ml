@@ -62,20 +62,30 @@ let zero_iters_case (name, fmt) =
         if stats.Ck.Fuzz.ws_mutants < 2 then
           Alcotest.failf "only %d seeds checked at iters=0" stats.Ck.Fuzz.ws_mutants)
 
-(* The main property: a few hundred structure-aware mutants per format,
-   zero disagreements between Codec, the compiled plan, the Pipelines and
-   the kernel pre-filter.  The
-   10k-per-format depth runs in CI via `netdsl fuzz`. *)
+(* The main property: structure-aware mutants per format, zero
+   disagreements between Codec, the compiled plan, the Pipelines and the
+   kernel pre-filter — a few hundred from the golden corpus, then the
+   seed-only stream at 2 000 mutants (20 000 in the [`Slow] case the
+   nightly job runs).  The 100k-per-format depth runs nightly via
+   `netdsl fuzz`. *)
+let fuzz_format ?golden ~iters fmt =
+  match Ck.Fuzz.run_format ?golden ~seed ~iters fmt with
+  | Error r -> fail_report r
+  | Ok stats ->
+    if stats.Ck.Fuzz.ws_mutants < iters then
+      Alcotest.failf "only %d mutants checked" stats.Ck.Fuzz.ws_mutants;
+    if stats.Ck.Fuzz.ws_accepted + stats.Ck.Fuzz.ws_rejected
+       <> stats.Ck.Fuzz.ws_mutants
+    then Alcotest.fail "accept/reject split does not sum to total"
+
 let fuzz_case (name, fmt) =
   Alcotest.test_case name `Quick (fun () ->
-      match Ck.Fuzz.run_format ~golden:(golden fmt) ~seed ~iters:400 fmt with
-      | Error r -> fail_report r
-      | Ok stats ->
-        if stats.Ck.Fuzz.ws_mutants < 400 then
-          Alcotest.failf "only %d mutants checked" stats.Ck.Fuzz.ws_mutants;
-        if stats.Ck.Fuzz.ws_accepted + stats.Ck.Fuzz.ws_rejected
-           <> stats.Ck.Fuzz.ws_mutants
-        then Alcotest.fail "accept/reject split does not sum to total")
+      fuzz_format ~golden:(golden fmt) ~iters:400 fmt;
+      fuzz_format ~iters:2_000 fmt)
+
+let fuzz_deep_case (name, fmt) =
+  Alcotest.test_case (name ^ " at depth") `Slow (fun () ->
+      fuzz_format ~iters:20_000 fmt)
 
 (* The seeded-bug sanity check [netdsl fuzz --plant-bug] runs on a format:
    inverting the compiled plan's accept verdict must be caught and shrunk
@@ -201,25 +211,35 @@ let chain_golden_case (name, stack) =
               f s)
         (Ck.Corpus.load_hex_file ("corpus/" ^ name ^ "-chain-malformed.hex")))
 
+(* The chain oracle over every shipped stack: the golden corpus at
+   seed 20260806, then the seed-only stream at seed 20260808 — 2 000
+   cross-layer mutants per stack, 34 000 in the [`Slow] case. *)
+let fuzz_chain ?golden ~seed ~iters (name, stack) =
+  match Ck.Fuzz.run_stack ?golden ~seed ~iters (name, stack) with
+  | Error r -> fail_report r
+  | Ok stats ->
+    if stats.Ck.Fuzz.cs_mutants < iters then
+      Alcotest.failf "only %d mutants checked" stats.Ck.Fuzz.cs_mutants;
+    if stats.Ck.Fuzz.cs_accepted = 0 then
+      Alcotest.failf "no mutant ever chain-decoded on %s — the fuzz is vacuous"
+        name;
+    if stats.Ck.Fuzz.cs_answered = 0 then
+      Alcotest.failf "no mutant was answered on %s — the reply leg is vacuous"
+        name;
+    if stats.Ck.Fuzz.cs_accepted + stats.Ck.Fuzz.cs_rejected
+       <> stats.Ck.Fuzz.cs_mutants
+    then Alcotest.fail "accept/reject split does not sum to total"
+
+let chain_seed = 20260808
+
 let chain_fuzz_case (name, stack) =
   Alcotest.test_case name `Quick (fun () ->
-      match
-        Ck.Fuzz.run_stack ~golden:(chain_golden name) ~seed ~iters:400
-          (name, stack)
-      with
-      | Error r -> fail_report r
-      | Ok stats ->
-        if stats.Ck.Fuzz.cs_mutants < 400 then
-          Alcotest.failf "only %d mutants checked" stats.Ck.Fuzz.cs_mutants;
-        if stats.Ck.Fuzz.cs_accepted = 0 then
-          Alcotest.failf "no mutant ever chain-decoded on %s — the fuzz is vacuous"
-            name;
-        if stats.Ck.Fuzz.cs_answered = 0 then
-          Alcotest.failf "no mutant was answered on %s — the reply leg is vacuous"
-            name;
-        if stats.Ck.Fuzz.cs_accepted + stats.Ck.Fuzz.cs_rejected
-           <> stats.Ck.Fuzz.cs_mutants
-        then Alcotest.fail "accept/reject split does not sum to total")
+      fuzz_chain ~golden:(chain_golden name) ~seed ~iters:400 (name, stack);
+      fuzz_chain ~seed:chain_seed ~iters:2_000 (name, stack))
+
+let chain_fuzz_deep_case (name, stack) =
+  Alcotest.test_case (name ^ " at depth") `Slow (fun () ->
+      fuzz_chain ~seed:chain_seed ~iters:34_000 (name, stack))
 
 (* Planted chain bug: inverting the fused chain's accept verdict — a
    deliberately flipped chained bounds check — must be caught by the
@@ -593,15 +613,24 @@ let compiled_path_zero_alloc () =
     Fm.Stacks.all;
   if !answered = 0 then Alcotest.fail "nothing answered — the measurement is vacuous"
 
-(* Step vs Interp lock-step over every shipped machine. *)
+(* Step vs Interp lock-step over every shipped machine: 80 traces, then
+   200 (2 000 in the [`Slow] case). *)
+let fuzz_machine ~iters (name, m) =
+  match Ck.Fuzz.run_machine ~seed ~iters (name, m) with
+  | Error r -> fail_report r
+  | Ok stats ->
+    if stats.Ck.Trace_fuzz.traces = 0 then Alcotest.fail "no traces executed";
+    if stats.Ck.Trace_fuzz.fired = 0 then
+      Alcotest.failf "no event ever fired on %s — the fuzz is vacuous" name
+
 let trace_case (name, m) =
   Alcotest.test_case name `Quick (fun () ->
-      match Ck.Fuzz.run_machine ~seed ~iters:80 (name, m) with
-      | Error r -> fail_report r
-      | Ok stats ->
-        if stats.Ck.Trace_fuzz.traces = 0 then Alcotest.fail "no traces executed";
-        if stats.Ck.Trace_fuzz.fired = 0 then
-          Alcotest.failf "no event ever fired on %s — the fuzz is vacuous" name)
+      fuzz_machine ~iters:80 (name, m);
+      fuzz_machine ~iters:200 (name, m))
+
+let trace_deep_case (name, m) =
+  Alcotest.test_case (name ^ " at depth") `Slow (fun () ->
+      fuzz_machine ~iters:2_000 (name, m))
 
 let planted_trace_bug () =
   let target = List.hd Netdsl_proto.Machines.all in
@@ -651,8 +680,9 @@ let filter_sound_case (name, fmt) =
         | None -> ()
         | Some d -> Alcotest.failf "%s: %s" name d))
 
-(* bench e16's soak stream (arq-hostile's too): 1 in 7 an ACK, payloads
-   0-63 B, 1 in 4 a structure-aware mutant *)
+(* the hostile soak stream of the net.loopback tests (arq-hostile's
+   too): 1 in 7 an ACK, payloads 0-63 B, 1 in 4 a structure-aware
+   mutant *)
 let e16_stream ~seed ~n =
   let fmt = Fm.Arq.format in
   let plan = Ck.Mutate.plan fmt in
@@ -885,7 +915,8 @@ let steering_refusals () =
 let suite =
   [ ("check.golden", List.map golden_case Ck.Corpus.shipped);
     ("check.zero_iters", List.map zero_iters_case Ck.Corpus.shipped);
-    ("check.fuzz", List.map fuzz_case Ck.Corpus.shipped);
+    ( "check.fuzz",
+      List.map fuzz_case Ck.Corpus.shipped @ List.map fuzz_deep_case Ck.Corpus.shipped );
     ( "check.self",
       [ Alcotest.test_case "planted wire bug caught+shrunk" `Quick planted_wire_bug;
         Alcotest.test_case "planted fusion bug caught+shrunk" `Quick
@@ -913,7 +944,8 @@ let suite =
         Alcotest.test_case "refusals and the arq program" `Quick
           steering_refusals ] );
     ("check.chain_golden", List.map chain_golden_case Fm.Stacks.all);
-    ("check.chain", List.map chain_fuzz_case Fm.Stacks.all);
+    ( "check.chain",
+      List.map chain_fuzz_case Fm.Stacks.all @ List.map chain_fuzz_deep_case Fm.Stacks.all );
     ( "check.chain_self",
       [ Alcotest.test_case "chained corpus seeds decode" `Quick chain_seeds_decode;
         Alcotest.test_case "planted chain bug caught" `Quick planted_chain_bug ] );
@@ -927,4 +959,6 @@ let suite =
         Alcotest.test_case "compiled path allocates nothing" `Quick
           compiled_path_zero_alloc ] );
     ("check.stack_reply_gen", List.map generated_chain_replies Fm.Stacks.all);
-    ("check.trace", List.map trace_case Netdsl_proto.Machines.all) ]
+    ( "check.trace",
+      List.map trace_case Netdsl_proto.Machines.all
+      @ List.map trace_deep_case Netdsl_proto.Machines.all ) ]

@@ -520,6 +520,13 @@ let pipeline_machine_flows () =
     check_bool "stepped" true (Testutil.process tw (arq_data ~seq "d") = Accepted)
   done;
   check_int "one machine per flow" 5 (Pipeline.flow_count tw.pipe);
+  (* a batch over 64 flows: every packet counted at decode, none rejected *)
+  let batch = Array.init 64 (fun seq -> arq_data ~seq (String.make 256 'x')) in
+  Testutil.process_batch tw batch 64;
+  let st = Pipeline.stats tw.pipe in
+  check_int "decode counts every packet" 69 (Stats.stage_packets st 0);
+  let _, _, rejects = Stats.totals st in
+  check_int "no stage rejects" 0 rejects;
   Testutil.finish tw
 
 let pipeline_batch_matches_singles () =
@@ -793,24 +800,43 @@ let pipeline_classify_id_fast_path () =
 
 (* The lock-step property: one flight spec, the pipeline and the
    reference executor, identical mixed traffic — per-packet outcomes,
-   reply bytes and every stage counter must agree exactly. *)
-let fused_matches_reference () =
+   reply bytes and every stage counter must agree exactly.  The ARQ mixed
+   stream: a quarter acks, a quarter structure-aware mutants (mostly
+   rejects, some accepts), the rest data frames with payloads under
+   [max_payload] bytes, over the 256 sequence numbers as flows. *)
+let arq_lockstep ?config ~seed ~max_payload n =
   let machine = Netdsl_proto.Arq_fsm.receiver ~seq_bits:8 in
-  let tw = Testutil.twin ~flight:arq_flight ~machine Fm.Arq.format in
-  let rng = Prng.of_int 77 in
-  for i = 1 to 1000 do
+  let tw = Testutil.twin ?config ~flight:arq_flight ~machine Fm.Arq.format in
+  let rng = Prng.of_int seed in
+  for i = 1 to n do
     let pkt =
       match Prng.int rng 4 with
       | 0 -> Fm.Arq.to_bytes (Fm.Arq.Ack { seq = i land 0xFF })
-      | 1 ->
-        (* structure-aware mutants: mostly rejects, some accepts *)
-        Netdsl_format.Gen.mutate rng ~flips:2 (arq_data ~seq:(i land 0xFF) "mm")
-      | _ -> arq_data ~seq:(i land 0xFF) (String.make (Prng.int rng 20) 'p')
+      | 1 -> Netdsl_format.Gen.mutate rng ~flips:2 (arq_data ~seq:(i land 0xFF) "mm")
+      | _ -> arq_data ~seq:(i land 0xFF) (String.make (Prng.int rng max_payload) 'p')
     in
     ignore (Testutil.process tw pkt)
   done;
   check_bool "some replies" true (!(tw.Testutil.fused_replies) <> []);
-  Testutil.finish tw
+  Testutil.finish tw;
+  Stats.evicted_flows (Pipeline.stats tw.Testutil.pipe)
+
+(* The stream at seed 20260806 with payloads under 64 B: 5 000 packets
+   here, 50 000 in the [`Slow] case.  256 flows never fill the default table, so the stream also runs
+   through a 64-flow table, where most data frames evict. *)
+let e15_lockstep n =
+  ignore (arq_lockstep ~seed:20260806 ~max_payload:64 n);
+  let evicted =
+    arq_lockstep
+      ~config:{ Pipeline.default_config with max_flows = 64 }
+      ~seed:20260806 ~max_payload:64 n
+  in
+  check_bool (Printf.sprintf "the 64-flow table evicts (%d)" evicted) true
+    (evicted > n / 10)
+
+let fused_matches_reference () =
+  ignore (arq_lockstep ~seed:77 ~max_payload:20 1000);
+  e15_lockstep 5_000
 
 let fused_verify_and_passthrough () =
   (* Fused semantics corners: the verify cond vetoes, acks pass through
@@ -1303,7 +1329,43 @@ let stack_pipeline_zero_alloc () =
   check_bool
     (Printf.sprintf "steady state allocates nothing (%.3f B/pkt)" per_pkt)
     true (per_pkt < 1.0);
-  check_int "every ack answered" (100 + n) !replies
+  check_int "every ack answered" (100 + n) !replies;
+  (* the batch-fed layered responder: every DATA frame answered by
+     patching ipv4.ttl inside its window, the covering checksum repaired
+     incrementally; 40 000 packets, at most 0.5 B/pkt *)
+  let flight =
+    Flight.spec
+      ~verify:(Flight.Cmp (Flight.Lt, Flight.Field "tftp.opcode", Flight.Const 6L))
+      ~flow_key:"udp.src_port"
+      ~respond:
+        [ { Flight.re_when = Flight.All [];
+            re_set = [ { Flight.set_field = "ipv4.ttl"; set_to = Flight.Const 7L } ] } ]
+      ()
+  in
+  let replies = ref 0 in
+  let p =
+    Pipeline.create ~stack:Fm.Stacks.inet_tftp ~flight
+      ~on_reply_slot:(fun _ _ _ -> incr replies)
+      Fm.Ethernet.format
+  in
+  let batch = Pipeline.default_config.batch in
+  let window =
+    Array.make batch (tftp_chain (Fm.Tftp.Data { block = 7; data = String.make 32 'd' }))
+  in
+  for _ = 0 to 4 do
+    Pipeline.process_batch p window batch
+  done;
+  Gc.full_major ();
+  let batches = 40_000 / batch in
+  let a0 = Gc.allocated_bytes () in
+  for _ = 1 to batches do
+    Pipeline.process_batch p window batch
+  done;
+  let per_pkt = (Gc.allocated_bytes () -. a0) /. float_of_int (batches * batch) in
+  check_bool
+    (Printf.sprintf "ttl-patch responder allocates nothing (%.3f B/pkt)" per_pkt)
+    true (per_pkt <= 0.5);
+  check_int "every data frame answered" ((batches + 5) * batch) !replies
 
 (* The serve benchmark's tftp-flows engine: swt_sender, whose DATA
    ([send]) arms a 150 ms retransmission timer and whose ACK cancels it,
@@ -1774,6 +1836,8 @@ let suite =
           pipeline_classify_id_fast_path ] );
     ( "engine.flight",
       [ Alcotest.test_case "fused = reference lock-step" `Quick fused_matches_reference;
+        Alcotest.test_case "fused = reference lock-step at depth" `Slow (fun () ->
+            e15_lockstep 50_000);
         Alcotest.test_case "verify veto and pass-through" `Quick
           fused_verify_and_passthrough;
         Alcotest.test_case "decode error recovered" `Quick

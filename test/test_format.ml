@@ -925,9 +925,9 @@ let suite =
         Alcotest.test_case "variant tags consistent" `Quick test_generate_variant_tags_consistent;
         Alcotest.test_case "unsupported reported" `Quick test_generate_unsupported;
         Alcotest.test_case "truncation rejected" `Quick test_truncation_rejected;
-        QCheck_alcotest.to_alcotest (prop_roundtrip arq_packet "format: ARQ generate/encode/decode roundtrip");
-        QCheck_alcotest.to_alcotest prop_canonical_idempotent;
-        QCheck_alcotest.to_alcotest prop_single_bitflip_on_checksummed_header;
+        Testutil.qcheck (prop_roundtrip arq_packet "format: ARQ generate/encode/decode roundtrip");
+        Testutil.qcheck prop_canonical_idempotent;
+        Testutil.qcheck prop_single_bitflip_on_checksummed_header;
       ] );
   ]
 
@@ -1036,7 +1036,7 @@ let framer_suite =
       Alcotest.test_case "coalesced burst" `Quick test_framer_coalesced;
       Alcotest.test_case "bad frame does not poison" `Quick test_framer_bad_frame_does_not_poison;
       Alcotest.test_case "oversized resyncs" `Quick test_framer_oversized_resyncs;
-      QCheck_alcotest.to_alcotest prop_framer_chunking_invariant;
+      Testutil.qcheck prop_framer_chunking_invariant;
     ] )
 
 let suite = suite @ [ framer_suite ]
@@ -1416,10 +1416,10 @@ let prop_random_desc_printer_roundtrip =
 let meta_suite =
   ( "format.meta",
     [
-      QCheck_alcotest.to_alcotest prop_random_desc_well_formed;
-      QCheck_alcotest.to_alcotest prop_random_desc_roundtrip;
-      QCheck_alcotest.to_alcotest prop_random_desc_abnf_total;
-      QCheck_alcotest.to_alcotest prop_random_desc_printer_roundtrip;
+      Testutil.qcheck prop_random_desc_well_formed;
+      Testutil.qcheck prop_random_desc_roundtrip;
+      Testutil.qcheck prop_random_desc_abnf_total;
+      Testutil.qcheck prop_random_desc_printer_roundtrip;
     ] )
 
 let suite = suite @ [ meta_suite ]

@@ -330,22 +330,22 @@ let robustness_cases =
   let golden_ipv4 = Hex.of_hex golden_ipv4_header ^ String.make 40 '\000' in
   let golden_arq = Arq.to_bytes (Arq.Data { seq = 3; payload = "robust" }) in
   [
-    QCheck_alcotest.to_alcotest
+    Testutil.qcheck
       (prop_decode_never_raises Ipv4.format "formats: ipv4 decode total on junk");
-    QCheck_alcotest.to_alcotest
+    Testutil.qcheck
       (prop_decode_never_raises Tcp.format "formats: tcp decode total on junk");
-    QCheck_alcotest.to_alcotest
+    Testutil.qcheck
       (prop_decode_never_raises Icmp.format "formats: icmp decode total on junk");
-    QCheck_alcotest.to_alcotest
+    Testutil.qcheck
       (prop_decode_never_raises Dns.format "formats: dns decode total on junk");
-    QCheck_alcotest.to_alcotest
+    Testutil.qcheck
       (prop_decode_never_raises Tlv.format "formats: tlv decode total on junk");
-    QCheck_alcotest.to_alcotest
+    Testutil.qcheck
       (prop_decode_never_raises Arq.format "formats: arq decode total on junk");
-    QCheck_alcotest.to_alcotest
+    Testutil.qcheck
       (prop_mutated_golden_never_raises Ipv4.format golden_ipv4
          "formats: ipv4 decode total on mutants");
-    QCheck_alcotest.to_alcotest
+    Testutil.qcheck
       (prop_mutated_golden_never_raises Arq.format golden_arq
          "formats: arq decode total on mutants");
   ]
@@ -492,7 +492,7 @@ let pcap_suite =
       Alcotest.test_case "bad magic rejected" `Quick test_pcap_rejects_bad_magic;
       Alcotest.test_case "lying incl_len rejected" `Quick test_pcap_rejects_lying_incl_len;
       Alcotest.test_case "bad microseconds rejected" `Quick test_pcap_rejects_bad_usec;
-      QCheck_alcotest.to_alcotest
+      Testutil.qcheck
         (prop_decode_never_raises Pcap.format "formats: pcap decode total on junk");
     ] )
 
@@ -577,7 +577,7 @@ let tftp_suite =
       Alcotest.test_case "missing terminator rejected" `Quick test_tftp_missing_terminator_rejected;
       Alcotest.test_case "bad opcode rejected" `Quick test_tftp_bad_opcode_rejected;
       Alcotest.test_case "spec matches library" `Quick test_tftp_spec_matches_library;
-      QCheck_alcotest.to_alcotest
+      Testutil.qcheck
         (prop_decode_never_raises Tftp.format "formats: tftp decode total on junk");
     ] )
 

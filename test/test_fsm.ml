@@ -734,9 +734,9 @@ let prop_tour_matches_tests =
 let random_suite =
   ( "fsm.random",
     [
-      QCheck_alcotest.to_alcotest prop_analysis_consistency;
-      QCheck_alcotest.to_alcotest prop_equiv_reflexive_random;
-      QCheck_alcotest.to_alcotest prop_tour_matches_tests;
+      Testutil.qcheck prop_analysis_consistency;
+      Testutil.qcheck prop_equiv_reflexive_random;
+      Testutil.qcheck prop_tour_matches_tests;
     ] )
 
 let suite = suite @ [ random_suite ]
@@ -929,8 +929,8 @@ let step_suite =
       Alcotest.test_case "refusal verdicts agree" `Quick step_refusal_verdicts;
       Alcotest.test_case "register wraparound" `Quick step_register_wraparound;
       Alcotest.test_case "instances independent" `Quick step_instance_independence;
-      QCheck_alcotest.to_alcotest prop_step_equiv_interp_shipped;
-      QCheck_alcotest.to_alcotest prop_step_equiv_interp_random;
+      Testutil.qcheck prop_step_equiv_interp_shipped;
+      Testutil.qcheck prop_step_equiv_interp_random;
     ] )
 
 let suite = suite @ [ step_suite ]

@@ -24,7 +24,7 @@ let arq_data ~seq payload = Fm.Arq.to_bytes (Fm.Arq.Data { seq; payload })
 (* Reply = the validated request, unchanged: valid for every format. *)
 let echo_flight = Flight.spec ~respond:[ { Flight.re_when = All []; re_set = [] } ] ()
 
-(* The ARQ responder of bench e15: verify, classify to "ok", key flows
+(* The ARQ responder: verify, classify to "ok", key flows
    by seq, answer data packets with an in-place kind:=ack patch. *)
 let arq_flight =
   Flight.spec
@@ -1392,26 +1392,16 @@ let filter_kernel_agrees () =
 (* ------------------------------------------------------------------ *)
 (* the socket oracle leg *)
 
-(* 5k structure-aware mutants (1 in 4 packets mutated) through a real
-   socket pair, every reply diffed byte-for-byte against the in-memory
-   reference executor: the smoke-sized version of bench
-   e16's soak. *)
-let loopback_soak_agrees () =
-  let rng = Prng.of_int 2026 in
-  let plan = Mutate.plan Fm.Arq.format in
-  let packets i =
-    let seq = i land 0xff in
-    let valid =
-      if i mod 7 = 0 then Fm.Arq.to_bytes (Fm.Arq.Ack { seq })
-      else arq_data ~seq (String.make (i mod 48) 'p')
-    in
-    if i mod 4 = 3 then Mutate.apply (Mutate.random plan rng valid) valid
-    else valid
-  in
+(* A mutant-laced ARQ soak through a real socket pair, every reply
+   diffed byte-for-byte against the in-memory reference executor: no
+   disagreement, the kernel pre-filter drops exactly what the cBPF
+   interpreter predicts, the server processes the rest, and every
+   expected reply arrives. *)
+let check_soak ?io ?io_batch ~count packets =
   match
     Loopback.soak
-      ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8) ~flight:arq_flight
-      ~packets ~count:5000 Fm.Arq.format
+      ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8) ~flight:arq_flight ?io
+      ?io_batch ~packets ~count Fm.Arq.format
   with
   | Error e -> Alcotest.fail e
   | Ok r ->
@@ -1421,58 +1411,56 @@ let loopback_soak_agrees () =
     check_int "0 disagreements" 0 r.Loopback.disagreements;
     check_bool "the filter drops some mutants" true (r.Loopback.filtered > 0);
     check_int "processed = sent - predicted filter drops"
-      (5000 - r.Loopback.filtered) r.Loopback.server_processed;
+      (count - r.Loopback.filtered) r.Loopback.server_processed;
     check_int "kernel drops = predicted filter drops" r.Loopback.filtered
       r.Loopback.net.Nstats.kernel_drops;
-    check_bool "some replies flowed" true (r.Loopback.expected_replies > 1000);
     check_int "every expected reply arrived" r.Loopback.expected_replies
-      r.Loopback.replies
+      r.Loopback.replies;
+    r
+
+(* 1 in 4 packets a structure-aware mutant, 1 in 7 an ack, the rest
+   data frames with [payload i]-byte payloads over 256 flows. *)
+let soak_stream ~seed payload =
+  let rng = Prng.of_int seed in
+  let plan = Mutate.plan Fm.Arq.format in
+  fun i ->
+    let seq = i land 0xff in
+    let valid =
+      if i mod 7 = 0 then Fm.Arq.to_bytes (Fm.Arq.Ack { seq })
+      else arq_data ~seq (String.make (payload i) 'p')
+    in
+    if i mod 4 = 3 then Mutate.apply (Mutate.random plan rng valid) valid else valid
+
+let loopback_soak_agrees () =
+  let r = check_soak ~count:5000 (soak_stream ~seed:2026 (fun i -> i mod 48)) in
+  check_bool "some replies flowed" true (r.Loopback.expected_replies > 1000)
+
+(* The hostile stream at seed 20260808 with payloads under 64 B, through
+   the server's default receive loop (the legacy one when
+   NETDSL_NO_MMSG=1) and through the batched loop at batch 32. *)
+let hostile_soak ?io ?io_batch count () =
+  if io <> Some Server.Mmsg || mmsg_available () then
+    ignore
+      (check_soak ?io ?io_batch ~count (soak_stream ~seed:20260808 (fun i -> i mod 64)))
 
 (* The same differential soak with the server forced onto the batched
    drain/flush path: byte-for-byte agreement with the in-memory
-   reference executor is the correctness gate for the mmsg rework. *)
+   reference executor is the correctness gate for the mmsg rework.
+   Payload lengths change every 8 packets: equal-size replies sit next
+   to each other in a burst and group into GSO runs. *)
 let loopback_soak_mmsg_agrees () =
-  if not (mmsg_available ()) then ()
-  else begin
-    let rng = Prng.of_int 1177 in
-    let plan = Mutate.plan Fm.Arq.format in
-    let packets i =
-      let seq = i land 0xff in
-      (* payload lengths change every 8 packets: equal-size replies
-         sit next to each other in a burst and group into GSO runs *)
-      let valid =
-        if i mod 7 = 0 then Fm.Arq.to_bytes (Fm.Arq.Ack { seq })
-        else arq_data ~seq (String.make (i / 8 mod 48) 'q')
-      in
-      if i mod 4 = 3 then Mutate.apply (Mutate.random plan rng valid) valid
-      else valid
+  if mmsg_available () then begin
+    let st =
+      (check_soak ~io:Server.Mmsg ~io_batch:8 ~count:2000
+         (soak_stream ~seed:1177 (fun i -> i / 8 mod 48)))
+        .Loopback.net
     in
-    match
-      Loopback.soak
-        ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
-        ~flight:arq_flight ~io:Server.Mmsg ~io_batch:8 ~packets
-        ~count:2000 Fm.Arq.format
-    with
-    | Error e -> Alcotest.fail e
-    | Ok r ->
-      (match r.Loopback.first_disagreement with
-      | None -> ()
-      | Some d -> Alcotest.failf "disagreement: %s" d);
-      check_int "0 disagreements" 0 r.Loopback.disagreements;
-      check_bool "the filter drops some mutants" true (r.Loopback.filtered > 0);
-      check_int "processed = sent - predicted filter drops"
-        (2000 - r.Loopback.filtered) r.Loopback.server_processed;
-      check_int "kernel drops = predicted filter drops" r.Loopback.filtered
-        r.Loopback.net.Nstats.kernel_drops;
-      check_int "every expected reply arrived" r.Loopback.expected_replies
-        r.Loopback.replies;
-      let st = r.Loopback.net in
-      if Netdsl_net.Mmsg.gso_available () then
-        check_bool
-          (Printf.sprintf "replies grouped: %d msgs for %d datagrams"
-             st.Nstats.tx_msgs st.Nstats.tx_pkts)
-          true
-          (st.Nstats.tx_msgs < st.Nstats.tx_pkts)
+    if Netdsl_net.Mmsg.gso_available () then
+      check_bool
+        (Printf.sprintf "replies grouped: %d msgs for %d datagrams" st.Nstats.tx_msgs
+           st.Nstats.tx_pkts)
+        true
+        (st.Nstats.tx_msgs < st.Nstats.tx_pkts)
   end
 
 (* The soak against the single-worker oracle, sharded: a mutant-laced
@@ -1639,6 +1627,71 @@ let loopback_meter_ignores_client () =
     (Printf.sprintf "legacy backend's own allocation still metered (%.1f B/pkt)" legacy)
     true (legacy > 1.)
 
+(* The batched loops under a closed-loop blast of 20 000 ARQ data
+   frames (64 B payloads, 256 outstanding): the server domain allocates
+   at most 0.005 B/pkt, and a batch of 8 or 32 takes fewer than 0.5
+   syscalls per packet. *)
+let mmsg_blast_costs () =
+  if mmsg_available () then begin
+    let pre = Array.init 256 (fun seq -> arq_data ~seq (String.make 64 'x')) in
+    List.iter
+      (fun io_batch ->
+        match
+          Loopback.blast
+            ~machine:(Netdsl_proto.Arq_fsm.receiver ~seq_bits:8)
+            ~flight:arq_flight ~io:Server.Mmsg ~io_batch ~window:256
+            ~packets:(fun i -> pre.(i land 0xFF))
+            ~count:20_000 Fm.Arq.format
+        with
+        | Error e -> Alcotest.fail e
+        | Ok r ->
+          let st = r.Loopback.net in
+          let spp =
+            float_of_int st.Nstats.syscalls
+            /. float_of_int (max 1 (st.Nstats.rx_pkts + st.Nstats.tx_pkts))
+          in
+          check_bool
+            (Printf.sprintf "batch %d: %.4f B/pkt (at most 0.005)" io_batch
+               r.Loopback.alloc_bytes_per_pkt)
+            true
+            (r.Loopback.alloc_bytes_per_pkt <= 0.005);
+          check_bool
+            (Printf.sprintf "batch %d: %.3f syscalls/pkt (under 0.5)" io_batch spp)
+            true (spp < 0.5))
+      [ 8; 32 ]
+  end
+
+(* The 4-layer chain behind a real socket: 20 000 TFTP DATA datagrams,
+   each answered by patching ipv4.ttl in place, every one answered. *)
+let stacked_blast_answers_all () =
+  let stack = Fm.Stacks.inet_tftp in
+  let flight =
+    Flight.spec
+      ~verify:(Flight.Cmp (Flight.Lt, Flight.Field "tftp.opcode", Flight.Const 6L))
+      ~flow_key:"udp.src_port"
+      ~respond:
+        [ { Flight.re_when = Flight.All [];
+            re_set = [ { Flight.set_field = "ipv4.ttl"; set_to = Flight.Const 7L } ] } ]
+      ()
+  in
+  let req =
+    match
+      Netdsl_format.Stack.encode
+        (Result.get_ok (Netdsl_format.Stack.compile stack))
+        (Fm.Stacks.inet_tftp_values (Fm.Tftp.Data { block = 7; data = String.make 32 'd' }))
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  match
+    Loopback.blast ~stack ~flight ~packets:(fun _ -> req) ~count:20_000
+      (Netdsl_format.Stack.layer_format stack 0)
+  with
+  | Error e -> Alcotest.fail e
+  | Ok r ->
+    check_int "every packet sent" 20_000 r.Loopback.sent;
+    check_int "every packet answered" r.Loopback.sent r.Loopback.replies
+
 let suite =
   [ ( "net.pipeline",
       [ Alcotest.test_case "process_slab_batch = process" `Quick
@@ -1702,12 +1755,24 @@ let suite =
         Alcotest.test_case "forced legacy round trip" `Quick
           legacy_forced_roundtrip;
         Alcotest.test_case "batched create red paths" `Quick
-          mmsg_create_red_paths ] );
+          mmsg_create_red_paths;
+        Alcotest.test_case "blast: 0 B/pkt, < 0.5 syscalls/pkt (batch 8, 32)" `Quick
+          mmsg_blast_costs ] );
     ( "net.loopback",
       [ Alcotest.test_case "5k-mutant socket soak agrees with memory" `Quick
           loopback_soak_agrees;
         Alcotest.test_case "2k-mutant soak through the batched path" `Quick
           loopback_soak_mmsg_agrees;
+        Alcotest.test_case "30k hostile soak agrees with memory" `Quick
+          (hostile_soak 30_000);
+        Alcotest.test_case "30k hostile soak, batched path (batch 32)" `Quick
+          (hostile_soak ~io:Server.Mmsg ~io_batch:32 30_000);
+        Alcotest.test_case "200k hostile soak agrees with memory" `Slow
+          (hostile_soak 200_000);
+        Alcotest.test_case "200k hostile soak, batched path (batch 32)" `Slow
+          (hostile_soak ~io:Server.Mmsg ~io_batch:32 200_000);
+        Alcotest.test_case "stacked blast: every packet answered" `Quick
+          stacked_blast_answers_all;
         Alcotest.test_case "sharded soak = single-worker oracle: legacy" `Quick
           (sharded_soak Server.Legacy);
         Alcotest.test_case "sharded soak = single-worker oracle: mmsg" `Quick

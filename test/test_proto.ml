@@ -284,13 +284,13 @@ let suite =
         Alcotest.test_case "windowing beats stop-and-wait" `Quick test_gbn_beats_stop_and_wait_on_delay;
         Alcotest.test_case "SR retransmits less than GBN" `Quick test_sr_fewer_retransmissions_than_gbn;
         Alcotest.test_case "adaptive RTO wins" `Quick test_adaptive_rto_beats_bad_fixed;
-        QCheck_alcotest.to_alcotest
+        Testutil.qcheck
           (prop_delivery_correct Harness.Stop_and_wait
              "proto: stop-and-wait exactly-once under random impairments");
-        QCheck_alcotest.to_alcotest
+        Testutil.qcheck
           (prop_delivery_correct (Harness.Go_back_n 8)
              "proto: go-back-N exactly-once under random impairments");
-        QCheck_alcotest.to_alcotest
+        Testutil.qcheck
           (prop_delivery_correct (Harness.Selective_repeat 8)
              "proto: selective-repeat exactly-once under random impairments");
       ] );

@@ -365,7 +365,7 @@ let suite =
         Alcotest.test_case "event limit" `Quick test_engine_max_events;
         Alcotest.test_case "negative delay rejected" `Quick test_engine_negative_delay_rejected;
         Alcotest.test_case "single step" `Quick test_engine_step;
-        QCheck_alcotest.to_alcotest prop_engine_monotone_time;
+        Testutil.qcheck prop_engine_monotone_time;
       ] );
     ( "sim.timer",
       [

@@ -409,6 +409,32 @@ let pipe_tick_granularity () =
   check_int "fires on the coarse tick" 1 (Testutil.poll_timers tw);
   Testutil.finish tw
 
+(* A timer that fires in a state which ignores its event is refused at
+   the step stage: one step-stage packet and one reject, as in the
+   reference executor — not two packets. *)
+let pipe_refused_expiry_counts_once () =
+  let module M = Netdsl_fsm.Machine in
+  let machine =
+    M.machine ~name:"ignores_tick" ~states:[ "idle"; "wait" ] ~events:[ "go"; "tick" ]
+      ~initial:"idle"
+      [ M.trans ~src:"idle" ~event:"go" ~dst:"wait"
+          ~timer:(M.Arm_timer { after_ms = 5; fire = "tick" }) ();
+        M.trans ~src:"wait" ~event:"go" ~dst:"wait" () ]
+  in
+  let now = ref 0 in
+  let tw =
+    Testutil.twin ~flight:(by_len [ "go" ]) ~machine ~clock_ms:(fun () -> !now)
+      Fm.Arq.format
+  in
+  ignore (Testutil.process tw (arq_data ~seq:1 "x"));
+  ignore (Testutil.process tw (arq_data ~seq:1 "x"));
+  now := 5;
+  check_int "the expiry fires" 1 (Testutil.poll_timers tw);
+  let st = Pipeline.stats tw.pipe in
+  check_int "step packets: two packets, one refused expiry" 3 (Stats.stage_packets st 2);
+  check_int "step rejects: the refused expiry" 1 (Stats.stage_rejects st 2);
+  Testutil.finish tw
+
 (* ------------------------------------------------------------------ *)
 (* Lossy loopback: success-or-timeout, never stuck                     *)
 
@@ -545,8 +571,75 @@ let stats_merge_timers () =
   check_int "cascaded" 11 (Stats.timers_cascaded m)
 
 (* ------------------------------------------------------------------ *)
+(* Flow-table scale                                                     *)
 
-let qt = QCheck_alcotest.to_alcotest
+(* [n] timers armed at once are all live; churn at full occupancy — [2n]
+   re-arms with a one-tick advance every 256 — allocates under 1 B/op;
+   the drain fires every live timer, cascades included. *)
+let wheel_at_scale n () =
+  let nop ~key:_ ~ev:_ = () in
+  let w = Wheel.create () in
+  for i = 0 to n - 1 do
+    Wheel.arm w ~key:i ~after:(1 + (i land 0xFFFF)) ~ev:0
+  done;
+  check_int "every armed timer is live" n (Wheel.live w);
+  let churn = 2 * n in
+  Gc.full_major ();
+  let a0 = Gc.allocated_bytes () in
+  for i = 0 to churn - 1 do
+    Wheel.arm w ~key:(i * 0x9E3779B1 mod n) ~after:(1 + (i land 0x3FF)) ~ev:0;
+    if i land 0xFF = 0xFF then ignore (Wheel.advance w ~now:(Wheel.now w + 1) nop)
+  done;
+  let per_op = (Gc.allocated_bytes () -. a0) /. float_of_int churn in
+  check_bool (Printf.sprintf "churn allocates under 1 B/op (%.3f)" per_op) true
+    (per_op < 1.0);
+  let live = Wheel.live w in
+  let fired = ref 0 in
+  while Wheel.live w > 0 do
+    fired := !fired + Wheel.advance w ~now:(Wheel.now w + 4096) nop
+  done;
+  check_int "the drain fires every live timer" live !fired
+
+(* A timeout clause on the pipeline's hot path: 256 flows re-arming an
+   hour-long timer on every packet, batches of 256 under a clock that
+   never moves, must allocate under 1 B/pkt at steady state. *)
+let pipe_timed_zero_alloc () =
+  let module M = Netdsl_fsm.Machine in
+  let machine =
+    M.machine ~name:"rearm" ~states:[ "run" ] ~events:[ "pkt" ] ~initial:"run"
+      ~accepting:[ "run" ]
+      [ M.trans ~label:"pkt" ~src:"run" ~event:"pkt" ~dst:"run"
+          ~timer:(M.Arm_timer { after_ms = 3_600_000; fire = "pkt" }) () ]
+  in
+  let flight =
+    Flight.spec
+      ~verify:(Flight.Cmp (Flight.Lt, Flight.Field "seq", Flight.Const 256L))
+      ~classify:
+        [ { Flight.ev_when = Flight.Cmp (Flight.Eq, Flight.Field "kind", Flight.Const 0L);
+            ev_name = "pkt" } ]
+      ~flow_key:"seq" ()
+  in
+  let p =
+    Pipeline.create
+      ~config:{ Pipeline.default_config with batch = 256 }
+      ~flight ~machine ~clock_ms:(fun () -> 0) Fm.Arq.format
+  in
+  let pkts = Array.init 256 (fun seq -> arq_data ~seq "x") in
+  Pipeline.process_batch p pkts 256;
+  check_int "every flow armed" 256 (Pipeline.timers_live p);
+  let batches = 768 in
+  Gc.full_major ();
+  let a0 = Gc.allocated_bytes () in
+  for _ = 1 to batches do
+    Pipeline.process_batch p pkts 256
+  done;
+  let per_pkt = (Gc.allocated_bytes () -. a0) /. float_of_int (batches * 256) in
+  check_bool (Printf.sprintf "timed pipeline allocates under 1 B/pkt (%.3f)" per_pkt)
+    true (per_pkt < 1.0)
+
+(* ------------------------------------------------------------------ *)
+
+let qt = Testutil.qcheck
 
 let suite =
   [
@@ -558,6 +651,10 @@ let suite =
         Alcotest.test_case "re-arm in callback" `Quick wheel_rearm_in_callback;
         Alcotest.test_case "same-tick mutation" `Quick wheel_same_tick_mutation;
         qt wheel_matches_model;
+        Alcotest.test_case "100k timers: live, churn, drain" `Quick
+          (wheel_at_scale 100_000);
+        Alcotest.test_case "1M timers: live, churn, drain" `Slow
+          (wheel_at_scale 1_000_000);
       ] );
     ( "timers.oracle",
       [
@@ -571,6 +668,10 @@ let suite =
       [
         Alcotest.test_case "virtual clock" `Quick pipe_virtual_clock;
         Alcotest.test_case "tick granularity" `Quick pipe_tick_granularity;
+        Alcotest.test_case "refused expiry counts once" `Quick
+          pipe_refused_expiry_counts_once;
+        Alcotest.test_case "timeout clause allocates nothing" `Quick
+          pipe_timed_zero_alloc;
       ] );
     ( "timers.lossy",
       [

@@ -281,8 +281,8 @@ let suite =
         Alcotest.test_case "rejects every single-bit flip" `Quick test_checked_rejects_corruption;
         Alcotest.test_case "rejects short input" `Quick test_checked_rejects_short;
         Alcotest.test_case "seq range" `Quick test_checked_bad_seq;
-        QCheck_alcotest.to_alcotest prop_checked_roundtrip;
-        QCheck_alcotest.to_alcotest prop_checked_single_byte_change_detected;
+        Testutil.qcheck prop_checked_roundtrip;
+        Testutil.qcheck prop_checked_single_byte_change_detected;
       ] );
     ( "typed.send_machine",
       [
@@ -337,5 +337,5 @@ let suite =
   suite
   @ [
       ( "typed.laws",
-        [ QCheck_alcotest.to_alcotest prop_send_packet_always_consistent ] );
+        [ Testutil.qcheck prop_send_packet_always_consistent ] );
     ]

@@ -401,7 +401,7 @@ let suite =
         Alcotest.test_case "window truncation" `Quick test_window_truncation;
         Alcotest.test_case "buffer growth" `Quick test_growth;
         Alcotest.test_case "try_with" `Quick test_try_with;
-        QCheck_alcotest.to_alcotest prop_bits_roundtrip;
+        Testutil.qcheck prop_bits_roundtrip;
       ] );
     ( "util.checksum",
       [
@@ -416,13 +416,13 @@ let suite =
         Alcotest.test_case "offset range" `Quick test_checksum_range;
         Alcotest.test_case "detects corruption" `Quick test_checksum_detects_corruption;
         Alcotest.test_case "algorithm names" `Quick test_algorithm_names_roundtrip;
-        QCheck_alcotest.to_alcotest prop_internet_checksum_zero;
+        Testutil.qcheck prop_internet_checksum_zero;
       ] );
     ( "util.hexdump",
       [
         Alcotest.test_case "hex roundtrip" `Quick test_hex_roundtrip;
         Alcotest.test_case "bad input" `Quick test_hex_bad_input;
         Alcotest.test_case "dump layout" `Quick test_hexdump_layout;
-        QCheck_alcotest.to_alcotest prop_hex_roundtrip;
+        Testutil.qcheck prop_hex_roundtrip;
       ] );
   ]

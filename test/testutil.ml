@@ -151,3 +151,8 @@ let finish tw =
     (Pipeline.timers_live tw.pipe);
   Alcotest.(check (list string)) "reply bytes = reference" (List.rev !(tw.ref_replies))
     (List.rev !(tw.fused_replies))
+
+(* A QCheck property as an Alcotest case that tier-1 runs: the suite runs
+   with [--quick-tests], and qcheck-alcotest marks its cases [`Slow] by
+   default. *)
+let qcheck t = QCheck_alcotest.to_alcotest ~speed_level:`Quick t
