@@ -5,9 +5,9 @@
    rewritten.  [patcher] resolves one top-level field's wire offset,
    width, validation and covering Internet checksum once; [patch] then
    rewrites the field in place and updates that checksum incrementally
-   (RFC 1624), never touching the rest of the message, and [kernel]
-   compiles the same rewrite into a fixed-offset closure for the fused
-   respond path.  The whole-message encoder is [Codec.encode]; the patch
+   (RFC 1624), touching nothing else but the padding bits the codec
+   would write as zero, and [kernel] compiles the same rewrite into a
+   fixed-offset closure for the fused respond path.  The whole-message encoder is [Codec.encode]; the patch
    is byte-for-byte what decode, mutate and [Codec.encode] would produce
    ([test/test_emit.ml] asserts this for every shipped format). *)
 
@@ -91,6 +91,13 @@ type cks_patch = {
   c_fallback : fallback;
 }
 
+(* Reserved bits of one byte that the codec writes as zero. *)
+type pad = {
+  pd_byte : int; (* bytes from message start *)
+  pd_clear : int; (* mask of the reserved bits *)
+  pd_cks : cks_patch list; (* the checksum covering them, if any *)
+}
+
 type patcher = {
   pa_name : string;
   pa_bit_off : int; (* byte-aligned *)
@@ -100,6 +107,7 @@ type patcher = {
   pa_constraints : Desc.constr list;
   pa_min_bytes : int; (* any valid message is at least this long *)
   pa_cks : cks_patch list;
+  pa_pad : pad list; (* the format's padding, cleared by every patch *)
 }
 
 let patcher_field p = p.pa_name
@@ -146,6 +154,37 @@ let rec has_checksum (fmt : Desc.t) =
         || (match default with Some sub -> has_checksum sub | None -> false)
       | _ -> false)
     fmt.fields
+
+(* The codec writes padding as zero, so a patch clears the received
+   padding bits too (and repairs the checksum over them).  That needs a
+   fixed offset: padding nested in a record, array or variant, or after
+   a variable-size field, is refused. *)
+let padding (fmt : Desc.t) cover =
+  let ( let* ) = Result.bind in
+  let is_pad (g : Desc.field) = match g.ty with Desc.Padding _ -> true | _ -> false in
+  let nested acc (sub : Desc.t) = acc || (sub != fmt && List.exists is_pad sub.fields) in
+  if Desc.fold_formats nested false fmt then Error "format has padding inside a nested field"
+  else
+    List.fold_left
+      (fun acc (g : Desc.field) ->
+        let* pads = acc in
+        if not (is_pad g) then Ok pads
+        else
+          let* off, bits =
+            Result.map_error
+              (fun _ -> Printf.sprintf "padding %S is not at a fixed offset" g.name)
+              (Sizing.fixed_field_span fmt g.name)
+          in
+          let* cks = cover ~what:(Printf.sprintf "padding %S" g.name) off bits in
+          (* one entry per byte the padding touches; bits are MSB-first *)
+          let byte b =
+            let lo = max off (8 * b) and hi = min (off + bits) ((8 * b) + 8) in
+            let mask = ((1 lsl (hi - lo)) - 1) lsl ((8 * b) + 8 - hi) in
+            { pd_byte = b; pd_clear = mask; pd_cks = cks }
+          in
+          let first = off / 8 and last = (off + bits - 1) / 8 in
+          Ok (pads @ List.init (last - first + 1) (fun k -> byte (first + k))))
+      (Ok []) fmt.fields
 
 let patcher (fmt : Desc.t) name =
   let ( let* ) = Result.bind in
@@ -205,10 +244,12 @@ let patcher (fmt : Desc.t) name =
     | [] | [ _ ] -> Ok ()
     | _ -> Error "format has several checksum fields"
   in
-  let* cks =
+  (* [cover ~what off bits]: the checksum patch for a change to bits
+     [off, off + bits) of the message, [[]] when no checksum covers them. *)
+  let* cover =
     match cks_fields with
-    | [] -> Ok []
-    | c :: _ -> (
+    | [] -> Ok (fun ~what:_ _ _ -> Ok [])
+    | c :: _ ->
       let alg, region =
         match c.ty with
         | Desc.Checksum { algorithm; region } -> (algorithm, region)
@@ -231,52 +272,56 @@ let patcher (fmt : Desc.t) name =
       let mk region_start fallback =
         Ok [ { c_bit_off = coff; c_region_start = region_start; c_fallback = fallback } ]
       in
-      match region with
-      | Desc.Region_message ->
-        (* Always covers the patched field; all-zero regions are possible
-           unless a nonzero constant is pinned somewhere in the message. *)
-        if nonzero_const_within fmt 0 max_int then mk 0 F_none
-        else mk 0 (F_scan 0)
-      | Desc.Region_rest ->
-        let cend = coff + cbits in
-        if off_bits + bits <= cend then Ok [] (* field precedes the region *)
-        else begin
-          let start = cend / 8 in
-          if cend land 7 <> 0 then
-            Error (Printf.sprintf "checksum region after %S is not byte-aligned" c.name)
-          else if nonzero_const_within fmt cend max_int then mk start F_none
-          else mk start (F_scan start)
-        end
-      | Desc.Region_span (a, b) -> (
-        let* aoff, _ = Sizing.fixed_field_span fmt a in
-        let* () =
-          if aoff land 7 <> 0 then
-            Error (Printf.sprintf "checksum region start %S is not byte-aligned" a)
-          else Ok ()
-        in
-        match min_end_of fmt b with
-        | None -> Error (Printf.sprintf "checksum span: unknown field %S" b)
-        | Some min_end ->
-          if off_bits + bits <= aoff then Ok [] (* field precedes the region *)
-          else if off_bits >= aoff && off_bits + bits <= min_end then
-            (* Inside the region in every message.  The region's end varies
-               at run time, so there is no scan fallback; demand a pinned
-               nonzero constant instead. *)
-            if nonzero_const_within fmt aoff min_end then mk (aoff / 8) F_none
-            else
-              Error
-                (Printf.sprintf
-                   "checksum region %S..%S may be all-zero; incremental update would be ambiguous"
-                   a b)
-          else (
-            match Sizing.fixed_field_span fmt b with
-            | Ok (boff, blen) when off_bits >= boff + blen ->
-              Ok [] (* field follows the (fixed) region *)
-            | _ ->
-              Error
-                (Printf.sprintf "field %S may or may not be covered by the checksum" name)))
-      )
+      Ok
+        (fun ~what off_bits bits ->
+          match region with
+          | Desc.Region_message ->
+            (* Always covers the change; all-zero regions are possible
+               unless a nonzero constant is pinned somewhere in the
+               message. *)
+            if nonzero_const_within fmt 0 max_int then mk 0 F_none
+            else mk 0 (F_scan 0)
+          | Desc.Region_rest ->
+            let cend = coff + cbits in
+            if off_bits + bits <= cend then Ok [] (* precedes the region *)
+            else begin
+              let start = cend / 8 in
+              if cend land 7 <> 0 then
+                Error (Printf.sprintf "checksum region after %S is not byte-aligned" c.name)
+              else if nonzero_const_within fmt cend max_int then mk start F_none
+              else mk start (F_scan start)
+            end
+          | Desc.Region_span (a, b) -> (
+            let* aoff, _ = Sizing.fixed_field_span fmt a in
+            let* () =
+              if aoff land 7 <> 0 then
+                Error (Printf.sprintf "checksum region start %S is not byte-aligned" a)
+              else Ok ()
+            in
+            match min_end_of fmt b with
+            | None -> Error (Printf.sprintf "checksum span: unknown field %S" b)
+            | Some min_end ->
+              if off_bits + bits <= aoff then Ok [] (* precedes the region *)
+              else if off_bits >= aoff && off_bits + bits <= min_end then
+                (* Inside the region in every message.  The region's end
+                   varies at run time, so there is no scan fallback; demand
+                   a pinned nonzero constant instead. *)
+                if nonzero_const_within fmt aoff min_end then mk (aoff / 8) F_none
+                else
+                  Error
+                    (Printf.sprintf
+                       "checksum region %S..%S may be all-zero; incremental update would be ambiguous"
+                       a b)
+              else (
+                match Sizing.fixed_field_span fmt b with
+                | Ok (boff, blen) when off_bits >= boff + blen ->
+                  Ok [] (* follows the (fixed) region *)
+                | _ ->
+                  Error
+                    (Printf.sprintf "%s may or may not be covered by the checksum" what))))
   in
+  let* cks = cover ~what:(Printf.sprintf "field %S" name) off_bits bits in
+  let* pad = padding fmt cover in
   Ok
     { pa_name = name;
       pa_bit_off = off_bits;
@@ -285,7 +330,8 @@ let patcher (fmt : Desc.t) name =
       pa_enum = enum;
       pa_constraints = f.constraints;
       pa_min_bytes = Sizing.min_bytes fmt;
-      pa_cks = cks }
+      pa_cks = cks;
+      pa_pad = pad }
 
 (* 0 and 0xffff encode the same ones'-complement value, so a delta
    result of 0 is ambiguous: the canonical checksum is 0xffff exactly
@@ -328,6 +374,18 @@ let rec patch_cks ~off ~len ~fbyte ~nbytes ~oldw ~wire buf = function
     Bytes.set buf (coff + 1) (Char.unsafe_chr (hc' land 0xFF));
     patch_cks ~off ~len ~fbyte ~nbytes ~oldw ~wire buf rest
 
+let rec clear_padding ~off ~len buf = function
+  | [] -> ()
+  | pd :: rest ->
+    let i = off + pd.pd_byte in
+    let old = Char.code (Bytes.get buf i) in
+    let cleared = old land lnot pd.pd_clear in
+    if cleared <> old then begin
+      Bytes.set buf i (Char.unsafe_chr cleared);
+      patch_cks ~off ~len ~fbyte:i ~nbytes:1 ~oldw:old ~wire:cleared buf pd.pd_cks
+    end;
+    clear_padding ~off ~len buf rest
+
 let rec enum_mem cases v =
   match cases with
   | [] -> false
@@ -354,7 +412,7 @@ let patch_window p ~off ~len buf v =
                   B.Truncated { need_bits = 8 * p.pa_min_bytes; have_bits = 8 * len } });
     let fbyte = off + (p.pa_bit_off lsr 3) in
     let nbytes = p.pa_bits lsr 3 in
-    if p.pa_bits <= 56 then begin
+    (if p.pa_bits <= 56 then begin
       (* Native fast path: byte-aligned narrow field, every step in
          unboxed ints.  [Int64.to_int] keeps the value exact whenever the
          sign check and the native range check both pass, so together they
@@ -426,7 +484,8 @@ let patch_window p ~off ~len buf v =
           Bytes.set buf coff (Char.unsafe_chr (hc' lsr 8));
           Bytes.set buf (coff + 1) (Char.unsafe_chr (hc' land 0xFF)))
         p.pa_cks
-    end
+    end);
+    clear_padding ~off ~len buf p.pa_pad
   with
   | () -> Ok ()
   | exception Codec.Error e -> Result.Error e
@@ -521,34 +580,41 @@ let kernel p : kernel =
         invalid_arg "Emit.patch: window out of bounds";
       len >= min && v >= 0 && v lsr bits = 0 && ((not has_enum) || mem_int cases v 0)
     in
-    match p.pa_cks with
-    | [] ->
-      fun buf off len v ->
-        valid buf off len v
-        && begin
-             store_be buf (off + fo) n (if little then bswap_nat ~bits v else v);
-             true
-           end
-    | [ c ] ->
-      let co = c.c_bit_off lsr 3 and odd = (fo - c.c_region_start) land 1 in
-      fun buf off len v ->
-        valid buf off len v
-        && begin
-             let i = off + fo in
-             let old = load_be buf i n in
-             let wire = if little then bswap_nat ~bits v else v in
-             store_be buf i n wire;
-             let ci = off + co in
-             let hc = load_be buf ci 2 in
-             let hc' =
-               Ck.internet_delta ~checksum:hc ~removed:(word_sum n odd old)
-                 ~added:(word_sum n odd wire)
-             in
-             let hc' = if hc' <> 0 then hc' else canonical_zero c ~off ~len ~coff:ci buf in
-             store_be buf ci 2 hc';
-             true
-           end
-    | _ -> generic
+    let k =
+      match p.pa_cks with
+      | [] ->
+        fun buf off len v ->
+          valid buf off len v
+          && begin
+               store_be buf (off + fo) n (if little then bswap_nat ~bits v else v);
+               true
+             end
+      | [ c ] ->
+        let co = c.c_bit_off lsr 3 and odd = (fo - c.c_region_start) land 1 in
+        fun buf off len v ->
+          valid buf off len v
+          && begin
+               let i = off + fo in
+               let old = load_be buf i n in
+               let wire = if little then bswap_nat ~bits v else v in
+               store_be buf i n wire;
+               let ci = off + co in
+               let hc = load_be buf ci 2 in
+               let hc' =
+                 Ck.internet_delta ~checksum:hc ~removed:(word_sum n odd old)
+                   ~added:(word_sum n odd wire)
+               in
+               let hc' = if hc' <> 0 then hc' else canonical_zero c ~off ~len ~coff:ci buf in
+               store_be buf ci 2 hc';
+               true
+             end
+      | _ -> generic
+    in
+    (* Padding is cleared after the field's own checksum update, which
+       leaves a canonical checksum for the bytes in between. *)
+    match p.pa_pad with
+    | [] -> k
+    | pads -> fun buf off len v -> k buf off len v && (clear_padding ~off ~len buf pads; true)
 
 let patch p ?(off = 0) ?len buf v =
   let len = match len with None -> Bytes.length buf - off | Some l -> l in

@@ -24,16 +24,19 @@ val patcher : Desc.t -> string -> (patcher, string) result
     not the source of any derived field, and any checksum covering it to be
     a top-level Internet checksum whose coverage of the field is decidable
     statically (and whose region provably cannot be all-zero, unless a
-    conservative scan fallback is possible).  [Error reason] explains any
-    rejection. *)
+    conservative scan fallback is possible).  The format's padding must
+    lie at fixed top-level offsets, under the same checksum rules: every
+    patch clears it, as {!Codec.encode} writes it as zero.  [Error reason]
+    explains any rejection. *)
 
 val patcher_field : patcher -> string
 
 val patch : patcher -> ?off:int -> ?len:int -> Bytes.t -> int64 -> (unit, error) result
 (** [patch p buf v] rewrites the field inside the encoded message occupying
     [buf.(off .. off+len-1)] (default: all of [buf]) to [v], validating [v]
-    against the field's width, enum cases and constraints, and updates the
-    covering Internet checksum incrementally.  If the message was valid
+    against the field's width, enum cases and constraints, clears the
+    format's padding bits, and updates the covering Internet checksum
+    incrementally.  If the message was valid
     before the patch it is valid after — byte-for-byte what a decode →
     mutate → re-encode round trip would produce.
     @raise Invalid_argument if the window is outside [buf]. *)
@@ -54,8 +57,9 @@ val kernel : patcher -> kernel
     field's offset and width, its admissible enum values and the covering
     Internet checksum's offset and word parity are resolved here, so a
     call is a range test, the byte stores and one incremental checksum
-    update, with no allocation.  Fields wider than 56 bits and
-    constrained fields go through {!patch_window}. *)
+    update (and one more per padding byte set), with no allocation.
+    Fields wider than 56 bits and constrained fields go through
+    {!patch_window}. *)
 
 val patch_exn : patcher -> ?off:int -> ?len:int -> Bytes.t -> int64 -> unit
 (** @raise Codec.Error on failure. *)

@@ -1,28 +1,9 @@
 open Netdsl_format
-module D = Desc
 
 let oper_request = 1
 let oper_reply = 2
 
-let format =
-  Wf.check_exn
-    (D.format "arp"
-       [
-         D.field ~doc:"Hardware Type" "htype" (D.const 16 1L);
-         D.field ~doc:"Protocol Type" "ptype" (D.const 16 0x0800L);
-         D.field ~doc:"Hardware Length" "hlen" (D.const 8 6L);
-         D.field ~doc:"Protocol Length" "plen" (D.const 8 4L);
-         D.field ~doc:"Operation" "oper"
-           (D.enum 16
-              [
-                ("request", Int64.of_int oper_request);
-                ("reply", Int64.of_int oper_reply);
-              ]);
-         D.field ~doc:"Sender MAC" "sha" (D.bytes_fixed 6);
-         D.field ~doc:"Sender IP" "spa" D.u32;
-         D.field ~doc:"Target MAC" "tha" (D.bytes_fixed 6);
-         D.field ~doc:"Target IP" "tpa" D.u32;
-       ])
+let format = Stacks_spec.format_arp
 
 let make ~oper ~sha ~spa ~tha ~tpa =
   Value.record

@@ -2,6 +2,7 @@
     checked constants. *)
 
 val format : Netdsl_format.Desc.t
+(** Generated at build time from [specs/stacks.ndsl]. *)
 
 val request :
   sender_mac:string -> sender_ip:int64 -> target_ip:int64 -> Netdsl_format.Value.t

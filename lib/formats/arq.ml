@@ -1,19 +1,8 @@
 open Netdsl_format
-module D = Desc
 
 let seq_modulus = 256
 
-let format =
-  Wf.check_exn
-    (D.format "arq_packet"
-       [
-         D.field ~doc:"Sequence Number" "seq" D.u8;
-         D.field ~doc:"Kind" "kind" (D.enum 8 [ ("data", 0L); ("ack", 1L) ]);
-         D.field ~doc:"Length" "len" (D.computed 16 (D.Byte_len "payload"));
-         D.field ~doc:"Checksum" "chk"
-           (D.checksum ~region:D.Region_message Netdsl_util.Checksum.Internet);
-         D.field "payload" (D.bytes_expr (D.Field "len"));
-       ])
+let format = Arq_spec.format_arq_packet
 
 type packet =
   | Data of { seq : int; payload : string }

@@ -9,6 +9,7 @@
     packets" at this layer too. *)
 
 val format : Netdsl_format.Desc.t
+(** Generated at build time from [specs/arq.ndsl]. *)
 
 type packet =
   | Data of { seq : int; payload : string }

@@ -1,23 +1,9 @@
 open Netdsl_format
-module D = Desc
 
 let ethertype_ipv4 = 0x0800
 let ethertype_arp = 0x0806
 
-let format =
-  Wf.check_exn
-    (D.format "ethernet"
-       [
-         D.field ~doc:"Destination MAC" "dst" (D.bytes_fixed 6);
-         D.field ~doc:"Source MAC" "src" (D.bytes_fixed 6);
-         D.field ~doc:"EtherType" "ethertype"
-           (D.enum ~exhaustive:false 16
-              [
-                ("ipv4", Int64.of_int ethertype_ipv4);
-                ("arp", Int64.of_int ethertype_arp);
-              ]);
-         D.field "payload" D.bytes_remaining;
-       ])
+let format = Stacks_spec.format_ethernet
 
 let make ~dst ~src ~ethertype ~payload =
   Value.record

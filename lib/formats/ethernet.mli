@@ -2,6 +2,7 @@
     stripped by hardware and not modelled). *)
 
 val format : Netdsl_format.Desc.t
+(** Generated at build time from [specs/stacks.ndsl]. *)
 
 val make :
   dst:string -> src:string -> ethertype:int -> payload:string -> Netdsl_format.Value.t

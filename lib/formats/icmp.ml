@@ -1,56 +1,9 @@
 open Netdsl_format
-module D = Desc
 
 let type_echo_reply = 0
-let type_dest_unreachable = 3
 let type_echo_request = 8
 
-let echo_body name =
-  D.format name
-    [
-      D.field ~doc:"Identifier" "id" D.u16;
-      D.field ~doc:"Sequence Number" "seq" D.u16;
-      D.field "data" D.bytes_remaining;
-    ]
-
-let unreachable_body =
-  D.format "dest_unreachable"
-    [
-      D.field "unused" (D.const 32 0L);
-      D.field "original" D.bytes_remaining;
-    ]
-
-let raw_body = D.format "raw" [ D.field "rest" D.bytes_remaining ]
-
-let format =
-  Wf.check_exn
-    (D.format "icmp"
-       [
-         D.field ~doc:"Type" "icmp_type"
-           (D.enum ~exhaustive:false 8
-              [
-                ("echo_reply", Int64.of_int type_echo_reply);
-                ("dest_unreachable", Int64.of_int type_dest_unreachable);
-                ("echo_request", Int64.of_int type_echo_request);
-              ]);
-         D.field ~doc:"Code" "code" D.u8;
-         D.field ~doc:"Checksum" "checksum"
-           (D.checksum ~region:D.Region_message Netdsl_util.Checksum.Internet);
-         D.field "body"
-           (D.Variant
-              {
-                tag = "icmp_type";
-                cases =
-                  [
-                    ("echo_reply", Int64.of_int type_echo_reply, echo_body "echo_reply");
-                    ( "dest_unreachable",
-                      Int64.of_int type_dest_unreachable,
-                      unreachable_body );
-                    ("echo_request", Int64.of_int type_echo_request, echo_body "echo_request");
-                  ];
-                default = Some raw_body;
-              });
-       ])
+let format = Stacks_spec.format_icmp
 
 let echo ~case ~ty ~id ~seq ~data =
   Value.record

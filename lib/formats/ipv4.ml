@@ -1,30 +1,6 @@
 open Netdsl_format
-module D = Desc
 
-let format =
-  Wf.check_exn
-    (D.format "ipv4"
-       [
-         D.field ~doc:"Version" "version" (D.const 4 4L);
-         D.field ~doc:"IHL" "ihl"
-           (D.computed 4 D.(Div (Add (Byte_len "options", Const 20L), Const 4L)));
-         D.field ~doc:"Type of Service" "tos" D.u8;
-         D.field ~doc:"Total Length" "total_length" (D.computed 16 D.Msg_len);
-         D.field ~doc:"Identification" "identification" D.u16;
-         D.field ~doc:"Flags" "flags" (D.uint 3);
-         D.field ~doc:"Fragment Offset" "fragment_offset" (D.uint 13);
-         D.field ~doc:"Time to Live" "ttl" D.u8;
-         D.field ~doc:"Protocol" "protocol" D.u8;
-         D.field ~doc:"Header Checksum" "header_checksum"
-           (D.checksum
-              ~region:(D.Region_span ("version", "options"))
-              Netdsl_util.Checksum.Internet);
-         D.field ~doc:"Source Address" "source" D.u32;
-         D.field ~doc:"Destination Address" "destination" D.u32;
-         D.field "options"
-           (D.bytes_expr D.(Sub (Mul (Field "ihl", Const 4L), Const 20L)));
-         D.field "payload" D.bytes_remaining;
-       ])
+let format = Stacks_spec.format_ipv4
 
 let protocol_icmp = 1
 let protocol_tcp = 6

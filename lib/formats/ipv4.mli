@@ -7,7 +7,8 @@ val format : Netdsl_format.Desc.t
 (** Fields: version (const 4), ihl (computed), tos, total_length
     (computed), identification, flags, fragment_offset, ttl, protocol,
     header_checksum (Internet, over the header only), source, destination,
-    options, payload. *)
+    options, payload.  Generated at build time from
+    [specs/stacks.ndsl]. *)
 
 val make :
   ?tos:int ->

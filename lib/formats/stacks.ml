@@ -1,49 +1,9 @@
-(* The shipped parse graphs over the format catalogue.  A stack is data:
-   validation happens in [Stack.v], so a mistake here (bad demux field,
-   misplaced payload) would fail at module init — the test suite loads
-   this module, making the catalogue self-checking. *)
+(* The shipped parse graphs, generated from specs/stacks.ndsl. *)
 
-open Netdsl_format
-
-let ok_exn = function Ok s -> s | Error e -> invalid_arg ("Stacks: " ^ e)
-
-let inet_tftp =
-  ok_exn
-    (Stack.v ~name:"inet_tftp"
-       [
-         Stack.layer
-           ~select:("ethertype", [ Int64.of_int Ethernet.ethertype_ipv4 ])
-           Ethernet.format;
-         Stack.layer
-           ~select:("protocol", [ Int64.of_int Ipv4.protocol_udp ])
-           Ipv4.format;
-         Stack.layer ~select:("dst_port", [ 69L ]) Udp.format;
-         Stack.layer Tftp.format;
-       ])
-
-let eth_arp =
-  ok_exn
-    (Stack.v ~name:"eth_arp"
-       [
-         Stack.layer
-           ~select:("ethertype", [ Int64.of_int Ethernet.ethertype_arp ])
-           Ethernet.format;
-         Stack.layer Arp.format;
-       ])
-
-let ipv4_icmp =
-  ok_exn
-    (Stack.v ~name:"ipv4_icmp"
-       [
-         Stack.layer
-           ~select:("protocol", [ Int64.of_int Ipv4.protocol_icmp ])
-           Ipv4.format;
-         Stack.layer Icmp.format;
-       ])
-
-let all =
-  [ ("inet_tftp", inet_tftp); ("eth_arp", eth_arp); ("ipv4_icmp", ipv4_icmp) ]
-
+let inet_tftp = Stacks_spec.stack_inet_tftp
+let eth_arp = Stacks_spec.stack_eth_arp
+let ipv4_icmp = Stacks_spec.stack_ipv4_icmp
+let all = Stacks_spec.stacks
 let find name = List.assoc_opt name all
 
 (* Deterministic sample endpoints for corpus generation and tests. *)

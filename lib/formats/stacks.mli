@@ -1,5 +1,6 @@
 (** The shipped parse graphs: layered header chains over the format
-    catalogue, plus canonical chained-packet builders.
+    catalogue, plus canonical chained-packet builders.  The stacks are
+    generated at build time from [specs/stacks.ndsl].
 
     Each stack is a straight chain (branching graphs are separate chains
     sharing their prefix formats, exactly as the compiled plans want

@@ -1,51 +1,6 @@
 open Netdsl_format
-module D = Desc
 
-let request_body name =
-  D.format name
-    [
-      D.field ~doc:"Filename" "filename" D.cstring;
-      D.field ~doc:"Mode" "mode" D.cstring;
-    ]
-
-let data_body =
-  D.format "data"
-    [
-      D.field ~doc:"Block #" "block" D.u16;
-      D.field "data" D.bytes_remaining;
-    ]
-
-let ack_body = D.format "ack" [ D.field ~doc:"Block #" "block" D.u16 ]
-
-let error_body =
-  D.format "error"
-    [
-      D.field ~doc:"ErrorCode" "code" D.u16;
-      D.field ~doc:"ErrMsg" "message" D.cstring;
-    ]
-
-let format =
-  Wf.check_exn
-    (D.format "tftp"
-       [
-         D.field ~doc:"Opcode" "opcode"
-           (D.enum 16
-              [ ("rrq", 1L); ("wrq", 2L); ("data", 3L); ("ack", 4L); ("error", 5L) ]);
-         D.field "body"
-           (D.Variant
-              {
-                tag = "opcode";
-                cases =
-                  [
-                    ("rrq", 1L, request_body "rrq");
-                    ("wrq", 2L, request_body "wrq");
-                    ("data", 3L, data_body);
-                    ("ack", 4L, ack_body);
-                    ("error", 5L, error_body);
-                  ];
-                default = None;
-              });
-       ])
+let format = Stacks_spec.format_tftp
 
 type packet =
   | Rrq of { filename : string; mode : string }

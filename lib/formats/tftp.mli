@@ -4,6 +4,7 @@
     acknowledgements and errors. *)
 
 val format : Netdsl_format.Desc.t
+(** Generated at build time from [specs/stacks.ndsl]. *)
 
 type packet =
   | Rrq of { filename : string; mode : string }

@@ -1,16 +1,6 @@
 open Netdsl_format
-module D = Desc
 
-let format =
-  Wf.check_exn
-    (D.format "udp"
-       [
-         D.field ~doc:"Source Port" "src_port" D.u16;
-         D.field ~doc:"Destination Port" "dst_port" D.u16;
-         D.field ~doc:"Length" "length" (D.computed 16 D.Msg_len);
-         D.field ~doc:"Checksum" "checksum" D.u16;
-         D.field "payload" D.bytes_remaining;
-       ])
+let format = Stacks_spec.format_udp
 
 let make ~src_port ~dst_port ~payload () =
   Value.record

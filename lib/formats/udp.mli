@@ -6,6 +6,7 @@
     permits an unused checksum (zero), which is what {!make} emits. *)
 
 val format : Netdsl_format.Desc.t
+(** Generated at build time from [specs/stacks.ndsl]. *)
 
 val make :
   src_port:int -> dst_port:int -> payload:string -> unit -> Netdsl_format.Value.t

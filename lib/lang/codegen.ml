@@ -184,12 +184,15 @@ let stack_binding binding_of buf name (st : S.t) =
 let sanitize name =
   String.map (fun c -> if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') then c else '_') name
 
-let to_ocaml (p : Parser.program) =
+(* With [machines = false] the unit names no [Netdsl_fsm] module, so a
+   library that links only [netdsl.format] can compile it. *)
+let emit ~machines (p : Parser.program) =
   let buf = Buffer.create 4096 in
   bpf buf "(* Generated by the netdsl compiler — do not edit. *)\n";
   bpf buf "module D = Netdsl_format.Desc\n";
   bpf buf "module S = Netdsl_format.Stack\n";
-  bpf buf "module M = Netdsl_fsm.Machine\n\n";
+  if machines then bpf buf "module M = Netdsl_fsm.Machine\n";
+  bpf buf "\n";
   (* Formats are in definition order, so every reference points backwards
      and the bindings below resolve. *)
   let binding_of (fmt : D.t) = "format_" ^ sanitize fmt.format_name in
@@ -199,16 +202,22 @@ let to_ocaml (p : Parser.program) =
   List.iter
     (fun (name, st) -> stack_binding binding_of buf ("stack_" ^ sanitize name) st)
     p.stacks;
-  List.iter
-    (fun (name, m) -> machine_binding buf ("machine_" ^ sanitize name) m)
-    p.machines;
-  bpf buf "let formats : (string * D.t) list =\n  [ %s ]\n\n"
-    (String.concat "; "
-       (List.map (fun (n, _) -> Printf.sprintf "(%S, format_%s)" n (sanitize n)) p.formats));
-  bpf buf "let stacks : (string * S.t) list =\n  [ %s ]\n\n"
-    (String.concat "; "
-       (List.map (fun (n, _) -> Printf.sprintf "(%S, stack_%s)" n (sanitize n)) p.stacks));
-  bpf buf "let machines : (string * M.t) list =\n  [ %s ]\n"
-    (String.concat "; "
-       (List.map (fun (n, _) -> Printf.sprintf "(%S, machine_%s)" n (sanitize n)) p.machines));
+  if machines then
+    List.iter
+      (fun (name, m) -> machine_binding buf ("machine_" ^ sanitize name) m)
+      p.machines;
+  let assoc name ty prefix names =
+    Printf.sprintf "let %s : (string * %s) list =\n  [ %s ]\n" name ty
+      (String.concat "; "
+         (List.map (fun n -> Printf.sprintf "(%S, %s%s)" n prefix (sanitize n)) names))
+  in
+  let lists =
+    [ assoc "formats" "D.t" "format_" (List.map fst p.formats);
+      assoc "stacks" "S.t" "stack_" (List.map fst p.stacks) ]
+    @ if machines then [ assoc "machines" "M.t" "machine_" (List.map fst p.machines) ] else []
+  in
+  Buffer.add_string buf (String.concat "\n" lists);
   Buffer.contents buf
+
+let to_ocaml p = emit ~machines:true p
+let formats_to_ocaml p = emit ~machines:false p

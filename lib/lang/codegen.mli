@@ -13,3 +13,9 @@ val to_ocaml : Parser.program -> string
     [format_<name>], stacks as [stack_<name>] and machines as
     [machine_<name>]; [formats] / [stacks] / [machines] assoc lists mirror
     {!Parser.program}. *)
+
+val formats_to_ocaml : Parser.program -> string
+(** {!to_ocaml} without the machines: the same [format_<name>] and
+    [stack_<name>] bindings and [formats] / [stacks] lists, in a unit
+    that names no [Netdsl_fsm] module.  The build generates the
+    descriptions of [lib/formats] with it. *)

@@ -300,10 +300,7 @@ let check_replies name o pkts =
    small enough to evict. *)
 let tftp_flows_replies () =
   let swt_sender =
-    let src = In_channel.with_open_bin "../specs/timeout.ndsl" In_channel.input_all in
-    Option.get
-      (Netdsl_lang.Parser.find_machine (Netdsl_lang.Parser.parse_string_exn src)
-         "swt_sender")
+    Option.get (Netdsl_lang.Parser.find_machine (Testutil.spec_program "timeout.ndsl") "swt_sender")
   in
   let opcode_is n = Flight.Cmp (Flight.Eq, Flight.Field "tftp.opcode", Flight.Const n) in
   let flight =
@@ -356,9 +353,8 @@ let tftp_flows_replies () =
    before an ACK cancels them.  [Error] names the first divergence. *)
 let swt_sender =
   lazy
-    (let src = In_channel.with_open_bin (Testutil.spec_path "timeout.ndsl") In_channel.input_all in
-     Option.get
-       (Netdsl_lang.Parser.find_machine (Netdsl_lang.Parser.parse_string_exn src) "swt_sender"))
+    (Option.get
+       (Netdsl_lang.Parser.find_machine (Testutil.spec_program "timeout.ndsl") "swt_sender"))
 
 let tftp_flows_flight =
   let opcode_is n = Flight.Cmp (Flight.Eq, Flight.Field "tftp.opcode", Flight.Const n) in
@@ -516,11 +512,7 @@ let generated_chain_replies (name, stack) =
    chain leg on a stack; and by the stacked-reply leg on its own. *)
 let planted_specialiser_bug () =
   let spec_format file name =
-    Option.get
-      (Netdsl_lang.Parser.find_format
-         (Netdsl_lang.Parser.parse_string_exn
-            (In_channel.with_open_bin (Testutil.spec_path file) In_channel.input_all))
-         name)
+    Option.get (Netdsl_lang.Parser.find_format (Testutil.spec_program file) name)
   in
   List.iter
     (fun fmt ->
@@ -763,10 +755,9 @@ let shipped_formats () =
   Ck.Corpus.shipped
   @ List.concat_map
       (fun spec ->
-        let src = In_channel.with_open_bin (Testutil.spec_path spec) In_channel.input_all in
         List.map
           (fun (name, fmt) -> (spec ^ ":" ^ name, fmt))
-          (Netdsl_lang.Parser.parse_string_exn src).Netdsl_lang.Parser.formats)
+          (Testutil.spec_program spec).Netdsl_lang.Parser.formats)
       [ "abp.ndsl"; "arq.ndsl"; "ipv4.ndsl"; "sensor.ndsl"; "stacks.ndsl";
         "tftp.ndsl"; "timeout.ndsl" ]
 

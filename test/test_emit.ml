@@ -232,6 +232,52 @@ let patcher_rejections () =
   expect_error Fm.Ipv4.format "version" (* constant *);
   expect_error Fm.Tftp.format "opcode" (* variant tag: others derive from it *)
 
+(* Padding under an Internet checksum: a patch clears the received
+   padding bits, and repairs the checksum over them, in [Emit.patch] and
+   in the compiled kernel alike. *)
+let patch_padding_under_checksum () =
+  let fmt =
+    Desc.format "padded"
+      [ Desc.field "a" Desc.u8;
+        Desc.field "pad" (Desc.padding 5);
+        Desc.field "b" (Desc.uint 3);
+        Desc.field "chk" (Desc.checksum ~region:Desc.Region_message Ck.Internet);
+        Desc.field "c" Desc.u16 ]
+  in
+  let p = get_patcher fmt "c" in
+  let rng = Prng.of_int 31 in
+  for _ = 1 to 200 do
+    let b =
+      Bytes.of_string
+        (Codec.encode_exn fmt
+           (Value.record
+              [ ("a", Value.int (Prng.int rng 2)); ("b", Value.int (Prng.int rng 8));
+                ("c", Value.int (Prng.int rng 2)) ]))
+    in
+    (* a sender that ignores the reservation: padding set, checksum right *)
+    Bytes.set_uint8 b 1 (Bytes.get_uint8 b 1 lor (Prng.int rng 32 lsl 3));
+    Bytes.set_uint16_be b 2 0;
+    Bytes.set_uint16_be b 2 (Ck.internet_checksum (Bytes.to_string b));
+    let pkt = Bytes.to_string b and v = Prng.int rng 2 in
+    check_patch fmt p "c" pkt (Int64.of_int v);
+    let via_patch = Bytes.of_string pkt and via_kernel = Bytes.of_string pkt in
+    Emit.patch_exn p via_patch (Int64.of_int v);
+    Alcotest.(check bool)
+      "kernel accepts" true
+      (Emit.kernel p via_kernel 0 (String.length pkt) v);
+    Alcotest.(check string) "kernel = patch" (hex (Bytes.to_string via_patch))
+      (hex (Bytes.to_string via_kernel))
+  done
+
+(* Valid wire inputs the generator never produces: it encodes padding
+   as zero, but a received DNS header may carry its three reserved z
+   bits set (a TCP header its six reserved bits, across two bytes), and
+   a patch must clear them as the re-encode does. *)
+let padded_inputs = function
+  | "dns" -> [ Netdsl_util.Hexdump.of_hex "1234f6f50001000000000000" ]
+  | "tcp" -> [ Netdsl_util.Hexdump.of_hex "04d2005000000001000000005fc2ffff00000000" ]
+  | _ -> []
+
 (* The patch against its reference on every shipped format: for every
    patchable field of generated messages and random values, [Emit.patch]
    and decode → strip derived → substitute → [Codec.encode] must agree on
@@ -245,38 +291,41 @@ let patch_reference_case (name, fmt) =
             match Emit.patcher fmt f.name with Ok p -> Some p | Error _ -> None)
           fmt.Desc.fields
       in
+      let check pkt =
+        let stripped = strip_derived fmt (Codec.decode_exn fmt pkt) in
+        List.iter
+          (fun p ->
+            let field = Emit.patcher_field p in
+            let v =
+              Int64.of_int
+                (match Prng.int rng 3 with
+                | 0 -> Prng.int rng 256
+                | 1 -> Prng.int rng 70_000
+                | _ -> Prng.int rng 0x1_0000_0000)
+            in
+            let buf = Bytes.of_string pkt in
+            match
+              (Emit.patch p buf v, Codec.encode fmt (set_field field (Value.Int v) stripped))
+            with
+            | Ok (), Ok want ->
+              if not (String.equal want (Bytes.to_string buf)) then
+                Alcotest.failf "%s.%s := %Ld\nwant: %s\ngot:  %s" name field v
+                  (hex want) (hex (Bytes.to_string buf))
+            | Error _, Error _ -> ()
+            | Ok (), Error e ->
+              Alcotest.failf "%s.%s := %Ld: patch accepts, codec rejects: %s" name
+                field v (Codec.error_to_string e)
+            | Error e, Ok _ ->
+              Alcotest.failf "%s.%s := %Ld: codec accepts, patch rejects: %s" name
+                field v (Codec.error_to_string e))
+          patchers
+      in
       for _ = 1 to 50 do
         match Codec.encode fmt (sample rng fmt) with
         | Error _ -> ()
-        | Ok pkt ->
-          let stripped = strip_derived fmt (Codec.decode_exn fmt pkt) in
-          List.iter
-            (fun p ->
-              let field = Emit.patcher_field p in
-              let v =
-                Int64.of_int
-                  (match Prng.int rng 3 with
-                  | 0 -> Prng.int rng 256
-                  | 1 -> Prng.int rng 70_000
-                  | _ -> Prng.int rng 0x1_0000_0000)
-              in
-              let buf = Bytes.of_string pkt in
-              match
-                (Emit.patch p buf v, Codec.encode fmt (set_field field (Value.Int v) stripped))
-              with
-              | Ok (), Ok want ->
-                if not (String.equal want (Bytes.to_string buf)) then
-                  Alcotest.failf "%s.%s := %Ld\nwant: %s\ngot:  %s" name field v
-                    (hex want) (hex (Bytes.to_string buf))
-              | Error _, Error _ -> ()
-              | Ok (), Error e ->
-                Alcotest.failf "%s.%s := %Ld: patch accepts, codec rejects: %s" name
-                  field v (Codec.error_to_string e)
-              | Error e, Ok _ ->
-                Alcotest.failf "%s.%s := %Ld: codec accepts, patch rejects: %s" name
-                  field v (Codec.error_to_string e))
-            patchers
-      done)
+        | Ok pkt -> check pkt
+      done;
+      List.iter check (padded_inputs name))
 
 (* RFC 1624 incremental update against full recomputation. *)
 let internet_delta_matches () =
@@ -362,6 +411,7 @@ let suite =
         Alcotest.test_case "windowed" `Quick patch_windowed;
         Alcotest.test_case "validation" `Quick patch_validation;
         Alcotest.test_case "rejections" `Quick patcher_rejections;
+        Alcotest.test_case "padding under a checksum" `Quick patch_padding_under_checksum;
         Alcotest.test_case "internet delta" `Quick internet_delta_matches ] );
     ("emit.patch_reference", List.map patch_reference_case all_formats);
     ("emit.kernel", List.map kernel_case all_formats) ]

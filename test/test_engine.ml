@@ -937,11 +937,6 @@ let icmp_echo_matches_reference () =
       Testutil.finish tw);
   check_bool "echo requests answered" true (!answered >= 200)
 
-(* A spec file's format and machine, parsed from the shipped spec. *)
-let spec_program name =
-  Netdsl_lang.Parser.parse_string_exn
-    (In_channel.with_open_bin (Testutil.spec_path name) In_channel.input_all)
-
 (* Run [pkts] through the pipeline and the reference executor: per-packet
    outcomes, counters, flows and replies must agree, and the traffic must
    exercise both verdicts. *)
@@ -962,11 +957,38 @@ let mutants fmt rng seeds =
       @ List.init (String.length pkt) (fun n -> String.sub pkt 0 n))
     seeds
 
+(* DNS's header has three reserved z bits, which the codec encodes as
+   zero.  A responder stamping each query's id must answer a query
+   received with them set exactly as the reference's decode → set →
+   encode does: with them cleared. *)
+let dns_padding_matches_reference () =
+  let flight =
+    Flight.spec
+      ~respond:
+        [ { Flight.re_when = Flight.All [];
+            re_set = [ { Flight.set_field = "id"; set_to = Flight.Const 7L } ] } ]
+      ()
+  in
+  let replies = ref [] in
+  let tw =
+    Testutil.twin ~flight ~on_response:(fun s -> replies := s :: !replies) Fm.Dns.format
+  in
+  let query =
+    Netdsl_format.Codec.encode_exn Fm.Dns.format (Fm.Dns.query_header ~id:0x1234 ~qdcount:1)
+  in
+  let with_z = Bytes.of_string query in
+  Bytes.set_uint8 with_z 3 (Bytes.get_uint8 with_z 3 lor 0x70);
+  List.iter
+    (fun pkt -> check_bool "accepted" true (Testutil.process tw pkt = Pipeline.Accepted))
+    [ query; Bytes.to_string with_z ];
+  Testutil.finish tw;
+  List.iter (fun reply -> check_int "reply z bits clear" 0 (Char.code reply.[3] land 0x70)) !replies
+
 (* The shipped TFTP spec: a five-way variant, so every case is its own
    flattened plan.  The flow key [block] lives in two cases only; on the
    others the packet keys to the shared default instance. *)
 let tftp_spec_matches_reference () =
-  let prog = spec_program "tftp.ndsl" in
+  let prog = Testutil.spec_program "tftp.ndsl" in
   let fmt = Option.get (Netdsl_lang.Parser.find_format prog "tftp") in
   let machine =
     Option.get
@@ -1000,7 +1022,7 @@ let tftp_spec_matches_reference () =
    compiled plan.  Besides the mutator's own, count lies with the CRC
    repaired (so only the count can reject) and readings cut mid-element. *)
 let sensor_report_matches_reference () =
-  let prog = spec_program "sensor.ndsl" in
+  let prog = Testutil.spec_program "sensor.ndsl" in
   let fmt = Option.get (Netdsl_lang.Parser.find_format prog "sensor_report") in
   let machine = Option.get (Netdsl_lang.Parser.find_machine prog "sensor_node") in
   let count = Flight.Field "count" in
@@ -1372,13 +1394,8 @@ let stack_pipeline_zero_alloc () =
    keyed on the UDP source port, every accepted packet answered. *)
 let swt_sender =
   lazy
-    (let src =
-       In_channel.with_open_bin "../specs/timeout.ndsl" In_channel.input_all
-     in
-     Option.get
-       (Netdsl_lang.Parser.find_machine
-          (Netdsl_lang.Parser.parse_string_exn src)
-          "swt_sender"))
+    (Option.get
+       (Netdsl_lang.Parser.find_machine (Testutil.spec_program "timeout.ndsl") "swt_sender"))
 
 let swt_flight =
   let opcode_is n =
@@ -1708,10 +1725,7 @@ let steered_matches_single () =
    then no traffic at all — that worker's idle timer polls drive two
    retransmits and the give-up; the other worker holds no timer. *)
 let steered_idle_worker_fires_timers () =
-  let spec =
-    Netdsl_lang.Parser.parse_string_exn
-      (In_channel.with_open_bin "../specs/timeout.ndsl" In_channel.input_all)
-  in
+  let spec = Testutil.spec_program "timeout.ndsl" in
   let fmt = Option.get (Netdsl_lang.Parser.find_format spec "swt_frame") in
   let kind_is n ev =
     { Flight.ev_when = Flight.Cmp (Flight.Eq, Flight.Field "kind", Flight.Const n);
@@ -1844,6 +1858,8 @@ let suite =
           fused_rejected_decode_error;
         Alcotest.test_case "icmp echo responder: fused = reference" `Quick
           icmp_echo_matches_reference;
+        Alcotest.test_case "dns responder clears z bits: fused = reference" `Quick
+          dns_padding_matches_reference;
         Alcotest.test_case "tftp spec: fused = reference under mutants" `Quick
           tftp_spec_matches_reference;
         Alcotest.test_case "sensor_report: fused = reference, count lies" `Quick

@@ -181,8 +181,19 @@ let test_icmp_unknown_type_default_case () =
       ]
   in
   let d = decode_ok Icmp.format (encode_ok Icmp.format v) in
-  match V.get d "body" with
+  (match V.get d "body" with
   | V.Variant ("default", body) -> check_str "raw" "??" (V.get_bytes body "rest")
+  | other -> Alcotest.failf "wrong body: %s" (V.to_string other));
+  (* RFC 1191 "fragmentation needed" (type 3, code 4) carries the
+     next-hop MTU (here 1500) in the word after the checksum, so that
+     word is not zero; the message rides the default case too. *)
+  let frag_needed = Bytes.of_string (Hex.of_hex "03040000000005dc4500001c") in
+  Bytes.set_uint16_be frag_needed 2
+    (Netdsl_util.Checksum.internet_checksum (Bytes.to_string frag_needed));
+  match V.get (decode_ok Icmp.format (Bytes.to_string frag_needed)) "body" with
+  | V.Variant ("default", body) ->
+    check_str "mtu word and original header" (Hex.of_hex "000005dc4500001c")
+      (V.get_bytes body "rest")
   | other -> Alcotest.failf "wrong body: %s" (V.to_string other)
 
 (* ------------------------------------------------------------------ *)
@@ -544,30 +555,6 @@ let test_tftp_bad_opcode_rejected () =
   | Ok _ -> Alcotest.fail "opcode 6 accepted"
   | Error e -> check_bool "enum rejection" true (Testutil.contains e "enum")
 
-let test_tftp_spec_matches_library () =
-  (* The .ndsl spec elaborates to a format that encodes byte-identically. *)
-  match
-    List.find_opt Sys.file_exists
-      [ "specs/tftp.ndsl"; "../specs/tftp.ndsl"; "../../specs/tftp.ndsl";
-        "../../../specs/tftp.ndsl" ]
-  with
-  | None -> ()
-  | Some path ->
-    let src =
-      let ic = open_in_bin path in
-      Fun.protect ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let p = Netdsl_lang.Parser.parse_string_exn src in
-    let fmt = Option.get (Netdsl_lang.Parser.find_format p "tftp") in
-    let sample = Tftp.to_bytes_exn (Tftp.Error { code = 1; message = "File not found" }) in
-    (match C.decode fmt sample with
-    | Ok v -> (
-      match V.get v "body" with
-      | V.Variant ("error", b) -> check_str "message" "File not found" (V.get_bytes b "message")
-      | other -> Alcotest.failf "wrong case: %s" (V.to_string other))
-    | Error e -> Alcotest.failf "spec decode failed: %s" (C.error_to_string e))
-
 let tftp_suite =
   ( "formats.tftp",
     [
@@ -576,9 +563,114 @@ let tftp_suite =
       Alcotest.test_case "NUL in filename rejected" `Quick test_tftp_nul_in_filename_rejected;
       Alcotest.test_case "missing terminator rejected" `Quick test_tftp_missing_terminator_rejected;
       Alcotest.test_case "bad opcode rejected" `Quick test_tftp_bad_opcode_rejected;
-      Alcotest.test_case "spec matches library" `Quick test_tftp_spec_matches_library;
       Testutil.qcheck
         (prop_decode_never_raises Tftp.format "formats: tftp decode total on junk");
     ] )
 
 let suite = suite @ [ tftp_suite ]
+
+(* ------------------------------------------------------------------ *)
+(* One description per protocol: the library's descriptions are
+   generated from specs/stacks.ndsl and specs/arq.ndsl, and
+   specs/ipv4.ndsl and specs/tftp.ndsl repeat formats of stacks.ndsl.
+   Every pair must be the same [Desc.t], docs aside, down to the names
+   of variant bodies; the stacks must agree layer by layer. *)
+
+module D = Netdsl_format.Desc
+module P = Netdsl_lang.Parser
+
+let rec strip_docs (fmt : D.t) : D.t =
+  let ty : D.ty -> D.ty = function
+    | Array { elem; length } -> Array { elem = strip_docs elem; length }
+    | Record sub -> Record (strip_docs sub)
+    | Variant { tag; cases; default } ->
+      Variant
+        { tag;
+          cases = List.map (fun (n, v, sub) -> (n, v, strip_docs sub)) cases;
+          default = Option.map strip_docs default }
+    | t -> t
+  in
+  let field (f : D.field) = { f with doc = None; ty = ty f.ty } in
+  { fmt with fields = List.map field fmt.fields }
+
+(* The format and every sub-format it nests, for a readable failure. *)
+let render fmt =
+  String.concat "\n" (List.rev (D.fold_formats (fun acc f -> D.to_string f :: acc) [] fmt))
+
+(* Every drifted pair, all reported at once. *)
+let check_no_drift pairs =
+  let drift (what, a, b) =
+    let a = strip_docs a and b = strip_docs b in
+    if a = b then None
+    else Some (Printf.sprintf "%s drifted:\n%s\n--- vs ---\n%s" what (render a) (render b))
+  in
+  match List.filter_map drift pairs with
+  | [] -> ()
+  | msgs -> Alcotest.fail (String.concat "\n\n" msgs)
+
+let spec_format prog name =
+  match P.find_format prog name with
+  | Some f -> f
+  | None -> Alcotest.failf "no format %s in the spec" name
+
+let test_library_matches_stacks_spec () =
+  let prog = Testutil.spec_program "stacks.ndsl" in
+  check_no_drift
+    (List.map
+       (fun (fmt : D.t) ->
+         ("library " ^ fmt.format_name, fmt, spec_format prog fmt.format_name))
+       [ Ethernet.format; Ipv4.format; Udp.format; Tftp.format; Arp.format; Icmp.format ])
+
+let test_library_matches_arq_spec () =
+  check_no_drift
+    [ ( "library arq_packet",
+        Arq.format,
+        spec_format (Testutil.spec_program "arq.ndsl") "arq_packet" ) ]
+
+let test_single_format_specs_match_stacks_spec () =
+  let stacks = Testutil.spec_program "stacks.ndsl" in
+  check_no_drift
+    (List.concat_map
+       (fun file ->
+         let prog = Testutil.spec_program file in
+         check_bool (file ^ " has formats") true (prog.P.formats <> []);
+         List.map
+           (fun (name, fmt) -> (file ^ " " ^ name, fmt, spec_format stacks name))
+           prog.P.formats)
+       [ "ipv4.ndsl"; "tftp.ndsl" ])
+
+let test_library_stacks_match_spec () =
+  let module S = Netdsl_format.Stack in
+  let prog = Testutil.spec_program "stacks.ndsl" in
+  Alcotest.(check (list string))
+    "stack names" (List.map fst prog.P.stacks) (List.map fst Stacks.all);
+  check_no_drift
+    (List.concat_map
+       (fun (name, lib) ->
+         let spec = Option.get (P.find_stack prog name) in
+         let layers st =
+           List.mapi (fun i l -> (l, S.layer_select st i, S.layer_via st i)) (S.layer_names st)
+         in
+         if layers lib <> layers spec then Alcotest.failf "stack %s: layers drifted" name;
+         List.mapi
+           (fun i l ->
+             ( Printf.sprintf "stack %s layer %s" name l,
+               S.layer_format lib i,
+               S.layer_format spec i ))
+           (S.layer_names lib))
+       Stacks.all)
+
+let suite =
+  suite
+  @ [
+      ( "formats.specs",
+        [
+          Alcotest.test_case "library = stacks.ndsl" `Quick test_library_matches_stacks_spec;
+          Alcotest.test_case "library arq_packet = arq.ndsl" `Quick
+            test_library_matches_arq_spec;
+          Alcotest.test_case "ipv4.ndsl, tftp.ndsl = stacks.ndsl" `Quick
+            test_single_format_specs_match_stacks_spec;
+          Alcotest.test_case "library stacks = stacks.ndsl" `Quick
+            test_library_stacks_match_spec;
+        ] );
+    ]

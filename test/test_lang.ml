@@ -540,97 +540,51 @@ let suite = suite @ [ printer_suite ]
 (* The ABP system written in .ndsl elaborates to machines behaviourally
    equivalent to the OCaml-defined ones, and verifies identically. *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let find_spec name =
-  List.find_opt Sys.file_exists
-    [ "specs/" ^ name; "../specs/" ^ name; "../../specs/" ^ name;
-      "../../../specs/" ^ name; "../../../../specs/" ^ name ]
-
-let with_abp_spec f =
-  match find_spec "abp.ndsl" with
-  | None -> () (* source tree not available; exercised via cram instead *)
-  | Some path -> f (parse_ok (read_file path))
-
 let test_abp_spec_machines_equivalent () =
-  with_abp_spec (fun p ->
-      List.iter
-        (fun (name, reference) ->
-          let parsed = Option.get (Parser.find_machine p name) in
-          match Netdsl_fsm.Equiv.check reference parsed with
-          | Ok () -> ()
-          | Error ce ->
-            Alcotest.failf "%s differs: %s" name
-              (Format.asprintf "%a" Netdsl_fsm.Equiv.pp_counterexample ce))
-        [
-          ("sender", Netdsl_proto.Abp.sender);
-          ("data_channel", Netdsl_proto.Abp.data_channel);
-          ("receiver", Netdsl_proto.Abp.receiver);
-          ("ack_channel", Netdsl_proto.Abp.ack_channel);
-        ])
+  let p = Testutil.spec_program "abp.ndsl" in
+  List.iter
+    (fun (name, reference) ->
+      let parsed = Option.get (Parser.find_machine p name) in
+      match Netdsl_fsm.Equiv.check reference parsed with
+      | Ok () -> ()
+      | Error ce ->
+        Alcotest.failf "%s differs: %s" name
+          (Format.asprintf "%a" Netdsl_fsm.Equiv.pp_counterexample ce))
+    [
+      ("sender", Netdsl_proto.Abp.sender);
+      ("data_channel", Netdsl_proto.Abp.data_channel);
+      ("receiver", Netdsl_proto.Abp.receiver);
+      ("ack_channel", Netdsl_proto.Abp.ack_channel);
+    ]
 
 let test_abp_spec_verifies () =
-  with_abp_spec (fun p ->
-      let sys =
-        Netdsl_fsm.Compose.create ~name:"abp_from_dsl" (List.map snd p.Parser.machines)
-      in
-      (match
-         Netdsl_fsm.Model_check.check_invariant sys (fun global ->
-             not
-               (List.exists (fun c -> String.equal c.M.state "bad") global))
-       with
-      | Netdsl_fsm.Model_check.Holds -> ()
-      | _ -> Alcotest.fail "no-duplicate-delivery failed on DSL-defined ABP");
-      match Netdsl_fsm.Model_check.check_deadlock_free sys with
-      | Netdsl_fsm.Model_check.Holds -> ()
-      | _ -> Alcotest.fail "deadlock freedom failed on DSL-defined ABP")
+  let p = Testutil.spec_program "abp.ndsl" in
+  let sys =
+    Netdsl_fsm.Compose.create ~name:"abp_from_dsl" (List.map snd p.Parser.machines)
+  in
+  (match
+     Netdsl_fsm.Model_check.check_invariant sys (fun global ->
+         not
+           (List.exists (fun c -> String.equal c.M.state "bad") global))
+   with
+  | Netdsl_fsm.Model_check.Holds -> ()
+  | _ -> Alcotest.fail "no-duplicate-delivery failed on DSL-defined ABP");
+  match Netdsl_fsm.Model_check.check_deadlock_free sys with
+  | Netdsl_fsm.Model_check.Holds -> ()
+  | _ -> Alcotest.fail "deadlock freedom failed on DSL-defined ABP"
 
 let test_specs_parse_and_check () =
   List.iter
     (fun name ->
-      match find_spec name with
-      | None -> ()
-      | Some path ->
-        let p = parse_ok (read_file path) in
-        (* Every machine in every shipped spec is structurally valid and
-           passes analysis without defects. *)
-        List.iter
-          (fun (_, m) ->
-            Alcotest.(check (list string)) (name ^ " machine defects") []
-              (List.map (fun d -> d.M.what) (M.validate m)))
-          p.Parser.machines)
+      let p = Testutil.spec_program name in
+      (* Every machine in every shipped spec is structurally valid and
+         passes analysis without defects. *)
+      List.iter
+        (fun (_, m) ->
+          Alcotest.(check (list string)) (name ^ " machine defects") []
+            (List.map (fun d -> d.M.what) (M.validate m)))
+        p.Parser.machines)
     [ "arq.ndsl"; "ipv4.ndsl"; "sensor.ndsl"; "abp.ndsl"; "tftp.ndsl"; "stacks.ndsl" ]
-
-let test_stacks_spec_compiles () =
-  (* Every stack in the shipped spec lowers to a fused plan, and the
-     four-layer chain accepts a packet built by the library catalogue
-     (specs/stacks.ndsl mirrors lib/formats wire layouts). *)
-  match find_spec "stacks.ndsl" with
-  | None -> ()
-  | Some path ->
-    let module S = Netdsl_format.Stack in
-    let p = parse_ok (read_file path) in
-    check_int "three stacks" 3 (List.length p.Parser.stacks);
-    List.iter
-      (fun (name, st) ->
-        match S.compile st with
-        | Ok _ -> ()
-        | Error e -> Alcotest.failf "stack %s does not compile: %s" name e)
-      p.Parser.stacks;
-    let st = Option.get (Parser.find_stack p "inet_tftp") in
-    let plan = Result.get_ok (S.compile st) in
-    let lib_plan = Result.get_ok (S.compile Netdsl_formats.Stacks.inet_tftp) in
-    let pkt =
-      Result.get_ok
-        (S.encode lib_plan
-           (Netdsl_formats.Stacks.inet_tftp_values
-              (Netdsl_formats.Tftp.Ack { block = 1 })))
-    in
-    check_bool "spec stack accepts library chain" true (S.run plan pkt)
 
 let spec_suite =
   ( "lang.specs",
@@ -638,7 +592,6 @@ let spec_suite =
       Alcotest.test_case "ABP spec equivalent to library" `Quick test_abp_spec_machines_equivalent;
       Alcotest.test_case "ABP spec verifies" `Quick test_abp_spec_verifies;
       Alcotest.test_case "all shipped specs valid" `Quick test_specs_parse_and_check;
-      Alcotest.test_case "stacks spec compiles and routes" `Quick test_stacks_spec_compiles;
     ] )
 
 let suite = suite @ [ spec_suite ]
@@ -647,29 +600,26 @@ let test_arq_spec_sender_equivalent_to_library () =
   (* The .ndsl sender speaks of a "timer" event where the library machine
      says "timeout"; after renaming, the two are behaviourally equivalent
      (labels and ignore-lists play no role in the language). *)
-  match find_spec "arq.ndsl" with
-  | None -> ()
-  | Some path ->
-    let p = parse_ok (read_file path) in
-    let parsed = Option.get (Parser.find_machine p "sender") in
-    let rename e = if String.equal e "timer" then "timeout" else e in
-    let renamed =
-      {
-        parsed with
-        M.events = List.map rename parsed.M.events;
-        transitions =
-          List.map
-            (fun (t : M.transition) -> { t with M.event = rename t.event })
-            parsed.M.transitions;
-        ignores = List.map (fun (s, e) -> (s, rename e)) parsed.M.ignores;
-      }
-    in
-    let reference = Netdsl_proto.Arq_fsm.sender ~seq_bits:8 in
-    (match Netdsl_fsm.Equiv.check ~max_pairs:2_000_000 reference renamed with
-    | Ok () -> ()
-    | Error ce ->
-      Alcotest.failf "spec sender differs from library sender: %s"
-        (Format.asprintf "%a" Netdsl_fsm.Equiv.pp_counterexample ce))
+  let p = Testutil.spec_program "arq.ndsl" in
+  let parsed = Option.get (Parser.find_machine p "sender") in
+  let rename e = if String.equal e "timer" then "timeout" else e in
+  let renamed =
+    {
+      parsed with
+      M.events = List.map rename parsed.M.events;
+      transitions =
+        List.map
+          (fun (t : M.transition) -> { t with M.event = rename t.event })
+          parsed.M.transitions;
+      ignores = List.map (fun (s, e) -> (s, rename e)) parsed.M.ignores;
+    }
+  in
+  let reference = Netdsl_proto.Arq_fsm.sender ~seq_bits:8 in
+  (match Netdsl_fsm.Equiv.check ~max_pairs:2_000_000 reference renamed with
+  | Ok () -> ()
+  | Error ce ->
+    Alcotest.failf "spec sender differs from library sender: %s"
+      (Format.asprintf "%a" Netdsl_fsm.Equiv.pp_counterexample ce))
 
 let () = ignore test_arq_spec_sender_equivalent_to_library
 

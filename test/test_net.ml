@@ -630,11 +630,7 @@ let steering_kernel_agrees () =
 let sharded_idle_worker_fires_timers io () =
   if io = Server.Mmsg && not (mmsg_available ()) then ()
   else begin
-    let spec =
-      Netdsl_lang.Parser.parse_string_exn
-        (In_channel.with_open_bin (Testutil.spec_path "timeout.ndsl")
-           In_channel.input_all)
-    in
+    let spec = Testutil.spec_program "timeout.ndsl" in
     let fmt = Option.get (Netdsl_lang.Parser.find_format spec "swt_frame") in
     let machine = Option.get (Netdsl_lang.Parser.find_machine spec "swt_sender") in
     let kind_is n ev =

@@ -149,9 +149,7 @@ let key_extraction () =
    fuzzed through every oracle leg. *)
 let counted_arrays () =
   let parse src = Netdsl_lang.Parser.parse_string_exn src in
-  let sensor =
-    parse (In_channel.with_open_bin (Testutil.spec_path "sensor.ndsl") In_channel.input_all)
-  in
+  let sensor = Testutil.spec_program "sensor.ndsl" in
   let checked =
     parse
       {|format item {

@@ -44,13 +44,15 @@ let fill_slab ?(from = 0) slab pkts =
   in
   go from
 
-(* A shipped spec, found from wherever the test binary runs: dune's test
-   directory or the repository root. *)
-let spec_path name =
-  let candidates = [ "../specs/" ^ name; "specs/" ^ name; "../../specs/" ^ name ] in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None -> failwith ("spec not found: " ^ name)
+(* A shipped spec, parsed; found from wherever the test binary runs:
+   dune's test directory ([dune runtest]) or the repository root. *)
+let spec_program name =
+  let path =
+    match List.find_opt Sys.file_exists [ "../specs/" ^ name; "specs/" ^ name ] with
+    | Some p -> p
+    | None -> failwith ("spec not found: " ^ name)
+  in
+  Netdsl_lang.Parser.parse_string_exn (In_channel.with_open_bin path In_channel.input_all)
 
 module Reference = Netdsl_check.Reference
 
