@@ -146,7 +146,7 @@ let scene_steering () =
   rule "3. Flow steering by the DSL-declared \"seq\" field";
   match
     ( Bpf.steering Formats.Arq.format ~key:"seq" ~workers:2,
-      View.key_extractor Formats.Arq.format "seq" )
+      Bpf.key Formats.Arq.format "seq" )
   with
   | Error e, _ | _, Error e -> Printf.printf "steering refused: %s\n" e
   | Ok prog, Ok key ->
@@ -156,8 +156,7 @@ let scene_steering () =
     let per_worker = Array.make 2 0 in
     Array.iter
       (fun pkt ->
-        let _, bits, _ = View.key_layout key in
-        let w = Bpf.steer ~workers:2 ~bits (View.extract_key_int key pkt) in
+        let w = Bpf.steer ~workers:2 key (Bpf.read_key key pkt) in
         per_worker.(w) <- per_worker.(w) + 1)
       pkts;
     Array.iteri

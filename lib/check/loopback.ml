@@ -356,7 +356,7 @@ module Lossy = struct
     l_chan : Channel.t;
     l_pending : string Queue.t;
     l_pipes : Pipeline.t array;
-    l_key : Netdsl_format.View.key_extractor;
+    l_key : Netdsl_format.Bpf.key;
   }
 
   let create ?(workers = 1) ?(tick_ms = 1)
@@ -368,7 +368,7 @@ module Lossy = struct
       match Netdsl_engine.Flight.spec_flow_key flight with
       | None -> invalid_arg "Loopback.Lossy.create: the flight spec has no flow key"
       | Some k -> (
-        match Netdsl_format.View.key_extractor fmt k with
+        match Netdsl_format.Bpf.key fmt k with
         | Ok ke -> ke
         | Error e -> invalid_arg ("Loopback.Lossy.create: flow key: " ^ e))
     in
@@ -398,11 +398,9 @@ module Lossy = struct
   let workers t = Array.length t.l_pipes
   (* the sharded server's partition: the kernel program computes it *)
   let owner t key =
-    let _, bits, _ = Netdsl_format.View.key_layout t.l_key in
-    t.l_pipes.(Netdsl_format.Bpf.steer ~workers:(Array.length t.l_pipes) ~bits key)
+    t.l_pipes.(Netdsl_format.Bpf.steer ~workers:(Array.length t.l_pipes) t.l_key key)
 
-  let inject t pkt =
-    Pipeline.process (owner t (Netdsl_format.View.extract_key_int t.l_key pkt)) pkt
+  let inject t pkt = Pipeline.process (owner t (Netdsl_format.Bpf.read_key t.l_key pkt)) pkt
   let send t pkt = Channel.send t.l_chan pkt
 
   (* Deliveries the channel released at (or before) the current tick,

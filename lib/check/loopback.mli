@@ -125,7 +125,7 @@ module Lossy : sig
   (** [workers] (default 1) pipelines each own a wheel and run
       [flight].  The spec's flow key keys
       the machine instances and routes packets: it is read from the
-      wire bytes ({!Netdsl_format.View.key_extractor}) and hashed by
+      wire bytes ({!Netdsl_format.Bpf.key}) and hashed by
       {!Netdsl_format.Bpf.steer} — the partition the sharded server's
       kernel steering program computes.  Raises [Invalid_argument] when
       the spec has no flow key or the format cannot extract it. *)

@@ -16,36 +16,23 @@ type slot = {
 
 type plan = { p_fmt : Desc.t; p_slots : slot list; p_min_bytes : int }
 
-(* The static prefix: accumulate bit offsets while field sizes are known
-   constants; the first variable-size or nested field ends the walk (the
-   fixed-prefix rule View.key_extractor uses). *)
+(* Every scalar the layout places at a fixed offset; padding is no
+   field. *)
 let plan fmt =
-  let slots = ref [] in
-  let bit = ref 0 in
-  let stopped = ref false in
-  let add name bits endian kind =
-    slots := { s_name = name; s_bit_off = !bit; s_bits = bits;
-               s_endian = endian; s_kind = kind }
-              :: !slots;
-    bit := !bit + bits
+  let slot (e : Sizing.entry) =
+    match (e.shape, e.off) with
+    | Some { kind = Padding; _ }, _ | None, _ | _, None -> None
+    | Some { bits; endian; kind; _ }, Some off ->
+      let kind =
+        match kind with
+        | Int | Flag -> Scalar
+        | Const -> Const
+        | Computed -> Computed
+        | Checksum | Padding -> Checksum
+      in
+      Some { s_name = e.field.name; s_bit_off = off; s_bits = bits; s_endian = endian; s_kind = kind }
   in
-  List.iter
-    (fun (f : Desc.field) ->
-      if not !stopped then
-        match f.Desc.ty with
-        | Desc.Uint { bits; endian } -> add f.Desc.name bits endian Scalar
-        | Desc.Bool_flag -> add f.Desc.name 1 Desc.Big Scalar
-        | Desc.Const { bits; endian; _ } -> add f.Desc.name bits endian Const
-        | Desc.Enum { bits; endian; _ } -> add f.Desc.name bits endian Scalar
-        | Desc.Computed { bits; endian; _ } -> add f.Desc.name bits endian Computed
-        | Desc.Checksum { algorithm; _ } ->
-          add f.Desc.name (Checksum.width_bits algorithm) Desc.Big Checksum
-        | Desc.Padding { bits } -> bit := !bit + bits
-        | Desc.Bytes (Desc.Len_fixed n) -> bit := !bit + (8 * n)
-        | Desc.Bytes _ | Desc.Array _ | Desc.Record _ | Desc.Variant _ ->
-          stopped := true)
-    fmt.Desc.fields;
-  { p_fmt = fmt; p_slots = List.rev !slots; p_min_bytes = Sizing.min_bytes fmt }
+  { p_fmt = fmt; p_slots = List.filter_map slot (Sizing.layout fmt); p_min_bytes = Sizing.min_bytes fmt }
 
 let slots p = p.p_slots
 let format p = p.p_fmt

@@ -34,10 +34,10 @@ type slot = {
 type plan
 
 val plan : Netdsl_format.Desc.t -> plan
-(** Walks the top-level fields of the description, accumulating bit
-    offsets while sizes are static; the walk stops at the first
-    variable-size or nested field (the same fixed-prefix rule as
-    {!View.key_extractor}). *)
+(** One slot per scalar top-level field that the format's static layout
+    ({!Netdsl_format.Sizing.layout}) places at a fixed offset with a
+    fixed width: the fields a flow key, a patch or the kernel filter
+    can address without decoding. *)
 
 val slots : plan -> slot list
 val format : plan -> Netdsl_format.Desc.t

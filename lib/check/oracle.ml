@@ -314,7 +314,7 @@ module Stack_reply = struct
                  else Result.is_ok (Stack.patcher stack i f.name)
                in
                match
-                 (resolved, Netdsl_format.Sizing.fixed_field_span fmt f.name,
+                 (resolved, Netdsl_format.Sizing.(span (layout fmt)) f.name,
                   Stack.compile ~demand:[ q ] stack)
                with
                | true, Ok (_, bits), Ok _ ->

@@ -55,6 +55,7 @@ type t = {
   classify : (cond * string) list;
   key_field : field option;
   respond : (cond * action list) list;
+  clearable : bool;  (* [padding_clearable] *)
   interp : Interp.t option;  (* stepping one flow at a time *)
   initial : Machine.config;
   default_flow : flow;
@@ -160,13 +161,31 @@ let settable layers vias { layer; name } =
   | Some f -> (
     match f.ty with
     | Uint { bits; _ } | Enum { bits; _ } -> (
-      match Sizing.fixed_field_span fmt name with
+      match Sizing.span (Sizing.layout fmt) name with
       | Ok (off, _) when off land 7 = 0 && bits land 7 = 0 ->
         if List.mem name (derived_from fmt) then
           Error (Printf.sprintf "other fields are derived from %S" name)
         else enclosing 0
       | _ -> Error (Printf.sprintf "%S is not whole bytes at a fixed offset" name))
     | _ -> Error (Printf.sprintf "%S is not a plain integer field" name))
+
+(* Whether a reply may be sent at all: re-encoding writes every layer's
+   padding as zero, which the engine repeats in place, so padding nested
+   in a layer, at no fixed offset, or in a layer an enclosing checksum
+   covers refuses every reply. *)
+let padding_clearable layers vias =
+  let is_pad (g : Desc.field) = match g.ty with Padding _ -> true | _ -> false in
+  let clearable i (fmt : Desc.t) =
+    let lay = Sizing.layout fmt in
+    let padded sub = List.exists is_pad sub.Desc.fields in
+    (not (Desc.fold_formats (fun acc sub -> acc || padded sub) false fmt))
+    || (not (Desc.fold_formats (fun acc sub -> acc || (sub != fmt && padded sub)) false fmt))
+       && List.for_all
+            (fun (g : Desc.field) -> (not (is_pad g)) || Result.is_ok (Sizing.span lay g.name))
+            fmt.fields
+       && List.for_all (fun k -> not (covers_payload layers.(k) vias.(k))) (List.init i Fun.id)
+  in
+  Array.for_all Fun.id (Array.mapi clearable layers)
 
 let create ?(config = Pipeline.default_config) ?stack ?machine
     ?(clock_ms = fun () -> int_of_float (Unix.gettimeofday () *. 1e3)) ?(tick_ms = 1)
@@ -237,6 +256,7 @@ let create ?(config = Pipeline.default_config) ?stack ?machine
       List.map
         (fun (r : Flight.response) -> (cond r.re_when, List.map action r.re_set))
         flight.sp_respond;
+    clearable = padding_clearable layers vias;
     interp;
     initial;
     default_flow = { key = no_key; cfg = initial; older = None; newer = None };
@@ -419,7 +439,8 @@ let reply t actions =
       | Ok s -> encode (i - 1) (Some s)
       | Error _ -> None
   in
-  if List.for_all set actions then encode (Array.length t.layers - 1) None else None
+  if t.clearable && List.for_all set actions then encode (Array.length t.layers - 1) None
+  else None
 
 (* ---- per packet ---- *)
 

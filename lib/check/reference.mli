@@ -53,7 +53,10 @@
       carrier's payload field would need the whole chain re-summed, and
       the engine's in-place patch refuses it, so this refuses it too by
       its own reading of the regions.  Padding bits of a re-encoded layer
-      are zero.
+      are zero, which the engine repeats by clearing them in place, so a
+      stack with padding nested in a layer, at no fixed offset (by the
+      static layout, {!Netdsl_format.Sizing.layout}), or in a layer an
+      enclosing layer's checksum covers, rejects every reply.
 
     {b Timers} run at tick granularity: tick = [clock_ms () / tick_ms].
     The clock is read only when timers are polled, which every {!process}

@@ -281,8 +281,28 @@ let compile_stack ?plan ?plant stack sp =
     let* j, field = F.Stack.locate p a.set_field in
     Ok (reg_patch reg (patcher j field) (F.Stack.windows p) j a.set_to)
   in
+  (* After its actions, every rule clears each layer's padding, as the
+     codec writes it as zero; padding no patch can clear refuses the
+     rule. *)
+  let clears =
+    List.filter_map
+      (fun j ->
+        match F.Stack.padding stack j with
+        | Ok None -> None
+        | Error _ -> Some (fun _ -> false)
+        | Ok (Some pads) ->
+          let win = F.Stack.windows p and o = 2 * j in
+          Some
+            (fun buf ->
+              F.Emit.clear_padding ~off:(Array.unsafe_get win o)
+                ~len:(Array.unsafe_get win (o + 1)) buf pads;
+              true))
+      (List.init (F.Stack.layer_count p) Fun.id)
+  in
   let* patches =
-    map_result (fun r -> Result.map Array.of_list (map_result action r.re_set)) sp.sp_respond
+    map_result
+      (fun r -> Result.map (fun acts -> Array.of_list (acts @ clears)) (map_result action r.re_set))
+      sp.sp_respond
   in
   let event_of r =
     match plan with

@@ -117,7 +117,10 @@ val compile_stack :
     field absent from the accepted packet's variant case compares
     [false], keys to {!no_key} and refuses a patch), and respond actions patch inside the owning layer's recorded
     window ({!Netdsl_format.Stack.patcher}: a field under an enclosing
-    carrier's payload checksum cannot be patched).  Fails when the stack cannot be fused, a demanded register
+    carrier's payload checksum cannot be patched); after its actions,
+    every respond rule clears each layer's padding
+    ({!Netdsl_format.Stack.padding}), as the codec writes it as zero,
+    and a rule whose padding cannot be cleared refuses every packet.  Fails when the stack cannot be fused, a demanded register
     cannot be extracted, or an action names an unknown layer.  [plant]
     (oracle self-test only) plants a defect. *)
 

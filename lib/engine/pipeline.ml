@@ -148,36 +148,32 @@ let no_key = Flight.no_key
 
 (* Post-fire timer op: one array read and a zero compare on the packed
    word ([Step.timer_word]) — the whole hot-path cost for transitions
-   without a clause.  Called only when [t.timed]. *)
-let apply_timer t inst k =
-  let plan = Fsm.Step.plan_of inst in
-  let tw = Fsm.Step.timer_word plan (Fsm.Step.last_transition inst) in
+   without a clause.  Inlined into both callers, the per-packet loop and
+   the expiry path: at a 15 ns/pkt budget the call is measurable. *)
+let[@inline] apply_timer w ~tick_ms inst k =
+  let tw = Fsm.Step.timer_word (Fsm.Step.plan_of inst) (Fsm.Step.last_transition inst) in
   if tw <> Fsm.Step.timer_none then begin
-    match t.wheel with
-    | None -> ()
-    | Some w ->
-      if tw > 0 then begin
-        let wn = Wheel.now w in
-        (* same word at the same wheel tick: the deadline is
-           bit-identical to the one already armed — skip the wheel *)
-        if not (Fsm.Step.timer_unchanged inst ~word:tw ~wnow:wn) then
-          (* tick_ms = 1 (the default) skips the round-up division — a
-             runtime divide is a real cost at 15 ns/pkt budgets *)
-          let after =
-            if t.tick_ms = 1 then Fsm.Step.timer_after_ms tw
-            else (Fsm.Step.timer_after_ms tw + t.tick_ms - 1) / t.tick_ms
-          in
-          Fsm.Step.note_timer_armed inst
-            ~hint:
-              (Wheel.arm_hint w
-                 ~hint:(Fsm.Step.timer_hint inst)
-                 ~key:k ~after ~ev:(Fsm.Step.timer_event tw))
-            ~word:tw ~wnow:wn
-      end
-      else begin
-        ignore (Wheel.cancel w k);
-        Fsm.Step.clear_timer_armed inst
-      end
+    if tw > 0 then begin
+      let wn = Wheel.now w in
+      (* same word at the same wheel tick: the deadline is bit-identical
+         to the one already armed — skip the wheel *)
+      if not (Fsm.Step.timer_unchanged inst ~word:tw ~wnow:wn) then
+        (* tick_ms = 1 (the default) skips the round-up division — a
+           runtime divide is a real cost at 15 ns/pkt budgets *)
+        let after =
+          if tick_ms = 1 then Fsm.Step.timer_after_ms tw
+          else (Fsm.Step.timer_after_ms tw + tick_ms - 1) / tick_ms
+        in
+        Fsm.Step.note_timer_armed inst
+          ~hint:
+            (Wheel.arm_hint w ~hint:(Fsm.Step.timer_hint inst) ~key:k ~after
+               ~ev:(Fsm.Step.timer_event tw))
+          ~word:tw ~wnow:wn
+    end
+    else begin
+      ignore (Wheel.cancel w k);
+      Fsm.Step.clear_timer_armed inst
+    end
   end
 
 (* Expiry delivery: the synthesized timeout event enters through the
@@ -195,7 +191,7 @@ let deliver_expiry t inst ~key ~ev =
   Fsm.Step.clear_timer_armed inst;
   match Fsm.Step.fire_id inst ev with
   | Fsm.Step.Fired -> (
-    apply_timer t inst key;
+    (match t.wheel with Some w -> apply_timer w ~tick_ms:t.tick_ms inst key | None -> ());
     match t.on_transition with
     | None -> ()
     | Some hook ->
@@ -410,12 +406,10 @@ let fused_batch t n =
   let step_armed = Flight.classify_armed fl && t.default_inst <> None in
   (* timer-op bindings hoisted off the per-packet path: the wheel exists
      iff the machine is timed, so one match replaces [t.timed] plus
-     [t.wheel] loads per packet; [apply_timer] itself is open-coded in
-     the Fired arm below — at a 15 ns/pkt budget the call and the
-     re-loads are measurable *)
+     [t.wheel] loads per packet *)
   let wheel = t.wheel in
   let keyed = t.flows <> None in
-  let tick1 = t.tick_ms = 1 in
+  let tick_ms = t.tick_ms in
   let respond_armed = Flight.n_responses fl > 0 in
   let d_bytes = ref 0 and d_rej = ref 0 in
   let v_pkts = ref 0 and v_bytes = ref 0 and v_rej = ref 0 in
@@ -456,37 +450,7 @@ let fused_batch t n =
           | Fsm.Step.Fired ->
             (match wheel with
             | None -> ()
-            | Some w ->
-              let tw =
-                Fsm.Step.timer_word (Fsm.Step.plan_of inst)
-                  (Fsm.Step.last_transition inst)
-              in
-              if tw <> Fsm.Step.timer_none then begin
-                if tw > 0 then begin
-                  let wn = Wheel.now w in
-                  (* same word at the same wheel tick: bit-identical
-                     deadline already armed — skip the wheel *)
-                  if not (Fsm.Step.timer_unchanged inst ~word:tw ~wnow:wn)
-                  then
-                    let after =
-                      if tick1 then Fsm.Step.timer_after_ms tw
-                      else
-                        (Fsm.Step.timer_after_ms tw + t.tick_ms - 1)
-                        / t.tick_ms
-                    in
-                    Fsm.Step.note_timer_armed inst
-                      ~hint:
-                        (Wheel.arm_hint w
-                           ~hint:(Fsm.Step.timer_hint inst)
-                           ~key:(if keyed then k else no_key)
-                           ~after ~ev:(Fsm.Step.timer_event tw))
-                      ~word:tw ~wnow:wn
-                end
-                else begin
-                  ignore (Wheel.cancel w (if keyed then k else no_key));
-                  Fsm.Step.clear_timer_armed inst
-                end
-              end);
+            | Some w -> apply_timer w ~tick_ms inst (if keyed then k else no_key));
             (match t.on_transition with
             | None -> ()
             | Some hook ->
@@ -555,21 +519,9 @@ let poll_timers t =
 
 let timers_live t = match t.wheel with None -> 0 | Some w -> Wheel.live w
 
-let next_timer_s t =
-  match t.wheel with
-  | None -> None
-  | Some w ->
-    let due = Wheel.next_due w in
-    if due < 0 then None
-    else begin
-      let ms = (due * t.tick_ms) - t.clock_ms () in
-      Some (if ms <= 0 then 0. else float_of_int ms /. 1e3)
-    end
-
-(* Allocation-free sibling of [next_timer_s] for event loops that poll
-   it every pass: the option + boxed float there is one small block per
-   idle iteration, which the batched server's 0 B/pkt budget cannot
-   absorb. *)
+(* Allocation-free, for event loops that poll it every pass: an option
+   or a boxed float would be one small block per idle iteration, which
+   the batched server's 0 B/pkt budget cannot absorb. *)
 let next_timer_ms t =
   match t.wheel with
   | None -> -1

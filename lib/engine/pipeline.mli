@@ -197,16 +197,11 @@ val timers_live : t -> int
 (** Armed timers currently held (0 when the machine has no [timeout]
     clauses). *)
 
-val next_timer_s : t -> float option
-(** Seconds until the timer wheel next needs a {!poll_timers} call —
-    a "sleep no longer than" bound for a select loop ([Some 0.] when
-    already due).  [None] when no timers are armed. *)
-
 val next_timer_ms : t -> int
-(** {!next_timer_s} without the option or the float: whole milliseconds
-    until the wheel is next due ([0] when already due), [-1] when no
-    timers are armed.  Allocation-free — the epoll loop consults it
-    every idle pass. *)
+(** Whole milliseconds until the timer wheel next needs a {!poll_timers}
+    call — a "sleep no longer than" bound for an event loop ([0] when
+    already due), [-1] when no timers are armed.  Allocation-free — the
+    epoll loop consults it every idle pass. *)
 
 val peek_flow : t -> int -> Netdsl_fsm.Step.instance option
 (** The live machine instance for a flow key, without touching LRU order

@@ -20,51 +20,6 @@ type program = insn array
 let accept = 0xFFFF_FFFF
 let udp_header = 8
 
-(* ---- allowed values as sorted, disjoint, non-adjacent intervals ------ *)
-
-let normalise ivs =
-  let rec merge = function
-    | (a, b) :: (c, d) :: rest when Int64.compare c (Int64.succ b) <= 0 ->
-      merge ((a, if Int64.compare d b > 0 then d else b) :: rest)
-    | iv :: rest -> iv :: merge rest
-    | [] -> []
-  in
-  merge
-    (List.sort compare (List.filter (fun (a, b) -> Int64.compare a b <= 0) ivs))
-
-let inter xs ys =
-  let imax a b = if Int64.compare a b >= 0 then a else b in
-  let imin a b = if Int64.compare a b <= 0 then a else b in
-  normalise
-    (List.concat_map
-       (fun (a, b) -> List.map (fun (c, d) -> (imax a c, imin b d)) ys)
-       xs)
-
-let points vs = normalise (List.map (fun v -> (v, v)) vs)
-
-(* The values [Codec.decode] lets through, as intervals of the field's
-   domain; [None] when it checks nothing on this field's value. *)
-let allowed (f : Desc.field) ~bits =
-  let domain = [ (0L, Int64.pred (Int64.shift_left 1L bits)) ] in
-  let base =
-    match f.ty with
-    | Uint _ -> Some domain
-    | Const { value; _ } -> Some (inter domain (points [ value ]))
-    | Enum { cases; exhaustive; _ } ->
-      Some (if exhaustive then inter domain (points (List.map snd cases)) else domain)
-    | _ -> None
-  in
-  Option.map
-    (fun set ->
-      List.fold_left
-        (fun set (c : Desc.constr) ->
-          match c with
-          | In_range (lo, hi) -> inter set [ (lo, hi) ]
-          | One_of vs -> inter set (points vs)
-          | Not_equal v -> inter set [ (Int64.min_int, Int64.pred v); (Int64.succ v, Int64.max_int) ])
-        set f.constraints)
-    base
-
 (* ---- code blocks ------------------------------------------------------ *)
 
 (* A jump inside a block goes to the next instruction, past the block (the
@@ -114,24 +69,19 @@ let member ivs ~max =
   in
   go ivs
 
-let is_scalar (f : Desc.field) =
-  match f.ty with
-  | Uint { endian = Big; _ } | Const { endian = Big; _ } | Enum { endian = Big; _ }
-  | Computed { endian = Big; _ } ->
-    true
-  | _ -> false
-
-(* Top-level fields at fixed offsets, with their loads. *)
-let fixed_fields (fmt : Desc.t) =
+(* Top-level big-endian integers of at most 32 bits at fixed offsets,
+   with their shapes and loads. *)
+let fixed_fields (lay : Sizing.layout) =
   List.filter_map
-    (fun (f : Desc.field) ->
-      match Sizing.fixed_field_span fmt f.name with
-      | Ok (bit_off, bits) when is_scalar f && bits > 0 && bits <= 32 ->
+    (fun (e : Sizing.entry) ->
+      match (e.shape, e.off, e.width) with
+      | Some ({ kind = Int | Const | Computed; endian = Big; _ } as sh), Some bit_off, Some bits
+        when bits > 0 && bits <= 32 ->
         Option.map
-          (fun ld -> (f, bits, List.map (fun i -> I i) ld))
+          (fun ld -> (e.field, sh, List.map (fun i -> I i) ld))
           (load ~base:udp_header ~bit_off ~bits)
       | _ -> None)
-    fmt.fields
+    lay
 
 (* [Some c] when [e] is [x + c] for the atom [x] [is_atom] recognises. *)
 let rec affine is_atom (e : Desc.expr) =
@@ -144,28 +94,26 @@ let rec affine is_atom (e : Desc.expr) =
 
 (* Datagram-length equalities: each [(f, k)] says the datagram is
    [value f + k] bytes long, UDP header included. *)
-let length_equalities (fmt : Desc.t) fixed =
+let length_equalities (lay : Sizing.layout) fixed =
   let lookup name =
     List.find_opt (fun ((f : Desc.field), _, _) -> String.equal f.name name) fixed
   in
-  let rev = List.rev fmt.fields in
-  let prefix_bytes =
-    match rev with
-    | [] -> None
-    | _ :: prefix ->
-      let b = Sizing.bounds { fmt with fields = List.rev prefix } in
-      if b.max_bits = Some b.min_bits && b.min_bits land 7 = 0 then Some (b.min_bits / 8)
-      else None
+  (* the last field, when everything before it has a fixed size in whole
+     bytes *)
+  let last =
+    match List.rev lay with
+    | { field; off = Some o; _ } :: _ when o land 7 = 0 -> Some (field, o / 8)
+    | _ -> None
   in
   let trailing_len =
-    match (rev, prefix_bytes) with
-    | { ty = Bytes (Len_expr (Field f) | Len_bytes (Field f)); _ } :: _, Some p ->
+    match last with
+    | Some ({ ty = Bytes (Len_expr (Field f) | Len_bytes (Field f)); _ }, p) ->
       Option.map (fun x -> (x, udp_header + p)) (lookup f)
     | _ -> None
   in
   let rest_name =
-    match (rev, prefix_bytes) with
-    | { name; ty = Bytes Len_remaining; _ } :: _, Some p -> Some (name, p)
+    match last with
+    | Some ({ name; ty = Bytes Len_remaining; _ }, p) -> Some (name, p)
     | _ -> None
   in
   let computed =
@@ -223,14 +171,12 @@ let assemble blocks =
 
 let compile (fmt : Desc.t) =
   let min_bytes = Sizing.min_bytes fmt in
-  let fixed = fixed_fields fmt in
+  let lay = Sizing.layout fmt in
+  let fixed = fixed_fields lay in
   let checks =
     List.filter_map
-      (fun ((f : Desc.field), bits, ld) ->
-        match allowed f ~bits with
-        | None -> None
-        | Some [ (0L, hi) ] when Int64.equal hi (Int64.pred (Int64.shift_left 1L bits)) -> None
-        | Some ivs -> Some (ivs, ld, bits))
+      (fun (_, (sh : Sizing.shape), ld) ->
+        if Sizing.full sh then None else Some (sh.admitted, ld, sh.bits))
       fixed
   in
   if List.exists (fun (ivs, _, _) -> ivs = []) checks then
@@ -244,7 +190,7 @@ let compile (fmt : Desc.t) =
         checks
     in
     let lengths =
-      match length_equalities fmt fixed with
+      match length_equalities lay fixed with
       | [] -> []
       | eqs ->
         [ I Ldx_len ]
@@ -285,8 +231,29 @@ let steer_insns ~bits ~workers =
   if bits <= small_key_bits then [ Mod workers ]
   else [ Mul steer_multiplier; Rsh steer_shift; Mod workers ]
 
-let steer ~workers ~bits key =
-  if key = View.no_key then 0
+type key = { k_bit_off : int; k_bits : int; k_little : bool }
+
+let key fmt name =
+  let lay = Sizing.layout fmt in
+  match Sizing.find lay name with
+  | None -> Error (Printf.sprintf "no top-level field %S" name)
+  | Some { shape = None | Some { kind = Padding; _ }; _ } ->
+    Error (Printf.sprintf "field %S is not a scalar" name)
+  | Some { shape = Some { bits; _ }; _ } when bits > 62 ->
+    Error (Printf.sprintf "field %S is too wide for a key" name)
+  | Some { shape = Some { bits; endian; _ }; _ } -> (
+    match Sizing.span lay name with
+    | Ok (off, _) -> Ok { k_bit_off = off; k_bits = bits; k_little = endian = Desc.Little }
+    | Error _ as e -> e)
+
+let no_key = min_int
+
+let read_key k data =
+  if k.k_bit_off + k.k_bits > String.length data * 8 then no_key
+  else View.Hot.read_scalar data ~bit_off:k.k_bit_off ~bits:k.k_bits ~little:k.k_little
+
+let steer ~workers k v =
+  if v = no_key then 0
   else
     List.fold_left
       (fun a insn ->
@@ -295,25 +262,21 @@ let steer ~workers ~bits key =
         | Rsh k -> a lsr k
         | Mod k -> a mod k
         | _ -> a)
-      (key land 0xFFFF_FFFF) (steer_insns ~bits ~workers)
+      (v land 0xFFFF_FFFF) (steer_insns ~bits:k.k_bits ~workers)
 
-let steering fmt ~key ~workers =
+let steering fmt ~key:name ~workers =
   if workers < 2 then Error "kernel steering needs at least 2 workers"
   else
-    match View.key_extractor fmt key with
+    match key fmt name with
     | Error _ as e -> e
-    | Ok ke -> (
-      let bit_off, bits, endian = View.key_layout ke in
-      let fail why = Error (Printf.sprintf "field %S %s" key why) in
-      if endian = Desc.Little then fail "is little-endian; the kernel loads big-endian"
-      else if bits > 32 then fail "is wider than the kernel's 32-bit registers"
+    | Ok k -> (
+      let fail why = Error (Printf.sprintf "field %S %s" name why) in
+      if k.k_little then fail "is little-endian; the kernel loads big-endian"
+      else if k.k_bits > 32 then fail "is wider than the kernel's 32-bit registers"
       else
-        match load ~base:0 ~bit_off ~bits with
+        match load ~base:0 ~bit_off:k.k_bit_off ~bits:k.k_bits with
         | None -> fail "needs more than one kernel load"
-        | Some ld ->
-          Ok
-            (Array.of_list
-               (ld @ steer_insns ~bits ~workers @ [ Ret_a ])))
+        | Some ld -> Ok (Array.of_list (ld @ steer_insns ~bits:k.k_bits ~workers @ [ Ret_a ])))
 
 (* ---- encoding and printing ------------------------------------------- *)
 

@@ -8,11 +8,12 @@
     the program drops never wakes the server, costs no [recvmmsg] copy,
     no slab slot and no decode.
 
-    {b What compiles.}  Every top-level field {!Sizing.fixed_field_span}
-    places at a fixed offset, big-endian and at most 32 bits wide,
-    contributes the checks {!Codec.decode} applies to its value:
-    exhaustive-enum membership, [Const] magic, and [In_range] / [One_of]
-    / [Not_equal] constraints (folded into one set of allowed intervals).
+    {b What compiles.}  Every top-level integer field the format's
+    static layout ({!Sizing.layout}) places at a fixed offset, big-endian
+    and at most 32 bits wide, contributes the values {!Codec.decode}
+    admits there ({!Sizing.shape}'s intervals: exhaustive-enum
+    membership, [Const] magic, and [In_range] / [One_of] / [Not_equal]
+    constraints).
     The datagram length must reach {!Sizing.min_bytes}.  A derived length
     becomes an equality on the datagram length: a trailing
     [bytes\[f\]] after a fixed-size prefix of [p] bytes means the payload
@@ -35,14 +36,15 @@
     value smaller than its length, so the accept is [0xFFFFFFFF], never
     a small constant; the reject is [0].
 
-    {b Steering.}  {!steering} compiles a flow key to the program an
-    [SO_REUSEPORT] group runs to pick the socket — the worker — for each
-    datagram ([SO_ATTACH_REUSEPORT_CBPF]): load the key, reduce it to a
-    worker by {!steer}'s rule, return it.  The
-    kernel has already pulled the UDP header there, so its offsets are
+    {b Steering.}  A flow {!key} is a scalar field at a fixed offset,
+    read from the wire without decoding.  {!steering} compiles it to the
+    program an [SO_REUSEPORT] group runs to pick the socket — the worker
+    — for each datagram ([SO_ATTACH_REUSEPORT_CBPF]): load the key,
+    reduce it to a worker by {!steer}'s rule, return it.  The kernel has
+    already pulled the UDP header there, so its offsets are
     payload-relative.  A datagram too short to carry the key fails the
     load, and a failed load returns 0: worker 0, as {!steer} sends
-    {!View.no_key}. *)
+    {!no_key}. *)
 
 type width = B | H | W  (** 1, 2 or 4 bytes, big-endian *)
 
@@ -77,20 +79,36 @@ val compile : Desc.t -> program option
 (** The outermost format's fixed-offset checks, or [None] when none
     applies (the format compiles to nothing and gets no filter). *)
 
-val steer : workers:int -> bits:int -> int -> int
-(** The worker that owns a flow key of a [bits]-bit field.  A key of at
-    most 8 bits (256 values) goes to [key mod workers], so no worker gets
-    more than [ceil (2^bits / workers)] of its values; a wider key is
-    hashed first, [((key * 0x9E3779B1) mod 2^32) lsr 16 mod workers].
-    {!View.no_key} goes to worker 0.  The one definition of the
-    partition: {!steering}'s program runs the same instruction list in
-    the kernel, and this evaluates it in memory (the lossy loopback). *)
+type key
+(** A compiled flow key: a scalar top-level field at a fixed offset. *)
+
+val key : Desc.t -> string -> (key, string) result
+(** The key on the named top-level field.  Fails (with a reason) if the
+    field does not exist, is not a scalar of at most 62 bits, or does not
+    sit at a fixed offset. *)
+
+val no_key : int
+(** [min_int]: {!read_key} of a packet too short to carry the key.  No
+    real key collides with it, as keys are at most 62 bits wide. *)
+
+val read_key : key -> string -> int
+(** The key of a packet, as a native int, or {!no_key}.  Allocates
+    nothing. *)
+
+val steer : workers:int -> key -> int -> int
+(** The worker that owns a value of the key.  A key of at most 8 bits
+    (256 values) goes to [value mod workers], so no worker gets more than
+    [ceil (2^bits / workers)] of its values; a wider key is hashed first,
+    [((value * 0x9E3779B1) mod 2^32) lsr 16 mod workers].  {!no_key} goes
+    to worker 0.  The one definition of the partition: {!steering}'s
+    program runs the same instruction list in the kernel, and this
+    evaluates it in memory (the lossy loopback). *)
 
 val steering : Desc.t -> key:string -> workers:int -> (program, string) result
 (** The steering program for [workers] (at least 2) sockets, keyed on the
-    named top-level field: it must be a {!View.key_extractor} key that
-    is big-endian, at most 32 bits wide and covered by one load of at
-    most 4 bytes ending on its last byte. *)
+    named top-level field: it must be a {!key} that is big-endian, at
+    most 32 bits wide and covered by one load of at most 4 bytes ending
+    on its last byte. *)
 
 val encode : program -> (int * int * int * int) array
 (** The kernel's [struct sock_filter] rows: [(code, jt, jf, k)]. *)

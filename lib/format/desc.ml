@@ -108,6 +108,35 @@ let rec fold_formats f acc t =
         acc)
     acc t.fields
 
+(* One walk for both kinds of reference: names whose value an expression
+   or a variant reads, and names whose encoded extent a [len(...)] or a
+   checksum span reads. *)
+let references t =
+  let rec expr ((vals, spans) as acc) (e : expr) =
+    match e with
+    | Const _ | Msg_len -> acc
+    | Field n -> (n :: vals, spans)
+    | Byte_len n -> (vals, n :: spans)
+    | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) -> expr (expr acc a) b
+  in
+  let len acc = function
+    | Len_expr e | Len_bytes e -> expr acc e
+    | Len_fixed _ | Len_remaining | Len_terminated _ -> acc
+  in
+  let field ((vals, spans) as acc) fld =
+    match fld.ty with
+    | Computed { expr = e; _ } -> expr acc e
+    | Checksum { region = Region_span (a, b); _ } -> (vals, a :: b :: spans)
+    | Bytes l -> len acc l
+    | Array { length; _ } -> len acc length
+    | Variant { tag; _ } -> (tag :: vals, spans)
+    | Uint _ | Bool_flag | Const _ | Enum _ | Checksum _ | Record _ | Padding _ -> acc
+  in
+  let vals, spans =
+    fold_formats (fun acc sub -> List.fold_left field acc sub.fields) ([], []) t
+  in
+  (List.sort_uniq compare vals, List.sort_uniq compare spans)
+
 let rec pp_expr ppf (e : expr) =
   match e with
   | Const v -> Format.fprintf ppf "%Ld" v

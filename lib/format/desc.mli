@@ -136,6 +136,12 @@ val fold_formats : ('a -> t -> 'a) -> 'a -> t -> 'a
 (** Folds over a format and every nested sub-format (records, array
     elements, variant cases), outermost first. *)
 
+val references : t -> string list * string list
+(** [(values, spans)]: the names, at any depth, whose value some
+    expression or variant tag reads, and those whose encoded extent a
+    [len(...)] or a checksum span reads; each list sorted, without
+    duplicates. *)
+
 (** {1 Printing} *)
 
 val pp_expr : Format.formatter -> expr -> unit

@@ -18,40 +18,6 @@ type error = Codec.error
 
 let fail e = raise (Codec.Error e)
 
-(* The names whose values some expression of [fmt] reads: computed
-   lengths, length expressions and variant tags are derived from them, so
-   none of them can be patched on its own. *)
-let value_refs (fmt : Desc.t) =
-  let vals = ref [] in
-  let rec expr (e : Desc.expr) =
-    match e with
-    | Const _ | Msg_len | Byte_len _ -> ()
-    | Field n -> vals := n :: !vals
-    | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) ->
-      expr a;
-      expr b
-  in
-  let rec fields (fmt : Desc.t) = List.iter field fmt.fields
-  and field (f : Desc.field) =
-    match f.ty with
-    | Uint _ | Bool_flag | Const _ | Enum _ | Padding _ | Checksum _ -> ()
-    | Computed { expr = e; _ } -> expr e
-    | Bytes (Len_expr e | Len_bytes e) -> expr e
-    | Bytes (Len_fixed _ | Len_remaining | Len_terminated _) -> ()
-    | Array { elem; length } ->
-      (match length with
-      | Len_expr e | Len_bytes e -> expr e
-      | Len_fixed _ | Len_remaining | Len_terminated _ -> ());
-      fields elem
-    | Record sub -> fields sub
-    | Variant { tag; cases; default } ->
-      vals := tag :: !vals;
-      List.iter (fun (_, _, sub) -> fields sub) cases;
-      Option.iter fields default
-  in
-  fields fmt;
-  !vals
-
 let apply_constraints ~path constraints value =
   let ok = function
     | Desc.In_range (lo, hi) -> Int64.compare lo value <= 0 && Int64.compare value hi <= 0
@@ -62,17 +28,8 @@ let apply_constraints ~path constraints value =
     (fun c -> if not (ok c) then fail (Constraint_violation { path; constr = c; value }))
     constraints
 
-let bswap ~bits v =
-  let n = bits / 8 in
-  let r = ref 0L in
-  for i = 0 to n - 1 do
-    r := Int64.logor (Int64.shift_left !r 8)
-           (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL)
-  done;
-  !r
-
 let to_wire ~bits ~endian v =
-  match endian with Desc.Big -> v | Desc.Little -> bswap ~bits v
+  match endian with Desc.Big -> v | Desc.Little -> Sizing.swap_bytes64 ~bits v
 
 let mask_check ~path ~bits v =
   if
@@ -105,6 +62,7 @@ type patcher = {
   pa_endian : Desc.endian;
   pa_enum : (string * int64) list option;
   pa_constraints : Desc.constr list;
+  pa_shape : Sizing.shape; (* the values it admits, for [kernel] *)
   pa_min_bytes : int; (* any valid message is at least this long *)
   pa_cks : cks_patch list;
   pa_pad : pad list; (* the format's padding, cleared by every patch *)
@@ -112,70 +70,120 @@ type patcher = {
 
 let patcher_field p = p.pa_name
 
-(* Bit offset of the end of [name]'s span in the *shortest* message — the
-   guaranteed extent of a span region ending at [name]. *)
-let min_end_of (fmt : Desc.t) name =
-  let rec go acc = function
-    | [] -> None
-    | (g : Desc.field) :: rest ->
-      let acc = acc + (Sizing.field_bounds g).min_bits in
-      if String.equal g.name name then Some acc else go acc rest
-  in
-  go 0 fmt.fields
+let is_checksum (g : Desc.field) = match g.ty with Desc.Checksum _ -> true | _ -> false
+let is_pad (g : Desc.field) = match g.ty with Desc.Padding _ -> true | _ -> false
 
-(* Is there a fixed-offset nonzero constant field inside [lo, hi) bits?  If
-   so the summed region can never be all-zero, and an incremental checksum
-   result of 0 is canonical (the ones'-complement ±0 ambiguity cannot
-   arise). *)
-let nonzero_const_within (fmt : Desc.t) lo hi =
-  let rec scan off = function
-    | [] -> false
-    | (g : Desc.field) :: rest -> (
-      match (Sizing.field_bounds g : Sizing.bounds) with
-      | { min_bits; max_bits = Some m } when m = min_bits ->
-        (match g.ty with
-        | Desc.Const { value; _ }
-          when (not (Int64.equal value 0L)) && off >= lo && off + m <= hi ->
-          true
-        | _ -> scan (off + m) rest)
-      | _ -> false)
-  in
-  scan 0 fmt.fields
+(* Whether a format nested in [fmt] has a field [p] holds for. *)
+let nested p (fmt : Desc.t) =
+  Desc.fold_formats (fun acc sub -> acc || (sub != fmt && List.exists p sub.Desc.fields)) false fmt
 
-let rec has_checksum (fmt : Desc.t) =
-  List.exists
-    (fun (g : Desc.field) ->
-      match g.ty with
-      | Desc.Checksum _ -> true
-      | Desc.Record sub -> has_checksum sub
-      | Desc.Array { elem; _ } -> has_checksum elem
-      | Desc.Variant { cases; default; _ } ->
-        List.exists (fun (_, _, sub) -> has_checksum sub) cases
-        || (match default with Some sub -> has_checksum sub | None -> false)
-      | _ -> false)
-    fmt.fields
+(* [cover ~what off bits]: the checksum patch for a change to bits
+   [off, off + bits) of the message, [[]] when no checksum covers them.
+   Every checksum lives at the top level (nested ones cannot be updated
+   without a decode) and there is at most one (regions of several could
+   include each other's stored values). *)
+let cover (fmt : Desc.t) (lay : Sizing.layout) =
+  let ( let* ) = Result.bind in
+  let* () =
+    if nested is_checksum fmt then Error "format has a checksum inside a nested field" else Ok ()
+  in
+  match List.filter is_checksum fmt.fields with
+  | [] -> Ok (fun ~what:_ _ _ -> Ok [])
+  | _ :: _ :: _ -> Error "format has several checksum fields"
+  | [ c ] ->
+    let alg, region =
+      match c.ty with
+      | Desc.Checksum { algorithm; region } -> (algorithm, region)
+      | _ -> assert false
+    in
+    let* () =
+      match alg with
+      | Ck.Internet -> Ok ()
+      | _ ->
+        Error
+          (Printf.sprintf "checksum algorithm %s has no incremental update"
+             (Ck.algorithm_to_string alg))
+    in
+    let* coff, cbits = Sizing.span lay c.name in
+    let* () =
+      if coff land 7 <> 0 then Error (Printf.sprintf "checksum field %S is not byte-aligned" c.name)
+      else Ok ()
+    in
+    (* A nonzero constant at a fixed offset inside [lo, hi) bits keeps the
+       summed region from ever being all-zero, so an incremental result
+       of 0 is canonical (the ones'-complement ±0 ambiguity cannot
+       arise); otherwise a scan from the region start decides. *)
+    let pinned lo hi =
+      List.exists
+        (fun (e : Sizing.entry) ->
+          match (e.shape, e.off, e.width) with
+          | Some { kind = Const; admitted = [ (v, _) ]; _ }, Some o, Some m ->
+            (not (Int64.equal v 0L)) && o >= lo && o + m <= hi
+          | _ -> false)
+        lay
+    in
+    let mk region_start fallback =
+      Ok [ { c_bit_off = coff; c_region_start = region_start; c_fallback = fallback } ]
+    in
+    let scan lo start = mk start (if pinned lo max_int then F_none else F_scan start) in
+    Ok
+      (fun ~what off_bits bits ->
+        match region with
+        | Desc.Region_message -> scan 0 0
+        | Desc.Region_rest ->
+          let cend = coff + cbits in
+          if off_bits + bits <= cend then Ok [] (* precedes the region *)
+          else if cend land 7 <> 0 then
+            Error (Printf.sprintf "checksum region after %S is not byte-aligned" c.name)
+          else scan cend (cend / 8)
+        | Desc.Region_span (a, b) -> (
+          let* aoff, _ = Sizing.span lay a in
+          let* () =
+            if aoff land 7 <> 0 then
+              Error (Printf.sprintf "checksum region start %S is not byte-aligned" a)
+            else Ok ()
+          in
+          match Sizing.find lay b with
+          | None -> Error (Printf.sprintf "checksum span: unknown field %S" b)
+          | Some { min_end; _ } ->
+            if off_bits + bits <= aoff then Ok [] (* precedes the region *)
+            else if off_bits >= aoff && off_bits + bits <= min_end then
+              (* Inside the region in every message.  The region's end
+                 varies at run time, so there is no scan fallback; demand
+                 a pinned nonzero constant instead. *)
+              if pinned aoff min_end then mk (aoff / 8) F_none
+              else
+                Error
+                  (Printf.sprintf
+                     "checksum region %S..%S may be all-zero; incremental update would be ambiguous"
+                     a b)
+            else (
+              match Sizing.span lay b with
+              | Ok (boff, blen) when off_bits >= boff + blen ->
+                Ok [] (* follows the (fixed) region *)
+              | _ ->
+                Error (Printf.sprintf "%s may or may not be covered by the checksum" what))))
 
 (* The codec writes padding as zero, so a patch clears the received
    padding bits too (and repairs the checksum over them).  That needs a
    fixed offset: padding nested in a record, array or variant, or after
    a variable-size field, is refused. *)
-let padding (fmt : Desc.t) cover =
+let pads (fmt : Desc.t) lay cover =
   let ( let* ) = Result.bind in
-  let is_pad (g : Desc.field) = match g.ty with Desc.Padding _ -> true | _ -> false in
-  let nested acc (sub : Desc.t) = acc || (sub != fmt && List.exists is_pad sub.fields) in
-  if Desc.fold_formats nested false fmt then Error "format has padding inside a nested field"
+  if nested is_pad fmt then Error "format has padding inside a nested field"
   else
     List.fold_left
-      (fun acc (g : Desc.field) ->
+      (fun acc (e : Sizing.entry) ->
         let* pads = acc in
-        if not (is_pad g) then Ok pads
+        let name = e.field.name in
+        if not (is_pad e.field) then Ok pads
         else
           let* off, bits =
             Result.map_error
-              (fun _ -> Printf.sprintf "padding %S is not at a fixed offset" g.name)
-              (Sizing.fixed_field_span fmt g.name)
+              (fun _ -> Printf.sprintf "padding %S is not at a fixed offset" name)
+              (Sizing.span lay name)
           in
-          let* cks = cover ~what:(Printf.sprintf "padding %S" g.name) off bits in
+          let* cks = cover ~what:(Printf.sprintf "padding %S" name) off bits in
           (* one entry per byte the padding touches; bits are MSB-first *)
           let byte b =
             let lo = max off (8 * b) and hi = min (off + bits) ((8 * b) + 8) in
@@ -184,17 +192,18 @@ let padding (fmt : Desc.t) cover =
           in
           let first = off / 8 and last = (off + bits - 1) / 8 in
           Ok (pads @ List.init (last - first + 1) (fun k -> byte (first + k))))
-      (Ok []) fmt.fields
+      (Ok []) lay
 
 let patcher (fmt : Desc.t) name =
   let ( let* ) = Result.bind in
-  let* f =
-    match Desc.find_field fmt name with
-    | Some f -> Ok f
+  let lay = Sizing.layout fmt in
+  let* e =
+    match Sizing.find lay name with
+    | Some e -> Ok e
     | None -> Error (Printf.sprintf "no top-level field %S" name)
   in
   let* bits, endian, enum =
-    match f.ty with
+    match e.field.ty with
     | Desc.Uint { bits; endian } -> Ok (bits, endian, None)
     | Desc.Enum { bits; endian; cases; exhaustive } ->
       Ok (bits, endian, if exhaustive then Some cases else None)
@@ -205,130 +214,28 @@ let patcher (fmt : Desc.t) name =
     | Desc.Bytes _ | Desc.Array _ | Desc.Record _ | Desc.Variant _ | Desc.Padding _ ->
       Error (Printf.sprintf "field %S is not a scalar" name)
   in
-  let* off_bits, _ = Sizing.fixed_field_span fmt name in
+  let* off_bits, _ = Sizing.span lay name in
   let* () =
     if off_bits land 7 <> 0 || bits land 7 <> 0 then
       Error (Printf.sprintf "field %S is not byte-aligned on the wire" name)
     else Ok ()
   in
   let* () =
-    if List.mem name (value_refs fmt) then
+    if List.mem name (fst (Desc.references fmt)) then
       Error (Printf.sprintf "other fields are derived from %S; patching it would desynchronise them" name)
     else Ok ()
   in
-  (* Checksum coverage: every checksum lives at the top level (nested ones
-     cannot be updated without a decode) and there is at most one (regions
-     of several could include each other's stored values). *)
-  let nested_cks =
-    List.exists
-      (fun (g : Desc.field) ->
-        match g.ty with
-        | Desc.Record sub -> has_checksum sub
-        | Desc.Array { elem; _ } -> has_checksum elem
-        | Desc.Variant { cases; default; _ } ->
-          List.exists (fun (_, _, sub) -> has_checksum sub) cases
-          || (match default with Some sub -> has_checksum sub | None -> false)
-        | _ -> false)
-      fmt.fields
-  in
-  let* () =
-    if nested_cks then Error "format has a checksum inside a nested field" else Ok ()
-  in
-  let cks_fields =
-    List.filter
-      (fun (g : Desc.field) -> match g.ty with Desc.Checksum _ -> true | _ -> false)
-      fmt.fields
-  in
-  let* () =
-    match cks_fields with
-    | [] | [ _ ] -> Ok ()
-    | _ -> Error "format has several checksum fields"
-  in
-  (* [cover ~what off bits]: the checksum patch for a change to bits
-     [off, off + bits) of the message, [[]] when no checksum covers them. *)
-  let* cover =
-    match cks_fields with
-    | [] -> Ok (fun ~what:_ _ _ -> Ok [])
-    | c :: _ ->
-      let alg, region =
-        match c.ty with
-        | Desc.Checksum { algorithm; region } -> (algorithm, region)
-        | _ -> assert false
-      in
-      let* () =
-        match alg with
-        | Ck.Internet -> Ok ()
-        | _ ->
-          Error
-            (Printf.sprintf "checksum algorithm %s has no incremental update"
-               (Ck.algorithm_to_string alg))
-      in
-      let* coff, cbits = Sizing.fixed_field_span fmt c.name in
-      let* () =
-        if coff land 7 <> 0 then
-          Error (Printf.sprintf "checksum field %S is not byte-aligned" c.name)
-        else Ok ()
-      in
-      let mk region_start fallback =
-        Ok [ { c_bit_off = coff; c_region_start = region_start; c_fallback = fallback } ]
-      in
-      Ok
-        (fun ~what off_bits bits ->
-          match region with
-          | Desc.Region_message ->
-            (* Always covers the change; all-zero regions are possible
-               unless a nonzero constant is pinned somewhere in the
-               message. *)
-            if nonzero_const_within fmt 0 max_int then mk 0 F_none
-            else mk 0 (F_scan 0)
-          | Desc.Region_rest ->
-            let cend = coff + cbits in
-            if off_bits + bits <= cend then Ok [] (* precedes the region *)
-            else begin
-              let start = cend / 8 in
-              if cend land 7 <> 0 then
-                Error (Printf.sprintf "checksum region after %S is not byte-aligned" c.name)
-              else if nonzero_const_within fmt cend max_int then mk start F_none
-              else mk start (F_scan start)
-            end
-          | Desc.Region_span (a, b) -> (
-            let* aoff, _ = Sizing.fixed_field_span fmt a in
-            let* () =
-              if aoff land 7 <> 0 then
-                Error (Printf.sprintf "checksum region start %S is not byte-aligned" a)
-              else Ok ()
-            in
-            match min_end_of fmt b with
-            | None -> Error (Printf.sprintf "checksum span: unknown field %S" b)
-            | Some min_end ->
-              if off_bits + bits <= aoff then Ok [] (* precedes the region *)
-              else if off_bits >= aoff && off_bits + bits <= min_end then
-                (* Inside the region in every message.  The region's end
-                   varies at run time, so there is no scan fallback; demand
-                   a pinned nonzero constant instead. *)
-                if nonzero_const_within fmt aoff min_end then mk (aoff / 8) F_none
-                else
-                  Error
-                    (Printf.sprintf
-                       "checksum region %S..%S may be all-zero; incremental update would be ambiguous"
-                       a b)
-              else (
-                match Sizing.fixed_field_span fmt b with
-                | Ok (boff, blen) when off_bits >= boff + blen ->
-                  Ok [] (* follows the (fixed) region *)
-                | _ ->
-                  Error
-                    (Printf.sprintf "%s may or may not be covered by the checksum" what))))
-  in
+  let* cover = cover fmt lay in
   let* cks = cover ~what:(Printf.sprintf "field %S" name) off_bits bits in
-  let* pad = padding fmt cover in
+  let* pad = pads fmt lay cover in
   Ok
     { pa_name = name;
       pa_bit_off = off_bits;
       pa_bits = bits;
       pa_endian = endian;
       pa_enum = enum;
-      pa_constraints = f.constraints;
+      pa_constraints = e.field.constraints;
+      pa_shape = Option.get e.shape;
       pa_min_bytes = Sizing.min_bytes fmt;
       pa_cks = cks;
       pa_pad = pad }
@@ -391,13 +298,14 @@ let rec enum_mem cases v =
   | [] -> false
   | (_, c) :: rest -> Int64.equal c v || enum_mem rest v
 
-let bswap_nat ~bits v =
-  let n = bits / 8 in
-  let r = ref 0 in
-  for i = 0 to n - 1 do
-    r := (!r lsl 8) lor ((v lsr (8 * i)) land 0xFF)
-  done;
-  !r
+type padding = pad list
+
+let padding (fmt : Desc.t) =
+  if not (Desc.fold_formats (fun acc sub -> acc || List.exists is_pad sub.Desc.fields) false fmt)
+  then Ok None
+  else
+    let lay = Sizing.layout fmt in
+    Result.bind (cover fmt lay) (fun cover -> Result.map Option.some (pads fmt lay cover))
 
 (* Non-optional window variant: the fused reply path calls this so the
    call site allocates no [Some len]. *)
@@ -432,7 +340,7 @@ let patch_window p ~off ~len buf v =
       let wire =
         match p.pa_endian with
         | Desc.Big -> vi
-        | Desc.Little -> bswap_nat ~bits:p.pa_bits vi
+        | Desc.Little -> Sizing.swap_bytes ~bits:p.pa_bits vi
       in
       (* Capture the outgoing bytes, then overwrite. *)
       let oldw = ref 0 in
@@ -550,35 +458,23 @@ let word_sum n odd v =
     !s
   end
 
-let rec mem_int a v i = i < Array.length a && (Array.unsafe_get a i = v || mem_int a v (i + 1))
-
 let kernel p : kernel =
   let generic buf off len v =
     match patch_window p ~off ~len buf (Int64.of_int v) with Ok () -> true | Error _ -> false
   in
-  if p.pa_bits > 56 || p.pa_constraints <> [] then generic
+  if p.pa_bits > 56 then generic
   else
     let fo = p.pa_bit_off lsr 3 and n = p.pa_bits lsr 3 and bits = p.pa_bits in
     let min = p.pa_min_bytes in
     let little = p.pa_endian = Desc.Little in
-    (* enum cases a [bits]-wide value can equal *)
-    let has_enum, cases =
-      match p.pa_enum with
-      | None -> (false, [||])
-      | Some cs ->
-        ( true,
-          Array.of_list
-            (List.filter_map
-               (fun (_, c) ->
-                 if Int64.compare c 0L >= 0 && Int64.compare c (Int64.shift_left 1L bits) < 0
-                 then Some (Int64.to_int c)
-                 else None)
-               cs) )
-    in
+    (* the admitted values; a field that admits its whole width is
+       only range-checked *)
+    let lo, hi, resid = Sizing.ranges p.pa_shape in
+    let residual = Array.length resid > 0 in
     let valid buf off len v =
       if off < 0 || len < 0 || off + len > Bytes.length buf then
         invalid_arg "Emit.patch: window out of bounds";
-      len >= min && v >= 0 && v lsr bits = 0 && ((not has_enum) || mem_int cases v 0)
+      len >= min && v >= lo && v <= hi && ((not residual) || Sizing.in_ranges resid v 0)
     in
     let k =
       match p.pa_cks with
@@ -586,7 +482,7 @@ let kernel p : kernel =
         fun buf off len v ->
           valid buf off len v
           && begin
-               store_be buf (off + fo) n (if little then bswap_nat ~bits v else v);
+               store_be buf (off + fo) n (if little then Sizing.swap_bytes ~bits v else v);
                true
              end
       | [ c ] ->
@@ -596,7 +492,7 @@ let kernel p : kernel =
           && begin
                let i = off + fo in
                let old = load_be buf i n in
-               let wire = if little then bswap_nat ~bits v else v in
+               let wire = if little then Sizing.swap_bytes ~bits v else v in
                store_be buf i n wire;
                let ci = off + co in
                let hc = load_be buf ci 2 in

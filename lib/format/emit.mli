@@ -54,12 +54,25 @@ type kernel = Bytes.t -> int -> int -> int -> bool
 
 val kernel : patcher -> kernel
 (** Compile the patcher once more into a fixed-offset closure: the
-    field's offset and width, its admissible enum values and the covering
+    field's offset and width, the values it admits and the covering
     Internet checksum's offset and word parity are resolved here, so a
     call is a range test, the byte stores and one incremental checksum
     update (and one more per padding byte set), with no allocation.
-    Fields wider than 56 bits and constrained fields go through
-    {!patch_window}. *)
+    Fields wider than 56 bits go through {!patch_window}. *)
+
+type padding
+(** A format's padding bits, fixed-offset and top-level, with the
+    Internet checksum covering each, resolved once. *)
+
+val padding : Desc.t -> (padding option, string) result
+(** [None] when the format has no padding; [Error] when it has padding
+    that a patch cannot clear in place, under the rules of {!patcher}. *)
+
+val clear_padding : off:int -> len:int -> Bytes.t -> padding -> unit
+(** Clears the padding bits of the message occupying
+    [buf.(off .. off+len-1)] and updates the covering Internet checksum
+    incrementally, as {!patch} does after its field: a valid message
+    stays valid, and equals its {!Codec} re-encoding there. *)
 
 val patch_exn : patcher -> ?off:int -> ?len:int -> Bytes.t -> int64 -> unit
 (** @raise Codec.Error on failure. *)

@@ -38,15 +38,10 @@ let layer ?name ?(via = "payload") ?select (fmt : Desc.t) =
 
 let errf fmt = Printf.ksprintf (fun s -> Result.Error s) fmt
 
-(* Width/endianness of an integer-ish field usable as demux or tag. *)
-let int_field_shape (f : Desc.field) =
-  match f.ty with
-  | Desc.Uint { bits; endian }
-  | Desc.Const { bits; endian; _ }
-  | Desc.Enum { bits; endian; _ }
-  | Desc.Computed { bits; endian; _ } ->
-    Some (bits, endian)
-  | Desc.Bool_flag -> Some (1, Desc.Big)
+(* The shape of a top-level integer field usable as demux or tag. *)
+let int_shape lay name =
+  match Sizing.find lay name with
+  | Some { shape = Some ({ kind = Int | Flag | Const | Computed; _ } as s); _ } -> Some s
   | _ -> None
 
 let fits_bits v bits =
@@ -70,12 +65,12 @@ let validate_layer ~terminal (l : layer) =
     | Some (field, values) -> (
       match Desc.find_field fmt field with
       | None -> errf "layer %s: no demux field %S" l.l_name field
-      | Some f -> (
-        match int_field_shape f with
+      | Some _ -> (
+        match int_shape (Sizing.layout fmt) field with
         | None -> errf "layer %s: demux field %S is not an integer" l.l_name field
-        | Some (bits, _) when bits > 62 ->
+        | Some { bits; _ } when bits > 62 ->
           errf "layer %s: demux field %S is wider than 62 bits" l.l_name field
-        | Some (bits, _) ->
+        | Some { bits; _ } ->
           if values = [] then
             errf "layer %s: demux field %S has no accepted values" l.l_name field
           else (
@@ -138,21 +133,30 @@ let payload_checksum (l : layer) =
     l.l_fmt.Desc.fields
 
 (* An in-place patch repairs the checksums of its own layer only, so a
-   field under an enclosing carrier's payload checksum is refused: the
-   patch would leave that checksum stale. *)
-let patcher t j field =
+   change to layer [j] under an enclosing carrier's payload checksum is
+   refused: the patch would leave that checksum stale. *)
+let unenclosed t j what =
   let rec enclosing i =
-    if i >= j then Emit.patcher t.s_layers.(j).l_fmt field
+    if i >= j then Ok ()
     else
       match payload_checksum t.s_layers.(i) with
       | Some c ->
-        errf
-          "layer %s: checksum %S covers the payload; an in-place patch of \
-           %s.%s would leave it stale"
-          t.s_layers.(i).l_name c.name t.s_layers.(j).l_name field
+        errf "layer %s: checksum %S covers the payload; an in-place patch of %s would leave it stale"
+          t.s_layers.(i).l_name c.name what
       | None -> enclosing (i + 1)
   in
   enclosing 0
+
+let patcher t j field =
+  Result.bind
+    (unenclosed t j (t.s_layers.(j).l_name ^ "." ^ field))
+    (fun () -> Emit.patcher t.s_layers.(j).l_fmt field)
+
+let padding t j =
+  match Emit.padding t.s_layers.(j).l_fmt with
+  | Ok (Some _) as ok ->
+    Result.bind (unenclosed t j (t.s_layers.(j).l_name ^ "'s padding")) (fun () -> ok)
+  | other -> other
 
 (* ------------------------------------------------------------------ *)
 (* Variant flattening: a terminal format shaped "linear prefix + one
@@ -179,15 +183,16 @@ type flattened = {
 
 let flatten_terminal (fmt : Desc.t) ~prefix ~tag ~cases ~default =
   let ( let* ) = Result.bind in
-  let* tag_bits, tag_endian =
-    match List.find_opt (fun (f : Desc.field) -> String.equal f.name tag) prefix with
-    | None -> errf "variant tag %S is not a prefix field" tag
-    | Some f -> (
-      match int_field_shape f with
-      | Some (bits, endian) when bits <= 62 -> Ok (bits, endian)
-      | _ -> errf "variant tag %S is not a narrow integer" tag)
+  let lay = Sizing.layout fmt in
+  let* { Sizing.bits = tag_bits; endian = tag_endian; _ } =
+    if not (List.exists (fun (f : Desc.field) -> String.equal f.name tag) prefix) then
+      errf "variant tag %S is not a prefix field" tag
+    else
+      match int_shape lay tag with
+      | Some ({ bits; _ } as s) when bits <= 62 -> Ok s
+      | _ -> errf "variant tag %S is not a narrow integer" tag
   in
-  let* tag_off, _ = Sizing.fixed_field_span fmt tag in
+  let* tag_off, _ = Sizing.span lay tag in
   let prefix_names = List.map (fun (f : Desc.field) -> f.name) prefix in
   let* () =
     let clash (sub : Desc.t) =

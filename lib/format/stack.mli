@@ -78,6 +78,12 @@ val patcher : t -> int -> string -> (Emit.patcher, string) result
     a checksum covering its payload: that checksum would go stale.  Every
     respond path resolves its patches here. *)
 
+val padding : t -> int -> (Emit.padding option, string) result
+(** {!Emit.padding} of layer [j], refused like {!patcher} when an
+    enclosing layer's checksum covers its payload.  A reply copies the
+    request, and {!Codec.encode} writes padding as zero, so every
+    respond rule clears every layer's padding here. *)
+
 (** {1 The compiled plan} *)
 
 type plan

@@ -1,22 +1,13 @@
-module B = Netdsl_util.Bitio
 module Ck = Netdsl_util.Checksum
 
 (* ------------------------------------------------------------------ *)
 (* The op lowering.  [Hot.compile] lowers the format descriptor into a
-   flat op array once, then compiles that array into kernels: endianness
-   and width classification are baked in, and each op carries booleans
-   saying whether any expression in the format references its value or
-   span (so only those fields get a register or a span slot). *)
-
-type scalar_check =
-  | C_none
-  | C_const of int (* comparison value; -1 when no narrow read can match *)
-  | C_enum of int list (* exhaustive case values that can fit the width *)
-
-type wide_check =
-  | W_none
-  | W_const of int64
-  | W_enum of int64 list
+   flat op array once, then compiles that array into kernels.  Where each
+   field sits, how wide it is and which values it admits come from the
+   format's static layout ([Sizing.layout]); endianness and width
+   classification are baked in, and each op carries booleans saying
+   whether any expression in the format references its value or span
+   (so only those fields get a register or a span slot). *)
 
 type blen =
   | L_fixed of int
@@ -34,6 +25,8 @@ type op = {
   o_name : string;
   o_val : bool; (* some expression reads this field's value *)
   o_span : bool; (* some expression or checksum region reads its span *)
+  o_off : int option; (* static bit offset, from the layout *)
+  o_width : int option; (* fixed bit width, from the layout *)
   o_k : okind;
 }
 
@@ -41,15 +34,11 @@ and okind =
   | K_scalar of {
       bits : int; (* <= 62: value fits an immediate int *)
       little : bool;
-      check : scalar_check;
-      constraints : Desc.constr list;
+      lo : int; (* admitted values lie in [lo, hi] ... *)
+      hi : int;
+      resid : int array; (* ... and in one of these [lo; hi] pairs, when non-empty *)
     }
-  | K_scalar64 of {
-      bits : int;
-      endian : Desc.endian;
-      check : wide_check;
-      constraints : Desc.constr list;
-    }
+  | K_scalar64 of { bits : int; endian : Desc.endian; shape : Sizing.shape }
   | K_bool
   | K_computed of { bits : int; little : bool; expr : Desc.expr }
   | K_checksum of { alg : Ck.algorithm; bits : int; region : Desc.region }
@@ -62,101 +51,37 @@ and okind =
                  bytes, a terminator-delimited array): Codec rejects every
                  message that reaches it, and no plan compiles over it *)
 
-let collect_refs (fmt : Desc.t) =
-  let vals = ref [] and spans = ref [] in
-  let rec expr (e : Desc.expr) =
-    match e with
-    | Const _ | Msg_len -> ()
-    | Field n -> vals := n :: !vals
-    | Byte_len n -> spans := n :: !spans
-    | Add (a, b) | Sub (a, b) | Mul (a, b) | Div (a, b) ->
-      expr a;
-      expr b
-  in
-  let len_spec = function
-    | Desc.Len_expr e | Desc.Len_bytes e -> expr e
-    | Desc.Len_fixed _ | Desc.Len_remaining | Desc.Len_terminated _ -> ()
-  in
-  let rec fields (fmt : Desc.t) = List.iter field fmt.fields
-  and field (f : Desc.field) =
-    match f.ty with
-    | Uint _ | Bool_flag | Const _ | Enum _ | Padding _ -> ()
-    | Computed { expr = e; _ } -> expr e
-    | Checksum { region; _ } -> (
-      match region with
-      | Region_span (a, b) -> spans := a :: b :: !spans
-      | Region_message | Region_rest -> ())
-    | Bytes spec -> len_spec spec
-    | Array { elem; length } ->
-      len_spec length;
-      fields elem
-    | Record sub -> fields sub
-    | Variant { tag; cases; default } ->
-      vals := tag :: !vals;
-      List.iter (fun (_, _, sub) -> fields sub) cases;
-      Option.iter fields default
-  in
-  fields fmt;
-  (List.sort_uniq compare !vals, List.sort_uniq compare !spans)
-
 let needed name l = List.exists (String.equal name) l
 
 let le_bad bits = function Desc.Big -> false | Desc.Little -> bits land 7 <> 0
 
-(* A narrow (<= 62 bit) field value is a non-negative immediate int, so
-   only declared values in [0, 2^62) can ever match; anything else maps to
-   a comparison value no read can produce ([Int64.to_int] would wrap). *)
-let fits_narrow c =
-  Int64.compare c 0L >= 0 && Int64.compare c (Int64.shift_left 1L 62) < 0
+(* A narrow field that admits its whole width checks nothing
+   ([0, max_int]). *)
+let narrow (s : Sizing.shape) =
+  let lo, hi, resid = if Sizing.full s then (0, max_int, [||]) else Sizing.ranges s in
+  K_scalar { bits = s.bits; little = s.endian = Desc.Little; lo; hi; resid }
 
-let narrow_const value = if fits_narrow value then Int64.to_int value else -1
+let rec compile_fields ~vn ~sn (fmt : Desc.t) : op array =
+  Array.of_list (List.map (compile_field ~vn ~sn) (Sizing.layout fmt))
 
-let narrow_enum_cases cases =
-  List.filter_map
-    (fun (_, c) -> if fits_narrow c then Some (Int64.to_int c) else None)
-    cases
-
-let rec compile_fields ~vn ~sn (fields : Desc.t_fields) : op array =
-  Array.of_list (List.map (compile_field ~vn ~sn) fields)
-
-and compile_field ~vn ~sn (f : Desc.field) : op =
-  let mk k = { o_name = f.name; o_val = needed f.name vn; o_span = needed f.name sn; o_k = k } in
-  match f.ty with
-  | Uint { bits; endian } ->
+and compile_field ~vn ~sn (e : Sizing.entry) : op =
+  let f = e.field in
+  let mk k =
+    { o_name = f.name; o_val = needed f.name vn; o_span = needed f.name sn;
+      o_off = e.off; o_width = e.width; o_k = k }
+  in
+  match (f.ty, e.shape) with
+  | (Uint { bits; endian } | Const { bits; endian; _ } | Enum { bits; endian; _ }), Some s ->
     if le_bad bits endian then mk K_invalid
-    else if bits <= 62 then
-      mk (K_scalar
-            { bits; little = (endian = Desc.Little); check = C_none;
-              constraints = f.constraints })
-    else mk (K_scalar64 { bits; endian; check = W_none; constraints = f.constraints })
-  | Const { bits; endian; value } ->
-    if le_bad bits endian then mk K_invalid
-    else if bits <= 62 then
-      mk (K_scalar
-            { bits; little = (endian = Desc.Little);
-              check = C_const (narrow_const value);
-              constraints = f.constraints })
-    else
-      mk (K_scalar64 { bits; endian; check = W_const value; constraints = f.constraints })
-  | Enum { bits; endian; cases; exhaustive } ->
-    if le_bad bits endian then mk K_invalid
-    else if bits <= 62 then
-      mk (K_scalar
-            { bits; little = (endian = Desc.Little);
-              check = (if exhaustive then C_enum (narrow_enum_cases cases) else C_none);
-              constraints = f.constraints })
-    else
-      mk (K_scalar64
-            { bits; endian;
-              check = (if exhaustive then W_enum (List.map snd cases) else W_none);
-              constraints = f.constraints })
-  | Bool_flag -> mk K_bool
-  | Computed { bits; endian; expr } ->
+    else if bits <= 62 then mk (narrow s)
+    else mk (K_scalar64 { bits; endian; shape = s })
+  | Bool_flag, _ -> mk K_bool
+  | Computed { bits; endian; expr }, _ ->
     if le_bad bits endian then mk K_invalid
     else mk (K_computed { bits; little = (endian = Desc.Little); expr })
-  | Checksum { algorithm; region } ->
+  | Checksum { algorithm; region }, _ ->
     mk (K_checksum { alg = algorithm; bits = Ck.width_bits algorithm; region })
-  | Bytes spec ->
+  | Bytes spec, _ ->
     let spec =
       match spec with
       | Len_fixed n -> L_fixed n
@@ -165,78 +90,24 @@ and compile_field ~vn ~sn (f : Desc.field) : op =
       | Len_terminated t -> L_terminated t
     in
     mk (K_bytes spec)
-  | Array { elem; length } -> (
-    let elem = compile_fields ~vn ~sn elem.fields in
+  | Array { elem; length }, _ -> (
+    let elem = compile_fields ~vn ~sn elem in
     match length with
     | Len_fixed n -> mk (K_array { length = A_fixed n; elem })
     | Len_expr e -> mk (K_array { length = A_expr e; elem })
     | Len_bytes e -> mk (K_array { length = A_bytes e; elem })
     | Len_remaining -> mk (K_array { length = A_remaining; elem })
     | Len_terminated _ -> mk K_invalid)
-  | Record _ -> mk K_record
-  | Variant _ -> mk K_variant
-  | Padding { bits } -> mk (K_padding bits)
-
-let bswap ~bits v =
-  let n = bits / 8 in
-  let r = ref 0L in
-  for i = 0 to n - 1 do
-    r := Int64.logor (Int64.shift_left !r 8)
-           (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL)
-  done;
-  !r
+  | Record _, _ -> mk K_record
+  | Variant _, _ -> mk K_variant
+  | Padding { bits }, _ -> mk (K_padding bits)
+  | (Uint _ | Const _ | Enum _), None -> mk K_invalid
 
 let of_wire ~bits ~endian v =
-  match endian with Desc.Big -> v | Desc.Little -> bswap ~bits v
-
-(* Native-int byte swap for whole-byte widths up to 62 bits. *)
-let bswap_int ~bits v =
-  let n = bits lsr 3 in
-  let r = ref 0 in
-  for i = 0 to n - 1 do
-    r := (!r lsl 8) lor ((v lsr (8 * i)) land 0xFF)
-  done;
-  !r
-
-(* ------------------------------------------------------------------ *)
-(* Key extraction: a precompiled reader for a scalar field that sits at a
-   fixed offset in every message of the format — the cheap flow-sharding
-   hash input (no decode needed). *)
-
-type key_extractor = { k_bit_off : int; k_bits : int; k_endian : Desc.endian }
-
-let scalar_width (f : Desc.field) =
-  match f.ty with
-  | Uint { bits; endian } | Const { bits; endian; _ }
-  | Enum { bits; endian; _ } | Computed { bits; endian; _ } ->
-    Some (bits, endian)
-  | Checksum { algorithm; _ } -> Some (Ck.width_bits algorithm, Desc.Big)
-  | Bool_flag -> Some (1, Desc.Big)
-  | Bytes _ | Array _ | Record _ | Variant _ | Padding _ -> None
-
-let key_extractor fmt name =
-  match Desc.find_field fmt name with
-  | None -> Result.Error (Printf.sprintf "no top-level field %S" name)
-  | Some f -> (
-    match scalar_width f with
-    | Some (bits, endian) when bits <= 62 -> (
-      match Sizing.fixed_field_span fmt name with
-      | Ok (off, _) -> Ok { k_bit_off = off; k_bits = bits; k_endian = endian }
-      | Error _ as e -> e)
-    | Some _ -> Result.Error (Printf.sprintf "field %S is too wide for a key" name)
-    | None -> Result.Error (Printf.sprintf "field %S is not a scalar" name))
-
-let extract_key ke ?(off = 0) data =
-  let bit_off = (off * 8) + ke.k_bit_off in
-  if bit_off + ke.k_bits > String.length data * 8 then None
-  else
-    let r = B.Reader.of_string ~bit_off data in
-    let raw = B.Reader.read_bits r ~width:ke.k_bits in
-    Some (Int64.to_int (of_wire ~bits:ke.k_bits ~endian:ke.k_endian raw))
+  match endian with Desc.Big -> v | Desc.Little -> Sizing.swap_bytes64 ~bits v
 
 (* MSB-first bit read returning a native int ([width] <= 62); bounds
-   already checked by the caller.  The steering key read and every
-   [Hot] kernel share it. *)
+   already checked by the caller.  Every [Hot] kernel shares it. *)
 let rec read_narrow s pos width =
   if width = 0 then 0
   else if width <= 56 then begin
@@ -253,21 +124,6 @@ let rec read_narrow s pos width =
     let hiw = width - 32 in
     (read_narrow s pos hiw lsl 32) lor read_narrow s (pos + hiw) 32
 
-let no_key = min_int
-
-let key_layout ke = (ke.k_bit_off, ke.k_bits, ke.k_endian)
-
-let key_min_bytes ke = (ke.k_bit_off + ke.k_bits + 7) lsr 3
-
-let extract_key_int ke ?(off = 0) data =
-  let bit_off = (off * 8) + ke.k_bit_off in
-  if bit_off + ke.k_bits > String.length data * 8 then no_key
-  else
-    let v = read_narrow data bit_off ke.k_bits in
-    match ke.k_endian with
-    | Desc.Big -> v
-    | Desc.Little -> bswap_int ~bits:ke.k_bits v
-
 (* ------------------------------------------------------------------ *)
 (* Hot: the compiled fast path for linear formats.
 
@@ -281,9 +137,8 @@ let extract_key_int ke ?(off = 0) data =
    - one bounds check covers that whole static prefix;
    - a narrow scalar becomes a load of the one, two or four bytes it
      spans at a constant offset, shifted and masked to its bits, with its
-     constant, enum and range checks folded into one [lo, hi] test (a
-     non-contiguous enum or a one-of/not-equal constraint keeps a
-     residual membership test);
+     admitted values (the layout's intervals) tested as one [lo, hi]
+     range, plus a residual interval test when there are several;
    - a field nothing checks or reads — [bytes[n]], padding, an
      unreferenced unchecked scalar — compiles to nothing;
    - only fields after the first variable-length one keep a running
@@ -344,7 +199,7 @@ module Hot = struct
 
   let read_value s pos width little =
     let v = read_narrow s pos width in
-    if little then bswap_int ~bits:width v else v
+    if little then Sizing.swap_bytes ~bits:width v else v
 
   (* [read_value] with the byte-aligned big-endian 8/16/32-bit reads
      open-coded. *)
@@ -371,66 +226,6 @@ module Hot = struct
       Array.unsafe_set slen s (stop - start)
     end
 
-  let wcon_ok (c : Desc.constr) v =
-    match c with
-    | Desc.In_range (lo, hi) ->
-      Int64.compare lo v <= 0 && Int64.compare v hi <= 0
-    | Desc.One_of vs -> List.exists (Int64.equal v) vs
-    | Desc.Not_equal x -> not (Int64.equal v x)
-
-  (* Top-level, not local closures: kernels call these per packet and
-     must not allocate. *)
-  let rec mem_from a v i =
-    i < Array.length a && (Array.unsafe_get a i = v || mem_from a v (i + 1))
-
-  let rec all_hold fs v =
-    match fs with [] -> true | f :: tl -> f v && all_hold tl v
-
-  (* A narrow scalar's checks as one [lo, hi] interval plus residual
-     tests.  Endpoints outside [0, 2^62) become always-true or
-     unsatisfiable, the classification [narrow_const] applies to
-     constants; a contiguous enum is a range. *)
-  let narrow_checks check constraints =
-    let lo = ref 0 and hi = ref max_int and resid = ref [] in
-    let meet l h =
-      if l > !lo then lo := l;
-      if h < !hi then hi := h
-    in
-    let member l =
-      let a = Array.of_list l in
-      resid := (fun v -> mem_from a v 0) :: !resid
-    in
-    (match check with
-    | C_none -> ()
-    | C_const c -> if c < 0 then meet 1 0 else meet c c
-    | C_enum cs -> (
-      match List.sort_uniq compare cs with
-      | [] -> meet 1 0
-      | first :: _ as l ->
-        let last = List.fold_left max first l in
-        if last - first + 1 = List.length l then meet first last else member l));
-    List.iter
-      (fun (c : Desc.constr) ->
-        match c with
-        | Desc.In_range (l, h) ->
-          if
-            Int64.compare l (Int64.of_int max_int) > 0 || Int64.compare h 0L < 0
-          then meet 1 0
-          else
-            meet
-              (if Int64.compare l 0L <= 0 then 0 else Int64.to_int l)
-              (if Int64.compare h (Int64.of_int max_int) >= 0 then max_int
-               else Int64.to_int h)
-        | Desc.One_of vs ->
-          member (narrow_enum_cases (List.map (fun v -> ("", v)) vs))
-        | Desc.Not_equal v ->
-          if fits_narrow v then begin
-            let x = Int64.to_int v in
-            resid := (fun v -> v <> x) :: !resid
-          end)
-      constraints;
-    (!lo, !hi, List.rev !resid)
-
   (* The kernel of a narrow scalar at static bit offset [o]: a load of
      the bytes it spans, shifted and masked, then its checks and the
      register store.  Little-endian and wider-than-four-byte fields take
@@ -439,17 +234,17 @@ module Hot = struct
     let ib = o lsr 3 and drop = o land 7 in
     let nb = (drop + w + 7) lsr 3 in
     let sh = (nb * 8) - drop - w and mask = (1 lsl w) - 1 in
-    let residual = resid <> [] in
+    let residual = Array.length resid > 0 in
     if little || (nb <> 1 && nb <> 2 && nb <> 4) then
       fun d ->
         let v = read_value d ((c.base lsl 3) + o) w little in
-        if v < lo || v > hi || (residual && not (all_hold resid v)) then raise Reject;
+        if v < lo || v > hi || (residual && not (Sizing.in_ranges resid v 0)) then raise Reject;
         Array.unsafe_set regs r v;
         next d
     else if nb = 1 then
       fun d ->
         let v = (Char.code (String.unsafe_get d (c.base + ib)) lsr sh) land mask in
-        if v < lo || v > hi || (residual && not (all_hold resid v)) then raise Reject;
+        if v < lo || v > hi || (residual && not (Sizing.in_ranges resid v 0)) then raise Reject;
         Array.unsafe_set regs r v;
         next d
     else if nb = 2 then
@@ -461,7 +256,7 @@ module Hot = struct
           lsr sh)
           land mask
         in
-        if v < lo || v > hi || (residual && not (all_hold resid v)) then raise Reject;
+        if v < lo || v > hi || (residual && not (Sizing.in_ranges resid v 0)) then raise Reject;
         Array.unsafe_set regs r v;
         next d
     else
@@ -475,19 +270,19 @@ module Hot = struct
           lsr sh)
           land mask
         in
-        if v < lo || v > hi || (residual && not (all_hold resid v)) then raise Reject;
+        if v < lo || v > hi || (residual && not (Sizing.in_ranges resid v 0)) then raise Reject;
         Array.unsafe_set regs r v;
         next d
 
   (* A scalar past the static prefix: bounds-checked at the running
      position. *)
   let dynamic_scalar ~c ~regs ~r ~w ~little ~lo ~hi ~resid (next : kernel) : kernel =
-    let residual = resid <> [] in
+    let residual = Array.length resid > 0 in
     fun d ->
       let p = c.pos in
       if p + w > c.lim then raise Reject;
       let v = read_value d p w little in
-      if v < lo || v > hi || (residual && not (all_hold resid v)) then raise Reject;
+      if v < lo || v > hi || (residual && not (Sizing.in_ranges resid v 0)) then raise Reject;
       Array.unsafe_set regs r v;
       c.pos <- p + w;
       next d
@@ -505,47 +300,34 @@ module Hot = struct
      the first variable-length field. *)
   type place = Static of int | Dynamic
 
-  let static_width (op : op) =
-    match op.o_k with
-    | K_scalar s -> Some s.bits
-    | K_scalar64 s -> Some s.bits
-    | K_bool -> Some 1
-    | K_computed c -> Some c.bits
-    | K_checksum c -> Some c.bits
-    | K_bytes (L_fixed n) when n >= 0 && n <= Sys.max_string_length -> Some (n * 8)
-    | K_padding bits when bits >= 0 -> Some bits
-    | _ -> None
-
   (* A counted array whose element is a fixed-size record of scalars,
      like a P4 header stack: its stride in bits and its checked fields as
      (bit offset in the element, width, little-endian, checks).  [None]
      for an element of variable size or with fields it cannot check in
      isolation. *)
   let element_layout (elem : op array) =
-    let rec go o acc i =
-      if i = Array.length elem then if o > 0 then Some (o, List.rev acc) else None
+    let rec go stride acc i =
+      if i = Array.length elem then if stride > 0 then Some (stride, List.rev acc) else None
       else
         let op = elem.(i) in
-        match (op.o_k, static_width op) with
-        | K_scalar sc, Some w ->
-          let lo, hi, resid = narrow_checks sc.check sc.constraints in
+        match (op.o_k, op.o_off, op.o_width) with
+        | K_scalar sc, Some o, Some w ->
           let acc =
-            if lo = 0 && hi = max_int && resid = [] then acc
-            else (o, w, sc.little, lo, hi, resid) :: acc
+            if sc.lo = 0 && sc.hi = max_int && sc.resid = [||] then acc
+            else (o, w, sc.little, sc.lo, sc.hi, sc.resid) :: acc
           in
           go (o + w) acc (i + 1)
-        | (K_bool | K_padding _ | K_bytes (L_fixed _)), Some w
-        | K_scalar64 { check = W_none; constraints = []; _ }, Some w ->
-          go (o + w) acc (i + 1)
+        | (K_bool | K_padding _ | K_bytes (L_fixed _)), Some o, Some w -> go (o + w) acc (i + 1)
+        | K_scalar64 { shape; _ }, Some o, Some w when Sizing.full shape -> go (o + w) acc (i + 1)
         | _ -> None
     in
     go 0 [] 0
 
   let compile ?(demand = []) ?(span_demand = []) ?(plant_late_load = false) (fmt : Desc.t) =
-    let vn, sn = collect_refs fmt in
+    let vn, sn = Desc.references fmt in
     let vn = List.sort_uniq compare (demand @ vn) in
     let sn = List.sort_uniq compare (span_demand @ sn) in
-    let ops = compile_fields ~vn ~sn fmt.Desc.fields in
+    let ops = compile_fields ~vn ~sn fmt in
     let nops = Array.length ops in
     let err = ref None in
     let fail_ msg = if !err = None then err := Some msg in
@@ -555,26 +337,15 @@ module Hot = struct
       | K_computed c -> c.bits <= 62
       | _ -> false
     in
-    (* static layout: every field up to and including the first one of
-       variable width sits at a constant offset *)
-    let place = Array.make (max 1 nops) Dynamic in
-    let width = Array.make (max 1 nops) None in
-    let prefix = ref 0 in
-    let cur = ref (Some 0) in
-    Array.iteri
-      (fun i (op : op) ->
-        let w = static_width op in
-        width.(i) <- w;
-        match !cur with
-        | None -> ()
-        | Some o ->
-          place.(i) <- Static o;
-          (match w with
-          | Some w ->
-            prefix := o + w;
-            cur := Some (o + w)
-          | None -> cur := None))
-      ops;
+    (* the static layout: every field up to and including the first one
+       of variable width sits at a constant offset *)
+    let place = Array.map (fun op -> match op.o_off with Some o -> Static o | None -> Dynamic) ops in
+    let width = Array.map (fun op -> op.o_width) ops in
+    let prefix =
+      Array.fold_left
+        (fun p op -> match (op.o_off, op.o_width) with Some o, Some w -> o + w | _ -> p)
+        0 ops
+    in
     (* slot assignment; binding lists are consed newest-first so the first
        match below a cutoff is the latest earlier binding, mirroring scope
        shadowing in [Codec.decode] *)
@@ -585,8 +356,8 @@ module Hot = struct
       s
     in
     let reg_binds = ref [] and span_binds = ref [] in
-    let reg_of = Array.make (max 1 nops) (-1) in
-    let span_of = Array.make (max 1 nops) (-1) in
+    let reg_of = Array.make nops (-1) in
+    let span_of = Array.make nops (-1) in
     Array.iteri
       (fun i (op : op) ->
         (match op.o_k with
@@ -650,7 +421,7 @@ module Hot = struct
        something else needs it there or its offset is dynamic; a pending
        checksum past the prefix records its own offset *)
     let pend_of = Array.copy reg_of in
-    let pos_of = Array.make (max 1 nops) (-1) in
+    let pos_of = Array.make nops (-1) in
     Array.iteri
       (fun i (op : op) ->
         match op.o_k with
@@ -857,10 +628,10 @@ module Hot = struct
       let narrow ~r ~w ~little ~lo ~hi ~resid =
         match place.(i) with
         | Static o ->
-          if r = sink && lo = 0 && hi = max_int && resid = [] then next
+          if r = sink && lo = 0 && hi = max_int && resid = [||] then next
           else begin
             let o =
-              if !planted && w >= 16 && o land 7 = 0 && (not little) && o + 8 + w <= !prefix
+              if !planted && w >= 16 && o land 7 = 0 && (not little) && o + 8 + w <= prefix
               then begin
                 planted := false;
                 o + 8
@@ -894,17 +665,17 @@ module Hot = struct
       let land_at start stop = record hsoff hslen s start stop; c.pos <- stop in
       match op.o_k with
       | K_scalar sc ->
-        let lo, hi, resid = narrow_checks sc.check sc.constraints in
-        narrow ~r:(or_sink reg_of.(i)) ~w:sc.bits ~little:sc.little ~lo ~hi ~resid
-      | K_bool -> narrow ~r:(or_sink reg_of.(i)) ~w:1 ~little:false ~lo:0 ~hi:max_int ~resid:[]
+        narrow ~r:(or_sink reg_of.(i)) ~w:sc.bits ~little:sc.little ~lo:sc.lo ~hi:sc.hi
+          ~resid:sc.resid
+      | K_bool -> narrow ~r:(or_sink reg_of.(i)) ~w:1 ~little:false ~lo:0 ~hi:max_int ~resid:[||]
       | K_computed { bits; little; _ } ->
         (* the raw value only; the check is deferred *)
         if pend_of.(i) < 0 then advance bits
-        else narrow ~r:pend_of.(i) ~w:bits ~little ~lo:0 ~hi:max_int ~resid:[]
+        else narrow ~r:pend_of.(i) ~w:bits ~little ~lo:0 ~hi:max_int ~resid:[||]
       | K_checksum { bits; _ } -> (
         let k =
           if pend_of.(i) < 0 then advance bits
-          else narrow ~r:pend_of.(i) ~w:bits ~little:false ~lo:0 ~hi:max_int ~resid:[]
+          else narrow ~r:pend_of.(i) ~w:bits ~little:false ~lo:0 ~hi:max_int ~resid:[||]
         in
         match pos_of.(i) with
         | -1 -> k
@@ -918,13 +689,7 @@ module Hot = struct
           if (not st) && start + w.bits > c.lim then raise Reject;
           record hsoff hslen s start (start + w.bits);
           let v = of_wire ~bits:w.bits ~endian:w.endian (read_wide d start w.bits) in
-          (match w.check with
-          | W_none -> ()
-          | W_const k -> if not (Int64.equal v k) then raise Reject
-          | W_enum cases ->
-            if not (List.exists (Int64.equal v) cases) then
-              raise Reject);
-          List.iter (fun k -> if not (wcon_ok k v) then raise Reject) w.constraints;
+          if not (Sizing.admits w.shape v) then raise Reject;
           if not st then c.pos <- start + w.bits;
           next d
       | K_bytes (L_fixed n) when n >= 0 && n <= Sys.max_string_length -> advance (n * 8)
@@ -984,27 +749,31 @@ module Hot = struct
           let elem =
             List.fold_right
               (fun (o, w, little, lo, hi, resid) (k : kernel) : kernel ->
-                let residual = resid <> [] in
+                let residual = Array.length resid > 0 in
                 fun d ->
                   let v = load d (c.pos + o) w little in
-                  if v < lo || v > hi || (residual && not (all_hold resid v)) then
+                  if v < lo || v > hi || (residual && not (Sizing.in_ranges resid v 0)) then
                     raise Reject;
                   k d)
               checked
               (fun _ -> ())
           in
           let checking = checked <> [] in
+          (* inside the static prefix the running position is the
+             prefix end, which the element walk must leave as it was *)
+          let in_prefix = st && width.(i) <> None in
           fun d ->
             let start = if st then (c.base lsl 3) + so else c.pos in
             let n = count (c.lim - (c.base lsl 3)) in
             if n < 0 || n > Sys.max_string_length || n > (c.lim - start) / stride then
               raise Reject;
+            let resume = c.pos in
             if checking then
               for k = 0 to n - 1 do
                 c.pos <- start + (k * stride);
                 elem d
               done;
-            land_at start (start + (n * stride));
+            if in_prefix then c.pos <- resume else land_at start (start + (n * stride));
             next d)
       | K_array _ | K_record | K_variant | K_invalid -> next
     in
@@ -1018,7 +787,7 @@ module Hot = struct
         {
           hrun = !chain;
           hcur = c;
-          hprefix = !prefix;
+          hprefix = prefix;
           hregs = regs;
           hsoff;
           hslen;

@@ -2,56 +2,20 @@
 
     {!Codec.decode} is the reference decoder: it defines which messages a
     format accepts and what their fields hold.  This module compiles a
-    format into the fast paths the engine runs per packet — {!Hot}, a
-    chain of static-offset kernels that validates a message in place and
-    leaves the demanded fields in native-int registers, and the flow-key
-    extractor that steers a packet without decoding it.  {!Hot}'s accept
-    set is defined as {!Codec.decode}'s: it performs every check the codec
-    does (constants, enum exhaustiveness, constraints, computed fields,
-    checksums, trailing input) and only collapses the error detail to a
-    boolean verdict.  The differential oracle ([Netdsl_check.Oracle])
-    diffs the two verdict- and register-exact over the corpus and fuzz
-    mutants; no field of an unverified packet is ever surfaced ("no
-    processing occurs on unverified packets", paper §3.4). *)
-
-(** {2 Flow keys}
-
-    A precompiled extractor for a scalar field at a fixed wire offset: the
-    flow-key read that {!Netdsl_format.Bpf.steering} compiles into the
-    kernel's worker choice and the lossy loopback steers by, without
-    decoding the packet. *)
-
-type key_extractor
-
-val key_extractor : Desc.t -> string -> (key_extractor, string) result
-(** Compiles an extractor for the named top-level field.  Fails (with a
-    reason) if the field does not exist, is not scalar, or is preceded by a
-    variable-size field. *)
-
-val extract_key : key_extractor -> ?off:int -> string -> int option
-(** Reads the key field from a raw packet ([None] if the buffer is too
-    short for the field). *)
-
-val no_key : int
-(** Sentinel ([min_int]) returned by {!extract_key_int} for packets too
-    short to carry the key field.  No real key can collide with it: key
-    fields are at most 62 bits wide. *)
-
-val key_min_bytes : key_extractor -> int
-(** Fewest packet bytes that carry the whole key field — callers reading
-    datagrams into an oversized scratch buffer compare the receive length
-    against this before {!extract_key_int} (whose own bounds check only
-    sees the buffer, not the datagram). *)
-
-val key_layout : key_extractor -> int * int * Desc.endian
-(** [(bit_off, bits, endian)]: where the key sits on the wire — what a
-    program that reads it outside OCaml (the kernel steering program,
-    {!Bpf.steering}) must load. *)
-
-val extract_key_int : key_extractor -> ?off:int -> string -> int
-(** Allocation-free variant of {!extract_key} for the per-packet steering
-    path: returns the key as a native int, or {!no_key} when the buffer is
-    too short.  Agrees with [extract_key] on every input (unit-tested). *)
+    format into the fast path the engine runs per packet: {!Hot}, a chain
+    of static-offset kernels that validates a message in place and leaves
+    the demanded fields in native-int registers.  Where each field sits
+    and which values it admits come from the format's static layout
+    ({!Sizing.layout}), worked out once; the kernels open-code their own
+    loads, since a helper in another module is not inlined.  {!Hot}'s
+    accept set is defined as {!Codec.decode}'s: it performs every check
+    the codec does (constants, enum exhaustiveness, constraints, computed
+    fields, checksums, trailing input) and only collapses the error
+    detail to a boolean verdict.  The differential oracle
+    ([Netdsl_check.Oracle]) diffs the two verdict- and register-exact
+    over the corpus and fuzz mutants; no field of an unverified packet is
+    ever surfaced ("no processing occurs on unverified packets", paper
+    §3.4). *)
 
 (** {2 Fused hot-path decode}
 
@@ -64,8 +28,8 @@ val extract_key_int : key_extractor -> ?off:int -> string -> int
     built once at compile time.  Every field whose bit offset does not
     depend on the packet is resolved to a constant offset in the window:
     one bounds check covers that static prefix, a byte-aligned 8/16/32-bit
-    field is one load at a constant offset with its constant, enum and
-    range checks folded into one interval test, a sub-byte field a
+    field is one load at a constant offset with its admitted values
+    ({!Sizing.shape}) tested as one interval, a sub-byte field a
     shift-and-mask read, and [bytes[n]], padding and unchecked,
     unreferenced scalars compile to nothing; only fields after the first
     variable-length one keep a running position.  Computed and checksum
@@ -139,7 +103,8 @@ module Hot : sig
 
   val read_scalar : string -> bit_off:int -> bits:int -> little:bool -> int
   (** Raw fixed-offset scalar read ([bits] <= 62, bounds pre-checked by
-      the caller) — the stack dispatcher's variant-tag peek. *)
+      the caller) — the stack dispatcher's variant-tag peek and the flow
+      key's read ({!Bpf.read_key}). *)
 
   val length_bytes : t -> int
   (** Byte length of the last {!run} window. *)

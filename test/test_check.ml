@@ -761,25 +761,30 @@ let shipped_formats () =
       [ "abp.ndsl"; "arq.ndsl"; "ipv4.ndsl"; "sensor.ndsl"; "stacks.ndsl";
         "tftp.ndsl"; "timeout.ndsl" ]
 
-(* (format label, field, extractor) for every steering-capable key *)
+(* (format label, field, (key, (bit offset, bits))) for every
+   steering-capable key *)
 let steering_keys () =
   List.concat_map
     (fun (label, (fmt : Desc.t)) ->
       List.filter_map
         (fun (f : Desc.field) ->
           match
-            (Bpf.steering fmt ~key:f.name ~workers:2, View.key_extractor fmt f.name)
+            ( Bpf.steering fmt ~key:f.name ~workers:2,
+              Bpf.key fmt f.name,
+              Netdsl_format.Sizing.(span (layout fmt)) f.name )
           with
-          | Ok _, Ok ke -> Some (label, fmt, f.name, ke)
+          | Ok _, Ok k, Ok span -> Some (label, fmt, f.name, (k, span))
           | _ -> None)
         fmt.fields)
     (shipped_formats ())
 
 (* Payloads carrying each key of the domain, in one reused buffer: the
    key's bits at its offset, zeros around it. *)
+let key_bytes (_, (bit_off, bits)) = (bit_off + bits + 7) / 8
+
 let iter_key_payloads ke f =
-  let bit_off, bits, _ = View.key_layout ke in
-  let buf = Bytes.make (View.key_min_bytes ke) ' ' in
+  let _, (bit_off, bits) = ke in
+  let buf = Bytes.make (key_bytes ke) ' ' in
   let set_bit pos v =
     let i = pos lsr 3 and m = 0x80 lsr (pos land 7) in
     let c = Char.code (Bytes.get buf i) in
@@ -807,11 +812,10 @@ let steering_disagrees ke prog ~workers =
   in
   match
     iter_key_payloads ke (fun k p ->
-        let key = View.extract_key_int ke p in
+        let key = Bpf.read_key (fst ke) p in
         if key <> k then raise (Found (Printf.sprintf "key %d read back as %d" k key));
-        let _, bits, _ = View.key_layout ke in
-        check p ~want:(Bpf.steer ~workers ~bits key) (fun () -> Printf.sprintf "key %d" k));
-    for len = 0 to View.key_min_bytes ke - 1 do
+        check p ~want:(Bpf.steer ~workers (fst ke) key) (fun () -> Printf.sprintf "key %d" k));
+    for len = 0 to key_bytes ke - 1 do
       check (String.make len '\xff') ~want:0 (fun () ->
           Printf.sprintf "a %d-byte payload" len)
     done
@@ -845,7 +849,7 @@ let steering_mutants_caught () =
     (fun (label, fmt, key, ke) ->
       let prog = Result.get_ok (Bpf.steering fmt ~key ~workers:3) in
       let mutants = Ck.Bpf_oracle.mutants prog in
-      let _, bits, _ = View.key_layout ke in
+      let _, (_, bits) = ke in
       Alcotest.(check (list string)) "the mutants that apply"
         ("loads one byte late" :: (if bits <= 8 then [] else [ "wrong multiplier" ]))
         (List.map fst mutants);
@@ -866,12 +870,12 @@ let steering_mutants_caught () =
 let steering_shares () =
   List.iter
     (fun (label, _, key, ke) ->
-      let _, bits, _ = View.key_layout ke in
+      let _, (_, bits) = ke in
       List.iter
         (fun workers ->
           let counts = Array.make workers 0 and d = ref 0 in
           iter_key_payloads ke (fun k _ ->
-              let w = Bpf.steer ~workers ~bits k in
+              let w = Bpf.steer ~workers (fst ke) k in
               counts.(w) <- counts.(w) + 1;
               incr d);
           let d = !d in

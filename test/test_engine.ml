@@ -984,6 +984,25 @@ let dns_padding_matches_reference () =
   Testutil.finish tw;
   List.iter (fun reply -> check_int "reply z bits clear" 0 (Char.code reply.[3] land 0x70)) !replies
 
+(* A rule that sets nothing still answers with a re-encoding of the
+   request in the reference, so the engine must clear the padding of a
+   reply it only copies. *)
+let dns_echo_clears_padding () =
+  let flight = Flight.spec ~respond:[ { Flight.re_when = Flight.All []; re_set = [] } ] () in
+  let replies = ref [] in
+  let tw =
+    Testutil.twin ~flight ~on_response:(fun s -> replies := s :: !replies) Fm.Dns.format
+  in
+  let query =
+    Bytes.of_string
+      (Netdsl_format.Codec.encode_exn Fm.Dns.format (Fm.Dns.query_header ~id:0x1234 ~qdcount:1))
+  in
+  Bytes.set_uint8 query 3 (Bytes.get_uint8 query 3 lor 0x70);
+  check_bool "accepted" true (Testutil.process tw (Bytes.to_string query) = Pipeline.Accepted);
+  Testutil.finish tw;
+  List.iter (fun reply -> check_int "reply z bits clear" 0 (Char.code reply.[3] land 0x70)) !replies;
+  check_int "one reply" 1 (List.length !replies)
+
 (* The shipped TFTP spec: a five-way variant, so every case is its own
    flattened plan.  The flow key [block] lives in two cases only; on the
    others the packet keys to the shared default instance. *)
@@ -1543,11 +1562,17 @@ let steer_distribution () =
      keys: either pattern should load every worker with a reasonable
      share (a plain mod would collapse strided keys onto one worker). *)
   let workers = 4 in
+  let key =
+    Result.get_ok
+      (Netdsl_format.Bpf.key
+         Netdsl_format.Desc.(format "k32" [ field "k" u32 ])
+         "k")
+  in
   let spread label keys =
     let counts = Array.make workers 0 in
     List.iter
       (fun k ->
-        let w = Netdsl_format.Bpf.steer ~workers ~bits:32 k in
+        let w = Netdsl_format.Bpf.steer ~workers key k in
         counts.(w) <- counts.(w) + 1)
       keys;
     let total = List.length keys in
@@ -1564,17 +1589,19 @@ let steer_distribution () =
   spread "strided 65536" (List.init 10_000 (fun i -> i * 65536));
   (* unkeyed packets pin to worker 0 *)
   check_int "no_key to worker 0" 0
-    (Netdsl_format.Bpf.steer ~workers ~bits:32 Netdsl_format.View.no_key)
+    (Netdsl_format.Bpf.steer ~workers key Netdsl_format.Bpf.no_key)
 
 (* ------------------------------------------------------------------ *)
 (* Key extractor fast path *)
 
-let key_int_agrees_with_key_option () =
-  let module V = Netdsl_format.View in
+(* The key read off the wire agrees with the codec's decoded field,
+   and is [no_key] exactly on packets too short to carry it. *)
+let key_read_agrees_with_codec () =
+  let module F = Netdsl_format in
   let ke =
-    match V.key_extractor Fm.Arq.format "seq" with
+    match F.Bpf.key Fm.Arq.format "seq" with
     | Ok ke -> ke
-    | Error e -> Alcotest.failf "key_extractor: %s" e
+    | Error e -> Alcotest.failf "Bpf.key: %s" e
   in
   let rng = Prng.of_int 5 in
   (* real packets, random garbage, and every truncation length *)
@@ -1587,14 +1614,15 @@ let key_int_agrees_with_key_option () =
   in
   List.iter
     (fun pkt ->
-      let opt = V.extract_key ke pkt in
-      let fast = V.extract_key_int ke pkt in
-      (match opt with
-      | None -> check_bool "no_key on short" true (fast = V.no_key)
-      | Some v -> check_int "same key" v fast);
-      (* the min-bytes bound is exactly the no_key frontier *)
-      check_bool "key_min_bytes frontier" true
-        ((String.length pkt >= V.key_min_bytes ke) = (fast <> V.no_key)))
+      let fast = F.Bpf.read_key ke pkt in
+      (match F.Codec.decode Fm.Arq.format pkt with
+      | Ok v -> (
+        match F.Value.find_int_flat v "seq" with
+        | Some seq -> check_int "same key as the codec" (Int64.to_int seq) fast
+        | None -> Alcotest.fail "decoded without seq")
+      | Error _ -> ());
+      check_bool "no_key exactly on a packet too short for the key"
+        (String.length pkt < 1) (fast = F.Bpf.no_key))
     inputs
 
 (* ------------------------------------------------------------------ *)
@@ -1604,13 +1632,12 @@ let key_int_agrees_with_key_option () =
    on one domain: each packet goes to the pipeline that [Bpf.steer] picks
    for its flow key, and each pipeline holds only its own flows. *)
 let key_of fmt field =
-  match Netdsl_format.View.key_extractor fmt field with
+  match Netdsl_format.Bpf.key fmt field with
   | Ok ke -> ke
-  | Error e -> Alcotest.failf "key_extractor %s: %s" field e
+  | Error e -> Alcotest.failf "Bpf.key %s: %s" field e
 
 let worker_of ke ~workers pkt =
-  let _, bits, _ = Netdsl_format.View.key_layout ke in
-  Netdsl_format.Bpf.steer ~workers ~bits (Netdsl_format.View.extract_key_int ke pkt)
+  Netdsl_format.Bpf.steer ~workers ke (Netdsl_format.Bpf.read_key ke pkt)
 
 let steer_into ke pipelines pkt =
   let w = worker_of ke ~workers:(Array.length pipelines) pkt in
@@ -1673,7 +1700,7 @@ let steered_fused_responders () =
 let reply_log ke =
   let tbl : (int, string list) Hashtbl.t = Hashtbl.create 64 in
   let on_response r =
-    let key = Netdsl_format.View.extract_key_int ke r in
+    let key = Netdsl_format.Bpf.read_key ke r in
     let prev = try Hashtbl.find tbl key with Not_found -> [] in
     Hashtbl.replace tbl key (r :: prev)
   in
@@ -1860,6 +1887,8 @@ let suite =
           icmp_echo_matches_reference;
         Alcotest.test_case "dns responder clears z bits: fused = reference" `Quick
           dns_padding_matches_reference;
+        Alcotest.test_case "dns echo rule clears z bits: fused = reference" `Quick
+          dns_echo_clears_padding;
         Alcotest.test_case "tftp spec: fused = reference under mutants" `Quick
           tftp_spec_matches_reference;
         Alcotest.test_case "sensor_report: fused = reference, count lies" `Quick
@@ -1888,7 +1917,7 @@ let suite =
     ( "engine.steer",
       [ Alcotest.test_case "fibonacci distribution" `Quick steer_distribution;
         Alcotest.test_case "fast key read = slow key read" `Quick
-          key_int_agrees_with_key_option ] );
+          key_read_agrees_with_codec ] );
     ( "engine.steered",
       [ Alcotest.test_case "steered workers cover all packets" `Quick
           steered_cover_all_packets;

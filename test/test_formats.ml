@@ -674,3 +674,132 @@ let suite =
             test_library_stacks_match_spec;
         ] );
     ]
+
+(* ---- the static layout, judged by the codec ----
+
+   On every shipped format: each field the layout places statically,
+   read at its offset, width and byte order from valid messages, is what
+   [Codec.decode] decodes there; and each admitted interval's edges,
+   written into a valid message, are refused by the codec (a constant,
+   enum or constraint error on that field) exactly when the layout does
+   not admit them. *)
+
+module Sz = Netdsl_format.Sizing
+
+let read_field msg ~off ~bits ~(endian : D.endian) =
+  let v = ref 0L in
+  for i = 0 to bits - 1 do
+    let p = off + i in
+    let b = (Char.code msg.[p / 8] lsr (7 - (p mod 8))) land 1 in
+    v := Int64.logor (Int64.shift_left !v 1) (Int64.of_int b)
+  done;
+  match endian with Big -> !v | Little -> Sz.swap_bytes64 ~bits !v
+
+let write_field msg ~off ~bits ~(endian : D.endian) v =
+  let v = match endian with Big -> v | Little -> Sz.swap_bytes64 ~bits v in
+  let b = Bytes.of_string msg in
+  for i = 0 to bits - 1 do
+    let p = off + i in
+    let bit = Int64.logand (Int64.shift_right_logical v (bits - 1 - i)) 1L = 1L in
+    let c = Char.code (Bytes.get b (p / 8)) and m = 0x80 lsr (p mod 8) in
+    Bytes.set b (p / 8) (Char.chr (if bit then c lor m else c land lnot m))
+  done;
+  Bytes.to_string b
+
+let refused_here name (e : C.error) =
+  match e with
+  | Const_mismatch { path; _ } | Enum_unknown { path; _ } | Constraint_violation { path; _ } ->
+    path = [ name ]
+  | _ -> false
+
+(* Every kind of admitted set, beside the shipped formats': a constant,
+   a non-contiguous exhaustive enum and each constraint kind. *)
+let constrained =
+  D.format "constrained"
+    [
+      D.field "magic" (D.const 8 0x5AL);
+      D.field "kind" (D.enum 8 [ ("a", 1L); ("b", 3L); ("c", 4L) ]);
+      D.field ~constraints:[ D.In_range (10L, 20L) ] "range" D.u8;
+      D.field ~constraints:[ D.One_of [ 2L; 7L; 9L ] ] "pick" D.u8;
+      D.field ~constraints:[ D.Not_equal 0L ] "nonzero" D.u16;
+      D.field "body" D.bytes_remaining;
+    ]
+
+let layout_formats () =
+  ("constrained", constrained)
+  :: Netdsl_check.Corpus.shipped
+  @ List.concat_map
+      (fun spec ->
+        List.map (fun (name, fmt) -> (spec ^ ":" ^ name, fmt)) (Testutil.spec_program spec).P.formats)
+      [ "arq.ndsl"; "sensor.ndsl"; "stacks.ndsl"; "timeout.ndsl" ]
+
+let layout_samples fmt =
+  match Netdsl_check.Corpus.generator fmt with
+  | None -> Alcotest.failf "%s: no generator" fmt.D.format_name
+  | Some gen ->
+    let rng = Netdsl_util.Prng.of_int 11 in
+    List.init 20 (fun _ -> gen rng)
+
+let layout_offsets () =
+  List.iter
+    (fun (label, fmt) ->
+      let lay = Sz.layout fmt in
+      List.iter
+        (fun msg ->
+          let v = match C.decode fmt msg with Ok v -> v | Error e -> Alcotest.failf "%s: %s" label (C.error_to_string e) in
+          List.iter
+            (fun (e : Sz.entry) ->
+              match (e.shape, e.off) with
+              | Some { bits; endian; kind; _ }, Some off when kind <> Padding && bits <= 62 ->
+                let decoded =
+                  match V.find v e.field.name with
+                  | Some (V.Int x) -> x
+                  | Some (V.Bool b) -> if b then 1L else 0L
+                  | _ -> Alcotest.failf "%s.%s not decoded" label e.field.name
+                in
+                Alcotest.(check int64)
+                  (Printf.sprintf "%s.%s at bit %d" label e.field.name off)
+                  decoded (read_field msg ~off ~bits ~endian)
+              | _ -> ())
+            lay)
+        (layout_samples fmt))
+    (layout_formats ())
+
+let layout_admitted () =
+  List.iter
+    (fun (label, fmt) ->
+      let lay = Sz.layout fmt in
+      let msg = List.hd (layout_samples fmt) in
+      List.iter
+        (fun (e : Sz.entry) ->
+          match (e.shape, e.off) with
+          | Some ({ bits; endian; kind = Int | Const; admitted } as sh), Some off when bits <= 62 ->
+            let top = Int64.pred (Int64.shift_left 1L bits) in
+            List.iter
+              (fun (lo, hi) ->
+                List.iter
+                  (fun x ->
+                    if Int64.compare x 0L >= 0 && Int64.compare x top <= 0 then
+                      let refused =
+                        match C.decode fmt (write_field msg ~off ~bits ~endian x) with
+                        | Ok _ -> false
+                        | Error err -> refused_here e.field.name err
+                      in
+                      Alcotest.(check bool)
+                        (Printf.sprintf "%s.%s = %Ld admitted" label e.field.name x)
+                        (Sz.admits sh x) (not refused))
+                  [ Int64.pred lo; lo; hi; Int64.succ hi ])
+              admitted
+          | _ -> ())
+        lay)
+    (layout_formats ())
+
+let suite =
+  suite
+  @ [
+      ( "formats.layout",
+        [
+          Alcotest.test_case "static fields read as the codec decodes" `Quick layout_offsets;
+          Alcotest.test_case "admitted values = codec's" `Quick layout_admitted;
+        ] );
+    ]

@@ -137,10 +137,9 @@ let key_extraction () =
     match Fm.Arq.to_bytes (Fm.Arq.Data { seq = 99; payload = "x" }) with
     | s -> s
   in
-  match View.key_extractor Fm.Arq.format "seq" with
-  | Error e -> Alcotest.failf "key_extractor: %s" e
-  | Ok kx ->
-    Alcotest.(check bool) "key value" true (View.extract_key kx pkt = Some 99)
+  match Bpf.key Fm.Arq.format "seq" with
+  | Error e -> Alcotest.failf "Bpf.key: %s" e
+  | Ok kx -> Alcotest.(check int) "key value" 99 (Bpf.read_key kx pkt)
 
 (* Counted arrays of fixed-size records compile to the hot plan: the
    shipped sensor report, and elements carrying enum, range and sub-byte
